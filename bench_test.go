@@ -220,8 +220,8 @@ func BenchmarkPredictorObserve(b *testing.B) {
 // BenchmarkFlowsimFig5 regenerates the Fig-5 mode table through the
 // flow-level fluid fast path (Options.Fidelity = FidelityFlow) instead of
 // the packet simulator. Compared against BenchmarkFig5DCTCPModes it records
-// the fast path's speedup on the same sweep (BENCH_PR6.json); the
-// three-way differential gate (internal/audit) pins the two backends'
+// the fast path's speedup on the same sweep; the three-way differential
+// gate (internal/audit) pins the two backends'
 // agreement, so this benchmark is purely about wall clock.
 func BenchmarkFlowsimFig5(b *testing.B) {
 	runExperiment(b, "fig5_flow", func(o incastlab.Options) incastlab.Result {
@@ -230,14 +230,13 @@ func BenchmarkFlowsimFig5(b *testing.B) {
 	})
 }
 
-// --- Clos fabric: packet vs flow (BENCH_PR9.json). -----------------------
+// --- Clos fabric: packet vs flow. ---------------------------------------
 
 // benchClosFidelity runs a registered Clos experiment at the given
 // fidelity. The packet/flow pairs below record the multi-queue fluid
-// solver's speedup over the packet fabric on identical sweeps
-// (BENCH_PR9.json); the fabric closed-loop gate (TestClosDifferentialGate
-// in internal/audit) pins the two backends' agreement, so the benchmarks
-// are purely about wall clock.
+// solver's speedup over the packet fabric on identical sweeps; the fabric
+// closed-loop gate (TestClosDifferentialGate in internal/audit) pins the
+// two backends' agreement, so the benchmarks are purely about wall clock.
 func benchClosFidelity(b *testing.B, name string, fidelity string) {
 	b.Helper()
 	exp, ok := incastlab.LookupExperiment(name)
@@ -266,7 +265,7 @@ func BenchmarkClosMultiAggFlow(b *testing.B) {
 	benchClosFidelity(b, "ext_clos_multiagg", incastlab.FidelityFlow)
 }
 
-// --- Cohort aggregation: per-flow vs cohort (BENCH_PR10.json). -----------
+// --- Cohort aggregation: per-flow vs cohort. ----------------------------
 
 // BenchmarkFlowsimCohortFig5 regenerates the Fig-5 mode table on the fluid
 // backend with cohort aggregation forced on every point. Compared against
@@ -284,10 +283,9 @@ func BenchmarkFlowsimCohortFig5(b *testing.B) {
 // benchFlowsimFig5Point runs the Fig-5 sweep's deepest point — a
 // 1400-degree dumbbell incast, the timeout-collapse regime — on the fluid
 // backend with the given flow representation. The per-flow/cohort pair
-// records cohort aggregation's speedup on the identical run
-// (BENCH_PR10.json); the cohort differential gate (TestCohortDifferentialGate
-// in internal/audit) pins the representations' agreement, so the pair is
-// purely about wall clock.
+// records cohort aggregation's speedup on the identical run; the cohort
+// differential gate (TestCohortDifferentialGate in internal/audit) pins the
+// representations' agreement, so the pair is purely about wall clock.
 func benchFlowsimFig5Point(b *testing.B, aggregation string) {
 	b.Helper()
 	b.ReportAllocs()
@@ -319,7 +317,8 @@ func BenchmarkFlowsimCohortFig5Point(b *testing.B) {
 // Per-flow records cannot represent this run at all (the release-packing
 // limit bounds them below 2^20 flows), so there is no baseline twin: the
 // benchmark pins that the headline scale stays runnable and how much wall
-// clock it costs.
+// clock it costs — about 1 s per run on a 2-vCPU VM, most of it fluid
+// steps now that tail-drop victims come from a per-queue index.
 func BenchmarkClosMillionFlowSingleRun(b *testing.B) {
 	spec, err := incastlab.LoadScenario("examples/scenarios/clos_million_flow_single.json")
 	if err != nil {

@@ -89,12 +89,15 @@ func (c SimConfig) FlowCompatible() error {
 	if _, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg)); err != nil {
 		return err
 	}
+	flows := cfg.Flows
 	if cfg.Clos != nil {
-		if _, _, err := workload.ClosFlowEndpoints(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement); err != nil {
+		srcs, _, err := workload.ClosFlowEndpoints(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement)
+		if err != nil {
 			return err
 		}
+		flows = len(srcs)
 	}
-	return nil
+	return flowsim.CheckAggregation(cfg.Aggregation, flows)
 }
 
 // flowBaseRTT is the uncongested round-trip the reduced congestion laws

@@ -8,10 +8,13 @@ import (
 	"testing"
 
 	"incastlab/internal/cc"
+	"incastlab/internal/flowsim"
+	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/scenario"
 	"incastlab/internal/sim"
 	"incastlab/internal/tcp"
+	"incastlab/internal/workload"
 )
 
 // TestFlowDispatchMatchesPacketModes is the seeded cross-backend
@@ -139,6 +142,39 @@ func TestFlowCompatible(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "packet") && !strings.Contains(err.Error(), "reduced form") {
 			t.Errorf("%s: error does not point at the packet backend: %v", tc.name, err)
+		}
+	}
+}
+
+// TestFlowCompatiblePerFlowLimit pins the up-front rejection of per-flow
+// runs past the fluid backend's record limit — counted over every
+// aggregator's workers on a Clos fabric — with an error naming the
+// aggregation knob, and pins the scenario package's mirror of the limit.
+func TestFlowCompatiblePerFlowLimit(t *testing.T) {
+	if scenario.MaxPerFlowFlows != flowsim.MaxPerFlowFlows {
+		t.Fatalf("scenario.MaxPerFlowFlows = %d, flowsim.MaxPerFlowFlows = %d", scenario.MaxPerFlowFlows, flowsim.MaxPerFlowFlows)
+	}
+	clos := netsim.DefaultClosConfig(16, 65560)
+	cases := []struct {
+		name string
+		cfg  SimConfig
+		ok   bool
+	}{
+		{"dumbbell at the limit", SimConfig{Flows: flowsim.MaxPerFlowFlows, Aggregation: AggregationPerFlow}, true},
+		{"dumbbell past the limit", SimConfig{Flows: flowsim.MaxPerFlowFlows + 1, Aggregation: AggregationPerFlow}, false},
+		{"dumbbell past the limit, cohort", SimConfig{Flows: flowsim.MaxPerFlowFlows + 1, Aggregation: AggregationCohort}, true},
+		{"clos 16 x 65536", SimConfig{Flows: 65536, Aggregators: 16, Clos: &clos,
+			Placement: workload.PlacementCrossRack, Aggregation: AggregationPerFlow}, false},
+		{"clos 16 x 65536, auto", SimConfig{Flows: 65536, Aggregators: 16, Clos: &clos,
+			Placement: workload.PlacementCrossRack}, true},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.FlowCompatible()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "aggregation")) {
+			t.Errorf("%s: want an error naming the aggregation, got %v", tc.name, err)
 		}
 	}
 }

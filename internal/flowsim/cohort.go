@@ -1,5 +1,7 @@
 package flowsim
 
+import "fmt"
+
 // Cohort aggregation: the incast workloads this package exists for are
 // massively symmetric — hundreds to thousands of flows sharing one CC law,
 // one demand size, one base RTT, and (per ECMP spine choice) one ordered
@@ -37,6 +39,26 @@ const (
 	// AggregationPerFlow forces one flow per cohort (the exact engine).
 	AggregationPerFlow = "perflow"
 )
+
+// MaxPerFlowFlows is the largest incast the per-flow representation can
+// hold: the release schedule packs each record's index into unitBits of a
+// sort key, so a run carries fewer than 2^20 records. Cohort aggregation
+// is the way past it.
+const MaxPerFlowFlows = 1<<unitBits - 1
+
+// CheckAggregation reports whether the aggregation level can represent an
+// incast of the given number of flows; the error names the knob.
+func CheckAggregation(aggregation string, flows int) error {
+	if !KnownAggregation(aggregation) {
+		return fmt.Errorf("flowsim: unknown aggregation %q (valid: %q, %q, %q)",
+			aggregation, AggregationAuto, AggregationCohort, AggregationPerFlow)
+	}
+	if aggregation == AggregationPerFlow && flows > MaxPerFlowFlows {
+		return fmt.Errorf("flowsim: aggregation %q holds at most %d flows, not %d (use aggregation %q or %q)",
+			AggregationPerFlow, MaxPerFlowFlows, flows, AggregationCohort, AggregationAuto)
+	}
+	return nil
+}
 
 // AutoCohortMinFlows is the incast degree at which "auto" switches from
 // per-flow to cohort integration. Below it the per-flow engine is already
@@ -119,7 +141,15 @@ func classPlan(classOf []int32, nClasses, buckets int) cohortPlan {
 		start[c] = acc
 		acc += s
 	}
-	p := cohortPlan{perm: make([]int32, n)}
+	var nCohorts int
+	for _, s := range size {
+		nCohorts += min(int(s), buckets)
+	}
+	p := cohortPlan{
+		perm: make([]int32, n),
+		off:  make([]int32, 0, nCohorts),
+		cnt:  make([]int32, 0, nCohorts),
+	}
 	fill := append([]int32(nil), start...)
 	for i, c := range classOf {
 		p.perm[fill[c]] = int32(i)

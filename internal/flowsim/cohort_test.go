@@ -3,6 +3,7 @@ package flowsim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incastlab/internal/netsim"
@@ -267,14 +268,33 @@ func TestCohortMillionFlowSmoke(t *testing.T) {
 }
 
 // TestPerFlowReleasePackingLimit pins that per-flow integration still
-// refuses flow counts past the release-key packing limit — the cohort
-// path is the supported way to exceed it.
+// refuses flow counts past the release-key packing limit — with an error,
+// not a panic — and that the check up front names the aggregation knob.
+// The cohort path is the supported way to exceed it.
 func TestPerFlowReleasePackingLimit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("buildReleases accepted %d per-flow units", 1<<20)
-		}
-	}()
 	cfg := quickConfig(8, CCConfig{})
-	buildReleases(cfg, 1<<20)
+	if _, err := buildReleases(cfg, MaxPerFlowFlows+1); err == nil {
+		t.Fatalf("buildReleases accepted %d per-flow units", MaxPerFlowFlows+1)
+	}
+	if _, err := buildReleases(cfg, 4); err != nil {
+		t.Fatalf("buildReleases rejected 4 units: %v", err)
+	}
+	err := CheckAggregation(AggregationPerFlow, MaxPerFlowFlows+1)
+	if err == nil || !strings.Contains(err.Error(), "aggregation") {
+		t.Fatalf("CheckAggregation(perflow, %d) = %v, want an error naming aggregation", MaxPerFlowFlows+1, err)
+	}
+	for _, agg := range []string{"", AggregationAuto, AggregationCohort} {
+		if err := CheckAggregation(agg, MaxPerFlowFlows+1); err != nil {
+			t.Errorf("CheckAggregation(%q, %d) = %v", agg, MaxPerFlowFlows+1, err)
+		}
+	}
+	if err := CheckAggregation(AggregationPerFlow, MaxPerFlowFlows); err != nil {
+		t.Errorf("CheckAggregation(perflow, %d) = %v", MaxPerFlowFlows, err)
+	}
+	big := quickConfig(MaxPerFlowFlows+1, CCConfig{})
+	big.SegmentsPerFlow = 1
+	big.Aggregation = AggregationPerFlow
+	if _, err := Run(big); err == nil || !strings.Contains(err.Error(), "aggregation") {
+		t.Errorf("Run of %d per-flow flows = %v, want an error naming aggregation", big.Flows, err)
+	}
 }

@@ -16,8 +16,9 @@
 //
 // The engine trades packet-level microstructure for speed: it reproduces
 // the paper's mode classification, standing-queue levels, and BCT scale at
-// a small fraction of the event simulator's cost (see BENCH_PR6.json), and
-// internal/audit's three-way differential harness pins the agreement.
+// a small fraction of the event simulator's cost (BenchmarkFlowsimFig5
+// against BenchmarkFig5DCTCPModes), and internal/audit's three-way
+// differential harness pins the agreement.
 package flowsim
 
 import (
@@ -157,9 +158,8 @@ func (c *Config) fill() error {
 	if c.DupAckPackets <= 0 {
 		c.DupAckPackets = 3
 	}
-	if !KnownAggregation(c.Aggregation) {
-		return fmt.Errorf("flowsim: unknown aggregation %q (valid: %q, %q, %q)",
-			c.Aggregation, AggregationAuto, AggregationCohort, AggregationPerFlow)
+	if err := CheckAggregation(c.Aggregation, c.Flows); err != nil {
+		return err
 	}
 	c.CC.fill(c.BaseRTT)
 	if c.SampleInterval <= 0 {
@@ -322,6 +322,10 @@ type release struct {
 	flow int32
 }
 
+// unitBits is the width of the record field in buildReleases' packed
+// (release time, record) sort keys.
+const unitBits = 20
+
 // lzEvent is a pending lazy-set threshold crossing: flow i needs touching
 // once the drain coordinate decays to g. stamp invalidates entries whose
 // flow has been touched since they were pushed.
@@ -364,7 +368,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// The dumbbell has a single path and uniform CC/demand/RTT, so every
 	// flow is in one equivalence class; only jitter buckets partition it.
-	e := newEngine(cfg, buildPlan(&cfg, nil, 1))
+	e, err := newEngine(cfg, buildPlan(&cfg, nil, 1))
+	if err != nil {
+		return nil, err
+	}
 	if err := e.run(); err != nil {
 		return nil, err
 	}
@@ -475,9 +482,13 @@ type engine struct {
 	smp sampler
 }
 
-func newEngine(cfg Config, plan cohortPlan) *engine {
+func newEngine(cfg Config, plan cohortPlan) (*engine, error) {
 	n := cfg.Flows
 	m := plan.cohorts()
+	releases, err := buildReleases(cfg, m)
+	if err != nil {
+		return nil, err
+	}
 	e := &engine{
 		cfg:        cfg,
 		flows:      make([]flowState, m),
@@ -496,6 +507,7 @@ func newEngine(cfg Config, plan cohortPlan) *engine {
 		nextWake:   math.MaxInt64,
 		hot:        make([]hotFlow, m),
 		timeRounds: cfg.CC.Kind == KindSwift,
+		releases:   releases,
 
 		lzG:     1,
 		gRef:    make([]float64, m),
@@ -512,14 +524,13 @@ func newEngine(cfg Config, plan cohortPlan) *engine {
 			e.peakW = w
 		}
 	}
-	e.releases = buildReleases(cfg, m)
 
 	first := 1
 	if cfg.Bursts == 1 {
 		first = 0
 	}
 	e.smp = newSampler(cfg, first)
-	return e
+	return e, nil
 }
 
 // buildReleases expands the burst schedule into every unit's per-burst
@@ -533,11 +544,12 @@ func newEngine(cfg Config, plan cohortPlan) *engine {
 // beats a comparator-closure sort ~3x; release times stay far below the
 // 2^(63-unitBits) ns (~2.4 h of simulated time) packing headroom. Shared
 // between the single-queue and network engines so both draw the identical
-// jitter sequence from one seed.
-func buildReleases(cfg Config, nUnits int) []release {
-	const unitBits = 20
+// jitter sequence from one seed. More units than the key can pack is an
+// error (CheckAggregation rejects such per-flow runs up front).
+func buildReleases(cfg Config, nUnits int) ([]release, error) {
 	if nUnits >= 1<<unitBits {
-		panic(fmt.Sprintf("flowsim: %d release units exceeds the release-key packing limit %d (aggregate into cohorts to go bigger)", nUnits, 1<<unitBits))
+		return nil, fmt.Errorf("flowsim: %d release records exceed the release-key packing limit of %d (use aggregation %q to go bigger)",
+			nUnits, MaxPerFlowFlows, AggregationCohort)
 	}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
 	releases := make([]release, 0, nUnits*cfg.Bursts)
@@ -553,7 +565,7 @@ func buildReleases(cfg Config, nUnits int) []release {
 			releases = append(releases, release{at: sim.Time(k >> unitBits), flow: int32(k & (1<<unitBits - 1))})
 		}
 	}
-	return releases
+	return releases, nil
 }
 
 func (e *engine) activate(i int32) {

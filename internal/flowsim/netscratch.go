@@ -16,8 +16,10 @@ import "sync"
 // goroutine until released, so parallel sweeps stay race-free.
 type netScratch struct {
 	// Per-queue state and step scratch.
-	q, drain, capQ, kQ, q0, served, sFrac, arrTotal, markNow, passFrac []float64
-	transit                                                            []bool
+	q, drain, capQ, kQ, q0, delay, served, sFrac, arrTotal, markNow, passFrac []float64
+	transit                                                                   []bool
+	byStage                                                                   [][]int32
+	stageQ                                                                    []int32
 
 	// Per-record state (grows past its initial length on cohort splits;
 	// the grown capacity is what makes reuse pay).
@@ -30,8 +32,13 @@ type netScratch struct {
 	// Per-flow-hop flat arrays.
 	bk, mk, arrH, arrMkH []float64
 
+	// Tail-drop victim index (CSR offsets and entries).
+	vicOff []int32
+	vic    []victim
+
 	// Run-loop lists.
-	activeList, stalled []int32
+	activeList []int32
+	stalled    []stallEntry
 }
 
 var netScratchPool = sync.Pool{New: func() any { return new(netScratch) }}
@@ -49,19 +56,22 @@ func grown[T any](buf []T, n int) []T {
 
 // attach populates the engine's arrays from the recycled bundle and
 // remembers it for release.
-func (e *netEngine) attach(sc *netScratch, nq, m int, hops int32) {
+func (e *netEngine) attach(sc *netScratch, nq, stages, m int, hops int32) {
 	e.scratch = sc
 	e.q = grown(sc.q, nq)
 	e.drain = grown(sc.drain, nq)
 	e.capQ = grown(sc.capQ, nq)
 	e.kQ = grown(sc.kQ, nq)
 	e.q0 = grown(sc.q0, nq)
+	e.delay = grown(sc.delay, nq)
 	e.served = grown(sc.served, nq)
 	e.sFrac = grown(sc.sFrac, nq)
 	e.arrTotal = grown(sc.arrTotal, nq)
 	e.markNow = grown(sc.markNow, nq)
 	e.passFrac = grown(sc.passFrac, nq)
 	e.transit = grown(sc.transit, nq)
+	e.byStage = grown(sc.byStage, stages)
+	e.stageQ = grown(sc.stageQ, nq)
 	e.flows = grown(sc.flows, m)
 	e.hot = grown(sc.hot, m)
 	e.off = grown(sc.off, m)
@@ -72,6 +82,8 @@ func (e *netEngine) attach(sc *netScratch, nq, m int, hops int32) {
 	e.mk = grown(sc.mk, int(hops))
 	e.arrH = grown(sc.arrH, int(hops))
 	e.arrMkH = grown(sc.arrMkH, int(hops))
+	e.vicOff = grown(sc.vicOff, nq+1)
+	e.vic = sc.vic
 	e.activeList = grown(sc.activeList, 0)
 	e.stalled = grown(sc.stalled, 0)
 }
@@ -86,9 +98,10 @@ func (e *netEngine) release() {
 	}
 	e.scratch = nil
 	sc.q, sc.drain, sc.capQ, sc.kQ = e.q, e.drain, e.capQ, e.kQ
-	sc.q0, sc.served, sc.sFrac = e.q0, e.served, e.sFrac
+	sc.q0, sc.delay, sc.served, sc.sFrac = e.q0, e.delay, e.served, e.sFrac
 	sc.arrTotal, sc.markNow, sc.passFrac = e.arrTotal, e.markNow, e.passFrac
 	sc.transit = e.transit
+	sc.byStage, sc.stageQ = e.byStage, e.stageQ
 	sc.flows, sc.hot = e.flows, e.hot
 	sc.off, sc.lineNext, sc.baseSec = e.off, e.lineNext, e.baseSec
 	// Drop the shared path headers so the pool does not pin a finished
@@ -96,6 +109,7 @@ func (e *netEngine) release() {
 	clear(e.paths)
 	sc.paths = e.paths
 	sc.bk, sc.mk, sc.arrH, sc.arrMkH = e.bk, e.mk, e.arrH, e.arrMkH
+	sc.vicOff, sc.vic = e.vicOff, e.vic
 	sc.activeList, sc.stalled = e.activeList, e.stalled
 	netScratchPool.Put(sc)
 }

@@ -1,8 +1,10 @@
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
@@ -72,7 +74,10 @@ func RunNetwork(cfg NetworkConfig) (*Result, error) {
 	} else {
 		plan = singletonPlan(cfg.Flows)
 	}
-	e := newNetEngine(cfg, plan)
+	e, err := newNetEngine(cfg, plan)
+	if err != nil {
+		return nil, err
+	}
 	defer e.release()
 	if err := e.run(); err != nil {
 		return nil, err
@@ -167,6 +172,8 @@ type netFlow struct {
 	rttSec    float64
 	stallT    sim.Time
 	reduced   bool
+	// parked is set while the record has entries on the stalled list.
+	parked bool
 }
 
 // netEngine integrates the multi-queue fluid state. Its run loop mirrors
@@ -206,13 +213,16 @@ type netEngine struct {
 	kQ       []float64
 	transit  []bool // never a terminal hop: cut-through allowed
 	q0       []float64
+	delay    []float64 // start-of-step queueing delay, seconds
 	served   []float64
 	sFrac    []float64
 	arrTotal []float64
 	markNow  []float64
 	passFrac []float64
-	// byStage groups queue indices by topological level.
+	// byStage groups queue indices by topological level, in ascending
+	// order; each group is a window of stageQ.
 	byStage [][]int32
+	stageQ  []int32
 
 	// Per-flow-hop flat arrays: off[i]+h indexes flow i's hop h.
 	off     []int32
@@ -221,6 +231,9 @@ type netEngine struct {
 	arrH    []float64 // per-step arrivals into the hop
 	arrMkH  []float64 // marked share of those arrivals
 	baseSec []float64
+	// minBaseSec is the smallest per-record base RTT. Splits copy their
+	// parent's baseSec, so it is fixed once the engine is built.
+	minBaseSec float64
 
 	nicRate  float64 // per-sender injection cap, packets/second
 	bneck    int
@@ -232,7 +245,16 @@ type netEngine struct {
 	releases []release
 	relPtr   int
 
-	stalled  []int32
+	// Tail-drop victim index, in CSR form: vic[vicOff[j]:vicOff[j+1]]
+	// lists every release whose unit's path crosses queue j, with the
+	// queue's hop on that path, in ascending release order. Split children
+	// share their parent's path and sit on its lineage chain, so the index
+	// is fixed once the engine is built.
+	vicOff []int32
+	vic    []victim
+
+	// stalled lists records parked on an RTO, in parking order.
+	stalled  []stallEntry
 	nextWake sim.Time
 
 	activeList []int32
@@ -256,9 +278,13 @@ type netEngine struct {
 	scratch *netScratch
 }
 
-func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
+func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 	n := cfg.Flows
 	m := plan.cohorts()
+	releases, err := buildReleases(cfg.Config, m)
+	if err != nil {
+		return nil, err
+	}
 	net := cfg.Net
 	nq := len(net.Queues)
 	e := &netEngine{
@@ -274,21 +300,29 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 		crumbEps:   float64(n)*volEps*4 + 1e-9,
 		nextWake:   math.MaxInt64,
 		timeRounds: cfg.CC.Kind == KindSwift,
+		releases:   releases,
 	}
 	var totalHops int32
 	for i := 0; i < m; i++ {
 		totalHops += int32(len(net.Paths[plan.perm[plan.off[i]]]))
 	}
-	e.attach(netScratchPool.Get().(*netScratch), nq, m, totalHops)
+	e.attach(netScratchPool.Get().(*netScratch), nq, net.Stages(), m, totalHops)
 	for j, qs := range net.Queues {
 		e.drain[j] = EffectivePacketRate(qs.RateBps)
 		e.capQ[j] = float64(qs.CapacityPackets)
 		e.kQ[j] = float64(qs.ECNThresholdPackets)
 		e.transit[j] = true
 	}
-	e.byStage = make([][]int32, net.Stages())
-	for j, s := range net.Stage {
-		e.byStage[s] = append(e.byStage[s], int32(j))
+	var next int
+	for s := range e.byStage {
+		from := next
+		for j, sj := range net.Stage {
+			if sj == s {
+				e.stageQ[next] = int32(j)
+				next++
+			}
+		}
+		e.byStage[s] = e.stageQ[from:next:next]
 	}
 	for _, p := range net.Paths {
 		e.transit[p[len(p)-1]] = false
@@ -303,6 +337,8 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 		hops += int32(len(e.paths[i]))
 		e.baseSec[i] = float64(net.BaseRTT[rep]) / 1e9
 	}
+	e.minBaseSec = slices.Min(e.baseSec)
+	e.buildVictimIndex()
 	for i := range e.flows {
 		e.flows[i].ctrl = newController(cfg.CC)
 		e.flows[i].lastLoss = math.MinInt64 / 2
@@ -312,14 +348,54 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) *netEngine {
 			e.peakW = w
 		}
 	}
-	e.releases = buildReleases(cfg.Config, m)
 
 	first := 1
 	if cfg.Bursts == 1 {
 		first = 0
 	}
 	e.smp = newSampler(cfg.Config, first)
-	return e
+	return e, nil
+}
+
+// stallEntry is one stalled-list entry: a record parked on an RTO and its
+// wake deadline. The deadline always equals the record's hot stallT: a
+// record re-armed before its wake is processed has every entry updated.
+type stallEntry struct {
+	rec int32
+	at  sim.Time
+}
+
+// victim is one tail-drop victim index entry: a release and the hop at
+// which its unit's path crosses the indexed queue.
+type victim struct {
+	rel int32
+	hop int32
+}
+
+// buildVictimIndex fills vicOff/vic from the release schedule: a counting
+// pass sizes each queue's list, and a fill pass in release order leaves
+// every list sorted by release. The fill advances vicOff[j] as its cursor,
+// which leaves vicOff[j] at list j's end; the final shift restores starts.
+func (e *netEngine) buildVictimIndex() {
+	nq := len(e.q)
+	clear(e.vicOff)
+	for _, r := range e.releases {
+		for _, j := range e.paths[r.flow] {
+			e.vicOff[j+1]++
+		}
+	}
+	for j := 1; j <= nq; j++ {
+		e.vicOff[j] += e.vicOff[j-1]
+	}
+	e.vic = grown(e.vic, int(e.vicOff[nq]))
+	for ri, r := range e.releases {
+		for h, j := range e.paths[r.flow] {
+			e.vic[e.vicOff[j]] = victim{rel: int32(ri), hop: int32(h)}
+			e.vicOff[j]++
+		}
+	}
+	copy(e.vicOff[1:], e.vicOff[:nq])
+	e.vicOff[0] = 0
 }
 
 func (e *netEngine) activate(i int32) {
@@ -404,7 +480,7 @@ func (e *netEngine) run() error {
 		// the single-queue engine sizes from its one queue: transit hops
 		// are orders of magnitude faster and contribute delay only under
 		// ECMP collisions, which the per-flow RTTs (pass A) still see.
-		rttSec := e.minBase() + e.q[e.bneck]/e.drain[e.bneck]
+		rttSec := e.minBaseSec + e.q[e.bneck]/e.drain[e.bneck]
 		div := float64(stepDiv)
 		if e.q[e.bneck] > stepDeepK*e.kQ[e.bneck] {
 			div = stepDivDeep
@@ -427,16 +503,6 @@ func (e *netEngine) run() error {
 		cfg.Flows, deadline, e.cumDelivered, totalDemand)
 }
 
-func (e *netEngine) minBase() float64 {
-	min := e.baseSec[0]
-	for _, b := range e.baseSec[1:] {
-		if b < min {
-			min = b
-		}
-	}
-	return min
-}
-
 // step advances the fluid state by dt: per-queue service from the
 // start-of-step backlogs, per-flow injection offers, then a walk over the
 // queues in topological stage order — marking, tail-dropping, admitting,
@@ -454,6 +520,7 @@ func (e *netEngine) step(dt sim.Time) error {
 			served = q0
 		}
 		e.q0[j] = q0
+		e.delay[j] = q0 / e.drain[j]
 		e.served[j] = served
 		if q0 > 0 && served > 0 {
 			e.sFrac[j] = served / q0
@@ -480,7 +547,7 @@ func (e *netEngine) step(dt sim.Time) error {
 		rtt := e.baseSec[i]
 		var inNet float64
 		for h2, j := range path {
-			rtt += e.q0[j] / e.drain[j]
+			rtt += e.delay[j]
 			inNet += e.bk[o+int32(h2)]
 		}
 		h.rttSec = rtt
@@ -726,21 +793,27 @@ func (e *netEngine) stepFlowStage(i int32, s int) {
 // along the path it was dropped. A cohort whose whole weighted offer is
 // consumed reacts in place; the cohort the overflow runs out inside splits
 // exactly (netSplitDrop), so each call splits at most one cohort.
+//
+// Only releases whose unit crosses j can hold arrivals into it, so the
+// walk runs backwards over j's victim index from the newest release
+// already made; skipping the releases that never cross j leaves the
+// visiting order of the others unchanged.
 func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
+	list := e.vic[e.vicOff[j]:e.vicOff[j+1]]
+	released, _ := slices.BinarySearchFunc(list, int32(e.relPtr), func(v victim, rel int32) int {
+		return cmp.Compare(v.rel, rel)
+	})
 	remaining := overflow
-	for ri := e.relPtr - 1; ri >= 0 && remaining > volEps; ri-- {
-		rel := e.releases[ri]
+	for k := released - 1; k >= 0 && remaining > volEps; k-- {
+		v := list[k]
+		rel := e.releases[v.rel]
+		h := int(v.hop)
 		for i := rel.flow; i >= 0 && remaining > volEps; i = e.lineNext[i] {
-			if e.flows[i].lastRelease != rel.at {
-				continue
-			}
-			h := e.hopOf(i, j)
-			if h < 0 {
-				continue
-			}
-			oh := e.off[i] + int32(h)
+			// The arrival test comes first: it reads two dense arrays,
+			// where the release test reads the large per-record flowState.
+			oh := e.off[i] + v.hop
 			a := e.arrH[oh]
-			if a <= 0 {
+			if a <= 0 || e.flows[i].lastRelease != rel.at {
 				continue
 			}
 			avail := a * float64(e.mCnt[i])
@@ -806,13 +879,24 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 			}
 		}
 		f.backoff++
-		e.hot[i].stallT = stepEnd + rto
+		at := stepEnd + rto
+		if e.hot[i].parked {
+			// Re-armed in the step its old deadline ends: its earlier stalled
+			// entries must read the new deadline, as they would from hot.
+			for k := range e.stalled {
+				if e.stalled[k].rec == i {
+					e.stalled[k].at = at
+				}
+			}
+		}
+		e.hot[i].stallT = at
+		e.hot[i].parked = true
 		f.roundEnd = 0
 		e.hot[i].roundDel, e.hot[i].roundMark = 0, 0
 		e.hot[i].reduced = false
-		e.stalled = append(e.stalled, i)
-		if e.hot[i].stallT < e.nextWake {
-			e.nextWake = e.hot[i].stallT
+		e.stalled = append(e.stalled, stallEntry{rec: i, at: at})
+		if at < e.nextWake {
+			e.nextWake = at
 		}
 	} else if rttTime := sim.Time(e.hot[i].rttSec * 1e9); stepEnd-f.lastLoss >= rttTime {
 		e.fastRetx += w
@@ -900,19 +984,10 @@ func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	e.mk = append(e.mk, e.mk[po:po+hops]...)
 	e.arrH = append(e.arrH, e.arrH[po:po+hops]...)
 	e.arrMkH = append(e.arrMkH, e.arrMkH[po:po+hops]...)
+	e.hot[ci].parked = false // the child has no stalled-list entries
 	e.flows[ci].active = true
 	e.activeList = append(e.activeList, ci)
 	return ci
-}
-
-// hopOf returns the hop index of queue j in record i's path, or -1.
-func (e *netEngine) hopOf(i, j int32) int {
-	for h, qj := range e.paths[i] {
-		if qj == j {
-			return h
-		}
-	}
-	return -1
 }
 
 // lossInflight estimates the drop victim's in-network volume after this
@@ -969,21 +1044,25 @@ func (e *netEngine) writeOff(i int32) {
 	e.hot[i].reduced = false
 }
 
-// wakeDue reactivates stalled flows whose RTO expired.
+// wakeDue reactivates stalled flows whose RTO expired, in stalled-list
+// order. Each entry carries its record's wake deadline, so the scan
+// streams one dense list instead of touching every stalled record.
 func (e *netEngine) wakeDue() {
 	keep := e.stalled[:0]
 	e.nextWake = math.MaxInt64
-	for _, i := range e.stalled {
-		if e.hot[i].stallT <= e.now {
-			e.hot[i].stallT = 0
-			if e.hot[i].unsent > volEps || e.residual(i) > volEps {
-				e.activate(i)
+	for _, st := range e.stalled {
+		if st.at > e.now {
+			keep = append(keep, st)
+			if st.at < e.nextWake {
+				e.nextWake = st.at
 			}
-		} else {
-			keep = append(keep, i)
-			if e.hot[i].stallT < e.nextWake {
-				e.nextWake = e.hot[i].stallT
-			}
+			continue
+		}
+		i := st.rec
+		e.hot[i].stallT = 0
+		e.hot[i].parked = false
+		if e.hot[i].unsent > volEps || e.residual(i) > volEps {
+			e.activate(i)
 		}
 	}
 	e.stalled = keep

@@ -20,7 +20,10 @@ func runGeneral(t *testing.T, cfg Config) *Result {
 	if err := ncfg.prepare(); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	e := newNetEngine(ncfg, singletonPlan(ncfg.Flows))
+	e, err := newNetEngine(ncfg, singletonPlan(ncfg.Flows))
+	if err != nil {
+		t.Fatalf("newNetEngine: %v", err)
+	}
 	if err := e.run(); err != nil {
 		t.Fatalf("netEngine run: %v", err)
 	}
@@ -199,5 +202,147 @@ func TestNetworkValidation(t *testing.T) {
 	}
 	if _, err := RunNetwork(NetworkConfig{Config: quickConfig(1, CCConfig{}), Net: bad}); err == nil {
 		t.Error("zero-rate queue accepted")
+	}
+}
+
+// victimNet is a three-queue network for the tail-drop victim tests: one
+// shared uplink (queue 0, stage 0) in front of two terminal queues
+// (queues 1 and 2, stage 1). paths[i] picks flow i's terminal queue.
+func victimNet(terminal []int32) *netsim.FluidPaths {
+	q := netsim.FluidQueue{RateBps: 10 * netsim.Gbps, CapacityPackets: 100, ECNThresholdPackets: 20}
+	net := &netsim.FluidPaths{
+		Queues:  []netsim.FluidQueue{q, q, q},
+		Paths:   make([][]int32, len(terminal)),
+		BaseRTT: make([]sim.Time, len(terminal)),
+		Stage:   []int{0, 1, 1},
+	}
+	for i, j := range terminal {
+		net.Paths[i] = []int32{0, j}
+		net.BaseRTT[i] = 10 * sim.Microsecond
+	}
+	net.Queues[0].Name, net.Queues[1].Name, net.Queues[2].Name = "uplink", "terminal-a", "terminal-b"
+	net.Bottleneck = 1
+	return net
+}
+
+// victimEngine builds a network engine over victimNet for the given plan,
+// then swaps in a hand-made release schedule — units released in the
+// given order, 10 us apart — and rebuilds the victim index from it.
+func victimEngine(t *testing.T, terminal []int32, plan cohortPlan, order []int32) *netEngine {
+	t.Helper()
+	cfg := NetworkConfig{Config: quickConfig(len(terminal), CCConfig{}), Net: victimNet(terminal)}
+	cfg.Bursts = 1
+	if err := cfg.prepare(); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	e, err := newNetEngine(cfg, plan)
+	if err != nil {
+		t.Fatalf("newNetEngine: %v", err)
+	}
+	t.Cleanup(e.release)
+	e.releases = e.releases[:0]
+	for k, u := range order {
+		e.releases = append(e.releases, release{at: sim.Time(k+1) * 10 * sim.Microsecond, flow: u})
+	}
+	e.buildVictimIndex()
+	return e
+}
+
+// offer gives record i a per-member arrival of a packets at hop h, as if
+// it had been released at its scheduled time.
+func (e *netEngine) offer(i int32, h int, a float64) {
+	e.arrH[e.off[i]+int32(h)] = a
+	e.arrTotal[e.paths[i][h]] += a * float64(e.mCnt[i])
+}
+
+// TestDropTailVictimOrder pins the tail-drop victim order through the
+// per-queue victim index: when terminal queue 1 overflows, only records
+// that cross it lose volume, newest release first; records behind the
+// other terminal queue keep their offers; and a record whose release has
+// not happened yet is never touched, whatever its arrivals say.
+func TestDropTailVictimOrder(t *testing.T) {
+	// Flows 0-3 end at queue 1, flows 4-5 at queue 2.
+	terminal := []int32{1, 1, 1, 1, 2, 2}
+	order := []int32{2, 0, 4, 1, 5, 3} // flow 3 is released last
+	e := victimEngine(t, terminal, singletonPlan(len(terminal)), order)
+	e.relPtr = 5 // flow 3 not released yet
+	for k := 0; k < e.relPtr; k++ {
+		r := e.releases[k]
+		e.flows[r.flow].lastRelease = r.at
+	}
+	for i := range terminal {
+		e.offer(int32(i), 1, 2)
+	}
+	stepEnd := 60 * sim.Microsecond
+	e.now = stepEnd - 2*sim.Microsecond
+	// Newest released crossers of queue 1: flow 1 (whole offer), then
+	// flow 0 (one of its two packets); flow 2 is older and keeps all.
+	e.dropTailQueue(1, 3, stepEnd)
+	want := []float64{1, 0, 2, 2, 2, 2}
+	for i, w := range want {
+		if got := e.arrH[e.off[i]+1]; math.Abs(got-w) > 1e-12 {
+			t.Errorf("flow %d: arrival %.3f after the drop, want %.3f", i, got, w)
+		}
+	}
+	if e.drops != 3 {
+		t.Errorf("drops %.3f, want 3", e.drops)
+	}
+	if got := e.arrTotal[1]; math.Abs(got-5) > 1e-12 {
+		t.Errorf("queue 1 arrivals %.3f after the drop, want 5", got)
+	}
+	if got := e.arrTotal[2]; got != 4 {
+		t.Errorf("queue 2 arrivals %.3f, want 4 (untouched)", got)
+	}
+}
+
+// TestDropTailFindsSplitChildren pins that split children, which have no
+// index entries of their own, are reached through their parent's entry:
+// the lineage walk under the parent's release covers them.
+func TestDropTailFindsSplitChildren(t *testing.T) {
+	terminal := []int32{1, 1, 1, 1, 2}
+	plan := cohortPlan{
+		perm: []int32{0, 1, 2, 3, 4},
+		off:  []int32{0, 4},
+		cnt:  []int32{4, 1},
+	}
+	e := victimEngine(t, terminal, plan, []int32{0, 1})
+	e.relPtr = 2
+	for _, r := range e.releases {
+		e.flows[r.flow].lastRelease = r.at
+	}
+	stepEnd := 30 * sim.Microsecond
+	e.now = stepEnd - 2*sim.Microsecond
+	// 1.5 packets out of a four-member cohort offering one each: one
+	// member loses its whole offer and one loses half, so the cohort
+	// splits into the untouched parent and two children.
+	e.offer(0, 1, 1)
+	e.dropTailQueue(1, 1.5, stepEnd)
+	if len(e.mCnt) != 4 || e.splitsMade != 1 {
+		t.Fatalf("after a partial drop: %d records, %d splits; want 4 records, 1 split", len(e.mCnt), e.splitsMade)
+	}
+	var children []int32
+	for i := e.lineNext[0]; i >= 0; i = e.lineNext[i] {
+		children = append(children, i)
+	}
+	if len(children) != 2 {
+		t.Fatalf("record 0 lineage holds %d children, want 2", len(children))
+	}
+
+	// Next step: only the children offer into queue 1. The index still has
+	// the single entry it was built with, yet the drop reaches both.
+	clear(e.arrTotal)
+	for _, c := range children {
+		e.arrH[e.off[c]+1] = 0
+		e.offer(c, 1, 1)
+	}
+	e.arrH[e.off[0]+1] = 0
+	e.dropTailQueue(1, 2, stepEnd)
+	for _, c := range children {
+		if got := e.arrH[e.off[c]+1]; got != 0 {
+			t.Errorf("split child %d kept %.3f of its offer, want it dropped", c, got)
+		}
+	}
+	if got := e.arrTotal[1]; math.Abs(got) > 1e-12 {
+		t.Errorf("queue 1 arrivals %.3f after dropping every child, want 0", got)
 	}
 }

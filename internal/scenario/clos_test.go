@@ -190,3 +190,37 @@ func TestClosCapacityAcceptsBoundary(t *testing.T) {
 		t.Errorf("48 cross-rack workers on 3 remote racks rejected: %v", err)
 	}
 }
+
+// TestPerFlowAggregationLimit: a "perflow" row must fit the fluid
+// backend's per-flow record limit, counting every aggregator's workers;
+// the rejection names the knob, and the same row under cohort aggregation
+// validates.
+func TestPerFlowAggregationLimit(t *testing.T) {
+	spec := Spec{
+		Name: "million",
+		Topology: &Topology{
+			Clos: &Clos{Racks: 16, HostsPerRack: 65560, Spines: 2, SpineLinkGbps: 400, Placement: "cross-rack"},
+		},
+		Sweep:       Sweep{Axis: "aggregators", Values: Nums(1, 16), Flows: []int{65536}},
+		Fidelity:    "flow",
+		Aggregation: "perflow",
+	}
+	err := spec.Validate()
+	if err == nil || !strings.Contains(err.Error(), `aggregation "perflow"`) {
+		t.Fatalf("16 x 65,536 per-flow workers: want an error naming the aggregation, got %v", err)
+	}
+	spec.Aggregation = "cohort"
+	if err := spec.Validate(); err != nil {
+		t.Errorf("the same row under cohort aggregation rejected: %v", err)
+	}
+	spec.Aggregation = "perflow"
+	spec.Sweep.Values = Nums(1, 15) // 15 x 65,536 < 2^20
+	if err := spec.Validate(); err != nil {
+		t.Errorf("15 x 65,536 per-flow workers rejected: %v", err)
+	}
+	dumbbell := Spec{Name: "wide", Workload: Workload{Flows: MaxPerFlowFlows + 1}, Sweep: Sweep{Axis: "cc", Values: Strs("dctcp")},
+		Fidelity: "flow", Aggregation: "perflow"}
+	if err := dumbbell.Validate(); err == nil || !strings.Contains(err.Error(), "aggregation") {
+		t.Errorf("2^20 per-flow dumbbell flows: want an error naming the aggregation, got %v", err)
+	}
+}

@@ -306,6 +306,12 @@ func KnownFidelity(name string) bool {
 	return name == ""
 }
 
+// MaxPerFlowFlows is the largest row the "perflow" aggregation can
+// represent: the fluid backend's release schedule packs record indices
+// into 20 bits. It mirrors flowsim.MaxPerFlowFlows (a core test pins the
+// two equal) so this package stays free of backend imports.
+const MaxPerFlowFlows = 1<<20 - 1
+
 // Aggregations lists the flow-population representations a flow-fidelity
 // spec may name.
 var Aggregations = []string{"auto", "cohort", "perflow"}
@@ -539,6 +545,12 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %q: aggregation %q shapes the fluid backend's flow population; it requires fidelity \"flow\"",
 			s.Name, s.Aggregation)
 	}
+	if s.Aggregation == "perflow" {
+		if n := s.maxFlows() * s.maxAggregators(); n > MaxPerFlowFlows {
+			return fmt.Errorf("scenario %q: aggregation \"perflow\" holds at most %d flows per row, but a row reaches %d; use aggregation \"cohort\" or \"auto\"",
+				s.Name, MaxPerFlowFlows, n)
+		}
+	}
 
 	// Clos cross-field rules.
 	var clos *Clos
@@ -569,28 +581,7 @@ func (s Spec) Validate() error {
 // fits the worker slots its placement offers — for every aggregator count
 // the sweep reaches — so compiled runs cannot panic on an over-full rack.
 func (s Spec) validateClosCapacity(clos *Clos) error {
-	maxFlows := s.Workload.Flows
-	if s.Sweep.Axis == "flows" {
-		for _, v := range s.Sweep.Values {
-			if f, ok := v.Number(); ok && int(f) > maxFlows {
-				maxFlows = int(f)
-			}
-		}
-	}
-	for _, n := range s.Sweep.Flows {
-		if n > maxFlows {
-			maxFlows = n
-		}
-	}
-
-	maxAggs := clos.Aggregators
-	if s.Sweep.Axis == "aggregators" {
-		for _, v := range s.Sweep.Values {
-			if a, ok := v.Number(); ok && int(a) > maxAggs {
-				maxAggs = int(a)
-			}
-		}
-	}
+	maxFlows, maxAggs := s.maxFlows(), s.maxAggregators()
 	if maxAggs > clos.Racks {
 		return fmt.Errorf("scenario %q: %d aggregators exceed the %d racks (one aggregator per rack, at slot 0)",
 			s.Name, maxAggs, clos.Racks)
@@ -628,6 +619,39 @@ func (s Spec) validateClosCapacity(clos *Clos) error {
 		}
 	}
 	return nil
+}
+
+// maxFlows is the largest per-aggregator incast degree any row reaches.
+func (s Spec) maxFlows() int {
+	n := s.Workload.Flows
+	if s.Sweep.Axis == "flows" {
+		for _, v := range s.Sweep.Values {
+			if f, ok := v.Number(); ok && int(f) > n {
+				n = int(f)
+			}
+		}
+	}
+	for _, f := range s.Sweep.Flows {
+		n = max(n, f)
+	}
+	return n
+}
+
+// maxAggregators is the largest number of concurrent incasts any row
+// runs: one without a Clos fabric, at least one with it.
+func (s Spec) maxAggregators() int {
+	if s.Topology == nil || s.Topology.Clos == nil {
+		return 1
+	}
+	n := max(s.Topology.Clos.Aggregators, 1)
+	if s.Sweep.Axis == "aggregators" {
+		for _, v := range s.Sweep.Values {
+			if a, ok := v.Number(); ok && int(a) > n {
+				n = int(a)
+			}
+		}
+	}
+	return n
 }
 
 // validateMultiAggCapacity replays workload.ClosFlowEndpoints' rack-load
