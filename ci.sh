@@ -23,14 +23,18 @@
 #                        per-flow vs cohort-aggregated on the fluid
 #                        backend under tighter-still tolerances
 #                        (TestCohortDifferentialGate)
-#   6. obs gate          quick Fig-5 run three ways (no metrics; metrics
-#                        serial; metrics parallel): CSV artifacts must be
-#                        bit-identical across all three, both snapshots
-#                        must parse and carry the key metric families, and
-#                        their deterministic subsets must be byte-equal
+#   6. obs gate          quick Fig-5 + ablation_g run three ways (no
+#                        metrics; metrics serial; metrics parallel, where
+#                        the two experiments overlap in one row pool): CSV
+#                        artifacts must be bit-identical across all three,
+#                        both snapshots must parse and carry the key metric
+#                        families, and their deterministic subsets must be
+#                        byte-equal
 #   7. registry gate     `figures -list` must match the checked-in golden
 #                        name list, an unknown -only name must exit
-#                        non-zero, and the quick CSVs (fig5, fig6,
+#                        non-zero, a trailing comma in -only is ignored
+#                        while a list naming nothing is rejected, and the
+#                        quick CSVs (fig5, fig6,
 #                        ablation_g, ablation_marking, both Clos sweeps,
 #                        and both notification experiments) must be
 #                        byte-identical to the checked-in goldens
@@ -64,10 +68,12 @@
 #                        its golden; a bogus spec path, a malformed
 #                        -shard spec, a bogus -aggregation level, and a
 #                        per-flow run of 2^20 flows must exit non-zero
-#  10. bench gate        the substrate micro-benchmarks, the flow-level
-#                        Fig-5 sweep and the million-flow Clos run
-#                        smoke-run at one iteration each (they must at
-#                        least execute); measured performance lives in
+#  10. bench gate        the substrate micro-benchmarks, the packet- and
+#                        flow-level Fig-5 sweeps and the million-flow Clos
+#                        run smoke-run at one iteration each: each must
+#                        execute and stay under its allocs/op ceiling
+#                        (allocation counts repeat run to run, so they are
+#                        gated); measured wall time lives in
 #                        internal/bench/incastbench, not here
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -99,10 +105,10 @@ go test ./internal/core -run 'TestAudited' -count=1
 echo "==> obs gate: metrics must not perturb results; serial == parallel snapshots"
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
-go run ./cmd/figures -quick -only fig5 -workers 1 -out "$OBS_TMP/base"
-go run ./cmd/figures -quick -only fig5 -workers 1 -metrics "$OBS_TMP/m1.json" -out "$OBS_TMP/serial"
-go run ./cmd/figures -quick -only fig5 -workers 4 -metrics "$OBS_TMP/m2.json" -out "$OBS_TMP/parallel"
-for f in "$OBS_TMP"/base/fig5*.csv; do
+go run ./cmd/figures -quick -only fig5,ablation_g -workers 1 -out "$OBS_TMP/base"
+go run ./cmd/figures -quick -only fig5,ablation_g -workers 1 -metrics "$OBS_TMP/m1.json" -out "$OBS_TMP/serial"
+go run ./cmd/figures -quick -only fig5,ablation_g -workers 4 -metrics "$OBS_TMP/m2.json" -out "$OBS_TMP/parallel"
+for f in "$OBS_TMP"/base/*.csv; do
   name="$(basename "$f")"
   cmp "$f" "$OBS_TMP/serial/$name"    # instrumented == uninstrumented
   cmp "$f" "$OBS_TMP/parallel/$name"  # parallel == serial
@@ -116,6 +122,12 @@ echo "==> registry gate: -list golden, unknown -only rejection, quick CSV golden
 go run ./cmd/figures -list | diff -u internal/core/testdata/registry_names.golden -
 if go run ./cmd/figures -only bogus -out "$OBS_TMP/bogus" 2>/dev/null; then
   echo "figures -only bogus should have exited non-zero" >&2
+  exit 1
+fi
+go run ./cmd/figures -quick -only fig1, -out "$OBS_TMP/trailing_comma" >/dev/null
+test -s "$OBS_TMP/trailing_comma/fig1_example_trace.csv"
+if go run ./cmd/figures -only , -out "$OBS_TMP/no_names" 2>/dev/null; then
+  echo "figures -only , should have exited non-zero" >&2
   exit 1
 fi
 go run ./cmd/figures -quick -only fig5,fig6,ablation_g,ablation_marking,ext_clos_crossrack,ext_clos_multiagg,ext_pulser_modes,ext_distributed_detect -out "$OBS_TMP/golden"
@@ -190,13 +202,35 @@ fi
 test "$(wc -l <"$OBS_TMP/perflow.err")" -eq 1
 grep -q 'aggregation "perflow"' "$OBS_TMP/perflow.err"
 
-echo "==> bench gate: substrate micro-benchmarks + flow fast path smoke-run"
+echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation ceilings"
 go test -run '^$' \
-  -bench '^(BenchmarkSimulatorPacketRate|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
+  -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
   -benchtime=1x -benchmem . >"$OBS_TMP/bench_smoke.txt"
-grep -q '^BenchmarkSimulatorPacketRate' "$OBS_TMP/bench_smoke.txt"
-grep -q '^BenchmarkFlowsimFig5' "$OBS_TMP/bench_smoke.txt"
-grep -q '^BenchmarkFlowsimCohortFig5Point' "$OBS_TMP/bench_smoke.txt"
-grep -q '^BenchmarkClosMillionFlowSingleRun' "$OBS_TMP/bench_smoke.txt"
+# Each ceiling is the highest allocs/op of three runs when it was set, plus
+# 10 %, rounded up. At one iteration a benchmark that finds the simulation
+# resource pool emptied by a GC allocates more than one that finds it warm,
+# so the ceilings come from such cold runs.
+while read -r name ceiling; do
+  allocs="$(awk -v name="$name" '$1 ~ ("^" name "(-[0-9]+)?$") {
+    for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1) }' "$OBS_TMP/bench_smoke.txt")"
+  if [ -z "$allocs" ]; then
+    echo "bench gate: $name did not run" >&2
+    exit 1
+  fi
+  if [ "$allocs" -gt "$ceiling" ]; then
+    echo "bench gate: $name allocates $allocs per op, above its ceiling of $ceiling" >&2
+    exit 1
+  fi
+done <<'CEILINGS'
+BenchmarkFig5DCTCPModes 124372
+BenchmarkSimulatorPacketRate 10082
+BenchmarkMillisamplerAnalyze 90
+BenchmarkPredictorObserve 2
+BenchmarkFlowsimFig5 3475
+BenchmarkFlowsimCohortFig5 3469
+BenchmarkFlowsimPerFlowFig5Point 71
+BenchmarkFlowsimCohortFig5Point 66
+BenchmarkClosMillionFlowSingleRun 1034
+CEILINGS
 
 echo "==> ci.sh: all checks passed"

@@ -8,8 +8,14 @@
 //	figures [-out DIR] [-seed N] [-quick] [-workers N] [-only name1,name2] [-list]
 //
 // CSVs land under DIR (default "out"); summaries print to stdout and are
-// also written to DIR/summary.txt. Per-experiment wall-clock timings are
-// additionally written, machine-readable, to DIR/bench_summary.json.
+// also written to DIR/summary.txt, in registry order. Per-experiment
+// wall-clock timings are additionally written, machine-readable, to
+// DIR/bench_summary.json.
+//
+// Unless -workers is 1, the selected experiments run at once and -workers
+// bounds the simulations in flight across all of them. Each experiment's
+// timing is its own start-to-finish span, so the spans overlap and sum to
+// more than the total.
 package main
 
 import (
@@ -46,7 +52,12 @@ func main() {
 	selected := map[string]bool{}
 	if *only != "" {
 		for _, name := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(name)] = true
+			if name = strings.TrimSpace(name); name != "" {
+				selected[name] = true
+			}
+		}
+		if len(selected) == 0 {
+			log.Fatalf("-only %q names no experiment", *only)
 		}
 		for name := range selected {
 			if _, ok := incastlab.LookupExperiment(name); !ok {
@@ -80,31 +91,30 @@ func main() {
 	}
 	sink := io.MultiWriter(os.Stdout, summaryFile)
 
-	timings := make(map[string]float64)
-	order := []string{}
-	totalStarted := time.Now()
+	var exps []incastlab.Experiment
 	for _, e := range incastlab.Experiments() {
-		if len(selected) > 0 && !selected[e.Name] {
-			continue
+		if len(selected) == 0 || selected[e.Name] {
+			exps = append(exps, e)
 		}
-		started := time.Now()
-		res := e.Run(opt)
-		elapsed := time.Since(started)
-		if err := res.WriteFiles(*out); err != nil {
-			log.Fatalf("%s: write artifacts: %v", e.Name, err)
-		}
-		timings[e.Name] = elapsed.Seconds()
-		order = append(order, e.Name)
-		common.Metrics().SetGauge("wall_experiment_seconds", incastlab.MetricsMergeSum,
-			elapsed.Seconds(), "experiment", e.Name)
-		fmt.Fprintf(sink, "%s\n[%s completed in %v; CSVs under %s]\n\n",
-			res.Summary(), e.Name, elapsed.Round(time.Millisecond), *out)
 	}
+	timings := make(map[string]float64)
+	totalStarted := time.Now()
+	incastlab.RunExperiments(opt, exps, func(i int, res incastlab.Result, elapsed time.Duration) {
+		name := exps[i].Name
+		if err := res.WriteFiles(*out); err != nil {
+			log.Fatalf("%s: write artifacts: %v", name, err)
+		}
+		timings[name] = elapsed.Seconds()
+		common.Metrics().SetGauge("wall_experiment_seconds", incastlab.MetricsMergeSum,
+			elapsed.Seconds(), "experiment", name)
+		fmt.Fprintf(sink, "%s\n[%s completed in %v; CSVs under %s]\n\n",
+			res.Summary(), name, elapsed.Round(time.Millisecond), *out)
+	})
 	total := time.Since(totalStarted)
 
 	fmt.Fprintf(sink, "Wall-clock per experiment (workers=%d):\n", common.Workers)
-	for _, name := range order {
-		fmt.Fprintf(sink, "  %-26s %8.3fs\n", name, timings[name])
+	for _, e := range exps {
+		fmt.Fprintf(sink, "  %-26s %8.3fs\n", e.Name, timings[e.Name])
 	}
 	fmt.Fprintf(sink, "  %-26s %8.3fs\n", "total", total.Seconds())
 

@@ -123,6 +123,13 @@ var ExperimentNames = core.ExperimentNames
 // LookupExperiment resolves a registered experiment by name.
 var LookupExperiment = core.LookupExperiment
 
+// RunExperiments runs experiments, overlapping them unless opt.Workers is
+// 1, with opt.Workers (0 = GOMAXPROCS) bounding the simulations in flight
+// across all of them. It calls emit on the calling goroutine, in input
+// order, as soon as an experiment and every one before it have finished,
+// with the experiment's own start-to-finish wall time.
+var RunExperiments = core.RunExperiments
+
 // TableResult is the generic table-backed experiment result: named CSV
 // artifacts plus a rendered text summary. Every registered experiment's
 // result embeds one.

@@ -41,7 +41,7 @@ type Common struct {
 // values land in. Call Setup after fs.Parse.
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
-	fs.IntVar(&c.Workers, "workers", 0, "worker goroutines per experiment sweep (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&c.Workers, "workers", 0, "simulations in flight at once, across overlapping experiments in figures (0 = GOMAXPROCS, 1 = serial)")
 	fs.BoolVar(&c.Audit, "audit", false, "run simulations in checked mode: enforce invariants (conservation, queue bounds, cc protocol bounds) on every packet-level run")
 	fs.StringVar(&c.MetricsPath, "metrics", "", "write a JSON metrics snapshot of all runs to this file (\"-\" for stdout)")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and sample memory statistics")

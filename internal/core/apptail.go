@@ -49,7 +49,7 @@ func QueryTailLatency(opt Options) *QueryTailResult {
 		qct      stats.Summary
 		timeouts int64
 	}
-	results := runParallel(opt.Workers, len(degrees), func(i int) degreeResult {
+	results := runParallel(opt, len(degrees), func(i int) degreeResult {
 		n := degrees[i]
 		var wallStart time.Time
 		if opt.Metrics != nil {

@@ -96,5 +96,5 @@ func TestRunParallelRejectsNegativeWorkers(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	runParallel(-2, 3, func(i int) int { return i })
+	runParallel(Options{Workers: -2}, 3, func(i int) int { return i })
 }

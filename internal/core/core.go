@@ -30,9 +30,11 @@ type Options struct {
 	// Quick shrinks corpus sizes and burst counts so the full suite runs
 	// in seconds (used by tests); published numbers use Quick=false.
 	Quick bool
-	// Workers bounds the goroutines used to fan out independent runs
-	// within an experiment: 0 means GOMAXPROCS, 1 forces the serial path
-	// (useful for debugging). Negative values are invalid; reject them with
+	// Workers bounds the simulations in flight: 0 means GOMAXPROCS, 1
+	// forces the serial path (useful for debugging). An experiment run on
+	// its own fans its independent runs out up to this bound; under
+	// RunExperiments the experiments overlap and the bound holds across
+	// the whole run. Negative values are invalid; reject them with
 	// ValidateWorkers before running. Results are identical either way —
 	// every run is an isolated engine seeded from Seed, and results are
 	// collected by index.
@@ -64,6 +66,10 @@ type Options struct {
 	// lower to the fluid backend and requires Fidelity == FidelityFlow
 	// when set.
 	Aggregation string
+
+	// rows, when set by RunExperiments, is the row pool every runParallel
+	// call of the run draws from; nil means each call makes its own.
+	rows rowPool
 }
 
 // Validate rejects option values that would otherwise fail deep inside an

@@ -87,9 +87,7 @@ func DistributedDetect(opt Options) *TableResult {
 			cfgs = append(cfgs, opt.instrument("distributed_detect", cfg))
 		}
 	}
-	results := runParallel(opt.Workers, len(cfgs), func(i int) *SimResult {
-		return RunIncastSim(cfgs[i])
-	})
+	results := runIncastSims(opt, cfgs)
 
 	t := trace.NewTable("flows", "detect", "mode", "max_queue_pkts",
 		"detect_latency_us", "mean_bct_ms", "max_bct_ms", "timeouts", "drops",

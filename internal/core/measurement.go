@@ -83,7 +83,7 @@ func Fig1ExampleTrace(opt Options) *Fig1Result {
 		bursts []millisampler.Burst
 		retx   bool
 	}
-	cands := runParallel(opt.Workers, 20, func(host int) candidate {
+	cands := runParallel(opt, 20, func(host int) candidate {
 		c := candidate{}
 		c.tr = p.Generate(services.GenConfig{Seed: opt.seed(), Host: host, DurationMS: ms})
 		c.bursts = millisampler.Detect(c.tr, millisampler.DefaultBurstThreshold)
@@ -185,7 +185,7 @@ func Fig2And4BurstCharacterization(opt Options) *Fig2And4Result {
 	}
 	r := &Fig2And4Result{}
 	profiles := services.All()
-	r.Reports = runParallel(opt.Workers, len(profiles), func(i int) ServiceReport {
+	r.Reports = runParallel(opt, len(profiles), func(i int) ServiceReport {
 		return ServiceReport{
 			Service: profiles[i].Name,
 			Report:  millisampler.Analyze(services.Collect(profiles[i], cfg)),
@@ -288,7 +288,7 @@ func Fig3Stability(opt Options) *Fig3Result {
 		hostFlows [][]float64
 	}
 	profiles := services.All()
-	results := runParallel(opt.Workers, len(profiles), func(si int) svcResult {
+	results := runParallel(opt, len(profiles), func(si int) svcResult {
 		p := profiles[si]
 		res := svcResult{means: make([]float64, rounds)}
 		if p.Name == "aggregator" {

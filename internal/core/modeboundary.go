@@ -47,7 +47,7 @@ func ModeBoundary(opt Options) *ModeBoundaryResult {
 	r := &ModeBoundaryResult{}
 	// The runs are independent; only the boundary classification below
 	// carries state across grid points, so it stays a serial pass.
-	r.Runs = runParallel(opt.Workers, len(flows), func(i int) *SimResult {
+	r.Runs = runParallel(opt, len(flows), func(i int) *SimResult {
 		return RunIncastSim(opt.instrument("mode_boundary", SimConfig{
 			Flows:         flows[i],
 			BurstDuration: 15 * sim.Millisecond,

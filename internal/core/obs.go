@@ -71,7 +71,7 @@ func (o Options) runSims(experiment string, cfgs []SimConfig) []*SimResult {
 		cfgs[i].Experiment = experiment
 		o.applyFidelity(&cfgs[i])
 	}
-	return RunIncastSims(o.Workers, cfgs)
+	return runIncastSims(o, cfgs)
 }
 
 // harvestIncastMetrics publishes one finished simulation's telemetry into

@@ -62,9 +62,7 @@ func PulserModes(opt Options) *TableResult {
 			}
 		}
 	}
-	results := runParallel(opt.Workers, len(cfgs), func(i int) *SimResult {
-		return RunIncastSim(cfgs[i])
-	})
+	results := runIncastSims(opt, cfgs)
 
 	t := trace.NewTable("flows", "scheme", "notify", "mode", "queue_busy_avg_pkts",
 		"mean_bct_ms", "max_bct_ms", "timeouts", "drops", "detector_fired", "notifies")

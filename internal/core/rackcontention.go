@@ -53,7 +53,7 @@ func RackContention(opt Options) *RackContentionResult {
 		flows = 400
 		bursts = 3
 	}
-	groups := runParallel(opt.Workers, 2, func(i int) rackGroupStats {
+	groups := runParallel(opt, 2, func(i int) rackGroupStats {
 		return runRackIncast(opt, flows, bursts, i == 1)
 	})
 	r := &RackContentionResult{Solo: groups[0], Contended: groups[1]}

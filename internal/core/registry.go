@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Kind classifies a registered experiment.
@@ -116,12 +117,10 @@ func RegistryMarkdown() string {
 }
 
 // All runs every experiment — each paper table and figure plus every
-// ablation and extension — and returns the results in presentation order.
-// This is what cmd/figures executes.
+// ablation and extension — through RunExperiments and returns the results
+// in presentation order.
 func All(opt Options) []Result {
-	out := make([]Result, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e.Run(opt))
-	}
+	out := make([]Result, len(registry))
+	RunExperiments(opt, Experiments(), func(i int, res Result, _ time.Duration) { out[i] = res })
 	return out
 }

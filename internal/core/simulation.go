@@ -53,7 +53,7 @@ func Fig5Modes(opt Options) *Fig5Result {
 		bursts = 4
 	}
 	r := &Fig5Result{}
-	r.Modes = runParallel(opt.Workers, len(flows), func(i int) *SimResult {
+	r.Modes = runParallel(opt, len(flows), func(i int) *SimResult {
 		return RunIncastSim(opt.instrument("fig5", SimConfig{
 			Flows:         flows[i],
 			BurstDuration: 15 * sim.Millisecond,
@@ -170,7 +170,7 @@ func Fig6ShortBursts(opt Options) *Fig6Result {
 		bursts = 4
 	}
 	r := &Fig6Result{}
-	r.Runs = runParallel(opt.Workers, len(flows), func(i int) *SimResult {
+	r.Runs = runParallel(opt, len(flows), func(i int) *SimResult {
 		return RunIncastSim(opt.instrument("fig6", SimConfig{
 			Flows:          flows[i],
 			BurstDuration:  2 * sim.Millisecond,

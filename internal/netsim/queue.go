@@ -47,8 +47,14 @@ type Queue struct {
 	ecnAvgWeight float64
 	ecnAvgDepth  float64
 
-	packets []*Packet
-	bytes   int
+	// ring holds the queued packets in FIFO order, oldest at head: a
+	// power-of-two circular buffer that doubles when full and is kept for
+	// the queue's lifetime, so each burst reuses the storage earlier bursts
+	// grew instead of growing a slice from empty again.
+	ring  []*Packet
+	head  int
+	n     int
+	bytes int
 
 	shared *SharedBuffer
 
@@ -109,7 +115,7 @@ func NewQueue(cfg QueueConfig) *Queue {
 func (q *Queue) Name() string { return q.name }
 
 // LenPackets returns the current occupancy in packets.
-func (q *Queue) LenPackets() int { return len(q.packets) }
+func (q *Queue) LenPackets() int { return q.n }
 
 // LenBytes returns the current occupancy in IP bytes.
 func (q *Queue) LenBytes() int { return q.bytes }
@@ -151,15 +157,16 @@ func (q *Queue) OnEnqueue() func(now sim.Time, p *Packet) { return q.onEnqueue }
 // must not be mutated or retained; the auditor uses this to cross-check
 // occupancy accounting and packet liveness.
 func (q *Queue) ForEachPacket(fn func(p *Packet)) {
-	for _, p := range q.packets {
-		fn(p)
+	mask := len(q.ring) - 1
+	for i := 0; i < q.n; i++ {
+		fn(q.ring[(q.head+i)&mask])
 	}
 }
 
 // admissible reports whether p fits under the queue's own limits and, if
 // bound, the shared buffer's dynamic threshold.
 func (q *Queue) admissible(p *Packet) bool {
-	if q.capacityPackets > 0 && len(q.packets)+1 > q.capacityPackets {
+	if q.capacityPackets > 0 && q.n+1 > q.capacityPackets {
 		return false
 	}
 	if q.capacityBytes > 0 && q.bytes+p.IPBytes() > q.capacityBytes {
@@ -182,21 +189,25 @@ func (q *Queue) Enqueue(now sim.Time, p *Packet) bool {
 		}
 		return false
 	}
-	q.packets = append(q.packets, p)
+	if q.n == len(q.ring) {
+		q.growRing()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
+	q.n++
 	q.bytes += p.IPBytes()
 	if q.shared != nil {
 		q.shared.grow(p.IPBytes())
 	}
 	q.stats.EnqueuedPackets++
 	q.stats.EnqueuedBytes += int64(p.IPBytes())
-	if len(q.packets) > q.stats.PeakPackets {
-		q.stats.PeakPackets = len(q.packets)
+	if q.n > q.stats.PeakPackets {
+		q.stats.PeakPackets = q.n
 	}
 	if q.bytes > q.stats.PeakBytes {
 		q.stats.PeakBytes = q.bytes
 	}
-	if len(q.packets) > q.watermarkPackets {
-		q.watermarkPackets = len(q.packets)
+	if q.n > q.watermarkPackets {
+		q.watermarkPackets = q.n
 	}
 	q.updateAvgDepth()
 	if q.ecnThresholdPackets > 0 && p.ECT && q.markingDepth() > float64(q.ecnThresholdPackets) {
@@ -207,7 +218,7 @@ func (q *Queue) Enqueue(now sim.Time, p *Packet) bool {
 		q.onEnqueue(now, p)
 	}
 	if q.onChange != nil {
-		q.onChange(now, len(q.packets), q.bytes)
+		q.onChange(now, q.n, q.bytes)
 	}
 	return true
 }
@@ -222,7 +233,7 @@ func (q *Queue) updateAvgDepth() {
 	if q.ecnAvgWeight <= 0 {
 		return
 	}
-	q.ecnAvgDepth = (1-q.ecnAvgWeight)*q.ecnAvgDepth + q.ecnAvgWeight*float64(len(q.packets))
+	q.ecnAvgDepth = (1-q.ecnAvgWeight)*q.ecnAvgDepth + q.ecnAvgWeight*float64(q.n)
 }
 
 // markingDepth returns the occupancy the ECN comparison uses: the
@@ -230,40 +241,49 @@ func (q *Queue) updateAvgDepth() {
 // configured. Read-only; the EWMA itself advances in updateAvgDepth.
 func (q *Queue) markingDepth() float64 {
 	if q.ecnAvgWeight <= 0 {
-		return float64(len(q.packets))
+		return float64(q.n)
 	}
 	return q.ecnAvgDepth
 }
 
 // Dequeue removes and returns the head packet, or nil if the queue is empty.
 func (q *Queue) Dequeue(now sim.Time) *Packet {
-	if len(q.packets) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.packets[0]
-	q.packets[0] = nil
-	q.packets = q.packets[1:]
-	// Reset the backing array occasionally so the slice does not leak.
-	if len(q.packets) == 0 {
-		q.packets = nil
-	}
+	p := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	q.bytes -= p.IPBytes()
 	if q.shared != nil {
 		q.shared.shrink(p.IPBytes())
 	}
 	q.updateAvgDepth()
 	if q.onChange != nil {
-		q.onChange(now, len(q.packets), q.bytes)
+		q.onChange(now, q.n, q.bytes)
 	}
 	return p
 }
+
+// growRing doubles the full ring, unrolling it so the oldest packet lands at
+// index zero.
+func (q *Queue) growRing() {
+	ring := make([]*Packet, max(minRing, 2*len(q.ring)))
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
+// minRing is the first ring allocation, in packets; a power of two.
+const minRing = 8
 
 // TakeWatermark returns the high watermark (in packets) since the last call
 // and resets it to the current occupancy — the same "high watermark over the
 // last interval" semantics production ToRs export.
 func (q *Queue) TakeWatermark() int {
 	w := q.watermarkPackets
-	q.watermarkPackets = len(q.packets)
+	q.watermarkPackets = q.n
 	return w
 }
 

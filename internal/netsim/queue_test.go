@@ -149,6 +149,69 @@ func TestQueueConservationProperty(t *testing.T) {
 	}
 }
 
+// TestQueueRingFIFOProperty drives random enqueue/dequeue sequences
+// against a plain-slice FIFO and checks that the ring returns the same
+// dequeue sequence and walks the same ForEachPacket order after every
+// step. TestQueueConservationProperty only counts packets, so it cannot
+// see a reordering. The capacities and phase lengths make the ring wrap
+// and then grow while wrapped, which the test checks it saw.
+func TestQueueRingFIFOProperty(t *testing.T) {
+	rng := sim.NewRand(7)
+	caps := []int{0, 3, 8, 9, 17, 100}
+	grewWrapped := 0
+	for trial := 0; trial < 120; trial++ {
+		capPkts := caps[trial%len(caps)]
+		q := NewQueue(QueueConfig{CapacityPackets: capPkts})
+		var model []*Packet
+		next := 0
+		for phase := 0; phase < 8; phase++ {
+			// Alternate enqueue-heavy and dequeue-heavy phases.
+			enq := 0.75
+			if phase%2 == 1 {
+				enq = 0.3
+			}
+			for step, n := 0, 1+rng.IntN(60); step < n; step++ {
+				if rng.Float64() < enq {
+					if q.n == len(q.ring) && q.head != 0 {
+						grewWrapped++
+					}
+					p := dataPacket(FlowID(next), 100)
+					next++
+					fits := capPkts == 0 || len(model) < capPkts
+					if q.Enqueue(0, p) != fits {
+						t.Fatalf("trial %d: enqueue at %d of cap %d returned %v", trial, len(model), capPkts, !fits)
+					}
+					if fits {
+						model = append(model, p)
+					}
+				} else {
+					var want *Packet
+					if len(model) > 0 {
+						want, model = model[0], model[1:]
+					}
+					if got := q.Dequeue(0); got != want {
+						t.Fatalf("trial %d: dequeued %v, want %v", trial, got, want)
+					}
+				}
+				var walked []*Packet
+				q.ForEachPacket(func(p *Packet) { walked = append(walked, p) })
+				if q.LenPackets() != len(model) || len(walked) != len(model) {
+					t.Fatalf("trial %d: %d packets, walked %d, model holds %d",
+						trial, q.LenPackets(), len(walked), len(model))
+				}
+				for i := range model {
+					if walked[i] != model[i] {
+						t.Fatalf("trial %d: ForEachPacket position %d out of FIFO order", trial, i)
+					}
+				}
+			}
+		}
+	}
+	if grewWrapped == 0 {
+		t.Fatal("no trial grew the ring while it was wrapped")
+	}
+}
+
 func TestSharedBufferDynamicThreshold(t *testing.T) {
 	// Pool of 10 full packets, alpha 1: a queue may hold at most
 	// alpha*free bytes.

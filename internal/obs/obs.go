@@ -11,8 +11,9 @@
 //     updates plain struct fields through Counter/Gauge/Histogram handles,
 //     and merges it into the shared Registry exactly once (Close);
 //   - the Registry is shared and mutex-guarded, and only ever sees whole
-//     collectors. Every merge operation is commutative (counters add,
-//     max-gauges fold by max, histograms add bucket-wise), so the merged
+//     collectors. Every merge is independent of order (counters add,
+//     max-gauges fold by max, histograms add bucket-wise, and float sums
+//     are added in sorted order when a snapshot is taken), so the merged
 //     totals are identical whether runs executed serially or in parallel —
 //     the same serial==parallel contract the experiment results obey.
 //
@@ -36,9 +37,11 @@ import (
 )
 
 // MergeMode defines how two observations of the same gauge combine, both
-// within one collector and across collectors at merge time. All modes are
-// commutative and associative, which is what keeps parallel runs'
-// snapshots identical to serial ones.
+// within one collector and across collectors at merge time. Max and min
+// are commutative and associative; float addition is not associative, so
+// the registry adds sum-gauge contributions in sorted order when a
+// snapshot is taken. Either way parallel runs' snapshots are identical to
+// serial ones.
 type MergeMode uint8
 
 const (
@@ -100,6 +103,38 @@ type metric struct {
 
 	// Histogram state.
 	hist Histogram
+
+	// parts, on a registry metric that sums floats (a sum-gauge or a
+	// histogram's sum), holds each merged collector's contribution. Float
+	// addition is not associative, so folding the contributions in merge
+	// order would make the total depend on which run finished first; the
+	// snapshot adds them in sorted order instead (see floatSum).
+	parts []float64
+}
+
+// addPart records src's float sum as one contribution to m's total.
+func (m *metric) addPart(src *metric) {
+	switch {
+	case m.kind == kindHistogram:
+		m.parts = append(m.parts, src.hist.sum)
+	case m.kind == kindGauge && m.gauge.mode == MergeSum && src.gauge.set:
+		m.parts = append(m.parts, src.gauge.v)
+	}
+}
+
+// floatSum adds parts in ascending order, so the total is a function of
+// the set of parts alone, not of the order they were merged in.
+func floatSum(parts []float64) float64 {
+	if len(parts) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), parts...)
+	sort.Float64s(s)
+	total := s[0]
+	for _, v := range s[1:] {
+		total += v
+	}
+	return total
 }
 
 // Counter is a monotonically increasing integer. The zero value is usable;
@@ -299,7 +334,8 @@ func (r *Registry) Collector(baseLabels ...string) *Collector {
 }
 
 // merge folds a collector's metrics in under the lock. Insertion order
-// does not matter: every fold operation is commutative.
+// does not matter: integer and max/min folds are commutative and
+// associative, and float sums keep their parts for an order-free total.
 func (r *Registry) merge(c *Collector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -310,6 +346,7 @@ func (r *Registry) merge(c *Collector) {
 			// collector is discarded after Close, so ownership transfer is
 			// safe and avoids copying histogram buckets.
 			r.metrics[id] = m
+			m.addPart(m)
 			continue
 		}
 		if dst.kind != m.kind {
@@ -323,6 +360,7 @@ func (r *Registry) merge(c *Collector) {
 		case kindHistogram:
 			dst.hist.merge(id, &m.hist)
 		}
+		dst.addPart(m)
 	}
 }
 

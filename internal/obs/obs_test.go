@@ -136,6 +136,33 @@ func TestParallelMergeDeterminism(t *testing.T) {
 	}
 }
 
+// TestMergeOrderFloatSums merges the same three collectors in every order:
+// float addition is not associative (1e16 + 1 + 1 depends on grouping), so
+// a histogram's sum and a sum-gauge must not fold in merge order, or a
+// parallel run's snapshot would depend on which run finished first.
+func TestMergeOrderFloatSums(t *testing.T) {
+	values := []float64{1e16, 1, 1}
+	var first []byte
+	for _, order := range [][]int{{0, 1, 2}, {1, 2, 0}, {1, 0, 2}} {
+		r := NewRegistry()
+		for _, i := range order {
+			c := r.Collector("experiment", "det")
+			c.Gauge("load", MergeSum).Set(values[i])
+			c.Histogram("lat", []float64{1, 10}).Observe(values[i])
+			c.Close()
+		}
+		var b bytes.Buffer
+		if err := r.Snapshot().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = b.Bytes()
+		} else if !bytes.Equal(first, b.Bytes()) {
+			t.Fatalf("merge order %v changed the snapshot:\n%s\nvs\n%s", order, first, b.Bytes())
+		}
+	}
+}
+
 // TestSnapshotRoundTrip pins the stable-JSON promise: write, parse,
 // re-write must be byte-identical, and the parsed snapshot validates.
 func TestSnapshotRoundTrip(t *testing.T) {

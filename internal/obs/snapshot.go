@@ -65,7 +65,11 @@ func (r *Registry) Snapshot() *Snapshot {
 		case kindCounter:
 			s.Counters = append(s.Counters, CounterValue{Name: m.name, Labels: labels, Value: m.counter.n})
 		case kindGauge:
-			s.Gauges = append(s.Gauges, GaugeValue{Name: m.name, Labels: labels, Mode: m.gauge.mode.String(), Value: m.gauge.v})
+			v := m.gauge.v
+			if m.gauge.mode == MergeSum {
+				v = floatSum(m.parts)
+			}
+			s.Gauges = append(s.Gauges, GaugeValue{Name: m.name, Labels: labels, Mode: m.gauge.mode.String(), Value: v})
 		case kindHistogram:
 			s.Histograms = append(s.Histograms, HistogramValue{
 				Name:   m.name,
@@ -73,7 +77,7 @@ func (r *Registry) Snapshot() *Snapshot {
 				Bounds: append([]float64(nil), m.hist.bounds...),
 				Counts: append([]int64(nil), m.hist.counts...),
 				Count:  m.hist.count,
-				Sum:    m.hist.sum,
+				Sum:    floatSum(m.parts),
 			})
 		}
 	}

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // This file implements the engine's bucketed calendar queue — the default
 // event scheduler. The classic binary heap pays O(log n) pointer-chasing
 // comparisons per push and pop; at incast degrees in the hundreds to
@@ -24,7 +22,7 @@ import "container/heap"
 //   - overflow: a binary heap for events beyond the ring horizon — RTO
 //     timers, burst starts, scenario phases. Events migrate from overflow
 //     into cur when the window reaches their bucket. Cancellation is eager
-//     everywhere (heap.Remove / swap-remove / tombstone), which matters
+//     everywhere (heap remove / swap-remove / tombstone), which matters
 //     here: TCP re-arms its RTO via ResetAfter on nearly every ACK, and a
 //     lazy overflow heap would fill with dead timers.
 //
@@ -130,14 +128,14 @@ func (cq *calQueue) place(ev *event) {
 		// The window advanced past this timestamp while peeking ahead;
 		// the event still belongs to the pile currently being drained.
 		ev.loc = locCur
-		heap.Push(&cq.cur, ev)
+		cq.cur.push(ev)
 		return
 	}
 	d := uint64(ev.at - cq.curStart)
 	switch {
 	case d < uint64(cq.width()):
 		ev.loc = locCur
-		heap.Push(&cq.cur, ev)
+		cq.cur.push(ev)
 	case d < uint64(cq.width())<<uint(calBucketsLog):
 		b := int(uint64(ev.at)>>cq.shift) & cq.mask
 		ev.loc = locRing
@@ -146,7 +144,7 @@ func (cq *calQueue) place(ev *event) {
 		cq.ringN++
 	default:
 		ev.loc = locOver
-		heap.Push(&cq.overflow, ev)
+		cq.overflow.push(ev)
 	}
 }
 
@@ -165,7 +163,7 @@ func (cq *calQueue) head(now Time) *event {
 		}
 		if len(cq.cur) > 0 {
 			ct := cq.cur[0]
-			if nq == nil || ct.at < nq.at || (ct.at == nq.at && ct.seq < nq.seq) {
+			if nq == nil || ct.before(nq) {
 				return ct
 			}
 		}
@@ -191,7 +189,7 @@ func (cq *calQueue) pop(now Time) *event {
 	}
 	switch ev.loc {
 	case locCur:
-		heap.Pop(&cq.cur)
+		cq.cur.pop()
 	case locNow:
 		cq.nowqHead = ev.index + 1
 		if cq.nowqHead == len(cq.nowq) {
@@ -208,9 +206,9 @@ func (cq *calQueue) pop(now Time) *event {
 func (cq *calQueue) remove(ev *event) {
 	switch ev.loc {
 	case locCur:
-		heap.Remove(&cq.cur, ev.index)
+		cq.cur.remove(ev.index)
 	case locOver:
-		heap.Remove(&cq.overflow, ev.index)
+		cq.overflow.remove(ev.index)
 	case locRing:
 		b := int(uint64(ev.at)>>cq.shift) & cq.mask
 		s := cq.buckets[b]
@@ -283,7 +281,7 @@ func (cq *calQueue) loadBucket() {
 		}
 		cq.buckets[cq.curIdx] = b[:0]
 		cq.ringN -= len(b)
-		heap.Init(&cq.cur)
+		cq.cur.init()
 		if len(b) > calNarrowLoad && cq.shift > calMinShift {
 			cq.wantNarrow = true
 		}
@@ -297,9 +295,9 @@ func (cq *calQueue) loadBucket() {
 func (cq *calQueue) migrateOverflow() {
 	w := uint64(cq.width())
 	for len(cq.overflow) > 0 && uint64(cq.overflow[0].at-cq.curStart) < w {
-		ev := heap.Pop(&cq.overflow).(*event)
+		ev := cq.overflow.pop()
 		ev.loc = locCur
-		heap.Push(&cq.cur, ev)
+		cq.cur.push(ev)
 		cq.migrations++
 	}
 }
@@ -373,6 +371,108 @@ func (cq *calQueue) reset() {
 	cq.wantNarrow = false
 	cq.resizes, cq.migrations, cq.nowFast = 0, 0, 0
 	cq.setWindow(0)
+}
+
+// The calendar queue's two heaps use these typed operations rather than
+// container/heap: going through heap.Interface costs a dynamic call per
+// Less and Swap, and those calls dominated scheduler time. They are the
+// sift-up/sift-down algorithms container/heap runs, comparing (at, seq)
+// inline and keeping ev.index current. (at, seq) is a total order, so any
+// correct heap pops events in the same sequence; the reference engine
+// (newHeapEngine) keeps container/heap, and the differential tests check
+// the calendar queue against it.
+
+// before reports whether a runs before b in (at, seq) order.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *event {
+	old := *h
+	n := len(old) - 1
+	ev, last := old[0], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		old[0] = last
+		h.down(0)
+	}
+	ev.index = -1
+	return ev
+}
+
+// remove unlinks the event at index i.
+func (h *eventHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	ev, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i != n {
+		old[i] = last
+		if !h.down(i) {
+			h.up(i)
+		}
+	}
+	ev.index = -1
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// up moves the event at j toward the root until its parent runs first.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !ev.before(p) {
+			break
+		}
+		h[j] = p
+		p.index = j
+		j = i
+	}
+	h[j] = ev
+	ev.index = j
+}
+
+// down moves the event at i0 toward the leaves until no child runs before
+// it, and reports whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	n := len(h)
+	ev := h[i0]
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].before(h[j]) {
+			j = j2
+		}
+		c := h[j]
+		if !c.before(ev) {
+			break
+		}
+		h[i] = c
+		c.index = i
+		i = j
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // SchedulerStats describes the calendar queue's geometry and traffic, in
