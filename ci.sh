@@ -39,10 +39,11 @@
 #                        and both notification experiments) must be
 #                        byte-identical to the checked-in goldens
 #                        (scheduler and pooling changes are
-#                        behavior-preserving); the two Clos sweeps then
-#                        re-run at -fidelity flow against their own
-#                        checked-in goldens (testdata/quick_flow), pinning
-#                        the multi-queue fluid solver's output bit for bit
+#                        behavior-preserving); fig5 and the two Clos
+#                        sweeps then re-run at -fidelity flow against
+#                        their own checked-in goldens (testdata/quick_flow),
+#                        pinning the fluid solver's output bit for bit on
+#                        the dumbbell and the fabric
 #   8. sweep-cache gate  the Clos cross-rack example sweep runs cold,
 #                        sharded across two worker processes against a
 #                        shared content-addressed cache, then again as a
@@ -134,8 +135,8 @@ go run ./cmd/figures -quick -only fig5,fig6,ablation_g,ablation_marking,ext_clos
 for f in internal/core/testdata/quick/*.csv; do
   cmp "$f" "$OBS_TMP/golden/$(basename "$f")"
 done
-go run ./cmd/figures -quick -only ext_clos_crossrack,ext_clos_multiagg -fidelity flow -out "$OBS_TMP/golden_flow"
-for name in ext_clos_crossrack ext_clos_multiagg; do
+go run ./cmd/figures -quick -only fig5,ext_clos_crossrack,ext_clos_multiagg -fidelity flow -out "$OBS_TMP/golden_flow"
+for name in fig5_modes fig5_queue_80flows fig5_queue_500flows fig5_queue_1400flows ext_clos_crossrack ext_clos_multiagg; do
   cmp "internal/core/testdata/quick_flow/$name.csv" "$OBS_TMP/golden_flow/$name.csv"
 done
 
@@ -226,11 +227,11 @@ BenchmarkFig5DCTCPModes 124372
 BenchmarkSimulatorPacketRate 10082
 BenchmarkMillisamplerAnalyze 90
 BenchmarkPredictorObserve 2
-BenchmarkFlowsimFig5 3475
-BenchmarkFlowsimCohortFig5 3469
-BenchmarkFlowsimPerFlowFig5Point 71
-BenchmarkFlowsimCohortFig5Point 66
-BenchmarkClosMillionFlowSingleRun 1034
+BenchmarkFlowsimFig5 3418
+BenchmarkFlowsimCohortFig5 3401
+BenchmarkFlowsimPerFlowFig5Point 41
+BenchmarkFlowsimCohortFig5Point 59
+BenchmarkClosMillionFlowSingleRun 960
 CEILINGS
 
 echo "==> ci.sh: all checks passed"

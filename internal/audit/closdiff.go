@@ -184,7 +184,6 @@ func runFlowClosIncast(cfg ClosDiffConfig, closCfg netsim.ClosConfig, n int) (*f
 			Interval:        cfg.Interval,
 			Seed:            cfg.Seed,
 			LineRateBps:     closCfg.HostLinkBps,
-			CoreRateBps:     closCfg.SpineLinkBps,
 			Check:           cfg.Audit,
 		},
 		Net: net,

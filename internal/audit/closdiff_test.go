@@ -28,7 +28,7 @@ func TestClosDifferentialGate(t *testing.T) {
 }
 
 // TestClosDifferentialGateSameRack pins the placement control: same-rack
-// workers never cross a spine, so the fluid side collapses to the trivial
+// workers never cross a spine, so the fluid side collapses to the
 // one-queue instance and must still track the packet fabric.
 func TestClosDifferentialGateSameRack(t *testing.T) {
 	if testing.Short() {

@@ -227,7 +227,6 @@ func RunCohortDiff(cfg CohortDiffConfig) (*CohortDiffResult, error) {
 					Interval:        cfg.Interval,
 					Seed:            cfg.Seed,
 					LineRateBps:     closCfg.HostLinkBps,
-					CoreRateBps:     closCfg.SpineLinkBps,
 					Aggregation:     agg,
 					Check:           cfg.Audit,
 				},

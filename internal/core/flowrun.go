@@ -50,7 +50,7 @@ func KnownAggregation(name string) bool { return flowsim.KnownAggregation(name) 
 // dumbbell's single bottleneck or a Clos fabric's per-port queues, each
 // with threshold marking and tail drops, reduced-form congestion laws, RTO
 // stalls — but not receiver-side control, shared switch memory, ACK
-// shaping, or per-packet traces.
+// shaping, per-packet traces, or the dumbbell's inter-ToR core link.
 func (c SimConfig) FlowCompatible() error {
 	cfg := c
 	cfg.fill()
@@ -77,6 +77,10 @@ func (c SimConfig) FlowCompatible() error {
 		feature = "shared switch buffering"
 	case cfg.Clos == nil && cfg.Net.ECNAverageWeight > 0:
 		feature = "EWMA-averaged ECN marking"
+	case cfg.Clos == nil && cfg.Net.CoreLinkBps != netsim.DefaultDumbbellConfig(cfg.Flows).CoreLinkBps:
+		// The fluid dumbbell is the bottleneck queue alone; a changed core
+		// rate would be silently ignored there.
+		feature = "a non-default dumbbell core link rate (Net.CoreLinkBps, scenario topology.core_link_gbps)"
 	case cfg.Receiver.DelayedAcks:
 		feature = "delayed ACKs"
 	case cfg.Sender.RestartAfterIdle:
@@ -204,7 +208,6 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 				JitterMax:       cfg.JitterMax,
 				Seed:            cfg.Seed,
 				LineRateBps:     closCfg.HostLinkBps,
-				CoreRateBps:     closCfg.SpineLinkBps,
 				MinRTO:          cfg.Sender.MinRTO,
 				MaxRTO:          cfg.Sender.MaxRTO,
 				DupAckPackets:   float64(cfg.Sender.DupAckThreshold),
@@ -228,7 +231,6 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 			JitterMax:            cfg.JitterMax,
 			Seed:                 cfg.Seed,
 			LineRateBps:          cfg.Net.HostLinkBps,
-			CoreRateBps:          cfg.Net.CoreLinkBps,
 			QueueCapacityPackets: cfg.Net.QueueCapacityPackets,
 			ECNThresholdPackets:  cfg.Net.ECNThresholdPackets,
 			BaseRTT:              cfg.Net.BaseRTT(),

@@ -146,6 +146,38 @@ func TestFlowCompatible(t *testing.T) {
 	}
 }
 
+// TestScenarioFlowRejectsCoreLink pins that a flow-level scenario cannot
+// set the dumbbell's core link rate: the fluid dumbbell models only the
+// bottleneck queue, so the override would be silently ignored. Compile
+// must fail naming the field and the row.
+func TestScenarioFlowRejectsCoreLink(t *testing.T) {
+	spec := scenario.Spec{
+		Name:     "flow_core_link",
+		Workload: scenario.Workload{Flows: 50},
+		Topology: &scenario.Topology{CoreLinkGbps: 40},
+		Sweep:    scenario.Sweep{Axis: "ecn_threshold_pkts", Values: scenario.Nums(65)},
+		Fidelity: "flow",
+	}
+	_, _, _, err := CompileScenario(Options{}, spec)
+	if err == nil {
+		t.Fatal("flow-level spec with topology.core_link_gbps compiled")
+	}
+	for _, want := range []string{"core_link_gbps", "row 0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("compile error %q does not name %q", err, want)
+		}
+	}
+	spec.Fidelity = "packet"
+	if _, _, _, err := CompileScenario(Options{}, spec); err != nil {
+		t.Errorf("packet-level spec with topology.core_link_gbps rejected: %v", err)
+	}
+	spec.Fidelity = "flow"
+	spec.Topology.CoreLinkGbps = 100
+	if _, _, _, err := CompileScenario(Options{}, spec); err != nil {
+		t.Errorf("flow-level spec with the default core link rate rejected: %v", err)
+	}
+}
+
 // TestFlowCompatiblePerFlowLimit pins the up-front rejection of per-flow
 // runs past the fluid backend's record limit — counted over every
 // aggregator's workers on a Clos fabric — with an error naming the

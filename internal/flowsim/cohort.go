@@ -1,6 +1,10 @@
 package flowsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"incastlab/internal/netsim"
+)
 
 // Cohort aggregation: the incast workloads this package exists for are
 // massively symmetric — hundreds to thousands of flows sharing one CC law,
@@ -25,8 +29,8 @@ import "fmt"
 // The "perflow" aggregation level is the degenerate instance: every flow
 // its own cohort, weight 1, through the SAME code path. Multiplications by
 // a weight of 1.0 are IEEE-exact and the iteration and RNG-draw orders are
-// identical, so per-flow runs are byte-for-byte what the pre-cohort engine
-// produced (TestCohortSingletonByteIdentity pins it).
+// identical, so a per-flow run and a run of one-member cohorts are byte for
+// byte the same (TestCohortSingletonByteIdentity pins it).
 
 // Aggregation levels for Config.Aggregation.
 const (
@@ -179,11 +183,12 @@ func classPlan(classOf []int32, nClasses, buckets int) cohortPlan {
 	return p
 }
 
-// buildPlan resolves the aggregation knob into a plan. classOf/nClasses
-// describe path equivalence (nil/1 for the single-queue dumbbell, where
-// every flow shares the one bottleneck, one RTT, and one CC law);
-// cfg.cohortBuckets, a test-only knob, overrides the bucket count.
-func buildPlan(cfg *Config, classOf []int32, nClasses int) cohortPlan {
+// buildPlan resolves the aggregation knob into a plan: the identity for
+// per-flow runs, else net's path classes (the only behavioral
+// discriminant, since the workload fields are uniform across flows) split
+// into jitter buckets. cfg.cohortBuckets, a test-only knob, overrides the
+// bucket count.
+func buildPlan(cfg *Config, net *netsim.FluidPaths) cohortPlan {
 	if !cfg.cohortEnabled() {
 		return singletonPlan(cfg.Flows)
 	}
@@ -191,9 +196,6 @@ func buildPlan(cfg *Config, classOf []int32, nClasses int) cohortPlan {
 	if buckets <= 0 {
 		buckets = defaultCohortBuckets
 	}
-	if classOf == nil {
-		classOf = make([]int32, cfg.Flows)
-		nClasses = 1
-	}
+	classOf, nClasses := net.PathClasses()
 	return classPlan(classOf, nClasses, buckets)
 }

@@ -58,7 +58,6 @@ func TestNetworkDegreeOneIncast(t *testing.T) {
 			SegmentsPerFlow: segs,
 			Bursts:          3,
 			LineRateBps:     cc.HostLinkBps,
-			CoreRateBps:     cc.SpineLinkBps,
 			Check:           true,
 		},
 		Net: net,

@@ -16,21 +16,16 @@ import "sync"
 // goroutine until released, so parallel sweeps stay race-free.
 type netScratch struct {
 	// Per-queue state and step scratch.
-	q, drain, capQ, kQ, q0, delay, served, sFrac, arrTotal, markNow, passFrac []float64
-	transit                                                                   []bool
-	byStage                                                                   [][]int32
-	stageQ                                                                    []int32
+	qs      []netQueue
+	byStage [][]int32
+	stageQ  []int32
 
 	// Per-record state (grows past its initial length on cohort splits;
 	// the grown capacity is what makes reuse pay).
-	flows         []flowState
-	hot           []netFlow
-	off, lineNext []int32
-	baseSec       []float64
-	paths         [][]int32
-
-	// Per-flow-hop flat arrays.
-	bk, mk, arrH, arrMkH []float64
+	flows []flowState
+	hot   []netFlow
+	paths [][]int32
+	hops  []hopState
 
 	// Tail-drop victim index (CSR offsets and entries).
 	vicOff []int32
@@ -54,38 +49,30 @@ func grown[T any](buf []T, n int) []T {
 	return buf
 }
 
+// emptied returns buf cut to length zero with room for at least n
+// elements, reusing its capacity when it suffices.
+func emptied[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
 // attach populates the engine's arrays from the recycled bundle and
 // remembers it for release.
 func (e *netEngine) attach(sc *netScratch, nq, stages, m int, hops int32) {
 	e.scratch = sc
-	e.q = grown(sc.q, nq)
-	e.drain = grown(sc.drain, nq)
-	e.capQ = grown(sc.capQ, nq)
-	e.kQ = grown(sc.kQ, nq)
-	e.q0 = grown(sc.q0, nq)
-	e.delay = grown(sc.delay, nq)
-	e.served = grown(sc.served, nq)
-	e.sFrac = grown(sc.sFrac, nq)
-	e.arrTotal = grown(sc.arrTotal, nq)
-	e.markNow = grown(sc.markNow, nq)
-	e.passFrac = grown(sc.passFrac, nq)
-	e.transit = grown(sc.transit, nq)
+	e.qs = grown(sc.qs, nq)
 	e.byStage = grown(sc.byStage, stages)
 	e.stageQ = grown(sc.stageQ, nq)
 	e.flows = grown(sc.flows, m)
 	e.hot = grown(sc.hot, m)
-	e.off = grown(sc.off, m)
-	e.lineNext = grown(sc.lineNext, m)
-	e.baseSec = grown(sc.baseSec, m)
 	e.paths = grown(sc.paths, m)
-	e.bk = grown(sc.bk, int(hops))
-	e.mk = grown(sc.mk, int(hops))
-	e.arrH = grown(sc.arrH, int(hops))
-	e.arrMkH = grown(sc.arrMkH, int(hops))
+	e.hops = grown(sc.hops, int(hops))
 	e.vicOff = grown(sc.vicOff, nq+1)
 	e.vic = sc.vic
-	e.activeList = grown(sc.activeList, 0)
-	e.stalled = grown(sc.stalled, 0)
+	e.activeList = emptied(sc.activeList, m)
+	e.stalled = emptied(sc.stalled, m)
 }
 
 // release hands the (possibly split-grown) backing arrays back to the
@@ -97,18 +84,12 @@ func (e *netEngine) release() {
 		return
 	}
 	e.scratch = nil
-	sc.q, sc.drain, sc.capQ, sc.kQ = e.q, e.drain, e.capQ, e.kQ
-	sc.q0, sc.delay, sc.served, sc.sFrac = e.q0, e.delay, e.served, e.sFrac
-	sc.arrTotal, sc.markNow, sc.passFrac = e.arrTotal, e.markNow, e.passFrac
-	sc.transit = e.transit
-	sc.byStage, sc.stageQ = e.byStage, e.stageQ
-	sc.flows, sc.hot = e.flows, e.hot
-	sc.off, sc.lineNext, sc.baseSec = e.off, e.lineNext, e.baseSec
+	sc.qs, sc.byStage, sc.stageQ = e.qs, e.byStage, e.stageQ
+	sc.flows, sc.hot, sc.hops = e.flows, e.hot, e.hops
 	// Drop the shared path headers so the pool does not pin a finished
 	// run's FluidPaths backing until the bundle's next use.
 	clear(e.paths)
 	sc.paths = e.paths
-	sc.bk, sc.mk, sc.arrH, sc.arrMkH = e.bk, e.mk, e.arrH, e.arrMkH
 	sc.vicOff, sc.vic = e.vicOff, e.vic
 	sc.activeList, sc.stalled = e.activeList, e.stalled
 	netScratchPool.Put(sc)

@@ -11,31 +11,28 @@ import (
 	"incastlab/internal/stats"
 )
 
-// This file generalizes the fluid engine from one hardcoded bottleneck to
-// a queue network: every flow traverses an ordered list of port queues
-// (netsim.FluidPaths — the backend-neutral path model the packet Clos
-// builder shares), each queue integrates its own backlog, ECN marking,
-// and tail drops per step, and flows are coupled through min-rate
+// This file is the fluid solver. Every flow traverses an ordered list of
+// port queues (netsim.FluidPaths — the backend-neutral path model the
+// packet Clos builder shares), each queue integrates its own backlog, ECN
+// marking, and tail drops per step, and flows are coupled through min-rate
 // allocation along their paths — a flow's throughput is implicitly the
 // minimum of its per-hop pro-rata service rates, because any hop serving
 // slower than the hops upstream accumulates the flow's backlog and
 // throttles what reaches the hops downstream.
 //
-// The single-queue dumbbell is the trivial one-queue instance: RunNetwork
-// delegates it to the optimized single-queue engine (Run), and the
-// general integrator reproduces that engine's per-step dynamics exactly
-// at the final hop (serve-then-admit ordering, rackmodel-style mark
-// fractions, newest-release-first tail drops, RTO stalls), so the two
-// solvers agree on the paper's mode taxonomy by construction
-// (TestNetworkSingleQueueEquivalence pins it).
+// The paper's dumbbell is the one-queue instance (SingleQueue) and runs
+// through the same integrator. At a terminal hop — the only hop a
+// dumbbell has — each step serves the start-of-step backlog before it
+// admits new arrivals, marks with a rackmodel-style fraction, tail-drops
+// the newest releases first, and parks loss victims on RTO stalls.
 //
 // Transit hops (leaf uplinks, spine downlinks — every queue that is never
 // a path's terminal) additionally cut through: arrivals that fit in the
 // hop's spare service this step are forwarded immediately instead of
 // waiting a step, so an idle 100G fabric hop adds (near) zero latency and
 // the effective RTT of a cross-rack flow stays at its base RTT plus real
-// queueing. The terminal hop never cuts through, keeping the one-queue
-// instance's serve-then-admit contract intact.
+// queueing. The terminal hop never cuts through, keeping its
+// serve-then-admit contract intact.
 
 // NetworkConfig describes one fluid run over a queue network. The
 // embedded Config supplies the workload (flows, demand, bursts, jitter,
@@ -53,28 +50,12 @@ type NetworkConfig struct {
 	Net *netsim.FluidPaths
 }
 
-// RunNetwork executes the fluid simulation over the queue network. The
-// trivial one-queue instance (every path the same single queue at the
-// host line rate, one base RTT) delegates to the optimized single-queue
-// engine; everything else runs the general multi-queue integrator.
+// RunNetwork executes the fluid simulation over the queue network.
 func RunNetwork(cfg NetworkConfig) (*Result, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
-	if cfg.trivial() {
-		return Run(cfg.Config)
-	}
-	// Cohort equivalence over a network is the path partition: the workload
-	// fields are uniform across flows, so (ordered queue path incl. the
-	// ECMP spine choice, base RTT) is the only behavioral discriminant.
-	var plan cohortPlan
-	if cfg.cohortEnabled() {
-		classOf, nClasses := cfg.Net.PathClasses()
-		plan = buildPlan(&cfg.Config, classOf, nClasses)
-	} else {
-		plan = singletonPlan(cfg.Flows)
-	}
-	e, err := newNetEngine(cfg, plan)
+	e, err := newNetEngine(cfg, buildPlan(&cfg.Config, cfg.Net))
 	if err != nil {
 		return nil, err
 	}
@@ -114,25 +95,11 @@ func (cfg *NetworkConfig) prepare() error {
 	return cfg.fill()
 }
 
-// trivial reports whether the network is the one-queue dumbbell instance
-// the single-queue engine already solves: a single queue at the host line
-// rate that every flow traverses alone, with one shared base RTT.
-func (cfg *NetworkConfig) trivial() bool {
-	n := cfg.Net
-	if len(n.Queues) != 1 || n.Queues[0].RateBps != cfg.LineRateBps {
-		return false
-	}
-	for i, p := range n.Paths {
-		if len(p) != 1 || p[0] != 0 || n.BaseRTT[i] != cfg.BaseRTT {
-			return false
-		}
-	}
-	return true
-}
-
-// SingleQueue wraps a single-bottleneck Config as its equivalent
-// one-queue network, for callers and tests that want the general solver's
-// view of the dumbbell.
+// SingleQueue wraps a single-bottleneck Config as its one-queue network:
+// one queue at LineRateBps with the Config's capacity and ECN threshold,
+// which every flow crosses alone at the Config's base RTT. All flows share
+// one path slice, so the build costs the same few allocations at any
+// incast degree.
 func SingleQueue(cfg Config) (NetworkConfig, error) {
 	if err := cfg.fill(); err != nil {
 		return NetworkConfig{}, err
@@ -148,89 +115,96 @@ func SingleQueue(cfg Config) (NetworkConfig, error) {
 		BaseRTT: make([]sim.Time, cfg.Flows),
 		Stage:   []int{0},
 	}
+	path := []int32{0}
 	for i := range net.Paths {
-		net.Paths[i] = []int32{0}
+		net.Paths[i] = path
 		net.BaseRTT[i] = cfg.BaseRTT
 	}
 	return NetworkConfig{Config: cfg, Net: net}, nil
 }
 
-// netFlow is the per-flow state the network integrator's per-step passes
+// netFlow is the per-record state the integrator's per-step passes
 // touch: unsent demand, the ACK pipe, the cached window, observation-round
-// tallies, and per-step scratch (injection offer, final-hop delivery and
-// its marked share, current RTT). Per-hop backlogs live in the engine's
-// flat arrays, indexed by the flow's hop offset.
+// tallies, per-step scratch (final-hop delivery and its marked share,
+// current RTT), and where the record's hops live. Per-hop backlogs live in
+// the engine's hop array: hop h of record i is hops[hot[i].off+h].
 type netFlow struct {
 	unsent    float64
 	ackPipe   float64
 	win       float64
 	roundDel  float64
 	roundMark float64
-	inject    float64
 	deliv     float64
 	delivMark float64
 	rttSec    float64
+	baseSec   float64 // the path's base RTT, seconds
 	stallT    sim.Time
-	reduced   bool
+	off       int32
+	// lineNext threads split descendants into each original record's
+	// lineage chain (-1 terminated).
+	lineNext int32
+	reduced  bool
 	// parked is set while the record has entries on the stalled list.
 	parked bool
 }
 
-// netEngine integrates the multi-queue fluid state. Its run loop mirrors
-// the single-queue engine's (releases, measured-window snapshot, RTO
-// wakes, adaptive steps); the step itself walks queues in topological
-// stage order so volume forwarded out of one hop is accounted at the next
-// within the same step.
+// netQueue is one queue's static parameters and per-step scratch.
+type netQueue struct {
+	q        float64 // backlog in packets
+	drain    float64 // effective drain, packets/second
+	capPkts  float64
+	kPkts    float64
+	q0       float64
+	delay    float64 // start-of-step queueing delay, seconds
+	served   float64
+	sFrac    float64
+	arrTotal float64
+	markNow  float64
+	passFrac float64
+	transit  bool // never a terminal hop: cut-through allowed
+}
+
+// hopState is one record's per-member state at one hop of its path.
+type hopState struct {
+	bk    float64 // backlog attributed to the record at the hop
+	mk    float64 // CE-marked share of that backlog
+	arr   float64 // this step's arrivals into the hop
+	arrMk float64 // marked share of those arrivals
+}
+
+// netEngine integrates the fluid state. Its run loop handles releases,
+// the measured-window snapshot, RTO wakes, and adaptive steps; the step
+// itself walks queues in topological stage order so volume forwarded out
+// of one hop is accounted at the next within the same step.
 type netEngine struct {
 	cfg   Config
 	net   *netsim.FluidPaths
 	flows []flowState
 	hot   []netFlow
 
-	// Cohort bookkeeping, exactly as in the single-queue engine (see
-	// cohort.go): record i stands for mCnt[i] identical flows (member IDs
-	// perm[mOff[i]:mOff[i]+mCnt[i]]); all per-record flow state is PER
-	// MEMBER and aggregate couplings at queue boundaries scale by the
-	// count. paths[i] is the record's shared ordered queue path (every
-	// member of a path class traverses the same queues by construction).
-	// lineNext threads split descendants into each original record's
-	// lineage chain (-1 terminated).
+	// Cohort bookkeeping (see cohort.go): record i stands for mCnt[i]
+	// identical flows (member IDs perm[mOff[i]:mOff[i]+mCnt[i]]); all
+	// per-record flow state is PER MEMBER and aggregate couplings at queue
+	// boundaries scale by the count. paths[i] is the record's shared
+	// ordered queue path (every member of a path class traverses the same
+	// queues by construction). Per-flow runs are the degenerate instance:
+	// every count 1, every lineage chain a single node.
 	perm       []int32
 	mOff, mCnt []int32
-	lineNext   []int32
 	paths      [][]int32
 	// releasedFlows counts flow releases by weight (== relPtr when every
-	// record is a singleton).
+	// record is a singleton); completion targets compare against it.
 	releasedFlows float64
-	cohorts0      int
 	splitsMade    int64
 	peakW         float64
 
-	// Per-queue state and per-step scratch, indexed by queue.
-	q        []float64 // backlog in packets
-	drain    []float64 // effective drain, packets/second
-	capQ     []float64
-	kQ       []float64
-	transit  []bool // never a terminal hop: cut-through allowed
-	q0       []float64
-	delay    []float64 // start-of-step queueing delay, seconds
-	served   []float64
-	sFrac    []float64
-	arrTotal []float64
-	markNow  []float64
-	passFrac []float64
+	qs []netQueue
 	// byStage groups queue indices by topological level, in ascending
 	// order; each group is a window of stageQ.
 	byStage [][]int32
 	stageQ  []int32
 
-	// Per-flow-hop flat arrays: off[i]+h indexes flow i's hop h.
-	off     []int32
-	bk      []float64 // backlog attributed to the flow at the hop
-	mk      []float64 // CE-marked share of that backlog
-	arrH    []float64 // per-step arrivals into the hop
-	arrMkH  []float64 // marked share of those arrivals
-	baseSec []float64
+	hops []hopState
 	// minBaseSec is the smallest per-record base RTT. Splits copy their
 	// parent's baseSec, so it is fixed once the engine is built.
 	minBaseSec float64
@@ -238,10 +212,11 @@ type netEngine struct {
 	nicRate  float64 // per-sender injection cap, packets/second
 	bneck    int
 	segs     float64
-	crumbEps float64
+	crumbEps float64 // residual volume tolerance from per-flow epsilons
 
 	now sim.Time
 
+	// Releases: every burst's per-record start, globally time-sorted.
 	releases []release
 	relPtr   int
 
@@ -253,21 +228,30 @@ type netEngine struct {
 	vicOff []int32
 	vic    []victim
 
-	// stalled lists records parked on an RTO, in parking order.
+	// stalled lists records parked on an RTO, in parking order; nextWake
+	// caches the earliest wake time.
 	stalled  []stallEntry
 	nextWake sim.Time
 
+	// activeList holds records with sendable or in-network volume.
 	activeList []int32
 
+	// Completion tracking: cumDelivered crosses burst targets in order.
 	cumDelivered float64
 	burstsDone   int
 	bcts         []sim.Time
 
+	// Counters (floats during the run, rounded at the end). The base
+	// values snapshot at the start of the measured window, mirroring the
+	// packet runner's approach.
 	timeouts, fastRetx, retxPkts, drops, marks, sent float64
 	baseTimeouts, baseFastRetx, baseRetxPkts         float64
 	baseDrops, baseMarks, baseSent, baseDelivered    float64
 	baseTaken                                        bool
 
+	// timeRounds is true when the law closes rounds on elapsed RTT (Swift)
+	// instead of delivered volume; uniform across flows, hoisted out of
+	// the hot loop.
 	timeRounds bool
 	steps      uint64
 
@@ -293,7 +277,6 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		perm:       plan.perm,
 		mOff:       plan.off,
 		mCnt:       plan.cnt,
-		cohorts0:   m,
 		nicRate:    EffectivePacketRate(cfg.LineRateBps),
 		bneck:      net.Bottleneck,
 		segs:       float64(cfg.SegmentsPerFlow),
@@ -301,17 +284,20 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		nextWake:   math.MaxInt64,
 		timeRounds: cfg.CC.Kind == KindSwift,
 		releases:   releases,
+		bcts:       make([]sim.Time, 0, cfg.Bursts),
 	}
 	var totalHops int32
 	for i := 0; i < m; i++ {
 		totalHops += int32(len(net.Paths[plan.perm[plan.off[i]]]))
 	}
 	e.attach(netScratchPool.Get().(*netScratch), nq, net.Stages(), m, totalHops)
-	for j, qs := range net.Queues {
-		e.drain[j] = EffectivePacketRate(qs.RateBps)
-		e.capQ[j] = float64(qs.CapacityPackets)
-		e.kQ[j] = float64(qs.ECNThresholdPackets)
-		e.transit[j] = true
+	for j, q := range net.Queues {
+		e.qs[j] = netQueue{
+			drain:   EffectivePacketRate(q.RateBps),
+			capPkts: float64(q.CapacityPackets),
+			kPkts:   float64(q.ECNThresholdPackets),
+			transit: true,
+		}
 	}
 	var next int
 	for s := range e.byStage {
@@ -325,29 +311,27 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		e.byStage[s] = e.stageQ[from:next:next]
 	}
 	for _, p := range net.Paths {
-		e.transit[p[len(p)-1]] = false
+		e.qs[p[len(p)-1]].transit = false
 	}
 	var hops int32
-	for i := 0; i < m; i++ {
+	e.minBaseSec = math.Inf(1)
+	for i := range e.flows {
 		// Every member of a record shares the representative's path and
 		// base RTT: that's the class key.
 		rep := plan.perm[plan.off[i]]
 		e.paths[i] = net.Paths[rep]
-		e.off[i] = hops
-		hops += int32(len(e.paths[i]))
-		e.baseSec[i] = float64(net.BaseRTT[rep]) / 1e9
-	}
-	e.minBaseSec = slices.Min(e.baseSec)
-	e.buildVictimIndex()
-	for i := range e.flows {
 		e.flows[i].ctrl = newController(cfg.CC)
 		e.flows[i].lastLoss = math.MinInt64 / 2
-		e.hot[i].win = e.flows[i].ctrl.window()
-		e.lineNext[i] = -1
-		if w := float64(e.mCnt[i]); w > e.peakW {
-			e.peakW = w
-		}
+		h := &e.hot[i]
+		h.win = e.flows[i].ctrl.window()
+		h.baseSec = float64(net.BaseRTT[rep]) / 1e9
+		h.off = hops
+		h.lineNext = -1
+		hops += int32(len(e.paths[i]))
+		e.minBaseSec = min(e.minBaseSec, h.baseSec)
+		e.peakW = max(e.peakW, float64(e.mCnt[i]))
 	}
+	e.buildVictimIndex()
 
 	first := 1
 	if cfg.Bursts == 1 {
@@ -377,7 +361,7 @@ type victim struct {
 // every list sorted by release. The fill advances vicOff[j] as its cursor,
 // which leaves vicOff[j] at list j's end; the final shift restores starts.
 func (e *netEngine) buildVictimIndex() {
-	nq := len(e.q)
+	nq := len(e.qs)
 	clear(e.vicOff)
 	for _, r := range e.releases {
 		for _, j := range e.paths[r.flow] {
@@ -408,26 +392,27 @@ func (e *netEngine) activate(i int32) {
 // queued returns the aggregate volume across all queues.
 func (e *netEngine) queued() float64 {
 	var total float64
-	for _, v := range e.q {
-		total += v
+	for j := range e.qs {
+		total += e.qs[j].q
 	}
 	return total
 }
 
 // run advances fluid steps until all demand is delivered or the horizon
-// expires, mirroring the single-queue loop.
+// expires.
 func (e *netEngine) run() error {
 	cfg := e.cfg
 	deadline := sim.Time(cfg.Bursts)*cfg.Interval + cfg.Horizon
 	measuredStart := e.smp.measuredStart()
 	totalDemand := float64(cfg.Flows) * e.segs * float64(cfg.Bursts)
+	bneck := &e.qs[e.bneck]
 
 	for e.now < deadline {
 		// Each release record covers its unit's whole lineage: the original
 		// record plus any split-off descendants.
 		for e.relPtr < len(e.releases) && e.releases[e.relPtr].at <= e.now {
 			r := e.releases[e.relPtr]
-			for ci := r.flow; ci >= 0; ci = e.lineNext[ci] {
+			for ci := r.flow; ci >= 0; ci = e.hot[ci].lineNext {
 				e.hot[ci].unsent += e.segs
 				e.flows[ci].lastRelease = r.at
 				e.releasedFlows += float64(e.mCnt[ci])
@@ -453,6 +438,8 @@ func (e *netEngine) run() error {
 			continue
 		}
 
+		// Next hard boundary: burst release, RTO wake, or the opening of
+		// the measured window.
 		next := deadline
 		if e.relPtr < len(e.releases) && e.releases[e.relPtr].at < next {
 			next = e.releases[e.relPtr].at
@@ -465,8 +452,9 @@ func (e *netEngine) run() error {
 		}
 
 		if len(e.activeList) == 0 && e.queued() <= e.crumbEps {
-			for j := range e.q {
-				e.q[j] = 0
+			// Fully idle: drop residual crumbs and jump to the next event.
+			for j := range e.qs {
+				e.qs[j].q = 0
 			}
 			if next <= e.now {
 				return fmt.Errorf("flowsim: network run stuck at %v with no runnable flows", e.now)
@@ -476,13 +464,14 @@ func (e *netEngine) run() error {
 			continue
 		}
 
-		// Adaptive step sized from the bottleneck queue's RTT, exactly as
-		// the single-queue engine sizes from its one queue: transit hops
+		// Adaptive step: a fraction of the bottleneck queue's RTT, clamped,
+		// snapped to the next boundary; full-RTT steps once the queue is
+		// pegged deep above the ECN threshold (see stepDiv). Transit hops
 		// are orders of magnitude faster and contribute delay only under
 		// ECMP collisions, which the per-flow RTTs (pass A) still see.
-		rttSec := e.minBaseSec + e.q[e.bneck]/e.drain[e.bneck]
+		rttSec := e.minBaseSec + bneck.q/bneck.drain
 		div := float64(stepDiv)
-		if e.q[e.bneck] > stepDeepK*e.kQ[e.bneck] {
+		if bneck.q > stepDeepK*bneck.kPkts {
 			div = stepDivDeep
 		}
 		dt := sim.Time(rttSec / div * 1e9)
@@ -492,6 +481,11 @@ func (e *netEngine) run() error {
 		if dt > cfg.MaxStep {
 			dt = cfg.MaxStep
 		}
+		// Snap to the boundary, but never below MinStep: boundaries are
+		// honored at MinStep resolution. Chasing each of a burst's jittered
+		// release instants exactly would mean one sub-microsecond step per
+		// flow; landing up to MinStep late batches releases instead, and the
+		// release loop processes everything due regardless.
 		if e.now+dt > next && next-e.now >= cfg.MinStep {
 			dt = next - e.now
 		}
@@ -512,49 +506,51 @@ func (e *netEngine) step(dt sim.Time) error {
 	stepEnd := e.now + dt
 	dtSec := float64(dt) / 1e9
 
-	// Per-queue service from start-of-step state.
-	for j := range e.q {
-		q0 := e.q[j]
-		served := e.drain[j] * dtSec
+	// Per-queue service from start-of-step state: deliveries free window
+	// headroom for this step's arrivals, and arrivals admitted now are
+	// served from the next step on (one-step latency << RTT/3).
+	for j := range e.qs {
+		qs := &e.qs[j]
+		q0 := qs.q
+		served := qs.drain * dtSec
 		if served > q0 {
 			served = q0
 		}
-		e.q0[j] = q0
-		e.delay[j] = q0 / e.drain[j]
-		e.served[j] = served
+		qs.q0 = q0
+		qs.delay = q0 / qs.drain
+		qs.served = served
 		if q0 > 0 && served > 0 {
-			e.sFrac[j] = served / q0
+			qs.sFrac = served / q0
 		} else {
-			e.sFrac[j] = 0
+			qs.sFrac = 0
 		}
-		e.arrTotal[j] = 0
-		e.markNow[j] = 0
-		e.passFrac[j] = 0
+		qs.arrTotal = 0
+		qs.markNow = 0
+		qs.passFrac = 0
 	}
 
 	// Pass A: per-flow RTT, ACK-pipe update, and injection offers into
-	// each flow's first hop, mirroring the single-queue engine's pass 1
-	// ordering: this step's terminal-hop departure — exactly predictable
-	// as bk*sFrac, since drops only hit arrivals and terminal hops never
-	// cut through — joins the ACK pipe and frees window headroom before
-	// the injection offer is sized. The window paces at w/RTT capped at
-	// the host NIC line rate and that headroom.
+	// each flow's first hop. This step's terminal-hop departure — exactly
+	// predictable as bk*sFrac, since drops only hit arrivals and terminal
+	// hops never cut through — joins the ACK pipe and frees window
+	// headroom before the injection offer is sized. The window paces at
+	// w/RTT capped at the host NIC line rate and that headroom.
 	maxSend := e.nicRate * dtSec
 	for _, i := range e.activeList {
 		h := &e.hot[i]
-		o := e.off[i]
+		hop := e.hops[h.off:]
 		path := e.paths[i]
-		rtt := e.baseSec[i]
+		rtt := h.baseSec
 		var inNet float64
-		for h2, j := range path {
-			rtt += e.delay[j]
-			inNet += e.bk[o+int32(h2)]
+		for k, j := range path {
+			rtt += e.qs[j].delay
+			inNet += hop[k].bk
 		}
 		h.rttSec = rtt
-		last := path[len(path)-1]
-		dFinal := e.bk[o+int32(len(path)-1)] * e.sFrac[last]
+		last := len(path) - 1
+		dFinal := hop[last].bk * e.qs[path[last]].sFrac
 		inNet -= dFinal
-		ackDecay := dtSec / (e.baseSec[i] / 2)
+		ackDecay := dtSec / (h.baseSec / 2)
 		if ackDecay > 1 {
 			ackDecay = 1
 		}
@@ -579,10 +575,9 @@ func (e *netEngine) step(dt sim.Time) error {
 				a = 0
 			}
 		}
-		h.inject = a
-		e.arrH[o] = a
-		e.arrMkH[o] = 0
-		e.arrTotal[path[0]] += a * float64(e.mCnt[i])
+		hop[0].arr = a
+		hop[0].arrMk = 0
+		e.qs[path[0]].arrTotal += a * float64(e.mCnt[i])
 	}
 
 	// Stage walk: queues finalize (mark fraction, tail drops, cut-through
@@ -591,27 +586,35 @@ func (e *netEngine) step(dt sim.Time) error {
 	// hop at this stage depart, admit, and forward.
 	for s, queues := range e.byStage {
 		for _, j := range queues {
-			arr := e.arrTotal[j]
-			// Mark fraction over the step, rackmodel-style, from the
-			// pre-drop trajectory — mirroring the single-queue engine.
-			e.markNow[j] = markFraction(e.q0[j], e.q0[j]+arr-e.drain[j]*dtSec, e.kQ[j])
-			if overflow := e.q0[j] - e.served[j] + arr - e.capQ[j]; overflow > 0 {
+			qs := &e.qs[j]
+			arr := qs.arrTotal
+			// Mark fraction over the step, rackmodel-style: linear queue
+			// evolution along the pre-drop net slope, threshold-crossing
+			// time pro-rated. Deliveries during the above-threshold portion
+			// carry marks, which reach senders with the ACK path's
+			// negligible delay, so reactions land this step.
+			qs.markNow = markFraction(qs.q0, qs.q0+arr-qs.drain*dtSec, qs.kPkts)
+			// Overflow beyond capacity tail-drops the latest-released
+			// arrivals (the packets at the back of the FIFO),
+			// concentrating loss on stragglers exactly as real tail-drop
+			// does.
+			if overflow := qs.q0 - qs.served + arr - qs.capPkts; overflow > 0 {
 				e.dropTailQueue(j, overflow, stepEnd)
-				arr = e.arrTotal[j]
+				arr = qs.arrTotal
 			}
-			if e.transit[j] && arr > 0 {
+			if qs.transit && arr > 0 {
 				// Cut-through: arrivals that fit the hop's spare service
 				// this step forward immediately instead of waiting a step,
 				// so idle fabric hops add no pipeline latency.
-				if spare := e.drain[j]*dtSec - e.served[j]; spare >= arr {
-					e.passFrac[j] = 1
+				if spare := qs.drain*dtSec - qs.served; spare >= arr {
+					qs.passFrac = 1
 				} else if spare > 0 {
-					e.passFrac[j] = spare / arr
+					qs.passFrac = spare / arr
 				}
 			}
-			e.q[j] = e.q0[j] - e.served[j] + arr*(1-e.passFrac[j])
-			if e.q[j] < 0 {
-				e.q[j] = 0
+			qs.q = qs.q0 - qs.served + arr*(1-qs.passFrac)
+			if qs.q < 0 {
+				qs.q = 0
 			}
 		}
 		for _, i := range e.activeList {
@@ -620,8 +623,9 @@ func (e *netEngine) step(dt sim.Time) error {
 	}
 
 	// Final pass: attribute deliveries and marks, apply cuts, close
-	// rounds, park finished flows — the single-queue engine's pass 2 on
-	// the network's end-to-end deliveries.
+	// rounds, park finished flows. The common case touches only the dense
+	// netFlow records; flowState (controller and cold fields) is loaded
+	// only on round events.
 	var servedFinal float64
 	keep := e.activeList[:0]
 	for _, i := range e.activeList {
@@ -629,7 +633,6 @@ func (e *netEngine) step(dt sim.Time) error {
 		w := float64(e.mCnt[i])
 		d, dm := h.deliv, h.delivMark
 		h.deliv, h.delivMark = 0, 0
-		h.inject = 0
 		servedFinal += d * w
 		e.cumDelivered += d * w
 		e.marks += dm * w
@@ -646,6 +649,9 @@ func (e *netEngine) step(dt sim.Time) error {
 			}
 		}
 		if h.stallT <= e.now {
+			// Close the observation round: the DCTCP family closes after
+			// one window of data is delivered (packet DCTCP's nextSeq
+			// semantics); Swift closes once per RTT.
 			var closes bool
 			if e.timeRounds {
 				f := &e.flows[i]
@@ -683,6 +689,8 @@ func (e *netEngine) step(dt sim.Time) error {
 			continue
 		}
 		if h.unsent <= volEps && e.residual(i) <= finishCrumb {
+			// Done: write the sub-packet crumb off instead of stepping the
+			// flow until multiplicative draining grinds it below volEps.
 			e.writeOff(i)
 			e.flows[i].active = false
 			continue
@@ -692,14 +700,14 @@ func (e *netEngine) step(dt sim.Time) error {
 	e.activeList = keep
 
 	e.recordCompletions(servedFinal, dt, stepEnd)
-	e.smp.advance(stepEnd, e.q[e.bneck])
+	e.smp.advance(stepEnd, e.qs[e.bneck].q)
 	e.now = stepEnd
 
 	if e.cfg.Check {
-		for j := range e.q {
-			if e.q[j] < -1e-6 || e.q[j] > e.capQ[j]+1e-6 {
+		for j := range e.qs {
+			if q := e.qs[j].q; q < -1e-6 || q > e.qs[j].capPkts+1e-6 {
 				return fmt.Errorf("flowsim: queue %s %.6f outside [0, %.0f] at %v",
-					e.net.Queues[j].Name, e.q[j], e.capQ[j], e.now)
+					e.net.Queues[j].Name, q, e.qs[j].capPkts, e.now)
 			}
 		}
 		if e.steps%4096 == 0 {
@@ -715,51 +723,52 @@ func (e *netEngine) step(dt sim.Time) error {
 // are stage-monotonic): depart pro rata with mark attribution, admit this
 // step's (post-drop) arrivals plus any cut-through share, and forward the
 // departing volume to the next hop or deliver it. Per-member volumes move
-// through the record's hop arrays; only the queue-aggregate couplings
+// through the record's hops; only the queue-aggregate couplings
 // (arrTotal, the sent counter) scale by the member count.
 func (e *netEngine) stepFlowStage(i int32, s int) {
 	path := e.paths[i]
-	o := e.off[i]
+	o := e.hot[i].off
 	for h, j := range path {
 		if e.net.Stage[j] != s {
 			continue
 		}
-		oh := o + int32(h)
-		b := e.bk[oh]
+		qs := &e.qs[j]
+		hs := &e.hops[o+int32(h)]
+		b := hs.bk
 		var d, dmTot float64
-		if sf := e.sFrac[j]; sf > 0 && b > 0 {
+		if sf := qs.sFrac; sf > 0 && b > 0 {
 			d = b * sf
 			if d > b {
 				d = b
 			}
-			dmOld := d * (e.mk[oh] / b)
-			if dmOld > e.mk[oh] {
-				dmOld = e.mk[oh]
+			dmOld := d * (hs.mk / b)
+			if dmOld > hs.mk {
+				dmOld = hs.mk
 			}
-			e.bk[oh] = b - d
-			e.mk[oh] -= dmOld
-			dmTot = dmOld + (d-dmOld)*e.markNow[j]
+			hs.bk = b - d
+			hs.mk -= dmOld
+			dmTot = dmOld + (d-dmOld)*qs.markNow
 		}
-		if a := e.arrH[oh]; a > 0 {
-			am := e.arrMkH[oh]
+		if a := hs.arr; a > 0 {
+			am := hs.arrMk
 			// Arriving unmarked volume picks up this queue's step mark
 			// fraction on its eventual departure; the cut-through share
 			// departs now and carries it immediately.
-			if pf := e.passFrac[j]; pf > 0 {
+			if pf := qs.passFrac; pf > 0 {
 				pass := a * pf
 				passMk := am * pf
-				passMk += (pass - passMk) * e.markNow[j]
+				passMk += (pass - passMk) * qs.markNow
 				d += pass
 				dmTot += passMk
 				a -= pass
 				am -= am * pf
 			}
-			e.bk[oh] += a
-			e.mk[oh] += am
+			hs.bk += a
+			hs.mk += am
 			if h == 0 {
 				// Admit the full post-drop offer (cut-through share
 				// included): it leaves the unsent pool and counts as sent.
-				admitted := e.arrH[oh]
+				admitted := hs.arr
 				u := e.hot[i].unsent - admitted
 				if u < 0 {
 					u = 0
@@ -768,15 +777,14 @@ func (e *netEngine) stepFlowStage(i int32, s int) {
 				e.sent += admitted * float64(e.mCnt[i])
 			}
 		}
-		e.arrH[oh] = 0
-		e.arrMkH[oh] = 0
+		hs.arr = 0
+		hs.arrMk = 0
 		if d > 0 {
 			if h+1 < len(path) {
-				next := path[h+1]
-				no := o + int32(h+1)
-				e.arrH[no] += d
-				e.arrMkH[no] += dmTot
-				e.arrTotal[next] += d * float64(e.mCnt[i])
+				next := &e.hops[o+int32(h+1)]
+				next.arr += d
+				next.arrMk += dmTot
+				e.qs[path[h+1]].arrTotal += d * float64(e.mCnt[i])
 			} else {
 				e.hot[i].deliv += d
 				e.hot[i].delivMark += dmTot
@@ -787,17 +795,24 @@ func (e *netEngine) stepFlowStage(i int32, s int) {
 }
 
 // dropTailQueue removes overflow volume from this step's arrivals into
-// queue j, latest release first — the same victim order, split semantics,
-// and loss reactions as the single-queue dropTail. Dropped volume returns
-// to the victims' unsent pools (retransmission from the source), wherever
-// along the path it was dropped. A cohort whose whole weighted offer is
-// consumed reacts in place; the cohort the overflow runs out inside splits
-// exactly (netSplitDrop), so each call splits at most one cohort.
+// queue j, latest release first, applying the per-victim loss reaction:
+// too little left in flight for duplicate ACKs means a timeout stall with
+// exponential RTO backoff; otherwise a fast-retransmit halving, at most
+// once per RTT. Dropped volume returns to the victims' unsent pools
+// (retransmission from the source), wherever along the path it was
+// dropped. A cohort whose whole weighted offer is consumed reacts in
+// place; the cohort the overflow runs out inside splits exactly into
+// unaffected / partially-hit / fully-hit sub-cohorts (netSplitDrop), so
+// aggregation never blurs who lost what — and since that terminal split
+// exhausts the overflow, each call splits at most one cohort.
 //
 // Only releases whose unit crosses j can hold arrivals into it, so the
 // walk runs backwards over j's victim index from the newest release
 // already made; skipping the releases that never cross j leaves the
-// visiting order of the others unchanged.
+// visiting order of the others unchanged. An entry counts only when it is
+// its unit's latest release and the unit offered arrivals this step;
+// split descendants share their lineage's release entry and are visited
+// newest sub-cohort first.
 func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
 	list := e.vic[e.vicOff[j]:e.vicOff[j+1]]
 	released, _ := slices.BinarySearchFunc(list, int32(e.relPtr), func(v victim, rel int32) int {
@@ -808,11 +823,11 @@ func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
 		v := list[k]
 		rel := e.releases[v.rel]
 		h := int(v.hop)
-		for i := rel.flow; i >= 0 && remaining > volEps; i = e.lineNext[i] {
-			// The arrival test comes first: it reads two dense arrays,
+		for i := rel.flow; i >= 0 && remaining > volEps; i = e.hot[i].lineNext {
+			// The arrival test comes first: it reads the dense hop array,
 			// where the release test reads the large per-record flowState.
-			oh := e.off[i] + v.hop
-			a := e.arrH[oh]
+			oh := e.hot[i].off + v.hop
+			a := e.hops[oh].arr
 			if a <= 0 || e.flows[i].lastRelease != rel.at {
 				continue
 			}
@@ -833,25 +848,25 @@ func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
 }
 
 // netDropHit removes dPer packets per member from record i's arrivals
-// into queue j at hop h (flat index oh), moves the aggregate counters by
-// weight, and applies the loss reaction — the network engine's analogue
-// of lossReact plus the arrival bookkeeping.
+// into queue j at hop h (hop array index oh), moves the aggregate counters
+// by weight, and applies the loss reaction to every member at once
+// (members share their in-flight state, so the duplicate-ACK test answers
+// identically for all of them).
 func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEnd sim.Time) {
-	a := e.arrH[oh]
+	hs := &e.hops[oh]
+	a := hs.arr
 	frac := dPer / a
-	e.arrH[oh] = a - dPer
-	dm := e.arrMkH[oh] * frac
-	e.arrMkH[oh] -= dm
+	hs.arr = a - dPer
+	dm := hs.arrMk * frac
+	hs.arrMk -= dm
 	total := dPer * float64(e.mCnt[i])
-	e.arrTotal[j] -= total
+	e.qs[j].arrTotal -= total
 	e.drops += total
 	e.retxPkts += total
 	if h == 0 {
 		// A first-hop drop happens before admission: the volume never
 		// left the unsent pool, so it is already queued for
-		// retransmission — only the sender's transmit counter moves
-		// (mirroring the single-queue dropTail, where dropped volume
-		// "stays in the victims' unsent pools").
+		// retransmission — only the sender's transmit counter moves.
 		e.sent += total
 	} else {
 		// A deeper-hop drop was admitted (and sent-counted) in an
@@ -869,6 +884,7 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 	f := &e.flows[i]
 	w := float64(e.mCnt[i])
 	if e.lossInflight(i, e.net.Stage[j]) < e.cfg.DupAckPackets {
+		// Not enough in flight to trigger fast retransmit: stall.
 		e.timeouts += w
 		f.ctrl.onTimeout()
 		e.hot[i].win = f.ctrl.window()
@@ -907,11 +923,16 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 }
 
 // netSplitDrop removes d (< the cohort's whole weighted offer) from record
-// i's arrivals into queue j by splitting it exactly, mirroring the
-// single-queue splitDrop: kFull members lose their entire per-member
-// offer, at most one more loses the remainder, the rest are untouched.
+// i's arrivals into queue j by splitting it exactly: kFull =
+// floor(d/perMember) members lose their entire offer, at most one more
+// loses the remainder, and the rest are untouched. The parent record keeps
+// the head member span (the unaffected group when non-empty, else the
+// partial victim); fully- and partially-hit groups split off as new
+// records that inherit the parent's state and then take their own loss
+// reaction — exactly the per-flow outcome, just batched. Returns the
+// volume actually dropped (== d up to one float ulp of regrouping).
 func (e *netEngine) netSplitDrop(i, oh int32, h int, j int32, d float64, stepEnd sim.Time) float64 {
-	per := e.arrH[oh]
+	per := e.hops[oh].arr
 	cnt := e.mCnt[i]
 	kFull := int32(d / per)
 	if kFull > cnt-1 {
@@ -943,19 +964,19 @@ func (e *netEngine) netSplitDrop(i, oh int32, h int, j int32, d float64, stepEnd
 		e.mCnt[i] = unaffected
 		if p > 0 {
 			part := e.newNetCohort(i, off+unaffected, 1)
-			e.netDropHit(part, e.off[part]+int32(h), h, j, dPart, stepEnd)
+			e.netDropHit(part, e.hot[part].off+int32(h), h, j, dPart, stepEnd)
 		}
 		if kFull > 0 {
 			full := e.newNetCohort(i, off+unaffected+p, kFull)
-			fo := e.off[full] + int32(h)
-			e.netDropHit(full, fo, h, j, e.arrH[fo], stepEnd)
+			fo := e.hot[full].off + int32(h)
+			e.netDropHit(full, fo, h, j, e.hops[fo].arr, stepEnd)
 		}
 	} else {
 		// Every member is hit (p == 1, kFull == cnt-1): the parent becomes
 		// the partial victim and the full victims split off.
 		full := e.newNetCohort(i, off+1, kFull)
-		fo := e.off[full] + int32(h)
-		e.netDropHit(full, fo, h, j, e.arrH[fo], stepEnd)
+		fo := e.hot[full].off + int32(h)
+		e.netDropHit(full, fo, h, j, e.hops[fo].arr, stepEnd)
 		e.mCnt[i] = 1
 		e.netDropHit(i, oh, h, j, dPart, stepEnd)
 	}
@@ -963,10 +984,11 @@ func (e *netEngine) netSplitDrop(i, oh int32, h int, j int32, d float64, stepEnd
 }
 
 // newNetCohort splits the member span [off, off+cnt) out of record parent
-// as a new record: per-flow state and the per-hop backlog/mark/arrival
-// spans are copied (per-member semantics make the copy exact), the path
-// slice header is shared, and the record joins the parent's lineage chain
-// and the active list.
+// as a new record: per-flow state and the per-hop spans are copied
+// (per-member semantics make the copy exact), the path slice header is
+// shared, and the record joins the parent's lineage chain (so future
+// releases reach it) and the active list (splits only happen to records
+// with live arrivals).
 func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	ci := int32(len(e.flows))
 	e.flows = append(e.flows, e.flows[parent])
@@ -974,17 +996,12 @@ func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	e.mOff = append(e.mOff, off)
 	e.mCnt = append(e.mCnt, cnt)
 	e.paths = append(e.paths, e.paths[parent])
-	e.baseSec = append(e.baseSec, e.baseSec[parent])
-	e.lineNext = append(e.lineNext, e.lineNext[parent])
-	e.lineNext[parent] = ci
-	po := e.off[parent]
-	hops := int32(len(e.paths[parent]))
-	e.off = append(e.off, int32(len(e.bk)))
-	e.bk = append(e.bk, e.bk[po:po+hops]...)
-	e.mk = append(e.mk, e.mk[po:po+hops]...)
-	e.arrH = append(e.arrH, e.arrH[po:po+hops]...)
-	e.arrMkH = append(e.arrMkH, e.arrMkH[po:po+hops]...)
-	e.hot[ci].parked = false // the child has no stalled-list entries
+	po := e.hot[parent].off
+	c := &e.hot[ci]
+	c.off = int32(len(e.hops))
+	c.parked = false // the child has no stalled-list entries
+	e.hot[parent].lineNext = ci
+	e.hops = append(e.hops, e.hops[po:po+int32(len(e.paths[parent]))]...)
 	e.flows[ci].active = true
 	e.activeList = append(e.activeList, ci)
 	return ci
@@ -993,50 +1010,47 @@ func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 // lossInflight estimates the drop victim's in-network volume after this
 // step's departures — hops at stages not yet integrated still hold their
 // start-of-step backlog, so their pending pro-rata departure is deducted
-// — plus its not-yet-admitted arrivals. This mirrors the single-queue
-// dropTail's backlog+arr duplicate-ACK test, where backlog is already
-// post-delivery when drops are assessed.
+// — plus its not-yet-admitted arrivals.
 func (e *netEngine) lossInflight(i int32, s int) float64 {
-	o := e.off[i]
+	hop := e.hops[e.hot[i].off:]
 	var total float64
-	for h, j := range e.paths[i] {
-		b := e.bk[o+int32(h)]
+	for k, j := range e.paths[i] {
+		b := hop[k].bk
 		if e.net.Stage[j] >= s {
-			b *= 1 - e.sFrac[j]
+			b *= 1 - e.qs[j].sFrac
 		}
-		total += b + e.arrH[o+int32(h)]
+		total += b + hop[k].arr
 	}
 	return total
 }
 
 // residual is the record's per-member in-network backlog.
 func (e *netEngine) residual(i int32) float64 {
-	o := e.off[i]
+	hop := e.hops[e.hot[i].off:]
 	var total float64
-	for h := range e.paths[i] {
-		total += e.bk[o+int32(h)]
+	for k := range e.paths[i] {
+		total += hop[k].bk
 	}
 	return total
 }
 
 // writeOff retires a finished (or stalled-and-drained) flow's sub-packet
 // residue: the crumbs leave their queues and count as delivered, sparing
-// tens of steps of multiplicative decay — the network analogue of the
-// single-queue engine's orphan bucket, bounded by Flows x finishCrumb
+// tens of steps of multiplicative decay, bounded by Flows x finishCrumb
 // packets per burst.
 func (e *netEngine) writeOff(i int32) {
-	o := e.off[i]
+	hop := e.hops[e.hot[i].off:]
 	w := float64(e.mCnt[i])
-	for h, j := range e.paths[i] {
-		oh := o + int32(h)
-		if b := e.bk[oh]; b > 0 {
-			e.q[j] -= b * w
-			if e.q[j] < 0 {
-				e.q[j] = 0
+	for k, j := range e.paths[i] {
+		if b := hop[k].bk; b > 0 {
+			qs := &e.qs[j]
+			qs.q -= b * w
+			if qs.q < 0 {
+				qs.q = 0
 			}
 			e.cumDelivered += b * w
-			e.bk[oh] = 0
-			e.mk[oh] = 0
+			hop[k].bk = 0
+			hop[k].mk = 0
 		}
 	}
 	e.hot[i].ackPipe = 0
@@ -1068,8 +1082,12 @@ func (e *netEngine) wakeDue() {
 	e.stalled = keep
 }
 
-// recordCompletions mirrors the single-queue detector on the network's
-// end-to-end deliveries.
+// recordCompletions detects burst completions on the end-to-end
+// deliveries: burst b is done when the cumulative delivered volume reaches
+// its target (per-flow demand cannot over-deliver, so the aggregate
+// crossing implies every flow finished). The completion instant is
+// interpolated within the step; half a base RTT approximates the final
+// ACK's return path.
 func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
 	for e.burstsDone < e.cfg.Bursts {
 		target := float64(e.burstsDone+1) * float64(e.cfg.Flows) * e.segs
@@ -1077,7 +1095,7 @@ func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
 			break
 		}
 		if e.releasedFlows < float64((e.burstsDone+1)*e.cfg.Flows) {
-			break
+			break // not every flow of this burst has even been released
 		}
 		t := stepEnd
 		if served > 0 {
@@ -1100,13 +1118,13 @@ func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
 // queued, and each queue's aggregate against the per-flow backlogs.
 func (e *netEngine) checkConservation() error {
 	var unsent, backlog float64
-	perQueue := make([]float64, len(e.q))
+	perQueue := make([]float64, len(e.qs))
 	for i := range e.flows {
 		w := float64(e.mCnt[i])
 		unsent += e.hot[i].unsent * w
-		o := e.off[i]
-		for h, j := range e.paths[i] {
-			b := e.bk[o+int32(h)] * w
+		hop := e.hops[e.hot[i].off:]
+		for k, j := range e.paths[i] {
+			b := hop[k].bk * w
 			backlog += b
 			perQueue[j] += b
 		}
@@ -1117,17 +1135,16 @@ func (e *netEngine) checkConservation() error {
 		return fmt.Errorf("flowsim: network volume conservation violated at %v: released %.3f != delivered %.3f + unsent %.3f + queued %.3f (diff %.6f)",
 			e.now, released, e.cumDelivered, unsent, backlog, diff)
 	}
-	for j := range e.q {
-		if diff := math.Abs(perQueue[j] - e.q[j]); diff > 1e-3+1e-6*e.capQ[j] {
+	for j := range e.qs {
+		if diff := math.Abs(perQueue[j] - e.qs[j].q); diff > 1e-3+1e-6*e.qs[j].capPkts {
 			return fmt.Errorf("flowsim: queue %s accounting violated at %v: aggregate %.6f vs per-flow sum %.6f",
-				e.net.Queues[j].Name, e.now, e.q[j], perQueue[j])
+				e.net.Queues[j].Name, e.now, e.qs[j].q, perQueue[j])
 		}
 	}
 	return nil
 }
 
-// finish assembles the Result, identically shaped to the single-queue
-// engine's.
+// finish assembles the Result.
 func (e *netEngine) finish() (*Result, error) {
 	cfg := e.cfg
 	if err := e.checkConservation(); err != nil {
@@ -1179,8 +1196,9 @@ func (e *netEngine) finish() (*Result, error) {
 	r.Marks = round(e.marks - e.baseMarks)
 	r.SentPackets = round(e.sent - e.baseSent)
 	r.DeliveredPackets = round(e.cumDelivered - e.baseDelivered)
-	// Per-flow end-state, written at member flow IDs exactly as the
-	// single-queue engine does.
+	// Per-flow end-state: every member of a record shares its controller,
+	// so each member gets the record's window (and alpha), written at the
+	// member's flow ID so the histograms match per-flow runs flow for flow.
 	r.FinalCwndPkts = make([]float64, cfg.Flows)
 	alphas := e.flows[0].ctrl.kind == KindDCTCP
 	if alphas {

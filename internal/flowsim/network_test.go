@@ -8,97 +8,6 @@ import (
 	"incastlab/internal/sim"
 )
 
-// runGeneral forces a config through the general multi-queue integrator
-// even when it is the trivial one-queue instance RunNetwork would
-// delegate, so tests can compare the two solvers directly.
-func runGeneral(t *testing.T, cfg Config) *Result {
-	t.Helper()
-	ncfg, err := SingleQueue(cfg)
-	if err != nil {
-		t.Fatalf("SingleQueue: %v", err)
-	}
-	if err := ncfg.prepare(); err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	e, err := newNetEngine(ncfg, singletonPlan(ncfg.Flows))
-	if err != nil {
-		t.Fatalf("newNetEngine: %v", err)
-	}
-	if err := e.run(); err != nil {
-		t.Fatalf("netEngine run: %v", err)
-	}
-	res, err := e.finish()
-	if err != nil {
-		t.Fatalf("netEngine finish: %v", err)
-	}
-	return res
-}
-
-// TestRunNetworkTrivialDelegates pins the "dumbbell as trivial one-queue
-// instance" contract: RunNetwork on the SingleQueue wrapping of a config
-// returns byte-identical results to Run, because it IS Run.
-func TestRunNetworkTrivialDelegates(t *testing.T) {
-	cfg := quickConfig(80, CCConfig{})
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	ncfg, err := SingleQueue(cfg)
-	if err != nil {
-		t.Fatalf("SingleQueue: %v", err)
-	}
-	if !ncfg.trivial() {
-		t.Fatalf("SingleQueue config not detected as the trivial instance")
-	}
-	got, err := RunNetwork(ncfg)
-	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
-	}
-	if got.Steps != want.Steps || got.MeanBCT != want.MeanBCT || got.MaxQueue != want.MaxQueue ||
-		got.Timeouts != want.Timeouts || got.FracBelowK != want.FracBelowK ||
-		got.SentPackets != want.SentPackets || got.DeliveredPackets != want.DeliveredPackets {
-		t.Errorf("trivial RunNetwork diverged from Run:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestNetworkSingleQueueEquivalence runs the general integrator on the
-// one-queue dumbbell and compares it to the optimized single-queue engine
-// at the three quick Fig-5 operating points: the paper's mode
-// classification must be identical and the headline levels must agree
-// within the pinned tolerances. The engines are not bit-equal — the
-// general integrator drains a stalled flow's in-network residue under its
-// own name instead of the single-queue orphan bucket, and sizes steps
-// from per-flow RTTs — so the tolerances bound the real modeling gap.
-func TestNetworkSingleQueueEquivalence(t *testing.T) {
-	for _, n := range []int{80, 500, 1400} {
-		cfg := quickConfig(n, CCConfig{})
-		want, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("n=%d Run: %v", n, err)
-		}
-		got := runGeneral(t, cfg)
-		if wm, gm := Classify(want.Timeouts, want.FracBelowK), Classify(got.Timeouts, got.FracBelowK); wm != gm {
-			t.Errorf("n=%d: mode %q (general) vs %q (single-queue)", n, gm, wm)
-		}
-		relBCT := math.Abs(float64(got.MeanBCT-want.MeanBCT)) / float64(want.MeanBCT)
-		if relBCT > 0.10 {
-			t.Errorf("n=%d: mean BCT %.3f ms (general) vs %.3f ms (single-queue), rel %.3f > 0.10",
-				n, float64(got.MeanBCT)/1e6, float64(want.MeanBCT)/1e6, relBCT)
-		}
-		if want.MaxQueue > 0 {
-			relQ := math.Abs(got.MaxQueue-want.MaxQueue) / want.MaxQueue
-			if relQ > 0.10 {
-				t.Errorf("n=%d: max queue %.1f (general) vs %.1f (single-queue), rel %.3f > 0.10",
-					n, got.MaxQueue, want.MaxQueue, relQ)
-			}
-		}
-		if diff := math.Abs(got.FracBelowK - want.FracBelowK); diff > 0.05 {
-			t.Errorf("n=%d: FracBelowK %.3f (general) vs %.3f (single-queue), diff %.3f > 0.05",
-				n, got.FracBelowK, want.FracBelowK, diff)
-		}
-	}
-}
-
 // closQuickConfig builds a NetworkConfig for an n-flow cross-rack incast
 // on the default two-spine fabric, the fluid mirror of
 // workload.ClosIncast's cross-rack placement.
@@ -154,15 +63,16 @@ func TestNetworkClosCrossRack(t *testing.T) {
 
 // TestNetworkSameRackMatchesDumbbell pins the Clos same-rack placement to
 // the dumbbell: a same-rack incast's only queue is the aggregator's leaf
-// downlink, so RunNetwork detects the trivial instance and delegates to
-// the single-queue engine, reproducing Run exactly.
+// downlink, so the network ClosConfig.FluidPaths builds and the one
+// SingleQueue builds from the same Config are the same one-queue network
+// and must produce the same run.
 func TestNetworkSameRackMatchesDumbbell(t *testing.T) {
 	ncfg := closQuickConfig(t, 80, false)
 	if err := ncfg.prepare(); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	if !ncfg.trivial() {
-		t.Fatalf("same-rack Clos incast not detected as the trivial one-queue instance")
+	if len(ncfg.Net.Queues) != 1 {
+		t.Fatalf("same-rack Clos incast built %d queues, want 1", len(ncfg.Net.Queues))
 	}
 	got, err := RunNetwork(ncfg)
 	if err != nil {
@@ -175,6 +85,21 @@ func TestNetworkSameRackMatchesDumbbell(t *testing.T) {
 	if got.Steps != want.Steps || got.MeanBCT != want.MeanBCT || got.Timeouts != want.Timeouts {
 		t.Errorf("same-rack RunNetwork diverged from Run: steps %d vs %d, meanBCT %v vs %v",
 			got.Steps, want.Steps, got.MeanBCT, want.MeanBCT)
+	}
+}
+
+// TestSingleQueueAllocs pins that wrapping a dumbbell as its one-queue
+// network costs a constant number of allocations: every flow shares one
+// path slice instead of allocating its own.
+func TestSingleQueueAllocs(t *testing.T) {
+	cfg := quickConfig(1400, CCConfig{})
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := SingleQueue(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("SingleQueue at %d flows allocates %.0f objects, want a small constant (<= 8)", cfg.Flows, allocs)
 	}
 }
 
@@ -251,8 +176,13 @@ func victimEngine(t *testing.T, terminal []int32, plan cohortPlan, order []int32
 // offer gives record i a per-member arrival of a packets at hop h, as if
 // it had been released at its scheduled time.
 func (e *netEngine) offer(i int32, h int, a float64) {
-	e.arrH[e.off[i]+int32(h)] = a
-	e.arrTotal[e.paths[i][h]] += a * float64(e.mCnt[i])
+	e.hop(i, h).arr = a
+	e.qs[e.paths[i][h]].arrTotal += a * float64(e.mCnt[i])
+}
+
+// hop returns record i's state at hop h.
+func (e *netEngine) hop(i int32, h int) *hopState {
+	return &e.hops[e.hot[i].off+int32(h)]
 }
 
 // TestDropTailVictimOrder pins the tail-drop victim order through the
@@ -280,17 +210,17 @@ func TestDropTailVictimOrder(t *testing.T) {
 	e.dropTailQueue(1, 3, stepEnd)
 	want := []float64{1, 0, 2, 2, 2, 2}
 	for i, w := range want {
-		if got := e.arrH[e.off[i]+1]; math.Abs(got-w) > 1e-12 {
+		if got := e.hop(int32(i), 1).arr; math.Abs(got-w) > 1e-12 {
 			t.Errorf("flow %d: arrival %.3f after the drop, want %.3f", i, got, w)
 		}
 	}
 	if e.drops != 3 {
 		t.Errorf("drops %.3f, want 3", e.drops)
 	}
-	if got := e.arrTotal[1]; math.Abs(got-5) > 1e-12 {
+	if got := e.qs[1].arrTotal; math.Abs(got-5) > 1e-12 {
 		t.Errorf("queue 1 arrivals %.3f after the drop, want 5", got)
 	}
-	if got := e.arrTotal[2]; got != 4 {
+	if got := e.qs[2].arrTotal; got != 4 {
 		t.Errorf("queue 2 arrivals %.3f, want 4 (untouched)", got)
 	}
 }
@@ -321,7 +251,7 @@ func TestDropTailFindsSplitChildren(t *testing.T) {
 		t.Fatalf("after a partial drop: %d records, %d splits; want 4 records, 1 split", len(e.mCnt), e.splitsMade)
 	}
 	var children []int32
-	for i := e.lineNext[0]; i >= 0; i = e.lineNext[i] {
+	for i := e.hot[0].lineNext; i >= 0; i = e.hot[i].lineNext {
 		children = append(children, i)
 	}
 	if len(children) != 2 {
@@ -330,19 +260,21 @@ func TestDropTailFindsSplitChildren(t *testing.T) {
 
 	// Next step: only the children offer into queue 1. The index still has
 	// the single entry it was built with, yet the drop reaches both.
-	clear(e.arrTotal)
+	for j := range e.qs {
+		e.qs[j].arrTotal = 0
+	}
 	for _, c := range children {
-		e.arrH[e.off[c]+1] = 0
+		e.hop(c, 1).arr = 0
 		e.offer(c, 1, 1)
 	}
-	e.arrH[e.off[0]+1] = 0
+	e.hop(0, 1).arr = 0
 	e.dropTailQueue(1, 2, stepEnd)
 	for _, c := range children {
-		if got := e.arrH[e.off[c]+1]; got != 0 {
+		if got := e.hop(c, 1).arr; got != 0 {
 			t.Errorf("split child %d kept %.3f of its offer, want it dropped", c, got)
 		}
 	}
-	if got := e.arrTotal[1]; math.Abs(got) > 1e-12 {
+	if got := e.qs[1].arrTotal; math.Abs(got) > 1e-12 {
 		t.Errorf("queue 1 arrivals %.3f after dropping every child, want 0", got)
 	}
 }

@@ -69,7 +69,9 @@ type Spec struct {
 // Topology overrides the paper's dumbbell configuration. Zero fields keep
 // the defaults (10/100 Gbps, 1333-packet queues, K=65).
 type Topology struct {
-	// HostLinkGbps and CoreLinkGbps set the line rates.
+	// HostLinkGbps and CoreLinkGbps set the line rates. CoreLinkGbps is
+	// packet-level only: the fluid dumbbell models the bottleneck queue
+	// alone, so fidelity "flow" rejects any rate but the default.
 	HostLinkGbps float64 `json:"host_link_gbps,omitempty"`
 	CoreLinkGbps float64 `json:"core_link_gbps,omitempty"`
 	// QueuePackets bounds every switch port queue (bytes scale with MTU).
