@@ -220,9 +220,10 @@ func BenchmarkPredictorObserve(b *testing.B) {
 // BenchmarkFlowsimFig5 regenerates the Fig-5 mode table through the
 // flow-level fluid fast path (Options.Fidelity = FidelityFlow) instead of
 // the packet simulator. Compared against BenchmarkFig5DCTCPModes it records
-// the fast path's speedup on the same sweep; the three-way differential
-// gate (internal/audit) pins the two backends'
-// agreement, so this benchmark is purely about wall clock.
+// the fast path's speedup on the same sweep; the differential gate
+// (TestIncastDifferentialGate in internal/audit) pins the two backends'
+// agreement at these operating points, so this benchmark is purely about
+// wall clock.
 func BenchmarkFlowsimFig5(b *testing.B) {
 	runExperiment(b, "fig5_flow", func(o incastlab.Options) incastlab.Result {
 		o.Fidelity = incastlab.FidelityFlow
@@ -234,8 +235,8 @@ func BenchmarkFlowsimFig5(b *testing.B) {
 
 // benchClosFidelity runs a registered Clos experiment at the given
 // fidelity. The packet/flow pairs below record the multi-queue fluid
-// solver's speedup over the packet fabric on identical sweeps; the fabric
-// closed-loop gate (TestClosDifferentialGate in internal/audit) pins the
+// solver's speedup over the packet fabric on identical sweeps; the
+// differential gate (TestClosDifferentialGate in internal/audit) pins the
 // two backends' agreement, so the benchmarks are purely about wall clock.
 func benchClosFidelity(b *testing.B, name string, fidelity string) {
 	b.Helper()
@@ -283,7 +284,7 @@ func BenchmarkFlowsimCohortFig5(b *testing.B) {
 // benchFlowsimFig5Point runs the Fig-5 sweep's deepest point — a
 // 1400-degree dumbbell incast, the timeout-collapse regime — on the fluid
 // backend with the given flow representation. The per-flow/cohort pair
-// records cohort aggregation's speedup on the identical run; the cohort
+// records cohort aggregation's speedup on the identical run; the
 // differential gate (TestCohortDifferentialGate in internal/audit) pins the
 // representations' agreement, so the pair is purely about wall clock.
 func benchFlowsimFig5Point(b *testing.B, aggregation string) {

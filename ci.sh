@@ -7,22 +7,22 @@
 #   3. go test           the full unit + determinism suite
 #   4. go test -race     the parallel orchestration tests under the race
 #                        detector (worker pool + experiment fan-out)
-#   5. audit gate        quick Fig-5/Fig-8 experiments re-run in checked
-#                        mode (every simulation invariant enforced, zero
-#                        violations tolerated) plus the three-way
-#                        rackmodel<->flowsim<->netsim differential
-#                        cross-check on the canonical trace, the
-#                        closed-loop packet<->flow incast gate (mode
-#                        classification exact, BCT/peak-queue within the
-#                        documented tolerances; see EXPERIMENTS.md), and
-#                        the fabric closed-loop gate: the ext_clos_crossrack
-#                        operating points run packet vs multi-queue fluid
-#                        under the same pinned tolerance contract
-#                        (TestClosDifferentialGate), and the cohort
-#                        differential gate: Fig-5 + Clos points run
-#                        per-flow vs cohort-aggregated on the fluid
-#                        backend under tighter-still tolerances
-#                        (TestCohortDifferentialGate)
+#   5. audit gate        the invariant auditor's own tests, the open-loop
+#                        rackmodel<->flowsim<->netsim trace (RunDiff), and
+#                        the closed-loop differential gate
+#                        (internal/audit/gate_test.go), which runs each gate
+#                        point twice through core.RunIncastSim: packet vs
+#                        flow on the Fig-5 dumbbell and the Clos fabric
+#                        (Test{Incast,Clos}DifferentialGate), and per-flow
+#                        vs cohort-aggregated on both
+#                        (TestCohortDifferentialGate), with mode
+#                        classification exact and BCT/peak queue within each
+#                        contract's documented tolerances (see
+#                        EXPERIMENTS.md); the stage fails unless each gate
+#                        test's PASS line appears; then quick Fig-5/Fig-8
+#                        experiments re-run in checked mode (every
+#                        simulation invariant enforced, zero violations
+#                        tolerated)
 #   6. obs gate          quick Fig-5 + ablation_g run three ways (no
 #                        metrics; metrics serial; metrics parallel, where
 #                        the two experiments overlap in one row pool): CSV
@@ -99,13 +99,21 @@ go test ./...
 echo "==> go test -race ./internal/core -run TestParallel"
 go test -race ./internal/core -run TestParallel
 
-echo "==> audit gate: invariant-checked experiments + rackmodel/netsim differential"
-go test ./internal/audit -count=1
+OBS_TMP="$(mktemp -d)"
+trap 'rm -rf "$OBS_TMP"' EXIT
+
+echo "==> audit gate: invariant auditor, open-loop + closed-loop differential gates; audited experiments"
+go test ./internal/audit -count=1 -v >"$OBS_TMP/gate.log" ||
+  { cat "$OBS_TMP/gate.log" >&2; exit 1; }
+# A gate test that was renamed away would pass silently, so require each PASS line.
+for gate in TestIncastDifferentialGate TestClosDifferentialGate TestCohortDifferentialGate; do
+  grep -q "^--- PASS: $gate " "$OBS_TMP/gate.log" ||
+    { echo "audit gate: $gate did not run and pass" >&2; exit 1; }
+done
+tail -n 1 "$OBS_TMP/gate.log"
 go test ./internal/core -run 'TestAudited' -count=1
 
 echo "==> obs gate: metrics must not perturb results; serial == parallel snapshots"
-OBS_TMP="$(mktemp -d)"
-trap 'rm -rf "$OBS_TMP"' EXIT
 go run ./cmd/figures -quick -only fig5,ablation_g -workers 1 -out "$OBS_TMP/base"
 go run ./cmd/figures -quick -only fig5,ablation_g -workers 1 -metrics "$OBS_TMP/m1.json" -out "$OBS_TMP/serial"
 go run ./cmd/figures -quick -only fig5,ablation_g -workers 4 -metrics "$OBS_TMP/m2.json" -out "$OBS_TMP/parallel"

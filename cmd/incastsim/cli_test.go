@@ -53,6 +53,28 @@ func TestCLIUnknownFidelity(t *testing.T) {
 	}
 }
 
+// TestCLIFlowsMustBePositive: a non-positive -flows must exit non-zero
+// with a one-line diagnostic naming the flag, the way a bad -sweep entry
+// does, not a panic and its goroutine dump.
+func TestCLIFlowsMustBePositive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skips binary build")
+	}
+	for _, flows := range []string{"0", "-5"} {
+		out, err := runCLI(t, "-flows", flows, "-plot=false")
+		if err == nil {
+			t.Fatalf("-flows %s exited zero; output:\n%s", flows, out)
+		}
+		msg := strings.TrimSpace(out)
+		if strings.Contains(msg, "\n") || strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+			t.Errorf("-flows %s: want a one-line diagnostic, got:\n%s", flows, out)
+		}
+		if !strings.Contains(msg, "-flows") {
+			t.Errorf("-flows %s: diagnostic %q does not name the flag", flows, msg)
+		}
+	}
+}
+
 // TestCLIFlowFidelityNotifyRejected: fidelity "flow" cannot model the
 // notification path; the refusal must exit non-zero and name both knobs
 // — the fidelity value and the notification feature — so the user knows

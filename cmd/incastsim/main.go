@@ -151,6 +151,9 @@ func main() {
 		return cfg
 	}
 
+	if *sweep == "" && *flows <= 0 {
+		log.Fatalf("bad -flows %d: want a positive incast degree like 100", *flows)
+	}
 	degrees := []int{*flows}
 	if *sweep != "" {
 		degrees = degrees[:0]

@@ -341,18 +341,20 @@ type AuditViolation = audit.Violation
 // NewAuditor creates an auditor bound to an engine.
 var NewAuditor = audit.New
 
-// DiffConfig parameterizes the rackmodel/netsim differential cross-check.
+// DiffConfig parameterizes the three-way rackmodel/flowsim/netsim
+// differential cross-check.
 type DiffConfig = audit.DiffConfig
 
-// DiffResult carries both sides' curves and tolerance verdicts.
+// DiffResult carries all three sides' curves and tolerance verdicts.
 type DiffResult = audit.DiffResult
 
 // DefaultDiffConfig returns the canonical cross-check trace and tolerances.
 var DefaultDiffConfig = audit.DefaultDiffConfig
 
-// RunDiff drives one offered-load trace through both the analytic rack
-// model and the packet simulator and errors when they disagree beyond the
-// configured tolerances.
+// RunDiff drives one open-loop offered-load trace through the analytic
+// rack model, the flow-level fluid queue, and the packet simulator, and
+// errors when either reduced model disagrees with the packet simulator
+// beyond the configured tolerances.
 var RunDiff = audit.RunDiff
 
 // DumbbellConfig describes the simulated topology.

@@ -22,10 +22,14 @@
 // bit-identical results to unaudited runs: the sweep never mutates
 // simulation state, only observes it.
 //
-// The companion differential harness (diff.go) drives one offered-load
-// trace through both internal/rackmodel (analytic fluid model) and
-// internal/netsim (packet level) and asserts the two agree within stated
-// tolerances; ci.sh runs it as a standing cross-validation gate.
+// The companion open-loop harness (diff.go, RunDiff) drives one
+// offered-load trace through internal/rackmodel (analytic fluid model),
+// internal/flowsim (the fluid queue) and internal/netsim (packet level)
+// and asserts both reduced models agree with the packet simulator within
+// stated tolerances; ci.sh runs it as a standing cross-validation gate.
+// The closed-loop differential gate (gate_test.go), which runs whole
+// incasts on both sides through core.RunIncastSim, lives in this
+// package's external tests.
 package audit
 
 import (

@@ -186,7 +186,26 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 	if err != nil {
 		panic(err.Error())
 	}
-	var fres *flowsim.Result
+	// One fluid Config serves both topologies; the branch only picks the
+	// queue network the flows cross.
+	fcfg := flowsim.Config{
+		Flows:           cfg.Flows,
+		SegmentsPerFlow: workload.BytesPerFlowFor(cfg.Net.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS,
+		Bursts:          cfg.Bursts,
+		Interval:        cfg.Interval,
+		JitterMax:       cfg.JitterMax,
+		Seed:            cfg.Seed,
+		LineRateBps:     cfg.Net.HostLinkBps,
+		MinRTO:          cfg.Sender.MinRTO,
+		MaxRTO:          cfg.Sender.MaxRTO,
+		DupAckPackets:   float64(cfg.Sender.DupAckThreshold),
+		CC:              ccCfg,
+		SampleInterval:  cfg.SampleInterval,
+		SampleWindow:    cfg.SampleWindow,
+		Check:           cfg.Audit,
+		Aggregation:     cfg.Aggregation,
+	}
+	var ncfg flowsim.NetworkConfig
 	if cfg.Clos != nil {
 		closCfg := *cfg.Clos
 		srcs, dsts, err := workload.ClosFlowEndpoints(closCfg, cfg.Flows, cfg.Aggregators, cfg.Placement)
@@ -197,55 +216,24 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 		if err != nil {
 			panic(err.Error())
 		}
-		fres, err = flowsim.RunNetwork(flowsim.NetworkConfig{
-			Config: flowsim.Config{
-				Flows: len(srcs),
-				// Per-flow demand is sized against the per-aggregator degree,
-				// exactly as the packet workload's BytesPerFlow.
-				SegmentsPerFlow: workload.BytesPerFlowFor(closCfg.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS,
-				Bursts:          cfg.Bursts,
-				Interval:        cfg.Interval,
-				JitterMax:       cfg.JitterMax,
-				Seed:            cfg.Seed,
-				LineRateBps:     closCfg.HostLinkBps,
-				MinRTO:          cfg.Sender.MinRTO,
-				MaxRTO:          cfg.Sender.MaxRTO,
-				DupAckPackets:   float64(cfg.Sender.DupAckThreshold),
-				CC:              ccCfg,
-				SampleInterval:  cfg.SampleInterval,
-				SampleWindow:    cfg.SampleWindow,
-				Check:           cfg.Audit,
-				Aggregation:     cfg.Aggregation,
-			},
-			Net: net,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("core: flow-level clos simulation with %d flows: %v", len(srcs), err))
-		}
+		fcfg.Flows = len(srcs)
+		// Per-flow demand is sized against the per-aggregator degree,
+		// exactly as the packet workload's BytesPerFlow.
+		fcfg.SegmentsPerFlow = workload.BytesPerFlowFor(closCfg.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS
+		fcfg.LineRateBps = closCfg.HostLinkBps
+		ncfg = flowsim.NetworkConfig{Config: fcfg, Net: net}
 	} else {
-		fres, err = flowsim.Run(flowsim.Config{
-			Flows:                cfg.Flows,
-			SegmentsPerFlow:      workload.BytesPerFlowFor(cfg.Net.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS,
-			Bursts:               cfg.Bursts,
-			Interval:             cfg.Interval,
-			JitterMax:            cfg.JitterMax,
-			Seed:                 cfg.Seed,
-			LineRateBps:          cfg.Net.HostLinkBps,
-			QueueCapacityPackets: cfg.Net.QueueCapacityPackets,
-			ECNThresholdPackets:  cfg.Net.ECNThresholdPackets,
-			BaseRTT:              cfg.Net.BaseRTT(),
-			MinRTO:               cfg.Sender.MinRTO,
-			MaxRTO:               cfg.Sender.MaxRTO,
-			DupAckPackets:        float64(cfg.Sender.DupAckThreshold),
-			CC:                   ccCfg,
-			SampleInterval:       cfg.SampleInterval,
-			SampleWindow:         cfg.SampleWindow,
-			Check:                cfg.Audit,
-			Aggregation:          cfg.Aggregation,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("core: flow-level simulation with %d flows: %v", cfg.Flows, err))
-		}
+		fcfg.QueueCapacityPackets = cfg.Net.QueueCapacityPackets
+		fcfg.ECNThresholdPackets = cfg.Net.ECNThresholdPackets
+		fcfg.BaseRTT = cfg.Net.BaseRTT()
+		ncfg, err = flowsim.SingleQueue(fcfg)
+	}
+	var fres *flowsim.Result
+	if err == nil {
+		fres, err = flowsim.RunNetwork(ncfg)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: flow-level simulation with %d flows: %v", fcfg.Flows, err))
 	}
 
 	res := &SimResult{

@@ -23,8 +23,10 @@
 // The solver trades packet-level microstructure for speed: it reproduces
 // the paper's mode classification, standing-queue levels, and BCT scale at
 // a small fraction of the event simulator's cost (BenchmarkFlowsimFig5
-// against BenchmarkFig5DCTCPModes), and internal/audit's differential
-// gates pin the agreement.
+// against BenchmarkFig5DCTCPModes). internal/audit's closed-loop gate
+// (gate_test.go) pins the agreement, running both fidelities through
+// core.RunIncastSim, and its RunDiff checks the open-loop queue
+// (TraceConfig).
 package flowsim
 
 import (

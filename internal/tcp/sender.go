@@ -98,11 +98,10 @@ type Sender struct {
 	inRecovery bool
 	recover    int64 // recovery ends when sndUna passes this point
 
-	est        rttEstimator
-	rto        sim.Time
-	rtoBackoff int
-	rtoTimer   sim.Timer
-	rtoFn      func() // prebuilt s.onRTO, so re-arming allocates nothing
+	est      rttEstimator
+	rto      sim.Time
+	rtoTimer sim.Timer
+	rtoFn    func() // prebuilt s.onRTO, so re-arming allocates nothing
 
 	// Pacing state: earliest time the next segment may leave.
 	nextSendAt sim.Time
@@ -289,7 +288,6 @@ func (s *Sender) onRTO() {
 	s.inRecovery = false
 	s.dupAcks = 0
 	s.sndNxt = s.sndUna
-	s.rtoBackoff++
 	s.rto *= 2
 	if s.rto > s.cfg.MaxRTO {
 		s.rto = s.cfg.MaxRTO
@@ -349,7 +347,6 @@ func (s *Sender) HandlePacket(p *netsim.Packet) {
 		if p.EchoSentAt >= 0 {
 			rtt = now - p.EchoSentAt
 			s.est.sample(rtt)
-			s.rtoBackoff = 0
 			s.rto = s.est.rto(s.cfg.MinRTO, s.cfg.MaxRTO)
 		}
 

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 
 	"incastlab/internal/cc"
@@ -8,18 +9,34 @@ import (
 	"incastlab/internal/sim"
 )
 
+// TestRTTEstimator walks the RFC 6298 estimator through a trace of
+// samples. The 800 ms step pins the update order: RTTVAR takes its
+// deviation from the old SRTT before SRTT moves, which constant samples
+// cannot show.
 func TestRTTEstimator(t *testing.T) {
 	var e rttEstimator
-	min, max := 1*sim.Millisecond, 10*sim.Second
+	min, max := 200*sim.Millisecond, 60*sim.Second
 	if e.rto(min, max) != min {
 		t.Fatal("pre-sample RTO should be the minimum")
 	}
-	e.sample(100 * sim.Microsecond)
-	if e.srtt != 100*sim.Microsecond || e.rttvar != 50*sim.Microsecond {
-		t.Fatalf("first sample: srtt=%v rttvar=%v", e.srtt, e.rttvar)
+	ms := func(v float64) sim.Time { return sim.Time(v * float64(sim.Millisecond)) }
+	trace := []struct{ sample, srtt, rttvar, rto sim.Time }{
+		{ms(500), ms(500), ms(250), ms(1500)},
+		{ms(800), ms(537.5), ms(262.5), ms(1587.5)},
+		{ms(100), ms(482.8125), ms(306.25), ms(1707.8125)},
 	}
+	for _, step := range trace {
+		e.sample(step.sample)
+		if got := e.rto(min, max); e.srtt != step.srtt || e.rttvar != step.rttvar || got != step.rto {
+			t.Fatalf("after sample %v: srtt=%v rttvar=%v rto=%v, want %v %v %v",
+				step.sample, e.srtt, e.rttvar, got, step.srtt, step.rttvar, step.rto)
+		}
+	}
+
 	// Constant samples shrink rttvar toward zero; srtt stays put.
-	for i := 0; i < 50; i++ {
+	e = rttEstimator{}
+	min, max = 1*sim.Millisecond, 10*sim.Second
+	for i := 0; i < 51; i++ {
 		e.sample(100 * sim.Microsecond)
 	}
 	if e.srtt != 100*sim.Microsecond {
@@ -245,6 +262,114 @@ type recordingAlg struct {
 func (r *recordingAlg) OnTimeout(now sim.Time) {
 	r.Algorithm.OnTimeout(now)
 	r.windowsAfterTimeout = append(r.windowsAfterTimeout, r.Window())
+}
+
+// blackhole forwards packets to out, dropping every data segment that
+// arrives before open.
+type blackhole struct {
+	eng  *sim.Engine
+	out  *netsim.Link
+	open sim.Time
+}
+
+func (b *blackhole) ID() netsim.NodeID { return 3 }
+func (b *blackhole) Name() string      { return "blackhole" }
+func (b *blackhole) Receive(p *netsim.Packet) {
+	if !p.IsAck && b.eng.Now() < b.open {
+		return
+	}
+	b.out.Send(p)
+}
+
+// timerRecorder wraps an Algorithm and records when each RTO fires and,
+// as each ACK reaches the algorithm, the sender's timer and the value its
+// RTT estimator would give.
+type timerRecorder struct {
+	cc.Algorithm
+	snd     *Sender
+	firedAt []sim.Time
+	acks    []ackTimer
+}
+
+type ackTimer struct {
+	timed    bool
+	rto, est sim.Time
+}
+
+func (r *timerRecorder) OnTimeout(now sim.Time) {
+	r.Algorithm.OnTimeout(now)
+	r.firedAt = append(r.firedAt, now)
+}
+
+func (r *timerRecorder) OnAck(a cc.Ack) {
+	r.Algorithm.OnAck(a)
+	cfg := r.snd.cfg
+	r.acks = append(r.acks, ackTimer{a.RTT > 0, r.snd.rto, r.snd.est.rto(cfg.MinRTO, cfg.MaxRTO)})
+}
+
+// TestRTOBackoffDoublesToCapAndResets pins the sender's timer backoff:
+// consecutive RTOs double the timer from MinRTO to MaxRTO and hold it
+// there, and the first timed ACK afterwards resets it to the estimator's
+// value. ACKs of retransmitted segments carry no RTT sample (Karn), so
+// they must leave the backed-off timer alone.
+func TestRTOBackoffDoublesToCapAndResets(t *testing.T) {
+	eng := sim.NewEngine()
+	sender := netsim.NewHost(eng, 1, "s")
+	receiver := netsim.NewHost(eng, 2, "r")
+	hole := &blackhole{eng: eng, open: 8 * sim.Second}
+	mk := func(dst netsim.Device) *netsim.Link {
+		return netsim.NewLink(eng, netsim.LinkConfig{
+			BandwidthBps: 10 * netsim.Gbps,
+			PropDelay:    5 * sim.Microsecond,
+			Queue:        netsim.NewQueue(netsim.QueueConfig{}),
+			Dst:          dst,
+		})
+	}
+	sender.SetUplink(mk(hole))
+	hole.out = mk(receiver)
+	receiver.SetUplink(mk(sender))
+	cfg := DefaultSenderConfig()
+	snd := NewSender(eng, NewHub(sender), 1, receiver.ID(), cc.NewReno(10*netsim.MSS), cfg)
+	NewReceiver(eng, NewHub(receiver), 1, sender.ID(), DefaultReceiverConfig())
+	rec := &timerRecorder{Algorithm: snd.Algorithm(), snd: snd}
+	snd.alg = rec
+
+	const total = 40 * netsim.MSS
+	snd.AddDemand(total)
+	eng.Run()
+	if !snd.DemandMet() {
+		t.Fatal("transfer stalled")
+	}
+
+	// The last retransmission into the hole leaves at 7 s; the next one, at
+	// 9 s, gets through.
+	var gaps []sim.Time
+	var prev sim.Time
+	for _, at := range rec.firedAt {
+		gaps, prev = append(gaps, at-prev), at
+	}
+	const ms = sim.Millisecond
+	if want := []sim.Time{200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms, 2000 * ms, 2000 * ms}; !slices.Equal(gaps, want) {
+		t.Fatalf("RTOs fired %v apart, want %v", gaps, want)
+	}
+
+	first := -1
+	for i, ack := range rec.acks {
+		if ack.timed {
+			first = i
+			break
+		}
+		if ack.rto != cfg.MaxRTO {
+			t.Errorf("untimed ACK %d moved the backed-off timer to %v, want %v", i, ack.rto, cfg.MaxRTO)
+		}
+	}
+	if first <= 0 {
+		t.Fatalf("want untimed ACKs of retransmissions before the first timed ACK; first timed ACK is %d", first)
+	}
+	// A ~20 us sample puts the estimator's value at the MinRTO clamp.
+	if ack := rec.acks[first]; ack.rto != ack.est || ack.rto != cfg.MinRTO {
+		t.Errorf("first timed ACK left the timer at %v, want the estimator's %v (MinRTO %v)", ack.rto, ack.est, cfg.MinRTO)
+	}
 }
 
 func TestECEFeedbackReachesCCA(t *testing.T) {

@@ -161,14 +161,9 @@ type ClosIncast struct {
 	receivers []*tcp.Receiver
 }
 
-// NewClosIncast builds the fabric and endpoints.
-func NewClosIncast(eng *sim.Engine, netCfg netsim.ClosConfig, cfg ClosIncastConfig,
-	algFactory func(flow int) cc.Algorithm) *ClosIncast {
-	return NewClosIncastWithPool(eng, netCfg, cfg, algFactory, nil)
-}
-
-// NewClosIncastWithPool is NewClosIncast with an injected packet pool (nil
-// for a fresh one), letting sweep runners reuse a warm pool across runs.
+// NewClosIncastWithPool builds the fabric and endpoints on an injected
+// packet pool (nil for a fresh one), letting sweep runners reuse a warm
+// pool across runs.
 func NewClosIncastWithPool(eng *sim.Engine, netCfg netsim.ClosConfig, cfg ClosIncastConfig,
 	algFactory func(flow int) cc.Algorithm, pool *netsim.PacketPool) *ClosIncast {
 	srcs, dsts, err := ClosFlowEndpoints(netCfg, cfg.Workers, cfg.Aggregators, cfg.Placement)
