@@ -5,8 +5,10 @@
 #   1. go vet            static checks across every package
 #   2. go build          everything compiles, commands included
 #   3. go test           the full unit + determinism suite
-#   4. go test -race     the parallel orchestration tests under the race
-#                        detector (worker pool + experiment fan-out)
+#   4. go test -race     the parallel orchestration tests (worker pool +
+#                        experiment fan-out) and the sweep cache's tests
+#                        (concurrent writers appending to one directory)
+#                        under the race detector
 #   5. audit gate        the invariant auditor's own tests, the open-loop
 #                        rackmodel<->flowsim<->netsim trace (RunDiff), and
 #                        the closed-loop differential gate
@@ -56,7 +58,11 @@
 #                        summed, fidelity flow) does the same cold/warm
 #                        byte-identity dance through the sharded cache,
 #                        and its cold CSV must match its checked-in
-#                        golden (testdata/quick_flow)
+#                        golden (testdata/quick_flow); finally a serial
+#                        cold run of that grid is killed (SIGKILL) after
+#                        1.5 s and resumed: rows land in the cache as they
+#                        finish, so the resume must report cache hits,
+#                        and its CSV must match the same golden
 #   9. scenario gate     example specs run end to end through
 #                        `incastsim -scenario` and produce their CSVs —
 #                        one packet-level, one at flow fidelity (a
@@ -96,8 +102,9 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/core -run TestParallel"
+echo "==> go test -race ./internal/core -run TestParallel; go test -race ./internal/sweep"
 go test -race ./internal/core -run TestParallel
+go test -race ./internal/sweep
 
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
@@ -171,6 +178,16 @@ grep -q '^cache: 208 rows, 208 hits, 0 computed, 0 skipped$' "$OBS_TMP/mfg_cold.
 grep -q '^cache: 208 rows, 208 hits, 0 computed, 0 skipped$' "$OBS_TMP/mfg_warm.log"
 cmp "$OBS_TMP/mfg_cold/clos_million_flow_grid.csv" "$OBS_TMP/mfg_warm/clos_million_flow_grid.csv"
 cmp internal/core/testdata/quick_flow/clos_million_flow_grid.csv "$OBS_TMP/mfg_cold/clos_million_flow_grid.csv"
+# Kill a serial cold run mid-sweep (it takes about 3 s on 2 cores), then
+# resume: the rows finished before the kill must be served from the cache.
+# Exit 0 means the run beat the kill; 137 is the SIGKILL.
+timeout -s KILL 1.5 "$OBS_TMP/incastsim" -scenario examples/scenarios/clos_million_flow_grid.json -quick \
+  -workers 1 -cache "$OBS_TMP/killed.cache" -out "$OBS_TMP/killed" >/dev/null || [ $? -eq 137 ]
+"$OBS_TMP/incastsim" -scenario examples/scenarios/clos_million_flow_grid.json -quick \
+  -cache "$OBS_TMP/killed.cache" -out "$OBS_TMP/resumed" >"$OBS_TMP/resumed.log"
+grep -Eq '^cache: 208 rows, [1-9][0-9]* hits, ' "$OBS_TMP/resumed.log" ||
+  { echo "sweep-cache gate: the resumed run found no rows of the killed run in the cache" >&2; exit 1; }
+cmp internal/core/testdata/quick_flow/clos_million_flow_grid.csv "$OBS_TMP/resumed/clos_million_flow_grid.csv"
 
 echo "==> scenario gate: example specs end to end; bad spec path rejected"
 go run ./cmd/incastsim -scenario examples/scenarios/ml_periodic_bursts.json -quick -out "$OBS_TMP/scenario" >/dev/null

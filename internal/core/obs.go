@@ -62,16 +62,22 @@ func (o Options) applyFidelity(cfg *SimConfig) {
 	}
 }
 
-// runSims stamps the options' observability into every config and fans the
-// runs out. Experiment runners use it so each experiment's metrics carry
-// its name without per-site boilerplate.
+// runSims stamps the options into every config (stampSims) and fans the
+// runs out.
 func (o Options) runSims(experiment string, cfgs []SimConfig) []*SimResult {
+	o.stampSims(experiment, cfgs)
+	return runIncastSims(o, cfgs)
+}
+
+// stampSims stamps the options' observability and fidelity into every
+// config. Experiment runners use it so each experiment's metrics carry its
+// name without per-site boilerplate.
+func (o Options) stampSims(experiment string, cfgs []SimConfig) {
 	for i := range cfgs {
 		cfgs[i].Metrics = o.Metrics
 		cfgs[i].Experiment = experiment
 		o.applyFidelity(&cfgs[i])
 	}
-	return runIncastSims(o, cfgs)
 }
 
 // harvestIncastMetrics publishes one finished simulation's telemetry into

@@ -72,14 +72,25 @@ func (s CacheStats) String() string {
 // collection are excluded deliberately — results are bit-identical across
 // those, and the cache must not fragment on them.
 func ScenarioRowKey(opt Options, spec scenario.Spec, row int) string {
-	specJSON, err := json.Marshal(spec)
+	return rowKey(opt, specJSON(spec), row)
+}
+
+// specJSON is the canonical spec JSON that row keys hash.
+func specJSON(spec scenario.Spec) string {
+	b, err := json.Marshal(spec)
 	if err != nil {
 		// Specs are plain data; marshal cannot fail for a validated spec.
 		panic(fmt.Sprintf("core: marshal spec %q: %v", spec.Name, err))
 	}
+	return string(b)
+}
+
+// rowKey is ScenarioRowKey over an already marshalled spec, so a sweep
+// marshals its spec once rather than once per row.
+func rowKey(opt Options, specJSON string, row int) string {
 	return sweep.Key(
 		SimCodeVersion,
-		string(specJSON),
+		specJSON,
 		strconv.Itoa(row),
 		strconv.FormatUint(opt.seed(), 10),
 		strconv.FormatBool(opt.Quick),
@@ -91,11 +102,14 @@ func ScenarioRowKey(opt Options, spec scenario.Spec, row int) string {
 // RunScenarioCached is RunScenario backed by a content-addressed row
 // cache and an optional shard selector. Rows already cached are reused
 // (for any shard); rows this shard owns are simulated and stored; rows
-// other shards own and have not computed yet are skipped. When every row
-// is available the full table is assembled — entirely from rendered cells
-// that went through the cache encoding, so a warm rerun is byte-identical
-// to a cold one — and returned; while rows are still missing the table is
-// nil and the stats say how far along the sweep is.
+// other shards own and have not computed yet are skipped. Each computed
+// row is stored by the worker that computed it as soon as it finishes, so
+// a sweep that is killed, or that stops at a failing row, keeps every row
+// finished before it stopped, and a rerun resumes from there. When every
+// row is available the full table is assembled — entirely from rendered
+// cells that went through the cache encoding, so a warm rerun is
+// byte-identical to a cold one — and returned; while rows are still
+// missing the table is nil and the stats say how far along the sweep is.
 func RunScenarioCached(opt Options, spec scenario.Spec, cache *sweep.Cache, shard Shard) (*TableResult, CacheStats, error) {
 	shard = shard.normalize()
 	if err := shard.Validate(); err != nil {
@@ -109,9 +123,10 @@ func RunScenarioCached(opt Options, spec scenario.Spec, cache *sweep.Cache, shar
 	stats := CacheStats{Rows: len(cfgs)}
 	rows := make([][]string, len(cfgs))
 	keys := make([]string, len(cfgs))
+	js := specJSON(spec)
 	var missed []int
 	for i := range cfgs {
-		keys[i] = ScenarioRowKey(opt, spec, i)
+		keys[i] = rowKey(opt, js, i)
 		cells, ok, err := cache.Get(keys[i])
 		switch {
 		case err != nil:
@@ -131,23 +146,26 @@ func RunScenarioCached(opt Options, spec scenario.Spec, cache *sweep.Cache, shar
 		for j, i := range missed {
 			sub[j] = cfgs[i]
 		}
-		for j, m := range opt.runSims(spec.Name, sub) {
+		opt.stampSims(spec.Name, sub)
+		errs := runParallel(opt, len(sub), func(j int) error {
 			i := missed[j]
-			cells := ablationRow(m)
-			if err := cache.Put(keys[i], cells); err != nil {
-				return nil, stats, err
+			if err := cache.Put(keys[i], ablationRow(RunIncastSim(sub[j]))); err != nil {
+				return err
 			}
-			// Re-read through the cache so assembled output cannot depend
-			// on whether a row was computed here or loaded — one encode/
-			// decode path for every cell.
+			// Keep the cells the cache read back, so assembled output
+			// cannot depend on whether a row was computed here or loaded —
+			// one encode/decode path for every cell.
 			cached, ok, err := cache.Get(keys[i])
+			if err == nil && !ok {
+				err = fmt.Errorf("core: row %d vanished from the cache after Put", i)
+			}
+			rows[i] = cached
+			return err
+		})
+		for _, err := range errs {
 			if err != nil {
 				return nil, stats, err
 			}
-			if !ok {
-				return nil, stats, fmt.Errorf("core: row %d vanished from the cache after Put", i)
-			}
-			rows[i] = cached
 			stats.Computed++
 		}
 	}

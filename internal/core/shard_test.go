@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -225,5 +226,57 @@ func TestScenarioCachedShardSkipsForeignRows(t *testing.T) {
 	}
 	if stats.Computed != 2 || stats.Skipped != 2 {
 		t.Fatalf("stats = %s, want 2 computed, 2 skipped", stats)
+	}
+}
+
+// TestScenarioCachedKeepsRowsBeforeAFailure: rows are stored as they
+// finish, so a sweep that stops at a failing row keeps every row finished
+// before it. The last row's 90 s minimum RTO cannot finish inside the
+// fluid solver's 60 s horizon, so it fails within milliseconds, after rows
+// 0 and 1. The failure counts whether it is raised as a panic or returned
+// as an error, so the test holds however a failed row is reported.
+func TestScenarioCachedKeepsRowsBeforeAFailure(t *testing.T) {
+	spec := scenario.Spec{
+		Name:     "failing_last_row",
+		Topology: &scenario.Topology{QueuePackets: 20},
+		Workload: scenario.Workload{BurstMS: 4, IntervalMS: 50, Bursts: 2},
+		Sweep: scenario.Sweep{
+			Axis:   "min_rto_ms",
+			Values: scenario.Nums(1, 2, 90000),
+			Flows:  []int{200},
+		},
+		Fidelity: FidelityFlow,
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opt := Options{Seed: 1, Quick: true, Workers: workers}
+			dir := t.TempDir()
+			cache, err := sweep.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := func() (failed bool) {
+				defer func() {
+					if recover() != nil {
+						failed = true
+					}
+				}()
+				_, _, err := RunScenarioCached(opt, spec, cache, Shard{})
+				return err != nil
+			}()
+			if !failed {
+				t.Fatal("the sweep finished; its 90 s min-RTO row should fail at the solver's horizon")
+			}
+
+			reopened, err := sweep.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for row, want := range []bool{true, true, false} {
+				if _, ok, err := reopened.Get(ScenarioRowKey(opt, spec, row)); err != nil || ok != want {
+					t.Errorf("row %d: cached=%v err=%v, want cached=%v", row, ok, err, want)
+				}
+			}
+		})
 	}
 }
