@@ -78,9 +78,10 @@
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
 #                        flow-level Fig-5 sweeps and the million-flow Clos
 #                        run smoke-run at one iteration each: each must
-#                        execute and stay under its allocs/op ceiling
-#                        (allocation counts repeat run to run, so they are
-#                        gated); measured wall time lives in
+#                        execute and stay under its allocs/op ceiling, and
+#                        the million-flow run also under its B/op ceiling
+#                        (allocation counts and bytes repeat run to run, so
+#                        they are gated); measured wall time lives in
 #                        internal/bench/incastbench, not here
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -232,13 +233,15 @@ echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation
 go test -run '^$' \
   -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
   -benchtime=1x -benchmem . >"$OBS_TMP/bench_smoke.txt"
-# Each ceiling is the highest allocs/op of three runs when it was set, plus
-# 10 %, rounded up. At one iteration a benchmark that finds the simulation
-# resource pool emptied by a GC allocates more than one that finds it warm,
-# so the ceilings come from such cold runs.
-while read -r name ceiling; do
-  allocs="$(awk -v name="$name" '$1 ~ ("^" name "(-[0-9]+)?$") {
-    for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1) }' "$OBS_TMP/bench_smoke.txt")"
+# Each ceiling is the highest allocs/op (and, where a third column gives
+# one, B/op) of three runs when it was set, plus 10 %, rounded up. At one
+# iteration a benchmark that finds the simulation resource pool emptied by
+# a GC allocates more than one that finds it warm, so the ceilings come
+# from such cold runs.
+while read -r name ceiling bytes_ceiling; do
+  read -r allocs bytes <<<"$(awk -v name="$name" '$1 ~ ("^" name "(-[0-9]+)?$") {
+    for (i = 2; i <= NF; i++) { if ($i == "allocs/op") a = $(i - 1); if ($i == "B/op") b = $(i - 1) }
+    print a, b }' "$OBS_TMP/bench_smoke.txt")"
   if [ -z "$allocs" ]; then
     echo "bench gate: $name did not run" >&2
     exit 1
@@ -246,6 +249,16 @@ while read -r name ceiling; do
   if [ "$allocs" -gt "$ceiling" ]; then
     echo "bench gate: $name allocates $allocs per op, above its ceiling of $ceiling" >&2
     exit 1
+  fi
+  if [ -n "$bytes_ceiling" ]; then
+    if [ -z "$bytes" ]; then
+      echo "bench gate: $name reported no B/op" >&2
+      exit 1
+    fi
+    if [ "$bytes" -gt "$bytes_ceiling" ]; then
+      echo "bench gate: $name allocates $bytes B per op, above its ceiling of $bytes_ceiling" >&2
+      exit 1
+    fi
   fi
 done <<'CEILINGS'
 BenchmarkFig5DCTCPModes 124372
@@ -256,7 +269,7 @@ BenchmarkFlowsimFig5 3418
 BenchmarkFlowsimCohortFig5 3401
 BenchmarkFlowsimPerFlowFig5Point 41
 BenchmarkFlowsimCohortFig5Point 59
-BenchmarkClosMillionFlowSingleRun 960
+BenchmarkClosMillionFlowSingleRun 930 104368722
 CEILINGS
 
 echo "==> ci.sh: all checks passed"

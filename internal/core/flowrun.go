@@ -95,11 +95,12 @@ func (c SimConfig) FlowCompatible() error {
 	}
 	flows := cfg.Flows
 	if cfg.Clos != nil {
-		srcs, _, err := workload.ClosFlowEndpoints(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement)
+		// The placement check ClosFlowEndpoints runs, without the endpoints.
+		n, err := workload.CheckClosPlacement(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement)
 		if err != nil {
 			return err
 		}
-		flows = len(srcs)
+		flows = n
 	}
 	return flowsim.CheckAggregation(cfg.Aggregation, flows)
 }

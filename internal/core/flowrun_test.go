@@ -211,6 +211,86 @@ func TestFlowCompatiblePerFlowLimit(t *testing.T) {
 	}
 }
 
+// TestFlowCompatibleClosPlacement pins that counting Clos flows without
+// building their endpoints keeps every placement error, word for word
+// the one ClosFlowEndpoints returns for the same row.
+func TestFlowCompatibleClosPlacement(t *testing.T) {
+	clos := netsim.DefaultClosConfig(4, 8)
+	cases := []struct {
+		name, want string
+		cfg        SimConfig
+	}{
+		{"full rack", "rack 1 full placing worker 21 of aggregator 0",
+			SimConfig{Flows: 22, Aggregators: 2, Clos: &clos, Placement: workload.PlacementCrossRack}},
+		{"full rack, same-rack", "rack 0 full placing worker 7 of aggregator 0",
+			SimConfig{Flows: 8, Aggregators: 2, Clos: &clos, Placement: workload.PlacementSameRack}},
+		{"too many aggregators", "5 aggregators exceed the 4 racks",
+			SimConfig{Flows: 4, Aggregators: 5, Clos: &clos, Placement: workload.PlacementCrossRack}},
+		{"unknown placement", "unknown placement",
+			SimConfig{Flows: 4, Aggregators: 2, Clos: &clos, Placement: "same-row"}},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.FlowCompatible()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FlowCompatible = %v, want an error containing %q", tc.name, err, tc.want)
+			continue
+		}
+		if _, _, epErr := workload.ClosFlowEndpoints(clos, tc.cfg.Flows, tc.cfg.Aggregators, tc.cfg.Placement); epErr == nil || epErr.Error() != err.Error() {
+			t.Errorf("%s: FlowCompatible says %q but ClosFlowEndpoints says %v", tc.name, err, epErr)
+		}
+	}
+	ok := SimConfig{Flows: 6, Aggregators: 2, Clos: &clos, Placement: workload.PlacementCrossRack}
+	if err := ok.FlowCompatible(); err != nil {
+		t.Errorf("2 x 6 cross-rack workers on 4 racks x 8 hosts rejected: %v", err)
+	}
+}
+
+// TestClosGridElevenBursts pins the rows of clos_million_flow_grid.json
+// that lost their last burst with "bursts": 11: the 100-flow rows at 1, 2
+// and 3 aggregators drain completely, but their delivered totals end a
+// few 1e-6 packets short of the target through rounding. A drained
+// network completes its bursts, so each row finishes with the same mean
+// BCT as its neighbours.
+func TestClosGridElevenBursts(t *testing.T) {
+	spec, err := scenario.Load("../../examples/scenarios/clos_million_flow_grid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workload.Bursts = 11
+	_, _, cfgs, err := CompileScenario(Options{Seed: 1}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]sim.Time{1: 15833 * sim.Microsecond, 2: 15845 * sim.Microsecond, 3: 15846 * sim.Microsecond}
+	for _, cfg := range cfgs {
+		bct, ok := want[cfg.Aggregators]
+		if cfg.Flows != 100 || !ok {
+			continue
+		}
+		delete(want, cfg.Aggregators)
+		t.Run(fmt.Sprintf("aggregators=%d", cfg.Aggregators), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("run failed: %v", r)
+				}
+			}()
+			if cfg.Bursts != 11 {
+				t.Fatalf("row runs %d bursts, want 11", cfg.Bursts)
+			}
+			res := RunIncastSim(cfg)
+			if d := res.MeanBCT - bct; d < -sim.Microsecond || d > sim.Microsecond {
+				t.Errorf("mean BCT %v, want %v", res.MeanBCT, bct)
+			}
+			if res.Timeouts != 0 || res.Drops != 0 {
+				t.Errorf("timeouts %d, drops %d; want none", res.Timeouts, res.Drops)
+			}
+		})
+	}
+	if len(want) != 0 {
+		t.Errorf("grid has no 100-flow rows at aggregators %v", want)
+	}
+}
+
 func TestUnknownFidelityPanics(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -186,8 +186,9 @@ func classPlan(classOf []int32, nClasses, buckets int) cohortPlan {
 // buildPlan resolves the aggregation knob into a plan: the identity for
 // per-flow runs, else net's path classes (the only behavioral
 // discriminant, since the workload fields are uniform across flows) split
-// into jitter buckets. cfg.cohortBuckets, a test-only knob, overrides the
-// bucket count.
+// into jitter buckets. Within a class the workload layer already
+// guarantees one CC law, one demand and one release schedule.
+// cfg.cohortBuckets, a test-only knob, overrides the bucket count.
 func buildPlan(cfg *Config, net *netsim.FluidPaths) cohortPlan {
 	if !cfg.cohortEnabled() {
 		return singletonPlan(cfg.Flows)
@@ -196,6 +197,5 @@ func buildPlan(cfg *Config, net *netsim.FluidPaths) cohortPlan {
 	if buckets <= 0 {
 		buckets = defaultCohortBuckets
 	}
-	classOf, nClasses := net.PathClasses()
-	return classPlan(classOf, nClasses, buckets)
+	return classPlan(net.Class, len(net.Paths), buckets)
 }

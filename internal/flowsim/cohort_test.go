@@ -2,7 +2,9 @@ package flowsim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,5 +298,42 @@ func TestPerFlowReleasePackingLimit(t *testing.T) {
 	big.Aggregation = AggregationPerFlow
 	if _, err := Run(big); err == nil || !strings.Contains(err.Error(), "aggregation") {
 		t.Errorf("Run of %d per-flow flows = %v, want an error naming aggregation", big.Flows, err)
+	}
+}
+
+// TestBuildReleasesOrder pins the release schedule to a comparison sort
+// of the packed (start, unit) keys — the order dropTailQueue's victim walk
+// relies on — across jitter ceilings that need zero to six radix digits,
+// and unit counts from one to thousands.
+func TestBuildReleasesOrder(t *testing.T) {
+	for _, jitter := range []sim.Time{0, 1, 255, 256, 100 * sim.Microsecond, 100 * sim.Millisecond, 1 << 40} {
+		for _, units := range []int{1, 7, 1000, 5000} {
+			cfg := quickConfig(units, CCConfig{})
+			cfg.Bursts = 3
+			cfg.Interval = 2 << 40
+			cfg.JitterMax = jitter
+			cfg.Seed = 3
+			got, err := buildReleases(cfg, units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(cfg.Seed)))
+			var want []release
+			keys := make([]uint64, units)
+			for b := 0; b < cfg.Bursts; b++ {
+				start := sim.Time(b) * cfg.Interval
+				for i := range keys {
+					j := sim.Time(rng.Int63n(int64(cfg.JitterMax) + 1))
+					keys[i] = uint64(start+j)<<unitBits | uint64(i)
+				}
+				slices.Sort(keys)
+				for _, k := range keys {
+					want = append(want, release{at: sim.Time(k >> unitBits), flow: int32(k & (1<<unitBits - 1))})
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("jitter %v, %d units: release order differs from the sorted keys", jitter, units)
+			}
+		}
 	}
 }

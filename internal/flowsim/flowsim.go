@@ -31,8 +31,8 @@ package flowsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
@@ -306,7 +306,8 @@ type release struct {
 }
 
 // unitBits is the width of the record field in buildReleases' packed
-// (release time, record) sort keys.
+// (start jitter, record) sort keys; jitter keeps the other 44 bits, over
+// four hours of nanoseconds.
 const unitBits = 20
 
 const volEps = 1e-9
@@ -351,11 +352,12 @@ func Run(cfg Config) (*Result, error) {
 // in aggregated runs, so per-flow runs draw one jitter value per flow and
 // burst. Each burst is sorted by (at, unit) ascending so dropTailQueue's
 // newest-first walk visits equal-time releases in descending unit order,
-// matching the documented tail-drop victim order. Sorting packed
-// at<<unitBits|unit keys through slices.Sort beats a comparator-closure
-// sort ~3x; release times stay far below the 2^(63-unitBits) ns (~2.4 h
-// of simulated time) packing headroom. More units than the key can pack
-// is an error (CheckAggregation rejects such per-flow runs up front).
+// matching the documented tail-drop victim order. Each unit's key packs
+// jitter<<unitBits|unit; units enter in ascending order, so a stable LSD
+// radix sort over the jitter bits alone (byte digits, ping-ponging between
+// the two halves of one buffer) yields the order of sorting the unique
+// keys, in time linear in the units. More units than the key can pack is
+// an error (CheckAggregation rejects such per-flow runs up front).
 func buildReleases(cfg Config, nUnits int) ([]release, error) {
 	if nUnits >= 1<<unitBits {
 		return nil, fmt.Errorf("flowsim: %d release records exceed the release-key packing limit of %d (use aggregation %q to go bigger)",
@@ -363,16 +365,32 @@ func buildReleases(cfg Config, nUnits int) ([]release, error) {
 	}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
 	releases := make([]release, 0, nUnits*cfg.Bursts)
-	keys := make([]uint64, nUnits)
+	buf := make([]uint64, 2*nUnits)
+	jitterBits := bits.Len64(uint64(cfg.JitterMax))
 	for b := 0; b < cfg.Bursts; b++ {
 		start := sim.Time(b) * cfg.Interval
-		for i := 0; i < nUnits; i++ {
-			j := sim.Time(rng.Int63n(int64(cfg.JitterMax) + 1))
-			keys[i] = uint64(start+j)<<unitBits | uint64(i)
+		keys, tmp := buf[:nUnits], buf[nUnits:]
+		for i := range keys {
+			j := uint64(rng.Int63n(int64(cfg.JitterMax) + 1))
+			keys[i] = j<<unitBits | uint64(i)
 		}
-		slices.Sort(keys)
+		for shift := unitBits; shift < unitBits+jitterBits; shift += 8 {
+			var count [257]int
+			for _, k := range keys {
+				count[(k>>shift)&0xff+1]++
+			}
+			for d := 1; d < len(count); d++ {
+				count[d] += count[d-1]
+			}
+			for _, k := range keys {
+				d := (k >> shift) & 0xff
+				tmp[count[d]] = k
+				count[d]++
+			}
+			keys, tmp = tmp, keys
+		}
 		for _, k := range keys {
-			releases = append(releases, release{at: sim.Time(k >> unitBits), flow: int32(k & (1<<unitBits - 1))})
+			releases = append(releases, release{at: start + sim.Time(k>>unitBits), flow: int32(k & (1<<unitBits - 1))})
 		}
 	}
 	return releases, nil

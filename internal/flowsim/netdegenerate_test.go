@@ -90,8 +90,9 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 			{Name: "uplink", RateBps: 10 * netsim.Gbps, CapacityPackets: 1000, ECNThresholdPackets: 65},
 			{Name: "downlink", RateBps: netsim.Gbps, CapacityPackets: 12, ECNThresholdPackets: 5},
 		},
-		Paths:      [][]int32{{0, 1}, {0, 1}, {0, 1}, {0, 1}},
-		BaseRTT:    []sim.Time{20 * sim.Microsecond, 20 * sim.Microsecond, 20 * sim.Microsecond, 20 * sim.Microsecond},
+		Paths:      [][]int32{{0, 1}},
+		BaseRTT:    []sim.Time{20 * sim.Microsecond},
+		Class:      []int32{0, 0, 0, 0},
 		Stage:      []int{0, 1},
 		Bottleneck: 1,
 	}

@@ -40,11 +40,11 @@ import (
 // integration knobs; its single-bottleneck fields (LineRateBps as the
 // host NIC injection cap aside) are superseded by the per-queue rates and
 // bounds in Net. Config.BaseRTT seeds the CC defaults (Swift's target
-// delay); per-flow base RTTs come from Net.BaseRTT.
+// delay); each flow's base RTT is its path class's Net.BaseRTT.
 type NetworkConfig struct {
 	Config
 
-	// Net is the queue network and per-flow path assignment, typically
+	// Net is the queue network and each flow's path class, typically
 	// built by netsim.ClosConfig.FluidPaths so the ECMP spine choice
 	// matches the packet backend flow for flow.
 	Net *netsim.FluidPaths
@@ -77,15 +77,15 @@ func (cfg *NetworkConfig) prepare() error {
 	if err := cfg.Net.Validate(); err != nil {
 		return err
 	}
-	if cfg.Flows != len(cfg.Net.Paths) {
-		return fmt.Errorf("flowsim: %d flows but %d network paths", cfg.Flows, len(cfg.Net.Paths))
+	if cfg.Flows != len(cfg.Net.Class) {
+		return fmt.Errorf("flowsim: %d flows but the network assigns %d flows to path classes", cfg.Flows, len(cfg.Net.Class))
 	}
 	b := cfg.Net.Queues[cfg.Net.Bottleneck]
 	cfg.QueueCapacityPackets = b.CapacityPackets
 	cfg.ECNThresholdPackets = b.ECNThresholdPackets
 	if cfg.BaseRTT <= 0 {
-		// Default the CC base RTT to the slowest path's, the conservative
-		// choice for Swift's target delay.
+		// Default the CC base RTT to the slowest path class's, the
+		// conservative choice for Swift's target delay.
 		for _, rtt := range cfg.Net.BaseRTT {
 			if rtt > cfg.BaseRTT {
 				cfg.BaseRTT = rtt
@@ -97,9 +97,9 @@ func (cfg *NetworkConfig) prepare() error {
 
 // SingleQueue wraps a single-bottleneck Config as its one-queue network:
 // one queue at LineRateBps with the Config's capacity and ECN threshold,
-// which every flow crosses alone at the Config's base RTT. All flows share
-// one path slice, so the build costs the same few allocations at any
-// incast degree.
+// which every flow crosses alone at the Config's base RTT. That is one
+// path class, so the build costs the same few allocations at any incast
+// degree.
 func SingleQueue(cfg Config) (NetworkConfig, error) {
 	if err := cfg.fill(); err != nil {
 		return NetworkConfig{}, err
@@ -111,14 +111,10 @@ func SingleQueue(cfg Config) (NetworkConfig, error) {
 			CapacityPackets:     cfg.QueueCapacityPackets,
 			ECNThresholdPackets: cfg.ECNThresholdPackets,
 		}},
-		Paths:   make([][]int32, cfg.Flows),
-		BaseRTT: make([]sim.Time, cfg.Flows),
+		Paths:   [][]int32{{0}},
+		BaseRTT: []sim.Time{cfg.BaseRTT},
+		Class:   make([]int32, cfg.Flows),
 		Stage:   []int{0},
-	}
-	path := []int32{0}
-	for i := range net.Paths {
-		net.Paths[i] = path
-		net.BaseRTT[i] = cfg.BaseRTT
 	}
 	return NetworkConfig{Config: cfg, Net: net}, nil
 }
@@ -286,9 +282,11 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		releases:   releases,
 		bcts:       make([]sim.Time, 0, cfg.Bursts),
 	}
+	// Every member of a record shares its representative's path class.
+	classOf := func(i int) int32 { return net.Class[plan.perm[plan.off[i]]] }
 	var totalHops int32
 	for i := 0; i < m; i++ {
-		totalHops += int32(len(net.Paths[plan.perm[plan.off[i]]]))
+		totalHops += int32(len(net.Paths[classOf(i)]))
 	}
 	e.attach(netScratchPool.Get().(*netScratch), nq, net.Stages(), m, totalHops)
 	for j, q := range net.Queues {
@@ -310,24 +308,21 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		}
 		e.byStage[s] = e.stageQ[from:next:next]
 	}
-	for _, p := range net.Paths {
-		e.qs[p[len(p)-1]].transit = false
-	}
 	var hops int32
 	e.minBaseSec = math.Inf(1)
 	for i := range e.flows {
-		// Every member of a record shares the representative's path and
-		// base RTT: that's the class key.
-		rep := plan.perm[plan.off[i]]
-		e.paths[i] = net.Paths[rep]
+		c := classOf(i)
+		path := net.Paths[c]
+		e.paths[i] = path
+		e.qs[path[len(path)-1]].transit = false // a terminal hop never cuts through
 		e.flows[i].ctrl = newController(cfg.CC)
 		e.flows[i].lastLoss = math.MinInt64 / 2
 		h := &e.hot[i]
 		h.win = e.flows[i].ctrl.window()
-		h.baseSec = float64(net.BaseRTT[rep]) / 1e9
+		h.baseSec = float64(net.BaseRTT[c]) / 1e9
 		h.off = hops
 		h.lineNext = -1
-		hops += int32(len(e.paths[i]))
+		hops += int32(len(path))
 		e.minBaseSec = min(e.minBaseSec, h.baseSec)
 		e.peakW = max(e.peakW, float64(e.mCnt[i]))
 	}
@@ -398,7 +393,7 @@ func (e *netEngine) queued() float64 {
 	return total
 }
 
-// run advances fluid steps until all demand is delivered or the horizon
+// run advances fluid steps until every burst has completed or the horizon
 // expires.
 func (e *netEngine) run() error {
 	cfg := e.cfg
@@ -428,9 +423,16 @@ func (e *netEngine) run() error {
 			e.baseDrops, e.baseMarks, e.baseSent = e.drops, e.marks, e.sent
 			e.baseDelivered = e.cumDelivered
 		}
-		if e.relPtr == len(e.releases) && e.cumDelivered >= totalDemand-e.crumbEps-1e-6 &&
-			e.queued() <= e.crumbEps && len(e.activeList) == 0 && len(e.stalled) == 0 {
-			return nil
+		if len(e.activeList) == 0 && len(e.stalled) == 0 && e.queued() <= e.crumbEps {
+			// Fully idle: every released flow has finished, so every burst
+			// whose flows have all been released is complete, whatever
+			// rounding residue the delivered total carries.
+			for e.burstsDone < cfg.Bursts && e.burstReleased() {
+				e.completeBurst(e.now)
+			}
+			if e.burstsDone == cfg.Bursts {
+				return nil
+			}
 		}
 
 		if len(e.stalled) > 0 && e.nextWake <= e.now {
@@ -1086,16 +1088,13 @@ func (e *netEngine) wakeDue() {
 // deliveries: burst b is done when the cumulative delivered volume reaches
 // its target (per-flow demand cannot over-deliver, so the aggregate
 // crossing implies every flow finished). The completion instant is
-// interpolated within the step; half a base RTT approximates the final
-// ACK's return path.
+// interpolated within the step. A burst whose total falls short only by
+// rounding completes when the network goes idle instead (see run).
 func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
-	for e.burstsDone < e.cfg.Bursts {
+	for e.burstsDone < e.cfg.Bursts && e.burstReleased() {
 		target := float64(e.burstsDone+1) * float64(e.cfg.Flows) * e.segs
 		if e.cumDelivered < target-e.crumbEps {
 			break
-		}
-		if e.releasedFlows < float64((e.burstsDone+1)*e.cfg.Flows) {
-			break // not every flow of this burst has even been released
 		}
 		t := stepEnd
 		if served > 0 {
@@ -1108,10 +1107,22 @@ func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
 			}
 			t = stepEnd - sim.Time(over/served*float64(dt))
 		}
-		start := sim.Time(e.burstsDone) * e.cfg.Interval
-		e.bcts = append(e.bcts, t+e.cfg.BaseRTT/2-start)
-		e.burstsDone++
+		e.completeBurst(t)
 	}
+}
+
+// burstReleased reports whether every flow of the next burst to complete
+// has been released.
+func (e *netEngine) burstReleased() bool {
+	return e.releasedFlows >= float64((e.burstsDone+1)*e.cfg.Flows)
+}
+
+// completeBurst records the next burst as completed at t; half a base RTT
+// approximates the final ACK's return path.
+func (e *netEngine) completeBurst(t sim.Time) {
+	start := sim.Time(e.burstsDone) * e.cfg.Interval
+	e.bcts = append(e.bcts, t+e.cfg.BaseRTT/2-start)
+	e.burstsDone++
 }
 
 // checkConservation verifies released volume against delivered + unsent +
@@ -1149,9 +1160,6 @@ func (e *netEngine) finish() (*Result, error) {
 	cfg := e.cfg
 	if err := e.checkConservation(); err != nil {
 		return nil, err
-	}
-	if len(e.bcts) < cfg.Bursts {
-		return nil, fmt.Errorf("flowsim: network run completed only %d of %d bursts", len(e.bcts), cfg.Bursts)
 	}
 	r := &Result{
 		Flows:         cfg.Flows,

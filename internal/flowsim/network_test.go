@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"incastlab/internal/netsim"
@@ -104,8 +105,9 @@ func TestSingleQueueAllocs(t *testing.T) {
 }
 
 // TestNetworkValidation covers RunNetwork's input contract: a nil
-// network, mismatched flow counts, and structurally invalid path sets all
-// fail with named errors instead of running.
+// network, mismatched flow counts, structurally invalid path sets, and a
+// flow whose path class does not exist all fail with named errors instead
+// of running.
 func TestNetworkValidation(t *testing.T) {
 	cfg := quickConfig(4, CCConfig{})
 	if _, err := RunNetwork(NetworkConfig{Config: cfg}); err == nil {
@@ -123,27 +125,37 @@ func TestNetworkValidation(t *testing.T) {
 		Queues:  []netsim.FluidQueue{{Name: "x", RateBps: 0, CapacityPackets: 1, ECNThresholdPackets: 1}},
 		Paths:   [][]int32{{0}},
 		BaseRTT: []sim.Time{sim.Millisecond},
+		Class:   []int32{0},
 		Stage:   []int{0},
 	}
 	if _, err := RunNetwork(NetworkConfig{Config: quickConfig(1, CCConfig{}), Net: bad}); err == nil {
 		t.Error("zero-rate queue accepted")
 	}
+	ncfg, err = SingleQueue(cfg)
+	if err != nil {
+		t.Fatalf("SingleQueue: %v", err)
+	}
+	ncfg.Net.Class[3] = 1
+	if _, err := RunNetwork(ncfg); err == nil || !strings.Contains(err.Error(), "class") {
+		t.Errorf("flow in a path class that does not exist: error %v, want one naming the class", err)
+	}
 }
 
 // victimNet is a three-queue network for the tail-drop victim tests: one
 // shared uplink (queue 0, stage 0) in front of two terminal queues
-// (queues 1 and 2, stage 1). paths[i] picks flow i's terminal queue.
+// (queues 1 and 2, stage 1), one path class per terminal queue.
+// terminal[i] picks flow i's terminal queue.
 func victimNet(terminal []int32) *netsim.FluidPaths {
 	q := netsim.FluidQueue{RateBps: 10 * netsim.Gbps, CapacityPackets: 100, ECNThresholdPackets: 20}
 	net := &netsim.FluidPaths{
 		Queues:  []netsim.FluidQueue{q, q, q},
-		Paths:   make([][]int32, len(terminal)),
-		BaseRTT: make([]sim.Time, len(terminal)),
+		Paths:   [][]int32{{0, 1}, {0, 2}},
+		BaseRTT: []sim.Time{10 * sim.Microsecond, 10 * sim.Microsecond},
+		Class:   make([]int32, len(terminal)),
 		Stage:   []int{0, 1, 1},
 	}
 	for i, j := range terminal {
-		net.Paths[i] = []int32{0, j}
-		net.BaseRTT[i] = 10 * sim.Microsecond
+		net.Class[i] = j - 1
 	}
 	net.Queues[0].Name, net.Queues[1].Name, net.Queues[2].Name = "uplink", "terminal-a", "terminal-b"
 	net.Bottleneck = 1

@@ -205,6 +205,9 @@ func ECMPIndex(seed uint64, flow FlowID, src, dst NodeID, n int) int {
 	x := seed ^ (uint64(uint32(flow))<<32 | uint64(uint32(src)))
 	x = ecmpMix(x)
 	x = ecmpMix(x ^ uint64(uint32(dst)))
+	if n&(n-1) == 0 {
+		return int(x & uint64(n-1)) // x % n without the division
+	}
 	return int(x % uint64(n))
 }
 

@@ -30,23 +30,30 @@ type FluidQueue struct {
 	ECNThresholdPackets int
 }
 
-// FluidPaths is a queue network plus each flow's ordered traversal of it.
-// Paths[i] lists queue indices from the source outward; Stage assigns
+// FluidPaths is a queue network plus every flow's ordered traversal of
+// it, stored once per path class. A class is a distinct ordered queue
+// list with one base RTT: Paths[c] lists class c's queue indices from the
+// source outward, BaseRTT[c] is its uncongested round-trip, and Class[i]
+// is flow i's class. The queue list encodes the ECMP spine choice (same
+// seed, same hash, same spine), so aggregating a class never blurs
+// routing: the class is the partition flowsim's cohort aggregation keys
+// on, and a path set costs memory per class, not per flow. Stage assigns
 // every queue a topological level such that stages strictly increase
 // along every path (the fluid step integrates queues in stage order, so
 // volume forwarded out of one hop is visible to the next within the same
-// step). BaseRTT[i] is flow i's uncongested round-trip; Bottleneck is the
-// queue the run's headline statistics sample (the aggregator's leaf
-// downlink port in an incast).
+// step). Bottleneck is the queue the run's headline statistics sample
+// (the aggregator's leaf downlink port in an incast).
 type FluidPaths struct {
 	Queues     []FluidQueue
 	Paths      [][]int32
 	BaseRTT    []sim.Time
+	Class      []int32
 	Stage      []int
 	Bottleneck int
 }
 
-// Validate checks the structural invariants RunNetwork relies on.
+// Validate checks the structural invariants RunNetwork relies on: every
+// class path once, then every flow's class index.
 func (p *FluidPaths) Validate() error {
 	if len(p.Queues) == 0 {
 		return fmt.Errorf("netsim: fluid path set has no queues")
@@ -65,79 +72,31 @@ func (p *FluidPaths) Validate() error {
 			return fmt.Errorf("netsim: fluid queue %d (%s) needs positive rate, capacity, and ECN threshold", j, q.Name)
 		}
 	}
-	for i, path := range p.Paths {
+	for c, path := range p.Paths {
 		if len(path) == 0 {
-			return fmt.Errorf("netsim: fluid flow %d has an empty path", i)
+			return fmt.Errorf("netsim: fluid path class %d is empty", c)
 		}
-		if p.BaseRTT[i] <= 0 {
-			return fmt.Errorf("netsim: fluid flow %d has non-positive base RTT", i)
+		if p.BaseRTT[c] <= 0 {
+			return fmt.Errorf("netsim: fluid path class %d has non-positive base RTT", c)
 		}
 		prev := -1
 		for _, j := range path {
 			if j < 0 || int(j) >= len(p.Queues) {
-				return fmt.Errorf("netsim: fluid flow %d references queue %d outside the %d queues", i, j, len(p.Queues))
+				return fmt.Errorf("netsim: fluid path class %d references queue %d outside the %d queues", c, j, len(p.Queues))
 			}
 			if s := p.Stage[j]; s <= prev {
-				return fmt.Errorf("netsim: fluid flow %d path is not stage-monotonic at queue %d (%s)", i, j, p.Queues[j].Name)
+				return fmt.Errorf("netsim: fluid path class %d is not stage-monotonic at queue %d (%s)", c, j, p.Queues[j].Name)
 			} else {
 				prev = s
 			}
 		}
 	}
+	for i, c := range p.Class {
+		if c < 0 || int(c) >= len(p.Paths) {
+			return fmt.Errorf("netsim: fluid flow %d has path class %d outside the %d classes", i, c, len(p.Paths))
+		}
+	}
 	return nil
-}
-
-// PathClasses partitions the flows into path-equivalence classes: two
-// flows are in one class iff they traverse the identical ordered queue
-// list (which encodes the ECMP spine choice — same seed, same hash, same
-// spine — so aggregating a class never blurs routing) with the identical
-// base RTT. Returns a dense class ID per flow, assigned in first-appearance
-// order (deterministic given the path set), and the class count. This is
-// the partition flowsim's cohort aggregation keys on: within a class the
-// workload layer already guarantees one CC law, one demand, and one
-// release schedule, so the path is the only behavioral discriminant left.
-func (p *FluidPaths) PathClasses() ([]int32, int) {
-	type key struct {
-		hops [4]int32
-		n    int32
-		rtt  sim.Time
-	}
-	classOf := make([]int32, len(p.Paths))
-	byKey := make(map[key]int32)
-	var byLong map[string]int32 // fallback for paths deeper than 4 hops
-	next := int32(0)
-	for i, path := range p.Paths {
-		if len(path) <= 4 {
-			k := key{n: int32(len(path)), rtt: p.BaseRTT[i]}
-			copy(k.hops[:], path)
-			id, ok := byKey[k]
-			if !ok {
-				id = next
-				next++
-				byKey[k] = id
-			}
-			classOf[i] = id
-			continue
-		}
-		if byLong == nil {
-			byLong = make(map[string]int32)
-		}
-		buf := make([]byte, 0, len(path)*4+8)
-		for _, j := range path {
-			buf = append(buf, byte(j), byte(j>>8), byte(j>>16), byte(j>>24))
-		}
-		r := p.BaseRTT[i]
-		buf = append(buf, byte(r), byte(r>>8), byte(r>>16), byte(r>>24),
-			byte(r>>32), byte(r>>40), byte(r>>48), byte(r>>56))
-		id, ok := byLong[string(buf)]
-		if !ok {
-			id = next
-			next++
-			byLong[string(buf)] = id
-		}
-		classOf[i] = id
-	}
-	return classOf, int(next)
 }
 
 // newPortIndex returns an n-slot index with every slot unresolved (-1).
@@ -176,7 +135,8 @@ func (p *FluidPaths) Stages() int {
 // the fluid injection rate is capped at the host line rate instead. ACK
 // paths carry negligible volume and are folded into BaseRTT. Stages are
 // uplink=0, spine downlink=1, leaf downlink=2, so every path is
-// stage-monotonic. The bottleneck is dsts[0]'s leaf port.
+// stage-monotonic. The bottleneck is dsts[0]'s leaf port. Path classes
+// get dense IDs in the order their first flows appear.
 func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -184,19 +144,10 @@ func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 	if len(srcs) == 0 || len(srcs) != len(dsts) {
 		return nil, fmt.Errorf("netsim: fluid paths need matching src/dst lists (got %d/%d)", len(srcs), len(dsts))
 	}
-	p := &FluidPaths{
-		Paths:      make([][]int32, len(srcs)),
-		BaseRTT:    make([]sim.Time, len(srcs)),
-		Bottleneck: -1,
-	}
-	// Port indices resolved positionally — downlink per destination host,
-	// uplink per (source rack, spine), spine downlink per (spine,
-	// destination rack) — so the per-flow hot loop never formats a key or
-	// hashes a string. Queues still materialize in first-use order, which
-	// keeps indices (and therefore results) identical to the map-keyed
-	// builder this replaces.
-	hosts := c.Hosts()
-	downIdx := newPortIndex(hosts)
+	p := &FluidPaths{Class: make([]int32, len(srcs))}
+	// Port indices resolved positionally — uplink per (source rack,
+	// spine), spine downlink per (spine, destination rack) — so the
+	// per-flow hot loop never formats a key or hashes a string.
 	upIdx := newPortIndex(c.Racks * c.Spines)
 	sdIdx := newPortIndex(c.Spines * c.Racks)
 	addQueue := func(name string, rateBps int64, stage int) int32 {
@@ -210,11 +161,29 @@ func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 		p.Stage = append(p.Stage, stage)
 		return j
 	}
-	// Every path is at most 3 hops, so one backing array (sliced with full
-	// capacity bounds, so the sub-slices can never grow into each other)
-	// serves the whole flow set: building a million-flow path set costs a
-	// handful of allocations, not several per flow.
-	hops := make([]int32, 0, 3*len(srcs))
+	// A same-rack flow's path is fixed by its destination host, and a
+	// cross-rack flow's by (destination host, source rack, ECMP spine).
+	// So each destination, numbered densely as it first appears, owns its
+	// leaf downlink queue and a block of 1+Racks*Spines class slots: slot
+	// 0 for same-rack flows, 1+srcRack*Spines+spine for cross-rack ones.
+	// An uplink or spine port is only ever missing when its class is new,
+	// so queues still appear in per-flow first-use order.
+	hosts := c.Hosts()
+	width := 1 + c.Racks*c.Spines
+	dstIdx := newPortIndex(hosts)
+	// Sized for up to one destination per rack, the multi-aggregator
+	// layout; more destinations grow the slices.
+	down := make([]int32, 0, c.Racks)
+	slots := make([]int32, 0, c.Racks*width)
+	classes := min(len(srcs), c.Racks*width)
+	p.Paths = make([][]int32, 0, classes)
+	p.BaseRTT = make([]sim.Time, 0, classes)
+	// Every class path is at most 3 hops, carved from one backing array
+	// that grows by appending (a carved path keeps the array it was cut
+	// from) and sliced with full capacity bounds, so paths never grow into
+	// each other and a path set costs a handful of allocations at any
+	// class count.
+	hops := make([]int32, 0, 3*classes)
 
 	for i := range srcs {
 		src, dst := srcs[i], dsts[i]
@@ -224,38 +193,50 @@ func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 		if src == dst {
 			return nil, fmt.Errorf("netsim: fluid flow %d sends host %d to itself", i, src)
 		}
-		srcRack, dstRack := c.RackOf(src), c.RackOf(dst)
-		dstSlot := int(dst) - dstRack*c.HostsPerRack
-		down := downIdx[dst]
-		if down < 0 {
-			down = addQueue(fmt.Sprintf("leaf-%d-port-%d", dstRack, dstSlot), c.HostLinkBps, 2)
-			downIdx[dst] = down
+		// RackOf, spelled out: a method call on c here costs a copy of the
+		// config per flow.
+		srcRack, dstRack := int(src)/c.HostsPerRack, int(dst)/c.HostsPerRack
+		d := dstIdx[dst]
+		if d < 0 {
+			d = int32(len(down))
+			dstIdx[dst] = d
+			dstSlot := int(dst) - dstRack*c.HostsPerRack
+			down = append(down, addQueue(fmt.Sprintf("leaf-%d-port-%d", dstRack, dstSlot), c.HostLinkBps, 2))
+			for k := 0; k < width; k++ {
+				slots = append(slots, -1)
+			}
 		}
-		if p.Bottleneck < 0 {
-			p.Bottleneck = int(down)
+		slot, s := 0, 0
+		if srcRack != dstRack {
+			s = ECMPIndex(c.ECMPSeed, FlowID(i+1), src, dst, c.Spines)
+			slot = 1 + srcRack*c.Spines + s
 		}
-		start := len(hops)
-		if srcRack == dstRack {
-			hops = append(hops, down)
-			p.Paths[i] = hops[start:len(hops):len(hops)]
-			p.BaseRTT[i] = c.BaseRTT(false)
-			continue
+		k := int(d)*width + slot
+		if slots[k] < 0 {
+			slots[k] = int32(len(p.Paths))
+			start := len(hops)
+			if slot == 0 {
+				hops = append(hops, down[d])
+				p.BaseRTT = append(p.BaseRTT, c.BaseRTT(false))
+			} else {
+				up := upIdx[srcRack*c.Spines+s]
+				if up < 0 {
+					up = addQueue(fmt.Sprintf("leaf-%d-uplink-%d", srcRack, s), c.SpineLinkBps, 0)
+					upIdx[srcRack*c.Spines+s] = up
+				}
+				sd := sdIdx[s*c.Racks+dstRack]
+				if sd < 0 {
+					sd = addQueue(fmt.Sprintf("spine-%d-port-%d", s, dstRack), c.SpineLinkBps, 1)
+					sdIdx[s*c.Racks+dstRack] = sd
+				}
+				hops = append(hops, up, sd, down[d])
+				p.BaseRTT = append(p.BaseRTT, c.BaseRTT(true))
+			}
+			p.Paths = append(p.Paths, hops[start:len(hops):len(hops)])
 		}
-		s := ECMPIndex(c.ECMPSeed, FlowID(i+1), src, dst, c.Spines)
-		up := upIdx[srcRack*c.Spines+s]
-		if up < 0 {
-			up = addQueue(fmt.Sprintf("leaf-%d-uplink-%d", srcRack, s), c.SpineLinkBps, 0)
-			upIdx[srcRack*c.Spines+s] = up
-		}
-		sd := sdIdx[s*c.Racks+dstRack]
-		if sd < 0 {
-			sd = addQueue(fmt.Sprintf("spine-%d-port-%d", s, dstRack), c.SpineLinkBps, 1)
-			sdIdx[s*c.Racks+dstRack] = sd
-		}
-		hops = append(hops, up, sd, down)
-		p.Paths[i] = hops[start:len(hops):len(hops)]
-		p.BaseRTT[i] = c.BaseRTT(true)
+		p.Class[i] = slots[k]
 	}
+	p.Bottleneck = int(down[0])
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -49,43 +49,96 @@ type ClosIncastConfig struct {
 	Admitter Admitter
 }
 
-// ClosWorkerHosts returns the host IDs the workers occupy for a placement
-// over the given fabric, in flow order, or an error when the fabric is too
-// small. The aggregator is always host 0 (rack 0, slot 0).
-//
-// Cross-rack workers round-robin over racks 1..Racks-1 (worker i sits in
-// rack 1+i%(Racks-1), slot i/(Racks-1)); same-rack workers fill rack 0's
-// remaining slots.
-func ClosWorkerHosts(cfg netsim.ClosConfig, workers int, placement string) ([]netsim.NodeID, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("workload: clos incast needs at least one worker (got %d)", workers)
+// CheckClosPlacement reports whether a Clos incast of `workers` flows per
+// aggregator fits the fabric under the placement, and returns its total
+// flow count, without building the endpoint lists. ClosFlowEndpoints runs
+// this check before it places anyone, so the two cannot disagree. The
+// errors are too many aggregators, too few workers, an unknown placement,
+// more single-aggregator workers than the fabric has hosts for, and a
+// full rack (named by the first worker that would not fit).
+func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placement string) (int, error) {
+	if aggregators <= 1 {
+		if workers <= 0 {
+			return 0, fmt.Errorf("workload: clos incast needs at least one worker (got %d)", workers)
+		}
+		switch placement {
+		case PlacementCrossRack, "":
+			remote := cfg.Racks - 1
+			if cap := remote * cfg.HostsPerRack; workers > cap {
+				return 0, fmt.Errorf(
+					"workload: %d cross-rack workers exceed the %d hosts in racks 1..%d (%d racks x %d hosts/rack)",
+					workers, cap, cfg.Racks-1, remote, cfg.HostsPerRack)
+			}
+		case PlacementSameRack:
+			if cap := cfg.HostsPerRack - 1; workers > cap {
+				return 0, fmt.Errorf(
+					"workload: %d same-rack workers exceed the %d free slots under the aggregator's leaf (%d hosts/rack)",
+					workers, cap, cfg.HostsPerRack)
+			}
+		default:
+			return 0, fmt.Errorf("workload: unknown placement %q (want %q or %q)",
+				placement, PlacementCrossRack, PlacementSameRack)
+		}
+		return workers, nil
 	}
-	ids := make([]netsim.NodeID, workers)
+	if aggregators > cfg.Racks {
+		return 0, fmt.Errorf(
+			"workload: %d aggregators exceed the %d racks (one aggregator per rack, at slot 0)",
+			aggregators, cfg.Racks)
+	}
+	if workers <= 0 {
+		return 0, fmt.Errorf("workload: clos incast needs at least one worker per aggregator (got %d)", workers)
+	}
+	full := func(r, i, k int) error {
+		return fmt.Errorf(
+			"workload: rack %d full placing worker %d of aggregator %d (%d aggregators x %d workers, placement %q, %d hosts/rack)",
+			r, i, k, aggregators, workers, placement, cfg.HostsPerRack)
+	}
 	switch placement {
 	case PlacementCrossRack, "":
-		remote := cfg.Racks - 1
-		if cap := remote * cfg.HostsPerRack; workers > cap {
-			return nil, fmt.Errorf(
-				"workload: %d cross-rack workers exceed the %d hosts in racks 1..%d (%d racks x %d hosts/rack)",
-				workers, cap, cfg.Racks-1, remote, cfg.HostsPerRack)
-		}
-		for i := 0; i < workers; i++ {
-			ids[i] = cfg.HostID(1+i%remote, i/remote)
-		}
 	case PlacementSameRack:
-		if cap := cfg.HostsPerRack - 1; workers > cap {
-			return nil, fmt.Errorf(
-				"workload: %d same-rack workers exceed the %d free slots under the aggregator's leaf (%d hosts/rack)",
-				workers, cap, cfg.HostsPerRack)
+		// Aggregator k's workers fill rack k from slot 1, which no other
+		// aggregator touches.
+		if workers > cfg.HostsPerRack-1 {
+			return 0, full(0, max(cfg.HostsPerRack-1, 0), 0)
 		}
-		for i := 0; i < workers; i++ {
-			ids[i] = cfg.HostID(0, i+1)
-		}
+		return aggregators * workers, nil
 	default:
-		return nil, fmt.Errorf("workload: unknown placement %q (want %q or %q)",
+		return 0, fmt.Errorf("workload: unknown placement %q (want %q or %q)",
 			placement, PlacementCrossRack, PlacementSameRack)
 	}
-	return ids, nil
+	// Cross-rack: aggregator k's worker i lands in rack (k+1+j)%Racks for
+	// j = i%(Racks-1), as that rack's (i/(Racks-1))-th arrival from k. With
+	// used[r] slots of rack r taken before aggregator k places anyone, the
+	// first of k's workers that finds rack r full is the one arriving
+	// there when used[r] reaches HostsPerRack; the rack that overflows
+	// first in worker order is the error.
+	n := cfg.Racks - 1
+	q, rem := workers/n, workers%n
+	used := make([]int, cfg.Racks)
+	for r := 0; r < aggregators; r++ {
+		used[r] = 1 // slot 0 hosts aggregator r
+	}
+	for k := 0; k < aggregators; k++ {
+		worst, worstRack := workers, -1
+		for j := 0; j < n; j++ {
+			r := (k + 1 + j) % cfg.Racks
+			cnt := q
+			if j < rem {
+				cnt++
+			}
+			if free := max(cfg.HostsPerRack-used[r], 0); cnt > free {
+				if i := j + free*n; i < worst {
+					worst, worstRack = i, r
+				}
+			}
+			used[r] += cnt
+		}
+		if worstRack >= 0 {
+			return 0, full(worstRack, worst, k)
+		}
+	}
+	return aggregators * workers, nil
 }
 
 // ClosFlowEndpoints returns the (src, dst) host pair of every flow in a
@@ -94,54 +147,39 @@ func ClosWorkerHosts(cfg netsim.ClosConfig, workers int, placement string) ([]ne
 // This is the single source of truth both backends place flows from: the
 // packet workload builds its senders from it and the fluid solver builds
 // its queue paths from it, so ECMP hashes over identical (flow, src, dst)
-// tuples.
+// tuples. Placements that do not fit fail with CheckClosPlacement's error.
 //
-// aggregators <= 1 reproduces ClosWorkerHosts exactly (aggregator at host
-// 0). For A > 1, aggregator k sits at rack k slot 0; its same-rack workers
-// fill rack k's remaining slots, while its cross-rack workers round-robin
-// over the other racks starting at rack k+1, taking each rack's next free
-// slot (slot 0 stays reserved for that rack's aggregator, if any).
+// Aggregator k sits at rack k slot 0 (aggregators <= 1 means the one
+// aggregator at host 0). Its same-rack workers fill rack k's remaining
+// slots, while its cross-rack workers round-robin over the other racks
+// starting at rack k+1, taking each rack's next free slot (slot 0 stays
+// reserved for that rack's aggregator, if any). With one aggregator,
+// cross-rack worker i therefore sits in rack 1+i%(Racks-1), slot
+// i/(Racks-1).
 func ClosFlowEndpoints(cfg netsim.ClosConfig, workers, aggregators int, placement string) (srcs, dsts []netsim.NodeID, err error) {
-	if aggregators <= 1 {
-		ids, err := ClosWorkerHosts(cfg, workers, placement)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ids, make([]netsim.NodeID, workers), nil
+	n, err := CheckClosPlacement(cfg, workers, aggregators, placement)
+	if err != nil {
+		return nil, nil, err
 	}
-	if aggregators > cfg.Racks {
-		return nil, nil, fmt.Errorf(
-			"workload: %d aggregators exceed the %d racks (one aggregator per rack, at slot 0)",
-			aggregators, cfg.Racks)
-	}
-	if workers <= 0 {
-		return nil, nil, fmt.Errorf("workload: clos incast needs at least one worker per aggregator (got %d)", workers)
-	}
+	aggregators = max(aggregators, 1)
 	next := make([]int, cfg.Racks) // next free slot per rack
 	for r := 0; r < aggregators; r++ {
 		next[r] = 1 // slot 0 hosts aggregator r
 	}
-	srcs = make([]netsim.NodeID, 0, aggregators*workers)
-	dsts = make([]netsim.NodeID, 0, aggregators*workers)
+	srcs = make([]netsim.NodeID, 0, n)
+	dsts = make([]netsim.NodeID, 0, n)
+	// HostID spelled out: a method call on cfg here costs a copy of the
+	// config per flow.
+	racks, hpr := cfg.Racks, cfg.HostsPerRack
+	cross := placement != PlacementSameRack
 	for k := 0; k < aggregators; k++ {
-		agg := cfg.HostID(k, 0)
+		agg := netsim.NodeID(k * hpr)
 		for i := 0; i < workers; i++ {
-			var r int
-			switch placement {
-			case PlacementCrossRack, "":
-				r = (k + 1 + i%(cfg.Racks-1)) % cfg.Racks
-			case PlacementSameRack:
-				r = k
-			default:
-				return nil, nil, fmt.Errorf("workload: unknown placement %q (want %q or %q)",
-					placement, PlacementCrossRack, PlacementSameRack)
+			r := k
+			if cross {
+				r = (k + 1 + i%(racks-1)) % racks
 			}
-			if next[r] >= cfg.HostsPerRack {
-				return nil, nil, fmt.Errorf(
-					"workload: rack %d full placing worker %d of aggregator %d (%d aggregators x %d workers, placement %q, %d hosts/rack)",
-					r, i, k, aggregators, workers, placement, cfg.HostsPerRack)
-			}
-			srcs = append(srcs, cfg.HostID(r, next[r]))
+			srcs = append(srcs, netsim.NodeID(r*hpr+next[r]))
 			next[r]++
 			dsts = append(dsts, agg)
 		}
