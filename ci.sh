@@ -31,7 +31,9 @@
 #                        artifacts must be bit-identical across all three,
 #                        both snapshots must parse and carry the key metric
 #                        families, and their deterministic subsets must be
-#                        byte-equal
+#                        byte-equal; quick Fig-5 + the Clos cross-rack sweep
+#                        then run the same three ways at -fidelity flow, so
+#                        the fluid harvest is held to the same contract
 #   7. registry gate     `figures -list` must match the checked-in golden
 #                        name list, an unknown -only name must exit
 #                        non-zero, a trailing comma in -only is ignored
@@ -134,6 +136,18 @@ go run ./internal/obs/snapcheck \
   -require runs,sim_events_executed,sim_time_ns,net_queue_enqueued_packets,net_link_tx_bytes,net_pool_gets,tcp_sent_packets,cc_cwnd_updates,burst_bct_ms \
   "$OBS_TMP/m1.json"
 go run ./internal/obs/snapcheck -diff "$OBS_TMP/m1.json" "$OBS_TMP/m2.json"
+go run ./cmd/figures -quick -only fig5,ext_clos_crossrack -fidelity flow -workers 1 -out "$OBS_TMP/flow_base"
+go run ./cmd/figures -quick -only fig5,ext_clos_crossrack -fidelity flow -workers 1 -metrics "$OBS_TMP/f1.json" -out "$OBS_TMP/flow_serial"
+go run ./cmd/figures -quick -only fig5,ext_clos_crossrack -fidelity flow -workers 4 -metrics "$OBS_TMP/f2.json" -out "$OBS_TMP/flow_parallel"
+for f in "$OBS_TMP"/flow_base/*.csv; do
+  name="$(basename "$f")"
+  cmp "$f" "$OBS_TMP/flow_serial/$name"
+  cmp "$f" "$OBS_TMP/flow_parallel/$name"
+done
+go run ./internal/obs/snapcheck \
+  -require runs,sim_events_executed,flowsim_cohorts,cc_final_cwnd_bytes,cc_final_alpha,burst_bct_ms \
+  "$OBS_TMP/f1.json"
+go run ./internal/obs/snapcheck -diff "$OBS_TMP/f1.json" "$OBS_TMP/f2.json"
 
 echo "==> registry gate: -list golden, unknown -only rejection, quick CSV goldens"
 go run ./cmd/figures -list | diff -u internal/core/testdata/registry_names.golden -
@@ -269,7 +283,7 @@ BenchmarkFlowsimFig5 3418
 BenchmarkFlowsimCohortFig5 3401
 BenchmarkFlowsimPerFlowFig5Point 41
 BenchmarkFlowsimCohortFig5Point 59
-BenchmarkClosMillionFlowSingleRun 930 104368722
+BenchmarkClosMillionFlowSingleRun 930 87190119
 CEILINGS
 
 echo "==> ci.sh: all checks passed"

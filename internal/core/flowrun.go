@@ -180,6 +180,35 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 	if cfg.Metrics != nil {
 		wallStart = time.Now()
 	}
+	fres := runFluid(cfg)
+	res := &SimResult{
+		Fidelity:          FidelityFlow,
+		Flows:             cfg.Flows,
+		AlgName:           fres.AlgName,
+		AvgQueue:          fres.AvgQueue,
+		MaxQueue:          fres.MaxQueue,
+		FracBelowK:        fres.FracBelowK,
+		SpikePackets:      fres.SpikePackets,
+		MeanBCT:           fres.MeanBCT,
+		MaxBCT:            fres.MaxBCT,
+		Timeouts:          fres.Timeouts,
+		FastRetransmits:   fres.FastRetransmits,
+		RetransmitPackets: fres.RetransmitPackets,
+		Drops:             fres.Drops,
+		Marks:             fres.Marks,
+		SentPackets:       fres.SentPackets,
+		Events:            fres.Steps,
+		SimNow:            fres.SimNow,
+		QueueCapacity:     fres.QueueCapacity,
+		ECNThreshold:      fres.ECNThreshold,
+	}
+	harvestFlowRun(&cfg, fres, wallStart)
+	return res
+}
+
+// runFluid lowers a filled SimConfig onto the fluid backend's queue
+// network and runs it, panicking on any error as runFlowIncastSim does.
+func runFluid(cfg SimConfig) *flowsim.Result {
 	if err := cfg.FlowCompatible(); err != nil {
 		panic(err.Error())
 	}
@@ -236,30 +265,7 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 	if err != nil {
 		panic(fmt.Sprintf("core: flow-level simulation with %d flows: %v", fcfg.Flows, err))
 	}
-
-	res := &SimResult{
-		Fidelity:          FidelityFlow,
-		Flows:             cfg.Flows,
-		AlgName:           fres.AlgName,
-		AvgQueue:          fres.AvgQueue,
-		MaxQueue:          fres.MaxQueue,
-		FracBelowK:        fres.FracBelowK,
-		SpikePackets:      fres.SpikePackets,
-		MeanBCT:           fres.MeanBCT,
-		MaxBCT:            fres.MaxBCT,
-		Timeouts:          fres.Timeouts,
-		FastRetransmits:   fres.FastRetransmits,
-		RetransmitPackets: fres.RetransmitPackets,
-		Drops:             fres.Drops,
-		Marks:             fres.Marks,
-		SentPackets:       fres.SentPackets,
-		Events:            fres.Steps,
-		SimNow:            fres.SimNow,
-		QueueCapacity:     fres.QueueCapacity,
-		ECNThreshold:      fres.ECNThreshold,
-	}
-	harvestFlowRun(&cfg, fres, wallStart)
-	return res
+	return fres
 }
 
 // harvestFlowRun publishes a flow-level run's telemetry under the same
@@ -358,13 +364,18 @@ func harvestFlowRun(cfg *SimConfig, r *flowsim.Result, wallStart time.Time) {
 	c.Counter("cc_cwnd_updates").Add(r.CwndUpdates)
 	harvestCohorts(c, r.Cohorts, r.CohortSplits, r.PeakCohortWeight)
 
+	// End state is kept per record; expand it flow by flow in flow-ID
+	// order, so the histograms' float sums match a per-flow walk.
+	flowRec := r.Final.FlowRecords()
 	cwnd := c.Histogram("cc_final_cwnd_bytes", cwndBuckets)
-	for _, w := range r.FinalCwndPkts {
-		cwnd.Observe(w * float64(netsim.MSS))
+	for _, i := range flowRec {
+		cwnd.Observe(r.Final.Win[i] * float64(netsim.MSS))
 	}
 	alpha := c.Histogram("cc_final_alpha", alphaBuckets)
-	for _, a := range r.FinalAlphas {
-		alpha.Observe(a)
+	if r.Final.Alpha != nil {
+		for _, i := range flowRec {
+			alpha.Observe(r.Final.Alpha[i])
+		}
 	}
 	bct := c.Histogram("burst_bct_ms", bctBuckets)
 	for _, b := range r.BCTs {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -397,5 +398,63 @@ func TestScenarioFlowFidelity(t *testing.T) {
 	unknown.Fidelity = "warp"
 	if _, _, _, err := CompileScenario(Options{}, unknown); err == nil {
 		t.Error("unknown fidelity compiled")
+	}
+}
+
+// TestFlowEndStateHistograms gates keeping the fluid end state per record:
+// on a cohort-aggregated Clos row, the cc_final_cwnd_bytes and
+// cc_final_alpha histograms the harvest publishes must equal those of the
+// per-flow expansion the harvest used to read from flowsim — each member's
+// window and alpha written at its flow ID, then observed in flow-ID order
+// — bucket for bucket, with bit-identical sums.
+func TestFlowEndStateHistograms(t *testing.T) {
+	clos := netsim.DefaultClosConfig(8, 600)
+	cfg := SimConfig{
+		Flows: 4200, Aggregators: 1, Clos: &clos, Placement: workload.PlacementCrossRack,
+		Bursts: 3, Fidelity: FidelityFlow, Aggregation: AggregationCohort,
+	}
+	cfg.fill()
+	fres := runFluid(cfg)
+	end := fres.Final
+	if fres.Cohorts >= len(end.Members) || fres.CohortSplits == 0 || end.Alpha == nil {
+		t.Fatalf("want a split cohort DCTCP run: %d records for %d flows, %d splits, alphas %t",
+			fres.Cohorts, len(end.Members), fres.CohortSplits, end.Alpha != nil)
+	}
+	win := make([]float64, len(end.Members))
+	alpha := make([]float64, len(end.Members))
+	for r := range end.Win {
+		for _, m := range end.Members[end.Off[r] : end.Off[r]+end.Cnt[r]] {
+			win[m] = end.Win[r]
+			alpha[m] = end.Alpha[r]
+		}
+	}
+	want := obs.NewRegistry()
+	c := want.Collector()
+	cwnd := c.Histogram("cc_final_cwnd_bytes", cwndBuckets)
+	for _, w := range win {
+		cwnd.Observe(w * float64(netsim.MSS))
+	}
+	alphas := c.Histogram("cc_final_alpha", alphaBuckets)
+	for _, a := range alpha {
+		alphas.Observe(a)
+	}
+	c.Close()
+
+	cfg.Metrics = obs.NewRegistry()
+	RunIncastSim(cfg)
+	got := map[string]obs.HistogramValue{}
+	for _, h := range cfg.Metrics.Snapshot().Histograms {
+		got[h.Name] = h
+	}
+	for _, w := range want.Snapshot().Histograms {
+		g, ok := got[w.Name]
+		switch {
+		case !ok:
+			t.Errorf("%s: not published", w.Name)
+		case g.Count != w.Count || !slices.Equal(g.Counts, w.Counts):
+			t.Errorf("%s: %d observations in buckets %v, want %d in %v", w.Name, g.Count, g.Counts, w.Count, w.Counts)
+		case math.Float64bits(g.Sum) != math.Float64bits(w.Sum):
+			t.Errorf("%s: sum %v, want %v", w.Name, g.Sum, w.Sum)
+		}
 	}
 }

@@ -227,11 +227,9 @@ type Result struct {
 	// CwndUpdates counts controller updates across all flows (whole run),
 	// feeding the same obs metric as the packet algorithms.
 	CwndUpdates int64
-	// FinalCwndPkts holds each flow's effective window at the end of the
-	// run; FinalAlphas holds the DCTCP-family congestion estimates (empty
-	// for other laws). Both feed the obs end-state histograms.
-	FinalCwndPkts []float64
-	FinalAlphas   []float64
+	// Final is the controllers' end state, one entry per flow record; it
+	// feeds the obs end-state histograms.
+	Final EndState
 
 	// Steps is the number of fluid steps executed and SimNow the virtual
 	// time reached — the flow-level analogue of events/SimNow.
@@ -249,6 +247,30 @@ type Result struct {
 
 	// QueueCapacity and ECNThreshold echo the configuration.
 	QueueCapacity, ECNThreshold int
+}
+
+// EndState is a run's end-of-run controller state, kept per flow record:
+// every member of a record shares its controller, so one window and one
+// alpha stand for all of the record's members.
+type EndState struct {
+	// Win[r] is record r's effective window in packets and Alpha[r] its
+	// DCTCP-family congestion estimate (Alpha is nil for other laws).
+	Win, Alpha []float64
+	// Record r's members are the flow IDs Members[Off[r] : Off[r]+Cnt[r]].
+	Members, Off, Cnt []int32
+}
+
+// FlowRecords returns each flow's record index, indexed by flow ID:
+// ranging over it visits every flow's end state in flow-ID order, the
+// order a per-flow run reports it in.
+func (s *EndState) FlowRecords() []int32 {
+	rec := make([]int32, len(s.Members))
+	for r, off := range s.Off {
+		for _, m := range s.Members[off : off+s.Cnt[r]] {
+			rec[m] = int32(r)
+		}
+	}
+	return rec
 }
 
 // ModeFracBelowK is the busy-sample fraction below K separating healthy

@@ -11,7 +11,7 @@ import "sync"
 // Correctness: results are independent of pool warmth. Every reused
 // slice is re-lengthened and cleared (or fully overwritten) before the
 // integrator reads it, and nothing the engine returns aliases pooled
-// memory — Result copies the sample series, BCTs, and per-flow end
+// memory — Result copies the sample series, BCTs, and per-record end
 // state into fresh slices. Each acquired bundle is owned by exactly one
 // goroutine until released, so parallel sweeps stay race-free.
 type netScratch struct {
@@ -27,13 +27,15 @@ type netScratch struct {
 	paths [][]int32
 	hops  []hopState
 
-	// Tail-drop victim index (CSR offsets and entries).
-	vicOff []int32
-	vic    []victim
+	// Tail-drop victim index (CSR offsets and entries) and the per-release
+	// live counts that filter it.
+	vicOff  []int32
+	vic     []victim
+	relLive []int32
 
-	// Run-loop lists.
+	// Run-loop lists: the active records and the wake heap.
 	activeList []int32
-	stalled    []stallEntry
+	wakes      wakeHeap
 }
 
 var netScratchPool = sync.Pool{New: func() any { return new(netScratch) }}
@@ -59,7 +61,8 @@ func emptied[T any](buf []T, n int) []T {
 }
 
 // attach populates the engine's arrays from the recycled bundle and
-// remembers it for release.
+// remembers it for release. The per-release counts are sized to
+// e.releases, so the release schedule must be in place first.
 func (e *netEngine) attach(sc *netScratch, nq, stages, m int, hops int32) {
 	e.scratch = sc
 	e.qs = grown(sc.qs, nq)
@@ -71,8 +74,9 @@ func (e *netEngine) attach(sc *netScratch, nq, stages, m int, hops int32) {
 	e.hops = grown(sc.hops, int(hops))
 	e.vicOff = grown(sc.vicOff, nq+1)
 	e.vic = sc.vic
+	e.relLive = grown(sc.relLive, len(e.releases))
 	e.activeList = emptied(sc.activeList, m)
-	e.stalled = emptied(sc.stalled, m)
+	e.wakes = emptied(sc.wakes, m)
 }
 
 // release hands the (possibly split-grown) backing arrays back to the
@@ -90,7 +94,7 @@ func (e *netEngine) release() {
 	// run's FluidPaths backing until the bundle's next use.
 	clear(e.paths)
 	sc.paths = e.paths
-	sc.vicOff, sc.vic = e.vicOff, e.vic
-	sc.activeList, sc.stalled = e.activeList, e.stalled
+	sc.vicOff, sc.vic, sc.relLive = e.vicOff, e.vic, e.relLive
+	sc.activeList, sc.wakes = e.activeList, e.wakes
 	netScratchPool.Put(sc)
 }

@@ -139,8 +139,11 @@ type netFlow struct {
 	// lineNext threads split descendants into each original record's
 	// lineage chain (-1 terminated).
 	lineNext int32
-	reduced  bool
-	// parked is set while the record has entries on the stalled list.
+	// rel is the index of the lineage's latest release (-1 before the
+	// first); relLive counts the active records by it.
+	rel     int32
+	reduced bool
+	// parked is set while the record has entries on the wake heap.
 	parked bool
 }
 
@@ -223,11 +226,15 @@ type netEngine struct {
 	// is fixed once the engine is built.
 	vicOff []int32
 	vic    []victim
+	// relLive[r] counts the active records whose lineage's latest release
+	// is release r. Only active records hold arrivals, so the tail-drop
+	// walk skips the index entries of a release with none.
+	relLive []int32
 
-	// stalled lists records parked on an RTO, in parking order; nextWake
-	// caches the earliest wake time.
-	stalled  []stallEntry
-	nextWake sim.Time
+	// wakes holds one entry per RTO parking, ordered by (deadline, parking
+	// sequence); parkSeq numbers the parkings.
+	wakes   wakeHeap
+	parkSeq int64
 
 	// activeList holds records with sendable or in-network volume.
 	activeList []int32
@@ -277,7 +284,6 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		bneck:      net.Bottleneck,
 		segs:       float64(cfg.SegmentsPerFlow),
 		crumbEps:   float64(n)*volEps*4 + 1e-9,
-		nextWake:   math.MaxInt64,
 		timeRounds: cfg.CC.Kind == KindSwift,
 		releases:   releases,
 		bcts:       make([]sim.Time, 0, cfg.Bursts),
@@ -322,6 +328,7 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		h.baseSec = float64(net.BaseRTT[c]) / 1e9
 		h.off = hops
 		h.lineNext = -1
+		h.rel = -1
 		hops += int32(len(path))
 		e.minBaseSec = min(e.minBaseSec, h.baseSec)
 		e.peakW = max(e.peakW, float64(e.mCnt[i]))
@@ -334,14 +341,6 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 	}
 	e.smp = newSampler(cfg.Config, first)
 	return e, nil
-}
-
-// stallEntry is one stalled-list entry: a record parked on an RTO and its
-// wake deadline. The deadline always equals the record's hot stallT: a
-// record re-armed before its wake is processed has every entry updated.
-type stallEntry struct {
-	rec int32
-	at  sim.Time
 }
 
 // victim is one tail-drop victim index entry: a release and the hop at
@@ -380,7 +379,41 @@ func (e *netEngine) buildVictimIndex() {
 func (e *netEngine) activate(i int32) {
 	if !e.flows[i].active {
 		e.flows[i].active = true
+		e.relLive[e.hot[i].rel]++
 		e.activeList = append(e.activeList, i)
+	}
+}
+
+// retire takes a finished (or stalled-and-drained) record off the live
+// counts and writes its crumbs off; the caller drops it from the active
+// list.
+func (e *netEngine) retire(i int32) {
+	e.writeOff(i)
+	e.flows[i].active = false
+	e.relLive[e.hot[i].rel]--
+}
+
+// releaseDue makes every release that is due by now. Each release record
+// covers its unit's whole lineage: the original record plus any split-off
+// descendants, whose live counts move to the new release.
+func (e *netEngine) releaseDue() {
+	for e.relPtr < len(e.releases) && e.releases[e.relPtr].at <= e.now {
+		r := e.releases[e.relPtr]
+		rel := int32(e.relPtr)
+		for ci := r.flow; ci >= 0; ci = e.hot[ci].lineNext {
+			if e.flows[ci].active {
+				e.relLive[e.hot[ci].rel]--
+				e.relLive[rel]++
+			}
+			e.hot[ci].rel = rel
+			e.hot[ci].unsent += e.segs
+			e.flows[ci].lastRelease = r.at
+			e.releasedFlows += float64(e.mCnt[ci])
+			if e.hot[ci].stallT <= e.now {
+				e.activate(ci)
+			}
+		}
+		e.relPtr++
 	}
 }
 
@@ -403,30 +436,23 @@ func (e *netEngine) run() error {
 	bneck := &e.qs[e.bneck]
 
 	for e.now < deadline {
-		// Each release record covers its unit's whole lineage: the original
-		// record plus any split-off descendants.
-		for e.relPtr < len(e.releases) && e.releases[e.relPtr].at <= e.now {
-			r := e.releases[e.relPtr]
-			for ci := r.flow; ci >= 0; ci = e.hot[ci].lineNext {
-				e.hot[ci].unsent += e.segs
-				e.flows[ci].lastRelease = r.at
-				e.releasedFlows += float64(e.mCnt[ci])
-				if e.hot[ci].stallT <= e.now {
-					e.activate(ci)
-				}
-			}
-			e.relPtr++
-		}
+		e.releaseDue()
 		if !e.baseTaken && e.now >= measuredStart {
 			e.baseTaken = true
 			e.baseTimeouts, e.baseFastRetx, e.baseRetxPkts = e.timeouts, e.fastRetx, e.retxPkts
 			e.baseDrops, e.baseMarks, e.baseSent = e.drops, e.marks, e.sent
 			e.baseDelivered = e.cumDelivered
 		}
-		if len(e.activeList) == 0 && len(e.stalled) == 0 && e.queued() <= e.crumbEps {
+		if len(e.activeList) == 0 && len(e.wakes) == 0 && e.queued() <= e.crumbEps {
 			// Fully idle: every released flow has finished, so every burst
 			// whose flows have all been released is complete, whatever
-			// rounding residue the delivered total carries.
+			// rounding residue the delivered total carries — unless some
+			// record still holds volume that nothing is left to send.
+			if e.burstsDone < cfg.Bursts && e.burstReleased() {
+				if err := e.checkStranded(); err != nil {
+					return err
+				}
+			}
 			for e.burstsDone < cfg.Bursts && e.burstReleased() {
 				e.completeBurst(e.now)
 			}
@@ -435,7 +461,7 @@ func (e *netEngine) run() error {
 			}
 		}
 
-		if len(e.stalled) > 0 && e.nextWake <= e.now {
+		if len(e.wakes) > 0 && e.wakes[0].at <= e.now {
 			e.wakeDue()
 			continue
 		}
@@ -446,8 +472,8 @@ func (e *netEngine) run() error {
 		if e.relPtr < len(e.releases) && e.releases[e.relPtr].at < next {
 			next = e.releases[e.relPtr].at
 		}
-		if len(e.stalled) > 0 && e.nextWake < next {
-			next = e.nextWake
+		if len(e.wakes) > 0 && e.wakes[0].at < next {
+			next = e.wakes[0].at
 		}
 		if !e.baseTaken && measuredStart > e.now && measuredStart < next {
 			next = measuredStart
@@ -683,8 +709,7 @@ func (e *netEngine) step(dt sim.Time) error {
 			h.roundDel, h.roundMark = 0, 0
 			h.reduced = false
 			if e.residual(i) <= finishCrumb {
-				e.writeOff(i)
-				e.flows[i].active = false
+				e.retire(i)
 				continue
 			}
 			keep = append(keep, i)
@@ -693,8 +718,7 @@ func (e *netEngine) step(dt sim.Time) error {
 		if h.unsent <= volEps && e.residual(i) <= finishCrumb {
 			// Done: write the sub-packet crumb off instead of stepping the
 			// flow until multiplicative draining grinds it below volEps.
-			e.writeOff(i)
-			e.flows[i].active = false
+			e.retire(i)
 			continue
 		}
 		keep = append(keep, i)
@@ -814,7 +838,11 @@ func (e *netEngine) stepFlowStage(i int32, s int) {
 // visiting order of the others unchanged. An entry counts only when it is
 // its unit's latest release and the unit offered arrivals this step;
 // split descendants share their lineage's release entry and are visited
-// newest sub-cohort first.
+// newest sub-cohort first. Only active records hold arrivals, and a record
+// whose lineage was released again fails the latest-release test, so an
+// entry whose release has no active record (relLive) is skipped before
+// any record is read: the victims, their order and every drop amount are
+// those of the full walk.
 func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
 	list := e.vic[e.vicOff[j]:e.vicOff[j+1]]
 	released, _ := slices.BinarySearchFunc(list, int32(e.relPtr), func(v victim, rel int32) int {
@@ -823,6 +851,9 @@ func (e *netEngine) dropTailQueue(j int32, overflow float64, stepEnd sim.Time) {
 	remaining := overflow
 	for k := released - 1; k >= 0 && remaining > volEps; k-- {
 		v := list[k]
+		if e.relLive[v.rel] == 0 {
+			continue
+		}
 		rel := e.releases[v.rel]
 		h := int(v.hop)
 		for i := rel.flow; i >= 0 && remaining > volEps; i = e.hot[i].lineNext {
@@ -899,23 +930,22 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 		f.backoff++
 		at := stepEnd + rto
 		if e.hot[i].parked {
-			// Re-armed in the step its old deadline ends: its earlier stalled
+			// Re-armed in the step its old deadline ends: its earlier wake
 			// entries must read the new deadline, as they would from hot.
-			for k := range e.stalled {
-				if e.stalled[k].rec == i {
-					e.stalled[k].at = at
+			for k := range e.wakes {
+				if e.wakes[k].rec == i {
+					e.wakes[k].at = at
 				}
 			}
+			e.wakes.init()
 		}
 		e.hot[i].stallT = at
 		e.hot[i].parked = true
 		f.roundEnd = 0
 		e.hot[i].roundDel, e.hot[i].roundMark = 0, 0
 		e.hot[i].reduced = false
-		e.stalled = append(e.stalled, stallEntry{rec: i, at: at})
-		if at < e.nextWake {
-			e.nextWake = at
-		}
+		e.parkSeq++
+		e.wakes.push(stallEntry{rec: i, at: at, seq: e.parkSeq})
 	} else if rttTime := sim.Time(e.hot[i].rttSec * 1e9); stepEnd-f.lastLoss >= rttTime {
 		e.fastRetx += w
 		f.ctrl.onLoss()
@@ -990,7 +1020,7 @@ func (e *netEngine) netSplitDrop(i, oh int32, h int, j int32, d float64, stepEnd
 // (per-member semantics make the copy exact), the path slice header is
 // shared, and the record joins the parent's lineage chain (so future
 // releases reach it) and the active list (splits only happen to records
-// with live arrivals).
+// with live arrivals), counted live under the parent's release.
 func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	ci := int32(len(e.flows))
 	e.flows = append(e.flows, e.flows[parent])
@@ -1001,10 +1031,11 @@ func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	po := e.hot[parent].off
 	c := &e.hot[ci]
 	c.off = int32(len(e.hops))
-	c.parked = false // the child has no stalled-list entries
+	c.parked = false // the child has no wake entries
 	e.hot[parent].lineNext = ci
 	e.hops = append(e.hops, e.hops[po:po+int32(len(e.paths[parent]))]...)
 	e.flows[ci].active = true
+	e.relLive[c.rel]++
 	e.activeList = append(e.activeList, ci)
 	return ci
 }
@@ -1060,20 +1091,19 @@ func (e *netEngine) writeOff(i int32) {
 	e.hot[i].reduced = false
 }
 
-// wakeDue reactivates stalled flows whose RTO expired, in stalled-list
-// order. Each entry carries its record's wake deadline, so the scan
-// streams one dense list instead of touching every stalled record.
+// wakeDue reactivates stalled records whose RTO expired. It pops every
+// due entry off the wake heap, which leaves them behind the heap in its
+// backing array, and wakes them in parking order, so the active list grows
+// as a scan of all parkings in order would grow it, and the cost follows
+// the wakes instead of everything still parked.
 func (e *netEngine) wakeDue() {
-	keep := e.stalled[:0]
-	e.nextWake = math.MaxInt64
-	for _, st := range e.stalled {
-		if st.at > e.now {
-			keep = append(keep, st)
-			if st.at < e.nextWake {
-				e.nextWake = st.at
-			}
-			continue
-		}
+	n := len(e.wakes)
+	for len(e.wakes) > 0 && e.wakes[0].at <= e.now {
+		e.wakes.pop()
+	}
+	due := e.wakes[len(e.wakes):n]
+	slices.SortFunc(due, func(a, b stallEntry) int { return cmp.Compare(a.seq, b.seq) })
+	for _, st := range due {
 		i := st.rec
 		e.hot[i].stallT = 0
 		e.hot[i].parked = false
@@ -1081,7 +1111,6 @@ func (e *netEngine) wakeDue() {
 			e.activate(i)
 		}
 	}
-	e.stalled = keep
 }
 
 // recordCompletions detects burst completions on the end-to-end
@@ -1125,8 +1154,32 @@ func (e *netEngine) completeBurst(t sim.Time) {
 	e.burstsDone++
 }
 
+// checkStranded returns an error when the idle network still has records
+// holding unsent volume: nothing is active or due to wake that could send
+// it, so completing the burst would count volume never delivered.
+func (e *netEngine) checkStranded() error {
+	first, n := -1, 0
+	var vol float64
+	for i := range e.hot {
+		if u := e.hot[i].unsent; u > volEps {
+			if first < 0 {
+				first = i
+			}
+			n++
+			vol += u * float64(e.mCnt[i])
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	h := &e.hot[first]
+	return fmt.Errorf("flowsim: network idle at %v with %d records holding %.1f unsent packets that nothing will send (first: record %d, stalled until %v, backoff %d, parked %t)",
+		e.now, n, vol, first, h.stallT, e.flows[first].backoff, h.parked)
+}
+
 // checkConservation verifies released volume against delivered + unsent +
-// queued, and each queue's aggregate against the per-flow backlogs.
+// queued, and each queue's aggregate against the per-flow backlogs; with
+// Config.Check it also verifies the run-phase indexes (checkIndexes).
 func (e *netEngine) checkConservation() error {
 	var unsent, backlog float64
 	perQueue := make([]float64, len(e.qs))
@@ -1151,6 +1204,62 @@ func (e *netEngine) checkConservation() error {
 			return fmt.Errorf("flowsim: queue %s accounting violated at %v: aggregate %.6f vs per-flow sum %.6f",
 				e.net.Queues[j].Name, e.now, e.qs[j].q, perQueue[j])
 		}
+	}
+	if e.cfg.Check {
+		return e.checkIndexes()
+	}
+	return nil
+}
+
+// checkIndexes verifies the indexes the run phase keeps against recounts:
+// the active flags against the active list, relLive against a count of the
+// active list by release, that no inactive record holds arrivals at any
+// hop, and that the wake heap is a heap holding exactly the parked
+// records' entries, each at its record's stall deadline.
+func (e *netEngine) checkIndexes() error {
+	live := make([]int32, len(e.relLive))
+	for _, i := range e.activeList {
+		if !e.flows[i].active {
+			return fmt.Errorf("flowsim: record %d is on the active list but not flagged active at %v", i, e.now)
+		}
+		live[e.hot[i].rel]++
+	}
+	for r, n := range live {
+		if e.relLive[r] != n {
+			return fmt.Errorf("flowsim: release %d has %d live records by its count, %d on the active list at %v",
+				r, e.relLive[r], n, e.now)
+		}
+	}
+	entries := make([]int32, len(e.hot))
+	for k := range e.wakes {
+		st := &e.wakes[k]
+		if h := &e.hot[st.rec]; !h.parked || st.at != h.stallT {
+			return fmt.Errorf("flowsim: wake entry for record %d at %v, but the record is parked=%t until %v (at %v)",
+				st.rec, st.at, h.parked, h.stallT, e.now)
+		}
+		if k > 0 && st.before(&e.wakes[(k-1)/2]) {
+			return fmt.Errorf("flowsim: wake heap out of order at entry %d (at %v)", k, e.now)
+		}
+		entries[st.rec]++
+	}
+	var active int
+	for i := range e.flows {
+		if e.hot[i].parked && entries[i] == 0 {
+			return fmt.Errorf("flowsim: record %d is parked until %v with no wake entry (at %v)", i, e.hot[i].stallT, e.now)
+		}
+		if e.flows[i].active {
+			active++
+			continue
+		}
+		hop := e.hops[e.hot[i].off:]
+		for k := range e.paths[i] {
+			if hop[k].arr != 0 || hop[k].arrMk != 0 {
+				return fmt.Errorf("flowsim: inactive record %d holds %.6f arrivals at hop %d (at %v)", i, hop[k].arr, k, e.now)
+			}
+		}
+	}
+	if active != len(e.activeList) {
+		return fmt.Errorf("flowsim: %d records flagged active, %d on the active list at %v", active, len(e.activeList), e.now)
 	}
 	return nil
 }
@@ -1204,23 +1313,19 @@ func (e *netEngine) finish() (*Result, error) {
 	r.Marks = round(e.marks - e.baseMarks)
 	r.SentPackets = round(e.sent - e.baseSent)
 	r.DeliveredPackets = round(e.cumDelivered - e.baseDelivered)
-	// Per-flow end-state: every member of a record shares its controller,
-	// so each member gets the record's window (and alpha), written at the
-	// member's flow ID so the histograms match per-flow runs flow for flow.
-	r.FinalCwndPkts = make([]float64, cfg.Flows)
+	// End state stays per record: every member shares its record's
+	// controller, and the member spans say which flows those are.
+	m := len(e.flows)
+	r.Final = EndState{Win: make([]float64, m), Members: e.perm, Off: e.mOff, Cnt: e.mCnt}
 	alphas := e.flows[0].ctrl.kind == KindDCTCP
 	if alphas {
-		r.FinalAlphas = make([]float64, cfg.Flows)
+		r.Final.Alpha = make([]float64, m)
 	}
 	for i := range e.flows {
-		cnt := int64(e.mCnt[i])
-		r.CwndUpdates += e.flows[i].ctrl.updates * cnt
-		win := e.flows[i].ctrl.window()
-		for _, m := range e.perm[e.mOff[i] : e.mOff[i]+e.mCnt[i]] {
-			r.FinalCwndPkts[m] = win
-			if alphas {
-				r.FinalAlphas[m] = e.flows[i].ctrl.alpha
-			}
+		r.CwndUpdates += e.flows[i].ctrl.updates * int64(e.mCnt[i])
+		r.Final.Win[i] = e.flows[i].ctrl.window()
+		if alphas {
+			r.Final.Alpha[i] = e.flows[i].ctrl.alpha
 		}
 	}
 	r.Cohorts = len(e.mCnt)

@@ -1,7 +1,11 @@
 package flowsim
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,7 +168,8 @@ func victimNet(terminal []int32) *netsim.FluidPaths {
 
 // victimEngine builds a network engine over victimNet for the given plan,
 // then swaps in a hand-made release schedule — units released in the
-// given order, 10 us apart — and rebuilds the victim index from it.
+// given order, 10 us apart — and rebuilds the victim index and the
+// per-release live counts from it.
 func victimEngine(t *testing.T, terminal []int32, plan cohortPlan, order []int32) *netEngine {
 	t.Helper()
 	cfg := NetworkConfig{Config: quickConfig(len(terminal), CCConfig{}), Net: victimNet(terminal)}
@@ -182,6 +187,7 @@ func victimEngine(t *testing.T, terminal []int32, plan cohortPlan, order []int32
 		e.releases = append(e.releases, release{at: sim.Time(k+1) * 10 * sim.Microsecond, flow: u})
 	}
 	e.buildVictimIndex()
+	e.relLive = grown(e.relLive, len(e.releases))
 	return e
 }
 
@@ -207,16 +213,15 @@ func TestDropTailVictimOrder(t *testing.T) {
 	terminal := []int32{1, 1, 1, 1, 2, 2}
 	order := []int32{2, 0, 4, 1, 5, 3} // flow 3 is released last
 	e := victimEngine(t, terminal, singletonPlan(len(terminal)), order)
-	e.relPtr = 5 // flow 3 not released yet
-	for k := 0; k < e.relPtr; k++ {
-		r := e.releases[k]
-		e.flows[r.flow].lastRelease = r.at
+	stepEnd := 60 * sim.Microsecond
+	e.now = stepEnd - 2*sim.Microsecond
+	e.releaseDue() // activates every released flow; flow 3 is not released yet
+	if e.relPtr != 5 {
+		t.Fatalf("%d releases made, want 5", e.relPtr)
 	}
 	for i := range terminal {
 		e.offer(int32(i), 1, 2)
 	}
-	stepEnd := 60 * sim.Microsecond
-	e.now = stepEnd - 2*sim.Microsecond
 	// Newest released crossers of queue 1: flow 1 (whole offer), then
 	// flow 0 (one of its two packets); flow 2 is older and keeps all.
 	e.dropTailQueue(1, 3, stepEnd)
@@ -248,12 +253,9 @@ func TestDropTailFindsSplitChildren(t *testing.T) {
 		cnt:  []int32{4, 1},
 	}
 	e := victimEngine(t, terminal, plan, []int32{0, 1})
-	e.relPtr = 2
-	for _, r := range e.releases {
-		e.flows[r.flow].lastRelease = r.at
-	}
 	stepEnd := 30 * sim.Microsecond
 	e.now = stepEnd - 2*sim.Microsecond
+	e.releaseDue() // releases and activates both records
 	// 1.5 packets out of a four-member cohort offering one each: one
 	// member loses its whole offer and one loses half, so the cohort
 	// splits into the untouched parent and two children.
@@ -288,5 +290,375 @@ func TestDropTailFindsSplitChildren(t *testing.T) {
 	}
 	if got := e.qs[1].arrTotal; math.Abs(got) > 1e-12 {
 		t.Errorf("queue 1 arrivals %.3f after dropping every child, want 0", got)
+	}
+}
+
+// TestNetworkStrandedVolumeIsAnError builds an orphan the idle rule must
+// not hide: a cohort parked on an RTO takes a partial drop at a deeper hop
+// and splits, and its children inherit the stall deadline but no wake
+// entry. Once the rest drains, nothing will ever send the volume the drop
+// returned to the children; the run must fail naming the stranded records
+// instead of completing the burst.
+func TestNetworkStrandedVolumeIsAnError(t *testing.T) {
+	plan := cohortPlan{perm: []int32{0, 1, 2, 3}, off: []int32{0}, cnt: []int32{4}}
+	e := victimEngine(t, []int32{1, 1, 1, 1}, plan, []int32{0})
+	e.now = 10 * sim.Microsecond
+	e.releaseDue()
+	stepEnd := e.now + 2*sim.Microsecond
+	// The uplink drops the cohort's whole first-hop offer with nothing in
+	// flight: every member times out.
+	e.offer(0, 0, 1)
+	e.dropTailQueue(0, 4, stepEnd)
+	if !e.hot[0].parked {
+		t.Fatal("cohort not parked after losing its whole offer with nothing in flight")
+	}
+	// A packet per member admitted earlier reaches the terminal hop while
+	// the cohort is parked, and 1.5 of the 4 are dropped there: the cohort
+	// splits into the untouched parent and two children.
+	e.hot[0].unsent--
+	e.offer(0, 1, 1)
+	e.dropTailQueue(1, 1.5, stepEnd)
+	if len(e.mCnt) != 3 {
+		t.Fatalf("after the partial drop: %d records, want 3", len(e.mCnt))
+	}
+	for c := int32(1); c < 3; c++ {
+		if e.hot[c].parked || e.hot[c].stallT != e.hot[0].stallT {
+			t.Fatalf("child %d: parked %t until %v, want unparked with the parent's deadline %v",
+				c, e.hot[c].parked, e.hot[c].stallT, e.hot[0].stallT)
+		}
+	}
+	// The step ends with the surviving arrivals back at their sources.
+	for i := range e.hot {
+		hs := e.hop(int32(i), 1)
+		e.hot[i].unsent += hs.arr
+		hs.arr, hs.arrMk = 0, 0
+	}
+	for j := range e.qs {
+		e.qs[j].arrTotal = 0
+	}
+	e.now = stepEnd
+	err := e.run()
+	if err == nil {
+		t.Fatalf("run completed %d of 1 bursts with the split children's volume unsent", e.burstsDone)
+	}
+	if !strings.Contains(err.Error(), "2 records holding") || !strings.Contains(err.Error(), "parked false") {
+		t.Errorf("error %q does not name the 2 stranded records and the first one's state", err)
+	}
+	if e.burstsDone != 0 {
+		t.Errorf("%d bursts completed, want 0", e.burstsDone)
+	}
+}
+
+// dropTailQueueRef is the unfiltered tail-drop walk: every released
+// index entry of queue j, newest first, tested record by record, whether
+// or not its release has a live record. TestDropTailAndWakesMatchReferences
+// holds dropTailQueue to it.
+func (e *netEngine) dropTailQueueRef(j int32, overflow float64, stepEnd sim.Time) {
+	list := e.vic[e.vicOff[j]:e.vicOff[j+1]]
+	released, _ := slices.BinarySearchFunc(list, int32(e.relPtr), func(v victim, rel int32) int {
+		return cmp.Compare(v.rel, rel)
+	})
+	remaining := overflow
+	for k := released - 1; k >= 0 && remaining > volEps; k-- {
+		v := list[k]
+		rel := e.releases[v.rel]
+		h := int(v.hop)
+		for i := rel.flow; i >= 0 && remaining > volEps; i = e.hot[i].lineNext {
+			oh := e.hot[i].off + v.hop
+			a := e.hops[oh].arr
+			if a <= 0 || e.flows[i].lastRelease != rel.at {
+				continue
+			}
+			avail := a * float64(e.mCnt[i])
+			d := avail
+			if d > remaining {
+				d = remaining
+			}
+			if d >= avail {
+				e.netDropHit(i, oh, h, j, a, stepEnd)
+				remaining -= d
+				continue
+			}
+			remaining -= e.netSplitDrop(i, oh, h, j, d, stepEnd)
+		}
+	}
+}
+
+// wakeDueRef wakes by a linear scan of every wake entry in parking order
+// (the heap's entries sorted by sequence), each due one woken in turn and
+// the rest kept. It returns the woken records in wake order.
+func (e *netEngine) wakeDueRef() []int32 {
+	stalled := parkings(e)
+	keep := stalled[:0]
+	var woken []int32
+	for _, st := range stalled {
+		if st.at > e.now {
+			keep = append(keep, st)
+			continue
+		}
+		i := st.rec
+		e.hot[i].stallT = 0
+		e.hot[i].parked = false
+		if e.hot[i].unsent > volEps || e.residual(i) > volEps {
+			e.activate(i)
+		}
+		woken = append(woken, i)
+	}
+	e.wakes = append(e.wakes[:0], keep...)
+	e.wakes.init()
+	return woken
+}
+
+// parkings returns the engine's wake entries in parking order.
+func parkings(e *netEngine) []stallEntry {
+	p := slices.Clone(e.wakes)
+	slices.SortFunc(p, func(a, b stallEntry) int { return cmp.Compare(a.seq, b.seq) })
+	return p
+}
+
+// randomNet builds a random three-stage network of six queues, two per
+// stage: one to four path classes, each a stage-monotonic path of one to
+// three hops with its own base RTT, and n flows spread over them.
+func randomNet(rng *rand.Rand, n int) *netsim.FluidPaths {
+	q := netsim.FluidQueue{RateBps: 10 * netsim.Gbps, CapacityPackets: 100, ECNThresholdPackets: 20}
+	net := &netsim.FluidPaths{
+		Queues: []netsim.FluidQueue{q, q, q, q, q, q},
+		Stage:  []int{0, 0, 1, 1, 2, 2},
+		Class:  make([]int32, n),
+	}
+	for j := range net.Queues {
+		net.Queues[j].Name = fmt.Sprintf("q%d", j)
+	}
+	for c := 1 + rng.Intn(4); c > 0; c-- {
+		var path []int32
+		for s := 0; s < 3; s++ {
+			if (s == 2 && len(path) == 0) || rng.Intn(3) > 0 {
+				path = append(path, int32(2*s+rng.Intn(2)))
+			}
+		}
+		net.Paths = append(net.Paths, path)
+		net.BaseRTT = append(net.BaseRTT, sim.Time(5+rng.Intn(20))*sim.Microsecond)
+	}
+	for i := range net.Class {
+		net.Class[i] = int32(rng.Intn(len(net.Paths)))
+	}
+	last := net.Paths[0]
+	net.Bottleneck = int(last[len(last)-1])
+	return net
+}
+
+// oracleEngine builds a three-burst cohort engine over randomNet(seed),
+// with one to six jitter buckets per class (one member per record when a
+// class is that small). With everyVictimParks, every RTO lasts a
+// nanosecond and fast retransmit never triggers, so each drop victim
+// parks afresh and the parking sequence records the victim order.
+func oracleEngine(t *testing.T, seed int64, everyVictimParks bool) *netEngine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := 6 + rng.Intn(30)
+	cfg := NetworkConfig{Config: quickConfig(n, CCConfig{}), Net: randomNet(rng, n)}
+	cfg.Bursts = 3
+	cfg.Interval = 400 * sim.Microsecond
+	cfg.Seed = uint64(seed)
+	cfg.Aggregation = AggregationCohort
+	cfg.cohortBuckets = 1 + rng.Intn(6)
+	if everyVictimParks {
+		cfg.MinRTO, cfg.MaxRTO, cfg.DupAckPackets = 1, 1, 1e9
+	} else {
+		cfg.MinRTO, cfg.MaxRTO = 30*sim.Microsecond, 500*sim.Microsecond
+	}
+	if err := cfg.prepare(); err != nil {
+		t.Fatalf("seed %d: prepare: %v", seed, err)
+	}
+	e, err := newNetEngine(cfg, buildPlan(&cfg.Config, cfg.Net))
+	if err != nil {
+		t.Fatalf("seed %d: newNetEngine: %v", seed, err)
+	}
+	t.Cleanup(e.release)
+	return e
+}
+
+// sameEngineState fails the test unless a and b hold the same records,
+// hops, lists, wake entries, counters and per-release live counts.
+func sameEngineState(t *testing.T, where string, a, b *netEngine) {
+	t.Helper()
+	bits := func(e *netEngine) []uint64 {
+		var v []uint64
+		for _, f := range []float64{e.drops, e.retxPkts, e.sent, e.timeouts, e.fastRetx} {
+			v = append(v, math.Float64bits(f))
+		}
+		return v
+	}
+	var diff string
+	switch {
+	case !slices.Equal(a.mOff, b.mOff) || !slices.Equal(a.mCnt, b.mCnt):
+		diff = "member spans"
+	case !slices.Equal(a.hot, b.hot):
+		diff = "hot records"
+	case !slices.Equal(a.flows, b.flows):
+		diff = "flow states"
+	case !slices.Equal(a.hops, b.hops):
+		diff = "hop states"
+	case !slices.Equal(a.qs, b.qs):
+		diff = "queues"
+	case !slices.Equal(a.activeList, b.activeList):
+		diff = "active lists"
+	case !slices.Equal(parkings(a), parkings(b)):
+		diff = "wake entries in parking order"
+	case !slices.Equal(bits(a), bits(b)):
+		diff = "drop, retransmit, sent or loss counters"
+	case !slices.Equal(a.relLive, b.relLive):
+		diff = "live counts"
+	default:
+		return
+	}
+	t.Fatalf("%s: %s differ", where, diff)
+}
+
+// TestDropTailAndWakesMatchReferences holds the live-release filter and
+// the wake heap to plain linear walks. Twin engines over a random
+// small network (varied paths, cohort sizes and base RTTs) see the same
+// releases, offers at random hops, overflows at random queues, parks,
+// retirements and wakes; one drops and wakes through the engine, the
+// other through dropTailQueueRef and wakeDueRef. After every operation
+// the two must hold the same state: the same victims with bit-identical
+// drop amounts and counters, and the same parkings in the same order —
+// with everyVictimParks, that order is the victim order. Each wake must
+// wake the same records in the same order, and the engine's indexes must
+// pass checkIndexes throughout.
+func TestDropTailAndWakesMatchReferences(t *testing.T) {
+	var rearmed, skipped bool
+	for seed := int64(1); seed <= 60; seed++ {
+		everyVictimParks := seed%2 == 0
+		a := oracleEngine(t, seed, everyVictimParks)
+		b := oracleEngine(t, seed, everyVictimParks)
+		rng := rand.New(rand.NewSource(-seed))
+		check := func(what string, round int) {
+			t.Helper()
+			where := fmt.Sprintf("seed %d round %d, after %s", seed, round, what)
+			sameEngineState(t, where, a, b)
+			if err := a.checkIndexes(); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+		}
+		for round := 0; round < 80; round++ {
+			a.now += sim.Time(11+rng.Intn(40)) * sim.Microsecond
+			b.now = a.now
+			a.releaseDue()
+			b.releaseDue()
+			parked := len(a.wakes)
+			a.wakeDue()
+			woken := b.wakeDueRef()
+			// wakeDue leaves the entries it woke behind the heap, in wake order.
+			if got := a.wakes[len(a.wakes):parked]; !slices.EqualFunc(got, woken, func(st stallEntry, i int32) bool { return st.rec == i }) {
+				t.Fatalf("seed %d round %d: woke %v, the linear scan wakes %v", seed, round, got, woken)
+			}
+			check("wakes", round)
+
+			for _, i := range a.activeList {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				h := rng.Intn(len(a.paths[i]))
+				amt := float64(1+rng.Intn(16)) / 8
+				a.offer(i, h, amt)
+				b.offer(i, h, amt)
+				if !everyVictimParks && rng.Intn(2) == 0 {
+					// In-network backlog lets some victims fast-retransmit.
+					k := rng.Intn(len(a.paths[i]))
+					bk := float64(rng.Intn(6))
+					a.hop(i, k).bk, b.hop(i, k).bk = bk, bk
+				}
+			}
+			stepEnd := a.now + 10*sim.Microsecond
+			drops := 2
+			if everyVictimParks {
+				drops = 1 // a second drop could hit a victim the first parked
+			}
+			for d := 0; d < drops; d++ {
+				j := int32(rng.Intn(len(a.qs)))
+				arr := a.qs[j].arrTotal
+				if arr <= 0 {
+					continue
+				}
+				for _, v := range a.vic[a.vicOff[j]:a.vicOff[j+1]] {
+					if int(v.rel) < a.relPtr && a.relLive[v.rel] == 0 {
+						skipped = true
+					}
+				}
+				overflow := arr * 1.1 * rng.Float64()
+				a.dropTailQueue(j, overflow, stepEnd)
+				b.dropTailQueueRef(j, overflow, stepEnd)
+				check(fmt.Sprintf("dropping %.3f at queue %d", overflow, j), round)
+				seen := map[int32]bool{}
+				for _, st := range a.wakes {
+					rearmed = rearmed || seen[st.rec]
+					seen[st.rec] = true
+				}
+			}
+
+			// The step ends: arrivals are spent, and some records retire.
+			for _, e := range []*netEngine{a, b} {
+				for k := range e.hops {
+					e.hops[k].arr, e.hops[k].arrMk = 0, 0
+				}
+				for j := range e.qs {
+					e.qs[j].arrTotal = 0
+				}
+			}
+			// The active lists are equal (checked above).
+			keepA, keepB := a.activeList[:0], b.activeList[:0]
+			for _, i := range a.activeList {
+				if rng.Intn(4) == 0 {
+					a.retire(i)
+					b.retire(i)
+					continue
+				}
+				keepA = append(keepA, i)
+				keepB = append(keepB, i)
+			}
+			a.activeList, b.activeList = keepA, keepB
+			check("retirements", round)
+		}
+	}
+	if !skipped {
+		t.Error("no drop walked past a release with no live record; the filter went unexercised")
+	}
+	if !rearmed {
+		t.Error("no parked record was re-armed; the wake heap's re-arm path went unexercised")
+	}
+}
+
+// TestCheckIndexesCatchesDrift pins that the audit-mode index check sees
+// each kind of drift: a live count off by one, an inactive record holding
+// arrivals, a parked record without its wake entry, and an entry whose
+// deadline disagrees with its record's.
+func TestCheckIndexesCatchesDrift(t *testing.T) {
+	fresh := func() *netEngine {
+		e := victimEngine(t, []int32{1, 1, 2}, singletonPlan(3), []int32{0, 1})
+		e.now = 25 * sim.Microsecond
+		e.releaseDue()
+		e.offer(0, 1, 1)
+		e.dropTailQueue(1, 1, e.now+2*sim.Microsecond) // parks flow 0
+		if err := e.checkIndexes(); err != nil {
+			t.Fatalf("consistent engine: %v", err)
+		}
+		return e
+	}
+	for _, tc := range []struct {
+		drift   string
+		corrupt func(e *netEngine)
+		want    string
+	}{
+		{"live count", func(e *netEngine) { e.relLive[0]++ }, "live records"},
+		{"inactive arrivals", func(e *netEngine) { e.offer(2, 0, 1) }, "inactive record 2"},
+		{"missing wake", func(e *netEngine) { e.wakes = e.wakes[:0] }, "no wake entry"},
+		{"wrong deadline", func(e *netEngine) { e.wakes[0].at++ }, "wake entry for record 0"},
+	} {
+		e := fresh()
+		tc.corrupt(e)
+		if err := e.checkIndexes(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: checkIndexes says %v, want an error naming %q", tc.drift, err, tc.want)
+		}
 	}
 }
