@@ -9,6 +9,10 @@
 #                        experiment fan-out) and the sweep cache's tests
 #                        (concurrent writers appending to one directory)
 #                        under the race detector
+#   4b. fuzz             a short -fuzz run of FuzzClassPlan: the fluid
+#                        solver's cohort plan, built from class counts, and
+#                        its on-demand member list against the reference
+#                        plan over generated class sequences
 #   5. audit gate        the invariant auditor's own tests, the open-loop
 #                        rackmodel<->flowsim<->netsim trace (RunDiff), and
 #                        the closed-loop differential gate
@@ -75,8 +79,11 @@
 #                        ONE cohort-aggregated row, no shard cache) under
 #                        a wall-clock sanity bound and byte-identical to
 #                        its golden; a bogus spec path, a malformed
-#                        -shard spec, a bogus -aggregation level, and a
-#                        per-flow run of 2^20 flows must exit non-zero
+#                        -shard spec, a bogus -aggregation level, a
+#                        per-flow run of 2^20 flows, and a flow-level run
+#                        whose default start jitter reaches its burst
+#                        interval must exit non-zero, the last two with a
+#                        one-line error
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
 #                        flow-level Fig-5 sweeps and the million-flow Clos
 #                        run smoke-run at one iteration each: each must
@@ -108,6 +115,9 @@ go test ./...
 echo "==> go test -race ./internal/core -run TestParallel; go test -race ./internal/sweep"
 go test -race ./internal/core -run TestParallel
 go test -race ./internal/sweep
+
+echo "==> fuzz: FuzzClassPlan for 20s"
+go test ./internal/flowsim -run '^$' -fuzz '^FuzzClassPlan$' -fuzztime 20s -parallel 2
 
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
@@ -242,6 +252,14 @@ if "$OBS_TMP/incastsim" -flows 1048576 -fidelity flow -aggregation perflow 2>"$O
 fi
 test "$(wc -l <"$OBS_TMP/perflow.err")" -eq 1
 grep -q 'aggregation "perflow"' "$OBS_TMP/perflow.err"
+# The fluid release schedule needs the start jitter (100 us by default)
+# below the burst interval: a 50 us interval must be refused the same way.
+if "$OBS_TMP/incastsim" -flows 80 -fidelity flow -bursts 2 -interval 0.05 -plot=false 2>"$OBS_TMP/jitter.err"; then
+  echo "incastsim -fidelity flow with the default jitter past a 50 us interval should have exited non-zero" >&2
+  exit 1
+fi
+test "$(wc -l <"$OBS_TMP/jitter.err")" -eq 1
+grep -q 'jitter' "$OBS_TMP/jitter.err"
 
 echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation ceilings"
 go test -run '^$' \
@@ -283,7 +301,7 @@ BenchmarkFlowsimFig5 3418
 BenchmarkFlowsimCohortFig5 3401
 BenchmarkFlowsimPerFlowFig5Point 41
 BenchmarkFlowsimCohortFig5Point 59
-BenchmarkClosMillionFlowSingleRun 930 87190119
+BenchmarkClosMillionFlowSingleRun 930 46008900
 CEILINGS
 
 echo "==> ci.sh: all checks passed"

@@ -50,7 +50,9 @@ func KnownAggregation(name string) bool { return flowsim.KnownAggregation(name) 
 // dumbbell's single bottleneck or a Clos fabric's per-port queues, each
 // with threshold marking and tail drops, reduced-form congestion laws, RTO
 // stalls — but not receiver-side control, shared switch memory, ACK
-// shaping, per-packet traces, or the dumbbell's inter-ToR core link.
+// shaping, per-packet traces, or the dumbbell's inter-ToR core link. Its
+// release schedule also needs the start jitter, default included, below
+// the burst interval.
 func (c SimConfig) FlowCompatible() error {
 	cfg := c
 	cfg.fill()
@@ -89,6 +91,9 @@ func (c SimConfig) FlowCompatible() error {
 	if feature != "" {
 		return fmt.Errorf("core: %s is packet-level only and cannot run at fidelity %q; use fidelity %q",
 			feature, FidelityFlow, FidelityPacket)
+	}
+	if err := flowsim.CheckJitter(cfg.JitterMax, cfg.Interval); err != nil {
+		return err
 	}
 	if _, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg)); err != nil {
 		return err
@@ -238,15 +243,17 @@ func runFluid(cfg SimConfig) *flowsim.Result {
 	var ncfg flowsim.NetworkConfig
 	if cfg.Clos != nil {
 		closCfg := *cfg.Clos
-		srcs, dsts, err := workload.ClosFlowEndpoints(closCfg, cfg.Flows, cfg.Aggregators, cfg.Placement)
+		// The path build takes the endpoints from the placement a chunk at
+		// a time, so no per-flow array outlives a chunk.
+		pl, err := workload.NewClosPlacement(closCfg, cfg.Flows, cfg.Aggregators, cfg.Placement)
 		if err != nil {
 			panic(err.Error())
 		}
-		net, err := closCfg.FluidPaths(srcs, dsts)
+		net, err := closCfg.FluidPathsFrom(pl.Flows(), pl.Fill)
 		if err != nil {
 			panic(err.Error())
 		}
-		fcfg.Flows = len(srcs)
+		fcfg.Flows = pl.Flows()
 		// Per-flow demand is sized against the per-aggregator degree,
 		// exactly as the packet workload's BytesPerFlow.
 		fcfg.SegmentsPerFlow = workload.BytesPerFlowFor(closCfg.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS
@@ -366,7 +373,10 @@ func harvestFlowRun(cfg *SimConfig, r *flowsim.Result, wallStart time.Time) {
 
 	// End state is kept per record; expand it flow by flow in flow-ID
 	// order, so the histograms' float sums match a per-flow walk.
-	flowRec := r.Final.FlowRecords()
+	flowRec, err := r.Final.FlowRecords()
+	if err != nil {
+		panic(fmt.Sprintf("core: flow-level end state of %d flows: %v", cfg.Flows, err))
+	}
 	cwnd := c.Histogram("cc_final_cwnd_bytes", cwndBuckets)
 	for _, i := range flowRec {
 		cwnd.Observe(r.Final.Win[i] * float64(netsim.MSS))

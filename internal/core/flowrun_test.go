@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -144,6 +145,33 @@ func TestFlowCompatible(t *testing.T) {
 		if !strings.Contains(err.Error(), "packet") && !strings.Contains(err.Error(), "reduced form") {
 			t.Errorf("%s: error does not point at the packet backend: %v", tc.name, err)
 		}
+	}
+}
+
+// TestFlowJitterReachingInterval pins that a run whose start jitter — here
+// the 100 us default — reaches its burst interval is not flow-compatible:
+// the fluid release schedule cannot hold it. FlowCompatible names the
+// rule, a flow-level scenario row is refused at compile time, and the
+// best-effort lowering of figures -fidelity flow keeps the run on the
+// packet backend, which runs it.
+func TestFlowJitterReachingInterval(t *testing.T) {
+	cfg := SimConfig{Flows: 80, Bursts: 2, Interval: 50 * sim.Microsecond}
+	if err := cfg.FlowCompatible(); err == nil || !strings.Contains(err.Error(), "jitter") {
+		t.Errorf("FlowCompatible = %v, want an error naming the jitter", err)
+	}
+	spec := scenario.Spec{
+		Name:     "flow_jitter",
+		Workload: scenario.Workload{Flows: 80, Bursts: 2, IntervalMS: 0.05},
+		Sweep:    scenario.Sweep{Axis: "ecn_threshold_pkts", Values: scenario.Nums(65)},
+		Fidelity: "flow",
+	}
+	if _, _, _, err := CompileScenario(Options{}, spec); err == nil || !strings.Contains(err.Error(), "row 0") {
+		t.Errorf("flow-level spec with jitter past its interval: compile error %v, want one naming row 0", err)
+	}
+	// Lowered to the fluid backend, this run would panic.
+	res := RunIncastSim(Options{Fidelity: FidelityFlow}.instrument("t", cfg))
+	if res.Fidelity != FidelityPacket || res.MeanBCT <= 0 {
+		t.Errorf("kept run: fidelity %q, mean BCT %v; want a completed packet run", res.Fidelity, res.MeanBCT)
 	}
 }
 
@@ -405,8 +433,9 @@ func TestScenarioFlowFidelity(t *testing.T) {
 // on a cohort-aggregated Clos row, the cc_final_cwnd_bytes and
 // cc_final_alpha histograms the harvest publishes must equal those of the
 // per-flow expansion the harvest used to read from flowsim — each member's
-// window and alpha written at its flow ID, then observed in flow-ID order
-// — bucket for bucket, with bit-identical sums.
+// window and alpha written at its flow ID, read from the on-demand member
+// list, then observed in flow-ID order — bucket for bucket, with
+// bit-identical sums.
 func TestFlowEndStateHistograms(t *testing.T) {
 	clos := netsim.DefaultClosConfig(8, 600)
 	cfg := SimConfig{
@@ -416,14 +445,18 @@ func TestFlowEndStateHistograms(t *testing.T) {
 	cfg.fill()
 	fres := runFluid(cfg)
 	end := fres.Final
-	if fres.Cohorts >= len(end.Members) || fres.CohortSplits == 0 || end.Alpha == nil {
-		t.Fatalf("want a split cohort DCTCP run: %d records for %d flows, %d splits, alphas %t",
-			fres.Cohorts, len(end.Members), fres.CohortSplits, end.Alpha != nil)
+	members, err := end.Members()
+	if err != nil {
+		t.Fatal(err)
 	}
-	win := make([]float64, len(end.Members))
-	alpha := make([]float64, len(end.Members))
+	if fres.Cohorts >= len(members) || fres.CohortSplits == 0 || end.Alpha == nil {
+		t.Fatalf("want a split cohort DCTCP run: %d records for %d flows, %d splits, alphas %t",
+			fres.Cohorts, len(members), fres.CohortSplits, end.Alpha != nil)
+	}
+	win := make([]float64, len(members))
+	alpha := make([]float64, len(members))
 	for r := range end.Win {
-		for _, m := range end.Members[end.Off[r] : end.Off[r]+end.Cnt[r]] {
+		for _, m := range members[end.Off[r] : end.Off[r]+end.Cnt[r]] {
 			win[m] = end.Win[r]
 			alpha[m] = end.Alpha[r]
 		}
@@ -456,5 +489,51 @@ func TestFlowEndStateHistograms(t *testing.T) {
 		case math.Float64bits(g.Sum) != math.Float64bits(w.Sum):
 			t.Errorf("%s: sum %v, want %v", w.Name, g.Sum, w.Sum)
 		}
+	}
+}
+
+// TestFluidRunMemoryFollowsRecords pins that a fluid run's allocation
+// follows its records and path classes, not its flows. One cohort Clos
+// configuration whose queues never overflow (so no record ever splits)
+// runs at N and at 8N workers per aggregator: the same classes, the same
+// records. Each run starts from a cold scratch pool (two collections
+// empty it), and both are large enough to fill whole endpoint chunks, so
+// the two allocate the same bytes up to noise, far less apart than the
+// ~24 B per added flow that endpoint lists, a per-flow class array and a
+// member permutation would cost.
+func TestFluidRunMemoryFollowsRecords(t *testing.T) {
+	clos := netsim.DefaultClosConfig(4, 16400)
+	clos.QueueCapacityPackets = 1 << 20 // nothing drops, so nothing splits
+	const aggs, n = 2, 2048
+	run := func(workers int) (uint64, *flowsim.Result) {
+		cfg := SimConfig{
+			Flows: workers, Aggregators: aggs, Clos: &clos, Placement: workload.PlacementCrossRack,
+			Bursts: 2, Fidelity: FidelityFlow, Aggregation: AggregationCohort,
+		}
+		cfg.fill()
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := runFluid(cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	small, sres := run(n)
+	big, bres := run(8 * n)
+	if sres.CohortSplits != 0 || bres.CohortSplits != 0 || sres.Cohorts != bres.Cohorts {
+		t.Fatalf("want the same unsplit records at both sizes: %d and %d records, %d and %d splits",
+			sres.Cohorts, bres.Cohorts, sres.CohortSplits, bres.CohortSplits)
+	}
+	added := 7 * n * aggs
+	diff := int64(big) - int64(small)
+	t.Logf("%d records: %d B at %d flows, %d B at %d flows (%+.3f B per added flow)",
+		sres.Cohorts, small, n*aggs, big, 8*n*aggs, float64(diff)/float64(added))
+	if diff < 0 {
+		diff = -diff
+	}
+	if limit := int64(added); diff > limit {
+		t.Errorf("runs of %d and %d flows allocate %d and %d B: %d B apart, above %d B (1 B per added flow)",
+			n*aggs, 8*n*aggs, small, big, diff, limit)
 	}
 }

@@ -58,19 +58,16 @@ type CCConfig struct {
 	MinWindowPkts float64
 }
 
-// controller is the per-flow reduced-form congestion state. One struct with
-// a kind switch keeps the per-step hot path free of interface dispatch.
-type controller struct {
+// law is a run's reduced-form congestion-control law: the kind and the
+// constants every controller of the run shares, stored once per run. One
+// struct with a kind switch keeps the per-step hot path free of interface
+// dispatch.
+type law struct {
 	kind Kind
 
-	// w is the internal window in packets; window() applies floors/caps.
-	w        float64
-	ssthresh float64
-
-	// DCTCP family.
-	alpha float64
-	g     float64
-	dexp  float64
+	// DCTCP family: the alpha EWMA gain and the deadline exponent.
+	g    float64
+	dexp float64
 
 	// Guardrail clamp (0 = none).
 	capPkts float64
@@ -80,7 +77,16 @@ type controller struct {
 	aiPkts    float64
 	beta      float64
 	minW      float64
+}
 
+// controller is one record's reduced-form congestion state under the
+// run's law, which every method takes.
+type controller struct {
+	// w is the internal window in packets; window() applies floors/caps.
+	w        float64
+	ssthresh float64
+	// alpha is the DCTCP family's congestion estimate.
+	alpha   float64
 	updates int64
 }
 
@@ -127,12 +133,9 @@ func (cfg *CCConfig) fill(baseRTT sim.Time) {
 	}
 }
 
-func newController(cfg CCConfig) controller {
-	return controller{
+func newLaw(cfg CCConfig) law {
+	return law{
 		kind:      cfg.Kind,
-		w:         cfg.InitialWindowPkts,
-		ssthresh:  math.Inf(1),
-		alpha:     cfg.InitialAlpha,
 		g:         cfg.G,
 		dexp:      cfg.DeadlineFactor,
 		capPkts:   cfg.CapPkts,
@@ -143,20 +146,28 @@ func newController(cfg CCConfig) controller {
 	}
 }
 
+func newController(cfg CCConfig) controller {
+	return controller{
+		w:        cfg.InitialWindowPkts,
+		ssthresh: math.Inf(1),
+		alpha:    cfg.InitialAlpha,
+	}
+}
+
 // window returns the effective window in packets: window-based laws floor
 // at one packet, Swift floors at its fractional minimum, and the Guardrail
 // cap clamps everything.
-func (c *controller) window() float64 {
+func (c *controller) window(l *law) float64 {
 	w := c.w
-	if c.kind == KindSwift {
-		if w < c.minW {
-			w = c.minW
+	if l.kind == KindSwift {
+		if w < l.minW {
+			w = l.minW
 		}
 	} else if w < 1 {
 		w = 1
 	}
-	if c.capPkts > 0 && w > c.capPkts {
-		w = c.capPkts
+	if l.capPkts > 0 && w > l.capPkts {
+		w = l.capPkts
 	}
 	return w
 }
@@ -164,11 +175,11 @@ func (c *controller) window() float64 {
 // onMarkCut applies the at-most-once-per-round proportional decrease when a
 // round first sees marked deliveries. Only the DCTCP family reacts to
 // marks; Reno and Swift ignore ECN.
-func (c *controller) onMarkCut() {
-	if c.kind != KindDCTCP {
+func (c *controller) onMarkCut(l *law) {
+	if l.kind != KindDCTCP {
 		return
 	}
-	c.w *= 1 - math.Pow(c.alpha, c.dexp)/2
+	c.w *= 1 - math.Pow(c.alpha, l.dexp)/2
 	if c.w < 1 {
 		c.w = 1
 	}
@@ -179,7 +190,7 @@ func (c *controller) onMarkCut() {
 // timeBasedRounds reports whether the law closes rounds on elapsed RTT
 // (Swift's per-RTT AI/MD) instead of on delivered volume (the DCTCP
 // family's one-window-of-data observation rounds).
-func (c *controller) timeBasedRounds() bool { return c.kind == KindSwift }
+func (l *law) timeBasedRounds() bool { return l.kind == KindSwift }
 
 // onRoundEnd closes one observation round. delivered and marked are the
 // round's delivered and ECN-marked volumes in packets; rttSec is the
@@ -189,21 +200,21 @@ func (c *controller) timeBasedRounds() bool { return c.kind == KindSwift }
 // dribbled a fraction of a packet (e.g. the below-threshold drain tail of
 // a burst, split across all flows) grows windows by that fraction, not by
 // a full doubling.
-func (c *controller) onRoundEnd(delivered, marked, rttSec float64) {
-	switch c.kind {
+func (c *controller) onRoundEnd(l *law, delivered, marked, rttSec float64) {
+	switch l.kind {
 	case KindSwift:
-		if rttSec < c.targetSec {
-			c.w += c.aiPkts
+		if rttSec < l.targetSec {
+			c.w += l.aiPkts
 		} else {
-			excess := (rttSec - c.targetSec) / rttSec
-			factor := 1 - c.beta*excess
+			excess := (rttSec - l.targetSec) / rttSec
+			factor := 1 - l.beta*excess
 			if factor < 0.3 {
 				factor = 0.3
 			}
 			c.w *= factor
 		}
-		if c.w < c.minW {
-			c.w = c.minW
+		if c.w < l.minW {
+			c.w = l.minW
 		}
 	default:
 		if delivered <= 0 {
@@ -212,11 +223,11 @@ func (c *controller) onRoundEnd(delivered, marked, rttSec float64) {
 		if marked > delivered {
 			marked = delivered
 		}
-		if c.kind == KindDCTCP {
-			c.alpha = (1-c.g)*c.alpha + c.g*(marked/delivered)
+		if l.kind == KindDCTCP {
+			c.alpha = (1-l.g)*c.alpha + l.g*(marked/delivered)
 		}
 		unmarked := delivered - marked
-		if c.kind == KindReno {
+		if l.kind == KindReno {
 			unmarked = delivered // Reno ignores marks
 		}
 		if unmarked > 0 {
@@ -230,18 +241,18 @@ func (c *controller) onRoundEnd(delivered, marked, rttSec float64) {
 			}
 		}
 	}
-	if c.capPkts > 0 && c.w > c.capPkts {
-		c.w = c.capPkts
+	if l.capPkts > 0 && c.w > l.capPkts {
+		c.w = l.capPkts
 	}
 	c.updates++
 }
 
 // onLoss is the fast-retransmit reaction: halve.
-func (c *controller) onLoss() {
-	if c.kind == KindSwift {
+func (c *controller) onLoss(l *law) {
+	if l.kind == KindSwift {
 		c.w *= 0.5
-		if c.w < c.minW {
-			c.w = c.minW
+		if c.w < l.minW {
+			c.w = l.minW
 		}
 	} else {
 		c.w /= 2
@@ -254,9 +265,9 @@ func (c *controller) onLoss() {
 }
 
 // onTimeout collapses to the minimum window and restarts slow start.
-func (c *controller) onTimeout() {
-	if c.kind == KindSwift {
-		c.w = c.minW
+func (c *controller) onTimeout(l *law) {
+	if l.kind == KindSwift {
+		c.w = l.minW
 	} else {
 		c.ssthresh = c.w / 2
 		if c.ssthresh < 1 {

@@ -14,11 +14,13 @@ import (
 // instead of the number of flows, which is what turns "million-flow" from
 // a sharded grid into a single run.
 //
-// A cohort is a contiguous span of member flow IDs plus the per-member
-// fluid state every member shares (unsent demand, backlog, window,
-// controller). Aggregate quantities — queue arrivals, sent/dropped volume,
-// timeout counters — scale by the member count; per-member quantities
-// (window headroom, the duplicate-ACK test, RTO backoff) never do. Members
+// A cohort is a contiguous span of the member list (the flows ordered
+// class by class, which only the end-state expansion ever builds) plus
+// the per-member fluid state every member shares (unsent demand, backlog,
+// window, controller state; the law's constants are the run's).
+// Aggregate quantities — queue arrivals, sent/dropped volume, timeout
+// counters — scale by the member count; per-member quantities (window
+// headroom, the duplicate-ACK test, RTO backoff) never do. Members
 // of one class are split into jitter buckets at formation (each bucket
 // draws one start jitter per burst, approximating the per-flow jitter
 // spread), and cohorts split lazily and exactly at runtime when a tail
@@ -98,78 +100,55 @@ func (c *Config) cohortEnabled() bool {
 // (standing queue vs K, timeout onset) integrate over whole bursts.
 const defaultCohortBuckets = 32
 
-// cohortPlan maps cohorts to their member flows: cohort c owns the member
-// IDs perm[off[c] : off[c]+cnt[c]]. Splits carve contiguous sub-spans, so
-// the permutation is built once. For per-flow runs the plan is the
-// identity: perm[i] = i, one member each.
+// cohortPlan lays the records over the member list: record r stands for
+// the cnt[r] flows at positions off[r] : off[r]+cnt[r] of it, all on path
+// class class[r]. Splits carve contiguous sub-spans, so the list itself is
+// never needed during a run; EndState.Members expands it on demand. For
+// per-flow runs the plan is the identity (record i is flow i, one member
+// each) and so is the member list; for cohort runs the member list holds
+// the flows class by class, ascending within each (classMembers).
 type cohortPlan struct {
-	perm []int32
-	off  []int32
-	cnt  []int32
+	off, cnt, class []int32
 }
 
 func (p *cohortPlan) cohorts() int { return len(p.off) }
 
-// singletonPlan is the per-flow identity plan.
-func singletonPlan(n int) cohortPlan {
+// singletonPlan is the per-flow identity plan; class[i] is flow i's class.
+func singletonPlan(class []int32) cohortPlan {
 	p := cohortPlan{
-		perm: make([]int32, n),
-		off:  make([]int32, n),
-		cnt:  make([]int32, n),
+		off:   make([]int32, len(class)),
+		cnt:   make([]int32, len(class)),
+		class: class,
 	}
-	for i := range p.perm {
-		p.perm[i] = int32(i)
+	for i := range p.off {
 		p.off[i] = int32(i)
 		p.cnt[i] = 1
 	}
 	return p
 }
 
-// classPlan groups flows by equivalence class and splits each class into
-// at most `buckets` near-equal contiguous jitter buckets. classOf[i] is
-// flow i's class ID (dense, assigned in first-appearance order, which
-// keeps cohort order deterministic); nClasses is the ID count. Members of
-// a class keep ascending flow-ID order, and cohorts are emitted class by
-// class, so forcing buckets >= class size degenerates to the identity
-// plan exactly.
-func classPlan(classOf []int32, nClasses, buckets int) cohortPlan {
-	n := len(classOf)
-	size := make([]int32, nClasses)
-	for _, c := range classOf {
-		size[c]++
-	}
-	// Class start offsets into perm, then fill members in flow order.
-	start := make([]int32, nClasses)
-	var acc int32
-	for c, s := range size {
-		start[c] = acc
-		acc += s
-	}
+// countsPlan splits each class, class by class, into at most `buckets`
+// near-equal contiguous jitter buckets; counts[c] is class c's flow
+// count. Emitting cohorts in class order keeps their order deterministic,
+// and forcing buckets >= class size gives one record per member.
+func countsPlan(counts []int32, buckets int) cohortPlan {
 	var nCohorts int
-	for _, s := range size {
+	for _, s := range counts {
 		nCohorts += min(int(s), buckets)
 	}
 	p := cohortPlan{
-		perm: make([]int32, n),
-		off:  make([]int32, 0, nCohorts),
-		cnt:  make([]int32, 0, nCohorts),
+		off:   make([]int32, 0, nCohorts),
+		cnt:   make([]int32, 0, nCohorts),
+		class: make([]int32, 0, nCohorts),
 	}
-	fill := append([]int32(nil), start...)
-	for i, c := range classOf {
-		p.perm[fill[c]] = int32(i)
-		fill[c]++
-	}
-	for c := 0; c < nClasses; c++ {
-		s := int(size[c])
+	var off int32
+	for c, size := range counts {
+		s := int(size)
 		if s == 0 {
 			continue
 		}
-		b := buckets
-		if b > s {
-			b = s
-		}
+		b := min(buckets, s)
 		base, rem := s/b, s%b
-		off := start[c]
 		for k := 0; k < b; k++ {
 			cnt := base
 			if k < rem {
@@ -177,6 +156,7 @@ func classPlan(classOf []int32, nClasses, buckets int) cohortPlan {
 			}
 			p.off = append(p.off, off)
 			p.cnt = append(p.cnt, int32(cnt))
+			p.class = append(p.class, int32(c))
 			off += int32(cnt)
 		}
 	}
@@ -188,14 +168,60 @@ func classPlan(classOf []int32, nClasses, buckets int) cohortPlan {
 // discriminant, since the workload fields are uniform across flows) split
 // into jitter buckets. Within a class the workload layer already
 // guarantees one CC law, one demand and one release schedule.
-// cfg.cohortBuckets, a test-only knob, overrides the bucket count.
-func buildPlan(cfg *Config, net *netsim.FluidPaths) cohortPlan {
+// cfg.cohortBuckets, a test-only knob, overrides the bucket count. A
+// per-flow plan resolves every flow's class and rejects one outside the
+// path set; a cohort plan needs only the class counts.
+func buildPlan(cfg *Config, net *netsim.FluidPaths) (cohortPlan, error) {
 	if !cfg.cohortEnabled() {
-		return singletonPlan(cfg.Flows)
+		class := make([]int32, cfg.Flows)
+		net.Classes(0, class)
+		for i, c := range class {
+			if err := checkClass(net, i, c); err != nil {
+				return cohortPlan{}, err
+			}
+		}
+		return singletonPlan(class), nil
 	}
 	buckets := cfg.cohortBuckets
 	if buckets <= 0 {
 		buckets = defaultCohortBuckets
 	}
-	return classPlan(net.Class, len(net.Paths), buckets)
+	return countsPlan(net.Counts, buckets), nil
+}
+
+// checkClass rejects flow i's class c unless net has it.
+func checkClass(net *netsim.FluidPaths, i int, c int32) error {
+	if c < 0 || int(c) >= len(net.Paths) {
+		return fmt.Errorf("flowsim: flow %d has path class %d outside the %d classes", i, c, len(net.Paths))
+	}
+	return nil
+}
+
+// classMembers expands a cohort run's member list: net's flows class by
+// class, ascending within each class, the order countsPlan lays records
+// over. It walks every flow's class once and rejects a class outside the
+// path set or one holding more flows than its count.
+func classMembers(net *netsim.FluidPaths) ([]int32, error) {
+	next := make([]int32, len(net.Counts)) // class c's next free position
+	end := make([]int32, len(net.Counts))  // one past class c's last
+	var acc int32
+	for c, k := range net.Counts {
+		next[c] = acc
+		acc += k
+		end[c] = acc
+	}
+	class := make([]int32, net.Flows())
+	net.Classes(0, class)
+	members := make([]int32, len(class))
+	for i, c := range class {
+		if err := checkClass(net, i, c); err != nil {
+			return nil, err
+		}
+		if next[c] == end[c] {
+			return nil, fmt.Errorf("flowsim: path class %d holds more than its %d flows (flow %d)", c, net.Counts[c], i)
+		}
+		members[next[c]] = int32(i)
+		next[c]++
+	}
+	return members, nil
 }

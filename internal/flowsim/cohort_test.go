@@ -57,6 +57,21 @@ func TestCohortSingletonByteIdentity(t *testing.T) {
 				t.Fatalf("singleton cohorts n=%d: got %d cohorts, %d splits, peak %v",
 					n, got.Cohorts, got.CohortSplits, got.PeakCohortWeight)
 			}
+			// Both member lists are the identity on this one-class
+			// dumbbell, but only the cohort run expands its own from the
+			// path set, so compare the expansions and drop that source.
+			gotRec, err := got.Final.FlowRecords()
+			if err != nil {
+				t.Fatalf("singleton cohorts n=%d: %v", n, err)
+			}
+			wantRec, err := want.Final.FlowRecords()
+			if err != nil {
+				t.Fatalf("perflow n=%d: %v", n, err)
+			}
+			if !slices.Equal(gotRec, wantRec) {
+				t.Errorf("singleton cohorts n=%d: flow records %v, want %v", n, gotRec, wantRec)
+			}
+			got.Final.net = nil
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("singleton-cohort run diverged from perflow at n=%d kind=%v", n, cc.Kind)
 			}
@@ -336,4 +351,121 @@ func TestBuildReleasesOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refPlan is classPlan's plan: record r owns the member IDs
+// perm[off[r] : off[r]+cnt[r]].
+type refPlan struct {
+	perm, off, cnt []int32
+}
+
+// classPlan is the reference the plan built from class counts replaced:
+// it groups flows by class through a member permutation and splits each
+// class into at most `buckets` near-equal contiguous jitter buckets.
+// classOf[i] is flow i's class; nClasses is the ID count. Members of a
+// class keep ascending flow-ID order, and cohorts are emitted class by
+// class.
+func classPlan(classOf []int32, nClasses, buckets int) refPlan {
+	n := len(classOf)
+	size := make([]int32, nClasses)
+	for _, c := range classOf {
+		size[c]++
+	}
+	// Class start offsets into perm, then fill members in flow order.
+	start := make([]int32, nClasses)
+	var acc int32
+	for c, s := range size {
+		start[c] = acc
+		acc += s
+	}
+	p := refPlan{perm: make([]int32, n)}
+	fill := append([]int32(nil), start...)
+	for i, c := range classOf {
+		p.perm[fill[c]] = int32(i)
+		fill[c]++
+	}
+	for c := 0; c < nClasses; c++ {
+		s := int(size[c])
+		if s == 0 {
+			continue
+		}
+		b := buckets
+		if b > s {
+			b = s
+		}
+		base, rem := s/b, s%b
+		off := start[c]
+		for k := 0; k < b; k++ {
+			cnt := base
+			if k < rem {
+				cnt++
+			}
+			p.off = append(p.off, off)
+			p.cnt = append(p.cnt, int32(cnt))
+			off += int32(cnt)
+		}
+	}
+	return p
+}
+
+// classSeq spells a class sequence for FuzzClassPlan: class IDs as
+// big-endian uint16 pairs.
+func classSeq(ids ...int) []byte {
+	seq := make([]byte, 0, 2*len(ids))
+	for _, id := range ids {
+		seq = append(seq, byte(id>>8), byte(id))
+	}
+	return seq
+}
+
+// FuzzClassPlan pins the plan built from class counts (countsPlan) and
+// the on-demand member list (classMembers) to the reference classPlan:
+// for any class sequence and bucket count, the same record spans in the
+// same order, each record's class that of its members, and the member
+// list equal to the reference permutation. Flow i's class is the
+// (i mod len)-th uint16 of seq, modulo classes, over n flows (at most
+// 2^20). The seeds are one class, many singleton classes, and the
+// million-flow shape: 2^20 flows over 480 classes, 32 buckets.
+func FuzzClassPlan(f *testing.F) {
+	f.Add(classSeq(0), uint16(1), uint32(1000), uint8(32))
+	singletons := make([]int, 300)
+	for i := range singletons {
+		singletons[i] = i
+	}
+	f.Add(classSeq(singletons...), uint16(300), uint32(300), uint8(32))
+	million := make([]int, 480)
+	for i := range million {
+		million[i] = i * 7 % 480 // a permutation: 7 is prime to 480
+	}
+	f.Add(classSeq(million...), uint16(480), uint32(1<<20), uint8(defaultCohortBuckets))
+	f.Fuzz(func(t *testing.T, seq []byte, classes uint16, n uint32, buckets uint8) {
+		n %= 1<<20 + 1
+		if len(seq) < 2 || classes == 0 || n == 0 || buckets == 0 {
+			return
+		}
+		classOf := make([]int32, n)
+		for i := range classOf {
+			j := 2 * (i % (len(seq) / 2))
+			classOf[i] = int32((uint16(seq[j])<<8 | uint16(seq[j+1])) % classes)
+		}
+		want := classPlan(classOf, int(classes), int(buckets))
+		net := &netsim.FluidPaths{Paths: make([][]int32, classes)}
+		net.SetClasses(classOf)
+		got := countsPlan(net.Counts, int(buckets))
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.cnt, want.cnt) {
+			t.Fatalf("spans differ from the reference: %d records, want %d", len(got.off), len(want.off))
+		}
+		for r, c := range got.class {
+			if want := classOf[want.perm[want.off[r]]]; c != want {
+				t.Fatalf("record %d: class %d, want %d", r, c, want)
+			}
+		}
+		members, err := classMembers(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(members, want.perm) {
+			t.Fatal("member list differs from the reference permutation")
+		}
+	})
 }

@@ -134,8 +134,8 @@ func (c *Config) fill() error {
 	if c.JitterMax == 0 {
 		c.JitterMax = 100 * sim.Microsecond
 	}
-	if c.JitterMax >= c.Interval {
-		return fmt.Errorf("flowsim: jitter %v must stay below the burst interval %v", c.JitterMax, c.Interval)
+	if err := CheckJitter(c.JitterMax, c.Interval); err != nil {
+		return err
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -191,6 +191,16 @@ func (c *Config) fill() error {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 60 * sim.Second
+	}
+	return nil
+}
+
+// CheckJitter reports whether a start-jitter ceiling fits the burst
+// interval: the release schedule needs every flow of a burst released
+// before the next burst starts.
+func CheckJitter(jitter, interval sim.Time) error {
+	if jitter >= interval {
+		return fmt.Errorf("flowsim: jitter %v must stay below the burst interval %v", jitter, interval)
 	}
 	return nil
 }
@@ -256,21 +266,47 @@ type EndState struct {
 	// Win[r] is record r's effective window in packets and Alpha[r] its
 	// DCTCP-family congestion estimate (Alpha is nil for other laws).
 	Win, Alpha []float64
-	// Record r's members are the flow IDs Members[Off[r] : Off[r]+Cnt[r]].
-	Members, Off, Cnt []int32
+	// Record r's members are the flow IDs at positions Off[r] :
+	// Off[r]+Cnt[r] of the member list (Members).
+	Off, Cnt []int32
+	// net is a cohort run's path set, whose classes order its member list;
+	// nil for a per-flow run, whose member list is the identity. It holds
+	// no engine state, so a kept Result pins only the path set.
+	net *netsim.FluidPaths
+}
+
+// Members expands the member list the record spans index: the identity
+// for a per-flow run (record i is flow i; one-member records never
+// split), and for a cohort run the flows class by class, ascending within
+// each class, re-derived from the path set's class function. It costs one
+// class walk over every flow, and fails if the path set puts a flow in a
+// class it does not have.
+func (s *EndState) Members() ([]int32, error) {
+	if s.net == nil {
+		members := make([]int32, len(s.Off))
+		for i := range members {
+			members[i] = int32(i)
+		}
+		return members, nil
+	}
+	return classMembers(s.net)
 }
 
 // FlowRecords returns each flow's record index, indexed by flow ID:
 // ranging over it visits every flow's end state in flow-ID order, the
 // order a per-flow run reports it in.
-func (s *EndState) FlowRecords() []int32 {
-	rec := make([]int32, len(s.Members))
+func (s *EndState) FlowRecords() ([]int32, error) {
+	members, err := s.Members()
+	if err != nil {
+		return nil, err
+	}
+	rec := make([]int32, len(members))
 	for r, off := range s.Off {
-		for _, m := range s.Members[off : off+s.Cnt[r]] {
+		for _, m := range members[off : off+s.Cnt[r]] {
 			rec[m] = int32(r)
 		}
 	}
-	return rec
+	return rec, nil
 }
 
 // ModeFracBelowK is the busy-sample fraction below K separating healthy

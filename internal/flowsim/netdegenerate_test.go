@@ -92,7 +92,7 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 		},
 		Paths:      [][]int32{{0, 1}},
 		BaseRTT:    []sim.Time{20 * sim.Microsecond},
-		Class:      []int32{0, 0, 0, 0},
+		Counts:     []int32{4},
 		Stage:      []int{0, 1},
 		Bottleneck: 1,
 	}

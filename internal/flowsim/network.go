@@ -55,7 +55,11 @@ func RunNetwork(cfg NetworkConfig) (*Result, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
-	e, err := newNetEngine(cfg, buildPlan(&cfg.Config, cfg.Net))
+	plan, err := buildPlan(&cfg.Config, cfg.Net)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newNetEngine(cfg, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -77,8 +81,8 @@ func (cfg *NetworkConfig) prepare() error {
 	if err := cfg.Net.Validate(); err != nil {
 		return err
 	}
-	if cfg.Flows != len(cfg.Net.Class) {
-		return fmt.Errorf("flowsim: %d flows but the network assigns %d flows to path classes", cfg.Flows, len(cfg.Net.Class))
+	if n := cfg.Net.Flows(); cfg.Flows != n {
+		return fmt.Errorf("flowsim: %d flows but the network assigns %d flows to path classes", cfg.Flows, n)
 	}
 	b := cfg.Net.Queues[cfg.Net.Bottleneck]
 	cfg.QueueCapacityPackets = b.CapacityPackets
@@ -98,8 +102,8 @@ func (cfg *NetworkConfig) prepare() error {
 // SingleQueue wraps a single-bottleneck Config as its one-queue network:
 // one queue at LineRateBps with the Config's capacity and ECN threshold,
 // which every flow crosses alone at the Config's base RTT. That is one
-// path class, so the build costs the same few allocations at any incast
-// degree.
+// path class of Flows flows, so the build costs the same few allocations
+// at any incast degree.
 func SingleQueue(cfg Config) (NetworkConfig, error) {
 	if err := cfg.fill(); err != nil {
 		return NetworkConfig{}, err
@@ -113,7 +117,7 @@ func SingleQueue(cfg Config) (NetworkConfig, error) {
 		}},
 		Paths:   [][]int32{{0}},
 		BaseRTT: []sim.Time{cfg.BaseRTT},
-		Class:   make([]int32, cfg.Flows),
+		Counts:  []int32{int32(cfg.Flows)},
 		Stage:   []int{0},
 	}
 	return NetworkConfig{Config: cfg, Net: net}, nil
@@ -181,14 +185,18 @@ type netEngine struct {
 	flows []flowState
 	hot   []netFlow
 
+	// law is the run's congestion-control law: every record's controller
+	// follows the same one, so its constants are stored once.
+	law law
+
 	// Cohort bookkeeping (see cohort.go): record i stands for mCnt[i]
-	// identical flows (member IDs perm[mOff[i]:mOff[i]+mCnt[i]]); all
-	// per-record flow state is PER MEMBER and aggregate couplings at queue
-	// boundaries scale by the count. paths[i] is the record's shared
-	// ordered queue path (every member of a path class traverses the same
-	// queues by construction). Per-flow runs are the degenerate instance:
-	// every count 1, every lineage chain a single node.
-	perm       []int32
+	// identical flows (the member list's positions mOff[i] to
+	// mOff[i]+mCnt[i]); all per-record flow state is PER MEMBER and
+	// aggregate couplings at queue boundaries scale by the count. paths[i]
+	// is the record's shared ordered queue path (every member of a path
+	// class traverses the same queues by construction). Per-flow runs are
+	// the degenerate instance: every count 1, every lineage chain a single
+	// node.
 	mOff, mCnt []int32
 	paths      [][]int32
 	// releasedFlows counts flow releases by weight (== relPtr when every
@@ -252,11 +260,7 @@ type netEngine struct {
 	baseDrops, baseMarks, baseSent, baseDelivered    float64
 	baseTaken                                        bool
 
-	// timeRounds is true when the law closes rounds on elapsed RTT (Swift)
-	// instead of delivered volume; uniform across flows, hoisted out of
-	// the hot loop.
-	timeRounds bool
-	steps      uint64
+	steps uint64
 
 	smp sampler
 
@@ -275,24 +279,21 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 	net := cfg.Net
 	nq := len(net.Queues)
 	e := &netEngine{
-		cfg:        cfg.Config,
-		net:        net,
-		perm:       plan.perm,
-		mOff:       plan.off,
-		mCnt:       plan.cnt,
-		nicRate:    EffectivePacketRate(cfg.LineRateBps),
-		bneck:      net.Bottleneck,
-		segs:       float64(cfg.SegmentsPerFlow),
-		crumbEps:   float64(n)*volEps*4 + 1e-9,
-		timeRounds: cfg.CC.Kind == KindSwift,
-		releases:   releases,
-		bcts:       make([]sim.Time, 0, cfg.Bursts),
+		cfg:      cfg.Config,
+		net:      net,
+		law:      newLaw(cfg.CC),
+		mOff:     plan.off,
+		mCnt:     plan.cnt,
+		nicRate:  EffectivePacketRate(cfg.LineRateBps),
+		bneck:    net.Bottleneck,
+		segs:     float64(cfg.SegmentsPerFlow),
+		crumbEps: float64(n)*volEps*4 + 1e-9,
+		releases: releases,
+		bcts:     make([]sim.Time, 0, cfg.Bursts),
 	}
-	// Every member of a record shares its representative's path class.
-	classOf := func(i int) int32 { return net.Class[plan.perm[plan.off[i]]] }
 	var totalHops int32
-	for i := 0; i < m; i++ {
-		totalHops += int32(len(net.Paths[classOf(i)]))
+	for _, c := range plan.class {
+		totalHops += int32(len(net.Paths[c]))
 	}
 	e.attach(netScratchPool.Get().(*netScratch), nq, net.Stages(), m, totalHops)
 	for j, q := range net.Queues {
@@ -317,14 +318,14 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 	var hops int32
 	e.minBaseSec = math.Inf(1)
 	for i := range e.flows {
-		c := classOf(i)
+		c := plan.class[i]
 		path := net.Paths[c]
 		e.paths[i] = path
 		e.qs[path[len(path)-1]].transit = false // a terminal hop never cuts through
 		e.flows[i].ctrl = newController(cfg.CC)
 		e.flows[i].lastLoss = math.MinInt64 / 2
 		h := &e.hot[i]
-		h.win = e.flows[i].ctrl.window()
+		h.win = e.flows[i].ctrl.window(&e.law)
 		h.baseSec = float64(net.BaseRTT[c]) / 1e9
 		h.off = hops
 		h.lineNext = -1
@@ -671,8 +672,8 @@ func (e *netEngine) step(dt sim.Time) error {
 				if !h.reduced {
 					h.reduced = true
 					f := &e.flows[i]
-					f.ctrl.onMarkCut()
-					h.win = f.ctrl.window()
+					f.ctrl.onMarkCut(&e.law)
+					h.win = f.ctrl.window(&e.law)
 				}
 			}
 		}
@@ -681,7 +682,7 @@ func (e *netEngine) step(dt sim.Time) error {
 			// one window of data is delivered (packet DCTCP's nextSeq
 			// semantics); Swift closes once per RTT.
 			var closes bool
-			if e.timeRounds {
+			if e.law.timeBasedRounds() {
 				f := &e.flows[i]
 				if f.roundEnd == 0 {
 					f.roundEnd = stepEnd + sim.Time(h.rttSec*1e9)
@@ -695,8 +696,8 @@ func (e *netEngine) step(dt sim.Time) error {
 			if closes {
 				if h.roundDel > 0 {
 					f := &e.flows[i]
-					f.ctrl.onRoundEnd(h.roundDel, h.roundMark, h.rttSec)
-					h.win = f.ctrl.window()
+					f.ctrl.onRoundEnd(&e.law, h.roundDel, h.roundMark, h.rttSec)
+					h.win = f.ctrl.window(&e.law)
 					f.backoff = 0
 				}
 				h.roundDel, h.roundMark = 0, 0
@@ -919,8 +920,8 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 	if e.lossInflight(i, e.net.Stage[j]) < e.cfg.DupAckPackets {
 		// Not enough in flight to trigger fast retransmit: stall.
 		e.timeouts += w
-		f.ctrl.onTimeout()
-		e.hot[i].win = f.ctrl.window()
+		f.ctrl.onTimeout(&e.law)
+		e.hot[i].win = f.ctrl.window(&e.law)
 		rto := e.cfg.MaxRTO
 		if f.backoff < 16 {
 			if r := e.cfg.MinRTO << uint(f.backoff); r < rto {
@@ -948,8 +949,8 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 		e.wakes.push(stallEntry{rec: i, at: at, seq: e.parkSeq})
 	} else if rttTime := sim.Time(e.hot[i].rttSec * 1e9); stepEnd-f.lastLoss >= rttTime {
 		e.fastRetx += w
-		f.ctrl.onLoss()
-		e.hot[i].win = f.ctrl.window()
+		f.ctrl.onLoss(&e.law)
+		e.hot[i].win = f.ctrl.window(&e.law)
 		f.lastLoss = stepEnd
 	}
 }
@@ -1314,16 +1315,20 @@ func (e *netEngine) finish() (*Result, error) {
 	r.SentPackets = round(e.sent - e.baseSent)
 	r.DeliveredPackets = round(e.cumDelivered - e.baseDelivered)
 	// End state stays per record: every member shares its record's
-	// controller, and the member spans say which flows those are.
+	// controller, and the member spans say which flows those are. A
+	// cohort run's member list is expanded from the path set on demand.
 	m := len(e.flows)
-	r.Final = EndState{Win: make([]float64, m), Members: e.perm, Off: e.mOff, Cnt: e.mCnt}
-	alphas := e.flows[0].ctrl.kind == KindDCTCP
+	r.Final = EndState{Win: make([]float64, m), Off: e.mOff, Cnt: e.mCnt}
+	if e.cfg.cohortEnabled() {
+		r.Final.net = e.net
+	}
+	alphas := e.law.kind == KindDCTCP
 	if alphas {
 		r.Final.Alpha = make([]float64, m)
 	}
 	for i := range e.flows {
 		r.CwndUpdates += e.flows[i].ctrl.updates * int64(e.mCnt[i])
-		r.Final.Win[i] = e.flows[i].ctrl.window()
+		r.Final.Win[i] = e.flows[i].ctrl.window(&e.law)
 		if alphas {
 			r.Final.Alpha[i] = e.flows[i].ctrl.alpha
 		}

@@ -111,7 +111,8 @@ func TestSingleQueueAllocs(t *testing.T) {
 // TestNetworkValidation covers RunNetwork's input contract: a nil
 // network, mismatched flow counts, structurally invalid path sets, and a
 // flow whose path class does not exist all fail with named errors instead
-// of running.
+// of running. The class counts cannot see a stray class function, so the
+// per-flow plan and the cohort run's member expansion must.
 func TestNetworkValidation(t *testing.T) {
 	cfg := quickConfig(4, CCConfig{})
 	if _, err := RunNetwork(NetworkConfig{Config: cfg}); err == nil {
@@ -129,19 +130,28 @@ func TestNetworkValidation(t *testing.T) {
 		Queues:  []netsim.FluidQueue{{Name: "x", RateBps: 0, CapacityPackets: 1, ECNThresholdPackets: 1}},
 		Paths:   [][]int32{{0}},
 		BaseRTT: []sim.Time{sim.Millisecond},
-		Class:   []int32{0},
+		Counts:  []int32{1},
 		Stage:   []int{0},
 	}
 	if _, err := RunNetwork(NetworkConfig{Config: quickConfig(1, CCConfig{}), Net: bad}); err == nil {
 		t.Error("zero-rate queue accepted")
 	}
-	ncfg, err = SingleQueue(cfg)
-	if err != nil {
-		t.Fatalf("SingleQueue: %v", err)
-	}
-	ncfg.Net.Class[3] = 1
-	if _, err := RunNetwork(ncfg); err == nil || !strings.Contains(err.Error(), "class") {
-		t.Errorf("flow in a path class that does not exist: error %v, want one naming the class", err)
+	for _, agg := range []string{AggregationPerFlow, AggregationCohort} {
+		ncfg, err = SingleQueue(cfg)
+		if err != nil {
+			t.Fatalf("SingleQueue: %v", err)
+		}
+		ncfg.Aggregation = agg
+		ncfg.Net.SetClasses([]int32{0, 0, 0, 1})
+		ncfg.Net.Counts = []int32{4} // the counts agree; only the class function strays
+		res, err := RunNetwork(ncfg)
+		if agg == AggregationCohort && err == nil {
+			// A cohort run never resolves classes; expanding its members does.
+			_, err = res.Final.FlowRecords()
+		}
+		if err == nil || !strings.Contains(err.Error(), "class 1") {
+			t.Errorf("%s: flow in a path class that does not exist: error %v, want one naming the class", agg, err)
+		}
 	}
 }
 
@@ -155,15 +165,22 @@ func victimNet(terminal []int32) *netsim.FluidPaths {
 		Queues:  []netsim.FluidQueue{q, q, q},
 		Paths:   [][]int32{{0, 1}, {0, 2}},
 		BaseRTT: []sim.Time{10 * sim.Microsecond, 10 * sim.Microsecond},
-		Class:   make([]int32, len(terminal)),
 		Stage:   []int{0, 1, 1},
 	}
-	for i, j := range terminal {
-		net.Class[i] = j - 1
-	}
+	net.SetClasses(victimClasses(terminal))
 	net.Queues[0].Name, net.Queues[1].Name, net.Queues[2].Name = "uplink", "terminal-a", "terminal-b"
 	net.Bottleneck = 1
 	return net
+}
+
+// victimClasses is victimNet's class of each flow: the path to its
+// terminal queue.
+func victimClasses(terminal []int32) []int32 {
+	classes := make([]int32, len(terminal))
+	for i, j := range terminal {
+		classes[i] = j - 1
+	}
+	return classes
 }
 
 // victimEngine builds a network engine over victimNet for the given plan,
@@ -212,7 +229,7 @@ func TestDropTailVictimOrder(t *testing.T) {
 	// Flows 0-3 end at queue 1, flows 4-5 at queue 2.
 	terminal := []int32{1, 1, 1, 1, 2, 2}
 	order := []int32{2, 0, 4, 1, 5, 3} // flow 3 is released last
-	e := victimEngine(t, terminal, singletonPlan(len(terminal)), order)
+	e := victimEngine(t, terminal, singletonPlan(victimClasses(terminal)), order)
 	stepEnd := 60 * sim.Microsecond
 	e.now = stepEnd - 2*sim.Microsecond
 	e.releaseDue() // activates every released flow; flow 3 is not released yet
@@ -248,9 +265,9 @@ func TestDropTailVictimOrder(t *testing.T) {
 func TestDropTailFindsSplitChildren(t *testing.T) {
 	terminal := []int32{1, 1, 1, 1, 2}
 	plan := cohortPlan{
-		perm: []int32{0, 1, 2, 3, 4},
-		off:  []int32{0, 4},
-		cnt:  []int32{4, 1},
+		off:   []int32{0, 4},
+		cnt:   []int32{4, 1},
+		class: []int32{0, 1},
 	}
 	e := victimEngine(t, terminal, plan, []int32{0, 1})
 	stepEnd := 30 * sim.Microsecond
@@ -300,7 +317,7 @@ func TestDropTailFindsSplitChildren(t *testing.T) {
 // returned to the children; the run must fail naming the stranded records
 // instead of completing the burst.
 func TestNetworkStrandedVolumeIsAnError(t *testing.T) {
-	plan := cohortPlan{perm: []int32{0, 1, 2, 3}, off: []int32{0}, cnt: []int32{4}}
+	plan := cohortPlan{off: []int32{0}, cnt: []int32{4}, class: []int32{0}}
 	e := victimEngine(t, []int32{1, 1, 1, 1}, plan, []int32{0})
 	e.now = 10 * sim.Microsecond
 	e.releaseDue()
@@ -424,7 +441,6 @@ func randomNet(rng *rand.Rand, n int) *netsim.FluidPaths {
 	net := &netsim.FluidPaths{
 		Queues: []netsim.FluidQueue{q, q, q, q, q, q},
 		Stage:  []int{0, 0, 1, 1, 2, 2},
-		Class:  make([]int32, n),
 	}
 	for j := range net.Queues {
 		net.Queues[j].Name = fmt.Sprintf("q%d", j)
@@ -439,9 +455,11 @@ func randomNet(rng *rand.Rand, n int) *netsim.FluidPaths {
 		net.Paths = append(net.Paths, path)
 		net.BaseRTT = append(net.BaseRTT, sim.Time(5+rng.Intn(20))*sim.Microsecond)
 	}
-	for i := range net.Class {
-		net.Class[i] = int32(rng.Intn(len(net.Paths)))
+	classes := make([]int32, n)
+	for i := range classes {
+		classes[i] = int32(rng.Intn(len(net.Paths)))
 	}
+	net.SetClasses(classes)
 	last := net.Paths[0]
 	net.Bottleneck = int(last[len(last)-1])
 	return net
@@ -470,7 +488,11 @@ func oracleEngine(t *testing.T, seed int64, everyVictimParks bool) *netEngine {
 	if err := cfg.prepare(); err != nil {
 		t.Fatalf("seed %d: prepare: %v", seed, err)
 	}
-	e, err := newNetEngine(cfg, buildPlan(&cfg.Config, cfg.Net))
+	plan, err := buildPlan(&cfg.Config, cfg.Net)
+	if err != nil {
+		t.Fatalf("seed %d: buildPlan: %v", seed, err)
+	}
+	e, err := newNetEngine(cfg, plan)
 	if err != nil {
 		t.Fatalf("seed %d: newNetEngine: %v", seed, err)
 	}
@@ -635,7 +657,7 @@ func TestDropTailAndWakesMatchReferences(t *testing.T) {
 // deadline disagrees with its record's.
 func TestCheckIndexesCatchesDrift(t *testing.T) {
 	fresh := func() *netEngine {
-		e := victimEngine(t, []int32{1, 1, 2}, singletonPlan(3), []int32{0, 1})
+		e := victimEngine(t, []int32{1, 1, 2}, singletonPlan([]int32{0, 0, 1}), []int32{0, 1})
 		e.now = 25 * sim.Microsecond
 		e.releaseDue()
 		e.offer(0, 1, 1)

@@ -28,28 +28,56 @@ func perFlowPaths(c netsim.ClosConfig, srcs, dsts []netsim.NodeID) (names []stri
 		return j
 	}
 	for i := range srcs {
-		src, dst := srcs[i], dsts[i]
-		srcRack, dstRack := c.RackOf(src), c.RackOf(dst)
-		down := queue(fmt.Sprintf("leaf-%d-port-%d", dstRack, int(dst)-dstRack*c.HostsPerRack))
-		if srcRack == dstRack {
-			paths = append(paths, []int32{down})
-			rtts = append(rtts, c.BaseRTT(false))
-			continue
+		route := routeNames(c, i, srcs[i], dsts[i])
+		// The destination's leaf port is numbered first, then the rest of
+		// the route in order.
+		down := queue(route[len(route)-1])
+		var path []int32
+		for _, name := range route[:len(route)-1] {
+			path = append(path, queue(name))
 		}
-		s := netsim.ECMPIndex(c.ECMPSeed, netsim.FlowID(i+1), src, dst, c.Spines)
-		up := queue(fmt.Sprintf("leaf-%d-uplink-%d", srcRack, s))
-		sd := queue(fmt.Sprintf("spine-%d-port-%d", s, dstRack))
-		paths = append(paths, []int32{up, sd, down})
-		rtts = append(rtts, c.BaseRTT(true))
+		paths = append(paths, append(path, down))
+		rtts = append(rtts, c.BaseRTT(len(path) > 0))
 	}
 	return names, paths, rtts
+}
+
+// routeNames is flow i's route from src to dst as perFlowPaths spells
+// it: the names of the queues it crosses, from the source outward.
+func routeNames(c netsim.ClosConfig, i int, src, dst netsim.NodeID) []string {
+	srcRack, dstRack := c.RackOf(src), c.RackOf(dst)
+	down := fmt.Sprintf("leaf-%d-port-%d", dstRack, int(dst)-dstRack*c.HostsPerRack)
+	if srcRack == dstRack {
+		return []string{down}
+	}
+	s := netsim.ECMPIndex(c.ECMPSeed, netsim.FlowID(i+1), src, dst, c.Spines)
+	return []string{fmt.Sprintf("leaf-%d-uplink-%d", srcRack, s), fmt.Sprintf("spine-%d-port-%d", s, dstRack), down}
+}
+
+// samePathSet fails the test unless q is p: the same queues, class paths,
+// base RTTs, counts, stages and bottleneck, and every flow in the same
+// class.
+func samePathSet(t *testing.T, name string, p, q *netsim.FluidPaths) {
+	t.Helper()
+	if !slices.Equal(p.Queues, q.Queues) || !slices.Equal(p.BaseRTT, q.BaseRTT) || !slices.Equal(p.Counts, q.Counts) ||
+		!slices.Equal(p.Stage, q.Stage) || p.Bottleneck != q.Bottleneck || !slices.EqualFunc(p.Paths, q.Paths, slices.Equal) {
+		t.Fatalf("%s: the path sets differ", name)
+	}
+	pc, qc := make([]int32, p.Flows()), make([]int32, q.Flows())
+	p.Classes(0, pc)
+	q.Classes(0, qc)
+	if i := slices.Compare(pc, qc); i != 0 {
+		t.Fatalf("%s: the path sets put flows in different classes", name)
+	}
 }
 
 // TestFluidPathsClassContract pins the class-native path set against
 // per-flow routing for 1, 3 and 8 aggregators under both placements:
 // every flow's class path and base RTT are its own route, queues appear
-// in the same order, class IDs are dense in first-appearance order, and
-// no two classes share a path and base RTT.
+// in the same order, class IDs are dense in first-appearance order, each
+// class counts its flows, no two classes share a path and base RTT, and
+// the bulk class walk agrees with ClassOf. Built from the placement in
+// chunks (FluidPathsFrom), the path set is the same.
 func TestFluidPathsClassContract(t *testing.T) {
 	c := netsim.DefaultClosConfig(8, 40)
 	c.Spines = 4
@@ -74,11 +102,18 @@ func TestFluidPathsClassContract(t *testing.T) {
 					t.Fatalf("%s: queue %d is %s, want %s", name, j, q.Name, names[j])
 				}
 			}
-			if len(p.Class) != len(srcs) {
-				t.Fatalf("%s: %d class entries for %d flows", name, len(p.Class), len(srcs))
+			if p.Flows() != len(srcs) {
+				t.Fatalf("%s: classes count %d flows, want %d", name, p.Flows(), len(srcs))
 			}
+			classes := make([]int32, len(srcs))
+			p.Classes(0, classes)
+			counts := make([]int32, len(p.Paths))
 			next := int32(0)
-			for i, cl := range p.Class {
+			for i := range srcs {
+				cl := p.ClassOf(i)
+				if cl != classes[i] {
+					t.Fatalf("%s: flow %d: ClassOf says %d, the bulk walk %d", name, i, cl, classes[i])
+				}
 				if cl > next {
 					t.Fatalf("%s: flow %d has class %d before class %d appeared", name, i, cl, next)
 				}
@@ -89,9 +124,13 @@ func TestFluidPathsClassContract(t *testing.T) {
 					t.Fatalf("%s: flow %d class %d is %v at %v, want %v at %v",
 						name, i, cl, p.Paths[cl], p.BaseRTT[cl], paths[i], rtts[i])
 				}
+				counts[cl]++
 			}
 			if int(next) != len(p.Paths) {
 				t.Fatalf("%s: flows use %d of %d classes", name, next, len(p.Paths))
+			}
+			if !slices.Equal(counts, p.Counts) {
+				t.Fatalf("%s: class counts %v, want %v", name, p.Counts, counts)
 			}
 			seen := map[string]int{}
 			for cl, path := range p.Paths {
@@ -101,9 +140,20 @@ func TestFluidPathsClassContract(t *testing.T) {
 				}
 				seen[key] = cl
 			}
-			if p.Bottleneck != int(p.Paths[p.Class[0]][len(p.Paths[p.Class[0]])-1]) {
+			first := p.Paths[p.ClassOf(0)]
+			if p.Bottleneck != int(first[len(first)-1]) {
 				t.Errorf("%s: bottleneck %d is not flow 0's leaf port", name, p.Bottleneck)
 			}
+
+			pl, err := workload.NewClosPlacement(c, 30, aggs, placement)
+			if err != nil {
+				t.Fatalf("%s: placement: %v", name, err)
+			}
+			q, err := c.FluidPathsFrom(pl.Flows(), pl.Fill)
+			if err != nil {
+				t.Fatalf("%s: FluidPathsFrom: %v", name, err)
+			}
+			samePathSet(t, name, p, q)
 		}
 	}
 }
@@ -111,7 +161,10 @@ func TestFluidPathsClassContract(t *testing.T) {
 // TestFluidPathsMillionFlowClasses pins the million-flow geometry of
 // examples/scenarios/clos_million_flow_single.json: 16 aggregators each
 // fanning in 65,536 cross-rack workers share 480 path classes (16
-// destinations x 15 source racks x 2 spines) over 80 queues.
+// destinations x 15 source racks x 2 spines) over 80 queues. The class
+// counts tally ClassOf over every flow, every 61st flow's class path is
+// its per-flow route, and the chunked build (256 chunks) gives the same
+// path set.
 func TestFluidPathsMillionFlowClasses(t *testing.T) {
 	c := netsim.DefaultClosConfig(16, 65560)
 	c.SpineLinkBps = 400 * netsim.Gbps
@@ -123,8 +176,36 @@ func TestFluidPathsMillionFlowClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Class) != 1<<20 || len(p.Paths) != 480 || len(p.Queues) != 80 {
-		t.Errorf("million-flow path set: %d flows, %d classes, %d queues; want %d, 480, 80",
-			len(p.Class), len(p.Paths), len(p.Queues), 1<<20)
+	if p.Flows() != 1<<20 || len(p.Paths) != 480 || len(p.Queues) != 80 {
+		t.Fatalf("million-flow path set: %d flows, %d classes, %d queues; want %d, 480, 80",
+			p.Flows(), len(p.Paths), len(p.Queues), 1<<20)
 	}
+	classes := make([]int32, len(srcs))
+	p.Classes(0, classes)
+	counts := make([]int32, len(p.Paths))
+	for i, cl := range classes {
+		counts[cl]++
+		if i%61 != 0 {
+			continue
+		}
+		var got []string
+		for _, j := range p.Paths[cl] {
+			got = append(got, p.Queues[j].Name)
+		}
+		if want := routeNames(c, i, srcs[i], dsts[i]); !slices.Equal(got, want) {
+			t.Fatalf("flow %d: class %d crosses %v, want %v", i, cl, got, want)
+		}
+	}
+	if !slices.Equal(counts, p.Counts) {
+		t.Fatalf("class counts %v, want the tally %v", p.Counts, counts)
+	}
+	pl, err := workload.NewClosPlacement(c, 65536, 16, workload.PlacementCrossRack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.FluidPathsFrom(pl.Flows(), pl.Fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePathSet(t, "million", p, q)
 }

@@ -146,8 +146,9 @@ func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placeme
 // k*workers+i is worker i of aggregator k, carrying FlowID k*workers+i+1).
 // This is the single source of truth both backends place flows from: the
 // packet workload builds its senders from it and the fluid solver builds
-// its queue paths from it, so ECMP hashes over identical (flow, src, dst)
-// tuples. Placements that do not fit fail with CheckClosPlacement's error.
+// its queue paths from the same placement (ClosPlacement.Fill), so ECMP
+// hashes over identical (flow, src, dst) tuples. Placements that do not
+// fit fail with CheckClosPlacement's error.
 //
 // Aggregator k sits at rack k slot 0 (aggregators <= 1 means the one
 // aggregator at host 0). Its same-rack workers fill rack k's remaining
@@ -157,34 +158,107 @@ func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placeme
 // cross-rack worker i therefore sits in rack 1+i%(Racks-1), slot
 // i/(Racks-1).
 func ClosFlowEndpoints(cfg netsim.ClosConfig, workers, aggregators int, placement string) (srcs, dsts []netsim.NodeID, err error) {
-	n, err := CheckClosPlacement(cfg, workers, aggregators, placement)
+	p, err := NewClosPlacement(cfg, workers, aggregators, placement)
 	if err != nil {
 		return nil, nil, err
 	}
-	aggregators = max(aggregators, 1)
-	next := make([]int, cfg.Racks) // next free slot per rack
-	for r := 0; r < aggregators; r++ {
-		next[r] = 1 // slot 0 hosts aggregator r
+	srcs = make([]netsim.NodeID, p.Flows())
+	dsts = make([]netsim.NodeID, p.Flows())
+	p.Fill(0, srcs, dsts)
+	return srcs, dsts, nil
+}
+
+// ClosPlacement is a Clos incast placement that fits its fabric. Fill
+// writes the endpoints of any range of its flows, so a caller that walks
+// the flows in chunks never holds ClosFlowEndpoints' whole lists.
+type ClosPlacement struct {
+	racks, hpr           int
+	workers, aggregators int
+	cross                bool
+	flows                int
+}
+
+// NewClosPlacement checks a Clos incast placement with CheckClosPlacement
+// and returns it.
+func NewClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placement string) (ClosPlacement, error) {
+	n, err := CheckClosPlacement(cfg, workers, aggregators, placement)
+	if err != nil {
+		return ClosPlacement{}, err
 	}
-	srcs = make([]netsim.NodeID, 0, n)
-	dsts = make([]netsim.NodeID, 0, n)
-	// HostID spelled out: a method call on cfg here costs a copy of the
-	// config per flow.
-	racks, hpr := cfg.Racks, cfg.HostsPerRack
-	cross := placement != PlacementSameRack
-	for k := 0; k < aggregators; k++ {
-		agg := netsim.NodeID(k * hpr)
-		for i := 0; i < workers; i++ {
-			r := k
-			if cross {
-				r = (k + 1 + i%(racks-1)) % racks
+	return ClosPlacement{
+		racks: cfg.Racks, hpr: cfg.HostsPerRack,
+		workers: workers, aggregators: max(aggregators, 1),
+		cross: placement != PlacementSameRack,
+		flows: n,
+	}, nil
+}
+
+// Flows returns the placement's total flow count.
+func (p ClosPlacement) Flows() int { return p.flows }
+
+// Fill writes the endpoints of flows lo, lo+1, ... into srcs and dsts
+// (equal lengths, within Flows), exactly as ClosFlowEndpoints lists them;
+// it is a netsim.EndpointFill.
+func (p ClosPlacement) Fill(lo int, srcs, dsts []netsim.NodeID) {
+	dsts = dsts[:len(srcs)]
+	racks, hpr, workers := p.racks, p.hpr, p.workers
+	k, i := lo/workers, lo%workers
+	if !p.cross {
+		// Aggregator k's workers fill rack k from slot 1.
+		for j := 0; j < len(srcs); k, i = k+1, 0 {
+			agg := k * hpr
+			for ; i < workers && j < len(srcs); i, j = i+1, j+1 {
+				srcs[j] = netsim.NodeID(agg + 1 + i)
+				dsts[j] = netsim.NodeID(agg)
 			}
-			srcs = append(srcs, netsim.NodeID(r*hpr+next[r]))
+		}
+		return
+	}
+	// The per-rack cursors live on the stack up to 64 racks, so a walk in
+	// chunks allocates nothing per chunk.
+	var stack [64]int
+	next := stack[:min(p.racks, len(stack))]
+	if p.racks > len(stack) {
+		next = make([]int, p.racks)
+	}
+	p.nextSlots(next, k, i)
+	for j := 0; j < len(srcs); k, i = k+1, 0 {
+		agg := netsim.NodeID(k * hpr)
+		for ; i < workers && j < len(srcs); i, j = i+1, j+1 {
+			r := (k + 1 + i%(racks-1)) % racks
+			srcs[j] = netsim.NodeID(r*hpr + next[r])
 			next[r]++
-			dsts = append(dsts, agg)
+			dsts[j] = agg
 		}
 	}
-	return srcs, dsts, nil
+}
+
+// nextSlots sets next[r] to rack r's next free slot just before
+// cross-rack worker i of aggregator k is placed. Slot 0 of each
+// aggregator's rack is taken; every earlier aggregator k' placed its
+// workers round-robin over racks k'+1, k'+2, ..., so the j-th rack of its
+// round took workers/(Racks-1) of them, plus one for j <
+// workers%(Racks-1); and aggregator k's own first i workers did the same.
+func (p ClosPlacement) nextSlots(next []int, k, i int) {
+	n := p.racks - 1
+	clear(next)
+	for r := 0; r < p.aggregators; r++ {
+		next[r] = 1
+	}
+	take := func(k, placed int) {
+		q, rem := placed/n, placed%n
+		for j := 0; j < n; j++ {
+			r := (k + 1 + j) % p.racks
+			next[r] += q
+			if j < rem {
+				next[r]++
+			}
+		}
+	}
+	for kk := 0; kk < k; kk++ {
+		take(kk, p.workers)
+	}
+	take(k, i)
 }
 
 // ClosIncast wires an incast workload over a Clos fabric: the aggregator

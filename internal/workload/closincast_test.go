@@ -81,10 +81,10 @@ func walkClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placemen
 }
 
 // TestCheckClosPlacementMatchesWalk pins CheckClosPlacement's closed-form
-// rack-load arithmetic, and ClosFlowEndpoints' fill, to the slot-by-slot
-// walk over every small geometry: the same flow count, the same error
-// text (full rack included, naming the same worker), and the same
-// endpoints.
+// rack-load arithmetic, ClosFlowEndpoints' fill, and ClosPlacement.Fill
+// over arbitrary chunks to the slot-by-slot walk over every small
+// geometry: the same flow count, the same error text (full rack included,
+// naming the same worker), and the same endpoints.
 func TestCheckClosPlacementMatchesWalk(t *testing.T) {
 	var fits, fails int
 	for racks := 2; racks <= 5; racks++ {
@@ -117,6 +117,13 @@ func TestCheckClosPlacementMatchesWalk(t *testing.T) {
 						if !slices.Equal(srcs, wantSrcs) || !slices.Equal(dsts, wantDsts) {
 							t.Fatalf("%s: endpoints differ from the walk", name)
 						}
+						place, err := NewClosPlacement(cfg, workers, aggs, pl)
+						if err != nil || place.Flows() != n {
+							t.Fatalf("%s: NewClosPlacement = %d flows, %v; want %d", name, place.Flows(), err, n)
+						}
+						if lo, bad := chunkedFillDiffers(place, wantSrcs, wantDsts); bad {
+							t.Fatalf("%s: a chunk filled from flow %d differs from the walk", name, lo)
+						}
 					}
 				}
 			}
@@ -125,6 +132,29 @@ func TestCheckClosPlacementMatchesWalk(t *testing.T) {
 	if fits == 0 || fails == 0 {
 		t.Fatalf("grid covered %d fitting and %d failing placements; want both", fits, fails)
 	}
+}
+
+// chunkedFillDiffers fills pl's flows in chunks of 1, 2, 3 and 7 flows,
+// then in chunks growing 1, 2, 3, ..., so chunk boundaries fall at every
+// offset, inside an aggregator's workers and across them. It reports the
+// first chunk whose endpoints differ from srcs and dsts.
+func chunkedFillDiffers(pl ClosPlacement, srcs, dsts []netsim.NodeID) (int, bool) {
+	n := len(srcs)
+	gotSrcs, gotDsts := make([]netsim.NodeID, n), make([]netsim.NodeID, n)
+	for _, size := range []int{1, 2, 3, 7, 0} {
+		grow := size == 0
+		for lo, k := 0, max(size, 1); lo < n; lo += k {
+			if grow && lo > 0 {
+				k++
+			}
+			hi := min(lo+k, n)
+			pl.Fill(lo, gotSrcs[lo:hi], gotDsts[lo:hi])
+			if !slices.Equal(gotSrcs[lo:hi], srcs[lo:hi]) || !slices.Equal(gotDsts[lo:hi], dsts[lo:hi]) {
+				return lo, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // TestCheckClosPlacementAllocs pins that counting a million-flow incast
