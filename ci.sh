@@ -29,15 +29,19 @@
 #                        experiments re-run in checked mode (every
 #                        simulation invariant enforced, zero violations
 #                        tolerated)
-#   6. obs gate          quick Fig-5 + ablation_g run three ways (no
-#                        metrics; metrics serial; metrics parallel, where
-#                        the two experiments overlap in one row pool): CSV
-#                        artifacts must be bit-identical across all three,
-#                        both snapshots must parse and carry the key metric
-#                        families, and their deterministic subsets must be
-#                        byte-equal; quick Fig-5 + the Clos cross-rack sweep
-#                        then run the same three ways at -fidelity flow, so
-#                        the fluid harvest is held to the same contract
+#   6. obs gate          quick Fig-5 + ablation_g + the Clos cross-rack
+#                        sweep run three ways (no metrics; metrics serial;
+#                        metrics parallel, where the experiments overlap in
+#                        one row pool): CSV artifacts must be bit-identical
+#                        across all three, both snapshots must parse and
+#                        carry the key metric families, and their
+#                        deterministic subsets must be byte-equal; quick
+#                        Fig-5 + the Clos cross-rack sweep then run the same
+#                        three ways at -fidelity flow, so the fluid harvest
+#                        is held to the same contract; each leg's snapshot
+#                        must name no family that internal/core/obs.go's
+#                        backendFamilies table declares for the other
+#                        backend
 #   7. registry gate     `figures -list` must match the checked-in golden
 #                        name list, an unknown -only name must exit
 #                        non-zero, a trailing comma in -only is ignored
@@ -134,9 +138,26 @@ tail -n 1 "$OBS_TMP/gate.log"
 go test ./internal/core -run 'TestAudited' -count=1
 
 echo "==> obs gate: metrics must not perturb results; serial == parallel snapshots"
-go run ./cmd/figures -quick -only fig5,ablation_g -workers 1 -out "$OBS_TMP/base"
-go run ./cmd/figures -quick -only fig5,ablation_g -workers 1 -metrics "$OBS_TMP/m1.json" -out "$OBS_TMP/serial"
-go run ./cmd/figures -quick -only fig5,ablation_g -workers 4 -metrics "$OBS_TMP/m2.json" -out "$OBS_TMP/parallel"
+# forbid SNAPSHOT BACKEND fails when the snapshot names a metric family that
+# backendFamilies (internal/core/obs.go, one `"name": FidelityX,` line per
+# family) declares for BACKEND (Packet or Flow).
+forbid() {
+  local names
+  names="$(sed -n "s/^[[:space:]]*\"\([a-z_]*\)\":[[:space:]]*Fidelity$2,\$/\1/p" internal/core/obs.go)"
+  if [ -z "$names" ]; then
+    echo "obs gate: no $2-only families found in internal/core/obs.go" >&2
+    exit 1
+  fi
+  for name in $names; do
+    if grep -q "\"name\": \"$name\"" "$1"; then
+      echo "obs gate: $1 names $name, a $2-only family" >&2
+      exit 1
+    fi
+  done
+}
+go run ./cmd/figures -quick -only fig5,ablation_g,ext_clos_crossrack -workers 1 -out "$OBS_TMP/base"
+go run ./cmd/figures -quick -only fig5,ablation_g,ext_clos_crossrack -workers 1 -metrics "$OBS_TMP/m1.json" -out "$OBS_TMP/serial"
+go run ./cmd/figures -quick -only fig5,ablation_g,ext_clos_crossrack -workers 4 -metrics "$OBS_TMP/m2.json" -out "$OBS_TMP/parallel"
 for f in "$OBS_TMP"/base/*.csv; do
   name="$(basename "$f")"
   cmp "$f" "$OBS_TMP/serial/$name"    # instrumented == uninstrumented
@@ -146,6 +167,7 @@ go run ./internal/obs/snapcheck \
   -require runs,sim_events_executed,sim_time_ns,net_queue_enqueued_packets,net_link_tx_bytes,net_pool_gets,tcp_sent_packets,cc_cwnd_updates,burst_bct_ms \
   "$OBS_TMP/m1.json"
 go run ./internal/obs/snapcheck -diff "$OBS_TMP/m1.json" "$OBS_TMP/m2.json"
+forbid "$OBS_TMP/m1.json" Flow
 go run ./cmd/figures -quick -only fig5,ext_clos_crossrack -fidelity flow -workers 1 -out "$OBS_TMP/flow_base"
 go run ./cmd/figures -quick -only fig5,ext_clos_crossrack -fidelity flow -workers 1 -metrics "$OBS_TMP/f1.json" -out "$OBS_TMP/flow_serial"
 go run ./cmd/figures -quick -only fig5,ext_clos_crossrack -fidelity flow -workers 4 -metrics "$OBS_TMP/f2.json" -out "$OBS_TMP/flow_parallel"
@@ -155,9 +177,10 @@ for f in "$OBS_TMP"/flow_base/*.csv; do
   cmp "$f" "$OBS_TMP/flow_parallel/$name"
 done
 go run ./internal/obs/snapcheck \
-  -require runs,sim_events_executed,flowsim_cohorts,cc_final_cwnd_bytes,cc_final_alpha,burst_bct_ms \
+  -require runs,sim_events_executed,flowsim_cohorts,cc_final_cwnd_bytes,cc_final_alpha,burst_bct_ms,net_queue_enqueued_packets,net_link_tx_bytes,tcp_sent_packets \
   "$OBS_TMP/f1.json"
 go run ./internal/obs/snapcheck -diff "$OBS_TMP/f1.json" "$OBS_TMP/f2.json"
+forbid "$OBS_TMP/f1.json" Packet
 
 echo "==> registry gate: -list golden, unknown -only rejection, quick CSV goldens"
 go run ./cmd/figures -list | diff -u internal/core/testdata/registry_names.golden -

@@ -234,48 +234,18 @@ func (a *Auditor) WatchPool(pp *netsim.PacketPool) {
 // a closed world (a partial watch cannot account for all bytes).
 func (a *Auditor) SetClosedWorld(closed bool) { a.closed = closed }
 
-// WatchDumbbell registers the whole dumbbell — every link (with its queue),
-// every host, and the packet pool — and declares the world closed.
-func (a *Auditor) WatchDumbbell(d *netsim.Dumbbell) {
-	for _, l := range d.AllLinks() {
+// WatchNetwork registers a whole topology — every link (with its queue),
+// every host, and the packet pool — and declares the world closed, so
+// conservation holds per switch across the topology, not just at one
+// bottleneck.
+func (a *Auditor) WatchNetwork(links []*netsim.Link, hosts []*netsim.Host, pool *netsim.PacketPool) {
+	for _, l := range links {
 		a.WatchLink(l)
 	}
-	a.WatchHost(d.Receiver)
-	for _, h := range d.Senders {
+	for _, h := range hosts {
 		a.WatchHost(h)
 	}
-	a.WatchPool(d.Pool)
-	a.SetClosedWorld(true)
-}
-
-// WatchRack registers the whole rack topology and declares the world
-// closed.
-func (a *Auditor) WatchRack(r *netsim.Rack) {
-	for _, l := range r.AllLinks() {
-		a.WatchLink(l)
-	}
-	for _, h := range r.Receivers {
-		a.WatchHost(h)
-	}
-	for _, h := range r.Senders {
-		a.WatchHost(h)
-	}
-	a.WatchPool(r.Pool)
-	a.SetClosedWorld(true)
-}
-
-// WatchClos registers the whole leaf/spine fabric — every link of every
-// switch tier, every host, and the packet pool — and declares the world
-// closed, so conservation holds per-switch across the fabric, not just at
-// one bottleneck.
-func (a *Auditor) WatchClos(c *netsim.Clos) {
-	for _, l := range c.AllLinks() {
-		a.WatchLink(l)
-	}
-	for _, h := range c.Hosts {
-		a.WatchHost(h)
-	}
-	a.WatchPool(c.Pool)
+	a.WatchPool(pool)
 	a.SetClosedWorld(true)
 }
 

@@ -31,7 +31,7 @@ func runAuditedIncast(t *testing.T, flows, bursts int) *Auditor {
 		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
 
 	a := New(eng, Config{RequireDrained: true})
-	a.WatchDumbbell(in.Network())
+	watchDumbbell(a, in.Network())
 	for _, s := range in.Senders() {
 		a.WatchSender(s)
 	}
@@ -77,7 +77,7 @@ func TestAuditedRunIsBitIdenticalToUnaudited(t *testing.T) {
 		var a *Auditor
 		if audit {
 			a = New(eng, Config{RequireDrained: true})
-			a.WatchDumbbell(in.Network())
+			watchDumbbell(a, in.Network())
 			for _, s := range in.Senders() {
 				a.WatchSender(s)
 			}
@@ -264,4 +264,9 @@ func TestViolationCapKeepsCounting(t *testing.T) {
 	if err := a.Err(); err == nil || !strings.Contains(err.Error(), "and 3 more") {
 		t.Fatalf("Err should mention the dropped violations, got: %v", err)
 	}
+}
+
+// watchDumbbell registers the whole dumbbell with the auditor.
+func watchDumbbell(a *Auditor, d *netsim.Dumbbell) {
+	a.WatchNetwork(d.AllLinks(), append([]*netsim.Host{d.Receiver}, d.Senders...), d.Pool)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"incastlab/internal/app"
 	"incastlab/internal/cc"
@@ -51,10 +50,7 @@ func QueryTailLatency(opt Options) *QueryTailResult {
 	}
 	results := runParallel(opt, len(degrees), func(i int) degreeResult {
 		n := degrees[i]
-		var wallStart time.Time
-		if opt.Metrics != nil {
-			wallStart = time.Now()
-		}
+		wallStart := startWall(opt.Metrics)
 		eng := sim.NewEngine()
 		cfg := app.DefaultPartitionAggregateConfig(n)
 		cfg.Queries = queries

@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"incastlab/internal/cc"
+	"incastlab/internal/netsim"
 	"incastlab/internal/scenario"
+	"incastlab/internal/sim"
 	"incastlab/internal/sweep"
 )
 
@@ -196,5 +199,26 @@ func TestParallelCohortDeterministic(t *testing.T) {
 	}
 	if got := tableCSV(t, warm); got != serial {
 		t.Error("cache-hit replay of the cohort-aggregated Clos sweep differs from the serial run")
+	}
+}
+
+// TestClosICTCPBudgetsEachReceivingHost: ICTCP runs one controller per
+// receiving host, each budgeting its own NIC, so on a Clos two
+// aggregators' concurrent incasts, each into its own leaf downlink,
+// complete about as fast as one incast alone. One controller over both
+// aggregators' receivers would split one NIC's budget between two NICs.
+func TestClosICTCPBudgetsEachReceivingHost(t *testing.T) {
+	clos := netsim.DefaultClosConfig(4, 40)
+	run := func(aggregators int) sim.Time {
+		return RunIncastSim(SimConfig{
+			Flows: 4, Clos: &clos, Aggregators: aggregators, EnableICTCP: true,
+			Alg:           func(int) cc.Algorithm { return cc.NewReno(10 * netsim.MSS) },
+			BurstDuration: 5 * sim.Millisecond, Bursts: 3,
+		}).MeanBCT
+	}
+	one, two := run(1), run(2)
+	t.Logf("mean BCT: %v with one aggregator, %v with two", one, two)
+	if float64(two) > 1.2*float64(one) {
+		t.Errorf("two aggregators' mean BCT %v exceeds one aggregator's %v by more than 20%%", two, one)
 	}
 }

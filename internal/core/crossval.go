@@ -2,16 +2,12 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"incastlab/internal/audit"
-	"incastlab/internal/cc"
 	"incastlab/internal/millisampler"
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
-	"incastlab/internal/tcp"
 	"incastlab/internal/trace"
-	"incastlab/internal/workload"
 )
 
 func init() {
@@ -58,53 +54,37 @@ func CrossValidation(opt Options) *CrossValidationResult {
 		bursts = 15
 	}
 
-	var wallStart time.Time
-	if opt.Metrics != nil {
-		wallStart = time.Now()
+	wallStart := startWall(opt.Metrics)
+	cfg := SimConfig{
+		Flows: flows, BurstDuration: duration, Bursts: bursts, Interval: interval,
+		Seed: opt.seed(), Metrics: opt.Metrics, Experiment: "crossval",
 	}
+	cfg.fill()
 	eng := sim.NewEngine()
-	net := netsim.DefaultDumbbellConfig(flows)
-	wl := workload.IncastConfig{
-		Flows:          flows,
-		BytesPerFlow:   workload.BytesPerFlowFor(net.HostLinkBps, duration, flows),
-		Bursts:         bursts,
-		Interval:       interval,
-		JitterMax:      100 * sim.Microsecond,
-		Seed:           opt.seed(),
-		SenderConfig:   tcp.DefaultSenderConfig(),
-		ReceiverConfig: tcp.DefaultReceiverConfig(),
-	}
-	in := workload.NewIncast(eng, net, wl,
-		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
+	f := newFabric(eng, &cfg, nil)
 
 	// Millisampler's production deployment: 1 ms bins at the receiver NIC.
 	windowMS := int(sim.Time(bursts) * interval / sim.Millisecond)
-	rec := netsim.NewHostIngressRecorder(in.Network().Receiver, 0, sim.Millisecond, windowMS)
+	rec := netsim.NewHostIngressRecorder(f.aggregator, 0, sim.Millisecond, windowMS)
 
 	var auditor *audit.Auditor
 	if opt.Audit {
-		auditor = audit.New(eng, audit.Config{RequireDrained: true})
-		auditor.WatchDumbbell(in.Network())
-		for _, s := range in.Senders() {
-			auditor.WatchSender(s)
-		}
-		auditor.Start()
+		auditor = startAudit(eng, f.watch, f.flows.Senders())
 	}
 
 	eng.RunUntil(sim.Time(bursts)*interval + 5*sim.Second)
-	if !in.Done() {
+	if !f.flows.Done() {
 		panic("core: cross-validation incast did not complete")
 	}
 	if auditor != nil {
-		auditor.Finish()
-		if err := auditor.Err(); err != nil {
-			panic(fmt.Sprintf("core: cross-validation failed its invariant audit: %v", err))
-		}
+		finishAudit(auditor, "cross-validation")
 	}
 
-	harvestIncastRun(opt.Metrics, "crossval", flows, eng, in, wallStart)
+	if cfg.Metrics != nil {
+		harvest(&cfg, wallStart, f.totals(eng))
+	}
 
-	tr, err := millisampler.FromIngressRecorder(rec, net.HostLinkBps)
+	tr, err := millisampler.FromIngressRecorder(rec, hostLinkBps(&cfg))
 	if err != nil {
 		// The recorder above is constructed with sim.Millisecond, so this
 		// is unreachable short of a programming error.

@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
-	"time"
 
 	"incastlab/internal/cc"
 	"incastlab/internal/flowsim"
 	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/sim"
+	"incastlab/internal/tcp"
 	"incastlab/internal/workload"
 )
 
@@ -111,13 +113,22 @@ func (c SimConfig) FlowCompatible() error {
 }
 
 // flowBaseRTT is the uncongested round-trip the reduced congestion laws
-// are parameterized against: the fabric RTT for the configured placement
-// on a Clos, the dumbbell's otherwise.
+// (and packet ICTCP's control slot) are parameterized against: the fabric
+// RTT for the configured placement on a Clos, the dumbbell's otherwise.
 func flowBaseRTT(cfg *SimConfig) sim.Time {
 	if cfg.Clos != nil {
 		return cfg.Clos.BaseRTT(cfg.Placement != workload.PlacementSameRack)
 	}
 	return cfg.Net.BaseRTT()
+}
+
+// hostLinkBps is the host NIC line rate of the configured topology, which
+// sizes per-flow demand on both backends.
+func hostLinkBps(cfg *SimConfig) int64 {
+	if cfg.Clos != nil {
+		return cfg.Clos.HostLinkBps
+	}
+	return cfg.Net.HostLinkBps
 }
 
 // flowCC lowers a packet-level congestion-control instance into flowsim's
@@ -181,10 +192,7 @@ func flowCC(alg cc.Algorithm, baseRTT sim.Time) (flowsim.CCConfig, error) {
 // panic, like the packet path's own invalid-input handling; callers that
 // want a soft answer check FlowCompatible first.
 func runFlowIncastSim(cfg SimConfig) *SimResult {
-	var wallStart time.Time
-	if cfg.Metrics != nil {
-		wallStart = time.Now()
-	}
+	wallStart := startWall(cfg.Metrics)
 	fres := runFluid(cfg)
 	res := &SimResult{
 		Fidelity:          FidelityFlow,
@@ -207,7 +215,9 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 		QueueCapacity:     fres.QueueCapacity,
 		ECNThreshold:      fres.ECNThreshold,
 	}
-	harvestFlowRun(&cfg, fres, wallStart)
+	if cfg.Metrics != nil {
+		harvest(&cfg, wallStart, flowTotals(&cfg, fres))
+	}
 	return res
 }
 
@@ -222,15 +232,16 @@ func runFluid(cfg SimConfig) *flowsim.Result {
 		panic(err.Error())
 	}
 	// One fluid Config serves both topologies; the branch only picks the
-	// queue network the flows cross.
+	// queue network the flows cross. Per-flow demand is sized against the
+	// per-aggregator degree, exactly as the packet workload's BytesPerFlow.
 	fcfg := flowsim.Config{
 		Flows:           cfg.Flows,
-		SegmentsPerFlow: workload.BytesPerFlowFor(cfg.Net.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS,
+		SegmentsPerFlow: workload.BytesPerFlowFor(hostLinkBps(&cfg), cfg.BurstDuration, cfg.Flows) / netsim.MSS,
 		Bursts:          cfg.Bursts,
 		Interval:        cfg.Interval,
 		JitterMax:       cfg.JitterMax,
 		Seed:            cfg.Seed,
-		LineRateBps:     cfg.Net.HostLinkBps,
+		LineRateBps:     hostLinkBps(&cfg),
 		MinRTO:          cfg.Sender.MinRTO,
 		MaxRTO:          cfg.Sender.MaxRTO,
 		DupAckPackets:   float64(cfg.Sender.DupAckThreshold),
@@ -254,10 +265,6 @@ func runFluid(cfg SimConfig) *flowsim.Result {
 			panic(err.Error())
 		}
 		fcfg.Flows = pl.Flows()
-		// Per-flow demand is sized against the per-aggregator degree,
-		// exactly as the packet workload's BytesPerFlow.
-		fcfg.SegmentsPerFlow = workload.BytesPerFlowFor(closCfg.HostLinkBps, cfg.BurstDuration, cfg.Flows) / netsim.MSS
-		fcfg.LineRateBps = closCfg.HostLinkBps
 		ncfg = flowsim.NetworkConfig{Config: fcfg, Net: net}
 	} else {
 		fcfg.QueueCapacityPackets = cfg.Net.QueueCapacityPackets
@@ -275,124 +282,81 @@ func runFluid(cfg SimConfig) *flowsim.Result {
 	return fres
 }
 
-// harvestFlowRun publishes a flow-level run's telemetry under the same
-// metric schema as the packet harvest, so dashboards and snapshot tooling
-// see one key set regardless of fidelity. Counters with no fluid
-// counterpart — free-list, calendar-queue scheduler, packet pool, the
-// uplink port — report explicit zeros rather than going absent.
-func harvestFlowRun(cfg *SimConfig, r *flowsim.Result, wallStart time.Time) {
-	reg := cfg.Metrics
-	if reg == nil {
-		return
-	}
-	experiment := cfg.Experiment
-	if experiment == "" {
-		experiment = "adhoc"
-	}
-	labels := []string{"experiment", experiment, "flows", strconv.Itoa(cfg.Flows)}
-	if cfg.Clos != nil {
-		// Mirror the packet-side fabric harvest's placement label so both
-		// fidelities publish the same key set for Clos experiments.
-		placement := cfg.Placement
-		if placement == "" {
-			placement = workload.PlacementCrossRack
+// flowTotals reads a finished fluid run for the harvest. Its ports are
+// the packet fabric's, mapped from the solver's queues: on a Clos the
+// bottleneck is queue leaf-0-port-0 and spine s's port into the
+// aggregator's rack is spine-<s>-port-0; a spine port no flow crosses is
+// not in the path set, so it carried nothing and reports idle. The fluid
+// dumbbell is the bottleneck queue alone (it does not model the core
+// link), so it lists only the bottleneck.
+func flowTotals(cfg *SimConfig, r *flowsim.Result) runTotals {
+	lt := r.Lifetime
+	port := func(label, queue string, bps int64) harvestPort {
+		p := harvestPort{label: label, bps: bps}
+		if k := slices.IndexFunc(lt.Queues, func(q flowsim.QueueTotals) bool { return q.Name == queue }); k >= 0 {
+			q := lt.Queues[k]
+			p.queue = netsim.QueueStats{
+				EnqueuedPackets: q.Admitted,
+				EnqueuedBytes:   q.Admitted * netsim.MTU,
+				DroppedPackets:  q.Dropped,
+				DroppedBytes:    q.Dropped * netsim.MTU,
+				MarkedPackets:   q.Marked,
+				PeakPackets:     int(math.Round(q.Peak)),
+				PeakBytes:       int(math.Round(q.Peak * netsim.MTU)),
+			}
+			p.txPackets, p.txBytes = q.Departed, q.Departed*(netsim.MTU+netsim.EthernetOverhead)
 		}
-		labels = append(labels, "placement", placement)
+		return p
 	}
-	c := reg.Collector(labels...)
-	defer c.Close()
-
-	c.Counter("runs").Inc()
-	// One fluid step is the flow-level analogue of one executed event.
-	c.Counter("sim_events_scheduled").Add(int64(r.Steps))
-	c.Counter("sim_events_executed").Add(int64(r.Steps))
-	c.Counter("sim_freelist_hits").Add(0)
-	c.Counter("sim_freelist_misses").Add(0)
-	c.Counter("sim_time_ns").Add(int64(r.SimNow))
-	c.Counter("sim_sched_resizes").Add(0)
-	c.Counter("sim_sched_overflow_migrations").Add(0)
-	c.Counter("sim_sched_now_fastpath").Add(0)
-
-	admitted := r.SentPackets - r.Drops
-	if admitted < 0 {
-		admitted = 0
-	}
-	c.Counter("net_queue_enqueued_packets", "port", "bottleneck").Add(admitted)
-	c.Counter("net_queue_enqueued_bytes", "port", "bottleneck").Add(admitted * netsim.MTU)
-	c.Counter("net_queue_dropped_packets", "port", "bottleneck").Add(r.Drops)
-	c.Counter("net_queue_dropped_bytes", "port", "bottleneck").Add(r.Drops * netsim.MTU)
-	c.Counter("net_queue_marked_packets", "port", "bottleneck").Add(r.Marks)
-	c.Gauge("net_queue_peak_packets", obs.MergeMax, "port", "bottleneck").Set(r.MaxQueue)
-	c.Gauge("net_queue_peak_bytes", obs.MergeMax, "port", "bottleneck").Set(r.MaxQueue * netsim.MTU)
-	for _, m := range []string{"net_queue_enqueued_packets", "net_queue_enqueued_bytes",
-		"net_queue_dropped_packets", "net_queue_dropped_bytes", "net_queue_marked_packets"} {
-		c.Counter(m, "port", "uplink").Add(0)
-	}
-	c.Gauge("net_queue_peak_packets", obs.MergeMax, "port", "uplink").Set(0)
-	c.Gauge("net_queue_peak_bytes", obs.MergeMax, "port", "uplink").Set(0)
-
-	wire := int64(netsim.MTU + netsim.EthernetOverhead)
-	c.Counter("net_link_tx_packets", "port", "bottleneck").Add(r.DeliveredPackets)
-	c.Counter("net_link_tx_bytes", "port", "bottleneck").Add(r.DeliveredPackets * wire)
-	active := sim.Time(cfg.Bursts) * cfg.Interval
-	if r.SimNow < active {
-		active = r.SimNow
-	}
-	hostBps := cfg.Net.HostLinkBps
-	if cfg.Clos != nil {
-		hostBps = cfg.Clos.HostLinkBps
-	}
-	if secs := active.Seconds(); secs > 0 && hostBps > 0 {
-		util := float64(r.DeliveredPackets*wire) * 8 / (float64(hostBps) * secs)
-		c.Gauge("net_link_utilization", obs.MergeMax, "port", "bottleneck").Set(util)
-	}
-	c.Counter("net_link_tx_packets", "port", "uplink").Add(0)
-	c.Counter("net_link_tx_bytes", "port", "uplink").Add(0)
-	c.Gauge("net_link_utilization", obs.MergeMax, "port", "uplink").Set(0)
-
-	for _, m := range []string{"net_pool_gets", "net_pool_puts", "net_pool_hits", "net_pool_misses"} {
-		c.Counter(m).Add(0)
-	}
-	c.Gauge("net_pool_outstanding_end", obs.MergeMax).Set(0)
-
-	c.Counter("tcp_sent_packets").Add(r.SentPackets)
-	c.Counter("tcp_sent_bytes").Add(r.SentPackets * netsim.MSS)
-	c.Counter("tcp_retransmit_packets").Add(r.RetransmitPackets)
-	c.Counter("tcp_fast_retransmits").Add(r.FastRetransmits)
-	c.Counter("tcp_timeouts").Add(r.Timeouts)
-	// The fluid model has no discrete ACKs; one delivered packet stands in
-	// for one ACK, and the marked volume for ECE echoes.
-	c.Counter("tcp_acks").Add(r.DeliveredPackets)
-	c.Counter("tcp_ece_acks").Add(r.Marks)
-	// The fluid backend has no per-packet control plane, so explicit
-	// incast notification never runs there (scenario validation rejects
-	// the combination); publish the zero so the key set stays dense.
-	c.Counter("tcp_incast_notifies").Add(0)
-	c.Counter("cc_cwnd_updates").Add(r.CwndUpdates)
-	harvestCohorts(c, r.Cohorts, r.CohortSplits, r.PeakCohortWeight)
-
-	// End state is kept per record; expand it flow by flow in flow-ID
-	// order, so the histograms' float sums match a per-flow walk.
-	flowRec, err := r.Final.FlowRecords()
-	if err != nil {
-		panic(fmt.Sprintf("core: flow-level end state of %d flows: %v", cfg.Flows, err))
-	}
-	cwnd := c.Histogram("cc_final_cwnd_bytes", cwndBuckets)
-	for _, i := range flowRec {
-		cwnd.Observe(r.Final.Win[i] * float64(netsim.MSS))
-	}
-	alpha := c.Histogram("cc_final_alpha", alphaBuckets)
-	if r.Final.Alpha != nil {
-		for _, i := range flowRec {
-			alpha.Observe(r.Final.Alpha[i])
+	var ports []harvestPort
+	if c := cfg.Clos; c != nil {
+		ports = append(ports, port("bottleneck", "leaf-0-port-0", c.HostLinkBps))
+		for s := range c.Spines {
+			ports = append(ports, port(spinePort(s), "spine-"+strconv.Itoa(s)+"-port-0", c.SpineLinkBps))
 		}
+	} else {
+		ports = append(ports, port("bottleneck", "bottleneck", cfg.Net.HostLinkBps))
 	}
-	bct := c.Histogram("burst_bct_ms", bctBuckets)
-	for _, b := range r.BCTs {
-		bct.Observe(b.Milliseconds())
-	}
-
-	if !wallStart.IsZero() {
-		c.Gauge("wall_run_seconds", obs.MergeSum).Set(time.Since(wallStart).Seconds())
+	return runTotals{
+		// One fluid step is the flow-level analogue of one executed event.
+		scheduled: r.Steps,
+		executed:  r.Steps,
+		simNow:    r.SimNow,
+		ports:     ports,
+		// The fluid model has no discrete ACKs; one delivered packet
+		// stands in for one ACK, and a marked delivery for an ECE echo.
+		tcp: tcp.SenderStats{
+			SentPackets:       lt.SentPackets,
+			SentBytes:         lt.SentPackets * netsim.MSS,
+			RetransmitPackets: lt.RetransmitPackets,
+			FastRetransmits:   lt.FastRetransmits,
+			Timeouts:          lt.Timeouts,
+			Acks:              lt.DeliveredPackets,
+			ECEAcks:           lt.Marks,
+		},
+		bcts: lt.BCTs,
+		cc: func(cwnd, alpha *obs.Histogram) int64 {
+			// End state is kept per record; expand it flow by flow in
+			// flow-ID order, so the histograms' float sums match a
+			// per-flow walk.
+			flowRec, err := r.Final.FlowRecords()
+			if err != nil {
+				panic(fmt.Sprintf("core: flow-level end state of %d flows: %v", cfg.Flows, err))
+			}
+			for _, i := range flowRec {
+				cwnd.Observe(r.Final.Win[i] * float64(netsim.MSS))
+			}
+			if r.Final.Alpha != nil {
+				for _, i := range flowRec {
+					alpha.Observe(r.Final.Alpha[i])
+				}
+			}
+			return r.CwndUpdates
+		},
+		backend: func(c *obs.Collector) {
+			c.Gauge("flowsim_cohorts", obs.MergeSum).Set(float64(r.Cohorts))
+			c.Counter("flowsim_cohort_splits").Add(r.CohortSplits)
+			c.Gauge("flowsim_cohort_peak_weight", obs.MergeMax).Set(r.PeakCohortWeight)
+		},
 	}
 }

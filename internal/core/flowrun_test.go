@@ -50,69 +50,104 @@ func TestFlowDispatchMatchesPacketModes(t *testing.T) {
 }
 
 // TestFlowObsKeySetParity pins the harvest contract: a flow-level run
-// publishes exactly the same metric identities as a packet-level run of
-// the same config — counters with no fluid counterpart appear as explicit
-// zeros rather than going absent, so dashboards never see a sparse key
-// set.
+// publishes the same metric identities as a packet-level run of the same
+// config once the families backendFamilies declares for one backend are
+// set aside — on the dumbbell, less the packet side's uplink port, which
+// the fluid dumbbell does not model — and each side publishes every family
+// declared for it and none declared for the other. On a Clos both sides
+// name the bottleneck and every spine's port into the aggregator's rack,
+// idle or not.
 func TestFlowObsKeySetParity(t *testing.T) {
-	snapshot := func(fidelity string) *obs.Snapshot {
-		reg := obs.NewRegistry()
-		RunIncastSim(SimConfig{
-			Flows: 60, BurstDuration: sim.Millisecond, Bursts: 3,
-			Interval: 5 * sim.Millisecond,
-			Metrics:  reg, Experiment: "parity", Fidelity: fidelity,
+	clos := netsim.DefaultClosConfig(4, 40)
+	cases := []struct {
+		name string
+		cfg  SimConfig
+		// uplink is the number of packet-only shared identities, all on
+		// the uplink port.
+		uplink int
+	}{
+		{"dumbbell", SimConfig{Flows: 60}, 10},
+		{"clos cross-rack", SimConfig{Flows: 60, Clos: &clos, Placement: workload.PlacementCrossRack}, 0},
+		{"clos same-rack", SimConfig{Flows: 30, Clos: &clos, Placement: workload.PlacementSameRack}, 0},
+		{"clos 2 aggregators", SimConfig{Flows: 30, Clos: &clos, Aggregators: 2}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// ids maps each side's shared identities, and families its
+			// backend-specific family names.
+			ids := map[string]map[string]bool{}
+			families := map[string]map[string]bool{}
+			for _, fidelity := range []string{FidelityPacket, FidelityFlow} {
+				cfg := tc.cfg
+				cfg.BurstDuration, cfg.Bursts, cfg.Interval = sim.Millisecond, 3, 5*sim.Millisecond
+				cfg.Metrics, cfg.Experiment, cfg.Fidelity = obs.NewRegistry(), "parity", fidelity
+				RunIncastSim(cfg)
+				ids[fidelity], families[fidelity] = map[string]bool{}, map[string]bool{}
+				for _, id := range metricIdentities(cfg.Metrics.Snapshot()) {
+					name := strings.SplitN(strings.SplitN(id, ":", 2)[1], ",", 2)[0]
+					if backendFamilies[name] != "" {
+						families[fidelity][name] = true
+					} else {
+						ids[fidelity][id] = true
+					}
+				}
+			}
+			var packetOnly int
+			for id := range ids[FidelityPacket] {
+				if ids[FidelityFlow][id] {
+					continue
+				}
+				packetOnly++
+				if !strings.HasSuffix(id, ",port=uplink") {
+					t.Errorf("flow snapshot is missing %s", id)
+				}
+			}
+			if packetOnly != tc.uplink {
+				t.Errorf("packet snapshot has %d identities the flow one lacks, want %d uplink ones", packetOnly, tc.uplink)
+			}
+			for id := range ids[FidelityFlow] {
+				if !ids[FidelityPacket][id] {
+					t.Errorf("flow snapshot has extra %s", id)
+				}
+			}
+			for name, backend := range backendFamilies {
+				for _, fidelity := range []string{FidelityPacket, FidelityFlow} {
+					if got, want := families[fidelity][name], backend == fidelity; got != want {
+						t.Errorf("%s snapshot publishes %s: %t, want %t (declared %s-only)", fidelity, name, got, want, backend)
+					}
+				}
+			}
 		})
-		return reg.Snapshot()
 	}
-	identities := func(s *obs.Snapshot) []string {
-		var ids []string
-		label := func(labels map[string]string) string {
-			keys := make([]string, 0, len(labels))
-			for k := range labels {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			var b strings.Builder
-			for _, k := range keys {
-				fmt.Fprintf(&b, ",%s=%s", k, labels[k])
-			}
-			return b.String()
+}
+
+// metricIdentities lists a snapshot's metric identities, kind:name then
+// its labels sorted by key, in sorted order.
+func metricIdentities(s *obs.Snapshot) []string {
+	label := func(labels map[string]string) string {
+		keys := make([]string, 0, len(labels))
+		for k := range labels {
+			keys = append(keys, k)
 		}
-		for _, c := range s.Counters {
-			ids = append(ids, "counter:"+c.Name+label(c.Labels))
+		sort.Strings(keys)
+		var b strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&b, ",%s=%s", k, labels[k])
 		}
-		for _, g := range s.Gauges {
-			ids = append(ids, "gauge:"+g.Name+label(g.Labels))
-		}
-		for _, h := range s.Histograms {
-			ids = append(ids, "histogram:"+h.Name+label(h.Labels))
-		}
-		sort.Strings(ids)
-		return ids
+		return b.String()
 	}
-	packet := identities(snapshot(FidelityPacket))
-	flow := identities(snapshot(FidelityFlow))
-	if len(packet) == 0 {
-		t.Fatal("packet snapshot is empty")
+	var ids []string
+	for _, c := range s.Counters {
+		ids = append(ids, "counter:"+c.Name+label(c.Labels))
 	}
-	pset := make(map[string]bool, len(packet))
-	for _, id := range packet {
-		pset[id] = true
+	for _, g := range s.Gauges {
+		ids = append(ids, "gauge:"+g.Name+label(g.Labels))
 	}
-	fset := make(map[string]bool, len(flow))
-	for _, id := range flow {
-		fset[id] = true
+	for _, h := range s.Histograms {
+		ids = append(ids, "histogram:"+h.Name+label(h.Labels))
 	}
-	for _, id := range packet {
-		if !fset[id] {
-			t.Errorf("flow snapshot is missing %s", id)
-		}
-	}
-	for _, id := range flow {
-		if !pset[id] {
-			t.Errorf("flow snapshot has extra %s", id)
-		}
-	}
+	sort.Strings(ids)
+	return ids
 }
 
 // ccUnmappable is a congestion control with no flow-level reduced form.

@@ -8,15 +8,15 @@ import (
 	"incastlab/internal/workload"
 )
 
-// burstProbe is the measurement harness shared by the packet-level incast
-// runners (dumbbell and Clos): per-burst queue-depth series on the
-// bottleneck queue, a counter snapshot at the start of the measured window
-// (so the discarded first burst does not pollute deltas), and the
-// aggregation of both into a SimResult.
+// burstProbe is the packet runner's measurement harness, on either
+// topology: per-burst queue-depth series on the bottleneck queue, a
+// counter snapshot at the start of the measured window (so the discarded
+// first burst does not pollute deltas), and the aggregation of both into
+// a SimResult.
 type burstProbe struct {
-	cfg *SimConfig
-	eng *sim.Engine
-	q   *netsim.Queue
+	cfg   *SimConfig
+	q     *netsim.Queue
+	flows *workload.Flows
 
 	samplesPerBurst int
 	// first is the index of the first measured burst (1, unless the run has
@@ -32,20 +32,18 @@ type burstProbe struct {
 	// count is snapshotted with the other counters at the measured window's
 	// start so the result reports a windowed delta. The first-fire time is
 	// lifetime (onset detection happens in the first burst, warmup or not).
-	det          *detectorReadout
+	// Set it before the engine runs.
+	det          detectorReadout
 	baseDetFired int64
 }
 
-// newBurstProbe schedules the per-burst sampling and the measured-window
-// counter snapshot. aggregate must return the summed transport counters at
-// call time; it is invoked once, inside the simulation, at the measured
-// window's start.
-func newBurstProbe(cfg *SimConfig, eng *sim.Engine, q *netsim.Queue,
-	aggregate func() tcp.SenderStats) *burstProbe {
+// newBurstProbe schedules the per-burst sampling of q and the
+// measured-window snapshot of the flows' counters.
+func newBurstProbe(cfg *SimConfig, eng *sim.Engine, q *netsim.Queue, flows *workload.Flows) *burstProbe {
 	p := &burstProbe{
 		cfg:             cfg,
-		eng:             eng,
 		q:               q,
+		flows:           flows,
 		samplesPerBurst: int(cfg.SampleWindow / cfg.SampleInterval),
 		first:           1,
 	}
@@ -60,30 +58,19 @@ func newBurstProbe(cfg *SimConfig, eng *sim.Engine, q *netsim.Queue,
 			netsim.QueueDepthSeries(eng, q, start, cfg.SampleInterval, p.samplesPerBurst))
 	}
 	eng.Schedule(sim.Time(p.first)*cfg.Interval, func() {
-		p.base = aggregate()
+		p.base = flows.AggregateSenderStats()
 		st := q.Stats()
 		p.baseDrops, p.baseMarks = st.DroppedPackets, st.MarkedPackets
 		if p.det != nil {
-			p.baseDetFired = p.det.fired()
+			p.baseDetFired, _ = p.det()
 		}
 	})
 	return p
 }
 
-// watchDetector registers the switch-side incast-detector readout (nil is
-// accepted and ignored, for runs without notification). Call before the
-// engine runs so the window-start snapshot sees it.
-func (p *burstProbe) watchDetector(det *detectorReadout) { p.det = det }
-
-// lastBurstStart returns the nominal start time of the final burst, where
-// the in-flight trace samples.
-func (p *burstProbe) lastBurstStart() sim.Time {
-	return sim.Time(p.cfg.Bursts-1) * p.cfg.Interval
-}
-
 // finish folds the sampled series, burst records, and counter deltas into
 // res. Call after the run completes.
-func (p *burstProbe) finish(res *SimResult, bursts []workload.BurstRecord, agg tcp.SenderStats) {
+func (p *burstProbe) finish(res *SimResult) {
 	// Average the per-burst queue traces.
 	avg := stats.NewSeries(0, int64(p.cfg.SampleInterval), p.samplesPerBurst)
 	var busy, belowK int
@@ -115,7 +102,7 @@ func (p *burstProbe) finish(res *SimResult, bursts []workload.BurstRecord, agg t
 
 	var bctSum sim.Time
 	n := 0
-	for _, b := range bursts[p.first:] {
+	for _, b := range p.flows.Bursts()[p.first:] {
 		bctSum += b.BCT
 		if b.BCT > res.MaxBCT {
 			res.MaxBCT = b.BCT
@@ -124,14 +111,16 @@ func (p *burstProbe) finish(res *SimResult, bursts []workload.BurstRecord, agg t
 	}
 	res.MeanBCT = bctSum / sim.Time(n)
 
+	agg := p.flows.AggregateSenderStats()
 	res.Timeouts = agg.Timeouts - p.base.Timeouts
 	res.FastRetransmits = agg.FastRetransmits - p.base.FastRetransmits
 	res.RetransmitPackets = agg.RetransmitPackets - p.base.RetransmitPackets
 	res.SentPackets = agg.SentPackets - p.base.SentPackets
 	res.IncastNotifies = agg.IncastNotifies - p.base.IncastNotifies
 	if p.det != nil {
-		res.DetectorFirings = p.det.fired() - p.baseDetFired
-		res.DetectorFirstFire = p.det.firstFire()
+		fired, first := p.det()
+		res.DetectorFirings = fired - p.baseDetFired
+		res.DetectorFirstFire = first
 	}
 	st := p.q.Stats()
 	res.Drops = st.DroppedPackets - p.baseDrops

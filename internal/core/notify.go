@@ -44,103 +44,50 @@ func (n *NotificationConfig) detector() netsim.IncastDetectorConfig {
 	}
 }
 
-func (n *NotificationConfig) pulser() cc.PulserConfig {
-	return cc.PulserConfig{Backoff: n.Backoff, HoldAcks: n.HoldAcks}
+// pulsed wraps alg so every flow's algorithm carries the Pulser reaction.
+func (n *NotificationConfig) pulsed(alg func(flow int) cc.Algorithm) func(flow int) cc.Algorithm {
+	pulser := cc.PulserConfig{Backoff: n.Backoff, HoldAcks: n.HoldAcks}
+	return func(flow int) cc.Algorithm { return cc.NewPulser(alg(flow), pulser) }
 }
 
-func (n *NotificationConfig) closDetector() netsim.ClosDetectorConfig {
-	return netsim.ClosDetectorConfig{
-		Detector:    n.detector(),
-		MinPorts:    n.MinPorts,
-		CoordWindow: n.CoordWindow,
-		FlowHorizon: n.FlowHorizon,
-	}
-}
-
-// wrapNotificationAlg wraps cfg.Alg so every flow's algorithm carries the
-// Pulser reaction. Must run after fill() (which supplies the default Alg)
-// and before the workload builds senders.
-func wrapNotificationAlg(cfg *SimConfig) {
-	if cfg.Notification == nil {
-		return
-	}
-	nc := cfg.Notification
-	inner := cfg.Alg
-	cfg.Alg = func(flow int) cc.Algorithm {
-		return cc.NewPulser(inner(flow), nc.pulser())
-	}
-}
-
-// detectorReadout exposes a run's switch-side detection state to the
+// detectorReadout reads a run's switch-side detection state for the
 // measurement probe: the cumulative firing count (windowed in the result)
 // and the time of the first firing (zero until one happens — onset
 // detection latency when the workload's first burst starts at t=0).
-type detectorReadout struct {
-	fired     func() int64
-	firstFire func() sim.Time
-}
+type detectorReadout func() (fired int64, first sim.Time)
 
-// attachDumbbellNotification installs the single-switch detector on the
-// dumbbell bottleneck: the receiver-side ToR watches its congested port and
-// notifies over the reverse core path. Returns the detector readout for
-// result reporting, or nil when notification is off.
-func attachDumbbellNotification(cfg *SimConfig, net *netsim.Dumbbell) *detectorReadout {
-	if cfg.Notification == nil {
-		return nil
-	}
-	d, _ := netsim.AttachIncastNotification(net.ReceiverToR, net.BottleneckQueue(),
-		net.Pool, cfg.Notification.detector())
-	return &detectorReadout{
-		fired: func() int64 { return d.Stats().Fired },
-		firstFire: func() sim.Time {
-			if st := d.Stats(); st.Fired > 0 {
-				return st.FirstFired
-			}
-			return 0
-		},
-	}
-}
-
-// attachClosNotification installs detection on a Clos fabric: distributed
-// per-leaf coordination when MinPorts > 0, otherwise a single detector on
-// the aggregator's downlink port (notifying via its leaf, whose ECMP
-// fallback routes cross-rack). Returns the detector readout, or nil when
-// notification is off.
-func attachClosNotification(cfg *SimConfig, net *netsim.Clos) *detectorReadout {
-	if cfg.Notification == nil {
-		return nil
-	}
-	if cfg.Notification.MinPorts > 0 {
-		coords := netsim.AttachClosIncastDetection(net, cfg.Notification.closDetector())
-		return &detectorReadout{
-			fired: func() int64 {
-				var fired int64
-				for _, l := range coords {
-					fired += l.Stats().LeafFirings
-				}
-				return fired
-			},
-			firstFire: func() sim.Time {
-				var first sim.Time
-				for _, l := range coords {
-					st := l.Stats()
-					if st.LeafFirings > 0 && (first == 0 || st.FirstFired < first) {
-						first = st.FirstFired
-					}
-				}
-				return first
-			},
+// attachDetector installs one switch-side detector on queue q, whose
+// switch sw notifies every recent flow over its own routes, and returns
+// its readout.
+func attachDetector(sw *netsim.Switch, q *netsim.Queue, pool *netsim.PacketPool, nc *NotificationConfig) detectorReadout {
+	d, _ := netsim.AttachIncastNotification(sw, q, pool, nc.detector())
+	return func() (int64, sim.Time) {
+		st := d.Stats()
+		if st.Fired == 0 {
+			return 0, 0
 		}
+		return st.Fired, st.FirstFired
 	}
-	d, _ := netsim.AttachIncastNotification(net.Leaves[0], net.DownlinkQueue(0),
-		net.Pool, cfg.Notification.detector())
-	return &detectorReadout{
-		fired: func() int64 { return d.Stats().Fired },
-		firstFire: func() sim.Time {
-			if st := d.Stats(); st.Fired > 0 {
-				return st.FirstFired
+}
+
+// attachLeafDetection installs distributed detection on a Clos fabric:
+// every leaf coordinates detectors on its spine-facing uplinks. The
+// readout sums the leaves' firings and takes the earliest first firing.
+func attachLeafDetection(net *netsim.Clos, nc *NotificationConfig) detectorReadout {
+	coords := netsim.AttachClosIncastDetection(net, netsim.ClosDetectorConfig{
+		Detector:    nc.detector(),
+		MinPorts:    nc.MinPorts,
+		CoordWindow: nc.CoordWindow,
+		FlowHorizon: nc.FlowHorizon,
+	})
+	return func() (fired int64, first sim.Time) {
+		for _, l := range coords {
+			st := l.Stats()
+			fired += st.LeafFirings
+			if st.LeafFirings > 0 && (first == 0 || st.FirstFired < first) {
+				first = st.FirstFired
 			}
-			return 0
-		},
+		}
+		return fired, first
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/sim"
@@ -74,57 +73,135 @@ func (o Options) runSims(experiment string, cfgs []SimConfig) []*SimResult {
 // name without per-site boilerplate.
 func (o Options) stampSims(experiment string, cfgs []SimConfig) {
 	for i := range cfgs {
-		cfgs[i].Metrics = o.Metrics
-		cfgs[i].Experiment = experiment
-		o.applyFidelity(&cfgs[i])
+		cfgs[i] = o.instrument(experiment, cfgs[i])
 	}
 }
 
-// harvestIncastMetrics publishes one finished simulation's telemetry into
-// cfg.Metrics. Everything is read after the run from counters the
+// backendFamilies names the metric families only one backend publishes:
+// the packet engine's free list, calendar-queue scheduler, packet pool and
+// notification counter, and the fluid solver's cohort telemetry. Every
+// other family the harvest publishes comes from both backends, for the
+// same ports, over the run's whole lifetime. ci.sh reads this table (one
+// `"name": Fidelity...,` line per family) to fail a snapshot that names
+// the other backend's families.
+var backendFamilies = map[string]string{
+	"sim_freelist_hits":             FidelityPacket,
+	"sim_freelist_misses":           FidelityPacket,
+	"sim_sched_resizes":             FidelityPacket,
+	"sim_sched_overflow_migrations": FidelityPacket,
+	"sim_sched_now_fastpath":        FidelityPacket,
+	"net_pool_gets":                 FidelityPacket,
+	"net_pool_puts":                 FidelityPacket,
+	"net_pool_hits":                 FidelityPacket,
+	"net_pool_misses":               FidelityPacket,
+	"net_pool_outstanding_end":      FidelityPacket,
+	"tcp_incast_notifies":           FidelityPacket,
+	"flowsim_cohorts":               FidelityFlow,
+	"flowsim_cohort_splits":         FidelityFlow,
+	"flowsim_cohort_peak_weight":    FidelityFlow,
+}
+
+// runTotals is one finished run as the harvest reads it, filled by the
+// backend that ran it (fabric.totals, flowTotals). Every value covers the
+// run's whole lifetime, the discarded first burst included.
+type runTotals struct {
+	// Engine work: events (fluid steps) and the virtual time reached.
+	scheduled, executed uint64
+	simNow              sim.Time
+	// ports are the harvested ports, bottleneck first.
+	ports []harvestPort
+	// tcp sums the flows' transport counters; bcts holds every burst's
+	// completion time.
+	tcp  tcp.SenderStats
+	bcts []sim.Time
+	// cc observes every flow's final window (bytes) and DCTCP-family
+	// alpha, and returns the run's window updates.
+	cc func(cwnd, alpha *obs.Histogram) (updates int64)
+	// backend publishes the families backendFamilies declares for the
+	// backend that ran.
+	backend func(c *obs.Collector)
+}
+
+// harvestPort is one port of the simulated fabric: its label, its queue's
+// statistics, and its link's transmit totals at line rate bps.
+type harvestPort struct {
+	label              string
+	queue              netsim.QueueStats
+	txPackets, txBytes int64
+	bps                int64
+}
+
+// startWall starts the wall clock of a run that reports into reg: wall
+// time is only measured when it will be reported, and the simulation
+// itself never reads it.
+func startWall(reg *obs.Registry) time.Time {
+	if reg == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// harvest publishes one finished run's telemetry into cfg.Metrics, for
+// either backend. Everything is read after the run from counters the
 // simulation maintains anyway, so instrumented runs are bit-identical to
 // uninstrumented ones; the collector merge is commutative, so snapshots
 // are identical across serial and parallel schedules too.
-func harvestIncastMetrics(cfg *SimConfig, eng *sim.Engine, in *workload.Incast, wallStart time.Time) {
-	harvestIncastRun(cfg.Metrics, cfg.Experiment, cfg.Flows, eng, in, wallStart)
-}
-
-// harvestIncastRun is the shared harvest for any incast-over-dumbbell run,
-// including experiments (cross-validation) that drive their own engine
-// rather than going through RunIncastSim.
-func harvestIncastRun(reg *obs.Registry, experiment string, flows int,
-	eng *sim.Engine, in *workload.Incast, wallStart time.Time) {
-	if reg == nil {
-		return
-	}
+func harvest(cfg *SimConfig, wallStart time.Time, r runTotals) {
+	experiment := cfg.Experiment
 	if experiment == "" {
 		experiment = "adhoc"
 	}
-	c := reg.Collector("experiment", experiment, "flows", strconv.Itoa(flows))
+	labels := []string{"experiment", experiment, "flows", strconv.Itoa(cfg.Flows)}
+	if cfg.Clos != nil {
+		placement := cfg.Placement
+		if placement == "" {
+			placement = workload.PlacementCrossRack
+		}
+		labels = append(labels, "placement", placement)
+	}
+	c := cfg.Metrics.Collector(labels...)
 	defer c.Close()
 
 	c.Counter("runs").Inc()
-	harvestEngine(c, eng)
+	c.Counter("sim_events_scheduled").Add(int64(r.scheduled))
+	c.Counter("sim_events_executed").Add(int64(r.executed))
+	c.Counter("sim_time_ns").Add(int64(r.simNow))
+	r.backend(c)
 
-	net := in.Network()
-	harvestQueue(c, "bottleneck", net.BottleneckQueue())
-	harvestQueue(c, "uplink", net.Uplink.Queue())
 	// Utilization is taken over the workload's nominal active window
-	// (bursts x interval), not eng.Now(): the run deadline includes many
-	// idle seconds of timeout-recovery headroom that would dilute it.
-	active := sim.Time(in.Config().Bursts) * in.Config().Interval
-	if now := eng.Now(); now < active {
-		active = now
+	// (bursts x interval), not the run's end: the packet deadline adds
+	// idle seconds of timeout-recovery headroom, and a fluid run ends as
+	// soon as its last burst drains.
+	active := (sim.Time(cfg.Bursts) * cfg.Interval).Seconds()
+	for _, p := range r.ports {
+		st := p.queue
+		c.Counter("net_queue_enqueued_packets", "port", p.label).Add(st.EnqueuedPackets)
+		c.Counter("net_queue_enqueued_bytes", "port", p.label).Add(st.EnqueuedBytes)
+		c.Counter("net_queue_dropped_packets", "port", p.label).Add(st.DroppedPackets)
+		c.Counter("net_queue_dropped_bytes", "port", p.label).Add(st.DroppedBytes)
+		c.Counter("net_queue_marked_packets", "port", p.label).Add(st.MarkedPackets)
+		c.Gauge("net_queue_peak_packets", obs.MergeMax, "port", p.label).Set(float64(st.PeakPackets))
+		c.Gauge("net_queue_peak_bytes", obs.MergeMax, "port", p.label).Set(float64(st.PeakBytes))
+		c.Counter("net_link_tx_packets", "port", p.label).Add(p.txPackets)
+		c.Counter("net_link_tx_bytes", "port", p.label).Add(p.txBytes)
+		util := float64(p.txBytes) * 8 / (float64(p.bps) * active)
+		c.Gauge("net_link_utilization", obs.MergeMax, "port", p.label).Set(util)
 	}
-	harvestLink(c, "bottleneck", net.Bottleneck, active)
-	harvestLink(c, "uplink", net.Uplink, active)
-	harvestPool(c, net.Pool)
-	harvestSenders(c, in.Senders())
-	harvestCohorts(c, 0, 0, 0)
+
+	t := r.tcp
+	c.Counter("tcp_sent_packets").Add(t.SentPackets)
+	c.Counter("tcp_sent_bytes").Add(t.SentBytes)
+	c.Counter("tcp_retransmit_packets").Add(t.RetransmitPackets)
+	c.Counter("tcp_fast_retransmits").Add(t.FastRetransmits)
+	c.Counter("tcp_timeouts").Add(t.Timeouts)
+	c.Counter("tcp_acks").Add(t.Acks)
+	c.Counter("tcp_ece_acks").Add(t.ECEAcks)
+	updates := r.cc(c.Histogram("cc_final_cwnd_bytes", cwndBuckets), c.Histogram("cc_final_alpha", alphaBuckets))
+	c.Counter("cc_cwnd_updates").Add(updates)
 
 	bct := c.Histogram("burst_bct_ms", bctBuckets)
-	for _, b := range in.Bursts() {
-		bct.Observe(b.BCT.Milliseconds())
+	for _, b := range r.bcts {
+		bct.Observe(b.Milliseconds())
 	}
 
 	// Wall-clock duration lives in the wall_ domain: excluded from the
@@ -135,8 +212,8 @@ func harvestIncastRun(reg *obs.Registry, experiment string, flows int,
 }
 
 // harvestEngineRun records just the engine counters and wall time, for
-// experiments whose topology is not the standard incast dumbbell (rack
-// contention, partition/aggregate). labels are extra base-label pairs.
+// experiments whose topology is not an incast fabric (rack contention,
+// partition/aggregate). labels are extra base-label pairs.
 func harvestEngineRun(reg *obs.Registry, experiment string, eng *sim.Engine,
 	wallStart time.Time, labels ...string) {
 	if reg == nil {
@@ -145,53 +222,28 @@ func harvestEngineRun(reg *obs.Registry, experiment string, eng *sim.Engine,
 	c := reg.Collector(append([]string{"experiment", experiment}, labels...)...)
 	defer c.Close()
 	c.Counter("runs").Inc()
+	c.Counter("sim_events_scheduled").Add(int64(eng.Scheduled()))
+	c.Counter("sim_events_executed").Add(int64(eng.Executed()))
+	c.Counter("sim_time_ns").Add(int64(eng.Now()))
 	harvestEngine(c, eng)
 	if !wallStart.IsZero() {
 		c.Gauge("wall_run_seconds", obs.MergeSum).Set(time.Since(wallStart).Seconds())
 	}
 }
 
-// harvestEngine records the event-loop counters: totals, free-list hit
-// rate, and how far virtual time advanced.
+// harvestEngine records the packet engine's own counters: free-list hit
+// rate and calendar-queue internals. The scheduler counters are functions
+// of the virtual schedule alone (bucket loads and walk lengths), so they
+// are as deterministic as the event order itself. Instrumented runs always
+// use fresh engines (see simpool.go), so no state leaks in from pooling.
 func harvestEngine(c *obs.Collector, eng *sim.Engine) {
-	c.Counter("sim_events_scheduled").Add(int64(eng.Scheduled()))
-	c.Counter("sim_events_executed").Add(int64(eng.Executed()))
 	hits, misses := eng.FreeListStats()
 	c.Counter("sim_freelist_hits").Add(int64(hits))
 	c.Counter("sim_freelist_misses").Add(int64(misses))
-	c.Counter("sim_time_ns").Add(int64(eng.Now()))
-	// Calendar-queue internals. These counters are functions of the virtual
-	// schedule alone (bucket loads and walk lengths), so they are as
-	// deterministic as the event order itself. Instrumented runs always use
-	// fresh engines (see simpool.go), so no state leaks in from pooling.
 	st := eng.SchedulerStats()
 	c.Counter("sim_sched_resizes").Add(int64(st.Resizes))
 	c.Counter("sim_sched_overflow_migrations").Add(int64(st.OverflowMigrations))
 	c.Counter("sim_sched_now_fastpath").Add(int64(st.NowFastPath))
-}
-
-// harvestQueue records one port's lifetime queue statistics.
-func harvestQueue(c *obs.Collector, port string, q *netsim.Queue) {
-	st := q.Stats()
-	c.Counter("net_queue_enqueued_packets", "port", port).Add(st.EnqueuedPackets)
-	c.Counter("net_queue_enqueued_bytes", "port", port).Add(st.EnqueuedBytes)
-	c.Counter("net_queue_dropped_packets", "port", port).Add(st.DroppedPackets)
-	c.Counter("net_queue_dropped_bytes", "port", port).Add(st.DroppedBytes)
-	c.Counter("net_queue_marked_packets", "port", port).Add(st.MarkedPackets)
-	c.Gauge("net_queue_peak_packets", obs.MergeMax, "port", port).Set(float64(st.PeakPackets))
-	c.Gauge("net_queue_peak_bytes", obs.MergeMax, "port", port).Set(float64(st.PeakBytes))
-}
-
-// harvestLink records a link's transmit totals and its achieved
-// utilization (wire bits sent over line rate x the active virtual-time
-// window — a sim-time quantity, hence deterministic).
-func harvestLink(c *obs.Collector, port string, l *netsim.Link, active sim.Time) {
-	c.Counter("net_link_tx_packets", "port", port).Add(l.TxPackets())
-	c.Counter("net_link_tx_bytes", "port", port).Add(l.TxBytes())
-	if secs := active.Seconds(); secs > 0 {
-		util := float64(l.TxBytes()) * 8 / (float64(l.BandwidthBps()) * secs)
-		c.Gauge("net_link_utilization", obs.MergeMax, "port", port).Set(util)
-	}
 }
 
 // harvestPool records the packet pool's recycling counters. Outstanding
@@ -204,57 +256,4 @@ func harvestPool(c *obs.Collector, pp *netsim.PacketPool) {
 	c.Counter("net_pool_hits").Add(ps.Hits)
 	c.Counter("net_pool_misses").Add(ps.Misses)
 	c.Gauge("net_pool_outstanding_end", obs.MergeMax).Set(float64(pp.Outstanding()))
-}
-
-// harvestSenders records transport aggregates and the congestion-control
-// end state: total window updates plus final-cwnd and final-alpha
-// distributions over the flows.
-func harvestSenders(c *obs.Collector, senders []*tcp.Sender) {
-	var agg tcp.SenderStats
-	var updates int64
-	cwnd := c.Histogram("cc_final_cwnd_bytes", cwndBuckets)
-	alpha := c.Histogram("cc_final_alpha", alphaBuckets)
-	for _, s := range senders {
-		st := s.Stats()
-		agg.SentPackets += st.SentPackets
-		agg.SentBytes += st.SentBytes
-		agg.RetransmitPackets += st.RetransmitPackets
-		agg.FastRetransmits += st.FastRetransmits
-		agg.Timeouts += st.Timeouts
-		agg.Acks += st.Acks
-		agg.ECEAcks += st.ECEAcks
-		agg.IncastNotifies += st.IncastNotifies
-
-		alg := s.Algorithm()
-		if uc, ok := alg.(cc.UpdateCounter); ok {
-			updates += uc.CwndUpdates()
-		}
-		if insp, ok := alg.(cc.Inspectable); ok {
-			p := insp.Probe()
-			cwnd.Observe(float64(p.CwndBytes))
-			if p.HasAlpha {
-				alpha.Observe(p.Alpha)
-			}
-		}
-	}
-	c.Counter("tcp_sent_packets").Add(agg.SentPackets)
-	c.Counter("tcp_sent_bytes").Add(agg.SentBytes)
-	c.Counter("tcp_retransmit_packets").Add(agg.RetransmitPackets)
-	c.Counter("tcp_fast_retransmits").Add(agg.FastRetransmits)
-	c.Counter("tcp_timeouts").Add(agg.Timeouts)
-	c.Counter("tcp_acks").Add(agg.Acks)
-	c.Counter("tcp_ece_acks").Add(agg.ECEAcks)
-	c.Counter("tcp_incast_notifies").Add(agg.IncastNotifies)
-	c.Counter("cc_cwnd_updates").Add(updates)
-}
-
-// harvestCohorts records the flow-level backend's aggregation telemetry:
-// how many cohort records the solver integrated, how many lazy exact
-// splits divergence forced, and the heaviest single record. Packet-level
-// harvests publish explicit zeros (the packet backend is per-packet by
-// construction), keeping the key set dense across fidelities.
-func harvestCohorts(c *obs.Collector, cohorts int, splits int64, peakWeight float64) {
-	c.Gauge("flowsim_cohorts", obs.MergeSum).Set(float64(cohorts))
-	c.Counter("flowsim_cohort_splits").Add(splits)
-	c.Gauge("flowsim_cohort_peak_weight", obs.MergeMax).Set(peakWeight)
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/sim"
+	"incastlab/internal/workload"
 )
 
 // TestInstrumentedSimMatchesUninstrumented verifies the observability
@@ -81,49 +84,90 @@ func TestMetricsSnapshotSerialMatchesParallel(t *testing.T) {
 }
 
 // TestHarvestCoversEngineAndHistograms pins the per-run harvest content on
-// a single ad-hoc run: event counts match the engine's own accounting and
-// the final-cwnd/alpha/BCT histograms observe every flow and burst.
+// single ad-hoc runs at both fidelities, on the dumbbell and on a
+// cross-rack Clos: event counts match the engine's own accounting, the
+// final-cwnd/alpha histograms observe every flow, and every value covers
+// the run's whole lifetime — burst_bct_ms observes every burst, the
+// bottleneck's transmit count on a drop-free run is the whole demand to
+// the packet, and its utilization is taken over the nominal bursts x
+// interval window.
 func TestHarvestCoversEngineAndHistograms(t *testing.T) {
-	reg := obs.NewRegistry()
+	clos := netsim.DefaultClosConfig(4, 40)
 	const flows, bursts = 30, 3
-	RunIncastSim(SimConfig{
-		Flows: flows, BurstDuration: sim.Millisecond, Bursts: bursts,
-		Interval: 5 * sim.Millisecond, Seed: 42, Metrics: reg,
-	})
-	snap := reg.Snapshot()
+	const interval = 5 * sim.Millisecond
+	for _, fab := range []struct {
+		name string
+		clos *netsim.ClosConfig
+	}{{"dumbbell", nil}, {"clos cross-rack", &clos}} {
+		for _, fidelity := range []string{FidelityPacket, FidelityFlow} {
+			t.Run(fab.name+"/"+fidelity, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				RunIncastSim(SimConfig{
+					Flows: flows, BurstDuration: sim.Millisecond, Bursts: bursts,
+					Interval: interval, Seed: 42, Metrics: reg,
+					Fidelity: fidelity, Clos: fab.clos,
+				})
+				snap := reg.Snapshot()
 
-	counters := map[string]int64{}
-	for _, c := range snap.Counters {
-		counters[c.Name] += c.Value
-	}
-	if counters["runs"] != 1 {
-		t.Fatalf("runs = %d, want 1", counters["runs"])
-	}
-	if counters["sim_events_executed"] <= 0 ||
-		counters["sim_events_scheduled"] < counters["sim_events_executed"] {
-		t.Fatalf("implausible event counts: scheduled=%d executed=%d",
-			counters["sim_events_scheduled"], counters["sim_events_executed"])
-	}
-	if counters["sim_time_ns"] <= 0 {
-		t.Fatalf("sim_time_ns = %d, want > 0", counters["sim_time_ns"])
-	}
-	if got := counters["net_pool_gets"] - counters["net_pool_puts"]; got != 0 {
-		t.Fatalf("pool gets-puts = %d after a drained run, want 0", got)
-	}
+				counters := map[string]int64{}
+				bottleneck := map[string]int64{}
+				for _, c := range snap.Counters {
+					counters[c.Name] += c.Value
+					if c.Labels["port"] == "bottleneck" {
+						bottleneck[c.Name] = c.Value
+					}
+				}
+				if counters["runs"] != 1 {
+					t.Fatalf("runs = %d, want 1", counters["runs"])
+				}
+				if counters["sim_events_executed"] <= 0 ||
+					counters["sim_events_scheduled"] < counters["sim_events_executed"] {
+					t.Fatalf("implausible event counts: scheduled=%d executed=%d",
+						counters["sim_events_scheduled"], counters["sim_events_executed"])
+				}
+				if counters["sim_time_ns"] <= 0 {
+					t.Fatalf("sim_time_ns = %d, want > 0", counters["sim_time_ns"])
+				}
+				if got := counters["net_pool_gets"] - counters["net_pool_puts"]; got != 0 {
+					t.Fatalf("pool gets-puts = %d after a drained run, want 0", got)
+				}
 
-	hists := map[string]int64{}
-	for _, h := range snap.Histograms {
-		hists[h.Name] += h.Count
-	}
-	if hists["cc_final_cwnd_bytes"] != flows {
-		t.Errorf("cc_final_cwnd_bytes observed %d flows, want %d",
-			hists["cc_final_cwnd_bytes"], flows)
-	}
-	if hists["cc_final_alpha"] != flows {
-		t.Errorf("cc_final_alpha observed %d flows, want %d (DCTCP default)",
-			hists["cc_final_alpha"], flows)
-	}
-	if hists["burst_bct_ms"] != bursts {
-		t.Errorf("burst_bct_ms observed %d bursts, want %d", hists["burst_bct_ms"], bursts)
+				hists := map[string]int64{}
+				for _, h := range snap.Histograms {
+					hists[h.Name] += h.Count
+				}
+				if hists["cc_final_cwnd_bytes"] != flows {
+					t.Errorf("cc_final_cwnd_bytes observed %d flows, want %d",
+						hists["cc_final_cwnd_bytes"], flows)
+				}
+				if hists["cc_final_alpha"] != flows {
+					t.Errorf("cc_final_alpha observed %d flows, want %d (DCTCP default)",
+						hists["cc_final_alpha"], flows)
+				}
+				if hists["burst_bct_ms"] != bursts {
+					t.Errorf("burst_bct_ms observed %d bursts, want %d", hists["burst_bct_ms"], bursts)
+				}
+
+				if counters["net_queue_dropped_packets"] != 0 || counters["tcp_retransmit_packets"] != 0 {
+					t.Fatalf("want a drop-free run: %d drops, %d retransmissions",
+						counters["net_queue_dropped_packets"], counters["tcp_retransmit_packets"])
+				}
+				segs := workload.BytesPerFlowFor(10*netsim.Gbps, sim.Millisecond, flows) / netsim.MSS
+				if want := int64(bursts * flows * segs); bottleneck["net_link_tx_packets"] != want {
+					t.Errorf("bottleneck sent %d packets, want the whole demand %d",
+						bottleneck["net_link_tx_packets"], want)
+				}
+				var util float64
+				for _, g := range snap.Gauges {
+					if g.Name == "net_link_utilization" && g.Labels["port"] == "bottleneck" {
+						util = g.Value
+					}
+				}
+				window := (bursts * interval).Seconds()
+				if want := float64(bottleneck["net_link_tx_bytes"]) * 8 / (float64(10*netsim.Gbps) * window); math.Abs(util-want) > 1e-12 {
+					t.Errorf("bottleneck utilization %v, want %v over the %v s nominal window", util, want, window)
+				}
+			})
+		}
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"incastlab/internal/audit"
 	"incastlab/internal/cc"
@@ -82,10 +82,7 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 		duration = 15 * sim.Millisecond
 		interval = 250 * sim.Millisecond
 	)
-	var wallStart time.Time
-	if opt.Metrics != nil {
-		wallStart = time.Now()
-	}
+	wallStart := startWall(opt.Metrics)
 	eng := sim.NewEngine()
 	cfg := netsim.DefaultRackConfig(flows, 2)
 	rack := netsim.NewRack(eng, cfg)
@@ -122,17 +119,13 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 
 	var auditor *audit.Auditor
 	if opt.Audit {
-		auditor = audit.New(eng, audit.Config{RequireDrained: true})
-		auditor.WatchRack(rack)
-		for _, s := range victim.Senders() {
-			auditor.WatchSender(s)
-		}
+		senders := [][]*tcp.Sender{victim.Senders()}
 		if neighbor != nil {
-			for _, s := range neighbor.Senders() {
-				auditor.WatchSender(s)
-			}
+			senders = append(senders, neighbor.Senders())
 		}
-		auditor.Start()
+		auditor = startAudit(eng, func(a *audit.Auditor) {
+			a.WatchNetwork(rack.AllLinks(), slices.Concat(rack.Receivers, rack.Senders), rack.Pool)
+		}, senders...)
 	}
 
 	// Snapshot counters after the discarded first burst.
@@ -148,10 +141,7 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 		panic("core: rack contention experiment did not complete")
 	}
 	if auditor != nil {
-		auditor.Finish()
-		if err := auditor.Err(); err != nil {
-			panic(fmt.Sprintf("core: rack contention experiment failed its invariant audit: %v", err))
-		}
+		finishAudit(auditor, "rack contention experiment")
 	}
 
 	var st rackGroupStats

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"incastlab/internal/audit"
 	"incastlab/internal/cc"
@@ -62,7 +61,7 @@ type SimConfig struct {
 	// distribution over the measured window of the last burst (Figure 7).
 	TrackInFlight bool
 	// Audit runs the simulation in checked mode: an internal/audit Auditor
-	// watches the whole dumbbell (conservation, queue bounds, clock,
+	// watches the whole topology (conservation, queue bounds, clock,
 	// cc protocol bounds, pool hygiene) and any violation panics with a
 	// summary. Results are bit-identical to an unaudited run.
 	Audit bool
@@ -213,94 +212,100 @@ func RunIncastSim(cfg SimConfig) *SimResult {
 		panic(fmt.Sprintf("core: unknown fidelity %q (valid: %q, %q)",
 			cfg.Fidelity, FidelityPacket, FidelityFlow))
 	}
-	if cfg.Clos != nil {
-		return runClosIncastSim(cfg)
-	}
-	// Wall time is only measured when it will be reported; the simulation
-	// itself never reads it.
-	var wallStart time.Time
-	if cfg.Metrics != nil {
-		wallStart = time.Now()
-	}
+	wallStart := startWall(cfg.Metrics)
 	// Reuse a pooled engine + packet pool unless the run is instrumented
 	// (see simpool.go for why metrics force a cold start).
 	reuse := cfg.Metrics == nil
 	res0 := acquireSimResources(reuse)
 	eng := res0.eng
 
-	wrapNotificationAlg(&cfg)
-	wl := workload.IncastConfig{
-		Flows:          cfg.Flows,
-		BytesPerFlow:   workload.BytesPerFlowFor(cfg.Net.HostLinkBps, cfg.BurstDuration, cfg.Flows),
-		Bursts:         cfg.Bursts,
-		Interval:       cfg.Interval,
-		JitterMax:      cfg.JitterMax,
-		Seed:           cfg.Seed,
-		SenderConfig:   cfg.Sender,
-		ReceiverConfig: cfg.Receiver,
-		Admitter:       cfg.Admitter,
-	}
-	in := workload.NewIncastWithPool(eng, cfg.Net, wl, cfg.Alg, res0.pool)
+	f := newFabric(eng, &cfg, res0.pool)
+	q := f.ports[0].link.Queue()
 	if cfg.EnableICTCP {
-		ctrl := tcp.NewICTCP(eng, tcp.DefaultICTCPConfig(cfg.Net.HostLinkBps, cfg.Net.BaseRTT()))
-		for _, r := range in.Receivers() {
+		// One controller per receiving host, each budgeting its own NIC.
+		ctrls := map[*netsim.Host]*tcp.ICTCP{}
+		for _, r := range f.flows.Receivers() {
+			ctrl := ctrls[r.Host()]
+			if ctrl == nil {
+				ctrl = tcp.NewICTCP(eng, tcp.DefaultICTCPConfig(hostLinkBps(&cfg), flowBaseRTT(&cfg)))
+				ctrls[r.Host()] = ctrl
+			}
 			ctrl.Manage(r)
 		}
 	}
 	if cfg.ExternalBufferBytes > 0 {
-		if in.Network().Shared == nil {
+		if q.SharedBuffer() == nil {
 			panic("core: ExternalBufferBytes requires a shared-buffer topology")
 		}
-		in.Network().Shared.SetExternalBytes(cfg.ExternalBufferBytes)
+		q.SharedBuffer().SetExternalBytes(cfg.ExternalBufferBytes)
 	}
 
 	var auditor *audit.Auditor
 	if cfg.Audit {
-		auditor = audit.New(eng, audit.Config{RequireDrained: true})
-		auditor.WatchDumbbell(in.Network())
-		for _, s := range in.Senders() {
-			auditor.WatchSender(s)
-		}
-		auditor.Start()
+		auditor = startAudit(eng, f.watch, f.flows.Senders())
 	}
 
 	res := &SimResult{
 		Flows:         cfg.Flows,
-		AlgName:       in.Senders()[0].Algorithm().Name(),
+		AlgName:       f.flows.Senders()[0].Algorithm().Name(),
 		Fidelity:      FidelityPacket,
-		QueueCapacity: cfg.Net.QueueCapacityPackets,
-		ECNThreshold:  cfg.Net.ECNThresholdPackets,
+		QueueCapacity: q.CapacityPackets(),
+		ECNThreshold:  q.ECNThresholdPackets(),
 	}
 
-	probe := newBurstProbe(&cfg, eng, in.Network().BottleneckQueue(),
-		in.AggregateSenderStats)
-	probe.watchDetector(attachDumbbellNotification(&cfg, in.Network()))
+	probe := newBurstProbe(&cfg, eng, q, f.flows)
+	if cfg.Notification != nil {
+		probe.det = f.notify(cfg.Notification)
+	}
 
 	if cfg.TrackInFlight {
-		res.InFlight = workload.SampleInFlight(eng, in.Senders(),
-			probe.lastBurstStart(), cfg.SampleInterval, probe.samplesPerBurst)
+		// Figure 7 samples the last burst.
+		res.InFlight = workload.SampleInFlight(eng, f.flows.Senders(),
+			sim.Time(cfg.Bursts-1)*cfg.Interval, cfg.SampleInterval, probe.samplesPerBurst)
 	}
 
 	// Run until everything completes: the nominal end plus generous
 	// recovery headroom for timeout-dominated modes.
 	deadline := sim.Time(cfg.Bursts)*cfg.Interval + 10*sim.Second
 	eng.RunUntil(deadline)
-	if !in.Done() {
+	if !f.flows.Done() {
 		panic(fmt.Sprintf("core: simulation with %d flows did not complete by %v", cfg.Flows, deadline))
 	}
 	if auditor != nil {
-		auditor.Finish()
-		if err := auditor.Err(); err != nil {
-			panic(fmt.Sprintf("core: %d-flow simulation failed its invariant audit: %v", cfg.Flows, err))
-		}
+		finishAudit(auditor, fmt.Sprintf("%d-flow simulation", cfg.Flows))
 	}
 
-	probe.finish(res, in.Bursts(), in.AggregateSenderStats())
+	probe.finish(res)
 
-	harvestIncastMetrics(&cfg, eng, in, wallStart)
+	if cfg.Metrics != nil {
+		harvest(&cfg, wallStart, f.totals(eng))
+	}
 	// Read the engine counters before release: Reset zeroes them.
 	res.Events = eng.Executed()
 	res.SimNow = eng.Now()
 	releaseSimResources(res0, reuse)
 	return res
+}
+
+// startAudit starts a checked-mode auditor over a whole topology, which
+// watch registers, and the given groups of senders.
+func startAudit(eng *sim.Engine, watch func(*audit.Auditor), senders ...[]*tcp.Sender) *audit.Auditor {
+	a := audit.New(eng, audit.Config{RequireDrained: true})
+	watch(a)
+	for _, group := range senders {
+		for _, s := range group {
+			a.WatchSender(s)
+		}
+	}
+	a.Start()
+	return a
+}
+
+// finishAudit closes a checked run and panics, naming the run, on any
+// invariant violation.
+func finishAudit(a *audit.Auditor, run string) {
+	a.Finish()
+	if err := a.Err(); err != nil {
+		panic(fmt.Sprintf("core: %s failed its invariant audit: %v", run, err))
+	}
 }

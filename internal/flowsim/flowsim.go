@@ -224,7 +224,8 @@ type Result struct {
 	SpikePackets float64
 
 	// MeanBCT and MaxBCT summarize measured burst completion times; BCTs
-	// carries every measured burst for quantile work.
+	// carries every measured burst for quantile work (the measured tail
+	// of Lifetime.BCTs).
 	MeanBCT, MaxBCT sim.Time
 	BCTs            []sim.Time
 
@@ -257,6 +258,31 @@ type Result struct {
 
 	// QueueCapacity and ECNThreshold echo the configuration.
 	QueueCapacity, ECNThreshold int
+
+	// Lifetime covers the whole run, the discarded first burst included.
+	Lifetime Lifetime
+}
+
+// Lifetime holds a run's totals over its whole lifetime, in packets.
+type Lifetime struct {
+	Timeouts, FastRetransmits, RetransmitPackets int64
+	// Marks counts CE-marked deliveries, SentPackets admissions into the
+	// network plus first-hop drops, DeliveredPackets deliveries.
+	Marks, SentPackets, DeliveredPackets int64
+	// BCTs is every burst's completion time, in burst order.
+	BCTs []sim.Time
+	// Queues holds every queue's totals, in the network's queue order.
+	Queues []QueueTotals
+}
+
+// QueueTotals is one queue's lifetime traffic in packets: the arrivals it
+// admitted and tail-dropped, its departures and those it sent while
+// marking (each counts again at every marking queue, as a packet switch
+// counts a re-mark), and the largest backlog a step ended with.
+type QueueTotals struct {
+	Name                                string
+	Admitted, Dropped, Marked, Departed int64
+	Peak                                float64
 }
 
 // EndState is a run's end-of-run controller state, kept per flow record:

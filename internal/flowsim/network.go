@@ -165,6 +165,12 @@ type netQueue struct {
 	markNow  float64
 	passFrac float64
 	transit  bool // never a terminal hop: cut-through allowed
+
+	// Lifetime totals, packets (Result.Lifetime.Queues): admitted
+	// arrivals, tail drops, departures during marking, departures, and
+	// the largest backlog a step ended with. Written, never read, until
+	// finish.
+	admitted, dropped, marked, departed, peak float64
 }
 
 // hopState is one record's per-member state at one hop of its path.
@@ -645,6 +651,11 @@ func (e *netEngine) step(dt sim.Time) error {
 			if qs.q < 0 {
 				qs.q = 0
 			}
+			out := qs.served + arr*qs.passFrac
+			qs.admitted += arr
+			qs.departed += out
+			qs.marked += out * qs.markNow
+			qs.peak = max(qs.peak, qs.q)
 		}
 		for _, i := range e.activeList {
 			e.stepFlowStage(i, s)
@@ -895,6 +906,7 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 	hs.arrMk -= dm
 	total := dPer * float64(e.mCnt[i])
 	e.qs[j].arrTotal -= total
+	e.qs[j].dropped += total
 	e.drops += total
 	e.retxPkts += total
 	if h == 0 {
@@ -1071,21 +1083,26 @@ func (e *netEngine) residual(i int32) float64 {
 // writeOff retires a finished (or stalled-and-drained) flow's sub-packet
 // residue: the crumbs leave their queues and count as delivered, sparing
 // tens of steps of multiplicative decay, bounded by Flows x finishCrumb
-// packets per burst.
+// packets per burst. In the queues' lifetime totals a crumb departs its
+// hop and passes every later one.
 func (e *netEngine) writeOff(i int32) {
 	hop := e.hops[e.hot[i].off:]
 	w := float64(e.mCnt[i])
+	var carry float64
 	for k, j := range e.paths[i] {
+		qs := &e.qs[j]
+		qs.admitted += carry
 		if b := hop[k].bk; b > 0 {
-			qs := &e.qs[j]
 			qs.q -= b * w
 			if qs.q < 0 {
 				qs.q = 0
 			}
 			e.cumDelivered += b * w
+			carry += b * w
 			hop[k].bk = 0
 			hop[k].mk = 0
 		}
+		qs.departed += carry
 	}
 	e.hot[i].ackPipe = 0
 	e.hot[i].roundDel, e.hot[i].roundMark = 0, 0
@@ -1296,8 +1313,9 @@ func (e *netEngine) finish() (*Result, error) {
 	}
 
 	var bctSum sim.Time
-	measured := e.bcts[e.smp.first:]
-	r.BCTs = append(r.BCTs, measured...)
+	r.Lifetime.BCTs = append([]sim.Time(nil), e.bcts...)
+	measured := r.Lifetime.BCTs[e.smp.first:]
+	r.BCTs = measured
 	for _, b := range measured {
 		bctSum += b
 		if b > r.MaxBCT {
@@ -1314,6 +1332,24 @@ func (e *netEngine) finish() (*Result, error) {
 	r.Marks = round(e.marks - e.baseMarks)
 	r.SentPackets = round(e.sent - e.baseSent)
 	r.DeliveredPackets = round(e.cumDelivered - e.baseDelivered)
+	r.Lifetime.Timeouts = round(e.timeouts)
+	r.Lifetime.FastRetransmits = round(e.fastRetx)
+	r.Lifetime.RetransmitPackets = round(e.retxPkts)
+	r.Lifetime.Marks = round(e.marks)
+	r.Lifetime.SentPackets = round(e.sent)
+	r.Lifetime.DeliveredPackets = round(e.cumDelivered)
+	r.Lifetime.Queues = make([]QueueTotals, len(e.qs))
+	for j := range e.qs {
+		q := &e.qs[j]
+		r.Lifetime.Queues[j] = QueueTotals{
+			Name:     e.net.Queues[j].Name,
+			Admitted: round(q.admitted),
+			Dropped:  round(q.dropped),
+			Marked:   round(q.marked),
+			Departed: round(q.departed),
+			Peak:     q.peak,
+		}
+	}
 	// End state stays per record: every member shares its record's
 	// controller, and the member spans say which flows those are. A
 	// cohort run's member list is expanded from the path set on demand.

@@ -11,6 +11,7 @@ import (
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
+	"incastlab/internal/workload"
 )
 
 // closQuickConfig builds a NetworkConfig for an n-flow cross-rack incast
@@ -62,6 +63,57 @@ func TestNetworkClosCrossRack(t *testing.T) {
 		if res.DeliveredPackets <= 0 || res.MeanBCT <= 0 {
 			t.Errorf("n=%d: degenerate result: delivered=%d meanBCT=%v",
 				tc.n, res.DeliveredPackets, res.MeanBCT)
+		}
+	}
+}
+
+// TestLifetimeTotalsConserve pins the lifetime totals the obs harvest
+// reads, on lossy runs: every queue sends what it admitted, the
+// aggregator's downlink sends every delivered packet, every drop is one
+// retransmitted packet, and the lifetime BCTs hold every burst, the
+// measured ones as their tail. The cohort dumbbell's written-off crumbs
+// add up to whole packets, which the queue totals must count as sent.
+func TestLifetimeTotalsConserve(t *testing.T) {
+	dumbbell, err := SingleQueue(Config{
+		Flows:           100_000,
+		SegmentsPerFlow: workload.BytesPerFlowFor(10*netsim.Gbps, 750*sim.Millisecond, 100_000) / netsim.MSS,
+		Bursts:          3,
+		Interval:        2 * sim.Second,
+		JitterMax:       100 * sim.Millisecond,
+		Aggregation:     AggregationCohort,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ncfg := range map[string]NetworkConfig{
+		"clos cross-rack per flow": closQuickConfig(t, 1400, true),
+		"dumbbell cohorts":         dumbbell,
+	} {
+		res, err := RunNetwork(ncfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lt := res.Lifetime
+		near := func(a, b int64) bool { return a-b <= 1 && b-a <= 1 }
+		var dropped int64
+		for _, q := range lt.Queues {
+			if !near(q.Admitted, q.Departed) {
+				t.Errorf("%s: queue %s admitted %d packets but sent %d", name, q.Name, q.Admitted, q.Departed)
+			}
+			dropped += q.Dropped
+		}
+		if dropped == 0 {
+			t.Fatalf("%s: want a lossy run", name)
+		}
+		if d := dropped - lt.RetransmitPackets; d < -int64(len(lt.Queues)) || d > int64(len(lt.Queues)) {
+			t.Errorf("%s: queues dropped %d packets, but %d were retransmitted", name, dropped, lt.RetransmitPackets)
+		}
+		if b := lt.Queues[ncfg.Net.Bottleneck]; !near(b.Departed, lt.DeliveredPackets) {
+			t.Errorf("%s: bottleneck %s sent %d packets, but %d were delivered", name, b.Name, b.Departed, lt.DeliveredPackets)
+		}
+		if len(lt.BCTs) != ncfg.Bursts || !slices.Equal(res.BCTs, lt.BCTs[1:]) {
+			t.Errorf("%s: lifetime BCTs %v, measured %v, want %d bursts with the measured ones last",
+				name, lt.BCTs, res.BCTs, ncfg.Bursts)
 		}
 	}
 }

@@ -185,7 +185,7 @@ const endpointChunk = 4096
 
 // FluidPaths builds the queue network an incast's data packets traverse
 // over this fabric: flow i runs from host srcs[i] to host dsts[i] with
-// FlowID i+1, exactly as workload.ClosIncast numbers its senders. Queues
+// FlowID i+1, exactly as the packet workload numbers its senders. Queues
 // appear on demand in first-use order:
 //
 //   - same-rack flows cross only the destination's leaf downlink port;

@@ -129,6 +129,9 @@ func (q *Queue) CapacityPackets() int { return q.capacityPackets }
 // CapacityBytes returns the IP-byte bound (0 = unlimited).
 func (q *Queue) CapacityBytes() int { return q.capacityBytes }
 
+// ECNThresholdPackets returns the marking threshold K (0 = no marking).
+func (q *Queue) ECNThresholdPackets() int { return q.ecnThresholdPackets }
+
 // SharedBuffer returns the switch memory pool this queue draws from, or
 // nil for a dedicated-buffer port.
 func (q *Queue) SharedBuffer() *SharedBuffer { return q.shared }

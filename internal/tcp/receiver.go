@@ -120,6 +120,9 @@ func (r *Receiver) CEPackets() int64 { return r.cePackets }
 // AcksSent returns the number of ACKs emitted.
 func (r *Receiver) AcksSent() int64 { return r.acksSent }
 
+// Host returns the receiving host.
+func (r *Receiver) Host() *netsim.Host { return r.host }
+
 // HandlePacket implements netsim.PacketHandler: the receiver consumes data.
 func (r *Receiver) HandlePacket(p *netsim.Packet) {
 	if p.IsAck {

@@ -6,7 +6,6 @@ import (
 	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
-	"incastlab/internal/tcp"
 )
 
 // Worker placement policies for a Clos incast: where the workers sit
@@ -21,32 +20,19 @@ const (
 	PlacementSameRack = "same-rack"
 )
 
-// ClosIncastConfig describes a repeated incast burst over a Clos fabric.
-// The embedded fields mirror IncastConfig; Workers replaces Flows and
-// Placement chooses where they live.
+// ClosIncastConfig describes a repeated incast burst over a Clos fabric:
+// IncastConfig's bursts, with Flows workers per aggregator placed by
+// Placement.
 type ClosIncastConfig struct {
-	// Workers is the incast degree N — per aggregator when Aggregators > 1.
-	Workers int
+	IncastConfig
 	// Placement is PlacementCrossRack (default when empty) or
 	// PlacementSameRack.
 	Placement string
 	// Aggregators is the number of concurrent incasts sharing the fabric
 	// (0 or 1 = the classic single aggregator at host 0). Aggregator k
-	// receives at rack k, slot 0, each fanning in its own Workers flows,
+	// receives at rack k, slot 0, each fanning in its own Flows workers,
 	// so the spine layer carries A overlapping incasts.
 	Aggregators int
-	// BytesPerFlow is the per-flow demand added at each burst start.
-	BytesPerFlow int64
-	// Bursts, Interval, JitterMax, Seed: as IncastConfig.
-	Bursts    int
-	Interval  sim.Time
-	JitterMax sim.Time
-	Seed      uint64
-	// SenderConfig and ReceiverConfig tune the transport endpoints.
-	SenderConfig   tcp.SenderConfig
-	ReceiverConfig tcp.ReceiverConfig
-	// Admitter optionally controls flow release within bursts.
-	Admitter Admitter
 }
 
 // CheckClosPlacement reports whether a Clos incast of `workers` flows per
@@ -261,89 +247,33 @@ func (p ClosPlacement) nextSlots(next []int, k, i int) {
 	take(k, i)
 }
 
-// ClosIncast wires an incast workload over a Clos fabric: the aggregator
-// at host 0 and workers placed by policy, with burst scheduling delegated
-// to a Group exactly as the dumbbell Incast does.
+// ClosIncast wires an incast workload over a Clos fabric: each aggregator
+// and its workers placed by policy, with endpoints and burst scheduling
+// built exactly as the dumbbell Incast builds them.
 type ClosIncast struct {
-	cfg ClosIncastConfig
+	Flows
 	net *netsim.Clos
-
-	workers   []netsim.NodeID
-	group     *Group
-	receivers []*tcp.Receiver
 }
 
 // NewClosIncastWithPool builds the fabric and endpoints on an injected
 // packet pool (nil for a fresh one), letting sweep runners reuse a warm
-// pool across runs.
+// pool across runs. Flows are aggregator-major, as ClosFlowEndpoints
+// lists them.
 func NewClosIncastWithPool(eng *sim.Engine, netCfg netsim.ClosConfig, cfg ClosIncastConfig,
 	algFactory func(flow int) cc.Algorithm, pool *netsim.PacketPool) *ClosIncast {
-	srcs, dsts, err := ClosFlowEndpoints(netCfg, cfg.Workers, cfg.Aggregators, cfg.Placement)
+	srcs, dsts, err := ClosFlowEndpoints(netCfg, cfg.Flows, cfg.Aggregators, cfg.Placement)
 	if err != nil {
 		panic(err.Error())
 	}
-
-	in := &ClosIncast{
-		cfg:     cfg,
-		net:     netsim.NewClosWithPool(eng, netCfg, pool),
-		workers: srcs,
+	net := netsim.NewClosWithPool(eng, netCfg, pool)
+	return &ClosIncast{
+		net: net,
+		Flows: newFlows(eng, cfg.IncastConfig, len(srcs),
+			func(f int) *netsim.Host { return net.Hosts[srcs[f]] },
+			func(f int) *netsim.Host { return net.Hosts[dsts[f]] },
+			algFactory),
 	}
-
-	// One hub per aggregator host, built in aggregator order (the single-
-	// aggregator case keeps the original hub-before-workers construction
-	// order, so event scheduling — and goldens — are unchanged).
-	aggs := max(cfg.Aggregators, 1)
-	aggHubs := make(map[netsim.NodeID]*tcp.Hub, aggs)
-	for k := 0; k < aggs; k++ {
-		id := dsts[k*cfg.Workers]
-		aggHubs[id] = tcp.NewHub(in.net.Hosts[id])
-	}
-	senders := make([]*tcp.Sender, len(srcs))
-	in.receivers = make([]*tcp.Receiver, len(srcs))
-	for f, id := range srcs {
-		flow := netsim.FlowID(f + 1)
-		hub := tcp.NewHub(in.net.Hosts[id])
-		senders[f] = tcp.NewSender(eng, hub, flow, dsts[f],
-			algFactory(f), cfg.SenderConfig)
-		in.receivers[f] = tcp.NewReceiver(eng, aggHubs[dsts[f]], flow, id, cfg.ReceiverConfig)
-	}
-
-	in.group = NewGroup(eng, senders, GroupConfig{
-		BytesPerFlow: cfg.BytesPerFlow,
-		Bursts:       cfg.Bursts,
-		Interval:     cfg.Interval,
-		JitterMax:    cfg.JitterMax,
-		Seed:         cfg.Seed,
-		Admitter:     cfg.Admitter,
-	})
-	return in
 }
 
 // Network returns the underlying fabric.
 func (in *ClosIncast) Network() *netsim.Clos { return in.net }
-
-// Aggregator returns the receiving host (host 0, rack 0).
-func (in *ClosIncast) Aggregator() *netsim.Host { return in.net.Hosts[0] }
-
-// WorkerHosts returns the worker host IDs in flow order.
-func (in *ClosIncast) WorkerHosts() []netsim.NodeID { return in.workers }
-
-// Senders returns the per-flow senders (for instrumentation).
-func (in *ClosIncast) Senders() []*tcp.Sender { return in.group.Senders() }
-
-// Receivers returns the per-flow receivers at the aggregator.
-func (in *ClosIncast) Receivers() []*tcp.Receiver { return in.receivers }
-
-// Config returns the workload configuration.
-func (in *ClosIncast) Config() ClosIncastConfig { return in.cfg }
-
-// Bursts returns per-burst records; valid after the run completes.
-func (in *ClosIncast) Bursts() []BurstRecord { return in.group.Bursts() }
-
-// Done reports whether every burst completed.
-func (in *ClosIncast) Done() bool { return in.group.Done() }
-
-// AggregateSenderStats sums transport counters across all flows.
-func (in *ClosIncast) AggregateSenderStats() tcp.SenderStats {
-	return in.group.AggregateSenderStats()
-}

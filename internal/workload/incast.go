@@ -109,11 +109,8 @@ type BurstRecord struct {
 // endpoints and delegates burst scheduling to a Group. Construct with
 // NewIncast, optionally attach instrumentation, then run the engine.
 type Incast struct {
-	cfg IncastConfig
+	Flows
 	net *netsim.Dumbbell
-
-	group     *Group
-	receivers []*tcp.Receiver
 }
 
 // NewIncast builds the topology and endpoints. netCfg.Senders must equal
@@ -135,54 +132,78 @@ func NewIncastWithPool(eng *sim.Engine, netCfg netsim.DumbbellConfig, cfg Incast
 		panic(fmt.Sprintf("workload: topology has %d senders, config has %d flows",
 			netCfg.Senders, cfg.Flows))
 	}
-
-	in := &Incast{
-		cfg: cfg,
-		net: netsim.NewDumbbellWithPool(eng, netCfg, pool),
+	net := netsim.NewDumbbellWithPool(eng, netCfg, pool)
+	return &Incast{
+		net: net,
+		Flows: newFlows(eng, cfg, cfg.Flows,
+			func(f int) *netsim.Host { return net.Senders[f] },
+			func(int) *netsim.Host { return net.Receiver },
+			algFactory),
 	}
-
-	recvHub := tcp.NewHub(in.net.Receiver)
-	senders := make([]*tcp.Sender, cfg.Flows)
-	in.receivers = make([]*tcp.Receiver, cfg.Flows)
-	for i := 0; i < cfg.Flows; i++ {
-		flow := netsim.FlowID(i + 1)
-		hub := tcp.NewHub(in.net.Senders[i])
-		senders[i] = tcp.NewSender(eng, hub, flow, in.net.Receiver.ID(),
-			algFactory(i), cfg.SenderConfig)
-		in.receivers[i] = tcp.NewReceiver(eng, recvHub, flow,
-			in.net.Senders[i].ID(), cfg.ReceiverConfig)
-	}
-
-	in.group = NewGroup(eng, senders, GroupConfig{
-		BytesPerFlow: cfg.BytesPerFlow,
-		Bursts:       cfg.Bursts,
-		Interval:     cfg.Interval,
-		JitterMax:    cfg.JitterMax,
-		Seed:         cfg.Seed,
-		Admitter:     cfg.Admitter,
-	})
-	return in
 }
 
 // Network returns the underlying topology.
 func (in *Incast) Network() *netsim.Dumbbell { return in.net }
 
+// Flows is the endpoint-and-Group build both incast types share: one
+// sender and one receiver per flow, and the Group that schedules their
+// bursts.
+type Flows struct {
+	group     *Group
+	receivers []*tcp.Receiver
+}
+
+// newFlows builds n flows over cfg's bursts: flow f runs from host src(f)
+// to host dst(f) with FlowID f+1, every host behind one hub, the receiving
+// hubs built first in order of first use.
+func newFlows(eng *sim.Engine, cfg IncastConfig, n int, src, dst func(f int) *netsim.Host,
+	algFactory func(flow int) cc.Algorithm) Flows {
+	hubs := make(map[*netsim.Host]*tcp.Hub)
+	hub := func(h *netsim.Host) *tcp.Hub {
+		if hb, ok := hubs[h]; ok {
+			return hb
+		}
+		hb := tcp.NewHub(h)
+		hubs[h] = hb
+		return hb
+	}
+	for f := 0; f < n; f++ {
+		hub(dst(f))
+	}
+	senders := make([]*tcp.Sender, n)
+	receivers := make([]*tcp.Receiver, n)
+	for f := range senders {
+		flow := netsim.FlowID(f + 1)
+		s, d := src(f), dst(f)
+		senders[f] = tcp.NewSender(eng, hub(s), flow, d.ID(), algFactory(f), cfg.SenderConfig)
+		receivers[f] = tcp.NewReceiver(eng, hubs[d], flow, s.ID(), cfg.ReceiverConfig)
+	}
+	return Flows{
+		receivers: receivers,
+		group: NewGroup(eng, senders, GroupConfig{
+			BytesPerFlow: cfg.BytesPerFlow,
+			Bursts:       cfg.Bursts,
+			Interval:     cfg.Interval,
+			JitterMax:    cfg.JitterMax,
+			Seed:         cfg.Seed,
+			Admitter:     cfg.Admitter,
+		}),
+	}
+}
+
 // Senders returns the per-flow senders (for instrumentation).
-func (in *Incast) Senders() []*tcp.Sender { return in.group.Senders() }
+func (f *Flows) Senders() []*tcp.Sender { return f.group.Senders() }
 
-// Receivers returns the per-flow receivers.
-func (in *Incast) Receivers() []*tcp.Receiver { return in.receivers }
-
-// Config returns the workload configuration.
-func (in *Incast) Config() IncastConfig { return in.cfg }
+// Receivers returns the per-flow receivers, in flow order.
+func (f *Flows) Receivers() []*tcp.Receiver { return f.receivers }
 
 // Bursts returns per-burst records; valid after the run completes.
-func (in *Incast) Bursts() []BurstRecord { return in.group.Bursts() }
+func (f *Flows) Bursts() []BurstRecord { return f.group.Bursts() }
 
 // Done reports whether every burst completed.
-func (in *Incast) Done() bool { return in.group.Done() }
+func (f *Flows) Done() bool { return f.group.Done() }
 
 // AggregateSenderStats sums transport counters across all flows.
-func (in *Incast) AggregateSenderStats() tcp.SenderStats {
-	return in.group.AggregateSenderStats()
+func (f *Flows) AggregateSenderStats() tcp.SenderStats {
+	return f.group.AggregateSenderStats()
 }
