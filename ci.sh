@@ -84,10 +84,13 @@
 #                        a wall-clock sanity bound and byte-identical to
 #                        its golden; a bogus spec path, a malformed
 #                        -shard spec, a bogus -aggregation level, a
-#                        per-flow run of 2^20 flows, and a flow-level run
+#                        per-flow run of 2^20 flows, a flow-level run
 #                        whose default start jitter reaches its burst
-#                        interval must exit non-zero, the last two with a
-#                        one-line error
+#                        interval, -contend without -shared, and a spec
+#                        with an over-full Clos row under -shard-procs 2
+#                        must exit non-zero, the last four with a
+#                        one-line error (the last naming the row, printed
+#                        before any shard starts)
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
 #                        flow-level Fig-5 sweeps and the million-flow Clos
 #                        run smoke-run at one iteration each: each must
@@ -283,6 +286,33 @@ if "$OBS_TMP/incastsim" -flows 80 -fidelity flow -bursts 2 -interval 0.05 -plot=
 fi
 test "$(wc -l <"$OBS_TMP/jitter.err")" -eq 1
 grep -q 'jitter' "$OBS_TMP/jitter.err"
+# Rack contention lives in a shared buffer: -contend without -shared must
+# be refused up front with a one-line error, not a panic.
+if "$OBS_TMP/incastsim" -flows 50 -bursts 2 -contend 700000 -plot=false 2>"$OBS_TMP/contend.err"; then
+  echo "incastsim -contend without -shared should have exited non-zero" >&2
+  exit 1
+fi
+test "$(wc -l <"$OBS_TMP/contend.err")" -eq 1
+grep -q 'shared buffer' "$OBS_TMP/contend.err"
+# A spec whose second row overfills a rack (4 aggregators x 20 workers on
+# 4 racks of 16 hosts) must fail at compile time in the parent, one line
+# naming the row, before -shard-procs starts any shard.
+cat >"$OBS_TMP/overfull.json" <<'SPEC'
+{"name": "overfull_clos", "workload": {"flows": 20},
+ "topology": {"clos": {"racks": 4, "hosts_per_rack": 16}},
+ "sweep": {"axis": "aggregators", "values": [1, 4]}}
+SPEC
+if "$OBS_TMP/incastsim" -scenario "$OBS_TMP/overfull.json" -quick -cache "$OBS_TMP/overfull.cache" \
+  -shard-procs 2 -out "$OBS_TMP/overfull" >/dev/null 2>"$OBS_TMP/overfull.err"; then
+  echo "incastsim -scenario with an over-full Clos row should have exited non-zero" >&2
+  exit 1
+fi
+test "$(wc -l <"$OBS_TMP/overfull.err")" -eq 1
+grep -q 'row 1' "$OBS_TMP/overfull.err"
+if grep -q 'shard 0/2 failed' "$OBS_TMP/overfull.err"; then
+  echo "incastsim -shard-procs started shards for a spec that does not compile" >&2
+  exit 1
+fi
 
 echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation ceilings"
 go test -run '^$' \

@@ -75,6 +75,26 @@ func TestCLIFlowsMustBePositive(t *testing.T) {
 	}
 }
 
+// TestCLIContendNeedsShared: rack contention lives in a shared buffer, so
+// -contend without -shared must exit non-zero with a one-line diagnostic
+// naming the shared buffer, not a panic and its goroutine dump.
+func TestCLIContendNeedsShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skips binary build")
+	}
+	out, err := runCLI(t, "-flows", "50", "-bursts", "2", "-contend", "700000", "-plot=false")
+	if err == nil {
+		t.Fatalf("-contend without -shared exited zero; output:\n%s", out)
+	}
+	msg := strings.TrimSpace(out)
+	if strings.Contains(msg, "\n") || strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+		t.Errorf("want a one-line diagnostic, got:\n%s", out)
+	}
+	if !strings.Contains(msg, "shared buffer") {
+		t.Errorf("diagnostic %q does not name the shared buffer", msg)
+	}
+}
+
 // TestCLIFlowFidelityNotifyRejected: fidelity "flow" cannot model the
 // notification path; the refusal must exit non-zero and name both knobs
 // — the fidelity value and the notification feature — so the user knows

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -151,9 +152,6 @@ func main() {
 		return cfg
 	}
 
-	if *sweep == "" && *flows <= 0 {
-		log.Fatalf("bad -flows %d: want a positive incast degree like 100", *flows)
-	}
 	degrees := []int{*flows}
 	if *sweep != "" {
 		degrees = degrees[:0]
@@ -169,12 +167,10 @@ func main() {
 	cfgs := make([]incastlab.SimConfig, len(degrees))
 	for i, n := range degrees {
 		cfgs[i] = buildCfg(n)
-		// An explicit -fidelity flow request fails up front with the
-		// feature that blocks it, not deep inside the run.
-		if common.Fidelity == incastlab.FidelityFlow {
-			if err := cfgs[i].FlowCompatible(); err != nil {
-				log.Fatalf("-fidelity flow: %v", err)
-			}
+		// A flag combination no run can take fails up front, naming the
+		// rule, not deep inside the run.
+		if err := cfgs[i].Validate(); err != nil {
+			log.Fatalf("-flows %d -fidelity %s: %v", n, cmp.Or(common.Fidelity, incastlab.FidelityPacket), err)
 		}
 	}
 
@@ -261,6 +257,11 @@ func (sc scenarioInvocation) run(common *cli.Common) {
 		}
 	default:
 		if sc.shardProcs > 0 {
+			// Every shard would fail on an invalid row; compile here so
+			// its error prints once, before any shard starts.
+			if _, _, _, err := incastlab.CompileScenario(opt, spec); err != nil {
+				log.Fatalf("-scenario %s: %v", sc.path, err)
+			}
 			sc.fanOut(common)
 		}
 		cache, err := incastlab.OpenSweepCache(sc.cacheDir)

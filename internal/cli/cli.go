@@ -1,6 +1,6 @@
 // Package cli factors the flag plumbing shared by incastlab's commands
-// (cmd/figures, cmd/incastsim): worker-count validation, the optional
-// metrics registry, and the optional pprof profiler, so each command
+// (cmd/figures, cmd/incastsim): the worker, fidelity and aggregation
+// options checked by core.Options.Validate, the optional metrics registry, and the optional pprof profiler, so each command
 // declares the flags once and gets identical semantics.
 package cli
 
@@ -54,20 +54,9 @@ func Register(fs *flag.FlagSet) *Common {
 // they request: the metrics registry (for -metrics or -pprof) and the
 // pprof profiler. Call Close — usually deferred — afterwards.
 func (c *Common) Setup() error {
-	if err := core.ValidateWorkers(c.Workers); err != nil {
-		return fmt.Errorf("-workers: %w", err)
-	}
-	if !core.KnownFidelity(c.Fidelity) {
-		return fmt.Errorf("-fidelity: unknown backend %q (valid: %q, %q)",
-			c.Fidelity, core.FidelityPacket, core.FidelityFlow)
-	}
-	if !core.KnownAggregation(c.Aggregation) {
-		return fmt.Errorf("-aggregation: unknown level %q (valid: %q, %q, %q)",
-			c.Aggregation, core.AggregationAuto, core.AggregationCohort, core.AggregationPerFlow)
-	}
-	if c.Aggregation != "" && c.Fidelity != core.FidelityFlow {
-		return fmt.Errorf("-aggregation %q shapes the fluid backend's flow population; it requires -fidelity %q",
-			c.Aggregation, core.FidelityFlow)
+	opt := core.Options{Workers: c.Workers, Fidelity: c.Fidelity, Aggregation: c.Aggregation}
+	if err := opt.Validate(); err != nil {
+		return fmt.Errorf("-workers, -fidelity, -aggregation: %w", err)
 	}
 	if c.MetricsPath != "" || c.PprofAddr != "" {
 		c.metrics = obs.NewRegistry()

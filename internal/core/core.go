@@ -75,17 +75,8 @@ type Options struct {
 // Validate rejects option values that would otherwise fail deep inside an
 // experiment run.
 func (o Options) Validate() error {
-	if !KnownFidelity(o.Fidelity) {
-		return fmt.Errorf("core: unknown fidelity %q (valid: %q, %q)",
-			o.Fidelity, FidelityPacket, FidelityFlow)
-	}
-	if !KnownAggregation(o.Aggregation) {
-		return fmt.Errorf("core: unknown aggregation %q (valid: %q, %q, %q)",
-			o.Aggregation, AggregationAuto, AggregationCohort, AggregationPerFlow)
-	}
-	if o.Aggregation != "" && o.Fidelity != FidelityFlow {
-		return fmt.Errorf("core: aggregation %q requires fidelity %q (the packet backend is per-packet by construction)",
-			o.Aggregation, FidelityFlow)
+	if err := checkBackend(o.Fidelity, o.Aggregation); err != nil {
+		return err
 	}
 	return ValidateWorkers(o.Workers)
 }

@@ -26,11 +26,6 @@ const (
 	FidelityFlow   = "flow"
 )
 
-// KnownFidelity reports whether name selects a backend ("" means packet).
-func KnownFidelity(name string) bool {
-	return name == "" || name == FidelityPacket || name == FidelityFlow
-}
-
 // The aggregation knob selects how the flow-level backend represents the
 // flow population: per-flow records, cohort-aggregated equivalence
 // classes, or the automatic policy (cohorts from flowsim's threshold up).
@@ -42,10 +37,6 @@ const (
 	AggregationPerFlow = flowsim.AggregationPerFlow
 )
 
-// KnownAggregation reports whether name selects a flow-aggregation level
-// ("" means auto).
-func KnownAggregation(name string) bool { return flowsim.KnownAggregation(name) }
-
 // FlowCompatible reports whether the configuration can run on the
 // flow-level backend; the error names the first packet-level-only feature.
 // The fluid engine models incast demand over a queue network — the
@@ -56,6 +47,9 @@ func KnownAggregation(name string) bool { return flowsim.KnownAggregation(name) 
 // release schedule also needs the start jitter, default included, below
 // the burst interval.
 func (c SimConfig) FlowCompatible() error {
+	if c.Flows <= 0 {
+		return errNoFlows(c.Flows)
+	}
 	cfg := c
 	cfg.fill()
 	var feature string
@@ -187,10 +181,9 @@ func flowCC(alg cc.Algorithm, baseRTT sim.Time) (flowsim.CCConfig, error) {
 	return flowsim.CCConfig{}, fmt.Errorf("core: congestion control %q has no flow-level reduced form", alg.Name())
 }
 
-// runFlowIncastSim executes a filled SimConfig on the fluid backend and
-// shapes the outcome into the shared SimResult. Incompatible configurations
-// panic, like the packet path's own invalid-input handling; callers that
-// want a soft answer check FlowCompatible first.
+// runFlowIncastSim executes a filled SimConfig, which RunIncastSim has
+// validated, on the fluid backend and shapes the outcome into the shared
+// SimResult.
 func runFlowIncastSim(cfg SimConfig) *SimResult {
 	wallStart := startWall(cfg.Metrics)
 	fres := runFluid(cfg)
@@ -221,12 +214,9 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 	return res
 }
 
-// runFluid lowers a filled SimConfig onto the fluid backend's queue
-// network and runs it, panicking on any error as runFlowIncastSim does.
+// runFluid lowers a filled, validated SimConfig onto the fluid backend's
+// queue network and runs it, panicking on any error.
 func runFluid(cfg SimConfig) *flowsim.Result {
-	if err := cfg.FlowCompatible(); err != nil {
-		panic(err.Error())
-	}
 	ccCfg, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg))
 	if err != nil {
 		panic(err.Error())

@@ -245,11 +245,8 @@ func TestScenarioFlowRejectsCoreLink(t *testing.T) {
 // TestFlowCompatiblePerFlowLimit pins the up-front rejection of per-flow
 // runs past the fluid backend's record limit — counted over every
 // aggregator's workers on a Clos fabric — with an error naming the
-// aggregation knob, and pins the scenario package's mirror of the limit.
+// aggregation knob.
 func TestFlowCompatiblePerFlowLimit(t *testing.T) {
-	if scenario.MaxPerFlowFlows != flowsim.MaxPerFlowFlows {
-		t.Fatalf("scenario.MaxPerFlowFlows = %d, flowsim.MaxPerFlowFlows = %d", scenario.MaxPerFlowFlows, flowsim.MaxPerFlowFlows)
-	}
 	clos := netsim.DefaultClosConfig(16, 65560)
 	cases := []struct {
 		name string

@@ -22,8 +22,12 @@ import (
 
 // CompileScenario lowers a spec into one SimConfig per sweep row, plus the
 // axis columns that label each row: header holds the axis column names and
-// labels[i] the row's values for them. The spec is validated first, so a
-// spec that passes scenario.Validate always compiles.
+// labels[i] the row's values for them. Two rulebooks guard it, before any
+// row runs: scenario.Validate checks what the spec says on its own (field
+// ranges, vocabulary, which blocks an axis needs), and SimConfig.Validate
+// checks every compiled row (fidelity and aggregation, fabric capacity,
+// the fluid backend's limits). A row that fails is named in the error by
+// its index and labels.
 func CompileScenario(opt Options, spec scenario.Spec) (header []string, labels [][]string, cfgs []SimConfig, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -59,14 +63,10 @@ func CompileScenario(opt Options, spec scenario.Spec) (header []string, labels [
 		}
 	}
 
-	// An explicit flow-level request must hold for every compiled row —
-	// fail at compile time with the offending row named, not mid-sweep.
-	if spec.Fidelity == FidelityFlow {
-		for i, cfg := range cfgs {
-			if err := cfg.FlowCompatible(); err != nil {
-				return nil, nil, nil, fmt.Errorf("scenario %q row %d (%s): %w",
-					spec.Name, i, strings.Join(labels[i], "/"), err)
-			}
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, nil, fmt.Errorf("scenario %q row %d (%s): %w",
+				spec.Name, i, strings.Join(labels[i], "/"), err)
 		}
 	}
 	return header, labels, cfgs, nil
@@ -445,9 +445,21 @@ func RunScenario(opt Options, spec scenario.Spec) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	sims := opt.runSims(spec.Name, cfgs)
+	cells := make([][]string, len(sims))
+	for i, m := range sims {
+		cells[i] = ablationRow(m)
+	}
+	return scenarioTable(spec, header, labels, cells), nil
+}
+
+// scenarioTable renders a finished sweep: each row's axis labels and
+// metric cells in the shared metric table, under the spec's title and
+// followed by its notes.
+func scenarioTable(spec scenario.Spec, header []string, labels, cells [][]string) *TableResult {
 	t := &trace.Table{Header: append(append([]string{}, header...), ablationHeader...)}
-	for i, m := range opt.runSims(spec.Name, cfgs) {
-		t.AddRow(append(append([]string{}, labels[i]...), ablationRow(m)...)...)
+	for i := range cells {
+		t.AddRow(append(append([]string{}, labels[i]...), cells[i]...)...)
 	}
 	title := spec.Title
 	if title == "" {
@@ -464,7 +476,7 @@ func RunScenario(opt Options, spec scenario.Spec) (*TableResult, error) {
 		ExpName:     spec.Name,
 		Artifacts:   []Artifact{{File: spec.Name + ".csv", Table: t}},
 		SummaryText: b.String(),
-	}, nil
+	}
 }
 
 // mustScenario runs a built-in spec. The built-ins are covered by the

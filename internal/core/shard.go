@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"incastlab/internal/scenario"
 	"incastlab/internal/sweep"
-	"incastlab/internal/trace"
 )
 
 // SimCodeVersion names the simulator's result-affecting code generation.
@@ -175,24 +173,5 @@ func RunScenarioCached(opt Options, spec scenario.Spec, cache *sweep.Cache, shar
 		return nil, stats, nil
 	}
 
-	t := &trace.Table{Header: append(append([]string{}, header...), ablationHeader...)}
-	for i := range rows {
-		t.AddRow(append(append([]string{}, labels[i]...), rows[i]...)...)
-	}
-	title := spec.Title
-	if title == "" {
-		title = "Scenario: " + spec.Name
-	}
-	var b strings.Builder
-	b.WriteString(section(title))
-	b.WriteString(t.Text())
-	if spec.Notes != "" {
-		b.WriteString(spec.Notes)
-		b.WriteString("\n")
-	}
-	return &TableResult{
-		ExpName:     spec.Name,
-		Artifacts:   []Artifact{{File: spec.Name + ".csv", Table: t}},
-		SummaryText: b.String(),
-	}, stats, nil
+	return scenarioTable(spec, header, labels, rows), stats, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"incastlab/internal/audit"
 	"incastlab/internal/cc"
+	"incastlab/internal/flowsim"
 	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/sim"
@@ -86,7 +87,7 @@ type SimConfig struct {
 	// AggregationCohort (equivalence classes integrated as weighted
 	// records, split lazily and exactly on divergence), or
 	// AggregationAuto / "" (cohorts from flowsim's threshold up). It is a
-	// FidelityFlow knob; setting it on a packet-level run panics.
+	// FidelityFlow knob; Validate rejects it on a packet-level run.
 	Aggregation string
 	// Clos, when non-nil, runs the incast over a leaf/spine fabric instead
 	// of the dumbbell: the aggregator in rack 0 and workers placed by
@@ -106,6 +107,63 @@ type SimConfig struct {
 	// the explicit notification path (see NotificationConfig). Packet
 	// fidelity only.
 	Notification *NotificationConfig
+}
+
+// Validate reports whether the configuration can run; it is the one list
+// of rules every row meets before RunIncastSim takes it. The rules are a
+// positive degree, a known fidelity and aggregation (the aggregation only
+// at FidelityFlow), ExternalBufferBytes only with a shared buffer, and a
+// Clos fabric that builds and fits its placement. At FidelityFlow it also
+// applies FlowCompatible. A packet row is checked without filling the
+// config or building its algorithm.
+func (c SimConfig) Validate() error {
+	if c.Flows <= 0 {
+		return errNoFlows(c.Flows)
+	}
+	if err := checkBackend(c.Fidelity, c.Aggregation); err != nil {
+		return err
+	}
+	shared := c.Net.Senders != 0 && c.Net.SharedBufferBytes > 0
+	if c.Clos != nil {
+		shared = c.Clos.SharedBufferBytes > 0
+		if err := c.Clos.Validate(); err != nil {
+			return err
+		}
+		if _, err := workload.CheckClosPlacement(*c.Clos, c.Flows, c.Aggregators, c.Placement); err != nil {
+			return err
+		}
+	}
+	if c.ExternalBufferBytes > 0 && !shared {
+		return fmt.Errorf("core: ExternalBufferBytes (%d) models contention in a shared buffer, but the topology has none (set Net or Clos SharedBufferBytes)",
+			c.ExternalBufferBytes)
+	}
+	if c.Fidelity == FidelityFlow {
+		return c.FlowCompatible()
+	}
+	return nil
+}
+
+// errNoFlows is the error for a run without a positive incast degree.
+func errNoFlows(n int) error {
+	return fmt.Errorf("core: a simulation needs a positive incast degree (Flows = %d)", n)
+}
+
+// checkBackend reports whether fidelity names a backend and aggregation a
+// flow-population level that the backend takes.
+func checkBackend(fidelity, aggregation string) error {
+	if fidelity != "" && fidelity != FidelityPacket && fidelity != FidelityFlow {
+		return fmt.Errorf("core: unknown fidelity %q (valid: %q, %q)",
+			fidelity, FidelityPacket, FidelityFlow)
+	}
+	if !flowsim.KnownAggregation(aggregation) {
+		return fmt.Errorf("core: unknown aggregation %q (valid: %q, %q, %q)",
+			aggregation, AggregationAuto, AggregationCohort, AggregationPerFlow)
+	}
+	if aggregation != "" && fidelity != FidelityFlow {
+		return fmt.Errorf("core: aggregation %q requires fidelity %q (the packet backend is per-packet by construction)",
+			aggregation, FidelityFlow)
+	}
+	return nil
 }
 
 // fill applies the paper defaults.
@@ -196,21 +254,15 @@ type SimResult struct {
 }
 
 // RunIncastSim executes the simulation and gathers the per-burst-averaged
-// queue trace and counters.
+// queue trace and counters. A configuration that fails Validate panics
+// with its error; front doors that take user input validate first.
 func RunIncastSim(cfg SimConfig) *SimResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg.fill()
-	switch cfg.Fidelity {
-	case "", FidelityPacket:
-		// The packet-level discrete-event path below.
-		if cfg.Aggregation != "" {
-			panic(fmt.Sprintf("core: aggregation %q is a fidelity-%q knob; the packet backend is per-packet by construction",
-				cfg.Aggregation, FidelityFlow))
-		}
-	case FidelityFlow:
+	if cfg.Fidelity == FidelityFlow {
 		return runFlowIncastSim(cfg)
-	default:
-		panic(fmt.Sprintf("core: unknown fidelity %q (valid: %q, %q)",
-			cfg.Fidelity, FidelityPacket, FidelityFlow))
 	}
 	wallStart := startWall(cfg.Metrics)
 	// Reuse a pooled engine + packet pool unless the run is instrumented
@@ -234,9 +286,6 @@ func RunIncastSim(cfg SimConfig) *SimResult {
 		}
 	}
 	if cfg.ExternalBufferBytes > 0 {
-		if q.SharedBuffer() == nil {
-			panic("core: ExternalBufferBytes requires a shared-buffer topology")
-		}
 		q.SharedBuffer().SetExternalBytes(cfg.ExternalBufferBytes)
 	}
 

@@ -1,0 +1,84 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"incastlab/internal/cc"
+	"incastlab/internal/netsim"
+)
+
+// TestSimConfigValidate runs each rule of SimConfig.Validate at both
+// fidelities: the rules every row meets, and at fidelity flow the
+// backend's own on top.
+func TestSimConfigValidate(t *testing.T) {
+	clos := netsim.DefaultClosConfig(4, 16)
+	noSpines := clos
+	noSpines.Spines = 0
+	sharedClos := clos
+	sharedClos.SharedBufferBytes = 2_000_000
+	shared := netsim.DefaultDumbbellConfig(50)
+	shared.SharedBufferBytes = 2_000_000
+	cases := []struct {
+		name         string
+		cfg          SimConfig
+		packet, flow string // "" accepts; otherwise a substring of the error
+	}{
+		{"defaults", SimConfig{Flows: 50}, "", ""},
+		{"no flows", SimConfig{Flows: 0}, "positive incast degree", "positive incast degree"},
+		{"negative flows", SimConfig{Flows: -3}, "positive incast degree", "positive incast degree"},
+		{"unknown aggregation", SimConfig{Flows: 50, Aggregation: "bogus"}, `unknown aggregation "bogus"`, `unknown aggregation "bogus"`},
+		{"aggregation", SimConfig{Flows: 50, Aggregation: AggregationCohort}, `requires fidelity "flow"`, ""},
+		{"contention without a shared buffer", SimConfig{Flows: 50, ExternalBufferBytes: 700_000}, "shared buffer", "shared buffer"},
+		{"contention in a shared buffer", SimConfig{Flows: 50, Net: shared, ExternalBufferBytes: 700_000},
+			"", "external shared-buffer contention is packet-level only"},
+		{"clos contention without a shared buffer", SimConfig{Flows: 8, Clos: &clos, ExternalBufferBytes: 700_000},
+			"shared buffer", "shared buffer"},
+		{"clos contention in a shared buffer", SimConfig{Flows: 8, Clos: &sharedClos, ExternalBufferBytes: 700_000},
+			"", "external shared-buffer contention is packet-level only"},
+		{"clos that does not build", SimConfig{Flows: 8, Clos: &noSpines}, "at least 1 spine", "at least 1 spine"},
+		{"clos at capacity", SimConfig{Flows: 48, Clos: &clos}, "", ""},
+		{"cross-rack overflow", SimConfig{Flows: 49, Clos: &clos}, "cross-rack workers exceed", "cross-rack workers exceed"},
+		{"same-rack overflow", SimConfig{Flows: 16, Clos: &clos, Placement: "same-rack"},
+			"free slots under the aggregator's leaf", "free slots under the aggregator's leaf"},
+		{"too many aggregators", SimConfig{Flows: 4, Clos: &clos, Aggregators: 5}, "exceed the 4 racks", "exceed the 4 racks"},
+		{"overloaded racks", SimConfig{Flows: 20, Clos: &clos, Aggregators: 4},
+			`rack 3 full placing worker 6 of aggregator 2 (4 aggregators x 20 workers, placement "cross-rack"`,
+			`rack 3 full placing worker 6 of aggregator 2 (4 aggregators x 20 workers, placement "cross-rack"`},
+		{"notification", SimConfig{Flows: 50, Notification: &NotificationConfig{}}, "", "switch-side incast notification"},
+		{"per-flow past the limit", SimConfig{Flows: 1 << 20, Aggregation: AggregationPerFlow},
+			`requires fidelity "flow"`, `aggregation "perflow" holds at most`},
+	}
+	for _, tc := range cases {
+		for _, side := range []struct{ fidelity, want string }{{FidelityPacket, tc.packet}, {FidelityFlow, tc.flow}} {
+			cfg := tc.cfg
+			cfg.Fidelity = side.fidelity
+			err := cfg.Validate()
+			switch {
+			case side.want == "" && err != nil:
+				t.Errorf("%s at fidelity %s: rejected: %v", tc.name, side.fidelity, err)
+			case side.want != "" && (err == nil || !strings.Contains(err.Error(), side.want)):
+				t.Errorf("%s at fidelity %s: Validate = %v, want an error containing %q", tc.name, side.fidelity, err, side.want)
+			}
+		}
+	}
+	if err := (SimConfig{Flows: 50, Fidelity: "warp"}).Validate(); err == nil || !strings.Contains(err.Error(), `unknown fidelity "warp"`) {
+		t.Errorf("unknown fidelity: Validate = %v", err)
+	}
+	// A packet row is checked without building its algorithm.
+	built := SimConfig{Flows: 50, Alg: func(int) cc.Algorithm { panic("Validate built the algorithm") }}
+	if err := built.Validate(); err != nil {
+		t.Errorf("packet row: %v", err)
+	}
+}
+
+// TestFlowCompatibleNeedsFlows: a config without a positive degree gets
+// the degree error back, as FlowCompatible's contract says, not a panic
+// from filling the defaults.
+func TestFlowCompatibleNeedsFlows(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if err := (SimConfig{Flows: n}).FlowCompatible(); err == nil || !strings.Contains(err.Error(), "positive incast degree") {
+			t.Errorf("Flows = %d: FlowCompatible = %v, want the degree error", n, err)
+		}
+	}
+}

@@ -6,6 +6,14 @@
 // are data, not code: the ten ablation experiments are specs compiled by
 // one generic runner, and `incastsim -scenario file.json` runs a
 // user-defined study end to end with no Go changes.
+//
+// Two rulebooks decide whether a spec runs. This package's Validate owns
+// what a spec says on its own: field ranges, the CC, scheme and placement
+// words, and shape rules such as which block an axis toggles. Whether a
+// compiled row can run (a known fidelity and aggregation, a fabric that
+// fits its workers, the fluid backend's limits) is core.SimConfig.Validate's
+// rule, which core.CompileScenario applies to every row, naming the row
+// that fails, before any row runs.
 package scenario
 
 import (
@@ -62,7 +70,7 @@ type Spec struct {
 	// classes integrated as weighted records, split lazily and exactly on
 	// divergence — the million-flow fast path), or "auto" (also by
 	// omission: cohorts from the backend's flow-count threshold up).
-	// Requires fidelity "flow" when set.
+	// Requires fidelity "flow" when set (checked when the spec compiles).
 	Aggregation string `json:"aggregation,omitempty"`
 }
 
@@ -295,40 +303,6 @@ func KnownPlacement(name string) bool {
 // tight deadline factor (D=2), the CCA ablation's configuration.
 var CCNames = []string{"dctcp", "reno", "swift", "d2tcp", "d2tcp-tight"}
 
-// Fidelities lists the simulation backends a spec may name.
-var Fidelities = []string{"packet", "flow"}
-
-// KnownFidelity reports whether name selects a backend ("" means packet).
-func KnownFidelity(name string) bool {
-	for _, f := range Fidelities {
-		if name == f {
-			return true
-		}
-	}
-	return name == ""
-}
-
-// MaxPerFlowFlows is the largest row the "perflow" aggregation can
-// represent: the fluid backend's release schedule packs record indices
-// into 20 bits. It mirrors flowsim.MaxPerFlowFlows (a core test pins the
-// two equal) so this package stays free of backend imports.
-const MaxPerFlowFlows = 1<<20 - 1
-
-// Aggregations lists the flow-population representations a flow-fidelity
-// spec may name.
-var Aggregations = []string{"auto", "cohort", "perflow"}
-
-// KnownAggregation reports whether name selects an aggregation level (""
-// means auto).
-func KnownAggregation(name string) bool {
-	for _, a := range Aggregations {
-		if name == a {
-			return true
-		}
-	}
-	return name == ""
-}
-
 // KnownCC reports whether name is a recognized congestion-control name.
 func KnownCC(name string) bool {
 	for _, n := range CCNames {
@@ -478,8 +452,11 @@ func (v Value) String() string {
 	return v.raw
 }
 
-// Validate rejects malformed specs with actionable errors. A valid spec
-// is guaranteed to compile.
+// Validate rejects specs that are malformed on their own terms, with
+// actionable errors: field ranges, the CC, scheme and placement words, and
+// the shape rules that tie fields together. It does not check whether
+// each row can run (backend, capacity, flow limits); core.CompileScenario
+// checks that row by row.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name (it becomes the CSV file stem)")
@@ -532,27 +509,6 @@ func (s Spec) Validate() error {
 	if s.Sweep.Axis == "notification" && s.Notification == nil {
 		return fmt.Errorf("scenario %q: axis \"notification\" needs a notification block to toggle", s.Name)
 	}
-	if s.Notification != nil && s.Fidelity == "flow" {
-		return fmt.Errorf("scenario %q: fidelity \"flow\" cannot model the notification path (detector firings and zero-payload control packets are per-packet dynamics) — use fidelity \"packet\" or drop the notification block", s.Name)
-	}
-	if !KnownFidelity(s.Fidelity) {
-		return fmt.Errorf("scenario %q: fidelity %q is not one of %s (or omit for packet-level)",
-			s.Name, s.Fidelity, strings.Join(Fidelities, ", "))
-	}
-	if !KnownAggregation(s.Aggregation) {
-		return fmt.Errorf("scenario %q: aggregation %q is not one of %s (or omit for auto)",
-			s.Name, s.Aggregation, strings.Join(Aggregations, ", "))
-	}
-	if s.Aggregation != "" && s.Fidelity != "flow" {
-		return fmt.Errorf("scenario %q: aggregation %q shapes the fluid backend's flow population; it requires fidelity \"flow\"",
-			s.Name, s.Aggregation)
-	}
-	if s.Aggregation == "perflow" {
-		if n := s.maxFlows() * s.maxAggregators(); n > MaxPerFlowFlows {
-			return fmt.Errorf("scenario %q: aggregation \"perflow\" holds at most %d flows per row, but a row reaches %d; use aggregation \"cohort\" or \"auto\"",
-				s.Name, MaxPerFlowFlows, n)
-		}
-	}
 
 	// Clos cross-field rules.
 	var clos *Clos
@@ -567,126 +523,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Notification != nil && s.Notification.MinPorts > 0 && clos == nil {
 		return fmt.Errorf("scenario %q: notification.min_ports coordinates detectors across a leaf's uplink ports; it needs a topology.clos block", s.Name)
-	}
-	if clos != nil {
-		// Both fidelities model the fabric (the fluid engine solves the
-		// whole queue network since PR 9), so the only clos-specific
-		// constraint left is that every swept configuration physically fits.
-		if err := s.validateClosCapacity(clos); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateClosCapacity checks that every incast degree the sweep reaches
-// fits the worker slots its placement offers — for every aggregator count
-// the sweep reaches — so compiled runs cannot panic on an over-full rack.
-func (s Spec) validateClosCapacity(clos *Clos) error {
-	maxFlows, maxAggs := s.maxFlows(), s.maxAggregators()
-	if maxAggs > clos.Racks {
-		return fmt.Errorf("scenario %q: %d aggregators exceed the %d racks (one aggregator per rack, at slot 0)",
-			s.Name, maxAggs, clos.Racks)
-	}
-
-	placements := []string{clos.Placement}
-	if s.Sweep.Axis == "placement" {
-		placements = placements[:0]
-		for _, v := range s.Sweep.Values {
-			if p, ok := v.Str(); ok {
-				placements = append(placements, p)
-			}
-		}
-	}
-	for _, p := range placements {
-		if maxAggs > 1 {
-			if err := s.validateMultiAggCapacity(clos, p, maxAggs, maxFlows); err != nil {
-				return err
-			}
-			continue
-		}
-		var slots int
-		var where string
-		switch p {
-		case "same-rack":
-			slots = clos.HostsPerRack - 1
-			where = "free slots under the aggregator's leaf (topology.clos.hosts_per_rack - 1)"
-		default: // cross-rack
-			slots = (clos.Racks - 1) * clos.HostsPerRack
-			where = "hosts outside the aggregator's rack ((topology.clos.racks - 1) * topology.clos.hosts_per_rack)"
-		}
-		if maxFlows > slots {
-			return fmt.Errorf("scenario %q: %d workers exceed the %d %s for placement %q",
-				s.Name, maxFlows, slots, where, p)
-		}
-	}
-	return nil
-}
-
-// maxFlows is the largest per-aggregator incast degree any row reaches.
-func (s Spec) maxFlows() int {
-	n := s.Workload.Flows
-	if s.Sweep.Axis == "flows" {
-		for _, v := range s.Sweep.Values {
-			if f, ok := v.Number(); ok && int(f) > n {
-				n = int(f)
-			}
-		}
-	}
-	for _, f := range s.Sweep.Flows {
-		n = max(n, f)
-	}
-	return n
-}
-
-// maxAggregators is the largest number of concurrent incasts any row
-// runs: one without a Clos fabric, at least one with it.
-func (s Spec) maxAggregators() int {
-	if s.Topology == nil || s.Topology.Clos == nil {
-		return 1
-	}
-	n := max(s.Topology.Clos.Aggregators, 1)
-	if s.Sweep.Axis == "aggregators" {
-		for _, v := range s.Sweep.Values {
-			if a, ok := v.Number(); ok && int(a) > n {
-				n = int(a)
-			}
-		}
-	}
-	return n
-}
-
-// validateMultiAggCapacity replays workload.ClosFlowEndpoints' rack-load
-// arithmetic in closed form: aggregator k reserves rack k's slot 0 and its
-// cross-rack workers round-robin over the other racks starting at rack
-// k+1, so the busiest rack's load must fit hosts_per_rack.
-func (s Spec) validateMultiAggCapacity(clos *Clos, placement string, aggs, flows int) error {
-	if placement == "same-rack" {
-		if slots := clos.HostsPerRack - 1; flows > slots {
-			return fmt.Errorf("scenario %q: %d workers per aggregator exceed the %d free slots under each aggregator's leaf (topology.clos.hosts_per_rack - 1)",
-				s.Name, flows, slots)
-		}
-		return nil
-	}
-	load := make([]int, clos.Racks)
-	for r := 0; r < aggs; r++ {
-		load[r] = 1 // the rack's aggregator at slot 0
-	}
-	q, rem := flows/(clos.Racks-1), flows%(clos.Racks-1)
-	for k := 0; k < aggs; k++ {
-		for j := 0; j < clos.Racks-1; j++ {
-			r := (k + 1 + j) % clos.Racks
-			load[r] += q
-			if j < rem {
-				load[r]++
-			}
-		}
-	}
-	for r, n := range load {
-		if n > clos.HostsPerRack {
-			return fmt.Errorf("scenario %q: %d aggregators x %d cross-rack workers put %d hosts in rack %d, over topology.clos.hosts_per_rack = %d",
-				s.Name, aggs, flows, n, r, clos.HostsPerRack)
-		}
 	}
 	return nil
 }

@@ -119,75 +119,6 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-func TestValidateRejections(t *testing.T) {
-	valid := func() Spec {
-		return Spec{
-			Name:     "ok",
-			Workload: Workload{Flows: 100},
-			Sweep:    Sweep{Axis: "g", Values: Nums(0.5)},
-		}
-	}
-	cases := []struct {
-		name string
-		mut  func(*Spec)
-		want string // substring of the actionable error
-	}{
-		{"empty name", func(s *Spec) { s.Name = "" }, "needs a name"},
-		{"bad name", func(s *Spec) { s.Name = "No Spaces!" }, "name must match"},
-		{"negative flows", func(s *Spec) { s.Workload.Flows = -3 }, "cannot be negative"},
-		{"no flows anywhere", func(s *Spec) { s.Workload.Flows = 0 }, "workload.flows must be a positive incast degree"},
-		{"flows twice", func(s *Spec) { s.Sweep.Flows = []int{10} }, "conflicts with the sweep's flow degrees"},
-		{"flows axis twice", func(s *Spec) {
-			s.Workload.Flows = 0
-			s.Sweep = Sweep{Axis: "flows", Values: Nums(10), Flows: []int{10}}
-		}, "mutually exclusive"},
-		{"unknown axis", func(s *Spec) { s.Sweep.Axis = "mtu" }, "not a known axis"},
-		{"empty sweep", func(s *Spec) { s.Sweep.Values = nil }, "sweep.values is empty"},
-		{"kind mismatch", func(s *Spec) { s.Sweep.Values = Strs("big") }, "takes number values"},
-		{"label arity", func(s *Spec) { s.Sweep.Labels = []string{"a", "b"} }, "2 entries for 1 values"},
-		{"gain range", func(s *Spec) { s.Sweep.Values = Nums(1.5) }, "must be in (0, 1]"},
-		{"fractional degree", func(s *Spec) { s.Sweep = Sweep{Axis: "flows", Values: Nums(2.5)}; s.Workload.Flows = 0 }, "positive integers"},
-		{"unknown cc", func(s *Spec) { s.Sweep = Sweep{Axis: "cc", Values: Strs("cubic")} }, "not a congestion-control name"},
-		{"unknown scheme", func(s *Spec) { s.Sweep = Sweep{Axis: "scheme", Values: Strs("dctcp+wave0")} }, "schemes are dctcp"},
-		{"cc algorithm", func(s *Spec) { s.CC = &CC{Algorithm: "bbr"} }, "not one of"},
-		{"shared buffer without topology", func(s *Spec) {
-			s.Sweep = Sweep{Axis: "shared_buffer", Values: Flags(false, true)}
-		}, "needs a topology"},
-		{"contend without shared", func(s *Spec) { s.Topology = &Topology{ContendBytes: 1} }, "requires shared_buffer_bytes"},
-		{"negative rto", func(s *Spec) { s.Transport = &Transport{MinRTOMS: -1} }, "want a positive timeout"},
-		{"unknown fidelity", func(s *Spec) { s.Fidelity = "warp" }, "not one of packet, flow"},
-		{"negative detector window", func(s *Spec) { s.Notification = &Notification{WindowUS: -1} }, "want a positive window"},
-		{"negative slope", func(s *Spec) { s.Notification = &Notification{SlopePackets: -1} }, "cannot be negative"},
-		{"backoff range", func(s *Spec) { s.Notification = &Notification{Backoff: 1.5} }, "lives in (0, 1)"},
-		{"negative hold_acks", func(s *Spec) { s.Notification = &Notification{HoldAcks: -1} }, "hold_acks cannot be negative"},
-		{"negative flow horizon", func(s *Spec) { s.Notification = &Notification{FlowHorizonUS: -5} }, "want a positive horizon"},
-		{"notification axis without block", func(s *Spec) {
-			s.Sweep = Sweep{Axis: "notification", Values: Flags(false, true)}
-		}, "needs a notification block"},
-		{"min_ports without clos", func(s *Spec) { s.Notification = &Notification{MinPorts: 2} }, "needs a topology.clos block"},
-		{"notification at flow fidelity", func(s *Spec) {
-			s.Notification = &Notification{}
-			s.Fidelity = "flow"
-		}, "cannot model the notification path"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := valid()
-			if err := spec.Validate(); err != nil {
-				t.Fatalf("base spec invalid: %v", err)
-			}
-			tc.mut(&spec)
-			err := spec.Validate()
-			if err == nil {
-				t.Fatal("want a validation error, got nil")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not contain %q", err, tc.want)
-			}
-		})
-	}
-}
-
 func TestWaveSize(t *testing.T) {
 	for scheme, want := range map[string]int{
 		"dctcp":           0,

@@ -43,12 +43,15 @@ type ClosIncastConfig struct {
 // more single-aggregator workers than the fabric has hosts for, and a
 // full rack (named by the first worker that would not fit).
 func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placement string) (int, error) {
+	if placement == "" {
+		placement = PlacementCrossRack
+	}
 	if aggregators <= 1 {
 		if workers <= 0 {
 			return 0, fmt.Errorf("workload: clos incast needs at least one worker (got %d)", workers)
 		}
 		switch placement {
-		case PlacementCrossRack, "":
+		case PlacementCrossRack:
 			remote := cfg.Racks - 1
 			if cap := remote * cfg.HostsPerRack; workers > cap {
 				return 0, fmt.Errorf(
@@ -81,7 +84,7 @@ func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placeme
 			r, i, k, aggregators, workers, placement, cfg.HostsPerRack)
 	}
 	switch placement {
-	case PlacementCrossRack, "":
+	case PlacementCrossRack:
 	case PlacementSameRack:
 		// Aggregator k's workers fill rack k from slot 1, which no other
 		// aggregator touches.

@@ -12,6 +12,9 @@ import (
 // every slot as it goes: the reference CheckClosPlacement's closed form
 // and ClosFlowEndpoints' unchecked fill must both reproduce.
 func walkClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placement string) (srcs, dsts []netsim.NodeID, err error) {
+	if placement == "" {
+		placement = PlacementCrossRack // errors name the default
+	}
 	if aggregators <= 1 {
 		if workers <= 0 {
 			return nil, nil, fmt.Errorf("workload: clos incast needs at least one worker (got %d)", workers)
