@@ -9,10 +9,14 @@
 #                        experiment fan-out) and the sweep cache's tests
 #                        (concurrent writers appending to one directory)
 #                        under the race detector
-#   4b. fuzz             a short -fuzz run of FuzzClassPlan: the fluid
+#   4b. fuzz             short -fuzz runs of FuzzClassPlan (the fluid
 #                        solver's cohort plan, built from class counts, and
 #                        its on-demand member list against the reference
-#                        plan over generated class sequences
+#                        plan over generated class sequences) and of
+#                        FuzzCompileScenario (generated spec bytes through
+#                        scenario.Parse and core.CompileScenario under
+#                        quick, flow and perflow options: no panic, and
+#                        every compiled row passes SimConfig.Validate)
 #   5. audit gate        the invariant auditor's own tests, the open-loop
 #                        rackmodel<->flowsim<->netsim trace (RunDiff), and
 #                        the closed-loop differential gate
@@ -86,11 +90,13 @@
 #                        -shard spec, a bogus -aggregation level, a
 #                        per-flow run of 2^20 flows, a flow-level run
 #                        whose default start jitter reaches its burst
-#                        interval, -contend without -shared, and a spec
-#                        with an over-full Clos row under -shard-procs 2
-#                        must exit non-zero, the last four with a
-#                        one-line error (the last naming the row, printed
-#                        before any shard starts)
+#                        interval, -contend without -shared, a spec with
+#                        an over-full Clos row under -shard-procs 2, and a
+#                        2^20-flow spec that only the -aggregation perflow
+#                        option makes invalid, run directly and under
+#                        -shard-procs 2, must exit non-zero, the last six
+#                        with a one-line error (the spec errors naming the
+#                        row, printed before any shard starts)
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
 #                        flow-level Fig-5 sweeps and the million-flow Clos
 #                        run smoke-run at one iteration each: each must
@@ -123,8 +129,9 @@ echo "==> go test -race ./internal/core -run TestParallel; go test -race ./inter
 go test -race ./internal/core -run TestParallel
 go test -race ./internal/sweep
 
-echo "==> fuzz: FuzzClassPlan for 20s"
+echo "==> fuzz: FuzzClassPlan and FuzzCompileScenario for 20s each"
 go test ./internal/flowsim -run '^$' -fuzz '^FuzzClassPlan$' -fuzztime 20s -parallel 2
+go test ./internal/core -run '^$' -fuzz '^FuzzCompileScenario$' -fuzztime 20s -parallel 2
 
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
@@ -311,6 +318,29 @@ test "$(wc -l <"$OBS_TMP/overfull.err")" -eq 1
 grep -q 'row 1' "$OBS_TMP/overfull.err"
 if grep -q 'shard 0/2 failed' "$OBS_TMP/overfull.err"; then
   echo "incastsim -shard-procs started shards for a spec that does not compile" >&2
+  exit 1
+fi
+# Run options are stamped on each row before it is validated: a 2^20-flow
+# row compiles with cohort records, and -aggregation perflow makes it
+# invalid, so the compile must refuse it in one line naming the row, run
+# directly and before -shard-procs starts any shard.
+echo '{"name": "big_dumbbell", "sweep": {"axis": "flows", "values": [1048576]}, "fidelity": "flow"}' >"$OBS_TMP/big.json"
+if "$OBS_TMP/incastsim" -scenario "$OBS_TMP/big.json" -quick -fidelity flow -aggregation perflow \
+  -out "$OBS_TMP/big_out" >/dev/null 2>"$OBS_TMP/big.err"; then
+  echo "incastsim -scenario with a 2^20-flow row under -aggregation perflow should have exited non-zero" >&2
+  exit 1
+fi
+test "$(wc -l <"$OBS_TMP/big.err")" -eq 1
+grep -q 'row 0.*perflow' "$OBS_TMP/big.err"
+if "$OBS_TMP/incastsim" -scenario "$OBS_TMP/big.json" -quick -fidelity flow -aggregation perflow \
+  -cache "$OBS_TMP/big" -shard-procs 2 -out "$OBS_TMP/big_out" >/dev/null 2>"$OBS_TMP/big_sharded.err"; then
+  echo "incastsim -shard-procs with a 2^20-flow row under -aggregation perflow should have exited non-zero" >&2
+  exit 1
+fi
+test "$(wc -l <"$OBS_TMP/big_sharded.err")" -eq 1
+grep -q 'row 0.*perflow' "$OBS_TMP/big_sharded.err"
+if grep -q 'shard 0/2 failed' "$OBS_TMP/big_sharded.err"; then
+  echo "incastsim -shard-procs started shards for a row the options make invalid" >&2
   exit 1
 fi
 

@@ -192,7 +192,7 @@ func main() {
 			net.HostLinkBps/1e9, net.CoreLinkBps/1e9, net.ECNThresholdPackets, net.QueueCapacityPackets, backend)
 		fmt.Printf("  mean BCT        %v (max %v; optimal %.3gms)\n", res.MeanBCT, res.MaxBCT, *durationMS)
 		fmt.Printf("  queue           busy-avg %.0f pkts, max %.0f, burst-start spike %.0f, %.0f%% of busy samples below K\n",
-			busyAvg(res), res.MaxQueue, res.SpikePackets, 100*res.FracBelowK)
+			res.BusyAvgQueue(), res.MaxQueue, res.SpikePackets, 100*res.FracBelowK)
 		fmt.Printf("  loss/recovery   %d drops, %d fast retransmits, %d timeouts, %d retransmitted packets\n",
 			res.Drops, res.FastRetransmits, res.Timeouts, res.RetransmitPackets)
 		fmt.Printf("  marking         %d CE marks over %d packets sent\n", res.Marks, res.SentPackets)
@@ -373,21 +373,6 @@ func parseShard(s string) (incastlab.SweepShard, error) {
 			"shard index %d out of range for %d shard(s) (got %q); want 0 <= K < N, e.g. 0/%d", k, n, s, n)
 	}
 	return incastlab.SweepShard{Index: k, Count: n}, nil
-}
-
-func busyAvg(res *incastlab.SimResult) float64 {
-	var sum float64
-	n := 0
-	for _, v := range res.AvgQueue.Values {
-		if v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 func printQueue(res *incastlab.SimResult) error {

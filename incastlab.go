@@ -165,8 +165,9 @@ var AblationSpecs = core.AblationSpecs
 
 // CompileScenario validates spec and compiles it into simulation configs,
 // returning the sweep table's label header, one label row per config, and
-// the configs themselves. Every config passes SimConfig.Validate; the
-// error for one that does not names its row.
+// the configs themselves, carrying opt's seed, checked mode, metrics and
+// backend: the rows RunScenario runs. Every config passes
+// SimConfig.Validate; the error for one that does not names its row.
 func CompileScenario(opt Options, spec Scenario) ([]string, [][]string, []SimConfig, error) {
 	return core.CompileScenario(opt, spec)
 }

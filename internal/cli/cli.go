@@ -18,7 +18,8 @@ import (
 type Common struct {
 	// Workers bounds the goroutines per experiment sweep.
 	Workers int
-	// Audit runs every packet-level simulation in checked mode.
+	// Audit runs packet-level simulations in checked mode (see
+	// core.Options.Audit for the one experiment it cannot check).
 	Audit bool
 	// MetricsPath is where the JSON metrics snapshot lands ("-" = stdout);
 	// empty disables metrics collection unless PprofAddr is set.
@@ -42,7 +43,7 @@ type Common struct {
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.IntVar(&c.Workers, "workers", 0, "simulations in flight at once, across overlapping experiments in figures (0 = GOMAXPROCS, 1 = serial)")
-	fs.BoolVar(&c.Audit, "audit", false, "run simulations in checked mode: enforce invariants (conservation, queue bounds, cc protocol bounds) on every packet-level run")
+	fs.BoolVar(&c.Audit, "audit", false, "run simulations in checked mode: enforce invariants (conservation, queue bounds, cc protocol bounds) on every packet-level run but ext_query_tail's")
 	fs.StringVar(&c.MetricsPath, "metrics", "", "write a JSON metrics snapshot of all runs to this file (\"-\" for stdout)")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) and sample memory statistics")
 	fs.StringVar(&c.Fidelity, "fidelity", "", "simulation backend: \"packet\" (default, discrete-event) or \"flow\" (fluid fast path; rejects packet-level-only features)")

@@ -16,7 +16,7 @@ import (
 // ablationRow renders a run's shared metric columns.
 func ablationRow(m *SimResult) []string {
 	return []string{
-		trace.Float(avgBusyQueue(m)), trace.Float(m.MaxQueue), trace.Float(m.SpikePackets),
+		trace.Float(m.BusyAvgQueue()), trace.Float(m.MaxQueue), trace.Float(m.SpikePackets),
 		trace.Float(m.MeanBCT.Milliseconds()),
 		fmt.Sprint(m.Timeouts), fmt.Sprint(m.Drops),
 		trace.Float(markRate(m)),

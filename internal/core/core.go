@@ -40,11 +40,13 @@ type Options struct {
 	// collected by index.
 	Workers int
 	// Audit attaches the internal/audit invariant auditor to every
-	// packet-level simulation: byte/packet conservation, queue bounds,
-	// clock monotonicity, congestion-window protocol bounds, and packet
-	// -pool hygiene are checked throughout the run, and any violation
-	// panics with a summary. Results are bit-identical to unaudited runs;
-	// the cost is a modest slowdown.
+	// packet-level simulation except ext_query_tail's (its RPC requests
+	// are raw host sends no tcp.Sender accounts for, so byte conservation
+	// cannot hold there): byte/packet conservation, queue bounds, clock
+	// monotonicity, congestion-window protocol bounds, and packet-pool
+	// hygiene are checked throughout the run, and any violation panics
+	// with a summary. Results are bit-identical to unaudited runs; the
+	// cost is a modest slowdown.
 	Audit bool
 	// Metrics, when non-nil, collects run telemetry (engine, queue, link,
 	// pool, transport, and congestion-control counters) from every
@@ -86,6 +88,36 @@ func (o Options) seed() uint64 {
 		return 1
 	}
 	return o.Seed
+}
+
+// stamp is the one place run options reach a row: the seed, checked mode,
+// metrics registry and experiment label, and the best-effort backend. A
+// row that names no fidelity moves to the fluid backend when the options
+// ask for it and FlowCompatible allows it (experiments mix runs the fluid
+// model covers with runs that need packet-level machinery, which keep the
+// packet backend); a flow row then takes the options' aggregation unless
+// it names its own. A row that names its fidelity keeps it, so a stamped
+// row that cannot run fails Validate rather than silently changing
+// backend.
+func (o Options) stamp(experiment string, cfg *SimConfig) {
+	cfg.Seed = o.seed()
+	cfg.Audit = o.Audit
+	cfg.Metrics = o.Metrics
+	cfg.Experiment = experiment
+	if cfg.Fidelity == "" && o.Fidelity == FidelityFlow && cfg.FlowCompatible() == nil {
+		cfg.Fidelity = FidelityFlow
+	}
+	if cfg.Fidelity == FidelityFlow && cfg.Aggregation == "" {
+		cfg.Aggregation = o.Aggregation
+	}
+}
+
+// runRows stamps every row and fans the rows out.
+func (o Options) runRows(experiment string, cfgs []SimConfig) []*SimResult {
+	for i := range cfgs {
+		o.stamp(experiment, &cfgs[i])
+	}
+	return runIncastSims(o, cfgs)
 }
 
 // Result is implemented by every experiment result: it can write its CSV

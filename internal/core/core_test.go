@@ -105,7 +105,7 @@ func TestFig5ModesShape(t *testing.T) {
 	if m1.Timeouts != 0 {
 		t.Fatalf("mode 1 timeouts = %d", m1.Timeouts)
 	}
-	if q := avgBusyQueue(m1); q < 30 || q > 130 {
+	if q := m1.BusyAvgQueue(); q < 30 || q > 130 {
 		t.Fatalf("mode 1 busy queue = %v, want near K=65", q)
 	}
 	if m1.MeanBCT > 18*sim.Millisecond {
@@ -118,7 +118,7 @@ func TestFig5ModesShape(t *testing.T) {
 	if m2.Timeouts != 0 || m2.Drops != 0 {
 		t.Fatalf("mode 2 timeouts=%d drops=%d, want none", m2.Timeouts, m2.Drops)
 	}
-	if q := avgBusyQueue(m2); q < 400 || q > 550 {
+	if q := m2.BusyAvgQueue(); q < 400 || q > 550 {
 		t.Fatalf("mode 2 busy queue = %v, want ~475 (N - BDP)", q)
 	}
 	if m2.MeanBCT > 18*sim.Millisecond {

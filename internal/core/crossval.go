@@ -54,11 +54,12 @@ func CrossValidation(opt Options) *CrossValidationResult {
 		bursts = 15
 	}
 
-	wallStart := startWall(opt.Metrics)
 	cfg := SimConfig{
 		Flows: flows, BurstDuration: duration, Bursts: bursts, Interval: interval,
-		Seed: opt.seed(), Metrics: opt.Metrics, Experiment: "crossval",
+		Fidelity: FidelityPacket,
 	}
+	opt.stamp("crossval", &cfg)
+	wallStart := startWall(cfg.Metrics)
 	cfg.fill()
 	eng := sim.NewEngine()
 	f := newFabric(eng, &cfg, nil)
@@ -68,7 +69,7 @@ func CrossValidation(opt Options) *CrossValidationResult {
 	rec := netsim.NewHostIngressRecorder(f.aggregator, 0, sim.Millisecond, windowMS)
 
 	var auditor *audit.Auditor
-	if opt.Audit {
+	if cfg.Audit {
 		auditor = startAudit(eng, f.watch, f.flows.Senders())
 	}
 

@@ -73,21 +73,18 @@ func DistributedDetect(opt Options) *TableResult {
 	for _, n := range flows {
 		for _, placement := range distDetectPlacements {
 			clos := distDetectClos()
-			cfg := SimConfig{
+			rows = append(rows, row{flows: n, placement: placement})
+			cfgs = append(cfgs, SimConfig{
 				Flows:         n,
 				BurstDuration: 15 * sim.Millisecond,
 				Bursts:        1,
-				Seed:          opt.seed(),
-				Audit:         opt.Audit,
 				Clos:          &clos,
 				Placement:     workload.PlacementCrossRack,
 				Notification:  distDetectConfig(placement),
-			}
-			rows = append(rows, row{flows: n, placement: placement})
-			cfgs = append(cfgs, opt.instrument("distributed_detect", cfg))
+			})
 		}
 	}
-	results := runIncastSims(opt, cfgs)
+	results := opt.runRows("distributed_detect", cfgs)
 
 	t := trace.NewTable("flows", "detect", "mode", "max_queue_pkts",
 		"detect_latency_us", "mean_bct_ms", "max_bct_ms", "timeouts", "drops",

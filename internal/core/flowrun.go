@@ -91,9 +91,7 @@ func (c SimConfig) FlowCompatible() error {
 	if err := flowsim.CheckJitter(cfg.JitterMax, cfg.Interval); err != nil {
 		return err
 	}
-	if _, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg)); err != nil {
-		return err
-	}
+	// The topology is checked before flowBaseRTT reads its link rates.
 	flows := cfg.Flows
 	if cfg.Clos != nil {
 		// The placement check ClosFlowEndpoints runs, without the endpoints.
@@ -102,6 +100,11 @@ func (c SimConfig) FlowCompatible() error {
 			return err
 		}
 		flows = n
+	} else if err := cfg.Net.Validate(); err != nil {
+		return err
+	}
+	if _, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg)); err != nil {
+		return err
 	}
 	return flowsim.CheckAggregation(cfg.Aggregation, flows)
 }

@@ -204,7 +204,8 @@ func TestFlowJitterReachingInterval(t *testing.T) {
 		t.Errorf("flow-level spec with jitter past its interval: compile error %v, want one naming row 0", err)
 	}
 	// Lowered to the fluid backend, this run would panic.
-	res := RunIncastSim(Options{Fidelity: FidelityFlow}.instrument("t", cfg))
+	Options{Fidelity: FidelityFlow}.stamp("t", &cfg)
+	res := RunIncastSim(cfg)
 	if res.Fidelity != FidelityPacket || res.MeanBCT <= 0 {
 		t.Errorf("kept run: fidelity %q, mean BCT %v; want a completed packet run", res.Fidelity, res.MeanBCT)
 	}
@@ -409,15 +410,18 @@ func TestPacketAggregationPanics(t *testing.T) {
 func TestOptionsFidelityBestEffort(t *testing.T) {
 	o := Options{Fidelity: FidelityFlow}
 
-	plain := o.instrument("t", SimConfig{Flows: 10})
+	plain := SimConfig{Flows: 10}
+	o.stamp("t", &plain)
 	if plain.Fidelity != FidelityFlow {
 		t.Errorf("compatible config not lowered: fidelity %q", plain.Fidelity)
 	}
-	ictcp := o.instrument("t", SimConfig{Flows: 10, EnableICTCP: true})
+	ictcp := SimConfig{Flows: 10, EnableICTCP: true}
+	o.stamp("t", &ictcp)
 	if ictcp.Fidelity != "" {
 		t.Errorf("ICTCP config lowered to %q; must keep the packet backend", ictcp.Fidelity)
 	}
-	explicit := o.instrument("t", SimConfig{Flows: 10, Fidelity: FidelityPacket})
+	explicit := SimConfig{Flows: 10, Fidelity: FidelityPacket}
+	o.stamp("t", &explicit)
 	if explicit.Fidelity != FidelityPacket {
 		t.Errorf("explicit packet request overridden to %q", explicit.Fidelity)
 	}

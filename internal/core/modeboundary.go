@@ -44,18 +44,13 @@ func ModeBoundary(opt Options) *ModeBoundaryResult {
 		flows = []int{60, 95, 1420}
 		bursts = 3
 	}
-	r := &ModeBoundaryResult{}
+	cfgs := make([]SimConfig, len(flows))
+	for i, n := range flows {
+		cfgs[i] = SimConfig{Flows: n, BurstDuration: 15 * sim.Millisecond, Bursts: bursts}
+	}
 	// The runs are independent; only the boundary classification below
 	// carries state across grid points, so it stays a serial pass.
-	r.Runs = runParallel(opt, len(flows), func(i int) *SimResult {
-		return RunIncastSim(opt.instrument("mode_boundary", SimConfig{
-			Flows:         flows[i],
-			BurstDuration: 15 * sim.Millisecond,
-			Bursts:        bursts,
-			Seed:          opt.seed(),
-			Audit:         opt.Audit,
-		}))
-	})
+	r := &ModeBoundaryResult{Runs: opt.runRows("mode_boundary", cfgs)}
 	prev := ""
 	for i, n := range flows {
 		label := mode(r.Runs[i])
@@ -76,7 +71,7 @@ func ModeBoundary(opt Options) *ModeBoundaryResult {
 		"mean_bct_ms", "timeouts")
 	for i, n := range r.Flows {
 		m := r.Runs[i]
-		t.AddRow(fmt.Sprint(n), r.Modes[i], trace.Float(avgBusyQueue(m)),
+		t.AddRow(fmt.Sprint(n), r.Modes[i], trace.Float(m.BusyAvgQueue()),
 			trace.Float(m.FracBelowK), trace.Float(m.MeanBCT.Milliseconds()),
 			fmt.Sprint(m.Timeouts))
 	}

@@ -24,59 +24,6 @@ var (
 	bctBuckets = obs.ExpBuckets(1, 2, 14)
 )
 
-// instrument stamps the options' metrics registry, the experiment name,
-// and (best-effort) the requested fidelity into a simulation config, so
-// runners can thread observability through with one call.
-func (o Options) instrument(experiment string, cfg SimConfig) SimConfig {
-	cfg.Metrics = o.Metrics
-	cfg.Experiment = experiment
-	o.applyFidelity(&cfg)
-	return cfg
-}
-
-// applyFidelity lowers a run to the flow-level backend when the options ask
-// for it and the configuration supports it. Options.Fidelity is
-// best-effort — experiments mix runs that the fluid model covers with runs
-// that need packet-level machinery (ICTCP, shared buffers, waves), so
-// incompatible configs silently keep the packet backend. Explicit per-run
-// requests (cfg.Fidelity already set) are never overridden; those fail
-// loudly inside RunIncastSim if unsupported.
-func (o Options) applyFidelity(cfg *SimConfig) {
-	if cfg.Fidelity == FidelityFlow {
-		// Explicit flow-level run (spec- or caller-chosen): the options'
-		// aggregation level still applies unless the config picked its own.
-		if cfg.Aggregation == "" {
-			cfg.Aggregation = o.Aggregation
-		}
-		return
-	}
-	if o.Fidelity != FidelityFlow || cfg.Fidelity != "" {
-		return
-	}
-	if cfg.FlowCompatible() == nil {
-		cfg.Fidelity = FidelityFlow
-		if cfg.Aggregation == "" {
-			cfg.Aggregation = o.Aggregation
-		}
-	}
-}
-
-// runSims stamps the options into every config (stampSims) and fans the
-// runs out.
-func (o Options) runSims(experiment string, cfgs []SimConfig) []*SimResult {
-	o.stampSims(experiment, cfgs)
-	return runIncastSims(o, cfgs)
-}
-
-// stampSims stamps the options' observability and fidelity into every
-// config. Experiment runners use it so each experiment's metrics carry its
-// name without per-site boilerplate.
-func (o Options) stampSims(experiment string, cfgs []SimConfig) {
-	for i := range cfgs {
-		cfgs[i] = o.instrument(experiment, cfgs[i])
-	}
-}
-
 // backendFamilies names the metric families only one backend publishes:
 // the packet engine's free list, calendar-queue scheduler, packet pool and
 // notification counter, and the fluid solver's cohort telemetry. Every

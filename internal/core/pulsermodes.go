@@ -50,26 +50,24 @@ func PulserModes(opt Options) *TableResult {
 					Flows:         n,
 					BurstDuration: 15 * sim.Millisecond,
 					Bursts:        bursts,
-					Seed:          opt.seed(),
-					Audit:         opt.Audit,
+					Alg:           pulserSchemeAlg(opt, scheme, n),
 				}
-				cfg.Alg = pulserSchemeAlg(opt, scheme, n)
 				if notify {
 					cfg.Notification = &NotificationConfig{}
 				}
 				rows = append(rows, row{flows: n, scheme: scheme, notify: notify})
-				cfgs = append(cfgs, opt.instrument("pulser_modes", cfg))
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	results := runIncastSims(opt, cfgs)
+	results := opt.runRows("pulser_modes", cfgs)
 
 	t := trace.NewTable("flows", "scheme", "notify", "mode", "queue_busy_avg_pkts",
 		"mean_bct_ms", "max_bct_ms", "timeouts", "drops", "detector_fired", "notifies")
 	for i, r := range rows {
 		m := results[i]
 		t.AddRow(fmt.Sprint(r.flows), r.scheme, onOff(r.notify), mode(m),
-			trace.Float(avgBusyQueue(m)), trace.Float(m.MeanBCT.Milliseconds()),
+			trace.Float(m.BusyAvgQueue()), trace.Float(m.MeanBCT.Milliseconds()),
 			trace.Float(m.MaxBCT.Milliseconds()), fmt.Sprint(m.Timeouts),
 			fmt.Sprint(m.Drops), fmt.Sprint(m.DetectorFirings), fmt.Sprint(m.IncastNotifies))
 	}

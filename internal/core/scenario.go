@@ -22,12 +22,14 @@ import (
 
 // CompileScenario lowers a spec into one SimConfig per sweep row, plus the
 // axis columns that label each row: header holds the axis column names and
-// labels[i] the row's values for them. Two rulebooks guard it, before any
-// row runs: scenario.Validate checks what the spec says on its own (field
-// ranges, vocabulary, which blocks an axis needs), and SimConfig.Validate
-// checks every compiled row (fidelity and aggregation, fabric capacity,
-// the fluid backend's limits). A row that fails is named in the error by
-// its index and labels.
+// labels[i] the row's values for them. Each row is stamped with opt
+// (Options.stamp) before it is checked, so the rows returned are the rows
+// RunScenario and RunScenarioCached run, backend included. Two rulebooks
+// guard it, before any row runs: scenario.Validate checks what the spec
+// says on its own (field ranges, vocabulary, which blocks an axis needs),
+// and SimConfig.Validate checks every stamped row (fidelity and
+// aggregation, fabric capacity, the fluid backend's limits). A row that
+// fails is named in the error by its index and labels.
 func CompileScenario(opt Options, spec scenario.Spec) (header []string, labels [][]string, cfgs []SimConfig, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -63,8 +65,9 @@ func CompileScenario(opt Options, spec scenario.Spec) (header []string, labels [
 		}
 	}
 
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
+	for i := range cfgs {
+		opt.stamp(spec.Name, &cfgs[i])
+		if err := cfgs[i].Validate(); err != nil {
 			return nil, nil, nil, fmt.Errorf("scenario %q row %d (%s): %w",
 				spec.Name, i, strings.Join(labels[i], "/"), err)
 		}
@@ -91,8 +94,6 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 		Flows:         n,
 		BurstDuration: msTime(spec.Workload.BurstMS, 15),
 		Bursts:        scenarioBursts(opt, spec.Workload),
-		Seed:          opt.seed(),
-		Audit:         opt.Audit,
 		Fidelity:      spec.Fidelity,
 		Aggregation:   spec.Aggregation,
 	}
@@ -445,7 +446,7 @@ func RunScenario(opt Options, spec scenario.Spec) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sims := opt.runSims(spec.Name, cfgs)
+	sims := runIncastSims(opt, cfgs)
 	cells := make([][]string, len(sims))
 	for i, m := range sims {
 		cells[i] = ablationRow(m)

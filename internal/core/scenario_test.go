@@ -2,10 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"incastlab/internal/netsim"
+	"incastlab/internal/obs"
 	"incastlab/internal/scenario"
 	"incastlab/internal/sim"
 	"incastlab/internal/trace"
@@ -268,4 +271,155 @@ func TestRunScenarioRejectsInvalid(t *testing.T) {
 	if err == nil {
 		t.Fatal("want an error for a spec with no sweep")
 	}
+}
+
+// bigDumbbellSpec is one flow-level row of 2^20 flows: it runs with cohort
+// records, and per-flow records stop one flow short of it.
+const bigDumbbellSpec = `{"name":"big_dumbbell","sweep":{"axis":"flows","values":[1048576]},"fidelity":"flow"}`
+
+// swiftPulserSpec is Swift with explicit incast notification at 80 flows,
+// the row that does not complete at -seed 14 (a run-time stall no compile
+// check sees).
+const swiftPulserSpec = `{"name":"swift_pulser","workload":{"flows":80,"bursts":3},"cc":{"algorithm":"swift"},` +
+	`"notification":{},"sweep":{"axis":"notification","values":[false,true]}}`
+
+// degenerateSpecs are topologies the compile's arithmetic cannot take,
+// each with the one error its compile under -fidelity flow must return
+// rather than a panic: an uplink rate that comes to 0 bps (named by row),
+// and line rates or an ECN threshold past the spec's bounds, which left a
+// 0 bps link or an overflowed BDP or threshold for the base-RTT
+// arithmetic and the guardrail's constructor.
+var degenerateSpecs = []struct{ spec, want string }{
+	{`{"name":"thin_uplinks","workload":{"flows":4},"topology":{"clos":{"racks":2,"hosts_per_rack":8,"oversubscription":1e30}},"sweep":{"axis":"g","values":[0.5]}}`,
+		`scenario "thin_uplinks" row 0 (0.5): netsim: Clos link rates must be positive`},
+	{`{"name":"slow_uplinks","workload":{"flows":4},"topology":{"clos":{"racks":2,"hosts_per_rack":8,"spine_link_gbps":1e-12}},"sweep":{"axis":"g","values":[0.5]}}`,
+		"topology.clos.spine_link_gbps = 1e-12: want a positive rate"},
+	{`{"name":"slow_hosts","workload":{"flows":4},"topology":{"host_link_gbps":1e-12},"cc":{"algorithm":"swift"},"sweep":{"axis":"scheme","values":["dctcp","dctcp+guardrail"]}}`,
+		"topology.host_link_gbps = 1e-12: want a positive rate"},
+	{`{"name":"fast_hosts","workload":{"flows":4},"topology":{"host_link_gbps":1e9},"sweep":{"axis":"scheme","values":["dctcp+guardrail"]}}`,
+		"topology.host_link_gbps = 1e+09: want a positive rate"},
+	{`{"name":"deep_marking","workload":{"flows":4},"topology":{"ecn_threshold_pkts":10000000000000000},"sweep":{"axis":"scheme","values":["dctcp+guardrail"]}}`,
+		"ecn_threshold_pkts (10000000000000000) must lie in [0, 1e9] packets"},
+}
+
+// boundsSpec puts the line rates at both bounds and the ECN threshold at
+// its bound, under the guardrail (sized from the BDP) and Swift (from the
+// base RTT): the arithmetic holds and the rows compile.
+const boundsSpec = `{"name":"bounds","workload":{"flows":4},"topology":{"host_link_gbps":10000,"core_link_gbps":0.1,"ecn_threshold_pkts":1000000000},` +
+	`"cc":{"algorithm":"swift"},"sweep":{"axis":"scheme","values":["dctcp","dctcp+guardrail"]}}`
+
+// TestCompiledRowsAreTheRowsThatRun pins that CompileScenario returns the
+// rows the runners run: each carries the options' seed, checked mode,
+// registry, label and backend, and an option that makes a row invalid
+// fails the compile, naming the row. A topology the compile's arithmetic
+// cannot take is one error too, not a panic.
+func TestCompiledRowsAreTheRowsThatRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	opt := Options{Seed: 7, Audit: true, Metrics: reg, Fidelity: FidelityFlow}
+	_, labels, cfgs, err := CompileScenario(opt, ablationReceiverWindowSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		fidelity := "" // ICTCP is packet-level only
+		if labels[i][1] == "reno" {
+			fidelity = FidelityFlow
+		}
+		if cfg.Seed != 7 || !cfg.Audit || cfg.Metrics != reg ||
+			cfg.Experiment != "ablation_receiver_window" || cfg.Fidelity != fidelity {
+			t.Errorf("row %d %v: seed %d, audit %v, own registry %v, label %q, fidelity %q; want 7, true, true, %q, %q",
+				i, labels[i], cfg.Seed, cfg.Audit, cfg.Metrics == reg, cfg.Experiment,
+				cfg.Fidelity, "ablation_receiver_window", fidelity)
+		}
+	}
+
+	spec, err := scenario.Parse([]byte(bigDumbbellSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = CompileScenario(Options{Fidelity: FidelityFlow, Aggregation: AggregationPerFlow}, spec)
+	if err == nil {
+		t.Fatal("a 2^20-flow row compiled under -aggregation perflow")
+	}
+	for _, want := range []string{`scenario "big_dumbbell"`, "row 0", "perflow"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("compile error %q does not name %s", err, want)
+		}
+	}
+
+	for _, tc := range degenerateSpecs {
+		var spec scenario.Spec
+		if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = CompileScenario(Options{Fidelity: FidelityFlow}, spec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: compile error %v, want one containing %q", spec.Name, err, tc.want)
+		}
+	}
+	spec, err = scenario.Parse([]byte(boundsSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := CompileScenario(Options{Fidelity: FidelityFlow}, spec); err != nil {
+		t.Errorf("a spec at the rate and threshold bounds: %v", err)
+	}
+}
+
+// FuzzCompileScenario feeds generated spec bytes through scenario.Parse
+// and CompileScenario under every mix of quick mode, fidelity flow and
+// aggregation perflow: compiling never panics, and every row it returns
+// passes SimConfig.Validate.
+func FuzzCompileScenario(f *testing.F) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, true, false, false)
+	}
+	for _, s := range AblationSpecs() {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, true, true, false)
+	}
+	f.Add([]byte(bigDumbbellSpec), true, true, true)
+	f.Add([]byte(swiftPulserSpec), false, false, false)
+	// Oversized fabrics: the compile refuses them, or checks the placement
+	// without a rack table or walk sized by the rack count.
+	f.Add([]byte(`{"name":"huge_fabric","workload":{"flows":1},"topology":{"clos":{"racks":1000000000000000,"hosts_per_rack":2,"aggregators":2}},"sweep":{"axis":"g","values":[0.5]}}`), true, true, false)
+	f.Add([]byte(`{"name":"wide_fabric","workload":{"flows":1},"topology":{"clos":{"racks":1048576,"hosts_per_rack":2}},"sweep":{"axis":"aggregators","values":[1048576]}}`), true, false, false)
+	f.Add([]byte(`{"name":"tall_fabric","workload":{"flows":1},"topology":{"clos":{"racks":2,"hosts_per_rack":2,"spines":1000000000000000}},"sweep":{"axis":"g","values":[0.5]}}`), true, true, false)
+	for _, tc := range degenerateSpecs {
+		f.Add([]byte(tc.spec), true, true, false)
+	}
+	f.Add([]byte(boundsSpec), true, true, false)
+	f.Fuzz(func(t *testing.T, data []byte, quick, flow, perflow bool) {
+		spec, err := scenario.Parse(data)
+		if err != nil {
+			return
+		}
+		opt := Options{Quick: quick}
+		if flow {
+			opt.Fidelity = FidelityFlow
+		}
+		if perflow {
+			opt.Aggregation = AggregationPerFlow
+		}
+		_, labels, cfgs, err := CompileScenario(opt, spec)
+		if err != nil {
+			return
+		}
+		for i, cfg := range cfgs {
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("row %d %v compiled but fails Validate: %v", i, labels[i], err)
+			}
+		}
+	})
 }

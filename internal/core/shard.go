@@ -140,14 +140,9 @@ func RunScenarioCached(opt Options, spec scenario.Spec, cache *sweep.Cache, shar
 	}
 
 	if len(missed) > 0 {
-		sub := make([]SimConfig, len(missed))
-		for j, i := range missed {
-			sub[j] = cfgs[i]
-		}
-		opt.stampSims(spec.Name, sub)
-		errs := runParallel(opt, len(sub), func(j int) error {
+		errs := runParallel(opt, len(missed), func(j int) error {
 			i := missed[j]
-			if err := cache.Put(keys[i], ablationRow(RunIncastSim(sub[j]))); err != nil {
+			if err := cache.Put(keys[i], ablationRow(RunIncastSim(cfgs[i]))); err != nil {
 				return err
 			}
 			// Keep the cells the cache read back, so assembled output

@@ -112,10 +112,10 @@ type SimConfig struct {
 // Validate reports whether the configuration can run; it is the one list
 // of rules every row meets before RunIncastSim takes it. The rules are a
 // positive degree, a known fidelity and aggregation (the aggregation only
-// at FidelityFlow), ExternalBufferBytes only with a shared buffer, and a
-// Clos fabric that builds and fits its placement. At FidelityFlow it also
-// applies FlowCompatible. A packet row is checked without filling the
-// config or building its algorithm.
+// at FidelityFlow), ExternalBufferBytes only with a shared buffer, positive
+// dumbbell link rates, and a Clos fabric that builds and fits its
+// placement. At FidelityFlow it also applies FlowCompatible. A packet row
+// is checked without filling the config or building its algorithm.
 func (c SimConfig) Validate() error {
 	if c.Flows <= 0 {
 		return errNoFlows(c.Flows)
@@ -126,10 +126,11 @@ func (c SimConfig) Validate() error {
 	shared := c.Net.Senders != 0 && c.Net.SharedBufferBytes > 0
 	if c.Clos != nil {
 		shared = c.Clos.SharedBufferBytes > 0
-		if err := c.Clos.Validate(); err != nil {
+		if _, err := workload.CheckClosPlacement(*c.Clos, c.Flows, c.Aggregators, c.Placement); err != nil {
 			return err
 		}
-		if _, err := workload.CheckClosPlacement(*c.Clos, c.Flows, c.Aggregators, c.Placement); err != nil {
+	} else if c.Net.Senders != 0 {
+		if err := c.Net.Validate(); err != nil {
 			return err
 		}
 	}
@@ -251,6 +252,23 @@ type SimResult struct {
 
 	// QueueCapacity and ECNThreshold echo the topology, for rendering.
 	QueueCapacity, ECNThreshold int
+}
+
+// BusyAvgQueue averages AvgQueue over the samples where the queue is
+// non-empty (0 when it never is).
+func (s *SimResult) BusyAvgQueue() float64 {
+	var sum float64
+	n := 0
+	for _, v := range s.AvgQueue.Values {
+		if v > 0 {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // RunIncastSim executes the simulation and gathers the per-burst-averaged

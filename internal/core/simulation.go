@@ -52,16 +52,11 @@ func Fig5Modes(opt Options) *Fig5Result {
 		flows = []int{80, 500, 1400}
 		bursts = 4
 	}
-	r := &Fig5Result{}
-	r.Modes = runParallel(opt, len(flows), func(i int) *SimResult {
-		return RunIncastSim(opt.instrument("fig5", SimConfig{
-			Flows:         flows[i],
-			BurstDuration: 15 * sim.Millisecond,
-			Bursts:        bursts,
-			Seed:          opt.seed(),
-			Audit:         opt.Audit,
-		}))
-	})
+	cfgs := make([]SimConfig, len(flows))
+	for i, n := range flows {
+		cfgs[i] = SimConfig{Flows: n, BurstDuration: 15 * sim.Millisecond, Bursts: bursts}
+	}
+	r := &Fig5Result{Modes: opt.runRows("fig5", cfgs)}
 
 	summary := r.modesTable()
 	artifacts := []Artifact{{File: "fig5_modes.csv", Table: summary}}
@@ -87,22 +82,6 @@ func mode(s *SimResult) string {
 	return flowsim.Classify(s.Timeouts, s.FracBelowK)
 }
 
-// avgBusyQueue averages the queue depth over samples where it is non-zero.
-func avgBusyQueue(s *SimResult) float64 {
-	var sum float64
-	n := 0
-	for _, v := range s.AvgQueue.Values {
-		if v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // modesTable renders the per-mode summary rows shared by Summary and CSV.
 func (r *Fig5Result) modesTable() *trace.Table {
 	t := trace.NewTable("flows", "mode", "queue_busy_avg_pkts", "queue_max_pkts",
@@ -110,7 +89,7 @@ func (r *Fig5Result) modesTable() *trace.Table {
 	for _, m := range r.Modes {
 		t.AddRow(
 			fmt.Sprint(m.Flows), mode(m),
-			trace.Float(avgBusyQueue(m)), trace.Float(m.MaxQueue), trace.Float(m.SpikePackets),
+			trace.Float(m.BusyAvgQueue()), trace.Float(m.MaxQueue), trace.Float(m.SpikePackets),
 			trace.Float(m.MeanBCT.Milliseconds()), trace.Float(m.MaxBCT.Milliseconds()),
 			fmt.Sprint(m.Timeouts), fmt.Sprint(m.Drops), fmt.Sprint(m.RetransmitPackets),
 		)
@@ -169,18 +148,17 @@ func Fig6ShortBursts(opt Options) *Fig6Result {
 		flows = []int{50, 200}
 		bursts = 4
 	}
-	r := &Fig6Result{}
-	r.Runs = runParallel(opt, len(flows), func(i int) *SimResult {
-		return RunIncastSim(opt.instrument("fig6", SimConfig{
-			Flows:          flows[i],
+	cfgs := make([]SimConfig, len(flows))
+	for i, n := range flows {
+		cfgs[i] = SimConfig{
+			Flows:          n,
 			BurstDuration:  2 * sim.Millisecond,
 			Bursts:         bursts,
 			SampleInterval: 50 * sim.Microsecond,
 			SampleWindow:   6 * sim.Millisecond,
-			Seed:           opt.seed(),
-			Audit:          opt.Audit,
-		}))
-	})
+		}
+	}
+	r := &Fig6Result{Runs: opt.runRows("fig6", cfgs)}
 
 	summary := r.runsTable()
 	// One wide CSV with a queue column per flow count.
@@ -214,7 +192,7 @@ func (r *Fig6Result) runsTable() *trace.Table {
 		"mean_bct_ms", "timeouts", "drops")
 	for _, m := range r.Runs {
 		t.AddRow(fmt.Sprint(m.Flows), trace.Float(m.MaxQueue), trace.Float(m.SpikePackets),
-			trace.Float(avgBusyQueue(m)), trace.Float(m.MeanBCT.Milliseconds()),
+			trace.Float(m.BusyAvgQueue()), trace.Float(m.MeanBCT.Milliseconds()),
 			fmt.Sprint(m.Timeouts), fmt.Sprint(m.Drops))
 	}
 	return t
@@ -241,15 +219,15 @@ func Fig7InFlight(opt Options) *Fig7Result {
 	if opt.Quick {
 		bursts = 5
 	}
-	run := RunIncastSim(opt.instrument("fig7", SimConfig{
+	cfg := SimConfig{
 		Flows:          80,
 		BurstDuration:  15 * sim.Millisecond,
 		Bursts:         bursts,
 		SampleInterval: 50 * sim.Microsecond,
 		TrackInFlight:  true,
-		Seed:           opt.seed(),
-		Audit:          opt.Audit,
-	}))
+	}
+	opt.stamp("fig7", &cfg)
+	run := RunIncastSim(cfg)
 	r := &Fig7Result{Run: run, MaxSkew: run.InFlight.MaxSkew(10)}
 
 	// Ramp: once most flows have finished (the burst tail), the remaining

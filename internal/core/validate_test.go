@@ -17,8 +17,12 @@ func TestSimConfigValidate(t *testing.T) {
 	noSpines.Spines = 0
 	sharedClos := clos
 	sharedClos.SharedBufferBytes = 2_000_000
+	slowClos := clos
+	slowClos.SpineLinkBps = 0
 	shared := netsim.DefaultDumbbellConfig(50)
 	shared.SharedBufferBytes = 2_000_000
+	slow := netsim.DefaultDumbbellConfig(50)
+	slow.HostLinkBps = 0
 	cases := []struct {
 		name         string
 		cfg          SimConfig
@@ -37,6 +41,10 @@ func TestSimConfigValidate(t *testing.T) {
 		{"clos contention in a shared buffer", SimConfig{Flows: 8, Clos: &sharedClos, ExternalBufferBytes: 700_000},
 			"", "external shared-buffer contention is packet-level only"},
 		{"clos that does not build", SimConfig{Flows: 8, Clos: &noSpines}, "at least 1 spine", "at least 1 spine"},
+		{"clos without bandwidth", SimConfig{Flows: 8, Clos: &slowClos},
+			"Clos link rates must be positive", "Clos link rates must be positive"},
+		{"dumbbell without bandwidth", SimConfig{Flows: 50, Net: slow},
+			"dumbbell link rates must be positive", "dumbbell link rates must be positive"},
 		{"clos at capacity", SimConfig{Flows: 48, Clos: &clos}, "", ""},
 		{"cross-rack overflow", SimConfig{Flows: 49, Clos: &clos}, "cross-rack workers exceed", "cross-rack workers exceed"},
 		{"same-rack overflow", SimConfig{Flows: 16, Clos: &clos, Placement: "same-rack"},
@@ -60,6 +68,14 @@ func TestSimConfigValidate(t *testing.T) {
 			case side.want != "" && (err == nil || !strings.Contains(err.Error(), side.want)):
 				t.Errorf("%s at fidelity %s: Validate = %v, want an error containing %q", tc.name, side.fidelity, err, side.want)
 			}
+		}
+	}
+	// FlowCompatible, which Options.stamp calls on rows Validate has not
+	// seen, checks the topology before it derives the base RTT from the
+	// link rates: a 0 bps link is an error, not a panic.
+	for _, cfg := range []SimConfig{{Flows: 8, Clos: &slowClos}, {Flows: 50, Net: slow}} {
+		if err := cfg.FlowCompatible(); err == nil || !strings.Contains(err.Error(), "link rates must be positive") {
+			t.Errorf("FlowCompatible on a 0 bps link = %v", err)
 		}
 	}
 	if err := (SimConfig{Flows: 50, Fidelity: "warp"}).Validate(); err == nil || !strings.Contains(err.Error(), `unknown fidelity "warp"`) {

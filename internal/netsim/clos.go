@@ -118,6 +118,13 @@ func (c ClosConfig) BDPBytes() int {
 	return int((int64(c.BaseRTT(true))*c.HostLinkBps + 4_000_000_000) / 8_000_000_000)
 }
 
+// maxClosHosts bounds a fabric's host slots (Racks x HostsPerRack) at 16
+// times the million-flow example's and maxClosUplinks its leaf-spine
+// uplinks (Racks x Spines), so its tables stay buildable whatever a spec
+// asks for: the fluid path set's class table, 1+Racks*Spines slots for
+// each of up to Racks aggregators, stays at most 2^24+2^12 entries.
+const maxClosHosts, maxClosUplinks = 1 << 24, 1 << 12
+
 // Validate rejects configurations the builder would panic on, with
 // actionable errors for the scenario layer.
 func (c ClosConfig) Validate() error {
@@ -127,8 +134,16 @@ func (c ClosConfig) Validate() error {
 	if c.HostsPerRack < 1 {
 		return fmt.Errorf("netsim: a Clos fabric needs at least 1 host per rack (got %d)", c.HostsPerRack)
 	}
+	if c.HostsPerRack > maxClosHosts/c.Racks {
+		return fmt.Errorf("netsim: a Clos fabric holds at most %d hosts (got %d racks x %d hosts/rack)",
+			maxClosHosts, c.Racks, c.HostsPerRack)
+	}
 	if c.Spines < 1 {
 		return fmt.Errorf("netsim: a Clos fabric needs at least 1 spine (got %d)", c.Spines)
+	}
+	if c.Spines > maxClosUplinks/c.Racks {
+		return fmt.Errorf("netsim: a Clos fabric holds at most %d leaf-spine uplinks (got %d racks x %d spines)",
+			maxClosUplinks, c.Racks, c.Spines)
 	}
 	if c.HostLinkBps <= 0 || c.SpineLinkBps <= 0 {
 		return fmt.Errorf("netsim: Clos link rates must be positive (host %d bps, spine %d bps)",

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
 	"incastlab/internal/sim"
@@ -59,19 +60,33 @@ func TestClosConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*ClosConfig)
+		want   string
 	}{
-		{"one rack", func(c *ClosConfig) { c.Racks = 1 }},
-		{"zero hosts", func(c *ClosConfig) { c.HostsPerRack = 0 }},
-		{"zero spines", func(c *ClosConfig) { c.Spines = 0 }},
-		{"zero host rate", func(c *ClosConfig) { c.HostLinkBps = 0 }},
-		{"negative spine rate", func(c *ClosConfig) { c.SpineLinkBps = -1 }},
+		{"one rack", func(c *ClosConfig) { c.Racks = 1 }, "at least 2 racks"},
+		{"zero hosts", func(c *ClosConfig) { c.HostsPerRack = 0 }, "at least 1 host per rack"},
+		{"zero spines", func(c *ClosConfig) { c.Spines = 0 }, "at least 1 spine"},
+		{"zero host rate", func(c *ClosConfig) { c.HostLinkBps = 0 }, "link rates must be positive"},
+		{"negative spine rate", func(c *ClosConfig) { c.SpineLinkBps = -1 }, "link rates must be positive"},
+		// 97 x 172961 = 2^24+1 host slots; 17 x 241 = 2^12+1 uplinks.
+		{"one host slot past the cap", func(c *ClosConfig) { c.Racks, c.HostsPerRack = 97, 172961 },
+			"holds at most 16777216 hosts (got 97 racks x 172961 hosts/rack)"},
+		{"one uplink past the cap", func(c *ClosConfig) { c.Racks, c.Spines = 17, 241 },
+			"holds at most 4096 leaf-spine uplinks (got 17 racks x 241 spines)"},
+		{"spines past any int", func(c *ClosConfig) { c.Spines = 1e15 }, "holds at most 4096 leaf-spine uplinks"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultClosConfig(2, 4)
 		tc.mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid config", tc.name)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+	// At the caps: 2^12 racks of 2^12 hosts under one spine is 2^24 host
+	// slots and 2^12 uplinks.
+	atCap := DefaultClosConfig(1<<12, 1<<12)
+	atCap.Spines = 1
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("a fabric at both caps: %v", err)
 	}
 }
 

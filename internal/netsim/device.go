@@ -82,9 +82,6 @@ func (h *Host) AllocPacket() *Packet {
 // remove).
 func (h *Host) SetOnReceive(fn func(now sim.Time, p *Packet)) { h.onReceive = fn }
 
-// OnReceive returns the installed delivery tap, for chaining.
-func (h *Host) OnReceive() func(now sim.Time, p *Packet) { return h.onReceive }
-
 // RxPackets returns the count of packets delivered to this host.
 func (h *Host) RxPackets() int64 { return h.rxPackets }
 
@@ -153,9 +150,6 @@ func (s *Switch) Name() string { return s.name }
 // AddRoute directs packets destined to dst out the given link.
 func (s *Switch) AddRoute(dst NodeID, l *Link) { s.routes[dst] = l }
 
-// Route returns the link used for dst, or nil.
-func (s *Switch) Route(dst NodeID) *Link { return s.routes[dst] }
-
 // SetECMPGroup installs the equal-cost fallback: any packet whose
 // destination has no static route is forwarded on links[ECMPIndex(seed,
 // flow, src, dst, len(links))]. The hash is a pure function of the seed and
@@ -167,9 +161,6 @@ func (s *Switch) SetECMPGroup(seed uint64, links []*Link) {
 	s.ecmpSeed = seed
 	s.ecmp = links
 }
-
-// ECMPGroup returns the installed fallback links (nil when unset).
-func (s *Switch) ECMPGroup() []*Link { return s.ecmp }
 
 // NoRouteDrops counts packets dropped for lack of a route.
 func (s *Switch) NoRouteDrops() int64 { return s.noRouteDrops }

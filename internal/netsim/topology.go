@@ -81,6 +81,16 @@ func (c DumbbellConfig) BDPBytes() int {
 	return int((int64(c.BaseRTT())*c.HostLinkBps + 4_000_000_000) / 8_000_000_000)
 }
 
+// Validate rejects link rates the RTT, BDP and link timing would panic
+// on, with an actionable error for the scenario layer.
+func (c DumbbellConfig) Validate() error {
+	if c.HostLinkBps <= 0 || c.CoreLinkBps <= 0 {
+		return fmt.Errorf("netsim: dumbbell link rates must be positive (host %d bps, core %d bps)",
+			c.HostLinkBps, c.CoreLinkBps)
+	}
+	return nil
+}
+
 // Dumbbell is the constructed topology.
 type Dumbbell struct {
 	Config   DumbbellConfig

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 
 	"incastlab/internal/sim"
@@ -31,6 +32,24 @@ func TestDefaultDumbbellRTTAndBDP(t *testing.T) {
 	// 10 Gbps x 30 us = 37.5 KB.
 	if bdp < 35000 || bdp > 40000 {
 		t.Fatalf("BDP = %d bytes, want ~37500", bdp)
+	}
+}
+
+// TestDumbbellConfigValidate: the default dumbbell builds, and a link
+// rate of 0 bps (or less) is an error before BaseRTT would panic on it.
+func TestDumbbellConfigValidate(t *testing.T) {
+	if err := DefaultDumbbellConfig(10).Validate(); err != nil {
+		t.Fatalf("default dumbbell: %v", err)
+	}
+	for _, mutate := range []func(*DumbbellConfig){
+		func(c *DumbbellConfig) { c.HostLinkBps = 0 },
+		func(c *DumbbellConfig) { c.CoreLinkBps = -1 },
+	} {
+		cfg := DefaultDumbbellConfig(10)
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "dumbbell link rates must be positive") {
+			t.Errorf("host %d bps, core %d bps: Validate = %v", cfg.HostLinkBps, cfg.CoreLinkBps, err)
+		}
 	}
 }
 

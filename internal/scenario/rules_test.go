@@ -49,6 +49,14 @@ func TestValidateRejections(t *testing.T) {
 			s.Sweep = scenario.Sweep{Axis: "shared_buffer", Values: scenario.Flags(false, true)}
 		}, "needs a topology", false},
 		{"contend without shared", func(s *scenario.Spec) { s.Topology = &scenario.Topology{ContendBytes: 1} }, "requires shared_buffer_bytes", false},
+		{"host rate below the bound", func(s *scenario.Spec) { s.Topology = &scenario.Topology{HostLinkGbps: 1e-12} },
+			"topology.host_link_gbps = 1e-12: want a positive rate from 0.1 to 10000 Gbps", false},
+		{"core rate past the bound", func(s *scenario.Spec) { s.Topology = &scenario.Topology{CoreLinkGbps: 10001} },
+			"topology.core_link_gbps = 10001: want a positive rate", false},
+		{"negative host rate", func(s *scenario.Spec) { s.Topology = &scenario.Topology{HostLinkGbps: -10} },
+			"topology.host_link_gbps = -10: want a positive rate", false},
+		{"queue past the bound", func(s *scenario.Spec) { s.Topology = &scenario.Topology{QueuePackets: 1_000_000_001} },
+			"queue_packets (1000000001) and ecn_threshold_pkts (0) must lie in [0, 1e9] packets", false},
 		{"negative rto", func(s *scenario.Spec) { s.Transport = &scenario.Transport{MinRTOMS: -1} }, "want a positive timeout", false},
 		{"unknown fidelity", func(s *scenario.Spec) { s.Fidelity = "warp" }, `unknown fidelity "warp"`, true},
 		{"unknown aggregation", func(s *scenario.Spec) {

@@ -77,12 +77,14 @@ type Spec struct {
 // Topology overrides the paper's dumbbell configuration. Zero fields keep
 // the defaults (10/100 Gbps, 1333-packet queues, K=65).
 type Topology struct {
-	// HostLinkGbps and CoreLinkGbps set the line rates. CoreLinkGbps is
-	// packet-level only: the fluid dumbbell models the bottleneck queue
-	// alone, so fidelity "flow" rejects any rate but the default.
+	// HostLinkGbps and CoreLinkGbps set the line rates (0.1 to 10,000
+	// Gbps). CoreLinkGbps is packet-level only: the fluid dumbbell models
+	// the bottleneck queue alone, so fidelity "flow" rejects any rate but
+	// the default.
 	HostLinkGbps float64 `json:"host_link_gbps,omitempty"`
 	CoreLinkGbps float64 `json:"core_link_gbps,omitempty"`
-	// QueuePackets bounds every switch port queue (bytes scale with MTU).
+	// QueuePackets bounds every switch port queue (bytes scale with MTU;
+	// at most 1e9 packets, as is ECNThresholdPackets).
 	QueuePackets int `json:"queue_packets,omitempty"`
 	// ECNThresholdPackets is the marking threshold K.
 	ECNThresholdPackets int `json:"ecn_threshold_pkts,omitempty"`
@@ -113,7 +115,7 @@ type Clos struct {
 	// Spines is the spine count (default 2).
 	Spines int `json:"spines,omitempty"`
 	// SpineLinkGbps sets each leaf-spine uplink's rate directly (default
-	// 100). Mutually exclusive with Oversubscription.
+	// 100; 0.1 to 10,000 Gbps). Mutually exclusive with Oversubscription.
 	SpineLinkGbps float64 `json:"spine_link_gbps,omitempty"`
 	// Oversubscription sets the uplink rate indirectly as the rack's
 	// oversubscription factor: offered host bandwidth over aggregate uplink
@@ -550,11 +552,16 @@ func (w Workload) validate() error {
 }
 
 func (t Topology) validate() error {
-	if t.HostLinkGbps < 0 || t.CoreLinkGbps < 0 {
-		return fmt.Errorf("topology link rates cannot be negative")
+	if err := checkRate("topology.host_link_gbps", t.HostLinkGbps); err != nil {
+		return err
 	}
-	if t.QueuePackets < 0 || t.ECNThresholdPackets < 0 {
-		return fmt.Errorf("topology queue_packets and ecn_threshold_pkts cannot be negative")
+	if err := checkRate("topology.core_link_gbps", t.CoreLinkGbps); err != nil {
+		return err
+	}
+	// At most 1e9 packets keeps the queue and threshold bytes in an int.
+	if min(t.QueuePackets, t.ECNThresholdPackets) < 0 || max(t.QueuePackets, t.ECNThresholdPackets) > 1e9 {
+		return fmt.Errorf("topology queue_packets (%d) and ecn_threshold_pkts (%d) must lie in [0, 1e9] packets",
+			t.QueuePackets, t.ECNThresholdPackets)
 	}
 	if t.SharedBufferBytes < 0 || t.SharedBufferAlpha < 0 {
 		return fmt.Errorf("topology shared buffer parameters cannot be negative")
@@ -576,6 +583,17 @@ func (t Topology) validate() error {
 	return nil
 }
 
+// checkRate checks a line rate in Gbps: omitted (0), or from 0.1 to 10,000,
+// so the compile's base-RTT and BDP arithmetic stays exact in int64 (below
+// 1 bps a rate truncates to 0; rates 10^6 apart overflow the BDP a
+// guardrail is sized from).
+func checkRate(field string, gbps float64) error {
+	if gbps != 0 && !(gbps >= 0.1 && gbps <= 10_000) {
+		return fmt.Errorf("%s = %v: want a positive rate from 0.1 to 10000 Gbps", field, gbps)
+	}
+	return nil
+}
+
 func (c Clos) validate() error {
 	if c.Racks < 2 {
 		return fmt.Errorf("topology.clos.racks = %d: a fabric needs at least 2 racks (drop the clos block for a single-rack dumbbell)", c.Racks)
@@ -586,8 +604,8 @@ func (c Clos) validate() error {
 	if c.Spines < 0 {
 		return fmt.Errorf("topology.clos.spines = %d: cannot be negative (omit for the 2-spine default)", c.Spines)
 	}
-	if c.SpineLinkGbps < 0 || math.IsNaN(c.SpineLinkGbps) || math.IsInf(c.SpineLinkGbps, 0) {
-		return fmt.Errorf("topology.clos.spine_link_gbps = %v: want a positive rate", c.SpineLinkGbps)
+	if err := checkRate("topology.clos.spine_link_gbps", c.SpineLinkGbps); err != nil {
+		return err
 	}
 	if c.Oversubscription < 0 || math.IsNaN(c.Oversubscription) || math.IsInf(c.Oversubscription, 0) {
 		return fmt.Errorf("topology.clos.oversubscription = %v: want a positive factor", c.Oversubscription)

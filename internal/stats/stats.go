@@ -152,9 +152,6 @@ func (o *Online) Var() float64 {
 	return o.m2 / float64(o.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (o *Online) Stddev() float64 { return math.Sqrt(o.Var()) }
-
 // Min returns the smallest observation, or NaN if empty.
 func (o *Online) Min() float64 {
 	if o.n == 0 {

@@ -49,12 +49,6 @@ type Receiver struct {
 	ackTimer    sim.Timer
 	flushFn     func() // prebuilt r.flushAck, so re-arming allocates nothing
 
-	// Statistics.
-	dataPackets int64
-	dataBytes   int64
-	cePackets   int64
-	acksSent    int64
-
 	// onProgress, if set, observes every advance of the in-order cursor;
 	// application layers use it to detect response completion.
 	onProgress func(rcvNxt int64)
@@ -104,22 +98,6 @@ func (r *Receiver) SetAdvertisedWindow(bytes int64) {
 	r.advertisedWnd = bytes
 }
 
-// AdvertisedWindow returns the current advertisement (0 = none).
-func (r *Receiver) AdvertisedWindow() int64 { return r.advertisedWnd }
-
-// DataPackets returns the count of data packets received (including
-// duplicates).
-func (r *Receiver) DataPackets() int64 { return r.dataPackets }
-
-// DataBytes returns total payload bytes received (including duplicates).
-func (r *Receiver) DataBytes() int64 { return r.dataBytes }
-
-// CEPackets returns how many received data packets carried a CE mark.
-func (r *Receiver) CEPackets() int64 { return r.cePackets }
-
-// AcksSent returns the number of ACKs emitted.
-func (r *Receiver) AcksSent() int64 { return r.acksSent }
-
 // Host returns the receiving host.
 func (r *Receiver) Host() *netsim.Host { return r.host }
 
@@ -127,11 +105,6 @@ func (r *Receiver) Host() *netsim.Host { return r.host }
 func (r *Receiver) HandlePacket(p *netsim.Packet) {
 	if p.IsAck {
 		return
-	}
-	r.dataPackets++
-	r.dataBytes += int64(p.Len)
-	if p.CE {
-		r.cePackets++
 	}
 
 	// Reassembly.
@@ -198,7 +171,6 @@ func (r *Receiver) flushAck() {
 
 // sendAck emits a cumulative ACK with the ECN echo.
 func (r *Receiver) sendAck(ece bool, echo sim.Time) {
-	r.acksSent++
 	p := r.host.AllocPacket()
 	p.Flow = r.flow
 	p.Src = r.host.ID()

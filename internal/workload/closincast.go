@@ -39,10 +39,14 @@ type ClosIncastConfig struct {
 // aggregator fits the fabric under the placement, and returns its total
 // flow count, without building the endpoint lists. ClosFlowEndpoints runs
 // this check before it places anyone, so the two cannot disagree. The
-// errors are too many aggregators, too few workers, an unknown placement,
-// more single-aggregator workers than the fabric has hosts for, and a
-// full rack (named by the first worker that would not fit).
+// errors are a fabric that does not build (netsim.ClosConfig.Validate),
+// too many aggregators, too few workers, an unknown placement, more
+// single-aggregator workers than the fabric has hosts for, and a full
+// rack (named by the first worker that would not fit).
 func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placement string) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
 	if placement == "" {
 		placement = PlacementCrossRack
 	}
@@ -101,16 +105,19 @@ func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placeme
 	// used[r] slots of rack r taken before aggregator k places anyone, the
 	// first of k's workers that finds rack r full is the one arriving
 	// there when used[r] reaches HostsPerRack; the rack that overflows
-	// first in worker order is the error.
+	// first in worker order is the error. With fewer workers than other
+	// racks, aggregator k reaches only the span racks after its own, so
+	// the walk and the rack loads stop at aggregators+span racks.
 	n := cfg.Racks - 1
 	q, rem := workers/n, workers%n
-	used := make([]int, cfg.Racks)
+	span := min(n, workers)
+	used := make([]int, min(cfg.Racks, aggregators+span))
 	for r := 0; r < aggregators; r++ {
 		used[r] = 1 // slot 0 hosts aggregator r
 	}
 	for k := 0; k < aggregators; k++ {
 		worst, worstRack := workers, -1
-		for j := 0; j < n; j++ {
+		for j := 0; j < span; j++ {
 			r := (k + 1 + j) % cfg.Racks
 			cnt := q
 			if j < rem {
