@@ -98,13 +98,15 @@
 #                        with a one-line error (the spec errors naming the
 #                        row, printed before any shard starts)
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
-#                        flow-level Fig-5 sweeps and the million-flow Clos
-#                        run smoke-run at one iteration each: each must
-#                        execute and stay under its allocs/op ceiling, and
-#                        the million-flow run also under its B/op ceiling
-#                        (allocation counts and bytes repeat run to run, so
-#                        they are gated); measured wall time lives in
-#                        internal/bench/incastbench, not here
+#                        flow-level Fig-5 sweeps, the ICTCP ablation, the
+#                        packet multi-aggregator Clos sweep and the
+#                        million-flow Clos run smoke-run at one iteration
+#                        each: each must execute and stay under its
+#                        allocs/op ceiling, and the million-flow run also
+#                        under its B/op ceiling (allocation counts and bytes
+#                        repeat run to run, so they are gated); measured
+#                        wall time lives in internal/bench/incastbench, not
+#                        here
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -346,7 +348,7 @@ fi
 
 echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation ceilings"
 go test -run '^$' \
-  -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
+  -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkAblationReceiverWindow|BenchmarkClosMultiAggPacket|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
   -benchtime=1x -benchmem . >"$OBS_TMP/bench_smoke.txt"
 # Each ceiling is the highest allocs/op (and, where a third column gives
 # one, B/op) of three runs when it was set, plus 10 %, rounded up. At one
@@ -376,8 +378,10 @@ while read -r name ceiling bytes_ceiling; do
     fi
   fi
 done <<'CEILINGS'
-BenchmarkFig5DCTCPModes 124372
-BenchmarkSimulatorPacketRate 10082
+BenchmarkFig5DCTCPModes 120078
+BenchmarkSimulatorPacketRate 9866
+BenchmarkAblationReceiverWindow 67368
+BenchmarkClosMultiAggPacket 611911
 BenchmarkMillisamplerAnalyze 90
 BenchmarkPredictorObserve 2
 BenchmarkFlowsimFig5 3418

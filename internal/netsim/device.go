@@ -119,10 +119,18 @@ func (h *Host) Receive(p *Packet) {
 // destination-based routing table, with an optional ECMP fallback group
 // for destinations without a static route (leaf uplinks toward the spines
 // in a Clos fabric).
+//
+// The table is a dense window over destination IDs, so forwarding costs
+// one bounds check and one load instead of a hash lookup: routes[i] is the
+// port toward node routeBase+i, nil where no route is set. The window
+// spans the lowest to the highest routed ID; topologies number their
+// nodes densely from 0, so it holds about one pointer per route where a
+// map held a key and a value.
 type Switch struct {
-	id     NodeID
-	name   string
-	routes map[NodeID]*Link
+	id        NodeID
+	name      string
+	routes    []*Link
+	routeBase NodeID
 
 	// ecmp is the equal-cost fallback group: destinations without a static
 	// route hash over these links. Empty means no fallback.
@@ -138,7 +146,7 @@ type Switch struct {
 
 // NewSwitch creates an empty switch.
 func NewSwitch(id NodeID, name string) *Switch {
-	return &Switch{id: id, name: name, routes: make(map[NodeID]*Link)}
+	return &Switch{id: id, name: name}
 }
 
 // ID implements Device.
@@ -147,8 +155,21 @@ func (s *Switch) ID() NodeID { return s.id }
 // Name implements Device.
 func (s *Switch) Name() string { return s.name }
 
-// AddRoute directs packets destined to dst out the given link.
-func (s *Switch) AddRoute(dst NodeID, l *Link) { s.routes[dst] = l }
+// AddRoute directs packets destined to dst out the given link, growing the
+// route window to cover dst.
+func (s *Switch) AddRoute(dst NodeID, l *Link) {
+	if len(s.routes) == 0 {
+		s.routeBase = dst
+	}
+	if dst < s.routeBase {
+		grown := make([]*Link, int(s.routeBase-dst)+len(s.routes))
+		copy(grown[s.routeBase-dst:], s.routes)
+		s.routes, s.routeBase = grown, dst
+	} else if n := int(dst-s.routeBase) + 1; n > len(s.routes) {
+		s.routes = append(s.routes, make([]*Link, n-len(s.routes))...)
+	}
+	s.routes[dst-s.routeBase] = l
+}
 
 // SetECMPGroup installs the equal-cost fallback: any packet whose
 // destination has no static route is forwarded on links[ECMPIndex(seed,
@@ -172,17 +193,18 @@ func (s *Switch) SetPool(pp *PacketPool) { s.pool = pp }
 // Receive implements Device: look up the output port and send, falling
 // back to the ECMP group for destinations without a static route.
 func (s *Switch) Receive(p *Packet) {
-	l, ok := s.routes[p.Dst]
-	if !ok {
-		if len(s.ecmp) > 0 {
-			s.ecmp[ECMPIndex(s.ecmpSeed, p.Flow, p.Src, p.Dst, len(s.ecmp))].Send(p)
+	if i := uint(p.Dst - s.routeBase); i < uint(len(s.routes)) {
+		if l := s.routes[i]; l != nil {
+			l.Send(p)
 			return
 		}
-		s.noRouteDrops++
-		s.pool.Put(p)
+	}
+	if len(s.ecmp) > 0 {
+		s.ecmp[ECMPIndex(s.ecmpSeed, p.Flow, p.Src, p.Dst, len(s.ecmp))].Send(p)
 		return
 	}
-	l.Send(p)
+	s.noRouteDrops++
+	s.pool.Put(p)
 }
 
 // ECMPIndex picks the equal-cost path for a flow: a deterministic

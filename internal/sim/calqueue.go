@@ -181,12 +181,9 @@ func (cq *calQueue) head(now Time) *event {
 	}
 }
 
-// pop removes and returns the earliest live event, or nil.
-func (cq *calQueue) pop(now Time) *event {
-	ev := cq.head(now)
-	if ev == nil {
-		return nil
-	}
+// take removes ev, the event head just returned, without searching for the
+// head a second time.
+func (cq *calQueue) take(ev *event) {
 	switch ev.loc {
 	case locCur:
 		cq.cur.pop()
@@ -198,7 +195,6 @@ func (cq *calQueue) pop(now Time) *event {
 		}
 	}
 	cq.n--
-	return ev
 }
 
 // remove eagerly unlinks a canceled event from whichever structure holds

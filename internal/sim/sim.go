@@ -357,26 +357,15 @@ func (e *Engine) ResetAfter(t *Timer, delay Time, fn func()) {
 // remain queued; a subsequent Run or RunUntil resumes them.
 func (e *Engine) Stop() { e.stopped = true }
 
-// popEvent removes and returns the earliest live event, or nil when the
-// queue is empty.
-func (e *Engine) popEvent() *event {
+// fire removes ev, the head that peek just returned, and executes it. The
+// event is recycled before its closure runs, so a callback that stops or
+// re-arms its own timer sees a stale (inert) handle rather than the queued
+// event.
+func (e *Engine) fire(ev *event) {
 	if e.refMode {
-		if len(e.events) == 0 {
-			return nil
-		}
-		return heap.Pop(&e.events).(*event)
-	}
-	return e.cq.pop(e.now)
-}
-
-// step pops and executes the earliest event. It reports false when the queue
-// is empty. The event is recycled before its closure runs, so a callback that
-// stops or re-arms its own timer sees a stale (inert) handle rather than the
-// queued event.
-func (e *Engine) step() bool {
-	ev := e.popEvent()
-	if ev == nil {
-		return false
+		heap.Pop(&e.events)
+	} else {
+		e.cq.take(ev)
 	}
 	e.now = ev.at
 	e.executed++
@@ -386,15 +375,12 @@ func (e *Engine) step() bool {
 		e.onEvent(e.now)
 	}
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty or Stop is called. It returns
 // the virtual time of the last executed event.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.step() {
-	}
+	e.drain(MaxTime)
 	return e.now
 }
 
@@ -402,18 +388,25 @@ func (e *Engine) Run() Time {
 // clock to the deadline (even if no event fired exactly then). Events after
 // the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		next := e.peek()
-		if next == nil || next.at > deadline {
-			break
-		}
-		e.step()
-	}
+	e.drain(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
+}
+
+// drain executes events with timestamps <= deadline until none is left or
+// Stop is called. Each event's head is looked up once: peek finds it and
+// fire removes exactly that event.
+func (e *Engine) drain(deadline Time) {
+	e.stopped = false
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil || ev.at > deadline {
+			return
+		}
+		e.fire(ev)
+	}
 }
 
 // peek returns the earliest pending event without removing it, or nil when

@@ -50,6 +50,14 @@ func DefaultICTCPConfig(lineRateBps int64, baseRTT sim.Time) ICTCPConfig {
 // 2 MSS, N connections pin at least 2N packets in flight, and the scheme
 // stops helping once N x 2 MSS exceeds the pipe — the same degenerate
 // arithmetic DCTCP hits one MSS later.
+//
+// Between bursts nothing arrives for most of each interval, and once every
+// window sits at its floor such a slot changes nothing but each
+// connection's over-provisioned count. The controller then counts the
+// slot instead of walking its connections, and applies the count at the
+// next slot that does work (or at the next Manage), exactly as the eager
+// slots would have. The slot events keep firing either way, so the
+// engine's event count and tie order do not depend on this shortcut.
 type ICTCP struct {
 	eng   *sim.Engine
 	cfg   ICTCPConfig
@@ -58,6 +66,15 @@ type ICTCP struct {
 	// slotFn is the control-slot callback, bound once at construction so
 	// the periodic rescheduling allocates no closure per slot.
 	slotFn func()
+
+	// progressed is set by managed receivers whenever their in-order
+	// cursor advances, and cleared by every slot that does work.
+	progressed bool
+	// floored reports that every window is at its floor (wnd-MSS <
+	// MinWindow), so no decrease can fire.
+	floored bool
+	// idle counts the slots skipped since the last slot that did work.
+	idle int
 }
 
 type ictcpConn struct {
@@ -88,7 +105,7 @@ func NewICTCP(eng *sim.Engine, cfg ICTCPConfig) *ICTCP {
 	if cfg.DecreaseAfter <= 0 {
 		cfg.DecreaseAfter = 3
 	}
-	c := &ICTCP{eng: eng, cfg: cfg}
+	c := &ICTCP{eng: eng, cfg: cfg, floored: true}
 	c.slotFn = func() {
 		c.adjust()
 		c.scheduleSlot()
@@ -98,11 +115,16 @@ func NewICTCP(eng *sim.Engine, cfg ICTCPConfig) *ICTCP {
 }
 
 // Manage registers a connection's receiver under the controller and sets
-// its initial advertised window.
+// its initial advertised window. A receiver reports its progress to the
+// last controller that managed it, so it must be managed by one only.
 func (c *ICTCP) Manage(r *Receiver) {
+	// The skipped slots belong to the connections managed before them.
+	c.settleIdle()
 	conn := &ictcpConn{r: r, wnd: c.cfg.InitialWindow, lastRcv: r.RcvNxt()}
 	r.SetAdvertisedWindow(conn.wnd)
+	r.ictcp = c
 	c.conns = append(c.conns, conn)
+	c.floored = c.floored && c.atFloor(conn)
 }
 
 // Window returns the current advertised window of managed connection i,
@@ -116,9 +138,33 @@ func (c *ICTCP) scheduleSlot() {
 	c.eng.ScheduleAfter(c.slot(), c.slotFn)
 }
 
+// atFloor reports whether conn's window can shrink no further.
+func (c *ICTCP) atFloor(conn *ictcpConn) bool { return conn.wnd-netsim.MSS < c.cfg.MinWindow }
+
+// settleIdle applies the skipped slots to every connection. In each, the
+// connection delivered nothing, so its shortfall was 1 >= Gamma2: its
+// over-provisioned count rose by one and, on reaching DecreaseAfter,
+// reset to zero without shrinking a window already at its floor.
+func (c *ICTCP) settleIdle() {
+	if c.idle == 0 {
+		return
+	}
+	for _, conn := range c.conns {
+		conn.overCnt = (conn.overCnt + c.idle) % c.cfg.DecreaseAfter
+	}
+	c.idle = 0
+}
+
 // adjust runs one control slot: measure per-connection goodput, compute
-// available bandwidth, and steer windows.
+// available bandwidth, and steer windows. A slot in which nothing arrived
+// and no window can shrink is only counted (see ICTCP).
 func (c *ICTCP) adjust() {
+	if !c.progressed && c.floored && c.cfg.Gamma2 <= 1 {
+		c.idle++
+		return
+	}
+	c.progressed = false
+	c.settleIdle()
 	slotSec := c.slot().Seconds()
 	var totalBps float64
 	for _, conn := range c.conns {
@@ -132,16 +178,15 @@ func (c *ICTCP) adjust() {
 	rttSec := c.cfg.BaseRTT.Seconds()
 
 	byteRate := float64(c.cfg.LineRateBps) / 8
+	c.floored = true
 	for _, conn := range c.conns {
 		measuredBps := conn.measured * 8 / slotSec
 		// Expected throughput of a window-limited connection over an
 		// otherwise empty path: the window turns around once per RTT plus
-		// its own serialization time at the line rate.
+		// its own serialization time at the line rate. It is positive, as
+		// every window is at least MinWindow >= MSS.
 		turnaround := rttSec + float64(conn.wnd)/byteRate
 		expectedBps := float64(conn.wnd) * 8 / turnaround
-		if expectedBps <= 0 {
-			continue
-		}
 		diff := (expectedBps - measuredBps) / expectedBps
 		switch {
 		case diff <= c.cfg.Gamma1:
@@ -160,7 +205,7 @@ func (c *ICTCP) adjust() {
 			conn.overCnt++
 			if conn.overCnt >= c.cfg.DecreaseAfter {
 				conn.overCnt = 0
-				if conn.wnd-netsim.MSS >= c.cfg.MinWindow {
+				if !c.atFloor(conn) {
 					conn.wnd -= netsim.MSS
 					conn.r.SetAdvertisedWindow(conn.wnd)
 				}
@@ -168,5 +213,6 @@ func (c *ICTCP) adjust() {
 		default:
 			conn.overCnt = 0
 		}
+		c.floored = c.floored && c.atFloor(conn)
 	}
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"incastlab/internal/cc"
@@ -154,5 +155,188 @@ func TestICTCPWindowsRespondToDemand(t *testing.T) {
 	}
 	if !snd.DemandMet() {
 		t.Fatal("bulk transfer under ICTCP stalled")
+	}
+}
+
+// eagerICTCP is ICTCP's control slot as it ran before idle slots were
+// counted: every slot walks every connection. It is the oracle that
+// TestICTCPIdleSlotsMatchEagerSlots holds the controller to.
+type eagerICTCP struct {
+	cfg   ICTCPConfig
+	conns []*ictcpConn
+}
+
+func (c *eagerICTCP) manage(r *Receiver) {
+	conn := &ictcpConn{r: r, wnd: c.cfg.InitialWindow, lastRcv: r.RcvNxt()}
+	r.SetAdvertisedWindow(conn.wnd)
+	c.conns = append(c.conns, conn)
+}
+
+func (c *eagerICTCP) adjust() {
+	slotSec := (2 * c.cfg.BaseRTT).Seconds()
+	var totalBps float64
+	for _, conn := range c.conns {
+		delivered := conn.r.RcvNxt() - conn.lastRcv
+		conn.lastRcv = conn.r.RcvNxt()
+		conn.measured = float64(delivered)
+		totalBps += float64(delivered) * 8 / slotSec
+	}
+	availBps := c.cfg.Headroom*float64(c.cfg.LineRateBps) - totalBps
+	rttSec := c.cfg.BaseRTT.Seconds()
+
+	byteRate := float64(c.cfg.LineRateBps) / 8
+	for _, conn := range c.conns {
+		measuredBps := conn.measured * 8 / slotSec
+		turnaround := rttSec + float64(conn.wnd)/byteRate
+		expectedBps := float64(conn.wnd) * 8 / turnaround
+		if expectedBps <= 0 {
+			continue
+		}
+		diff := (expectedBps - measuredBps) / expectedBps
+		switch {
+		case diff <= c.cfg.Gamma1:
+			incBps := float64(netsim.MSS) * 8 / rttSec
+			if availBps >= incBps {
+				conn.wnd += netsim.MSS
+				conn.r.SetAdvertisedWindow(conn.wnd)
+				availBps -= incBps
+			}
+			conn.overCnt = 0
+		case diff >= c.cfg.Gamma2:
+			conn.overCnt++
+			if conn.overCnt >= c.cfg.DecreaseAfter {
+				conn.overCnt = 0
+				if conn.wnd-netsim.MSS >= c.cfg.MinWindow {
+					conn.wnd -= netsim.MSS
+					conn.r.SetAdvertisedWindow(conn.wnd)
+				}
+			}
+		default:
+			conn.overCnt = 0
+		}
+	}
+}
+
+// TestICTCPIdleSlotsMatchEagerSlots runs the controller and the eager
+// oracle side by side over twin receivers fed the same random per-slot
+// deliveries: busy runs that grow windows above the floor, long idle runs,
+// and connections managed in the middle of an idle run. After every slot
+// each window must match the oracle's, and after every slot that did work
+// each over-provisioned count must match too; after a counted slot, each
+// count plus the slots still pending must. A Gamma2 above 1 makes an idle
+// slot reset the counts instead, so the controller must not count it.
+func TestICTCPIdleSlotsMatchEagerSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		decreaseAfter int
+		gamma2        float64
+	}{
+		{"decrease after 1", 1, 0.5},
+		{"decrease after 3", 3, 0.5},
+		{"decrease after 5", 5, 0.5},
+		{"gamma2 above 1", 3, 1.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			rx := netsim.NewHost(eng, 0, "rx")
+			tx := netsim.NewHost(eng, 1, "tx")
+			rx.SetUplink(netsim.NewLink(eng, netsim.LinkConfig{
+				BandwidthBps: 10 * netsim.Gbps, Queue: netsim.NewQueue(netsim.QueueConfig{}), Dst: tx}))
+			hub := NewHub(rx)
+			cfg := DefaultICTCPConfig(10*netsim.Gbps, 30*sim.Microsecond)
+			cfg.DecreaseAfter = tc.decreaseAfter
+			cfg.Gamma2 = tc.gamma2
+			ctrl := NewICTCP(eng, cfg)
+			oracle := &eagerICTCP{cfg: ctrl.cfg}
+
+			// lazy[i] is managed by ctrl, eager[i] by the oracle.
+			var lazy, eager []*Receiver
+			manage := func() {
+				flow := netsim.FlowID(2*len(lazy) + 1)
+				lazy = append(lazy, NewReceiver(eng, hub, flow, tx.ID(), DefaultReceiverConfig()))
+				eager = append(eager, NewReceiver(eng, hub, flow+1, tx.ID(), DefaultReceiverConfig()))
+				ctrl.Manage(lazy[len(lazy)-1])
+				oracle.manage(eager[len(eager)-1])
+			}
+			deliver := func(i int, bytes int64) {
+				for _, r := range []*Receiver{lazy[i], eager[i]} {
+					for left := bytes; left > 0; left -= netsim.MSS {
+						r.HandlePacket(&netsim.Packet{Flow: r.flow, Seq: r.RcvNxt(), Len: int(min(left, netsim.MSS))})
+					}
+				}
+			}
+			for range 4 {
+				manage()
+			}
+
+			rng := rand.New(rand.NewPCG(uint64(tc.decreaseAfter), 11))
+			var idleAboveFloor, counted, managedMidIdle int
+			busy, runLeft := true, 0
+			for slot := 0; slot < 6000; slot++ {
+				if runLeft == 0 {
+					busy = !busy
+					if busy {
+						runLeft = 1 + rng.IntN(12)
+					} else {
+						runLeft = 1 + rng.IntN(120)
+					}
+				}
+				runLeft--
+				if busy {
+					for i := range lazy {
+						wnd := oracle.conns[i].wnd
+						switch rng.IntN(5) {
+						case 0: // nothing from this connection
+						case 1:
+							deliver(i, netsim.MSS)
+						case 2, 3: // at least its window's worth: asks for more
+							deliver(i, 2*wnd+rng.Int64N(wnd))
+						default:
+							deliver(i, rng.Int64N(3*wnd))
+						}
+					}
+				} else {
+					if !ctrl.floored {
+						idleAboveFloor++
+					}
+					if len(lazy) < 16 && rng.IntN(20) == 0 {
+						if ctrl.idle > 0 {
+							managedMidIdle++
+						}
+						manage()
+					}
+				}
+
+				ctrl.adjust()
+				oracle.adjust()
+				if ctrl.idle > 0 {
+					counted++
+				}
+				for i, want := range oracle.conns {
+					if got := ctrl.Window(i); got != want.wnd || lazy[i].advertisedWnd != eager[i].advertisedWnd {
+						t.Fatalf("slot %d: connection %d window %d (advertised %d), eager %d (advertised %d)",
+							slot, i, got, lazy[i].advertisedWnd, want.wnd, eager[i].advertisedWnd)
+					}
+					if ctrl.idle == 0 && ctrl.conns[i].overCnt != want.overCnt {
+						t.Fatalf("slot %d: connection %d over-provisioned count %d, eager %d",
+							slot, i, ctrl.conns[i].overCnt, want.overCnt)
+					}
+					if got := (ctrl.conns[i].overCnt + ctrl.idle) % cfg.DecreaseAfter; got != want.overCnt {
+						t.Fatalf("slot %d: connection %d over-provisioned count %d with %d slots pending, eager %d",
+							slot, i, ctrl.conns[i].overCnt, ctrl.idle, want.overCnt)
+					}
+				}
+			}
+			if tc.gamma2 > 1 {
+				if counted != 0 {
+					t.Fatalf("%d slots counted with Gamma2 = %v; an idle slot there resets the counts", counted, tc.gamma2)
+				}
+				return
+			}
+			if idleAboveFloor == 0 || counted == 0 || managedMidIdle == 0 {
+				t.Fatalf("vacuous run: %d idle slots above the floor, %d counted slots, %d connections managed mid-idle",
+					idleAboveFloor, counted, managedMidIdle)
+			}
+		})
 	}
 }

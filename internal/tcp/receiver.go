@@ -39,7 +39,9 @@ type Receiver struct {
 	cfg  ReceiverConfig
 
 	rcvNxt int64
-	// ooo buffers out-of-order segments: seq -> length.
+	// ooo buffers out-of-order segments: seq -> length. It is made on the
+	// first out-of-order segment and probed only while it holds one, so an
+	// in-order stream never touches a map.
 	ooo map[int64]int
 
 	// Delayed-ACK state.
@@ -56,6 +58,9 @@ type Receiver struct {
 	// advertisedWnd, when positive, is carried on every ACK as the flow
 	// control window; receiver-driven schemes (ICTCP) steer it.
 	advertisedWnd int64
+	// ictcp, when set, is the controller managing this connection; every
+	// advance of the in-order cursor marks its current slot as busy.
+	ictcp *ICTCP
 }
 
 // NewReceiver creates a receiver for flow, registered on the hub of its
@@ -74,7 +79,6 @@ func NewReceiver(eng *sim.Engine, hub *Hub, flow netsim.FlowID, src netsim.NodeI
 		flow: flow,
 		src:  src,
 		cfg:  cfg,
-		ooo:  make(map[int64]int),
 	}
 	r.flushFn = r.flushAck
 	hub.Register(flow, r)
@@ -111,7 +115,7 @@ func (r *Receiver) HandlePacket(p *netsim.Packet) {
 	switch {
 	case p.Seq == r.rcvNxt:
 		r.rcvNxt += int64(p.Len)
-		for {
+		for len(r.ooo) > 0 {
 			l, ok := r.ooo[r.rcvNxt]
 			if !ok {
 				break
@@ -119,10 +123,16 @@ func (r *Receiver) HandlePacket(p *netsim.Packet) {
 			delete(r.ooo, r.rcvNxt)
 			r.rcvNxt += int64(l)
 		}
+		if r.ictcp != nil {
+			r.ictcp.progressed = true
+		}
 		if r.onProgress != nil {
 			r.onProgress(r.rcvNxt)
 		}
 	case p.Seq > r.rcvNxt:
+		if r.ooo == nil {
+			r.ooo = make(map[int64]int)
+		}
 		r.ooo[p.Seq] = p.Len
 	}
 	// Old or duplicate data: nothing to reassemble, but still ACK.

@@ -18,14 +18,26 @@ import (
 
 // Hub demultiplexes packets delivered to a host among per-flow endpoints.
 // One Hub is attached per host; senders and receivers register themselves.
+//
+// Demultiplexing goes through a dense window of handlers indexed by flow ID
+// minus base, the first registered flow, so a delivery costs one bounds
+// check and one load instead of a hash lookup. A flow that would leave the
+// window less than half full goes to the sparse map instead: the app
+// package registers a worker's request flow at 1<<20 + w beside its
+// response flow w+1, and a window spanning both would hold a million empty
+// slots. The window never holds more slots than twice its handlers, so it
+// is no larger than the map it replaces.
 type Hub struct {
-	host      *netsim.Host
-	endpoints map[netsim.FlowID]netsim.PacketHandler
+	host   *netsim.Host
+	base   netsim.FlowID
+	window []netsim.PacketHandler
+	held   int // non-nil window slots
+	sparse map[netsim.FlowID]netsim.PacketHandler
 }
 
 // NewHub creates a hub and attaches it to the host.
 func NewHub(h *netsim.Host) *Hub {
-	hub := &Hub{host: h, endpoints: make(map[netsim.FlowID]netsim.PacketHandler)}
+	hub := &Hub{host: h}
 	h.Attach(hub)
 	return hub
 }
@@ -33,15 +45,49 @@ func NewHub(h *netsim.Host) *Hub {
 // Host returns the host this hub serves.
 func (h *Hub) Host() *netsim.Host { return h.host }
 
-// Register directs packets of the given flow to handler.
+// Register directs packets of the given flow to handler; registering a
+// flow again replaces its handler. A flow goes to the window whenever the
+// window covers it or can grow to, so its latest handler is found there
+// before any older one in the map.
 func (h *Hub) Register(flow netsim.FlowID, handler netsim.PacketHandler) {
-	h.endpoints[flow] = handler
+	if len(h.window) == 0 {
+		h.base = flow
+	}
+	lo := min(int64(flow), int64(h.base))
+	hi := max(int64(flow), int64(h.base)+int64(len(h.window))-1)
+	if span := hi - lo + 1; span > int64(len(h.window)) {
+		if span > 2*int64(h.held+1) {
+			if h.sparse == nil {
+				h.sparse = make(map[netsim.FlowID]netsim.PacketHandler)
+			}
+			h.sparse[flow] = handler
+			return
+		}
+		if below := int64(h.base) - lo; below > 0 {
+			grown := make([]netsim.PacketHandler, span)
+			copy(grown[below:], h.window)
+			h.window, h.base = grown, flow
+		} else {
+			h.window = append(h.window, make([]netsim.PacketHandler, span-int64(len(h.window)))...)
+		}
+	}
+	slot := &h.window[flow-h.base]
+	if *slot == nil {
+		h.held++
+	}
+	*slot = handler
 }
 
 // HandlePacket implements netsim.PacketHandler; unknown flows are dropped
 // silently, as a real host would discard segments for closed ports.
 func (h *Hub) HandlePacket(p *netsim.Packet) {
-	if ep, ok := h.endpoints[p.Flow]; ok {
+	if i := uint32(p.Flow - h.base); i < uint32(len(h.window)) {
+		if ep := h.window[i]; ep != nil {
+			ep.HandlePacket(p)
+			return
+		}
+	}
+	if ep, ok := h.sparse[p.Flow]; ok {
 		ep.HandlePacket(p)
 	}
 }
