@@ -18,9 +18,10 @@
 #                        quick, flow and perflow options: no panic, and
 #                        every compiled row passes SimConfig.Validate)
 #   5. audit gate        the invariant auditor's own tests, the open-loop
-#                        rackmodel<->flowsim<->netsim trace (RunDiff), and
-#                        the closed-loop differential gate
-#                        (internal/audit/gate_test.go), which runs each gate
+#                        rackmodel<->netsim trace (RunDiff,
+#                        TestDifferentialGate), and the closed-loop
+#                        differential gate (internal/audit/gate_test.go),
+#                        which checks the fluid solver by running each gate
 #                        point twice through core.RunIncastSim: packet vs
 #                        flow on the Fig-5 dumbbell and the Clos fabric
 #                        (Test{Incast,Clos}DifferentialGate), and per-flow
@@ -28,11 +29,11 @@
 #                        (TestCohortDifferentialGate), with mode
 #                        classification exact and BCT/peak queue within each
 #                        contract's documented tolerances (see
-#                        EXPERIMENTS.md); the stage fails unless each gate
-#                        test's PASS line appears; then quick Fig-5/Fig-8
-#                        experiments re-run in checked mode (every
-#                        simulation invariant enforced, zero violations
-#                        tolerated)
+#                        EXPERIMENTS.md); the stage fails unless each of the
+#                        four gate tests' PASS lines appears; then quick
+#                        Fig-5/Fig-8 experiments re-run in checked mode
+#                        (every simulation invariant enforced, zero
+#                        violations tolerated)
 #   6. obs gate          quick Fig-5 + ablation_g + the Clos cross-rack
 #                        sweep run three ways (no metrics; metrics serial;
 #                        metrics parallel, where the experiments overlap in
@@ -90,11 +91,13 @@
 #                        -shard spec, a bogus -aggregation level, a
 #                        per-flow run of 2^20 flows, a flow-level run
 #                        whose default start jitter reaches its burst
-#                        interval, -contend without -shared, a spec with
+#                        interval, a flow-level run with -ecn 0 (a fluid
+#                        queue cannot model the packet backend's "no
+#                        marking"), -contend without -shared, a spec with
 #                        an over-full Clos row under -shard-procs 2, and a
 #                        2^20-flow spec that only the -aggregation perflow
 #                        option makes invalid, run directly and under
-#                        -shard-procs 2, must exit non-zero, the last six
+#                        -shard-procs 2, must exit non-zero, the last seven
 #                        with a one-line error (the spec errors naming the
 #                        row, printed before any shard starts)
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
@@ -138,11 +141,11 @@ go test ./internal/core -run '^$' -fuzz '^FuzzCompileScenario$' -fuzztime 20s -p
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 
-echo "==> audit gate: invariant auditor, open-loop + closed-loop differential gates; audited experiments"
+echo "==> audit gate: invariant auditor, open-loop rackmodel<->netsim + closed-loop packet<->flow gates; audited experiments"
 go test ./internal/audit -count=1 -v >"$OBS_TMP/gate.log" ||
   { cat "$OBS_TMP/gate.log" >&2; exit 1; }
 # A gate test that was renamed away would pass silently, so require each PASS line.
-for gate in TestIncastDifferentialGate TestClosDifferentialGate TestCohortDifferentialGate; do
+for gate in TestDifferentialGate TestIncastDifferentialGate TestClosDifferentialGate TestCohortDifferentialGate; do
   grep -q "^--- PASS: $gate " "$OBS_TMP/gate.log" ||
     { echo "audit gate: $gate did not run and pass" >&2; exit 1; }
 done
@@ -295,6 +298,15 @@ if "$OBS_TMP/incastsim" -flows 80 -fidelity flow -bursts 2 -interval 0.05 -plot=
 fi
 test "$(wc -l <"$OBS_TMP/jitter.err")" -eq 1
 grep -q 'jitter' "$OBS_TMP/jitter.err"
+# The packet backend reads -ecn 0 as no marking, which a fluid queue cannot
+# model: fidelity flow must refuse it in one line naming the ECN threshold
+# instead of running with another threshold.
+if "$OBS_TMP/incastsim" -flows 100 -bursts 2 -ecn 0 -fidelity flow -plot=false 2>"$OBS_TMP/ecn.err"; then
+  echo "incastsim -ecn 0 -fidelity flow should have exited non-zero" >&2
+  exit 1
+fi
+test "$(wc -l <"$OBS_TMP/ecn.err")" -eq 1
+grep -q 'ECN threshold' "$OBS_TMP/ecn.err"
 # Rack contention lives in a shared buffer: -contend without -shared must
 # be refused up front with a one-line error, not a panic.
 if "$OBS_TMP/incastsim" -flows 50 -bursts 2 -contend 700000 -plot=false 2>"$OBS_TMP/contend.err"; then

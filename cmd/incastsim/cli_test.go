@@ -95,6 +95,27 @@ func TestCLIContendNeedsShared(t *testing.T) {
 	}
 }
 
+// TestCLIFlowNeedsECNThreshold: the packet backend reads -ecn 0 as no
+// marking, which a fluid queue cannot model, so -fidelity flow must exit
+// non-zero with a one-line diagnostic naming the ECN threshold rather
+// than run with some other threshold.
+func TestCLIFlowNeedsECNThreshold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skips binary build")
+	}
+	out, err := runCLI(t, "-flows", "100", "-bursts", "2", "-ecn", "0", "-fidelity", "flow", "-plot=false")
+	if err == nil {
+		t.Fatalf("-ecn 0 -fidelity flow exited zero; output:\n%s", out)
+	}
+	msg := strings.TrimSpace(out)
+	if strings.Contains(msg, "\n") || strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+		t.Errorf("want a one-line diagnostic, got:\n%s", out)
+	}
+	if !strings.Contains(msg, "ECN threshold") {
+		t.Errorf("diagnostic %q does not name the ECN threshold", msg)
+	}
+}
+
 // TestCLIFlowFidelityNotifyRejected: fidelity "flow" cannot model the
 // notification path; the refusal must exit non-zero and name both knobs
 // — the fidelity value and the notification feature — so the user knows

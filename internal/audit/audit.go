@@ -23,12 +23,13 @@
 // simulation state, only observes it.
 //
 // The companion open-loop harness (diff.go, RunDiff) drives one
-// offered-load trace through internal/rackmodel (analytic fluid model),
-// internal/flowsim (the fluid queue) and internal/netsim (packet level)
-// and asserts both reduced models agree with the packet simulator within
-// stated tolerances; ci.sh runs it as a standing cross-validation gate.
-// The closed-loop differential gate (gate_test.go), which runs whole
-// incasts on both sides through core.RunIncastSim, lives in this
+// offered-load trace through internal/rackmodel (analytic fluid model)
+// and internal/netsim (packet level) and asserts the model agrees with
+// the packet simulator within stated tolerances; ci.sh runs it as a
+// standing cross-validation gate. The flow-level solver
+// (internal/flowsim) is checked by the closed-loop differential gate
+// (gate_test.go), which runs whole incasts on both fidelities through
+// core.RunIncastSim, the code every run takes; it lives in this
 // package's external tests.
 package audit
 

@@ -4,19 +4,18 @@ import (
 	"fmt"
 	"math"
 
-	"incastlab/internal/flowsim"
 	"incastlab/internal/netsim"
 	"incastlab/internal/rackmodel"
 	"incastlab/internal/sim"
 )
 
-// DiffConfig parameterizes the three-way differential cross-check: one
+// DiffConfig parameterizes the open-loop differential cross-check: one
 // offered-load trace driven through the analytic fluid model
-// (internal/rackmodel), the flow-level fast-path queue
-// (internal/flowsim), and the packet-level simulator (internal/netsim).
-// The packet simulator is the reference; both reduced models must agree
-// with it within the stated tolerances, each under the same per-metric
-// contract.
+// (internal/rackmodel) and the packet-level simulator (internal/netsim).
+// The packet simulator is the reference; the model must agree with it
+// within the stated tolerances. The flow-level solver (internal/flowsim)
+// is not open-loop: the closed-loop gates (gate_test.go) check it against
+// packet through core.RunIncastSim, the code every run takes.
 //
 // Rate-accounting contract: rackmodel thinks in a single byte currency,
 // while netsim serializes WireBytes (IP bytes + 38 B Ethernet framing) but
@@ -150,18 +149,13 @@ type DiffResult struct {
 
 	// Model-side outputs under the effective-rate correction.
 	Model *rackmodel.Result
-	// Flow-side outputs from the flowsim open-loop queue trace (same
-	// units as the sim side).
-	Flow *flowsim.TraceResult
 
 	// Aggregate mark fractions (marked delivered / delivered).
 	SimMarkFraction   float64
 	ModelMarkFraction float64
-	FlowMarkFraction  float64
 	// Peak watermark fractions over the whole trace.
 	SimPeakWatermark   float64
 	ModelPeakWatermark float64
-	FlowPeakWatermark  float64
 
 	// Breaches lists every tolerance violation, empty on agreement.
 	Breaches []string
@@ -171,9 +165,9 @@ type DiffResult struct {
 	AuditViolations int
 }
 
-// RunDiff drives the configured offered-load trace through rackmodel,
-// flowsim, and netsim and compares both reduced models against the packet
-// simulator. The returned error is non-nil when any tolerance is breached
+// RunDiff drives the configured offered-load trace through rackmodel and
+// netsim and compares the model against the packet simulator. The
+// returned error is non-nil when any tolerance is breached
 // or (with cfg.Audit) the invariant auditor found violations; the
 // DiffResult always carries the full curves for reporting.
 func RunDiff(cfg DiffConfig) (*DiffResult, error) {
@@ -288,106 +282,68 @@ func RunDiff(cfg DiffConfig) (*DiffResult, error) {
 	})
 	res.ModelPeakWatermark = res.Model.WatermarkFraction
 
-	// --- Flow side: the flowsim open-loop queue trace, sharing the
-	// closed-loop engine's serve/mark/overflow arithmetic.
-	flowTrace, ferr := flowsim.RunTrace(flowsim.TraceConfig{
-		OfferedPackets:       counts,
-		Interval:             cfg.Interval,
-		LineRateBps:          cfg.LineRateBps,
-		QueueCapacityPackets: cfg.QueueCapacityPackets,
-		ECNThresholdPackets:  cfg.ECNThresholdPackets,
-	})
-	if ferr != nil {
-		return nil, fmt.Errorf("audit: flowsim trace: %w", ferr)
-	}
-	res.Flow = flowTrace
-	res.FlowPeakWatermark = flowTrace.PeakWatermark
-
-	// --- Compare both reduced models against the packet simulator, each
-	// under the same per-metric tolerance contract.
+	// --- Compare the model against the packet simulator.
 	breach := func(format string, args ...any) {
 		res.Breaches = append(res.Breaches, fmt.Sprintf(format, args...))
 	}
 
-	var simTotal, simECN, totalOffered float64
+	var simTotal, simECN, modelTotal, modelECN, modelDropped, totalOffered float64
 	for i := 0; i < n; i++ {
 		simTotal += res.SimDelivered[i]
 		simECN += res.SimECNBytes[i]
+		modelTotal += res.Model.Delivered[i]
+		modelECN += res.Model.ECNBytes[i]
+		modelDropped += res.Model.DroppedBytes[i]
 		totalOffered += offered[i]
 	}
 	if simTotal > 0 {
 		res.SimMarkFraction = simECN / simTotal
 	}
-
-	// compareSide checks one reduced model's curves against the simulator.
-	// It returns the model's aggregate mark fraction for reporting.
-	compareSide := func(name string, delivered, ecn, watermark []float64, droppedBytes, peakWatermark float64) float64 {
-		var total, ecnTotal float64
-		for i := 0; i < n; i++ {
-			total += delivered[i]
-			ecnTotal += ecn[i]
+	if modelTotal > 0 {
+		res.ModelMarkFraction = modelECN / modelTotal
+		if rel := math.Abs(simTotal-modelTotal) / modelTotal; rel > cfg.DeliveredAggTol {
+			breach("aggregate delivered: sim %.0f vs rackmodel %.0f bytes (rel diff %.4f > tol %.4f)",
+				simTotal, modelTotal, rel, cfg.DeliveredAggTol)
 		}
-		if total > 0 {
-			if rel := math.Abs(simTotal-total) / total; rel > cfg.DeliveredAggTol {
-				breach("aggregate delivered: sim %.0f vs %s %.0f bytes (rel diff %.4f > tol %.4f)",
-					simTotal, name, total, rel, cfg.DeliveredAggTol)
-			}
-		}
-		var markFrac float64
-		if total > 0 {
-			markFrac = ecnTotal / total
-		}
-		if d := math.Abs(res.SimMarkFraction - markFrac); d > cfg.ECNAggTol {
-			breach("aggregate ECN mark fraction: sim %.4f vs %s %.4f (diff %.4f > tol %.4f)",
-				res.SimMarkFraction, name, markFrac, d, cfg.ECNAggTol)
-		}
-		for i := 0; i < n; i++ {
-			var simF, sideF float64
-			if res.SimDelivered[i] > 0 {
-				simF = res.SimECNBytes[i] / res.SimDelivered[i]
-			}
-			if delivered[i] > 0 {
-				sideF = ecn[i] / delivered[i]
-			}
-			if d := math.Abs(simF - sideF); d > cfg.ECNIntervalTol {
-				breach("interval %d ECN mark fraction: sim %.4f vs %s %.4f (diff %.4f > tol %.4f)",
-					i, simF, name, sideF, d, cfg.ECNIntervalTol)
-			}
-			if d := math.Abs(res.SimWatermark[i] - watermark[i]); d > cfg.WatermarkIntervalTol {
-				breach("interval %d queue watermark: sim %.4f vs %s %.4f of capacity (diff %.4f > tol %.4f)",
-					i, res.SimWatermark[i], name, watermark[i], d, cfg.WatermarkIntervalTol)
-			}
-		}
-		if d := math.Abs(res.SimPeakWatermark - peakWatermark); d > cfg.WatermarkPeakTol {
-			breach("peak queue watermark: sim %.4f vs %s %.4f of capacity (diff %.4f > tol %.4f)",
-				res.SimPeakWatermark, name, peakWatermark, d, cfg.WatermarkPeakTol)
-		}
-		if totalOffered > 0 {
-			if rel := math.Abs(res.SimDroppedBytes-droppedBytes) / totalOffered; rel > cfg.DropTol {
-				breach("dropped bytes: sim %.0f vs %s %.0f (rel to offered %.4f > tol %.4f)",
-					res.SimDroppedBytes, name, droppedBytes, rel, cfg.DropTol)
-			}
-		}
-		return markFrac
 	}
-
-	var modelDropped float64
+	if d := math.Abs(res.SimMarkFraction - res.ModelMarkFraction); d > cfg.ECNAggTol {
+		breach("aggregate ECN mark fraction: sim %.4f vs rackmodel %.4f (diff %.4f > tol %.4f)",
+			res.SimMarkFraction, res.ModelMarkFraction, d, cfg.ECNAggTol)
+	}
 	for i := 0; i < n; i++ {
-		modelDropped += res.Model.DroppedBytes[i]
+		var simF, modelF float64
+		if res.SimDelivered[i] > 0 {
+			simF = res.SimECNBytes[i] / res.SimDelivered[i]
+		}
+		if res.Model.Delivered[i] > 0 {
+			modelF = res.Model.ECNBytes[i] / res.Model.Delivered[i]
+		}
+		if d := math.Abs(simF - modelF); d > cfg.ECNIntervalTol {
+			breach("interval %d ECN mark fraction: sim %.4f vs rackmodel %.4f (diff %.4f > tol %.4f)",
+				i, simF, modelF, d, cfg.ECNIntervalTol)
+		}
+		if d := math.Abs(res.SimWatermark[i] - res.Model.QueuePeakFraction[i]); d > cfg.WatermarkIntervalTol {
+			breach("interval %d queue watermark: sim %.4f vs rackmodel %.4f of capacity (diff %.4f > tol %.4f)",
+				i, res.SimWatermark[i], res.Model.QueuePeakFraction[i], d, cfg.WatermarkIntervalTol)
+		}
 	}
-	res.ModelMarkFraction = compareSide("rackmodel",
-		res.Model.Delivered, res.Model.ECNBytes, res.Model.QueuePeakFraction,
-		modelDropped, res.ModelPeakWatermark)
-	res.FlowMarkFraction = compareSide("flowsim",
-		flowTrace.Delivered, flowTrace.ECNBytes, flowTrace.Watermark,
-		flowTrace.DroppedBytes, res.FlowPeakWatermark)
+	if d := math.Abs(res.SimPeakWatermark - res.ModelPeakWatermark); d > cfg.WatermarkPeakTol {
+		breach("peak queue watermark: sim %.4f vs rackmodel %.4f of capacity (diff %.4f > tol %.4f)",
+			res.SimPeakWatermark, res.ModelPeakWatermark, d, cfg.WatermarkPeakTol)
+	}
+	if totalOffered > 0 {
+		if rel := math.Abs(res.SimDroppedBytes-modelDropped) / totalOffered; rel > cfg.DropTol {
+			breach("dropped bytes: sim %.0f vs rackmodel %.0f (rel to offered %.4f > tol %.4f)",
+				res.SimDroppedBytes, modelDropped, rel, cfg.DropTol)
+		}
+	}
 
 	var err error
 	switch {
 	case res.AuditViolations > 0 && auditor != nil:
 		err = fmt.Errorf("audit: differential run had %d invariant violation(s): %w", res.AuditViolations, auditor.Err())
 	case len(res.Breaches) > 0:
-		msg := fmt.Sprintf("audit: rackmodel/flowsim/netsim differential check failed with %d breach(es)", len(res.Breaches))
+		msg := fmt.Sprintf("audit: rackmodel/netsim differential check failed with %d breach(es)", len(res.Breaches))
 		for _, b := range res.Breaches {
 			msg += "\n  " + b
 		}

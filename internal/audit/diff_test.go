@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestDifferentialGate is the standing three-way cross-validation gate
-// ci.sh runs: rackmodel and flowsim must both agree with netsim on the
-// canonical trace within the documented tolerances, with the invariant
-// auditor clean on the simulator side.
+// TestDifferentialGate is the standing open-loop cross-validation gate
+// ci.sh runs: rackmodel must agree with netsim on the canonical trace
+// within the documented tolerances, with the invariant auditor clean on
+// the simulator side.
 func TestDifferentialGate(t *testing.T) {
 	res, err := RunDiff(DefaultDiffConfig())
 	if err != nil {
@@ -19,18 +19,12 @@ func TestDifferentialGate(t *testing.T) {
 	}
 
 	// The canonical trace overloads the port without overflowing the
-	// queue: all sides must mark, none must drop.
+	// queue: both sides must mark, neither must drop.
 	if res.SimMarkFraction == 0 {
 		t.Error("simulator marked nothing; the trace should push past the ECN threshold")
 	}
 	if res.ModelMarkFraction == 0 {
 		t.Error("model marked nothing; the trace should push past the ECN threshold")
-	}
-	if res.FlowMarkFraction == 0 {
-		t.Error("flowsim marked nothing; the trace should push past the ECN threshold")
-	}
-	if res.Flow.DroppedBytes != 0 {
-		t.Errorf("flowsim dropped %.0f bytes; the canonical trace must not overflow", res.Flow.DroppedBytes)
 	}
 	if res.SimDroppedBytes != 0 {
 		t.Errorf("simulator dropped %.0f bytes; the canonical trace must not overflow", res.SimDroppedBytes)
@@ -57,21 +51,17 @@ func TestDifferentialConservation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("differential check failed:\n%v", err)
 	}
-	var offered, simDel, modelDel, flowDel float64
+	var offered, simDel, modelDel float64
 	for i := range res.Offered {
 		offered += res.Offered[i]
 		simDel += res.SimDelivered[i]
 		modelDel += res.Model.Delivered[i]
-		flowDel += res.Flow.Delivered[i]
 	}
 	if simDel != offered {
 		t.Errorf("sim delivered %.0f of %.0f offered bytes (trace should fully drain)", simDel, offered)
 	}
 	if math.Abs(modelDel-offered) > 1 {
 		t.Errorf("model delivered %.0f of %.0f offered bytes (trace should fully drain)", modelDel, offered)
-	}
-	if math.Abs(flowDel-offered) > 1 {
-		t.Errorf("flowsim delivered %.0f of %.0f offered bytes (trace should fully drain)", flowDel, offered)
 	}
 }
 

@@ -45,7 +45,9 @@ const (
 // stalls — but not receiver-side control, shared switch memory, ACK
 // shaping, per-packet traces, or the dumbbell's inter-ToR core link. Its
 // release schedule also needs the start jitter, default included, below
-// the burst interval.
+// the burst interval, and its port queues a positive capacity and ECN
+// threshold: the packet backend reads a zero bound as unbounded and a
+// zero threshold as no marking, which a fluid queue cannot model.
 func (c SimConfig) FlowCompatible() error {
 	if c.Flows <= 0 {
 		return errNoFlows(c.Flows)
@@ -93,6 +95,7 @@ func (c SimConfig) FlowCompatible() error {
 	}
 	// The topology is checked before flowBaseRTT reads its link rates.
 	flows := cfg.Flows
+	capPkts, ecnK := cfg.Net.QueueCapacityPackets, cfg.Net.ECNThresholdPackets
 	if cfg.Clos != nil {
 		// The placement check ClosFlowEndpoints runs, without the endpoints.
 		n, err := workload.CheckClosPlacement(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement)
@@ -100,8 +103,17 @@ func (c SimConfig) FlowCompatible() error {
 			return err
 		}
 		flows = n
+		capPkts, ecnK = cfg.Clos.QueueCapacityPackets, cfg.Clos.ECNThresholdPackets
 	} else if err := cfg.Net.Validate(); err != nil {
 		return err
+	}
+	switch {
+	case capPkts <= 0:
+		return fmt.Errorf("core: fidelity %q needs a positive port queue capacity (QueueCapacityPackets = %d, which the packet backend reads as unbounded); use fidelity %q",
+			FidelityFlow, capPkts, FidelityPacket)
+	case ecnK <= 0:
+		return fmt.Errorf("core: fidelity %q needs a positive ECN threshold (ECNThresholdPackets = %d, which the packet backend reads as no marking); use fidelity %q",
+			FidelityFlow, ecnK, FidelityPacket)
 	}
 	if _, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg)); err != nil {
 		return err
@@ -189,7 +201,10 @@ func flowCC(alg cc.Algorithm, baseRTT sim.Time) (flowsim.CCConfig, error) {
 // SimResult.
 func runFlowIncastSim(cfg SimConfig) *SimResult {
 	wallStart := startWall(cfg.Metrics)
-	fres := runFluid(cfg)
+	fres, err := runFluid(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("core: flow-level simulation with %d flows: %v", cfg.Flows, err))
+	}
 	res := &SimResult{
 		Fidelity:          FidelityFlow,
 		Flows:             cfg.Flows,
@@ -217,18 +232,32 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 	return res
 }
 
-// runFluid lowers a filled, validated SimConfig onto the fluid backend's
-// queue network and runs it, panicking on any error.
-func runFluid(cfg SimConfig) *flowsim.Result {
+// runFluid lowers a filled, validated SimConfig onto the fluid backend:
+// it builds the row's path set and runs the solver over it. One fluid
+// Config serves both topologies; the branch only picks the path set the
+// flows cross. Per-flow demand is sized against the per-aggregator
+// degree, exactly as the packet workload's BytesPerFlow.
+func runFluid(cfg SimConfig) (*flowsim.Result, error) {
 	ccCfg, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg))
 	if err != nil {
-		panic(err.Error())
+		return nil, err
 	}
-	// One fluid Config serves both topologies; the branch only picks the
-	// queue network the flows cross. Per-flow demand is sized against the
-	// per-aggregator degree, exactly as the packet workload's BytesPerFlow.
-	fcfg := flowsim.Config{
-		Flows:           cfg.Flows,
+	var net *netsim.FluidPaths
+	if c := cfg.Clos; c != nil {
+		// The path build takes the endpoints from the placement a chunk at
+		// a time, so no per-flow array outlives a chunk.
+		pl, perr := workload.NewClosPlacement(*c, cfg.Flows, cfg.Aggregators, cfg.Placement)
+		if perr != nil {
+			return nil, perr
+		}
+		net, err = c.FluidPathsFrom(pl.Flows(), pl.Fill)
+	} else {
+		net, err = cfg.Net.FluidPaths()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return flowsim.Run(flowsim.Config{
 		SegmentsPerFlow: workload.BytesPerFlowFor(hostLinkBps(&cfg), cfg.BurstDuration, cfg.Flows) / netsim.MSS,
 		Bursts:          cfg.Bursts,
 		Interval:        cfg.Interval,
@@ -243,36 +272,7 @@ func runFluid(cfg SimConfig) *flowsim.Result {
 		SampleWindow:    cfg.SampleWindow,
 		Check:           cfg.Audit,
 		Aggregation:     cfg.Aggregation,
-	}
-	var ncfg flowsim.NetworkConfig
-	if cfg.Clos != nil {
-		closCfg := *cfg.Clos
-		// The path build takes the endpoints from the placement a chunk at
-		// a time, so no per-flow array outlives a chunk.
-		pl, err := workload.NewClosPlacement(closCfg, cfg.Flows, cfg.Aggregators, cfg.Placement)
-		if err != nil {
-			panic(err.Error())
-		}
-		net, err := closCfg.FluidPathsFrom(pl.Flows(), pl.Fill)
-		if err != nil {
-			panic(err.Error())
-		}
-		fcfg.Flows = pl.Flows()
-		ncfg = flowsim.NetworkConfig{Config: fcfg, Net: net}
-	} else {
-		fcfg.QueueCapacityPackets = cfg.Net.QueueCapacityPackets
-		fcfg.ECNThresholdPackets = cfg.Net.ECNThresholdPackets
-		fcfg.BaseRTT = cfg.Net.BaseRTT()
-		ncfg, err = flowsim.SingleQueue(fcfg)
-	}
-	var fres *flowsim.Result
-	if err == nil {
-		fres, err = flowsim.RunNetwork(ncfg)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("core: flow-level simulation with %d flows: %v", fcfg.Flows, err))
-	}
-	return fres
+	}, net)
 }
 
 // flowTotals reads a finished fluid run for the harvest. Its ports are

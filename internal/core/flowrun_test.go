@@ -420,6 +420,12 @@ func TestOptionsFidelityBestEffort(t *testing.T) {
 	if ictcp.Fidelity != "" {
 		t.Errorf("ICTCP config lowered to %q; must keep the packet backend", ictcp.Fidelity)
 	}
+	unmarked := SimConfig{Flows: 10, Net: netsim.DefaultDumbbellConfig(10)}
+	unmarked.Net.ECNThresholdPackets = 0
+	o.stamp("t", &unmarked)
+	if unmarked.Fidelity != "" {
+		t.Errorf("config without an ECN threshold lowered to %q; must keep the packet backend", unmarked.Fidelity)
+	}
 	explicit := SimConfig{Flows: 10, Fidelity: FidelityPacket}
 	o.stamp("t", &explicit)
 	if explicit.Fidelity != FidelityPacket {
@@ -479,7 +485,10 @@ func TestFlowEndStateHistograms(t *testing.T) {
 		Bursts: 3, Fidelity: FidelityFlow, Aggregation: AggregationCohort,
 	}
 	cfg.fill()
-	fres := runFluid(cfg)
+	fres, err := runFluid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	end := fres.Final
 	members, err := end.Members()
 	if err != nil {
@@ -551,8 +560,11 @@ func TestFluidRunMemoryFollowsRecords(t *testing.T) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res := runFluid(cfg)
+		res, err := runFluid(cfg)
 		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return after.TotalAlloc - before.TotalAlloc, res
 	}
 	small, sres := run(n)

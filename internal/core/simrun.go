@@ -112,10 +112,11 @@ type SimConfig struct {
 // Validate reports whether the configuration can run; it is the one list
 // of rules every row meets before RunIncastSim takes it. The rules are a
 // positive degree, a known fidelity and aggregation (the aggregation only
-// at FidelityFlow), ExternalBufferBytes only with a shared buffer, positive
-// dumbbell link rates, and a Clos fabric that builds and fits its
-// placement. At FidelityFlow it also applies FlowCompatible. A packet row
-// is checked without filling the config or building its algorithm.
+// at FidelityFlow), ExternalBufferBytes only with a shared buffer, a
+// dumbbell with one sender per flow and positive link rates, and a Clos
+// fabric that builds and fits its placement. At FidelityFlow it also
+// applies FlowCompatible. A packet row is checked without filling the
+// config or building its algorithm.
 func (c SimConfig) Validate() error {
 	if c.Flows <= 0 {
 		return errNoFlows(c.Flows)
@@ -130,6 +131,10 @@ func (c SimConfig) Validate() error {
 			return err
 		}
 	} else if c.Net.Senders != 0 {
+		if c.Net.Senders != c.Flows {
+			return fmt.Errorf("core: the dumbbell has %d senders but the row has %d flows (set Net.Senders to Flows, or leave it 0 for the default dumbbell)",
+				c.Net.Senders, c.Flows)
+		}
 		if err := c.Net.Validate(); err != nil {
 			return err
 		}

@@ -23,6 +23,14 @@ func TestSimConfigValidate(t *testing.T) {
 	shared.SharedBufferBytes = 2_000_000
 	slow := netsim.DefaultDumbbellConfig(50)
 	slow.HostLinkBps = 0
+	unmarked := netsim.DefaultDumbbellConfig(50)
+	unmarked.ECNThresholdPackets = 0
+	unbounded := netsim.DefaultDumbbellConfig(50)
+	unbounded.QueueCapacityPackets = 0
+	unmarkedClos := clos
+	unmarkedClos.ECNThresholdPackets = 0
+	unboundedClos := clos
+	unboundedClos.QueueCapacityPackets = 0
 	cases := []struct {
 		name         string
 		cfg          SimConfig
@@ -45,6 +53,16 @@ func TestSimConfigValidate(t *testing.T) {
 			"Clos link rates must be positive", "Clos link rates must be positive"},
 		{"dumbbell without bandwidth", SimConfig{Flows: 50, Net: slow},
 			"dumbbell link rates must be positive", "dumbbell link rates must be positive"},
+		// The packet backend reads a zero ECN threshold as no marking and
+		// a zero queue bound as unbounded; a fluid queue has neither.
+		{"dumbbell without marking", SimConfig{Flows: 50, Net: unmarked}, "", "ECN threshold (ECNThresholdPackets = 0"},
+		{"dumbbell without a queue bound", SimConfig{Flows: 50, Net: unbounded}, "", "queue capacity (QueueCapacityPackets = 0"},
+		{"clos without marking", SimConfig{Flows: 8, Clos: &unmarkedClos}, "", "ECN threshold (ECNThresholdPackets = 0"},
+		{"clos without a queue bound", SimConfig{Flows: 8, Clos: &unboundedClos}, "", "queue capacity (QueueCapacityPackets = 0"},
+		// A dumbbell built for another degree would panic at packet and
+		// run its own sender count at flow.
+		{"dumbbell of another degree", SimConfig{Flows: 100, Bursts: 3, Net: netsim.DefaultDumbbellConfig(50)},
+			"dumbbell has 50 senders but the row has 100 flows", "dumbbell has 50 senders but the row has 100 flows"},
 		{"clos at capacity", SimConfig{Flows: 48, Clos: &clos}, "", ""},
 		{"cross-rack overflow", SimConfig{Flows: 49, Clos: &clos}, "cross-rack workers exceed", "cross-rack workers exceed"},
 		{"same-rack overflow", SimConfig{Flows: 16, Clos: &clos, Placement: "same-rack"},

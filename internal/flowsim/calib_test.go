@@ -15,11 +15,10 @@ func TestCalibrationDebug(t *testing.T) {
 	for _, n := range []int{80, 100, 500, 1000, 1400} {
 		segs := workload.BytesPerFlowFor(10*netsim.Gbps, 15*sim.Millisecond, n) / netsim.MSS
 		res, err := Run(Config{
-			Flows:           n,
 			SegmentsPerFlow: segs,
 			Bursts:          4,
 			Check:           true,
-		})
+		}, dumbbell(t, n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

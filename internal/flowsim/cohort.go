@@ -89,7 +89,7 @@ func (c *Config) cohortEnabled() bool {
 	case AggregationPerFlow:
 		return false
 	default:
-		return c.Flows >= AutoCohortMinFlows
+		return c.flows >= AutoCohortMinFlows
 	}
 }
 
@@ -173,7 +173,7 @@ func countsPlan(counts []int32, buckets int) cohortPlan {
 // path set; a cohort plan needs only the class counts.
 func buildPlan(cfg *Config, net *netsim.FluidPaths) (cohortPlan, error) {
 	if !cfg.cohortEnabled() {
-		class := make([]int32, cfg.Flows)
+		class := make([]int32, cfg.flows)
 		net.Classes(0, class)
 		for i, c := range class {
 			if err := checkClass(net, i, c); err != nil {

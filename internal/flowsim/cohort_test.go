@@ -27,7 +27,7 @@ func TestKnownAggregation(t *testing.T) {
 	}
 	cfg := quickConfig(8, CCConfig{})
 	cfg.Aggregation = "bogus"
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cfg, dumbbell(t, 8)); err == nil {
 		t.Fatalf("Run accepted aggregation %q", cfg.Aggregation)
 	}
 }
@@ -42,13 +42,13 @@ func TestCohortSingletonByteIdentity(t *testing.T) {
 		for _, cc := range []CCConfig{{}, {Kind: KindSwift}} {
 			cfg := quickConfig(n, cc)
 			cfg.Aggregation = AggregationPerFlow
-			want, err := Run(cfg)
+			want, err := Run(cfg, dumbbell(t, n))
 			if err != nil {
 				t.Fatalf("perflow n=%d: %v", n, err)
 			}
 			cfg.Aggregation = AggregationCohort
 			cfg.cohortBuckets = n // one flow per cohort
-			got, err := Run(cfg)
+			got, err := Run(cfg, dumbbell(t, n))
 			if err != nil {
 				t.Fatalf("singleton cohorts n=%d: %v", n, err)
 			}
@@ -83,26 +83,32 @@ func TestCohortSingletonByteIdentity(t *testing.T) {
 // per-flow (historical results bit-stable), large runs aggregate.
 func TestCohortDefaultsAuto(t *testing.T) {
 	small := quickConfig(80, CCConfig{})
+	if err := small.fill(dumbbell(t, 80)); err != nil {
+		t.Fatal(err)
+	}
 	if small.cohortEnabled() {
-		t.Errorf("auto aggregation enabled cohorts at %d flows", small.Flows)
+		t.Errorf("auto aggregation enabled cohorts at %d flows", small.flows)
 	}
 	big := quickConfig(80, CCConfig{})
-	big.Flows = AutoCohortMinFlows
+	if err := big.fill(dumbbell(t, AutoCohortMinFlows)); err != nil {
+		t.Fatal(err)
+	}
 	if !big.cohortEnabled() {
-		t.Errorf("auto aggregation kept per-flow at %d flows", big.Flows)
+		t.Errorf("auto aggregation kept per-flow at %d flows", big.flows)
 	}
 }
 
-// cohortVsPerFlow runs cfg both ways and returns (cohort, perflow).
-func cohortVsPerFlow(t *testing.T, cfg Config) (*Result, *Result) {
+// cohortVsPerFlow runs cfg over net both ways and returns (cohort,
+// perflow).
+func cohortVsPerFlow(t *testing.T, cfg Config, net *netsim.FluidPaths) (*Result, *Result) {
 	t.Helper()
 	cfg.Aggregation = AggregationCohort
-	co, err := Run(cfg)
+	co, err := Run(cfg, net)
 	if err != nil {
 		t.Fatalf("cohort run: %v", err)
 	}
 	cfg.Aggregation = AggregationPerFlow
-	pf, err := Run(cfg)
+	pf, err := Run(cfg, net)
 	if err != nil {
 		t.Fatalf("perflow run: %v", err)
 	}
@@ -117,7 +123,7 @@ func cohortVsPerFlow(t *testing.T, cfg Config) (*Result, *Result) {
 // regression for the partial-tail-drop and RTO-parking split triggers.
 func TestCohortMatchesPerFlowModes(t *testing.T) {
 	for _, n := range []int{80, 500, 1400} {
-		co, pf := cohortVsPerFlow(t, quickConfig(n, CCConfig{}))
+		co, pf := cohortVsPerFlow(t, quickConfig(n, CCConfig{}), dumbbell(t, n))
 		coMode := Classify(co.Timeouts, co.FracBelowK)
 		pfMode := Classify(pf.Timeouts, pf.FracBelowK)
 		if coMode != pfMode {
@@ -184,9 +190,9 @@ func TestCohortNetworkMatchesPerFlow(t *testing.T) {
 	run := func(agg string) *Result {
 		cfg := base
 		cfg.Aggregation = agg
-		res, err := RunNetwork(NetworkConfig{Config: cfg, Net: net})
+		res, err := Run(cfg, net)
 		if err != nil {
-			t.Fatalf("RunNetwork(%s): %v", agg, err)
+			t.Fatalf("Run(%s): %v", agg, err)
 		}
 		return res
 	}
@@ -262,7 +268,6 @@ func TestCohortMillionFlowSmoke(t *testing.T) {
 		segs = 1
 	}
 	cfg := Config{
-		Flows:           n,
 		SegmentsPerFlow: segs,
 		Bursts:          2,
 		// Perfectly synchronized release livelocks this fluid model: every
@@ -272,7 +277,7 @@ func TestCohortMillionFlowSmoke(t *testing.T) {
 		JitterMax: 5 * sim.Millisecond,
 		Check:     true,
 	}
-	res, err := RunNetwork(NetworkConfig{Config: cfg, Net: net})
+	res, err := Run(cfg, net)
 	if err != nil {
 		t.Fatalf("million-flow run: %v", err)
 	}
@@ -311,8 +316,8 @@ func TestPerFlowReleasePackingLimit(t *testing.T) {
 	big := quickConfig(MaxPerFlowFlows+1, CCConfig{})
 	big.SegmentsPerFlow = 1
 	big.Aggregation = AggregationPerFlow
-	if _, err := Run(big); err == nil || !strings.Contains(err.Error(), "aggregation") {
-		t.Errorf("Run of %d per-flow flows = %v, want an error naming aggregation", big.Flows, err)
+	if _, err := Run(big, dumbbell(t, MaxPerFlowFlows+1)); err == nil || !strings.Contains(err.Error(), "aggregation") {
+		t.Errorf("Run of %d per-flow flows = %v, want an error naming aggregation", MaxPerFlowFlows+1, err)
 	}
 }
 

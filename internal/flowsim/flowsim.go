@@ -8,10 +8,13 @@
 // modeled as flow stalls with exponential backoff so Mode-3
 // (timeout-dominated) incasts are representable.
 //
-// There is one solver, RunNetwork (network.go). The paper's dumbbell is
-// its one-queue instance: Run wraps a Config with SingleQueue, a single
-// bottleneck at LineRateBps that every flow crosses alone, and solves that.
-// A Clos fabric's per-port queues come from netsim.ClosConfig.FluidPaths.
+// There is one solver and one entry point, Run (network.go): a Config's
+// workload, transport and integration knobs over a path set
+// (netsim.FluidPaths), which says everything about the network: every
+// queue, every flow's path, and so the flow count, the bottleneck and the
+// base RTTs. The paper's dumbbell is its one-queue instance
+// (netsim.DumbbellConfig.FluidPaths), and a Clos fabric's per-port queues
+// come from netsim.ClosConfig.FluidPaths.
 //
 // Rate contract: like internal/audit/diff.go, each queue drains at the
 // effective IP-byte rate RateBps x MTU/(MTU+EthernetOverhead)
@@ -25,26 +28,26 @@
 // a small fraction of the event simulator's cost (BenchmarkFlowsimFig5
 // against BenchmarkFig5DCTCPModes). internal/audit's closed-loop gate
 // (gate_test.go) pins the agreement, running both fidelities through
-// core.RunIncastSim, and its RunDiff checks the open-loop queue
-// (TraceConfig).
+// core.RunIncastSim.
 package flowsim
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
 	"incastlab/internal/stats"
 )
 
-// Config describes one fluid incast run. The shape mirrors the packet
+// Config describes one fluid incast run over a path set: the workload,
+// the transport and the integration knobs. The shape mirrors the packet
 // simulator's core.SimConfig so the core layer can lower one into the
-// other; zero values take the paper defaults.
+// other; zero values take the paper defaults. The path set Run takes
+// says the rest: the flow count, every queue and every base RTT.
 type Config struct {
-	// Flows is the incast degree N.
-	Flows int
 	// SegmentsPerFlow is the per-flow, per-burst demand in MSS segments
 	// (= queue packets). Use workload.BytesPerFlowFor(...)/netsim.MSS to
 	// match the packet simulator's demand sizing.
@@ -61,18 +64,9 @@ type Config struct {
 	Seed uint64
 
 	// LineRateBps is the host NIC line rate, which caps every sender's
-	// injection, and the rate of the one queue SingleQueue builds
-	// (default 10 Gbps). Network runs take every queue's rate from Net.
+	// injection (default 10 Gbps); every queue's rate comes from the path
+	// set.
 	LineRateBps int64
-	// QueueCapacityPackets and ECNThresholdPackets describe SingleQueue's
-	// bottleneck port (defaults 1333 and 65, the paper's 2 MB queue and
-	// K); network runs overwrite them with Net's bottleneck queue.
-	QueueCapacityPackets int
-	ECNThresholdPackets  int
-	// BaseRTT is the dumbbell's uncongested round-trip time (default the
-	// paper dumbbell's ~30 us); network runs take per-flow base RTTs from
-	// Net and use this one for the CC defaults only.
-	BaseRTT sim.Time
 	// MinRTO and MaxRTO bound the stall length after a timeout-class loss;
 	// consecutive timeouts back off exponentially between them (defaults
 	// 200 ms and 2 s, the transport defaults).
@@ -113,12 +107,29 @@ type Config struct {
 	// volume conservation); violations surface as errors. The closing
 	// conservation check always runs.
 	Check bool
+
+	// flows and baseRTT are read from the path set by fill: its flow
+	// count, and its slowest class's base RTT, the conservative choice
+	// for the CC defaults (Swift's target delay) and the final ACK's
+	// return that every BCT adds.
+	flows   int
+	baseRTT sim.Time
 }
 
-func (c *Config) fill() error {
-	if c.Flows <= 0 {
-		return fmt.Errorf("flowsim: config needs at least one flow")
+// fill validates the path set, reads the flow count and base RTT from
+// it, and applies the defaults.
+func (c *Config) fill(net *netsim.FluidPaths) error {
+	if net == nil {
+		return fmt.Errorf("flowsim: a run needs a path set")
 	}
+	if err := net.Validate(); err != nil {
+		return err
+	}
+	c.flows = net.Flows()
+	if c.flows <= 0 {
+		return fmt.Errorf("flowsim: the path set needs at least one flow")
+	}
+	c.baseRTT = slices.Max(net.BaseRTT)
 	if c.SegmentsPerFlow <= 0 {
 		return fmt.Errorf("flowsim: config needs positive per-flow demand")
 	}
@@ -143,15 +154,6 @@ func (c *Config) fill() error {
 	if c.LineRateBps <= 0 {
 		c.LineRateBps = 10 * netsim.Gbps
 	}
-	if c.QueueCapacityPackets <= 0 {
-		c.QueueCapacityPackets = netsim.DefaultDumbbellConfig(1).QueueCapacityPackets
-	}
-	if c.ECNThresholdPackets <= 0 {
-		c.ECNThresholdPackets = netsim.DefaultDumbbellConfig(1).ECNThresholdPackets
-	}
-	if c.BaseRTT <= 0 {
-		c.BaseRTT = netsim.DefaultDumbbellConfig(1).BaseRTT()
-	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = 200 * sim.Millisecond
 	}
@@ -164,15 +166,15 @@ func (c *Config) fill() error {
 	if c.DupAckPackets <= 0 {
 		c.DupAckPackets = 3
 	}
-	if err := CheckAggregation(c.Aggregation, c.Flows); err != nil {
+	if err := CheckAggregation(c.Aggregation, c.flows); err != nil {
 		return err
 	}
-	c.CC.fill(c.BaseRTT)
+	c.CC.fill(c.baseRTT)
 	if c.SampleInterval <= 0 {
 		c.SampleInterval = 100 * sim.Microsecond
 	}
 	if c.SampleWindow <= 0 {
-		drainSec := float64(c.SegmentsPerFlow) * float64(c.Flows) / EffectivePacketRate(c.LineRateBps)
+		drainSec := float64(c.SegmentsPerFlow) * float64(c.flows) / EffectivePacketRate(c.LineRateBps)
 		c.SampleWindow = sim.Time(drainSec*1e9) + 5*sim.Millisecond
 	}
 	// A single monotonically advancing sample cursor requires windows not
@@ -256,7 +258,7 @@ type Result struct {
 	CohortSplits     int64
 	PeakCohortWeight float64
 
-	// QueueCapacity and ECNThreshold echo the configuration.
+	// QueueCapacity and ECNThreshold echo the bottleneck queue's.
 	QueueCapacity, ECNThreshold int
 
 	// Lifetime covers the whole run, the discarded first burst included.
@@ -417,18 +419,6 @@ const (
 // two wire bytes per flow — to the aggregate, while sparing tens of
 // per-flow steps of multiplicative decay from ~1 packet down to volEps.
 const finishCrumb = 1e-3
-
-// Run executes the fluid simulation of the dumbbell: the one-queue
-// network SingleQueue builds, solved by RunNetwork. It returns an error
-// when the configuration is invalid, the run fails to complete within the
-// horizon, or (with cfg.Check) an invariant is violated.
-func Run(cfg Config) (*Result, error) {
-	ncfg, err := SingleQueue(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunNetwork(ncfg)
-}
 
 // buildReleases expands the burst schedule into every unit's per-burst
 // start, globally time-sorted — a unit is one release record: a flow in

@@ -9,15 +9,26 @@ import (
 	"incastlab/internal/workload"
 )
 
+// quickConfig is the quick Fig-5 workload of an n-flow incast: 15 ms
+// bursts at the 10 Gbps line rate, four bursts, checked.
 func quickConfig(n int, cc CCConfig) Config {
 	segs := workload.BytesPerFlowFor(10*netsim.Gbps, 15*sim.Millisecond, n) / netsim.MSS
 	return Config{
-		Flows:           n,
 		SegmentsPerFlow: segs,
 		Bursts:          4,
 		CC:              cc,
 		Check:           true,
 	}
+}
+
+// dumbbell is the paper dumbbell's path set for n flows.
+func dumbbell(t testing.TB, n int) *netsim.FluidPaths {
+	t.Helper()
+	net, err := netsim.DefaultDumbbellConfig(n).FluidPaths()
+	if err != nil {
+		t.Fatalf("dumbbell path set of %d flows: %v", n, err)
+	}
+	return net
 }
 
 // TestModeClassification pins the fluid engine to the packet simulator's
@@ -38,7 +49,7 @@ func TestModeClassification(t *testing.T) {
 		{1400, "3 (timeouts)", 1097.1, 268.9, 0.35, 0.35},
 	}
 	for _, tc := range cases {
-		res, err := Run(quickConfig(tc.n, CCConfig{}))
+		res, err := Run(quickConfig(tc.n, CCConfig{}), dumbbell(t, tc.n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", tc.n, err)
 		}
@@ -86,7 +97,7 @@ func TestInvariantsAcrossLaws(t *testing.T) {
 	}
 	for _, law := range laws {
 		for _, n := range []int{40, 300, 1400} {
-			res, err := Run(quickConfig(n, law.cc))
+			res, err := Run(quickConfig(n, law.cc), dumbbell(t, n))
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", law.name, n, err)
 			}
@@ -118,7 +129,7 @@ func TestInvariantsAcrossLaws(t *testing.T) {
 // results (the engine's only entropy is the seeded jitter RNG).
 func TestDeterminism(t *testing.T) {
 	run := func() *Result {
-		res, err := Run(quickConfig(700, CCConfig{}))
+		res, err := Run(quickConfig(700, CCConfig{}), dumbbell(t, 700))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +151,11 @@ func TestSeedChangesJitter(t *testing.T) {
 	base := quickConfig(200, CCConfig{})
 	other := base
 	other.Seed = 7
-	a, err := Run(base)
+	a, err := Run(base, dumbbell(t, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(other)
+	b, err := Run(other, dumbbell(t, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,56 +193,16 @@ func TestEffectivePacketRate(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Flows: 0, SegmentsPerFlow: 1}); err == nil {
+	none := dumbbell(t, 1)
+	none.Counts[0] = 0
+	if _, err := Run(Config{SegmentsPerFlow: 1}, none); err == nil {
 		t.Error("zero flows accepted")
 	}
-	if _, err := Run(Config{Flows: 1, SegmentsPerFlow: 0}); err == nil {
+	if _, err := Run(Config{SegmentsPerFlow: 0}, dumbbell(t, 1)); err == nil {
 		t.Error("zero demand accepted")
 	}
-	if _, err := Run(Config{Flows: 1, SegmentsPerFlow: 1, JitterMax: sim.Second, Interval: sim.Millisecond}); err == nil {
+	if _, err := Run(Config{SegmentsPerFlow: 1, JitterMax: sim.Second, Interval: sim.Millisecond}, dumbbell(t, 1)); err == nil {
 		t.Error("jitter beyond interval accepted")
-	}
-}
-
-// TestTraceConservation checks the open-loop queue trace: offered volume
-// splits exactly into delivered + dropped + residual, watermarks stay in
-// [0, 1], and marking only appears once the threshold is crossed.
-func TestTraceConservation(t *testing.T) {
-	res, err := RunTrace(TraceConfig{
-		OfferedPackets: []int{100, 900, 2500, 0, 0, 0, 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered float64
-	offered := 3500.0 * float64(netsim.MTU)
-	for i := range res.Delivered {
-		delivered += res.Delivered[i]
-		if res.ECNBytes[i] > res.Delivered[i]+1e-6 {
-			t.Errorf("interval %d: marked %.0f beyond delivered %.0f", i, res.ECNBytes[i], res.Delivered[i])
-		}
-		if res.Watermark[i] < 0 || res.Watermark[i] > 1+1e-9 {
-			t.Errorf("interval %d: watermark %.3f outside [0,1]", i, res.Watermark[i])
-		}
-	}
-	if res.ECNBytes[0] != 0 {
-		t.Errorf("interval 0 marked %.0f bytes below threshold", res.ECNBytes[0])
-	}
-	if res.DroppedBytes <= 0 {
-		t.Error("2500-packet interval should overflow the 1333-packet queue")
-	}
-	if math.Abs(delivered+res.DroppedBytes-offered) > 1 {
-		t.Errorf("conservation: delivered %.0f + dropped %.0f != offered %.0f",
-			delivered, res.DroppedBytes, offered)
-	}
-	if res.PeakWatermark != 1 {
-		t.Errorf("peak watermark %.3f, want 1 (queue overflowed)", res.PeakWatermark)
-	}
-	if _, err := RunTrace(TraceConfig{}); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := RunTrace(TraceConfig{OfferedPackets: []int{-1}}); err == nil {
-		t.Error("negative offered accepted")
 	}
 }
 
@@ -239,7 +210,7 @@ func TestTraceConservation(t *testing.T) {
 // flows on RTOs but every burst still completes, and the measured BCTs
 // reflect at least one RTO worth of stall.
 func TestStalledFlowsRecover(t *testing.T) {
-	res, err := Run(quickConfig(1400, CCConfig{}))
+	res, err := Run(quickConfig(1400, CCConfig{}), dumbbell(t, 1400))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 	"incastlab/internal/workload"
 )
 
-// TestNetworkZeroFlows: an empty workload is a configuration error, not a
-// silent no-op — the network solver must refuse it like Run does.
+// TestNetworkZeroFlows: a path set without flows is a configuration
+// error, not a silent no-op — Run must refuse it.
 func TestNetworkZeroFlows(t *testing.T) {
 	net := &netsim.FluidPaths{
 		Queues: []netsim.FluidQueue{{
@@ -21,10 +21,7 @@ func TestNetworkZeroFlows(t *testing.T) {
 		BaseRTT: nil,
 		Stage:   []int{0},
 	}
-	_, err := RunNetwork(NetworkConfig{
-		Config: Config{Flows: 0, SegmentsPerFlow: 10},
-		Net:    net,
-	})
+	_, err := Run(Config{SegmentsPerFlow: 10}, net)
 	if err == nil {
 		t.Fatal("zero-flow network run accepted")
 	}
@@ -52,18 +49,14 @@ func TestNetworkDegreeOneIncast(t *testing.T) {
 		t.Fatalf("degree-1 cross-rack path = %v, want one three-hop path", net.Paths)
 	}
 	segs := workload.BytesPerFlowFor(cc.HostLinkBps, 15*sim.Millisecond, 1) / netsim.MSS
-	res, err := RunNetwork(NetworkConfig{
-		Config: Config{
-			Flows:           1,
-			SegmentsPerFlow: segs,
-			Bursts:          3,
-			LineRateBps:     cc.HostLinkBps,
-			Check:           true,
-		},
-		Net: net,
-	})
+	res, err := Run(Config{
+		SegmentsPerFlow: segs,
+		Bursts:          3,
+		LineRateBps:     cc.HostLinkBps,
+		Check:           true,
+	}, net)
 	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Timeouts != 0 || res.Drops != 0 {
 		t.Errorf("degree-1 incast lost traffic: timeouts %d, drops %d", res.Timeouts, res.Drops)
@@ -96,24 +89,20 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 		Stage:      []int{0, 1},
 		Bottleneck: 1,
 	}
-	res, err := RunNetwork(NetworkConfig{
-		Config: Config{
-			Flows:           4,
-			SegmentsPerFlow: 200,
-			Bursts:          2,
-			Interval:        50 * sim.Millisecond,
-			MinRTO:          10 * step, // exactly 10 pinned steps
-			MaxRTO:          80 * step, // caps the doubling at 8 steps' worth x8
-			DupAckPackets:   1 << 20,   // every loss is timeout-class: pure Mode 3
-			MinStep:         step,
-			MaxStep:         step,
-			LineRateBps:     10 * netsim.Gbps,
-			Check:           true,
-		},
-		Net: net,
-	})
+	res, err := Run(Config{
+		SegmentsPerFlow: 200,
+		Bursts:          2,
+		Interval:        50 * sim.Millisecond,
+		MinRTO:          10 * step, // exactly 10 pinned steps
+		MaxRTO:          80 * step, // caps the doubling at 8 steps' worth x8
+		DupAckPackets:   1 << 20,   // every loss is timeout-class: pure Mode 3
+		MinStep:         step,
+		MaxStep:         step,
+		LineRateBps:     10 * netsim.Gbps,
+		Check:           true,
+	}, net)
 	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Timeouts == 0 {
 		t.Fatal("12-packet bottleneck under a 4-flow incast produced no timeouts")

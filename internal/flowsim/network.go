@@ -13,18 +13,19 @@ import (
 
 // This file is the fluid solver. Every flow traverses an ordered list of
 // port queues (netsim.FluidPaths — the backend-neutral path model the
-// packet Clos builder shares), each queue integrates its own backlog, ECN
-// marking, and tail drops per step, and flows are coupled through min-rate
-// allocation along their paths — a flow's throughput is implicitly the
-// minimum of its per-hop pro-rata service rates, because any hop serving
-// slower than the hops upstream accumulates the flow's backlog and
-// throttles what reaches the hops downstream.
+// packet topology builders share), each queue integrates its own
+// backlog, ECN marking, and tail drops per step, and flows are coupled
+// through min-rate allocation along their paths — a flow's throughput is
+// implicitly the minimum of its per-hop pro-rata service rates, because
+// any hop serving slower than the hops upstream accumulates the flow's
+// backlog and throttles what reaches the hops downstream.
 //
-// The paper's dumbbell is the one-queue instance (SingleQueue) and runs
-// through the same integrator. At a terminal hop — the only hop a
-// dumbbell has — each step serves the start-of-step backlog before it
-// admits new arrivals, marks with a rackmodel-style fraction, tail-drops
-// the newest releases first, and parks loss victims on RTO stalls.
+// The paper's dumbbell is the one-queue instance
+// (netsim.DumbbellConfig.FluidPaths) and runs through the same
+// integrator. At a terminal hop — the only hop a dumbbell has — each
+// step serves the start-of-step backlog before it admits new arrivals,
+// marks with a rackmodel-style fraction, tail-drops the newest releases
+// first, and parks loss victims on RTO stalls.
 //
 // Transit hops (leaf uplinks, spine downlinks — every queue that is never
 // a path's terminal) additionally cut through: arrivals that fit in the
@@ -34,32 +35,24 @@ import (
 // queueing. The terminal hop never cuts through, keeping its
 // serve-then-admit contract intact.
 
-// NetworkConfig describes one fluid run over a queue network. The
-// embedded Config supplies the workload (flows, demand, bursts, jitter,
-// seed), transport (RTO bounds, dup-ACK threshold, CC law), and
-// integration knobs; its single-bottleneck fields (LineRateBps as the
-// host NIC injection cap aside) are superseded by the per-queue rates and
-// bounds in Net. Config.BaseRTT seeds the CC defaults (Swift's target
-// delay); each flow's base RTT is its path class's Net.BaseRTT.
-type NetworkConfig struct {
-	Config
-
-	// Net is the queue network and each flow's path class, typically
-	// built by netsim.ClosConfig.FluidPaths so the ECMP spine choice
-	// matches the packet backend flow for flow.
-	Net *netsim.FluidPaths
-}
-
-// RunNetwork executes the fluid simulation over the queue network.
-func RunNetwork(cfg NetworkConfig) (*Result, error) {
-	if err := cfg.prepare(); err != nil {
+// Run executes the fluid simulation of cfg's workload over the path set
+// net, built by netsim.DumbbellConfig.FluidPaths or ClosConfig.FluidPaths
+// from the config the packet backend builds from, so a Clos run's ECMP
+// spine choice matches the packet backend's flow for flow. The path
+// set's flow count is the incast degree, its bottleneck the queue the
+// run's headline statistics sample, and each flow's base RTT its
+// class's. It returns an error when the configuration or the path set is
+// invalid, the run fails to complete within the horizon, or (with
+// cfg.Check) an invariant is violated.
+func Run(cfg Config, net *netsim.FluidPaths) (*Result, error) {
+	if err := cfg.fill(net); err != nil {
 		return nil, err
 	}
-	plan, err := buildPlan(&cfg.Config, cfg.Net)
+	plan, err := buildPlan(&cfg, net)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newNetEngine(cfg, plan)
+	e, err := newNetEngine(cfg, net, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -68,59 +61,6 @@ func RunNetwork(cfg NetworkConfig) (*Result, error) {
 		return nil, err
 	}
 	return e.finish()
-}
-
-// prepare validates the network, checks it against the workload, and
-// folds the bottleneck queue's parameters into the embedded Config so
-// sampling, classification, and the Result echo describe the queue under
-// study.
-func (cfg *NetworkConfig) prepare() error {
-	if cfg.Net == nil {
-		return fmt.Errorf("flowsim: network run needs a queue network (NetworkConfig.Net)")
-	}
-	if err := cfg.Net.Validate(); err != nil {
-		return err
-	}
-	if n := cfg.Net.Flows(); cfg.Flows != n {
-		return fmt.Errorf("flowsim: %d flows but the network assigns %d flows to path classes", cfg.Flows, n)
-	}
-	b := cfg.Net.Queues[cfg.Net.Bottleneck]
-	cfg.QueueCapacityPackets = b.CapacityPackets
-	cfg.ECNThresholdPackets = b.ECNThresholdPackets
-	if cfg.BaseRTT <= 0 {
-		// Default the CC base RTT to the slowest path class's, the
-		// conservative choice for Swift's target delay.
-		for _, rtt := range cfg.Net.BaseRTT {
-			if rtt > cfg.BaseRTT {
-				cfg.BaseRTT = rtt
-			}
-		}
-	}
-	return cfg.fill()
-}
-
-// SingleQueue wraps a single-bottleneck Config as its one-queue network:
-// one queue at LineRateBps with the Config's capacity and ECN threshold,
-// which every flow crosses alone at the Config's base RTT. That is one
-// path class of Flows flows, so the build costs the same few allocations
-// at any incast degree.
-func SingleQueue(cfg Config) (NetworkConfig, error) {
-	if err := cfg.fill(); err != nil {
-		return NetworkConfig{}, err
-	}
-	net := &netsim.FluidPaths{
-		Queues: []netsim.FluidQueue{{
-			Name:                "bottleneck",
-			RateBps:             cfg.LineRateBps,
-			CapacityPackets:     cfg.QueueCapacityPackets,
-			ECNThresholdPackets: cfg.ECNThresholdPackets,
-		}},
-		Paths:   [][]int32{{0}},
-		BaseRTT: []sim.Time{cfg.BaseRTT},
-		Counts:  []int32{int32(cfg.Flows)},
-		Stage:   []int{0},
-	}
-	return NetworkConfig{Config: cfg, Net: net}, nil
 }
 
 // netFlow is the per-record state the integrator's per-step passes
@@ -275,17 +215,15 @@ type netEngine struct {
 	scratch *netScratch
 }
 
-func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
-	n := cfg.Flows
+func newNetEngine(cfg Config, net *netsim.FluidPaths, plan cohortPlan) (*netEngine, error) {
 	m := plan.cohorts()
-	releases, err := buildReleases(cfg.Config, m)
+	releases, err := buildReleases(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	net := cfg.Net
 	nq := len(net.Queues)
 	e := &netEngine{
-		cfg:      cfg.Config,
+		cfg:      cfg,
 		net:      net,
 		law:      newLaw(cfg.CC),
 		mOff:     plan.off,
@@ -293,7 +231,7 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 		nicRate:  EffectivePacketRate(cfg.LineRateBps),
 		bneck:    net.Bottleneck,
 		segs:     float64(cfg.SegmentsPerFlow),
-		crumbEps: float64(n)*volEps*4 + 1e-9,
+		crumbEps: float64(cfg.flows)*volEps*4 + 1e-9,
 		releases: releases,
 		bcts:     make([]sim.Time, 0, cfg.Bursts),
 	}
@@ -346,7 +284,7 @@ func newNetEngine(cfg NetworkConfig, plan cohortPlan) (*netEngine, error) {
 	if cfg.Bursts == 1 {
 		first = 0
 	}
-	e.smp = newSampler(cfg.Config, first)
+	e.smp = newSampler(cfg, first, e.qs[e.bneck].kPkts)
 	return e, nil
 }
 
@@ -439,7 +377,7 @@ func (e *netEngine) run() error {
 	cfg := e.cfg
 	deadline := sim.Time(cfg.Bursts)*cfg.Interval + cfg.Horizon
 	measuredStart := e.smp.measuredStart()
-	totalDemand := float64(cfg.Flows) * e.segs * float64(cfg.Bursts)
+	totalDemand := float64(cfg.flows) * e.segs * float64(cfg.Bursts)
 	bneck := &e.qs[e.bneck]
 
 	for e.now < deadline {
@@ -529,7 +467,25 @@ func (e *netEngine) run() error {
 		}
 	}
 	return fmt.Errorf("flowsim: %d-flow network run did not complete by %v (delivered %.0f of %.0f packets)",
-		cfg.Flows, deadline, e.cumDelivered, totalDemand)
+		cfg.flows, deadline, e.cumDelivered, totalDemand)
+}
+
+// markFraction returns the fraction of a step during which a linearly
+// evolving queue (from q0 along the uncapped slope to q1) exceeds thresh,
+// mirroring internal/rackmodel's crossing arithmetic.
+func markFraction(q0, q1, thresh float64) float64 {
+	lo, hi := q0, q1
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	switch {
+	case hi <= thresh:
+		return 0
+	case lo >= thresh:
+		return 1
+	default:
+		return (hi - thresh) / (hi - lo)
+	}
 }
 
 // step advances the fluid state by dt: per-queue service from the
@@ -1139,7 +1095,7 @@ func (e *netEngine) wakeDue() {
 // rounding completes when the network goes idle instead (see run).
 func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
 	for e.burstsDone < e.cfg.Bursts && e.burstReleased() {
-		target := float64(e.burstsDone+1) * float64(e.cfg.Flows) * e.segs
+		target := float64(e.burstsDone+1) * float64(e.cfg.flows) * e.segs
 		if e.cumDelivered < target-e.crumbEps {
 			break
 		}
@@ -1161,14 +1117,14 @@ func (e *netEngine) recordCompletions(served float64, dt, stepEnd sim.Time) {
 // burstReleased reports whether every flow of the next burst to complete
 // has been released.
 func (e *netEngine) burstReleased() bool {
-	return e.releasedFlows >= float64((e.burstsDone+1)*e.cfg.Flows)
+	return e.releasedFlows >= float64((e.burstsDone+1)*e.cfg.flows)
 }
 
 // completeBurst records the next burst as completed at t; half a base RTT
 // approximates the final ACK's return path.
 func (e *netEngine) completeBurst(t sim.Time) {
 	start := sim.Time(e.burstsDone) * e.cfg.Interval
-	e.bcts = append(e.bcts, t+e.cfg.BaseRTT/2-start)
+	e.bcts = append(e.bcts, t+e.cfg.baseRTT/2-start)
 	e.burstsDone++
 }
 
@@ -1212,7 +1168,7 @@ func (e *netEngine) checkConservation() error {
 		}
 	}
 	released := e.releasedFlows * e.segs
-	tol := 1e-6*released + float64(e.cfg.Flows)*(volEps*10+finishCrumb) + 1e-3
+	tol := 1e-6*released + float64(e.cfg.flows)*(volEps*10+finishCrumb) + 1e-3
 	if diff := math.Abs(released - (e.cumDelivered + unsent + backlog)); diff > tol {
 		return fmt.Errorf("flowsim: network volume conservation violated at %v: released %.3f != delivered %.3f + unsent %.3f + queued %.3f (diff %.6f)",
 			e.now, released, e.cumDelivered, unsent, backlog, diff)
@@ -1288,11 +1244,12 @@ func (e *netEngine) finish() (*Result, error) {
 	if err := e.checkConservation(); err != nil {
 		return nil, err
 	}
+	b := e.net.Queues[e.bneck]
 	r := &Result{
-		Flows:         cfg.Flows,
+		Flows:         cfg.flows,
 		AlgName:       cfg.CC.Name,
-		QueueCapacity: cfg.QueueCapacityPackets,
-		ECNThreshold:  cfg.ECNThresholdPackets,
+		QueueCapacity: b.CapacityPackets,
+		ECNThreshold:  b.ECNThresholdPackets,
 		Steps:         e.steps,
 		SimNow:        e.now,
 	}

@@ -14,10 +14,10 @@ import (
 	"incastlab/internal/workload"
 )
 
-// closQuickConfig builds a NetworkConfig for an n-flow cross-rack incast
-// on the default two-spine fabric, the fluid mirror of
-// workload.ClosIncast's cross-rack placement.
-func closQuickConfig(t *testing.T, n int, placementCross bool) NetworkConfig {
+// closQuickConfig builds the quick workload and the path set of an n-flow
+// incast on the default two-spine fabric, cross-rack or same-rack: the
+// fluid mirror of workload.ClosIncast's placements.
+func closQuickConfig(t *testing.T, n int, placementCross bool) (Config, *netsim.FluidPaths) {
 	t.Helper()
 	cc := netsim.DefaultClosConfig(8, 501)
 	srcs := make([]netsim.NodeID, n)
@@ -34,9 +34,7 @@ func closQuickConfig(t *testing.T, n int, placementCross bool) NetworkConfig {
 	if err != nil {
 		t.Fatalf("FluidPaths: %v", err)
 	}
-	cfg := quickConfig(n, CCConfig{})
-	cfg.BaseRTT = cc.BaseRTT(placementCross)
-	return NetworkConfig{Config: cfg, Net: net}
+	return quickConfig(n, CCConfig{}), net
 }
 
 // TestNetworkClosCrossRack smoke-tests the multi-queue integrator on the
@@ -52,7 +50,7 @@ func TestNetworkClosCrossRack(t *testing.T) {
 		{80, "1 (healthy)"},
 		{500, "2 (degenerate)"},
 	} {
-		res, err := RunNetwork(closQuickConfig(t, tc.n, true))
+		res, err := Run(closQuickConfig(t, tc.n, true))
 		if err != nil {
 			t.Fatalf("n=%d: %v", tc.n, err)
 		}
@@ -74,22 +72,22 @@ func TestNetworkClosCrossRack(t *testing.T) {
 // measured ones as their tail. The cohort dumbbell's written-off crumbs
 // add up to whole packets, which the queue totals must count as sent.
 func TestLifetimeTotalsConserve(t *testing.T) {
-	dumbbell, err := SingleQueue(Config{
-		Flows:           100_000,
-		SegmentsPerFlow: workload.BytesPerFlowFor(10*netsim.Gbps, 750*sim.Millisecond, 100_000) / netsim.MSS,
-		Bursts:          3,
-		Interval:        2 * sim.Second,
-		JitterMax:       100 * sim.Millisecond,
-		Aggregation:     AggregationCohort,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type run struct {
+		cfg Config
+		net *netsim.FluidPaths
 	}
-	for name, ncfg := range map[string]NetworkConfig{
-		"clos cross-rack per flow": closQuickConfig(t, 1400, true),
-		"dumbbell cohorts":         dumbbell,
+	closCfg, closNet := closQuickConfig(t, 1400, true)
+	for name, r := range map[string]run{
+		"clos cross-rack per flow": {closCfg, closNet},
+		"dumbbell cohorts": {Config{
+			SegmentsPerFlow: workload.BytesPerFlowFor(10*netsim.Gbps, 750*sim.Millisecond, 100_000) / netsim.MSS,
+			Bursts:          3,
+			Interval:        2 * sim.Second,
+			JitterMax:       100 * sim.Millisecond,
+			Aggregation:     AggregationCohort,
+		}, dumbbell(t, 100_000)},
 	} {
-		res, err := RunNetwork(ncfg)
+		res, err := Run(r.cfg, r.net)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -108,75 +106,58 @@ func TestLifetimeTotalsConserve(t *testing.T) {
 		if d := dropped - lt.RetransmitPackets; d < -int64(len(lt.Queues)) || d > int64(len(lt.Queues)) {
 			t.Errorf("%s: queues dropped %d packets, but %d were retransmitted", name, dropped, lt.RetransmitPackets)
 		}
-		if b := lt.Queues[ncfg.Net.Bottleneck]; !near(b.Departed, lt.DeliveredPackets) {
+		if b := lt.Queues[r.net.Bottleneck]; !near(b.Departed, lt.DeliveredPackets) {
 			t.Errorf("%s: bottleneck %s sent %d packets, but %d were delivered", name, b.Name, b.Departed, lt.DeliveredPackets)
 		}
-		if len(lt.BCTs) != ncfg.Bursts || !slices.Equal(res.BCTs, lt.BCTs[1:]) {
+		if len(lt.BCTs) != r.cfg.Bursts || !slices.Equal(res.BCTs, lt.BCTs[1:]) {
 			t.Errorf("%s: lifetime BCTs %v, measured %v, want %d bursts with the measured ones last",
-				name, lt.BCTs, res.BCTs, ncfg.Bursts)
+				name, lt.BCTs, res.BCTs, r.cfg.Bursts)
 		}
 	}
 }
 
 // TestNetworkSameRackMatchesDumbbell pins the Clos same-rack placement to
 // the dumbbell: a same-rack incast's only queue is the aggregator's leaf
-// downlink, so the network ClosConfig.FluidPaths builds and the one
-// SingleQueue builds from the same Config are the same one-queue network
-// and must produce the same run.
+// downlink, so the path set ClosConfig.FluidPaths builds is the dumbbell's
+// one-queue path set under another name, and with the base RTT matched
+// (the dumbbell's adds its core hop) the one Run must produce the same
+// run over both.
 func TestNetworkSameRackMatchesDumbbell(t *testing.T) {
-	ncfg := closQuickConfig(t, 80, false)
-	if err := ncfg.prepare(); err != nil {
-		t.Fatalf("prepare: %v", err)
+	cfg, clos := closQuickConfig(t, 80, false)
+	if len(clos.Queues) != 1 {
+		t.Fatalf("same-rack Clos incast built %d queues, want 1", len(clos.Queues))
 	}
-	if len(ncfg.Net.Queues) != 1 {
-		t.Fatalf("same-rack Clos incast built %d queues, want 1", len(ncfg.Net.Queues))
+	db := dumbbell(t, 80)
+	q, dq := clos.Queues[0], db.Queues[0]
+	if q.RateBps != dq.RateBps || q.CapacityPackets != dq.CapacityPackets || q.ECNThresholdPackets != dq.ECNThresholdPackets ||
+		!slices.EqualFunc(clos.Paths, db.Paths, slices.Equal) || !slices.Equal(clos.Counts, db.Counts) ||
+		clos.Bottleneck != db.Bottleneck {
+		t.Fatalf("same-rack Clos path set %+v differs from the dumbbell's %+v", clos, db)
 	}
-	got, err := RunNetwork(ncfg)
+	db.BaseRTT[0] = clos.BaseRTT[0]
+	got, err := Run(cfg, clos)
 	if err != nil {
-		t.Fatalf("RunNetwork: %v", err)
+		t.Fatalf("Run over the Clos path set: %v", err)
 	}
-	want, err := Run(ncfg.Config)
+	want, err := Run(cfg, db)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Run over the dumbbell path set: %v", err)
 	}
 	if got.Steps != want.Steps || got.MeanBCT != want.MeanBCT || got.Timeouts != want.Timeouts {
-		t.Errorf("same-rack RunNetwork diverged from Run: steps %d vs %d, meanBCT %v vs %v",
+		t.Errorf("same-rack Clos run diverged from the dumbbell's: steps %d vs %d, meanBCT %v vs %v",
 			got.Steps, want.Steps, got.MeanBCT, want.MeanBCT)
 	}
 }
 
-// TestSingleQueueAllocs pins that wrapping a dumbbell as its one-queue
-// network costs a constant number of allocations: every flow shares one
-// path slice instead of allocating its own.
-func TestSingleQueueAllocs(t *testing.T) {
-	cfg := quickConfig(1400, CCConfig{})
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := SingleQueue(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 8 {
-		t.Errorf("SingleQueue at %d flows allocates %.0f objects, want a small constant (<= 8)", cfg.Flows, allocs)
-	}
-}
-
-// TestNetworkValidation covers RunNetwork's input contract: a nil
-// network, mismatched flow counts, structurally invalid path sets, and a
-// flow whose path class does not exist all fail with named errors instead
-// of running. The class counts cannot see a stray class function, so the
-// per-flow plan and the cohort run's member expansion must.
+// TestNetworkValidation covers Run's path-set contract: a nil path set,
+// a structurally invalid one, and a flow whose path class does not exist
+// all fail with named errors instead of running. The class counts cannot
+// see a stray class function, so the per-flow plan and the cohort run's
+// member expansion must.
 func TestNetworkValidation(t *testing.T) {
 	cfg := quickConfig(4, CCConfig{})
-	if _, err := RunNetwork(NetworkConfig{Config: cfg}); err == nil {
+	if _, err := Run(cfg, nil); err == nil {
 		t.Error("nil network accepted")
-	}
-	ncfg, err := SingleQueue(cfg)
-	if err != nil {
-		t.Fatalf("SingleQueue: %v", err)
-	}
-	ncfg.Flows = 5
-	if _, err := RunNetwork(ncfg); err == nil {
-		t.Error("flow/path count mismatch accepted")
 	}
 	bad := &netsim.FluidPaths{
 		Queues:  []netsim.FluidQueue{{Name: "x", RateBps: 0, CapacityPackets: 1, ECNThresholdPackets: 1}},
@@ -185,18 +166,16 @@ func TestNetworkValidation(t *testing.T) {
 		Counts:  []int32{1},
 		Stage:   []int{0},
 	}
-	if _, err := RunNetwork(NetworkConfig{Config: quickConfig(1, CCConfig{}), Net: bad}); err == nil {
+	if _, err := Run(quickConfig(1, CCConfig{}), bad); err == nil {
 		t.Error("zero-rate queue accepted")
 	}
 	for _, agg := range []string{AggregationPerFlow, AggregationCohort} {
-		ncfg, err = SingleQueue(cfg)
-		if err != nil {
-			t.Fatalf("SingleQueue: %v", err)
-		}
-		ncfg.Aggregation = agg
-		ncfg.Net.SetClasses([]int32{0, 0, 0, 1})
-		ncfg.Net.Counts = []int32{4} // the counts agree; only the class function strays
-		res, err := RunNetwork(ncfg)
+		net := dumbbell(t, 4)
+		net.SetClasses([]int32{0, 0, 0, 1})
+		net.Counts = []int32{4} // the counts agree; only the class function strays
+		c := cfg
+		c.Aggregation = agg
+		res, err := Run(c, net)
 		if agg == AggregationCohort && err == nil {
 			// A cohort run never resolves classes; expanding its members does.
 			_, err = res.Final.FlowRecords()
@@ -241,12 +220,12 @@ func victimClasses(terminal []int32) []int32 {
 // per-release live counts from it.
 func victimEngine(t *testing.T, terminal []int32, plan cohortPlan, order []int32) *netEngine {
 	t.Helper()
-	cfg := NetworkConfig{Config: quickConfig(len(terminal), CCConfig{}), Net: victimNet(terminal)}
+	cfg, net := quickConfig(len(terminal), CCConfig{}), victimNet(terminal)
 	cfg.Bursts = 1
-	if err := cfg.prepare(); err != nil {
-		t.Fatalf("prepare: %v", err)
+	if err := cfg.fill(net); err != nil {
+		t.Fatalf("fill: %v", err)
 	}
-	e, err := newNetEngine(cfg, plan)
+	e, err := newNetEngine(cfg, net, plan)
 	if err != nil {
 		t.Fatalf("newNetEngine: %v", err)
 	}
@@ -526,7 +505,7 @@ func oracleEngine(t *testing.T, seed int64, everyVictimParks bool) *netEngine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 6 + rng.Intn(30)
-	cfg := NetworkConfig{Config: quickConfig(n, CCConfig{}), Net: randomNet(rng, n)}
+	cfg, net := quickConfig(n, CCConfig{}), randomNet(rng, n)
 	cfg.Bursts = 3
 	cfg.Interval = 400 * sim.Microsecond
 	cfg.Seed = uint64(seed)
@@ -537,14 +516,14 @@ func oracleEngine(t *testing.T, seed int64, everyVictimParks bool) *netEngine {
 	} else {
 		cfg.MinRTO, cfg.MaxRTO = 30*sim.Microsecond, 500*sim.Microsecond
 	}
-	if err := cfg.prepare(); err != nil {
-		t.Fatalf("seed %d: prepare: %v", seed, err)
+	if err := cfg.fill(net); err != nil {
+		t.Fatalf("seed %d: fill: %v", seed, err)
 	}
-	plan, err := buildPlan(&cfg.Config, cfg.Net)
+	plan, err := buildPlan(&cfg, net)
 	if err != nil {
 		t.Fatalf("seed %d: buildPlan: %v", seed, err)
 	}
-	e, err := newNetEngine(cfg, plan)
+	e, err := newNetEngine(cfg, net, plan)
 	if err != nil {
 		t.Fatalf("seed %d: newNetEngine: %v", seed, err)
 	}

@@ -30,7 +30,9 @@ type sampler struct {
 // below half a packet must not register as busy below-K observations.
 const busyFloor = 0.5
 
-func newSampler(cfg Config, first int) sampler {
+// newSampler samples cfg's measured bursts (from burst first on) and
+// counts busy samples below k, the bottleneck's ECN threshold.
+func newSampler(cfg Config, first int, k float64) sampler {
 	perBurst := int(cfg.SampleWindow / cfg.SampleInterval)
 	if perBurst < 1 {
 		perBurst = 1
@@ -41,7 +43,7 @@ func newSampler(cfg Config, first int) sampler {
 		perBurst: perBurst,
 		first:    first,
 		measured: cfg.Bursts - first,
-		k:        float64(cfg.ECNThresholdPackets),
+		k:        k,
 		avg:      make([]float64, perBurst),
 	}
 }

@@ -2,18 +2,20 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"incastlab/internal/sim"
 )
 
 // This file is the backend-neutral path/queue model shared between the
-// packet-level fabric builder (NewClos) and the flow-level fluid solver
-// (internal/flowsim.RunNetwork). A FluidPaths value describes the data
-// path of every flow in an incast as an ordered traversal of port queues
-// — each with its own drain rate, ECN threshold, and buffer bound — built
-// from the SAME ClosConfig and the SAME seeded ECMP hash the packet
-// backend routes with, so both fidelities place every flow on the same
-// spine and meet the same bottlenecks.
+// packet-level topology builders (NewDumbbell, NewClos) and the flow-level
+// fluid solver (internal/flowsim.Run). A FluidPaths value describes the
+// data path of every flow in an incast as an ordered traversal of port
+// queues — each with its own drain rate, ECN threshold, and buffer bound
+// — built from the SAME DumbbellConfig or ClosConfig the packet backend
+// builds from, and on a Clos with the SAME seeded ECMP hash it routes
+// with, so both fidelities place every flow on the same spine and meet
+// the same bottlenecks.
 
 // FluidQueue is one switch port as a fluid backend sees it: a FIFO that
 // drains at the link's effective packet rate, marks CE above the ECN
@@ -100,7 +102,7 @@ func (p *FluidPaths) SetClasses(classes []int32) {
 	p.classes = func(lo int, out []int32) { copy(out, classes[lo:]) }
 }
 
-// Validate checks the structural invariants RunNetwork relies on: every
+// Validate checks the structural invariants flowsim.Run relies on: every
 // class path once, and one flow count per class. Flows' classes are
 // checked where a run resolves them (flowsim's per-flow plan and its
 // member expansion), since a per-flow walk here would cost what the
@@ -172,6 +174,38 @@ func (p *FluidPaths) Stages() int {
 		}
 	}
 	return max + 1
+}
+
+// FluidPaths builds the dumbbell's path set: its bottleneck, the
+// receiver-ToR downlink port, at HostLinkBps with the config's queue
+// capacity and ECN threshold, which each of the Senders flows crosses
+// alone at BaseRTT. That is one queue and one path class, so the build
+// costs the same few allocations at any incast degree. The host NIC
+// queues are omitted, as on a Clos (the fluid injection rate is capped at
+// the host line rate instead), and so is the core link.
+func (c DumbbellConfig) FluidPaths() (*FluidPaths, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if c.Senders <= 0 || c.Senders > math.MaxInt32 {
+		return nil, fmt.Errorf("netsim: fluid dumbbell needs 1 to %d senders (got %d)", math.MaxInt32, c.Senders)
+	}
+	p := &FluidPaths{
+		Queues: []FluidQueue{{
+			Name:                "bottleneck",
+			RateBps:             c.HostLinkBps,
+			CapacityPackets:     c.QueueCapacityPackets,
+			ECNThresholdPackets: c.ECNThresholdPackets,
+		}},
+		Paths:   [][]int32{{0}},
+		BaseRTT: []sim.Time{c.BaseRTT()},
+		Counts:  []int32{int32(c.Senders)},
+		Stage:   []int{0},
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // EndpointFill writes the endpoints of flows lo, lo+1, ... into srcs and

@@ -209,3 +209,44 @@ func TestFluidPathsMillionFlowClasses(t *testing.T) {
 	}
 	samePathSet(t, "million", p, q)
 }
+
+// TestDumbbellFluidPaths pins the dumbbell's path set: one queue, its
+// bottleneck, at the host line rate with the config's capacity and ECN
+// threshold, crossed by one class of Senders flows at the dumbbell's base
+// RTT. Every flow shares the one class, so the build costs the same small
+// number of allocations at any incast degree.
+func TestDumbbellFluidPaths(t *testing.T) {
+	c := netsim.DefaultDumbbellConfig(80)
+	c.QueueCapacityPackets, c.ECNThresholdPackets = 400, 20
+	p, err := c.FluidPaths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := netsim.FluidQueue{Name: "bottleneck", RateBps: c.HostLinkBps, CapacityPackets: 400, ECNThresholdPackets: 20}
+	if len(p.Queues) != 1 || p.Queues[0] != want || p.Bottleneck != 0 {
+		t.Errorf("queues %+v, bottleneck %d; want the one queue %+v", p.Queues, p.Bottleneck, want)
+	}
+	if len(p.Paths) != 1 || !slices.Equal(p.Paths[0], []int32{0}) || !slices.Equal(p.Counts, []int32{80}) ||
+		!slices.Equal(p.BaseRTT, []sim.Time{c.BaseRTT()}) || p.Flows() != 80 || p.ClassOf(79) != 0 {
+		t.Errorf("paths %v, counts %v, base RTTs %v; want one class of 80 flows at %v", p.Paths, p.Counts, p.BaseRTT, c.BaseRTT())
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+	allocs := func(n int) float64 {
+		c := netsim.DefaultDumbbellConfig(n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := c.FluidPaths(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := allocs(80), allocs(1400); small != big || big > 8 {
+		t.Errorf("path set allocates %.0f objects at 80 senders and %.0f at 1,400; want the same small constant (<= 8)", small, big)
+	}
+	for _, bad := range []int{0, -1} {
+		if _, err := netsim.DefaultDumbbellConfig(bad).FluidPaths(); err == nil {
+			t.Errorf("%d senders accepted", bad)
+		}
+	}
+}
