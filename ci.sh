@@ -12,7 +12,10 @@
 #   4b. fuzz             short -fuzz runs of FuzzClassPlan (the fluid
 #                        solver's cohort plan, built from class counts, and
 #                        its on-demand member list against the reference
-#                        plan over generated class sequences) and of
+#                        plan over generated class sequences), of
+#                        FuzzFluidRun (generated small path sets and
+#                        configs through flowsim.Run with Check on: no
+#                        error, and no more records than flows) and of
 #                        FuzzCompileScenario (generated spec bytes through
 #                        scenario.Parse and core.CompileScenario under
 #                        quick, flow and perflow options: no panic, and
@@ -134,8 +137,9 @@ echo "==> go test -race ./internal/core -run TestParallel; go test -race ./inter
 go test -race ./internal/core -run TestParallel
 go test -race ./internal/sweep
 
-echo "==> fuzz: FuzzClassPlan and FuzzCompileScenario for 20s each"
+echo "==> fuzz: FuzzClassPlan, FuzzFluidRun and FuzzCompileScenario for 20s each"
 go test ./internal/flowsim -run '^$' -fuzz '^FuzzClassPlan$' -fuzztime 20s -parallel 2
+go test ./internal/flowsim -run '^$' -fuzz '^FuzzFluidRun$' -fuzztime 20s -parallel 2
 go test ./internal/core -run '^$' -fuzz '^FuzzCompileScenario$' -fuzztime 20s -parallel 2
 
 OBS_TMP="$(mktemp -d)"

@@ -353,6 +353,38 @@ func TestClosGridElevenBursts(t *testing.T) {
 	}
 }
 
+// strandSpec is a 2-rack Clos sweep of small Reno incasts into 4-packet
+// queues at fidelity flow with cohort records: cohorts parked on an RTO
+// keep draining through the fabric and take partial drops there, so their
+// split children park too, and each must wake on its own to send what the
+// drops returned.
+const strandSpec = `{"name":"strand","topology":{"host_link_gbps":1,"queue_packets":4,"ecn_threshold_pkts":1,` +
+	`"clos":{"racks":2,"hosts_per_rack":256,"spine_link_gbps":1}},"cc":{"algorithm":"reno"},` +
+	`"fidelity":"flow","aggregation":"cohort","sweep":{"axis":"flows","values":` +
+	`[10,20,30,40,50,60,70,80,90,100,110,120,130,140,150,160,170,180,190,200,210,220,230,240]}}`
+
+// TestClosSplitChildrenWake runs strandSpec at quick: every row completes.
+// On the 180-flow row a parked cohort's split child holds unsent volume
+// that only its own wake sends.
+func TestClosSplitChildrenWake(t *testing.T) {
+	spec, err := scenario.Parse([]byte(strandSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("sweep failed: %v", r)
+		}
+	}()
+	res, err := RunScenario(Options{Seed: 1, Quick: true, Workers: 1}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := len(res.Table().Rows); rows != 24 {
+		t.Errorf("%d rows, want 24", rows)
+	}
+}
+
 func TestUnknownFidelityPanics(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -84,8 +84,9 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 	)
 	wallStart := startWall(opt.Metrics)
 	eng := sim.NewEngine()
-	cfg := netsim.DefaultRackConfig(flows, 2)
-	rack := netsim.NewRack(eng, cfg)
+	cfg := netsim.DefaultDumbbellConfig(flows)
+	cfg.SharedBufferBytes, cfg.SharedBufferAlpha = 2*1000*1000, 1
+	rack := netsim.NewDumbbellReceivers(eng, cfg, 2, nil)
 
 	// One hub per host: both groups' flows share the sender hosts.
 	senderHubs := make([]*tcp.Hub, flows)
@@ -130,7 +131,7 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 
 	// Snapshot counters after the discarded first burst.
 	var baseTimeouts, baseDrops int64
-	q := rack.DownlinkQueue(0)
+	q := rack.BottleneckQueue()
 	eng.Schedule(interval, func() {
 		baseTimeouts = victim.AggregateSenderStats().Timeouts
 		baseDrops = q.Stats().DroppedPackets

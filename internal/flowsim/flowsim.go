@@ -95,13 +95,9 @@ type Config struct {
 	SampleInterval sim.Time
 	SampleWindow   sim.Time
 
-	// MinStep and MaxStep bound the adaptive fluid step, which tracks
-	// RTT/stepDiv (defaults 2 us and 2 ms).
-	MinStep, MaxStep sim.Time
-	// Horizon is the recovery headroom past the nominal end before the run
-	// is declared stuck (default 60 s: synchronized RTO retry waves at
-	// high N legitimately take seconds).
-	Horizon sim.Time
+	// minStep and maxStep override the bounds of the adaptive fluid step
+	// (tests only; 0 means defaultMinStep and defaultMaxStep).
+	minStep, maxStep sim.Time
 
 	// Check enables per-step invariant checking (queue bounds, per-flow
 	// volume conservation); violations surface as errors. The closing
@@ -182,17 +178,14 @@ func (c *Config) fill(net *netsim.FluidPaths) error {
 	if c.SampleWindow > c.Interval {
 		c.SampleWindow = c.Interval
 	}
-	if c.MinStep <= 0 {
-		c.MinStep = 2 * sim.Microsecond
+	if c.minStep <= 0 {
+		c.minStep = defaultMinStep
 	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = 2 * sim.Millisecond
+	if c.maxStep <= 0 {
+		c.maxStep = defaultMaxStep
 	}
-	if c.MaxStep < c.MinStep {
-		c.MaxStep = c.MinStep
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 60 * sim.Second
+	if c.maxStep < c.minStep {
+		c.maxStep = c.minStep
 	}
 	return nil
 }
@@ -412,6 +405,18 @@ const (
 	stepDivDeep = 1.0
 	stepDeepK   = 4.0
 )
+
+// defaultMinStep and defaultMaxStep bound the adaptive fluid step, which
+// tracks RTT/stepDiv.
+const (
+	defaultMinStep = 2 * sim.Microsecond
+	defaultMaxStep = 2 * sim.Millisecond
+)
+
+// horizon is the recovery headroom past the nominal end before a run is
+// declared stuck: synchronized RTO retry waves at high N legitimately
+// take seconds.
+const horizon = 60 * sim.Second
 
 // finishCrumb is the residual backlog (packets) below which a flow with no
 // remaining demand is considered done and its crumb written off as

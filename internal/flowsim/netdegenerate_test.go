@@ -71,7 +71,7 @@ func TestNetworkDegreeOneIncast(t *testing.T) {
 }
 
 // TestNetworkRTOBackoffAtStepBoundary drives the multi-queue engine into
-// Mode 3 with the integration step pinned (MinStep == MaxStep) and the
+// Mode 3 with the integration step pinned (minStep == maxStep) and the
 // RTO floor an exact multiple of it, so every stall deadline lands
 // exactly on a step end. The wake test is stallT <= now; an off-by-one
 // in either direction strands the stalled flows and the run times out at
@@ -96,8 +96,8 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 		MinRTO:          10 * step, // exactly 10 pinned steps
 		MaxRTO:          80 * step, // caps the doubling at 8 steps' worth x8
 		DupAckPackets:   1 << 20,   // every loss is timeout-class: pure Mode 3
-		MinStep:         step,
-		MaxStep:         step,
+		minStep:         step,
+		maxStep:         step,
 		LineRateBps:     10 * netsim.Gbps,
 		Check:           true,
 	}, net)

@@ -375,7 +375,7 @@ func (e *netEngine) queued() float64 {
 // expires.
 func (e *netEngine) run() error {
 	cfg := e.cfg
-	deadline := sim.Time(cfg.Bursts)*cfg.Interval + cfg.Horizon
+	deadline := sim.Time(cfg.Bursts)*cfg.Interval + horizon
 	measuredStart := e.smp.measuredStart()
 	totalDemand := float64(cfg.flows) * e.segs * float64(cfg.Bursts)
 	bneck := &e.qs[e.bneck]
@@ -448,18 +448,19 @@ func (e *netEngine) run() error {
 			div = stepDivDeep
 		}
 		dt := sim.Time(rttSec / div * 1e9)
-		if dt < cfg.MinStep {
-			dt = cfg.MinStep
+		if dt < cfg.minStep {
+			dt = cfg.minStep
 		}
-		if dt > cfg.MaxStep {
-			dt = cfg.MaxStep
+		if dt > cfg.maxStep {
+			dt = cfg.maxStep
 		}
-		// Snap to the boundary, but never below MinStep: boundaries are
-		// honored at MinStep resolution. Chasing each of a burst's jittered
-		// release instants exactly would mean one sub-microsecond step per
-		// flow; landing up to MinStep late batches releases instead, and the
-		// release loop processes everything due regardless.
-		if e.now+dt > next && next-e.now >= cfg.MinStep {
+		// Snap to the boundary, but never below the minimum step:
+		// boundaries are honored at that resolution. Chasing each of a
+		// burst's jittered release instants exactly would mean one
+		// sub-microsecond step per flow; landing up to a minimum step late
+		// batches releases instead, and the release loop processes
+		// everything due regardless.
+		if e.now+dt > next && next-e.now >= cfg.minStep {
 			dt = next - e.now
 		}
 		if err := e.step(dt); err != nil {
@@ -989,7 +990,10 @@ func (e *netEngine) netSplitDrop(i, oh int32, h int, j int32, d float64, stepEnd
 // (per-member semantics make the copy exact), the path slice header is
 // shared, and the record joins the parent's lineage chain (so future
 // releases reach it) and the active list (splits only happen to records
-// with live arrivals), counted live under the parent's release.
+// with live arrivals), counted live under the parent's release. A child
+// of a record parked on an RTO stays parked until the same deadline, with
+// a wake entry of its own: once its in-network volume drains it retires,
+// and only that wake sends what its members still hold unsent.
 func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	ci := int32(len(e.flows))
 	e.flows = append(e.flows, e.flows[parent])
@@ -1000,7 +1004,10 @@ func (e *netEngine) newNetCohort(parent, off, cnt int32) int32 {
 	po := e.hot[parent].off
 	c := &e.hot[ci]
 	c.off = int32(len(e.hops))
-	c.parked = false // the child has no wake entries
+	if c.parked {
+		e.parkSeq++
+		e.wakes.push(stallEntry{rec: ci, at: c.stallT, seq: e.parkSeq})
+	}
 	e.hot[parent].lineNext = ci
 	e.hops = append(e.hops, e.hops[po:po+int32(len(e.paths[parent]))]...)
 	e.flows[ci].active = true

@@ -341,50 +341,78 @@ func TestDropTailFindsSplitChildren(t *testing.T) {
 	}
 }
 
-// TestNetworkStrandedVolumeIsAnError builds an orphan the idle rule must
-// not hide: a cohort parked on an RTO takes a partial drop at a deeper hop
-// and splits, and its children inherit the stall deadline but no wake
-// entry. Once the rest drains, nothing will ever send the volume the drop
-// returned to the children; the run must fail naming the stranded records
-// instead of completing the burst.
+// TestNetworkStrandedVolumeIsAnError: a cohort parked on an RTO takes a
+// partial drop at a deeper hop and splits. Its children inherit the stall
+// deadline and park with wake entries of their own, so once the rest
+// drains they wake, send the volume the drop returned to them, and the
+// burst completes. A record left holding unsent volume with nothing to
+// wake it (built here by taking the children's wake entries away) must
+// fail the run, naming the stranded records, instead of completing the
+// burst.
 func TestNetworkStrandedVolumeIsAnError(t *testing.T) {
-	plan := cohortPlan{off: []int32{0}, cnt: []int32{4}, class: []int32{0}}
-	e := victimEngine(t, []int32{1, 1, 1, 1}, plan, []int32{0})
-	e.now = 10 * sim.Microsecond
-	e.releaseDue()
-	stepEnd := e.now + 2*sim.Microsecond
-	// The uplink drops the cohort's whole first-hop offer with nothing in
-	// flight: every member times out.
-	e.offer(0, 0, 1)
-	e.dropTailQueue(0, 4, stepEnd)
-	if !e.hot[0].parked {
-		t.Fatal("cohort not parked after losing its whole offer with nothing in flight")
+	split := func() *netEngine {
+		plan := cohortPlan{off: []int32{0}, cnt: []int32{4}, class: []int32{0}}
+		e := victimEngine(t, []int32{1, 1, 1, 1}, plan, []int32{0})
+		e.now = 10 * sim.Microsecond
+		e.releaseDue()
+		stepEnd := e.now + 2*sim.Microsecond
+		// The uplink drops the cohort's whole first-hop offer with nothing
+		// in flight: every member times out.
+		e.offer(0, 0, 1)
+		e.dropTailQueue(0, 4, stepEnd)
+		if !e.hot[0].parked {
+			t.Fatal("cohort not parked after losing its whole offer with nothing in flight")
+		}
+		// A packet per member admitted earlier reaches the terminal hop
+		// while the cohort is parked, and 1.5 of the 4 are dropped there:
+		// the cohort splits into the untouched parent and two children.
+		e.hot[0].unsent--
+		e.offer(0, 1, 1)
+		e.dropTailQueue(1, 1.5, stepEnd)
+		if len(e.mCnt) != 3 {
+			t.Fatalf("after the partial drop: %d records, want 3", len(e.mCnt))
+		}
+		// The step ends with the surviving arrivals back at their sources.
+		for i := range e.hot {
+			hs := e.hop(int32(i), 1)
+			e.hot[i].unsent += hs.arr
+			hs.arr, hs.arrMk = 0, 0
+		}
+		for j := range e.qs {
+			e.qs[j].arrTotal = 0
+		}
+		e.now = stepEnd
+		return e
 	}
-	// A packet per member admitted earlier reaches the terminal hop while
-	// the cohort is parked, and 1.5 of the 4 are dropped there: the cohort
-	// splits into the untouched parent and two children.
-	e.hot[0].unsent--
-	e.offer(0, 1, 1)
-	e.dropTailQueue(1, 1.5, stepEnd)
-	if len(e.mCnt) != 3 {
-		t.Fatalf("after the partial drop: %d records, want 3", len(e.mCnt))
-	}
+
+	e := split()
 	for c := int32(1); c < 3; c++ {
-		if e.hot[c].parked || e.hot[c].stallT != e.hot[0].stallT {
-			t.Fatalf("child %d: parked %t until %v, want unparked with the parent's deadline %v",
+		if !e.hot[c].parked || e.hot[c].stallT != e.hot[0].stallT {
+			t.Fatalf("child %d: parked %t until %v, want parked with the parent's deadline %v",
 				c, e.hot[c].parked, e.hot[c].stallT, e.hot[0].stallT)
 		}
 	}
-	// The step ends with the surviving arrivals back at their sources.
-	for i := range e.hot {
-		hs := e.hop(int32(i), 1)
-		e.hot[i].unsent += hs.arr
-		hs.arr, hs.arrMk = 0, 0
+	// Every parked record has a wake entry at its deadline.
+	if err := e.checkIndexes(); err != nil {
+		t.Fatal(err)
 	}
-	for j := range e.qs {
-		e.qs[j].arrTotal = 0
+	if err := e.run(); err != nil {
+		t.Fatalf("run with the children parked: %v", err)
 	}
-	e.now = stepEnd
+	if e.burstsDone != 1 {
+		t.Errorf("%d bursts completed, want 1", e.burstsDone)
+	}
+
+	e = split()
+	keep := e.wakes[:0]
+	for _, st := range e.wakes {
+		if st.rec == 0 {
+			keep = append(keep, st)
+		}
+	}
+	e.wakes = keep
+	e.wakes.init()
+	e.hot[1].parked, e.hot[2].parked = false, false
 	err := e.run()
 	if err == nil {
 		t.Fatalf("run completed %d of 1 bursts with the split children's volume unsent", e.burstsDone)
@@ -394,6 +422,48 @@ func TestNetworkStrandedVolumeIsAnError(t *testing.T) {
 	}
 	if e.burstsDone != 0 {
 		t.Errorf("%d bursts completed, want 0", e.burstsDone)
+	}
+}
+
+// TestNetworkParkedCohortSplitCompletes runs 49 Reno flows, one 26-segment
+// burst from 1 Gb/s NICs, through four 1 Gb/s hops whose last holds 4
+// packets with K=1. Cohorts parked on an RTO keep draining hop to hop and
+// split on partial drops at the last hop; their children must wake on
+// their own, or 113 unsent packets strand in 5 of them. Both aggregation
+// levels complete, deliver every packet, and time out.
+func TestNetworkParkedCohortSplitCompletes(t *testing.T) {
+	q := netsim.FluidQueue{RateBps: netsim.Gbps, CapacityPackets: 1333, ECNThresholdPackets: 65}
+	net := &netsim.FluidPaths{
+		Queues:     []netsim.FluidQueue{q, q, q, {RateBps: netsim.Gbps, CapacityPackets: 4, ECNThresholdPackets: 1}},
+		Paths:      [][]int32{{0, 1, 2, 3}},
+		BaseRTT:    []sim.Time{30 * sim.Microsecond},
+		Counts:     []int32{49},
+		Stage:      []int{0, 1, 2, 3},
+		Bottleneck: 3,
+	}
+	for j := range net.Queues {
+		net.Queues[j].Name = fmt.Sprintf("hop%d", j)
+	}
+	for _, agg := range []string{AggregationCohort, AggregationPerFlow} {
+		cfg := Config{
+			SegmentsPerFlow: 26,
+			Bursts:          1,
+			LineRateBps:     netsim.Gbps,
+			CC:              CCConfig{Kind: KindReno},
+			Aggregation:     agg,
+			Check:           true,
+		}
+		res, err := Run(cfg, net)
+		if err != nil {
+			t.Fatalf("%s: %v", agg, err)
+		}
+		if res.Lifetime.DeliveredPackets != 49*26 || res.Timeouts == 0 {
+			t.Errorf("%s: delivered %d of %d packets with %d timeouts, want all of them and a Mode-3 run",
+				agg, res.Lifetime.DeliveredPackets, 49*26, res.Timeouts)
+		}
+		if agg == AggregationCohort && res.CohortSplits == 0 {
+			t.Errorf("cohort run made no splits")
+		}
 	}
 }
 
@@ -494,6 +564,102 @@ func randomNet(rng *rand.Rand, n int) *netsim.FluidPaths {
 	last := net.Paths[0]
 	net.Bottleneck = int(last[len(last)-1])
 	return net
+}
+
+// fluidInput decodes fuzz bytes into a small fluid run. The path set has
+// six queues, two per stage over three stages, each at 1-10 Gb/s with
+// 2-61 packets and K within its capacity; one to four path classes, each
+// a stage-monotonic path of one to three hops with a 5-54 us base RTT;
+// and 2-61 flows spread over them. The config sends 1-40 segments per
+// flow in 1-3 bursts from a 1-10 Gb/s NIC under DCTCP, Reno or Swift, at
+// cohort or per-flow aggregation, with Check on. Bytes past the end of
+// data read as zero, so every input decodes.
+func fluidInput(data []byte) (Config, *netsim.FluidPaths) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	net := &netsim.FluidPaths{Stage: []int{0, 0, 1, 1, 2, 2}}
+	for j := 0; j < 6; j++ {
+		q := netsim.FluidQueue{Name: fmt.Sprintf("q%d", j), RateBps: int64(1+next()%10) * netsim.Gbps, CapacityPackets: 2 + next()%60}
+		q.ECNThresholdPackets = 1 + next()%q.CapacityPackets
+		net.Queues = append(net.Queues, q)
+	}
+	for c := 1 + next()%4; c > 0; c-- {
+		var path []int32
+		for s := 0; s < 3; s++ {
+			// Bit 0 skips the stage (the last is never skipped on an empty
+			// path), bit 1 picks the stage's queue.
+			if b := next(); b&1 == 0 || (s == 2 && len(path) == 0) {
+				path = append(path, int32(2*s+b>>1&1))
+			}
+		}
+		net.Paths = append(net.Paths, path)
+		net.BaseRTT = append(net.BaseRTT, sim.Time(5+next()%50)*sim.Microsecond)
+	}
+	classes := make([]int32, 2+next()%60)
+	for i := range classes {
+		classes[i] = int32(next() % len(net.Paths))
+	}
+	net.SetClasses(classes)
+	last := net.Paths[0]
+	net.Bottleneck = int(last[len(last)-1])
+	cfg := Config{
+		SegmentsPerFlow: int64(1 + next()%40),
+		Bursts:          1 + next()%3,
+		LineRateBps:     int64(1+next()%10) * netsim.Gbps,
+		CC:              CCConfig{Kind: Kind(next() % 3)},
+		Aggregation:     AggregationPerFlow,
+		Check:           true,
+	}
+	if next()&1 == 1 {
+		cfg.Aggregation = AggregationCohort
+	}
+	return cfg, net
+}
+
+// fluidRepro is fluidInput's bytes for 49 Reno flows sending one
+// 26-segment burst from 1 Gb/s NICs through three 1 Gb/s hops, the last
+// holding 4 packets with K=1, at cohort aggregation: the shape of
+// TestNetworkParkedCohortSplitCompletes, whose parked cohorts' split
+// children stranded volume until they woke on their own.
+func fluidRepro() []byte {
+	b := []byte{
+		0, 59, 60, // q0: 1 Gb/s, 61 packets, K 61
+		0, 0, 0, // q1
+		0, 59, 60, // q2: as q0
+		0, 0, 0, // q3
+		0, 2, 0, // q4: 1 Gb/s, 4 packets, K 1
+		0, 0, 0, // q5
+		0,       // one path class
+		0, 0, 0, // through q0, q2 and q4
+		25, // 30 us base RTT
+		47, // 49 flows
+	}
+	b = append(b, make([]byte, 49)...) // all in class 0
+	// 26 segments, one burst, 1 Gb/s NICs, Reno, cohorts.
+	return append(b, 25, 0, 0, 1, 1)
+}
+
+// FuzzFluidRun runs generated small path sets and configs (fluidInput)
+// through Run with Check on: every run must complete without error, and a
+// run never ends with more records than flows.
+func FuzzFluidRun(f *testing.F) {
+	f.Add(fluidRepro())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, net := fluidInput(data)
+		res, err := Run(cfg, net)
+		if err != nil {
+			t.Fatalf("%s run of %d flows: %v", cfg.Aggregation, net.Flows(), err)
+		}
+		if res.Cohorts > net.Flows() {
+			t.Fatalf("%d records for %d flows", res.Cohorts, net.Flows())
+		}
+	})
 }
 
 // oracleEngine builds a three-burst cohort engine over randomNet(seed),

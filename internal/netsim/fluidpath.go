@@ -232,10 +232,11 @@ const endpointChunk = 4096
 // mask the fabric behavior under study) and are therefore omitted here;
 // the fluid injection rate is capped at the host line rate instead. ACK
 // paths carry negligible volume and are folded into BaseRTT. Stages are
-// uplink=0, spine downlink=1, leaf downlink=2, so every path is
-// stage-monotonic. The bottleneck is dsts[0]'s leaf port. Path classes
-// get dense IDs in the order their first flows appear. ClassOf reads the
-// endpoints back from srcs and dsts, which must not change afterwards.
+// uplink=0, spine downlink=1, leaf downlink=2 (0 when no flow crosses the
+// fabric), so every path is stage-monotonic. The bottleneck is dsts[0]'s
+// leaf port. Path classes get dense IDs in the order their first flows
+// appear. ClassOf reads the endpoints back from srcs and dsts, which must
+// not change afterwards.
 func (c ClosConfig) FluidPaths(srcs, dsts []NodeID) (*FluidPaths, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -482,10 +483,15 @@ func (b *pathBuilder) addQueue(name string, rateBps int64, stage int) int32 {
 }
 
 // finish names the bottleneck, dsts[0]'s leaf port, hands the path set
-// its class function, and validates it.
+// its class function, and validates it. A path set in which no flow
+// crosses the fabric has leaf downlinks alone, and they become stage 0:
+// a run walks every stage up to the last once per step.
 func (b *pathBuilder) finish() (*FluidPaths, error) {
 	p := b.p
 	p.Bottleneck = int(b.down[0])
+	if len(p.Queues) == len(b.down) {
+		clear(p.Stage)
+	}
 	p.classes = b.cl.classes
 	if err := p.Validate(); err != nil {
 		return nil, err

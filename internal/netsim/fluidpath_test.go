@@ -75,8 +75,9 @@ func samePathSet(t *testing.T, name string, p, q *netsim.FluidPaths) {
 // per-flow routing for 1, 3 and 8 aggregators under both placements:
 // every flow's class path and base RTT are its own route, queues appear
 // in the same order, class IDs are dense in first-appearance order, each
-// class counts its flows, no two classes share a path and base RTT, and
-// the bulk class walk agrees with ClassOf. Built from the placement in
+// class counts its flows, no two classes share a path and base RTT, the
+// bulk class walk agrees with ClassOf, and stages are numbered densely
+// (one for a same-rack path set, three across the fabric). Built from the placement in
 // chunks (FluidPathsFrom), the path set is the same.
 func TestFluidPathsClassContract(t *testing.T) {
 	c := netsim.DefaultClosConfig(8, 40)
@@ -143,6 +144,13 @@ func TestFluidPathsClassContract(t *testing.T) {
 			first := p.Paths[p.ClassOf(0)]
 			if p.Bottleneck != int(first[len(first)-1]) {
 				t.Errorf("%s: bottleneck %d is not flow 0's leaf port", name, p.Bottleneck)
+			}
+			stages := 3
+			if placement == workload.PlacementSameRack {
+				stages = 1 // the leaf downlinks alone
+			}
+			if got := p.Stages(); got != stages || slices.Max(p.Stage) != stages-1 || slices.Min(p.Stage) != 0 {
+				t.Errorf("%s: stages %v (%d levels), want %d levels numbered from 0", name, p.Stage, got, stages)
 			}
 
 			pl, err := workload.NewClosPlacement(c, 30, aggs, placement)

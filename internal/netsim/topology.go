@@ -8,7 +8,8 @@ import (
 
 // DumbbellConfig describes the paper's Section 4 topology: N senders, each
 // on a 10 Gbps link to a sender-side ToR, a 100 Gbps inter-ToR link, and a
-// 10 Gbps downlink from the receiver-side ToR to the single receiver. The
+// 10 Gbps downlink from the receiver-side ToR to the receiver (to each
+// receiver, when NewDumbbellReceivers puts several behind that ToR). The
 // 10:1 oversubscription between downlink and inter-ToR link is what makes
 // the incast potent.
 type DumbbellConfig struct {
@@ -93,14 +94,19 @@ func (c DumbbellConfig) Validate() error {
 
 // Dumbbell is the constructed topology.
 type Dumbbell struct {
-	Config   DumbbellConfig
-	Eng      *sim.Engine
-	Senders  []*Host
-	Receiver *Host
+	Config  DumbbellConfig
+	Eng     *sim.Engine
+	Senders []*Host
+	// Receivers are the hosts behind the receiver ToR; Receiver is
+	// Receivers[0], the incast's aggregator.
+	Receivers []*Host
+	Receiver  *Host
 	// SenderToR aggregates the senders; ReceiverToR owns the bottleneck.
 	SenderToR   *Switch
 	ReceiverToR *Switch
-	// Bottleneck is the receiver-ToR downlink: the queue under study.
+	// Downlinks[i] is the receiver-ToR port to Receivers[i]. Bottleneck
+	// is Downlinks[0]: the queue under study.
+	Downlinks  []*Link
 	Bottleneck *Link
 	// Uplink is the sender-ToR to receiver-ToR link.
 	Uplink *Link
@@ -133,19 +139,29 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 // pool gets a fresh one. The pool must belong to the same goroutine as eng
 // (pools, like engines, are single-goroutine by design).
 func NewDumbbellWithPool(eng *sim.Engine, cfg DumbbellConfig, pool *PacketPool) *Dumbbell {
-	if cfg.Senders <= 0 {
-		panic("netsim: dumbbell needs at least one sender")
+	return NewDumbbellReceivers(eng, cfg, 1, pool)
+}
+
+// NewDumbbellReceivers is NewDumbbellWithPool with r receivers behind the
+// receiver ToR, each on its own downlink port: the rack of the paper's
+// Section 3.4, where "simultaneous burst events to other hosts on the
+// same rack ... can consume shared switch memory". With a shared buffer
+// configured, every downlink draws on it.
+//
+// Node IDs: receivers = 0..r-1, senders = r..r+N-1, sender ToR = r+N,
+// receiver ToR = r+N+1; for r = 1, NewDumbbell's numbering.
+func NewDumbbellReceivers(eng *sim.Engine, cfg DumbbellConfig, r int, pool *PacketPool) *Dumbbell {
+	if cfg.Senders <= 0 || r <= 0 {
+		panic(fmt.Sprintf("netsim: dumbbell needs at least one sender and one receiver (got %d and %d)", cfg.Senders, r))
 	}
 	if pool == nil {
 		pool = NewPacketPool()
 	}
 	d := &Dumbbell{Config: cfg, Eng: eng, Pool: pool}
 
-	d.Receiver = NewHost(eng, 0, "receiver")
-	d.Receiver.SetPool(d.Pool)
-	d.SenderToR = NewSwitch(NodeID(cfg.Senders+1), "tor-senders")
+	d.SenderToR = NewSwitch(NodeID(r+cfg.Senders), "tor-senders")
 	d.SenderToR.SetPool(d.Pool)
-	d.ReceiverToR = NewSwitch(NodeID(cfg.Senders+2), "tor-receiver")
+	d.ReceiverToR = NewSwitch(NodeID(r+cfg.Senders+1), "tor-receiver")
 	d.ReceiverToR.SetPool(d.Pool)
 
 	// Every link shares the topology pool (so drops recycle) and is
@@ -179,17 +195,6 @@ func NewDumbbellWithPool(eng *sim.Engine, cfg DumbbellConfig, pool *PacketPool) 
 		return NewQueue(qc)
 	}
 
-	// Bottleneck: receiver ToR -> receiver, at host line rate. This is the
-	// queue all figures study. It participates in the shared buffer.
-	d.Bottleneck = newLink(LinkConfig{
-		Name:         "tor-receiver->receiver",
-		BandwidthBps: cfg.HostLinkBps,
-		PropDelay:    cfg.HostPropDelay,
-		Queue:        portQueue("bottleneck", true),
-		Dst:          d.Receiver,
-	})
-	d.ReceiverToR.AddRoute(0, d.Bottleneck)
-
 	// Inter-ToR links, both directions.
 	d.Uplink = newLink(LinkConfig{
 		Name:         "tor-senders->tor-receiver",
@@ -198,7 +203,6 @@ func NewDumbbellWithPool(eng *sim.Engine, cfg DumbbellConfig, pool *PacketPool) 
 		Queue:        portQueue("uplink", false),
 		Dst:          d.ReceiverToR,
 	})
-	d.SenderToR.AddRoute(0, d.Uplink)
 	reverseCore := newLink(LinkConfig{
 		Name:         "tor-receiver->tor-senders",
 		BandwidthBps: cfg.CoreLinkBps,
@@ -207,20 +211,45 @@ func NewDumbbellWithPool(eng *sim.Engine, cfg DumbbellConfig, pool *PacketPool) 
 		Dst:          d.SenderToR,
 	})
 
-	// Receiver NIC: receiver -> receiver ToR (the ACK path).
-	d.Receiver.SetUplink(newLink(LinkConfig{
-		Name:         "receiver->tor-receiver",
-		BandwidthBps: cfg.HostLinkBps,
-		PropDelay:    cfg.HostPropDelay,
-		// The host NIC queue is effectively unbounded: sender-side drops
-		// would mask the ToR-queue behavior under study.
-		Queue: NewQueue(QueueConfig{Name: "receiver-nic"}),
-		Dst:   d.ReceiverToR,
-	}))
+	// Receivers, each behind a receiver-ToR downlink at host line rate
+	// that participates in the shared buffer. Receiver 0's is the
+	// bottleneck all figures study.
+	d.Receivers = make([]*Host, r)
+	d.Downlinks = make([]*Link, r)
+	for i := range d.Receivers {
+		id := NodeID(i)
+		name, port := "receiver", "bottleneck"
+		if i > 0 {
+			name, port = fmt.Sprintf("receiver-%d", i), fmt.Sprintf("downlink-%d", i)
+		}
+		h := NewHost(eng, id, name)
+		h.SetPool(d.Pool)
+		d.Downlinks[i] = newLink(LinkConfig{
+			Name:         "tor-receiver->" + name,
+			BandwidthBps: cfg.HostLinkBps,
+			PropDelay:    cfg.HostPropDelay,
+			Queue:        portQueue(port, true),
+			Dst:          h,
+		})
+		d.ReceiverToR.AddRoute(id, d.Downlinks[i])
+		d.SenderToR.AddRoute(id, d.Uplink)
+		// Receiver NIC: receiver -> receiver ToR (the ACK path).
+		h.SetUplink(newLink(LinkConfig{
+			Name:         name + "->tor-receiver",
+			BandwidthBps: cfg.HostLinkBps,
+			PropDelay:    cfg.HostPropDelay,
+			// The host NIC queue is effectively unbounded: sender-side drops
+			// would mask the ToR-queue behavior under study.
+			Queue: NewQueue(QueueConfig{Name: name + "-nic"}),
+			Dst:   d.ReceiverToR,
+		}))
+		d.Receivers[i] = h
+	}
+	d.Receiver, d.Bottleneck = d.Receivers[0], d.Downlinks[0]
 
 	d.Senders = make([]*Host, cfg.Senders)
-	for i := 0; i < cfg.Senders; i++ {
-		id := NodeID(i + 1)
+	for i := range d.Senders {
+		id := NodeID(r + i)
 		h := NewHost(eng, id, fmt.Sprintf("sender-%d", i))
 		h.SetPool(d.Pool)
 		h.SetUplink(newLink(LinkConfig{

@@ -242,3 +242,121 @@ func TestHostIngressRecorder(t *testing.T) {
 		t.Fatalf("interval 1: flows=%v bytes=%v", rec.Flows.Values[1], rec.Bytes.Values[1])
 	}
 }
+
+// rackConfig is the dumbbell with the 2 MB, alpha-1 shared buffer
+// ext_rack_contention runs on.
+func rackConfig(senders int) DumbbellConfig {
+	cfg := DefaultDumbbellConfig(senders)
+	cfg.SharedBufferBytes, cfg.SharedBufferAlpha = 2*1000*1000, 1
+	return cfg
+}
+
+// TestRackDeliveryToBothReceivers: with two receivers behind the receiver
+// ToR, receivers take node IDs 0 and 1 and senders 2 onward, and data
+// reaches each receiver on its own downlink.
+func TestRackDeliveryToBothReceivers(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDumbbellReceivers(eng, rackConfig(4), 2, nil)
+	if d.Receiver != d.Receivers[0] || d.Bottleneck != d.Downlinks[0] {
+		t.Fatal("Receiver and Bottleneck are not receiver 0's host and downlink")
+	}
+	for i, h := range d.Receivers {
+		if h.ID() != NodeID(i) {
+			t.Fatalf("receiver %d has node ID %d", i, h.ID())
+		}
+	}
+	counts := make([]int, 2)
+	for i, h := range d.Receivers {
+		i := i
+		h.Attach(PacketHandlerFunc(func(p *Packet) { counts[i]++ }))
+	}
+	for i, s := range d.Senders {
+		if s.ID() != NodeID(2+i) {
+			t.Fatalf("sender %d has node ID %d, want %d", i, s.ID(), 2+i)
+		}
+		s.Send(&Packet{Flow: FlowID(i + 1), Src: s.ID(), Dst: NodeID(i % 2), Len: MSS})
+	}
+	eng.Run()
+	if counts[0] != 2 || counts[1] != 2 {
+		t.Fatalf("deliveries = %v, want 2 each", counts)
+	}
+	for i, l := range d.Downlinks {
+		if got := l.Queue().Stats().EnqueuedPackets; got != 2 {
+			t.Errorf("downlink %d carried %d packets, want 2", i, got)
+		}
+	}
+}
+
+// TestRackReversePath: an ACK from the second receiver reaches a sender.
+func TestRackReversePath(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDumbbellReceivers(eng, rackConfig(3), 2, nil)
+	got := 0
+	d.Senders[2].Attach(PacketHandlerFunc(func(p *Packet) { got++ }))
+	d.Receivers[1].Send(&Packet{Flow: 9, Src: d.Receivers[1].ID(),
+		Dst: d.Senders[2].ID(), IsAck: true})
+	eng.Run()
+	if got != 1 {
+		t.Fatal("ACK did not reach the sender")
+	}
+}
+
+// TestRackSharedBufferContention: two simultaneous bursts to the two
+// receivers compete for one shared buffer, which every downlink draws on.
+func TestRackSharedBufferContention(t *testing.T) {
+	burstTo := func(twoGroups bool) (drops int64) {
+		eng := sim.NewEngine()
+		cfg := rackConfig(40)
+		cfg.SharedBufferBytes = 100 * 1500 // tight pool: 100 packets
+		d := NewDumbbellReceivers(eng, cfg, 2, nil)
+		for i, l := range d.Downlinks {
+			if l.Queue().SharedBuffer() != d.Shared {
+				t.Fatalf("downlink %d does not draw on the shared buffer", i)
+			}
+			d.Receivers[i].Attach(PacketHandlerFunc(func(p *Packet) {}))
+		}
+		for i, s := range d.Senders {
+			dst := NodeID(0)
+			if twoGroups {
+				dst = NodeID(i % 2)
+			}
+			for j := 0; j < 10; j++ {
+				s.Send(&Packet{Flow: FlowID(i + 1), Src: s.ID(), Dst: dst,
+					Seq: int64(j * MSS), Len: MSS, ECT: true})
+			}
+		}
+		eng.Run()
+		for _, l := range d.Downlinks {
+			drops += l.Queue().Stats().DroppedPackets
+		}
+		return drops
+	}
+	// One group of 400 packets into a 100-packet pool overflows either
+	// way; the point is that splitting across two ports does not double
+	// the usable memory — DT keeps each port to a share of the one pool.
+	solo, dual := burstTo(false), burstTo(true)
+	if solo == 0 || dual == 0 {
+		t.Fatalf("expected drops under the tight pool: solo=%d dual=%d", solo, dual)
+	}
+}
+
+// TestRackValidation: a dumbbell with no senders or no receivers is
+// refused.
+func TestRackValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		senders, receivers int
+	}{
+		{"no senders", 0, 2},
+		{"no receivers", 2, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			NewDumbbellReceivers(sim.NewEngine(), rackConfig(tc.senders), tc.receivers, nil)
+		}()
+	}
+}

@@ -73,84 +73,3 @@ func (c *CDF) Max() float64 {
 	}
 	return c.sorted[len(c.sorted)-1]
 }
-
-// Point is one (x, cumulative fraction) point of a rendered CDF curve.
-type Point struct {
-	X float64
-	F float64
-}
-
-// Points renders the CDF as n evenly spaced quantile points suitable for
-// plotting, from q=0 to q=1 inclusive. n must be at least 2.
-func (c *CDF) Points(n int) []Point {
-	if n < 2 {
-		panic("stats: CDF.Points needs n >= 2")
-	}
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		pts[i] = Point{X: c.Quantile(q), F: q}
-	}
-	return pts
-}
-
-// Histogram counts samples in equal-width bins over [lo, hi). Samples
-// outside the range are clamped into the first or last bin, which matches
-// how the paper's axes saturate. NaN samples are counted separately rather
-// than binned: float-to-int conversion of NaN is implementation-defined in
-// Go, so without the guard a NaN would land in an arbitrary bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-	nans   int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if !(hi > lo) {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample. NaN samples are tallied in NaNs, not in any bin.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		h.nans++
-		return
-	}
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded into bins (NaNs excluded).
-func (h *Histogram) Total() int { return h.total }
-
-// NaNs returns the number of NaN samples rejected by Add.
-func (h *Histogram) NaNs() int { return h.nans }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}

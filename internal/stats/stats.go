@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the incast analyses
-// are built on: percentile estimation, empirical CDFs, histograms, online
-// moments, and fixed-interval time series.
+// are built on: percentile estimation, empirical CDFs, online means, and
+// fixed-interval time series.
 //
 // Everything here is deterministic and allocation-conscious; the measurement
 // pipeline calls into this package once per burst and once per millisecond
@@ -105,12 +105,11 @@ func Mean(values []float64) float64 {
 	return sum / float64(len(values))
 }
 
-// Online accumulates mean and variance in one pass (Welford's algorithm).
-// The zero value is an empty accumulator.
+// Online accumulates the mean, minimum and maximum in one pass. The zero
+// value is an empty accumulator.
 type Online struct {
 	n    int
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -128,9 +127,7 @@ func (o *Online) Add(x float64) {
 			o.max = x
 		}
 	}
-	delta := x - o.mean
-	o.mean += delta / float64(o.n)
-	o.m2 += delta * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // N returns the number of observations.
@@ -142,14 +139,6 @@ func (o *Online) Mean() float64 {
 		return math.NaN()
 	}
 	return o.mean
-}
-
-// Var returns the sample variance, or NaN if fewer than two observations.
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return math.NaN()
-	}
-	return o.m2 / float64(o.n-1)
 }
 
 // Min returns the smallest observation, or NaN if empty.

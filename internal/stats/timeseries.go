@@ -41,23 +41,6 @@ func (s *Series) Index(tNS int64) int {
 	return i
 }
 
-// AddAt accumulates v into the sample covering time tNS. Out-of-range times
-// are dropped; a trace window is a fixed observation interval and events
-// outside it are simply not observed (exactly like a real capture).
-func (s *Series) AddAt(tNS int64, v float64) {
-	if i := s.Index(tNS); i >= 0 {
-		s.Values[i] += v
-	}
-}
-
-// MaxAt records v into the sample covering tNS if it exceeds the current
-// value — a per-interval high watermark.
-func (s *Series) MaxAt(tNS int64, v float64) {
-	if i := s.Index(tNS); i >= 0 && v > s.Values[i] {
-		s.Values[i] = v
-	}
-}
-
 // Scale multiplies every sample by f, in place, and returns the series.
 func (s *Series) Scale(f float64) *Series {
 	for i := range s.Values {
