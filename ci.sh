@@ -9,11 +9,14 @@
 #                        experiment fan-out) and the sweep cache's tests
 #                        (concurrent writers appending to one directory)
 #                        under the race detector
-#   4b. fuzz             short -fuzz runs of FuzzClassPlan (the fluid
-#                        solver's cohort plan, built from class counts, and
-#                        its on-demand member list against the reference
-#                        plan over generated class sequences), of
-#                        FuzzFluidRun (generated small path sets and
+#   4b. fuzz             short -fuzz runs of FuzzSchedulerEquivalence
+#                        (generated schedule/stop/re-arm/reset workloads
+#                        on the calendar queue and the reference binary
+#                        heap: identical execution logs), of FuzzClassPlan
+#                        (the fluid solver's cohort plan, built from class
+#                        counts, and its on-demand member list against the
+#                        reference plan over generated class sequences),
+#                        of FuzzFluidRun (generated small path sets and
 #                        configs through flowsim.Run with Check on: no
 #                        error, and no more records than flows) and of
 #                        FuzzCompileScenario (generated spec bytes through
@@ -53,17 +56,17 @@
 #   7. registry gate     `figures -list` must match the checked-in golden
 #                        name list, an unknown -only name must exit
 #                        non-zero, a trailing comma in -only is ignored
-#                        while a list naming nothing is rejected, and the
-#                        quick CSVs (fig5, fig6,
-#                        ablation_g, ablation_marking, both Clos sweeps,
-#                        and both notification experiments) must be
-#                        byte-identical to the checked-in goldens
-#                        (scheduler and pooling changes are
-#                        behavior-preserving); fig5 and the two Clos
-#                        sweeps then re-run at -fidelity flow against
-#                        their own checked-in goldens (testdata/quick_flow),
-#                        pinning the fluid solver's output bit for bit on
-#                        the dumbbell and the fabric
+#                        while a list naming nothing is rejected, and
+#                        every CSV that `figures -quick` writes over the
+#                        whole registry must have a checked-in golden
+#                        (testdata/quick) and be byte-identical to it,
+#                        and every golden must be written (scheduler and
+#                        pooling changes are behavior-preserving); fig5
+#                        and the two Clos sweeps then re-run at
+#                        -fidelity flow against their own checked-in
+#                        goldens (testdata/quick_flow), pinning the fluid
+#                        solver's output bit for bit on the dumbbell and
+#                        the fabric
 #   8. sweep-cache gate  the Clos cross-rack example sweep runs cold,
 #                        sharded across two worker processes against a
 #                        shared content-addressed cache, then again as a
@@ -108,9 +111,10 @@
 #                        packet multi-aggregator Clos sweep and the
 #                        million-flow Clos run smoke-run at one iteration
 #                        each: each must execute and stay under its
-#                        allocs/op ceiling, and the million-flow run also
-#                        under its B/op ceiling (allocation counts and bytes
-#                        repeat run to run, so they are gated); measured
+#                        allocs/op ceiling, and the packet Fig-5 sweep and
+#                        the million-flow run also under their B/op
+#                        ceilings (allocation counts and bytes repeat run
+#                        to run, so they are gated); measured
 #                        wall time lives in internal/bench/incastbench, not
 #                        here
 set -euo pipefail
@@ -137,7 +141,8 @@ echo "==> go test -race ./internal/core -run TestParallel; go test -race ./inter
 go test -race ./internal/core -run TestParallel
 go test -race ./internal/sweep
 
-echo "==> fuzz: FuzzClassPlan, FuzzFluidRun and FuzzCompileScenario for 20s each"
+echo "==> fuzz: FuzzSchedulerEquivalence, FuzzClassPlan, FuzzFluidRun and FuzzCompileScenario for 20s each"
+go test ./internal/sim -run '^$' -fuzz '^FuzzSchedulerEquivalence$' -fuzztime 20s -parallel 2
 go test ./internal/flowsim -run '^$' -fuzz '^FuzzClassPlan$' -fuzztime 20s -parallel 2
 go test ./internal/flowsim -run '^$' -fuzz '^FuzzFluidRun$' -fuzztime 20s -parallel 2
 go test ./internal/core -run '^$' -fuzz '^FuzzCompileScenario$' -fuzztime 20s -parallel 2
@@ -213,9 +218,18 @@ if go run ./cmd/figures -only , -out "$OBS_TMP/no_names" 2>/dev/null; then
   echo "figures -only , should have exited non-zero" >&2
   exit 1
 fi
-go run ./cmd/figures -quick -only fig5,fig6,ablation_g,ablation_marking,ext_clos_crossrack,ext_clos_multiagg,ext_pulser_modes,ext_distributed_detect -out "$OBS_TMP/golden"
+go run ./cmd/figures -quick -out "$OBS_TMP/golden" >/dev/null
+for f in "$OBS_TMP"/golden/*.csv; do
+  golden="internal/core/testdata/quick/$(basename "$f")"
+  if [ ! -e "$golden" ]; then
+    echo "registry gate: figures -quick wrote $(basename "$f"), which has no golden in internal/core/testdata/quick" >&2
+    exit 1
+  fi
+  cmp "$golden" "$f"
+done
 for f in internal/core/testdata/quick/*.csv; do
-  cmp "$f" "$OBS_TMP/golden/$(basename "$f")"
+  test -e "$OBS_TMP/golden/$(basename "$f")" ||
+    { echo "registry gate: figures -quick did not write $(basename "$f")" >&2; exit 1; }
 done
 go run ./cmd/figures -quick -only fig5,ext_clos_crossrack,ext_clos_multiagg -fidelity flow -out "$OBS_TMP/golden_flow"
 for name in fig5_modes fig5_queue_80flows fig5_queue_500flows fig5_queue_1400flows ext_clos_crossrack ext_clos_multiagg; do
@@ -394,10 +408,10 @@ while read -r name ceiling bytes_ceiling; do
     fi
   fi
 done <<'CEILINGS'
-BenchmarkFig5DCTCPModes 120078
+BenchmarkFig5DCTCPModes 111626 9878880
 BenchmarkSimulatorPacketRate 9866
-BenchmarkAblationReceiverWindow 67368
-BenchmarkClosMultiAggPacket 611911
+BenchmarkAblationReceiverWindow 41838
+BenchmarkClosMultiAggPacket 589753
 BenchmarkMillisamplerAnalyze 90
 BenchmarkPredictorObserve 2
 BenchmarkFlowsimFig5 3418

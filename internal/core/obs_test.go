@@ -171,3 +171,55 @@ func TestHarvestCoversEngineAndHistograms(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerCountersPinned pins the calendar queue's published counters
+// on real schedules: fig5's three quick rows and ablation_guardrail's two
+// series at seed 1. Bucket width never changes dispatch order, so no CSV
+// or golden can see a window advance that widens one bucket early or late,
+// or an event that takes another path into the window; these counters do.
+func TestSchedulerCountersPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two quick experiments")
+	}
+	type key struct{ experiment, flows, name string }
+	want := map[key]int64{
+		{"fig5", "80", "sim_sched_resizes"}:                            0,
+		{"fig5", "500", "sim_sched_resizes"}:                           1,
+		{"fig5", "1400", "sim_sched_resizes"}:                          2,
+		{"fig5", "80", "sim_sched_overflow_migrations"}:                841,
+		{"fig5", "500", "sim_sched_overflow_migrations"}:               2468,
+		{"fig5", "1400", "sim_sched_overflow_migrations"}:              6569,
+		{"fig5", "80", "sim_events_executed"}:                          615321,
+		{"fig5", "500", "sim_events_executed"}:                         611516,
+		{"fig5", "1400", "sim_events_executed"}:                        638337,
+		{"fig5", "80", "sim_sched_now_fastpath"}:                       0,
+		{"ablation_guardrail", "80", "sim_sched_now_fastpath"}:         65,
+		{"ablation_guardrail", "500", "sim_sched_now_fastpath"}:        1745,
+		{"ablation_guardrail", "80", "sim_sched_resizes"}:              0,
+		{"ablation_guardrail", "500", "sim_sched_resizes"}:             1,
+		{"ablation_guardrail", "80", "sim_sched_overflow_migrations"}:  2286,
+		{"ablation_guardrail", "500", "sim_sched_overflow_migrations"}: 5173,
+	}
+	reg := obs.NewRegistry()
+	for _, name := range []string{"fig5", "ablation_guardrail"} {
+		e, ok := LookupExperiment(name)
+		if !ok {
+			t.Fatalf("experiment %s not registered", name)
+		}
+		e.Run(Options{Seed: 1, Quick: true, Workers: 2, Metrics: reg})
+	}
+	got := map[key]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		k := key{c.Labels["experiment"], c.Labels["flows"], c.Name}
+		if _, ok := want[k]; ok {
+			got[k] = c.Value
+		}
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok {
+			t.Errorf("%s %s flows=%s: not published", k.experiment, k.name, k.flows)
+		} else if g != v {
+			t.Errorf("%s %s flows=%s = %d, want %d", k.experiment, k.name, k.flows, g, v)
+		}
+	}
+}

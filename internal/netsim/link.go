@@ -21,14 +21,15 @@ type Link struct {
 	dst          Device
 	busy         bool
 
-	// current is the packet being serialized; inflight[head:] are packets in
+	// current is the packet being serialized; inflight holds the packets in
 	// propagation, in delivery order. Because serialization is strictly
 	// serial and propDelay is constant, delivery times are monotonic and the
 	// engine's FIFO tie-break preserves push order — so one prebuilt closure
-	// pair (txDoneFn, deliverFn) replaces the two per-packet closures.
+	// pair (txDoneFn, deliverFn) replaces the two per-packet closures. The
+	// ring's size follows the packets in flight (about one bandwidth-delay
+	// product), not the length of a back-to-back stream.
 	current   *Packet
-	inflight  []*Packet
-	head      int
+	inflight  packetRing
 	txDoneFn  func()
 	deliverFn func()
 
@@ -107,7 +108,7 @@ func (l *Link) SetPool(pp *PacketPool) { l.pool = pp }
 // InFlightPackets returns the number of packets currently on the link: the
 // one being serialized (if any) plus those in propagation.
 func (l *Link) InFlightPackets() int {
-	n := len(l.inflight) - l.head
+	n := l.inflight.n
 	if l.current != nil {
 		n++
 	}
@@ -121,9 +122,7 @@ func (l *Link) ForEachInFlight(fn func(p *Packet)) {
 	if l.current != nil {
 		fn(l.current)
 	}
-	for _, p := range l.inflight[l.head:] {
-		fn(p)
-	}
+	l.inflight.forEach(fn)
 }
 
 // Send enqueues p for transmission. If the queue rejects the packet it is
@@ -160,7 +159,7 @@ func (l *Link) txDone() {
 	l.current = nil
 	l.txPackets++
 	l.txBytes += int64(p.WireBytes())
-	l.inflight = append(l.inflight, p)
+	l.inflight.push(p)
 	l.eng.ScheduleAfter(l.propDelay, l.deliverFn)
 	l.startTransmit()
 }
@@ -169,12 +168,5 @@ func (l *Link) txDone() {
 // Deliveries fire in push order (see the inflight field comment), so a FIFO
 // pop always matches the firing event.
 func (l *Link) deliver() {
-	p := l.inflight[l.head]
-	l.inflight[l.head] = nil
-	l.head++
-	if l.head == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.head = 0
-	}
-	l.dst.Receive(p)
+	l.dst.Receive(l.inflight.pop())
 }

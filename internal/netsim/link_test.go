@@ -172,3 +172,72 @@ func TestLinkConfigValidation(t *testing.T) {
 	mustPanic("zero bw", LinkConfig{Queue: NewQueue(QueueConfig{}), Dst: dst})
 	mustPanic("neg delay", LinkConfig{BandwidthBps: 1, PropDelay: -1, Queue: NewQueue(QueueConfig{}), Dst: dst})
 }
+
+// TestLinkInFlightStream streams 10,000 packets back to back through one
+// link and checks, before every event, the in-flight count and
+// ForEachInFlight's order against a plain-slice model, and every delivery
+// against send order. Runs of minimum-size and full-size packets make the
+// number in propagation swing between a few and a few dozen, so the
+// in-flight ring wraps and grows while wrapped. The link never goes idle,
+// so its in-flight storage must still follow the packets in flight, not
+// the length of the stream.
+func TestLinkInFlightStream(t *testing.T) {
+	const n = 10_000
+	eng := sim.NewEngine()
+	dst := &sink{id: 9, eng: eng}
+	q := NewQueue(QueueConfig{})
+	l := NewLink(eng, LinkConfig{
+		BandwidthBps: 10 * Gbps,
+		PropDelay:    5 * sim.Microsecond,
+		Queue:        q,
+		Dst:          dst,
+	})
+	rng := sim.NewRand(3)
+	sent := make([]*Packet, 0, n)
+	for size := MSS; len(sent) < n; {
+		if rng.IntN(40) == 0 {
+			size = MSS + 64 - size // switch between full and minimum size
+		}
+		p := dataPacket(FlowID(len(sent)), size)
+		sent = append(sent, p)
+		l.Send(p)
+	}
+	peak := 0
+	var walked, want []*Packet
+	eng.SetOnEvent(func(sim.Time) {
+		delivered, serialized := len(dst.arrivals), int(l.TxPackets())
+		want = want[:0]
+		if serialized+q.LenPackets() < n {
+			want = append(want, sent[serialized]) // the packet on the wire
+		}
+		want = append(want, sent[delivered:serialized]...)
+		walked = walked[:0]
+		l.ForEachInFlight(func(p *Packet) { walked = append(walked, p) })
+		if l.InFlightPackets() != len(want) || len(walked) != len(want) {
+			t.Fatalf("at %v: %d in flight, walked %d, want %d",
+				eng.Now(), l.InFlightPackets(), len(walked), len(want))
+		}
+		for i := range want {
+			if walked[i] != want[i] {
+				t.Fatalf("at %v: in-flight packet %d is flow %d, want flow %d",
+					eng.Now(), i, walked[i].Flow, want[i].Flow)
+			}
+		}
+		peak = max(peak, len(want))
+	})
+	eng.Run()
+	if len(dst.arrivals) != n {
+		t.Fatalf("delivered %d of %d", len(dst.arrivals), n)
+	}
+	for i, a := range dst.arrivals {
+		if a.p != sent[i] {
+			t.Fatalf("delivery %d is flow %d, want flow %d", i, a.p.Flow, sent[i].Flow)
+		}
+	}
+	if peak < 20 {
+		t.Fatalf("peak in flight %d: the stream never filled the pipe with small packets", peak)
+	}
+	if c := len(l.inflight.buf); c > 4*peak {
+		t.Fatalf("in-flight storage holds %d slots after the stream, peak in flight was %d", c, peak)
+	}
+}

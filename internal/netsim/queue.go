@@ -47,13 +47,10 @@ type Queue struct {
 	ecnAvgWeight float64
 	ecnAvgDepth  float64
 
-	// ring holds the queued packets in FIFO order, oldest at head: a
-	// power-of-two circular buffer that doubles when full and is kept for
-	// the queue's lifetime, so each burst reuses the storage earlier bursts
+	// ring holds the queued packets in FIFO order. It is kept for the
+	// queue's lifetime, so each burst reuses the storage earlier bursts
 	// grew instead of growing a slice from empty again.
-	ring  []*Packet
-	head  int
-	n     int
+	ring  packetRing
 	bytes int
 
 	shared *SharedBuffer
@@ -115,7 +112,7 @@ func NewQueue(cfg QueueConfig) *Queue {
 func (q *Queue) Name() string { return q.name }
 
 // LenPackets returns the current occupancy in packets.
-func (q *Queue) LenPackets() int { return q.n }
+func (q *Queue) LenPackets() int { return q.ring.n }
 
 // LenBytes returns the current occupancy in IP bytes.
 func (q *Queue) LenBytes() int { return q.bytes }
@@ -160,16 +157,13 @@ func (q *Queue) OnEnqueue() func(now sim.Time, p *Packet) { return q.onEnqueue }
 // must not be mutated or retained; the auditor uses this to cross-check
 // occupancy accounting and packet liveness.
 func (q *Queue) ForEachPacket(fn func(p *Packet)) {
-	mask := len(q.ring) - 1
-	for i := 0; i < q.n; i++ {
-		fn(q.ring[(q.head+i)&mask])
-	}
+	q.ring.forEach(fn)
 }
 
 // admissible reports whether p fits under the queue's own limits and, if
 // bound, the shared buffer's dynamic threshold.
 func (q *Queue) admissible(p *Packet) bool {
-	if q.capacityPackets > 0 && q.n+1 > q.capacityPackets {
+	if q.capacityPackets > 0 && q.ring.n+1 > q.capacityPackets {
 		return false
 	}
 	if q.capacityBytes > 0 && q.bytes+p.IPBytes() > q.capacityBytes {
@@ -192,25 +186,21 @@ func (q *Queue) Enqueue(now sim.Time, p *Packet) bool {
 		}
 		return false
 	}
-	if q.n == len(q.ring) {
-		q.growRing()
-	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
-	q.n++
+	q.ring.push(p)
 	q.bytes += p.IPBytes()
 	if q.shared != nil {
 		q.shared.grow(p.IPBytes())
 	}
 	q.stats.EnqueuedPackets++
 	q.stats.EnqueuedBytes += int64(p.IPBytes())
-	if q.n > q.stats.PeakPackets {
-		q.stats.PeakPackets = q.n
+	if q.ring.n > q.stats.PeakPackets {
+		q.stats.PeakPackets = q.ring.n
 	}
 	if q.bytes > q.stats.PeakBytes {
 		q.stats.PeakBytes = q.bytes
 	}
-	if q.n > q.watermarkPackets {
-		q.watermarkPackets = q.n
+	if q.ring.n > q.watermarkPackets {
+		q.watermarkPackets = q.ring.n
 	}
 	q.updateAvgDepth()
 	if q.ecnThresholdPackets > 0 && p.ECT && q.markingDepth() > float64(q.ecnThresholdPackets) {
@@ -221,7 +211,7 @@ func (q *Queue) Enqueue(now sim.Time, p *Packet) bool {
 		q.onEnqueue(now, p)
 	}
 	if q.onChange != nil {
-		q.onChange(now, q.n, q.bytes)
+		q.onChange(now, q.ring.n, q.bytes)
 	}
 	return true
 }
@@ -236,7 +226,7 @@ func (q *Queue) updateAvgDepth() {
 	if q.ecnAvgWeight <= 0 {
 		return
 	}
-	q.ecnAvgDepth = (1-q.ecnAvgWeight)*q.ecnAvgDepth + q.ecnAvgWeight*float64(q.n)
+	q.ecnAvgDepth = (1-q.ecnAvgWeight)*q.ecnAvgDepth + q.ecnAvgWeight*float64(q.ring.n)
 }
 
 // markingDepth returns the occupancy the ECN comparison uses: the
@@ -244,38 +234,70 @@ func (q *Queue) updateAvgDepth() {
 // configured. Read-only; the EWMA itself advances in updateAvgDepth.
 func (q *Queue) markingDepth() float64 {
 	if q.ecnAvgWeight <= 0 {
-		return float64(q.n)
+		return float64(q.ring.n)
 	}
 	return q.ecnAvgDepth
 }
 
 // Dequeue removes and returns the head packet, or nil if the queue is empty.
 func (q *Queue) Dequeue(now sim.Time) *Packet {
-	if q.n == 0 {
+	if q.ring.n == 0 {
 		return nil
 	}
-	p := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
+	p := q.ring.pop()
 	q.bytes -= p.IPBytes()
 	if q.shared != nil {
 		q.shared.shrink(p.IPBytes())
 	}
 	q.updateAvgDepth()
 	if q.onChange != nil {
-		q.onChange(now, q.n, q.bytes)
+		q.onChange(now, q.ring.n, q.bytes)
 	}
 	return p
 }
 
-// growRing doubles the full ring, unrolling it so the oldest packet lands at
+// packetRing is a FIFO of packets in a power-of-two circular buffer that
+// doubles when full: buf[(head+i)&(len(buf)-1)] for i < n, oldest first.
+// It holds only what is queued, however many packets pass through it.
+type packetRing struct {
+	buf  []*Packet
+	head int
+	n    int
+}
+
+// push appends p at the tail.
+func (r *packetRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+// pop removes and returns the oldest packet. The ring must not be empty.
+func (r *packetRing) pop() *Packet {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
+}
+
+// forEach calls fn for every packet, oldest first.
+func (r *packetRing) forEach(fn func(p *Packet)) {
+	mask := len(r.buf) - 1
+	for i := 0; i < r.n; i++ {
+		fn(r.buf[(r.head+i)&mask])
+	}
+}
+
+// grow doubles the full ring, unrolling it so the oldest packet lands at
 // index zero.
-func (q *Queue) growRing() {
-	ring := make([]*Packet, max(minRing, 2*len(q.ring)))
-	k := copy(ring, q.ring[q.head:])
-	copy(ring[k:], q.ring[:q.head])
-	q.ring, q.head = ring, 0
+func (r *packetRing) grow() {
+	buf := make([]*Packet, max(minRing, 2*len(r.buf)))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }
 
 // minRing is the first ring allocation, in packets; a power of two.
@@ -286,7 +308,7 @@ const minRing = 8
 // last interval" semantics production ToRs export.
 func (q *Queue) TakeWatermark() int {
 	w := q.watermarkPackets
-	q.watermarkPackets = q.n
+	q.watermarkPackets = q.ring.n
 	return w
 }
 

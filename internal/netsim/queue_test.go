@@ -172,7 +172,7 @@ func TestQueueRingFIFOProperty(t *testing.T) {
 			}
 			for step, n := 0, 1+rng.IntN(60); step < n; step++ {
 				if rng.Float64() < enq {
-					if q.n == len(q.ring) && q.head != 0 {
+					if q.ring.n == len(q.ring.buf) && q.ring.head != 0 {
 						grewWrapped++
 					}
 					p := dataPacket(FlowID(next), 100)

@@ -1,5 +1,11 @@
 package sim
 
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
 // This file implements the engine's bucketed calendar queue — the default
 // event scheduler. The classic binary heap pays O(log n) pointer-chasing
 // comparisons per push and pop; at incast degrees in the hundreds to
@@ -8,41 +14,43 @@ package sim
 // the timeline into a ring of fixed-width buckets and keeps events sorted
 // only within the small window currently being drained:
 //
-//   - nowq: a FIFO for events scheduled at exactly the current virtual
-//     time. Causally-chained "fire now" events (packet forwarding chains)
-//     append and pop here without touching any ordering structure; FIFO
-//     order is (time, seq) order because seq is assignment order.
-//   - cur: a small binary heap holding every pending event with at <
-//     curEnd (the end of the current bucket window). All pops come from
-//     cur or nowq.
+//   - cur: a slice sorted by (at, seq) holding every pending event with
+//     at < curEnd (the end of the current bucket window), plus any event
+//     scheduled at exactly the current time. cur[curHead:] are pending;
+//     the prefix before curHead has run. The head is an index read and a
+//     pop an increment. Insertion scans from the tail: a new event has the
+//     largest seq, so it almost always lands at the end or one step
+//     before it. Bucket loads average two to three events.
 //   - buckets: the ring. An event with curEnd <= at < curStart +
 //     bucketCount*width lands in bucket (at>>shift)&mask as an unsorted
-//     O(1) append. When the window reaches a bucket, its events move into
-//     cur and are heapified once.
+//     O(1) append. When the window reaches a bucket, its events are sorted
+//     into cur. A bitmap with one bit per bucket marks the non-empty ones,
+//     so the window jumps to the next populated bucket in a few word scans
+//     instead of stepping through empty buckets.
 //   - overflow: a binary heap for events beyond the ring horizon — RTO
 //     timers, burst starts, scenario phases. Events migrate from overflow
 //     into cur when the window reaches their bucket. Cancellation is eager
-//     everywhere (heap remove / swap-remove / tombstone), which matters
-//     here: TCP re-arms its RTO via ResetAfter on nearly every ACK, and a
-//     lazy overflow heap would fill with dead timers.
+//     everywhere (heap remove / swap-remove / scan and shift), which
+//     matters here: TCP re-arms its RTO via ResetAfter on nearly every ACK,
+//     and a lazy overflow heap would fill with dead timers.
 //
 // Ordering correctness rests on one invariant: every event in the ring or
-// overflow has at >= curEnd, and every event in cur or nowq has at <
-// curEnd. The window only advances when cur and nowq are empty, so the
-// global (time, seq) minimum always sits in cur or nowq, and comparing
-// their heads is enough. The same-timestamp FIFO is correct because an
-// event can only enter nowq while now equals its timestamp, and nowq
-// drains completely before the clock advances — so any cur event sharing
-// its timestamp was scheduled earlier (smaller seq) and wins the
-// comparison.
+// overflow has at >= curEnd, and cur holds every other pending event. The
+// window only advances when cur is empty, so the global (time, seq)
+// minimum always sits at the head of cur. An event scheduled at exactly
+// the current time goes straight into cur even when the window has fallen
+// behind the clock (a RunUntil that drained the queue moves the clock, not
+// the window): nothing pending can precede it, and it runs before the
+// window moves.
 //
 // The bucket width adapts to event density, deterministically: all resize
-// decisions are functions of virtual state (walked-empty-bucket streaks
-// and bucket loads), never of wall time. A walk that crosses
-// bucketCount/4 empty buckets doubles the width; a bucket that loads more
-// than calNarrowLoad events into cur schedules a halving at the next
-// window advance. Resizes re-place the ring and cur contents under the
-// new width, restoring the invariant above.
+// decisions are functions of virtual state (the number of empty buckets
+// before the next populated one, and bucket loads), never of wall time. A
+// window advance that would cross at least calWidenWalk empty buckets
+// doubles the width; a bucket that loads more than calNarrowLoad events
+// into cur schedules a halving at the next window advance. Resizes
+// re-place the ring and cur contents under the new width, restoring the
+// invariant above.
 const (
 	calBuckets    = 1024 // ring size, fixed power of two
 	calInitShift  = 10   // initial bucket width 2^10 ns ≈ 1 µs (~one MTU at 10 Gbps)
@@ -55,9 +63,8 @@ const (
 // Event locations, for eager cancellation.
 const (
 	locFree int8 = iota // recycled / executed / never scheduled
-	locCur              // in the cur heap
+	locCur              // in the sorted current window
 	locRing             // in a ring bucket
-	locNow              // in the same-timestamp FIFO
 	locOver             // in the overflow heap
 	locRef              // in the reference heap (refMode engines)
 )
@@ -67,14 +74,13 @@ type calQueue struct {
 	shift   uint
 	mask    int
 	buckets [][]*event
-	ringN   int // live events across all ring buckets
+	occ     [calBuckets / 64]uint64 // bit b set iff buckets[b] is non-empty
+	ringN   int                     // live events across all ring buckets
 
 	curStart Time // start of the current bucket window
 	curIdx   int
-	cur      eventHeap
-
-	nowq     []*event // same-timestamp FIFO; canceled slots are nil
-	nowqHead int
+	cur      []*event // sorted by (at, seq); cur[curHead:] are pending
+	curHead  int
 
 	overflow eventHeap
 
@@ -111,10 +117,8 @@ func (cq *calQueue) add(ev *event, now Time) {
 	}
 	cq.n++
 	if ev.at == now {
-		ev.loc = locNow
-		ev.index = len(cq.nowq)
-		cq.nowq = append(cq.nowq, ev)
 		cq.nowFast++
+		cq.insertCur(ev)
 		return
 	}
 	cq.place(ev)
@@ -127,20 +131,19 @@ func (cq *calQueue) place(ev *event) {
 	if ev.at < cq.curStart {
 		// The window advanced past this timestamp while peeking ahead;
 		// the event still belongs to the pile currently being drained.
-		ev.loc = locCur
-		cq.cur.push(ev)
+		cq.insertCur(ev)
 		return
 	}
 	d := uint64(ev.at - cq.curStart)
 	switch {
 	case d < uint64(cq.width()):
-		ev.loc = locCur
-		cq.cur.push(ev)
+		cq.insertCur(ev)
 	case d < uint64(cq.width())<<uint(calBucketsLog):
 		b := int(uint64(ev.at)>>cq.shift) & cq.mask
 		ev.loc = locRing
 		ev.index = len(cq.buckets[b])
 		cq.buckets[b] = append(cq.buckets[b], ev)
+		cq.occ[b>>6] |= 1 << (b & 63)
 		cq.ringN++
 	default:
 		ev.loc = locOver
@@ -150,50 +153,41 @@ func (cq *calQueue) place(ev *event) {
 
 const calBucketsLog = 10
 
+// insertCur adds ev to the sorted current window, scanning from the tail.
+// Every event that has already run precedes ev in (at, seq) order, so the
+// scan never passes curHead.
+func (cq *calQueue) insertCur(ev *event) {
+	ev.loc = locCur
+	if cq.curHead == len(cq.cur) {
+		cq.cur = cq.cur[:0]
+		cq.curHead = 0
+	}
+	cq.cur = append(cq.cur, ev)
+	i := len(cq.cur) - 1
+	for i > cq.curHead && ev.before(cq.cur[i-1]) {
+		cq.cur[i] = cq.cur[i-1]
+		i--
+	}
+	cq.cur[i] = ev
+}
+
 // head returns the earliest live event without removing it, advancing the
 // bucket window as needed. Returns nil when the queue is empty.
 func (cq *calQueue) head(now Time) *event {
 	for {
-		for cq.nowqHead < len(cq.nowq) && cq.nowq[cq.nowqHead] == nil {
-			cq.nowqHead++
-		}
-		var nq *event
-		if cq.nowqHead < len(cq.nowq) {
-			nq = cq.nowq[cq.nowqHead]
-		}
-		if len(cq.cur) > 0 {
-			ct := cq.cur[0]
-			if nq == nil || ct.before(nq) {
-				return ct
-			}
-		}
-		if nq != nil {
-			return nq
+		if cq.curHead < len(cq.cur) {
+			return cq.cur[cq.curHead]
 		}
 		if cq.n == 0 {
-			if len(cq.nowq) > 0 {
-				cq.nowq = cq.nowq[:0]
-				cq.nowqHead = 0
-			}
 			return nil
 		}
 		cq.advance(now)
 	}
 }
 
-// take removes ev, the event head just returned, without searching for the
-// head a second time.
-func (cq *calQueue) take(ev *event) {
-	switch ev.loc {
-	case locCur:
-		cq.cur.pop()
-	case locNow:
-		cq.nowqHead = ev.index + 1
-		if cq.nowqHead == len(cq.nowq) {
-			cq.nowq = cq.nowq[:0]
-			cq.nowqHead = 0
-		}
-	}
+// take removes the event head just returned.
+func (cq *calQueue) take() {
+	cq.curHead++
 	cq.n--
 }
 
@@ -202,7 +196,10 @@ func (cq *calQueue) take(ev *event) {
 func (cq *calQueue) remove(ev *event) {
 	switch ev.loc {
 	case locCur:
-		cq.cur.remove(ev.index)
+		i := cq.curHead + slices.Index(cq.cur[cq.curHead:], ev)
+		copy(cq.cur[i:], cq.cur[i+1:])
+		cq.cur[len(cq.cur)-1] = nil
+		cq.cur = cq.cur[:len(cq.cur)-1]
 	case locOver:
 		cq.overflow.remove(ev.index)
 	case locRing:
@@ -214,17 +211,20 @@ func (cq *calQueue) remove(ev *event) {
 		moved.index = ev.index
 		s[last] = nil
 		cq.buckets[b] = s[:last]
+		if last == 0 {
+			cq.occ[b>>6] &^= 1 << (b & 63)
+		}
 		cq.ringN--
-	case locNow:
-		cq.nowq[ev.index] = nil
 	}
 	cq.n--
 }
 
 // advance moves the window forward to the next populated bucket, applying
-// any pending resize. Called only when cur and nowq are empty and live
-// events remain in the ring or overflow.
+// any pending resize. Called only when cur is empty and live events remain
+// in the ring or overflow.
 func (cq *calQueue) advance(now Time) {
+	cq.cur = cq.cur[:0]
+	cq.curHead = 0
 	if cq.wantNarrow && cq.shift > calMinShift {
 		cq.wantNarrow = false
 		cq.rescale(cq.shift-1, now)
@@ -236,53 +236,81 @@ func (cq *calQueue) advance(now Time) {
 		cq.loadBucket()
 		return
 	}
-	w := cq.width()
-	empty := 0
-	for {
-		cq.curIdx = (cq.curIdx + 1) & cq.mask
-		cq.curStart += w
-		if len(cq.buckets[cq.curIdx]) > 0 || cq.overflowDue() {
-			cq.loadBucket()
-			return
-		}
-		empty++
-		if empty >= calWidenWalk && cq.shift < calMaxShift {
-			// The ring is sparse at this width; double the bucket.
-			cq.rescale(cq.shift+1, now)
-			return
-		}
+	// steps is how many buckets ahead the next work lies: the nearer of
+	// the next populated ring bucket and the overflow head's bucket.
+	steps := uint64(cq.nextOccupied())
+	if len(cq.overflow) > 0 {
+		steps = min(steps, uint64(cq.overflow[0].at-cq.curStart)>>cq.shift)
 	}
+	if steps > calWidenWalk && cq.shift < calMaxShift {
+		// The ring is sparse at this width; double the bucket.
+		cq.rescale(cq.shift+1, now)
+		return
+	}
+	cq.curIdx = (cq.curIdx + int(steps)) & cq.mask
+	cq.curStart += Time(steps) << cq.shift
+	cq.loadBucket()
 }
 
-// overflowDue reports whether the overflow head falls inside the current
-// bucket window.
-func (cq *calQueue) overflowDue() bool {
-	return len(cq.overflow) > 0 &&
-		uint64(cq.overflow[0].at-cq.curStart) < uint64(cq.width())
+// nextOccupied returns how many buckets past curIdx the next non-empty
+// ring bucket lies, from 1 to calBuckets. The ring must hold an event.
+func (cq *calQueue) nextOccupied() int {
+	from := (cq.curIdx + 1) & cq.mask
+	w := from >> 6
+	word := cq.occ[w] >> (from & 63) << (from & 63)
+	for word == 0 {
+		w = (w + 1) & (len(cq.occ) - 1)
+		word = cq.occ[w]
+	}
+	b := w<<6 | bits.TrailingZeros64(word)
+	return (b-from)&cq.mask + 1
 }
 
-// loadBucket drains the current ring bucket into cur, heapifies once, and
-// pulls any overflow events that fall inside the window.
+// loadBucket makes the current ring bucket the (empty) cur, sorted, and
+// pulls any overflow events that fall inside the window. The bucket and
+// cur trade backing arrays rather than copy: the spare capacity past len
+// may hold pointers to recycled events, which nothing reads.
 func (cq *calQueue) loadBucket() {
 	b := cq.buckets[cq.curIdx]
 	if len(b) > 0 {
-		base := len(cq.cur)
-		cq.cur = append(cq.cur, b...)
-		for i := base; i < len(cq.cur); i++ {
-			cq.cur[i].loc = locCur
-			cq.cur[i].index = i
+		cq.buckets[cq.curIdx] = cq.cur[:0]
+		cq.cur = b
+		for _, ev := range b {
+			ev.loc = locCur
 		}
-		for j := range b {
-			b[j] = nil
-		}
-		cq.buckets[cq.curIdx] = b[:0]
+		sortEvents(b)
+		cq.occ[cq.curIdx>>6] &^= 1 << (cq.curIdx & 63)
 		cq.ringN -= len(b)
-		cq.cur.init()
 		if len(b) > calNarrowLoad && cq.shift > calMinShift {
 			cq.wantNarrow = true
 		}
 	}
 	cq.migrateOverflow()
+}
+
+// sortEvents orders s by (at, seq). A bucket is appended in seq order and
+// usually holds a couple of events, so insertion sort does almost no work.
+// A crowded bucket, which a wide bucket can fill in any order, goes to the
+// library sort, whose worst case is not quadratic.
+func sortEvents(s []*event) {
+	if len(s) > 16 {
+		slices.SortFunc(s, func(a, b *event) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		ev := s[i]
+		j := i
+		for j > 0 && ev.before(s[j-1]) {
+			s[j] = s[j-1]
+			j--
+		}
+		s[j] = ev
+	}
 }
 
 // migrateOverflow moves overflow events due inside the current window into
@@ -291,9 +319,7 @@ func (cq *calQueue) loadBucket() {
 func (cq *calQueue) migrateOverflow() {
 	w := uint64(cq.width())
 	for len(cq.overflow) > 0 && uint64(cq.overflow[0].at-cq.curStart) < w {
-		ev := cq.overflow.pop()
-		ev.loc = locCur
-		cq.cur.push(ev)
+		cq.insertCur(cq.overflow.pop())
 		cq.migrations++
 	}
 }
@@ -304,34 +330,28 @@ func (cq *calQueue) migrateOverflow() {
 // beyond the narrower horizon demote to overflow.
 func (cq *calQueue) rescale(shift uint, now Time) {
 	cq.resizes++
-	scratch := cq.scratch[:0]
-	scratch = append(scratch, cq.cur...)
-	for i := range cq.cur {
-		cq.cur[i] = nil
-	}
+	scratch := append(cq.scratch[:0], cq.cur[cq.curHead:]...)
+	clear(cq.cur)
 	cq.cur = cq.cur[:0]
+	cq.curHead = 0
 	if cq.ringN > 0 {
-		for i := range cq.buckets {
-			b := cq.buckets[i]
+		for i, b := range cq.buckets {
 			if len(b) == 0 {
 				continue
 			}
 			scratch = append(scratch, b...)
-			for j := range b {
-				b[j] = nil
-			}
+			clear(b)
 			cq.buckets[i] = b[:0]
 		}
 	}
+	clear(cq.occ[:])
 	cq.ringN = 0
 	cq.shift = shift
 	cq.setWindow(now)
 	for _, ev := range scratch {
 		cq.place(ev)
 	}
-	for i := range scratch {
-		scratch[i] = nil
-	}
+	clear(scratch)
 	cq.scratch = scratch[:0]
 	cq.migrateOverflow()
 }
@@ -343,25 +363,18 @@ func (cq *calQueue) reset() {
 	if cq.buckets == nil {
 		return
 	}
-	for i := range cq.cur {
-		cq.cur[i] = nil
-	}
+	clear(cq.cur)
 	cq.cur = cq.cur[:0]
-	cq.nowq = cq.nowq[:0]
-	cq.nowqHead = 0
+	cq.curHead = 0
 	if cq.ringN > 0 {
-		for i := range cq.buckets {
-			b := cq.buckets[i]
-			for j := range b {
-				b[j] = nil
-			}
+		for i, b := range cq.buckets {
+			clear(b)
 			cq.buckets[i] = b[:0]
 		}
 	}
+	clear(cq.occ[:])
 	cq.ringN = 0
-	for i := range cq.overflow {
-		cq.overflow[i] = nil
-	}
+	clear(cq.overflow)
 	cq.overflow = cq.overflow[:0]
 	cq.n = 0
 	cq.wantNarrow = false
@@ -369,14 +382,15 @@ func (cq *calQueue) reset() {
 	cq.setWindow(0)
 }
 
-// The calendar queue's two heaps use these typed operations rather than
+// The overflow heap uses these typed operations rather than
 // container/heap: going through heap.Interface costs a dynamic call per
-// Less and Swap, and those calls dominated scheduler time. They are the
-// sift-up/sift-down algorithms container/heap runs, comparing (at, seq)
-// inline and keeping ev.index current. (at, seq) is a total order, so any
-// correct heap pops events in the same sequence; the reference engine
-// (newHeapEngine) keeps container/heap, and the differential tests check
-// the calendar queue against it.
+// Less and Swap, and those calls dominated scheduler time when every
+// window was a heap too. They are the sift-up/sift-down algorithms
+// container/heap runs, comparing (at, seq) inline and keeping ev.index
+// current. (at, seq) is a total order, so any correct heap pops events in
+// the same sequence; the reference engine (newHeapEngine) keeps
+// container/heap, and the differential tests check the calendar queue
+// against it.
 
 // before reports whether a runs before b in (at, seq) order.
 func (a *event) before(b *event) bool {
@@ -418,13 +432,6 @@ func (h *eventHeap) remove(i int) {
 		}
 	}
 	ev.index = -1
-}
-
-// init establishes the heap order over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 // up moves the event at j toward the root until its parent runs first.
@@ -481,15 +488,15 @@ type SchedulerStats struct {
 	BucketCount int
 	BucketWidth Time
 	// CurrentEvents, RingEvents, and OverflowEvents count live events in
-	// the cur heap, the ring buckets, and the overflow heap.
+	// the current window, the ring buckets, and the overflow heap.
 	CurrentEvents, RingEvents, OverflowEvents int
 	// Resizes counts bucket-width changes (halvings and doublings).
 	Resizes uint64
 	// OverflowMigrations counts events that moved from the overflow heap
 	// into the current window.
 	OverflowMigrations uint64
-	// NowFastPath counts events that took the same-timestamp FIFO instead
-	// of an ordering structure.
+	// NowFastPath counts events scheduled at exactly the current time.
+	// They go straight into the current window, whatever its position.
 	NowFastPath uint64
 }
 
@@ -501,7 +508,7 @@ func (e *Engine) SchedulerStats() SchedulerStats {
 	}
 	cq := &e.cq
 	st := SchedulerStats{
-		CurrentEvents:      len(cq.cur),
+		CurrentEvents:      len(cq.cur) - cq.curHead,
 		RingEvents:         cq.ringN,
 		OverflowEvents:     len(cq.overflow),
 		Resizes:            cq.resizes,

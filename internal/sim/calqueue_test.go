@@ -428,3 +428,272 @@ func TestRunUntilDrainedMidRunAdvancesToDeadline(t *testing.T) {
 		t.Fatalf("clock at %v after draining mid-run, want deadline 5000", e.Now())
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Scheduler paths no experiment reaches. Every cancellation in the
+// experiments hits the overflow heap; these scripts stop events in the
+// current window and the ring, schedule behind a window that has run
+// ahead of the clock, rescale with a populated window and reset a full
+// queue. Each script runs on the calendar queue and on the reference heap
+// and must log the same executions; the calendar-only checks look inside
+// the queue.
+// ---------------------------------------------------------------------------
+
+// logger records executions for checkAgainstHeap scripts.
+type logger struct {
+	e   *Engine
+	log []execRecord
+}
+
+// ev returns an event body that logs id at the current time.
+func (l *logger) ev(id int) func() {
+	return func() { l.log = append(l.log, execRecord{at: l.e.Now(), id: id}) }
+}
+
+// checkAgainstHeap runs script on a calendar-queue engine and on the
+// reference heap engine and requires identical execution logs. script
+// returns after scheduling; checkAgainstHeap drains both engines.
+func checkAgainstHeap(t *testing.T, script func(l *logger)) *Engine {
+	t.Helper()
+	cal, ref := &logger{e: NewEngine()}, &logger{e: newHeapEngine()}
+	for _, l := range []*logger{cal, ref} {
+		script(l)
+		l.e.Run()
+		if l.e.Pending() != 0 {
+			t.Fatalf("refMode=%v: %d events pending after Run", l.e.refMode, l.e.Pending())
+		}
+	}
+	if len(cal.log) != len(ref.log) {
+		t.Fatalf("calendar queue ran %d events, reference heap %d:\ncalendar:  %v\nreference: %v",
+			len(cal.log), len(ref.log), cal.log, ref.log)
+	}
+	for i := range cal.log {
+		if cal.log[i] != ref.log[i] {
+			t.Fatalf("execution %d: calendar queue ran %v, reference heap %v:\ncalendar:  %v\nreference: %v",
+				i, cal.log[i], ref.log[i], cal.log, ref.log)
+		}
+	}
+	return cal.e
+}
+
+// occupied reports whether the ring bucket holding time at is marked
+// non-empty in the occupancy bitmap.
+func occupied(e *Engine, at Time) bool {
+	b := int(uint64(at)>>e.cq.shift) & e.cq.mask
+	return e.cq.occ[b>>6]&(1<<(b&63)) != 0
+}
+
+func TestCalQueueStopCurrentWindowEvent(t *testing.T) {
+	checkAgainstHeap(t, func(l *logger) {
+		e := l.e
+		var tm [6]*Timer
+		for i := range tm {
+			tm[i] = e.At(Time(100*(i+1)), l.ev(i)) // all inside the first 1 µs bucket
+		}
+		if !e.refMode && e.SchedulerStats().CurrentEvents != len(tm) {
+			t.Fatalf("%d events in the current window, want %d", e.SchedulerStats().CurrentEvents, len(tm))
+		}
+		tm[4].Stop()
+		// From inside the window, with its first event consumed, stop an
+		// event in the middle of it and the last one.
+		e.Schedule(150, func() {
+			tm[3].Stop()
+			tm[5].Stop()
+			if !e.refMode && e.SchedulerStats().CurrentEvents != 2 {
+				t.Errorf("%d events in the current window after two stops, want 2", e.SchedulerStats().CurrentEvents)
+			}
+		})
+	})
+}
+
+func TestCalQueueStopOnlyRingEvent(t *testing.T) {
+	var a, b Time = 100 * Microsecond, 300 * Microsecond
+	e := checkAgainstHeap(t, func(l *logger) {
+		e := l.e
+		tm := e.At(a, l.ev(0))
+		e.Schedule(b, l.ev(1))
+		if e.refMode {
+			tm.Stop()
+			return
+		}
+		if st := e.SchedulerStats(); st.RingEvents != 2 || !occupied(e, a) {
+			t.Fatalf("want both events in ring buckets, got %+v (bucket of %v marked: %v)", st, a, occupied(e, a))
+		}
+		tm.Stop()
+		if occupied(e, a) {
+			t.Fatalf("bucket of %v still marked occupied after its only event stopped", a)
+		}
+		if !occupied(e, b) {
+			t.Fatalf("bucket of %v lost its mark", b)
+		}
+	})
+	// The next work lies about 293 buckets on: past calWidenWalk, so the
+	// advance widens the bucket once, as a step-by-step walk would. A
+	// stale mark at a's bucket would stop it halfway.
+	if st := e.SchedulerStats(); st.Resizes != 1 {
+		t.Fatalf("Resizes = %d, want 1", st.Resizes)
+	}
+}
+
+func TestCalQueueScheduleBehindWindow(t *testing.T) {
+	// NextEventAt loads the window of the 500 µs event; events at now and
+	// between now and that window must still run first.
+	checkAgainstHeap(t, func(l *logger) {
+		e := l.e
+		e.Schedule(500*Microsecond, l.ev(0))
+		if got := e.NextEventAt(); got != 500*Microsecond {
+			t.Fatalf("NextEventAt = %v", got)
+		}
+		e.Schedule(0, l.ev(1))
+		e.Schedule(100*Microsecond, l.ev(2))
+		e.Schedule(500*Microsecond, l.ev(3))
+		e.Schedule(700*Microsecond, l.ev(4))
+		e.Schedule(0, l.ev(5))
+	})
+	// RunUntil stops short of the loaded window and leaves the clock
+	// behind it.
+	checkAgainstHeap(t, func(l *logger) {
+		e := l.e
+		e.Schedule(10, l.ev(0))
+		e.Schedule(900*Microsecond, l.ev(1))
+		e.RunUntil(200 * Microsecond)
+		e.Schedule(200*Microsecond, l.ev(2))
+		e.Schedule(300*Microsecond, l.ev(3))
+		e.Schedule(900*Microsecond, l.ev(4))
+	})
+	// RunUntil drains the queue and moves the clock far past the window.
+	// An event at now goes into the current window, not a ring bucket, and
+	// runs before the window moves; the event it schedules is then about
+	// 293 buckets from the old window, so the next advance widens once.
+	e := checkAgainstHeap(t, func(l *logger) {
+		e := l.e
+		e.Schedule(10, l.ev(0))
+		e.RunUntil(200 * Microsecond)
+		e.Schedule(200*Microsecond, func() {
+			l.ev(1)()
+			e.Schedule(300*Microsecond, l.ev(2))
+		})
+		if !e.refMode {
+			if st := e.SchedulerStats(); st.CurrentEvents != 1 || st.RingEvents != 0 {
+				t.Fatalf("event at now not in the current window: %+v", st)
+			}
+		}
+	})
+	if st := e.SchedulerStats(); st.Resizes != 1 || st.NowFastPath != 1 {
+		t.Fatalf("Resizes = %d, NowFastPath = %d, want 1 and 1", st.Resizes, st.NowFastPath)
+	}
+}
+
+func TestCalQueueRescaleWithPendingWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shift uint
+	}{{"widen", calInitShift + 1}, {"narrow", calInitShift - 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkAgainstHeap(t, func(l *logger) {
+				e := l.e
+				for i, at := range []Time{100, 300, 600, 700, 900, 1500, 5 * Microsecond, 600 * Microsecond, 1800 * Microsecond, 2 * Second} {
+					e.Schedule(at, l.ev(i))
+				}
+				// Rescale from inside the window, after its first event
+				// ran, with four more pending in it.
+				e.Schedule(200, func() {
+					if e.refMode {
+						return
+					}
+					if st := e.SchedulerStats(); st.CurrentEvents != 4 {
+						t.Fatalf("%d events in the current window before the rescale, want 4", st.CurrentEvents)
+					}
+					e.cq.rescale(tc.shift, e.Now())
+					st := e.SchedulerStats()
+					if st.BucketWidth != Time(1)<<tc.shift {
+						t.Fatalf("width %v after rescale to shift %d", st.BucketWidth, tc.shift)
+					}
+					if st.CurrentEvents+st.RingEvents+st.OverflowEvents != e.Pending() {
+						t.Fatalf("rescale lost events: %+v, %d pending", st, e.Pending())
+					}
+				})
+			})
+		})
+	}
+}
+
+func TestCalQueueResetFullQueue(t *testing.T) {
+	checkAgainstHeap(t, func(l *logger) {
+		e := l.e
+		var timers []*Timer
+		for i, at := range []Time{100, 200, 50 * Microsecond, 400 * Microsecond, 3 * Second} {
+			timers = append(timers, e.At(at, l.ev(i)))
+		}
+		e.Schedule(0, l.ev(5))
+		e.RunUntil(0)
+		if !e.refMode {
+			if st := e.SchedulerStats(); st.CurrentEvents != 2 || st.RingEvents != 2 || st.OverflowEvents != 1 {
+				t.Fatalf("want events in the window, the ring and the overflow heap, got %+v", st)
+			}
+		}
+		e.Reset()
+		for i, tm := range timers {
+			if tm.Active() {
+				t.Fatalf("timer %d active after Reset", i)
+			}
+		}
+		if !e.refMode {
+			if st := e.SchedulerStats(); st.CurrentEvents+st.RingEvents+st.OverflowEvents != 0 {
+				t.Fatalf("Reset left events in the queue: %+v", st)
+			}
+			if e.cq.occ != [len(e.cq.occ)]uint64{} {
+				t.Fatal("Reset left ring buckets marked occupied")
+			}
+		}
+		// The reset engine runs a fresh schedule from time zero.
+		for i, at := range []Time{300, 100, 50 * Microsecond, 2 * Second} {
+			e.Schedule(at, l.ev(10+i))
+		}
+	})
+}
+
+// TestCalQueueWidenBoundary pins where a window advance widens the bucket:
+// when at least calWidenWalk empty buckets lie before the next work, be it
+// a ring bucket or the overflow head's bucket, exactly as a walk that
+// stepped through the empty buckets one by one would.
+func TestCalQueueWidenBoundary(t *testing.T) {
+	const w = Time(1) << calInitShift
+	for _, tc := range []struct {
+		name     string
+		overflow bool // the next work after bucket 844 is the overflow head
+		gap      int  // buckets from 844 to the next work
+		resizes  uint64
+	}{
+		{"ring 255", false, calWidenWalk - 1, 0},
+		{"ring 256", false, calWidenWalk, 0},
+		{"ring 257", false, calWidenWalk + 1, 1},
+		{"overflow 256", true, calWidenWalk, 0},
+		{"overflow 257", true, calWidenWalk + 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := checkAgainstHeap(t, func(l *logger) {
+				e := l.e
+				// Walk the window to bucket 844 in steps under the threshold.
+				for i, b := range []Time{200, 400, 600} {
+					e.Schedule(b*w+3, l.ev(i))
+				}
+				next := (844+Time(tc.gap))*w + 7
+				e.Schedule(844*w+3, func() {
+					l.ev(3)()
+					if tc.overflow {
+						e.Schedule(next+200*w, l.ev(4)) // a ring event behind the overflow head
+					} else {
+						e.Schedule(next, l.ev(4))
+					}
+				})
+				if tc.overflow {
+					e.Schedule(next, l.ev(5)) // beyond the horizon when scheduled
+				}
+			})
+			if st := e.SchedulerStats(); st.Resizes != tc.resizes {
+				t.Fatalf("Resizes = %d, want %d", st.Resizes, tc.resizes)
+			}
+		})
+	}
+}

@@ -75,13 +75,14 @@ func (t Time) String() string {
 // degrades into a safe no-op instead of touching the new occupant.
 //
 // loc records which scheduler structure currently holds the event (see
-// calqueue.go) and index its position there, so cancellation can unlink it
-// eagerly wherever it lives.
+// calqueue.go) and index its position in a ring bucket or heap, so
+// cancellation can unlink it eagerly wherever it lives. An event in the
+// calendar queue's current window is found by a scan instead.
 type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
-	index int // position within the structure named by loc; -1 when not queued
+	index int // position in the bucket or heap named by loc; -1 when not queued
 	loc   int8
 	gen   uint64
 }
@@ -123,9 +124,8 @@ func (h *eventHeap) Pop() any {
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 //
 // Events live in a bucketed calendar queue (see calqueue.go): O(1) appends
-// into time buckets, a small heap over the bucket being drained, an
-// overflow heap for far-future timers, and a FIFO fast path for events
-// scheduled at exactly the current time. Execution order is identical to
+// into time buckets, a small sorted window over the bucket being drained,
+// and an overflow heap for far-future timers. Execution order is identical to
 // the classic binary heap's (time, seq) order; the heap survives as an
 // internal reference implementation (refMode) that the differential tests
 // run against the calendar queue.
@@ -365,7 +365,7 @@ func (e *Engine) fire(ev *event) {
 	if e.refMode {
 		heap.Pop(&e.events)
 	} else {
-		e.cq.take(ev)
+		e.cq.take()
 	}
 	e.now = ev.at
 	e.executed++
@@ -455,13 +455,8 @@ func (e *Engine) Reset() {
 		e.events = e.events[:0]
 	} else {
 		cq := &e.cq
-		for _, ev := range cq.cur {
+		for _, ev := range cq.cur[cq.curHead:] {
 			e.recycle(ev)
-		}
-		for _, ev := range cq.nowq[cq.nowqHead:] {
-			if ev != nil {
-				e.recycle(ev)
-			}
 		}
 		if cq.ringN > 0 {
 			for i := range cq.buckets {
