@@ -108,13 +108,15 @@
 #                        row, printed before any shard starts)
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
 #                        flow-level Fig-5 sweeps, the ICTCP ablation, the
-#                        packet multi-aggregator Clos sweep and the
-#                        million-flow Clos run smoke-run at one iteration
-#                        each: each must execute and stay under its
-#                        allocs/op ceiling, and the packet Fig-5 sweep and
-#                        the million-flow run also under their B/op
-#                        ceilings (allocation counts and bytes repeat run
-#                        to run, so they are gated); measured
+#                        packet multi-aggregator Clos sweep, the million-flow
+#                        Clos run, and (in a second process) the
+#                        rack-contention, query-tail and cross-validation
+#                        experiments smoke-run at one iteration each: each
+#                        must execute and stay under its allocs/op
+#                        ceiling, and the packet Fig-5 sweep,
+#                        the million-flow run and the last three also under
+#                        their B/op ceilings (allocation counts and bytes
+#                        repeat run to run, so they are gated); measured
 #                        wall time lives in internal/bench/incastbench, not
 #                        here
 set -euo pipefail
@@ -380,6 +382,13 @@ echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation
 go test -run '^$' \
   -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkAblationReceiverWindow|BenchmarkClosMultiAggPacket|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
   -benchtime=1x -benchmem . >"$OBS_TMP/bench_smoke.txt"
+# The three experiments below build their own engines, so their counts
+# repeat. They run in a process of their own: in the one above, crossval
+# would run before the ICTCP ablation, and its garbage collections empty
+# the simulation resource pool the ablation otherwise finds warm (33,720
+# -> 56,630 allocs/op).
+go test -run '^$' -bench '^(BenchmarkExtRackContention|BenchmarkExtQueryTail|BenchmarkCrossValidation)$' \
+  -benchtime=1x -benchmem . >>"$OBS_TMP/bench_smoke.txt"
 # Each ceiling is the highest allocs/op (and, where a third column gives
 # one, B/op) of three runs when it was set, plus 10 %, rounded up. At one
 # iteration a benchmark that finds the simulation resource pool emptied by
@@ -419,6 +428,9 @@ BenchmarkFlowsimCohortFig5 3401
 BenchmarkFlowsimPerFlowFig5Point 41
 BenchmarkFlowsimCohortFig5Point 59
 BenchmarkClosMillionFlowSingleRun 930 46008900
+BenchmarkExtRackContention 60000 5873921
+BenchmarkExtQueryTail 37287 4781929
+BenchmarkCrossValidation 19805 1902552
 CEILINGS
 
 echo "==> ci.sh: all checks passed"

@@ -32,8 +32,6 @@
 package incastlab
 
 import (
-	"fmt"
-
 	"incastlab/internal/app"
 	"incastlab/internal/audit"
 	"incastlab/internal/cc"
@@ -48,7 +46,6 @@ import (
 	"incastlab/internal/sim"
 	"incastlab/internal/stats"
 	"incastlab/internal/sweep"
-	"incastlab/internal/tcp"
 	"incastlab/internal/workload"
 )
 
@@ -382,12 +379,9 @@ const (
 	PlacementSameRack  = workload.PlacementSameRack
 )
 
-// IncastConfig and Admitter expose the burst workload driver for custom
-// experiments beyond the canned runners.
-type (
-	IncastConfig = workload.IncastConfig
-	Admitter     = workload.Admitter
-)
+// Admitter decides when each flow of a burst is released; set
+// SimConfig.Admitter to schedule a run's bursts (Wave is one).
+type Admitter = workload.Admitter
 
 // Congestion control -----------------------------------------------------
 
@@ -514,38 +508,13 @@ func DefaultPartitionAggregateConfig(n int) PartitionAggregateConfig {
 }
 
 // PartitionAggregateResult is the outcome of RunPartitionAggregate.
-type PartitionAggregateResult struct {
-	// Queries holds the per-query records.
-	Queries []QueryRecord
-	// QCT summarizes query completion times in milliseconds.
-	QCT Summary
-	// Timeouts counts RTO events across all worker flows.
-	Timeouts int64
-}
+type PartitionAggregateResult = core.PartitionAggregateResult
 
 // RunPartitionAggregate builds the paper's dumbbell for cfg.Workers,
 // runs the closed-loop application under DCTCP, and summarizes the query
 // completion times.
 func RunPartitionAggregate(cfg PartitionAggregateConfig) *PartitionAggregateResult {
-	eng := sim.NewEngine()
-	if cfg.Sender.MSS == 0 {
-		cfg.Sender = tcp.DefaultSenderConfig()
-	}
-	pa := app.NewPartitionAggregate(eng, netsim.DefaultDumbbellConfig(cfg.Workers), cfg,
-		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
-	eng.RunUntil(60 * Second)
-	if !pa.Done() {
-		panic(fmt.Sprintf("incastlab: partition/aggregate with %d workers did not complete", cfg.Workers))
-	}
-	var timeouts int64
-	for _, s := range pa.Senders() {
-		timeouts += s.Stats().Timeouts
-	}
-	return &PartitionAggregateResult{
-		Queries:  pa.Queries(),
-		QCT:      pa.QCTStats(),
-		Timeouts: timeouts,
-	}
+	return core.RunPartitionAggregate(sim.NewEngine(), cfg)
 }
 
 // QueryTailLatency sweeps partition/aggregate fan-in at constant query

@@ -76,14 +76,15 @@ type QueryRecord struct {
 	QCT sim.Time
 }
 
-// PartitionAggregate wires the closed-loop application over a dumbbell:
-// the coordinator is the dumbbell's receiver host; workers are the
-// senders. Construct it, run the engine, then read Queries().
+// PartitionAggregate wires the closed-loop application over given hosts:
+// the coordinator and one worker host per worker. Construct it, run the
+// engine, then read Queries().
 type PartitionAggregate struct {
-	cfg PartitionAggregateConfig
-	eng *sim.Engine
-	net *netsim.Dumbbell
-	rng interface{ Int64N(int64) int64 }
+	cfg     PartitionAggregateConfig
+	eng     *sim.Engine
+	coord   *netsim.Host
+	workers []*netsim.Host
+	rng     interface{ Int64N(int64) int64 }
 
 	senders   []*tcp.Sender   // worker -> coordinator response streams
 	receivers []*tcp.Receiver // coordinator-side response receivers
@@ -99,17 +100,17 @@ type PartitionAggregate struct {
 	finished bool
 }
 
-// NewPartitionAggregate builds the application over eng. netCfg.Senders
-// must equal cfg.Workers. algFactory supplies congestion control per
-// worker flow.
-func NewPartitionAggregate(eng *sim.Engine, netCfg netsim.DumbbellConfig,
+// NewPartitionAggregate builds the application over eng, with coordinator
+// fanning out to workers; len(workers) must equal cfg.Workers. algFactory
+// supplies congestion control per worker flow.
+func NewPartitionAggregate(eng *sim.Engine, coordinator *netsim.Host, workers []*netsim.Host,
 	cfg PartitionAggregateConfig, algFactory func(worker int) cc.Algorithm) *PartitionAggregate {
 	if cfg.Workers <= 0 {
 		panic("app: need at least one worker")
 	}
-	if netCfg.Senders != cfg.Workers {
-		panic(fmt.Sprintf("app: topology has %d senders, config has %d workers",
-			netCfg.Senders, cfg.Workers))
+	if len(workers) != cfg.Workers {
+		panic(fmt.Sprintf("app: %d worker hosts given, config has %d workers",
+			len(workers), cfg.Workers))
 	}
 	if cfg.ResponseBytes <= 0 {
 		panic("app: response size must be positive")
@@ -121,21 +122,20 @@ func NewPartitionAggregate(eng *sim.Engine, netCfg netsim.DumbbellConfig,
 	pa := &PartitionAggregate{
 		cfg:      cfg,
 		eng:      eng,
-		net:      netsim.NewDumbbell(eng, netCfg),
+		coord:    coordinator,
+		workers:  workers,
 		rng:      sim.NewRand(cfg.Seed),
 		expected: make([]int64, cfg.Workers),
 	}
 
-	coordHub := tcp.NewHub(pa.net.Receiver)
+	coordHub := tcp.NewHub(coordinator)
 	pa.senders = make([]*tcp.Sender, cfg.Workers)
 	pa.receivers = make([]*tcp.Receiver, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		worker := pa.net.Senders[w]
+	for w, worker := range workers {
 		respFlow := netsim.FlowID(w + 1)
 		workerHub := tcp.NewHub(worker)
 		pa.senders[w] = tcp.NewSender(eng, workerHub, respFlow,
-			pa.net.Receiver.ID(), algFactory(w), cfg.Sender)
+			coordinator.ID(), algFactory(w), cfg.Sender)
 		pa.receivers[w] = tcp.NewReceiver(eng, coordHub, respFlow, worker.ID(), cfg.Receiver)
 		pa.receivers[w].SetOnProgress(func(rcvNxt int64) { pa.onProgress(w, rcvNxt) })
 
@@ -164,13 +164,13 @@ func (pa *PartitionAggregate) dispatch() {
 	pa.pending = pa.cfg.Workers
 	for w := 0; w < pa.cfg.Workers; w++ {
 		pa.expected[w] += pa.cfg.ResponseBytes
-		p := pa.net.Receiver.AllocPacket()
+		p := pa.coord.AllocPacket()
 		p.Flow = requestFlowBase + netsim.FlowID(w)
-		p.Src = pa.net.Receiver.ID()
-		p.Dst = pa.net.Senders[w].ID()
+		p.Src = pa.coord.ID()
+		p.Dst = pa.workers[w].ID()
 		p.Len = 64 // small RPC request
 		p.SentAt = pa.eng.Now()
-		pa.net.Receiver.Send(p)
+		pa.coord.Send(p)
 	}
 }
 
@@ -198,9 +198,6 @@ func (pa *PartitionAggregate) onProgress(w int, rcvNxt int64) {
 	}
 	pa.eng.ScheduleAfter(pa.cfg.ThinkTime, pa.dispatch)
 }
-
-// Network returns the underlying topology.
-func (pa *PartitionAggregate) Network() *netsim.Dumbbell { return pa.net }
 
 // Senders returns the worker response senders.
 func (pa *PartitionAggregate) Senders() []*tcp.Sender { return pa.senders }

@@ -10,21 +10,28 @@ import (
 
 func dctcp(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) }
 
-func runPA(t *testing.T, cfg PartitionAggregateConfig) *PartitionAggregate {
+// onDumbbell builds cfg's application over a dumbbell of cfg.Workers
+// senders: the coordinator at the receiver, a worker at each sender.
+func onDumbbell(eng *sim.Engine, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(cfg.Workers))
+	return net, NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg, dctcp)
+}
+
+func runPA(t *testing.T, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
 	t.Helper()
 	eng := sim.NewEngine()
-	pa := NewPartitionAggregate(eng, netsim.DefaultDumbbellConfig(cfg.Workers), cfg, dctcp)
+	net, pa := onDumbbell(eng, cfg)
 	eng.RunUntil(30 * sim.Second)
 	if !pa.Done() {
 		t.Fatalf("only %d of %d queries completed", len(pa.Queries()), cfg.Queries)
 	}
-	return pa
+	return net, pa
 }
 
 func TestPartitionAggregateCompletes(t *testing.T) {
 	cfg := DefaultPartitionAggregateConfig(20)
 	cfg.Queries = 5
-	pa := runPA(t, cfg)
+	_, pa := runPA(t, cfg)
 	qs := pa.Queries()
 	if len(qs) != 5 {
 		t.Fatalf("queries = %d", len(qs))
@@ -48,7 +55,7 @@ func TestPartitionAggregateQCTNearOptimal(t *testing.T) {
 	// 2 ms per query in the healthy regime.
 	cfg := DefaultPartitionAggregateConfig(20)
 	cfg.Queries = 5
-	pa := runPA(t, cfg)
+	_, pa := runPA(t, cfg)
 	s := pa.QCTStats()
 	if s.P50 > 2 {
 		t.Fatalf("median QCT = %vms, want < 2ms", s.P50)
@@ -63,8 +70,8 @@ func TestPartitionAggregateIncastCongestion(t *testing.T) {
 	// queue past the marking threshold.
 	cfg := DefaultPartitionAggregateConfig(150)
 	cfg.Queries = 3
-	pa := runPA(t, cfg)
-	st := pa.Network().BottleneckQueue().Stats()
+	net, _ := runPA(t, cfg)
+	st := net.BottleneckQueue().Stats()
 	if st.PeakPackets <= 65 {
 		t.Fatalf("peak queue %d, want incast congestion above K", st.PeakPackets)
 	}
@@ -80,7 +87,7 @@ func TestPartitionAggregateTailGrowsWithFanIn(t *testing.T) {
 		// Keep the aggregate response volume constant so only the degree
 		// changes (the paper's fan-in framing).
 		cfg.ResponseBytes = 4_000_000 / int64(workers)
-		pa := runPA(t, cfg)
+		_, pa := runPA(t, cfg)
 		s := pa.QCTStats()
 		return s.P50, s.Max
 	}
@@ -106,7 +113,7 @@ func TestPartitionAggregateDeterministic(t *testing.T) {
 		eng := sim.NewEngine()
 		cfg := DefaultPartitionAggregateConfig(15)
 		cfg.Queries = 3
-		pa := NewPartitionAggregate(eng, netsim.DefaultDumbbellConfig(15), cfg, dctcp)
+		_, pa := onDumbbell(eng, cfg)
 		eng.RunUntil(5 * sim.Second)
 		return pa.Queries()
 	}
@@ -123,14 +130,15 @@ func TestPartitionAggregateDeterministic(t *testing.T) {
 
 func TestPartitionAggregateValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	mustPanic := func(name string, cfg PartitionAggregateConfig, senders int) {
+	mustPanic := func(name string, cfg PartitionAggregateConfig, workers int) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		NewPartitionAggregate(eng, netsim.DefaultDumbbellConfig(senders), cfg, dctcp)
+		net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(workers))
+		NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg, dctcp)
 	}
 	base := DefaultPartitionAggregateConfig(2)
 	bad := base
@@ -139,5 +147,5 @@ func TestPartitionAggregateValidation(t *testing.T) {
 	bad = base
 	bad.Queries = 0
 	mustPanic("zero queries", bad, 2)
-	mustPanic("mismatched topology", base, 3)
+	mustPanic("mismatched worker hosts", base, 3)
 }

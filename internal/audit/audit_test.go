@@ -11,33 +11,40 @@ import (
 	"incastlab/internal/workload"
 )
 
+// dumbbellIncast connects flows DCTCP flows from the senders of a fresh
+// dumbbell to its receiver and schedules cfg's bursts over them.
+func dumbbellIncast(eng *sim.Engine, flows int, cfg workload.GroupConfig) (*netsim.Dumbbell, *workload.Group) {
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(flows))
+	senders, _ := workload.Connect(eng, flows,
+		func(f int) *netsim.Host { return net.Senders[f] },
+		func(int) *netsim.Host { return net.Receiver },
+		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) },
+		tcp.DefaultSenderConfig(), tcp.DefaultReceiverConfig())
+	return net, workload.NewGroup(eng, senders, cfg)
+}
+
 // runAuditedIncast drives a small incast workload end to end with a full
 // -coverage auditor attached and returns the auditor.
 func runAuditedIncast(t *testing.T, flows, bursts int) *Auditor {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := netsim.DefaultDumbbellConfig(flows)
-	wl := workload.IncastConfig{
-		Flows:          flows,
-		BytesPerFlow:   workload.BytesPerFlowFor(net.HostLinkBps, 2*sim.Millisecond, flows),
-		Bursts:         bursts,
-		Interval:       10 * sim.Millisecond,
-		JitterMax:      100 * sim.Microsecond,
-		Seed:           1,
-		SenderConfig:   tcp.DefaultSenderConfig(),
-		ReceiverConfig: tcp.DefaultReceiverConfig(),
-	}
-	in := workload.NewIncast(eng, net, wl,
-		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
+	const interval = 10 * sim.Millisecond
+	net, in := dumbbellIncast(eng, flows, workload.GroupConfig{
+		BytesPerFlow: workload.BytesPerFlowFor(10*netsim.Gbps, 2*sim.Millisecond, flows),
+		Bursts:       bursts,
+		Interval:     interval,
+		JitterMax:    100 * sim.Microsecond,
+		Seed:         1,
+	})
 
 	a := New(eng, Config{RequireDrained: true})
-	watchDumbbell(a, in.Network())
+	watchDumbbell(a, net)
 	for _, s := range in.Senders() {
 		a.WatchSender(s)
 	}
 	a.Start()
 
-	eng.RunUntil(sim.Time(bursts)*wl.Interval + 5*sim.Second)
+	eng.RunUntil(sim.Time(bursts)*interval + 5*sim.Second)
 	if !in.Done() {
 		t.Fatal("incast did not complete")
 	}
@@ -61,23 +68,17 @@ func TestCleanIncastRunHasZeroViolations(t *testing.T) {
 func TestAuditedRunIsBitIdenticalToUnaudited(t *testing.T) {
 	run := func(audit bool) netsim.QueueStats {
 		eng := sim.NewEngine()
-		net := netsim.DefaultDumbbellConfig(10)
-		wl := workload.IncastConfig{
-			Flows:          10,
-			BytesPerFlow:   workload.BytesPerFlowFor(net.HostLinkBps, 1*sim.Millisecond, 10),
-			Bursts:         2,
-			Interval:       5 * sim.Millisecond,
-			JitterMax:      100 * sim.Microsecond,
-			Seed:           7,
-			SenderConfig:   tcp.DefaultSenderConfig(),
-			ReceiverConfig: tcp.DefaultReceiverConfig(),
-		}
-		in := workload.NewIncast(eng, net, wl,
-			func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
+		net, in := dumbbellIncast(eng, 10, workload.GroupConfig{
+			BytesPerFlow: workload.BytesPerFlowFor(10*netsim.Gbps, 1*sim.Millisecond, 10),
+			Bursts:       2,
+			Interval:     5 * sim.Millisecond,
+			JitterMax:    100 * sim.Microsecond,
+			Seed:         7,
+		})
 		var a *Auditor
 		if audit {
 			a = New(eng, Config{RequireDrained: true})
-			watchDumbbell(a, in.Network())
+			watchDumbbell(a, net)
 			for _, s := range in.Senders() {
 				a.WatchSender(s)
 			}
@@ -93,7 +94,7 @@ func TestAuditedRunIsBitIdenticalToUnaudited(t *testing.T) {
 				t.Fatalf("audited run produced violations:\n%v", err)
 			}
 		}
-		return in.Network().BottleneckQueue().Stats()
+		return net.BottleneckQueue().Stats()
 	}
 	if plain, audited := run(false), run(true); plain != audited {
 		t.Fatalf("audit observer changed the simulation:\nplain:   %+v\naudited: %+v", plain, audited)

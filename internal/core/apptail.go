@@ -44,11 +44,7 @@ func QueryTailLatency(opt Options) *QueryTailResult {
 		queries = 6
 	}
 	r := &QueryTailResult{}
-	type degreeResult struct {
-		qct      stats.Summary
-		timeouts int64
-	}
-	results := runParallel(opt, len(degrees), func(i int) degreeResult {
+	results := runParallel(opt, len(degrees), func(i int) *PartitionAggregateResult {
 		n := degrees[i]
 		wallStart := startWall(opt.Metrics)
 		eng := sim.NewEngine()
@@ -56,24 +52,15 @@ func QueryTailLatency(opt Options) *QueryTailResult {
 		cfg.Queries = queries
 		cfg.Seed = opt.seed()
 		cfg.ResponseBytes = 4_000_000 / int64(n)
-		pa := app.NewPartitionAggregate(eng, netsim.DefaultDumbbellConfig(n), cfg,
-			func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
-		eng.RunUntil(60 * sim.Second)
-		if !pa.Done() {
-			panic(fmt.Sprintf("core: %d-worker query sweep did not complete", n))
-		}
-		var timeouts int64
-		for _, s := range pa.Senders() {
-			timeouts += s.Stats().Timeouts
-		}
+		res := RunPartitionAggregate(eng, cfg)
 		harvestEngineRun(opt.Metrics, "ext_query_tail", eng, wallStart,
 			"workers", fmt.Sprint(n))
-		return degreeResult{qct: pa.QCTStats(), timeouts: timeouts}
+		return res
 	})
 	for i, n := range degrees {
 		r.Degrees = append(r.Degrees, n)
-		r.QCT = append(r.QCT, results[i].qct)
-		r.Timeouts = append(r.Timeouts, results[i].timeouts)
+		r.QCT = append(r.QCT, results[i].QCT)
+		r.Timeouts = append(r.Timeouts, results[i].Timeouts)
 	}
 
 	t := trace.NewTable("workers", "qct_p50_ms", "qct_p99_ms", "qct_max_ms", "timeouts")
@@ -89,4 +76,33 @@ func QueryTailLatency(opt Options) *QueryTailResult {
 			"\nEqual total bytes per query: the median stays at the bandwidth bound while\nthe tail explodes once the synchronized first windows overflow the ToR queue.\n",
 	}
 	return r
+}
+
+// PartitionAggregateResult is the outcome of RunPartitionAggregate.
+type PartitionAggregateResult struct {
+	// Queries holds the per-query records.
+	Queries []app.QueryRecord
+	// QCT summarizes query completion times in milliseconds.
+	QCT stats.Summary
+	// Timeouts counts RTO events across all worker flows.
+	Timeouts int64
+}
+
+// RunPartitionAggregate builds the paper's dumbbell for cfg.Workers on
+// eng, runs the closed-loop application over it under DCTCP with the
+// coordinator at the receiver and a worker at each sender, and summarizes
+// the query completion times.
+func RunPartitionAggregate(eng *sim.Engine, cfg app.PartitionAggregateConfig) *PartitionAggregateResult {
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(cfg.Workers))
+	pa := app.NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg,
+		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
+	eng.RunUntil(60 * sim.Second)
+	if !pa.Done() {
+		panic(fmt.Sprintf("core: partition/aggregate with %d workers did not complete", cfg.Workers))
+	}
+	var timeouts int64
+	for _, s := range pa.Senders() {
+		timeouts += s.Stats().Timeouts
+	}
+	return &PartitionAggregateResult{Queries: pa.Queries(), QCT: pa.QCTStats(), Timeouts: timeouts}
 }

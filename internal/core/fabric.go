@@ -39,35 +39,24 @@ type fabricPort struct {
 // rack, where ECMP collisions appear as queueing.
 func spinePort(s int) string { return "spine-" + strconv.Itoa(s) + "-in" }
 
-// newFabric builds the run's topology and incast workload, every flow's
-// algorithm wrapped in the Pulser reaction when notification is on. On the
-// dumbbell the bottleneck is the receiver ToR's downlink and the inter-ToR
-// uplink is harvested beside it. On a Clos it is aggregator 0's leaf
-// downlink, beside every spine's downlink into that rack; detection is
-// per-leaf coordinated when MinPorts > 0, otherwise one detector on the
-// bottleneck notifying via its leaf, whose ECMP fallback routes
-// cross-rack.
+// newFabric builds the run's topology, then the incast's flows over its
+// hosts, every flow's algorithm wrapped in the Pulser reaction when
+// notification is on. On the dumbbell the bottleneck is the receiver
+// ToR's downlink and the inter-ToR uplink is harvested beside it. On a
+// Clos it is aggregator 0's leaf downlink, beside every spine's downlink
+// into that rack; detection is per-leaf coordinated when MinPorts > 0,
+// otherwise one detector on the bottleneck notifying via its leaf, whose
+// ECMP fallback routes cross-rack.
 func newFabric(eng *sim.Engine, cfg *SimConfig, pool *netsim.PacketPool) *fabric {
-	alg := cfg.Alg
-	if cfg.Notification != nil {
-		alg = cfg.Notification.pulsed(alg)
-	}
-	wl := workload.IncastConfig{
-		Flows:          cfg.Flows,
-		BytesPerFlow:   workload.BytesPerFlowFor(hostLinkBps(cfg), cfg.BurstDuration, cfg.Flows),
-		Bursts:         cfg.Bursts,
-		Interval:       cfg.Interval,
-		JitterMax:      cfg.JitterMax,
-		Seed:           cfg.Seed,
-		SenderConfig:   cfg.Sender,
-		ReceiverConfig: cfg.Receiver,
-		Admitter:       cfg.Admitter,
-	}
+	var f *fabric
+	n := cfg.Flows
+	var src, dst func(flow int) *netsim.Host
 	if cfg.Clos == nil {
-		in := workload.NewIncastWithPool(eng, cfg.Net, wl, alg, pool)
-		net := in.Network()
-		return &fabric{
-			flows: &in.Flows, aggregator: net.Receiver, pool: net.Pool,
+		net := netsim.NewDumbbellWithPool(eng, cfg.Net, pool)
+		src = func(i int) *netsim.Host { return net.Senders[i] }
+		dst = func(int) *netsim.Host { return net.Receiver }
+		f = &fabric{
+			aggregator: net.Receiver, pool: net.Pool,
 			ports: []fabricPort{{"bottleneck", net.Bottleneck}, {"uplink", net.Uplink}},
 			watch: func(a *audit.Auditor) {
 				a.WatchNetwork(net.AllLinks(), append([]*netsim.Host{net.Receiver}, net.Senders...), net.Pool)
@@ -76,24 +65,45 @@ func newFabric(eng *sim.Engine, cfg *SimConfig, pool *netsim.PacketPool) *fabric
 				return attachDetector(net.ReceiverToR, net.BottleneckQueue(), net.Pool, nc)
 			},
 		}
+	} else {
+		srcs, dsts, err := workload.ClosFlowEndpoints(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement)
+		if err != nil {
+			panic(err.Error())
+		}
+		net := netsim.NewClosWithPool(eng, *cfg.Clos, pool)
+		n = len(srcs)
+		src = func(i int) *netsim.Host { return net.Hosts[srcs[i]] }
+		dst = func(i int) *netsim.Host { return net.Hosts[dsts[i]] }
+		f = &fabric{
+			aggregator: net.Hosts[0], pool: net.Pool,
+			ports: []fabricPort{{"bottleneck", net.Downlink(0)}},
+			watch: func(a *audit.Auditor) { a.WatchNetwork(net.AllLinks(), net.Hosts, net.Pool) },
+			notify: func(nc *NotificationConfig) detectorReadout {
+				if nc.MinPorts > 0 {
+					return attachLeafDetection(net, nc)
+				}
+				return attachDetector(net.Leaves[0], net.DownlinkQueue(0), net.Pool, nc)
+			},
+		}
+		for s := range net.Config.Spines {
+			f.ports = append(f.ports, fabricPort{spinePort(s), net.SpineDownlink(s, 0)})
+		}
 	}
-	in := workload.NewClosIncastWithPool(eng, *cfg.Clos, workload.ClosIncastConfig{
-		IncastConfig: wl, Placement: cfg.Placement, Aggregators: cfg.Aggregators,
-	}, alg, pool)
-	net := in.Network()
-	f := &fabric{
-		flows: &in.Flows, aggregator: net.Hosts[0], pool: net.Pool,
-		ports: []fabricPort{{"bottleneck", net.Downlink(0)}},
-		watch: func(a *audit.Auditor) { a.WatchNetwork(net.AllLinks(), net.Hosts, net.Pool) },
-		notify: func(nc *NotificationConfig) detectorReadout {
-			if nc.MinPorts > 0 {
-				return attachLeafDetection(net, nc)
-			}
-			return attachDetector(net.Leaves[0], net.DownlinkQueue(0), net.Pool, nc)
-		},
+	alg := cfg.Alg
+	if cfg.Notification != nil {
+		alg = cfg.Notification.pulsed(alg)
 	}
-	for s := range net.Config.Spines {
-		f.ports = append(f.ports, fabricPort{spinePort(s), net.SpineDownlink(s, 0)})
+	senders, receivers := workload.Connect(eng, n, src, dst, alg, cfg.Sender, cfg.Receiver)
+	f.flows = &workload.Flows{
+		Group: workload.NewGroup(eng, senders, workload.GroupConfig{
+			BytesPerFlow: workload.BytesPerFlowFor(hostLinkBps(cfg), cfg.BurstDuration, cfg.Flows),
+			Bursts:       cfg.Bursts,
+			Interval:     cfg.Interval,
+			JitterMax:    cfg.JitterMax,
+			Seed:         cfg.Seed,
+			Admitter:     cfg.Admitter,
+		}),
+		Receivers: receivers,
 	}
 	return f
 }

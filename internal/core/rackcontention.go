@@ -88,22 +88,19 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 	cfg.SharedBufferBytes, cfg.SharedBufferAlpha = 2*1000*1000, 1
 	rack := netsim.NewDumbbellReceivers(eng, cfg, 2, nil)
 
-	// One hub per host: both groups' flows share the sender hosts.
-	senderHubs := make([]*tcp.Hub, flows)
-	for i := range senderHubs {
-		senderHubs[i] = tcp.NewHub(rack.Senders[i])
+	// Flow f runs from sender f mod flows to receiver f/flows: the victim's
+	// flows, then the neighbor's from the same sender hosts.
+	groups := 1
+	if contended {
+		groups = 2
 	}
-
-	mkGroup := func(receiver int, flowBase netsim.FlowID, seed uint64) *workload.Group {
-		hub := tcp.NewHub(rack.Receivers[receiver])
-		senders := make([]*tcp.Sender, flows)
-		for i := 0; i < flows; i++ {
-			flow := flowBase + netsim.FlowID(i)
-			senders[i] = tcp.NewSender(eng, senderHubs[i], flow, rack.Receivers[receiver].ID(),
-				cc.NewDCTCP(cc.DefaultDCTCPConfig()), tcp.DefaultSenderConfig())
-			tcp.NewReceiver(eng, hub, flow, rack.Senders[i].ID(), tcp.DefaultReceiverConfig())
-		}
-		return workload.NewGroup(eng, senders, workload.GroupConfig{
+	senders, _ := workload.Connect(eng, groups*flows,
+		func(f int) *netsim.Host { return rack.Senders[f%flows] },
+		func(f int) *netsim.Host { return rack.Receivers[f/flows] },
+		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) },
+		tcp.DefaultSenderConfig(), tcp.DefaultReceiverConfig())
+	group := func(g int, seed uint64) *workload.Group {
+		return workload.NewGroup(eng, senders[g*flows:(g+1)*flows], workload.GroupConfig{
 			BytesPerFlow: workload.BytesPerFlowFor(cfg.HostLinkBps, duration, flows),
 			Bursts:       bursts,
 			Interval:     interval,
@@ -111,30 +108,27 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 			Seed:         seed,
 		})
 	}
-
-	victim := mkGroup(0, 1, opt.seed())
+	victim := group(0, opt.seed())
 	var neighbor *workload.Group
 	if contended {
-		neighbor = mkGroup(1, netsim.FlowID(flows+1), opt.seed()+7)
+		neighbor = group(1, opt.seed()+7)
 	}
 
 	var auditor *audit.Auditor
 	if opt.Audit {
-		senders := [][]*tcp.Sender{victim.Senders()}
-		if neighbor != nil {
-			senders = append(senders, neighbor.Senders())
-		}
 		auditor = startAudit(eng, func(a *audit.Auditor) {
 			a.WatchNetwork(rack.AllLinks(), slices.Concat(rack.Receivers, rack.Senders), rack.Pool)
-		}, senders...)
+		}, senders)
 	}
 
-	// Snapshot counters after the discarded first burst.
+	// Snapshot counters, and restart the queue's high watermark, after the
+	// discarded first burst.
 	var baseTimeouts, baseDrops int64
 	q := rack.BottleneckQueue()
 	eng.Schedule(interval, func() {
 		baseTimeouts = victim.AggregateSenderStats().Timeouts
 		baseDrops = q.Stats().DroppedPackets
+		q.TakeWatermark()
 	})
 
 	eng.RunUntil(sim.Time(bursts)*interval + 20*sim.Second)
@@ -157,7 +151,7 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 	st.MeanBCT /= sim.Time(n)
 	st.Timeouts = victim.AggregateSenderStats().Timeouts - baseTimeouts
 	st.Drops = q.Stats().DroppedPackets - baseDrops
-	st.PeakPkts = q.Stats().PeakPackets
+	st.PeakPkts = q.TakeWatermark()
 
 	label := "solo"
 	if contended {

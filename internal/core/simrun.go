@@ -113,8 +113,9 @@ type SimConfig struct {
 // of rules every row meets before RunIncastSim takes it. The rules are a
 // positive degree, a known fidelity and aggregation (the aggregation only
 // at FidelityFlow), ExternalBufferBytes only with a shared buffer, a
-// dumbbell with one sender per flow and positive link rates, and a Clos
-// fabric that builds and fits its placement. At FidelityFlow it also
+// dumbbell with one sender per flow and positive link rates (and neither
+// Aggregators nor Placement, which only a Clos reads), and a Clos fabric
+// that builds and fits its placement. At FidelityFlow it also
 // applies FlowCompatible. A packet row is checked without filling the
 // config or building its algorithm.
 func (c SimConfig) Validate() error {
@@ -130,13 +131,23 @@ func (c SimConfig) Validate() error {
 		if _, err := workload.CheckClosPlacement(*c.Clos, c.Flows, c.Aggregators, c.Placement); err != nil {
 			return err
 		}
-	} else if c.Net.Senders != 0 {
-		if c.Net.Senders != c.Flows {
-			return fmt.Errorf("core: the dumbbell has %d senders but the row has %d flows (set Net.Senders to Flows, or leave it 0 for the default dumbbell)",
-				c.Net.Senders, c.Flows)
+	} else {
+		if c.Aggregators > 1 {
+			return fmt.Errorf("core: Aggregators (%d) needs a Clos fabric, but the row runs on the dumbbell (set Clos, or leave Aggregators 0)",
+				c.Aggregators)
 		}
-		if err := c.Net.Validate(); err != nil {
-			return err
+		if c.Placement != "" {
+			return fmt.Errorf("core: Placement %q needs a Clos fabric, but the row runs on the dumbbell (set Clos, or leave Placement empty)",
+				c.Placement)
+		}
+		if c.Net.Senders != 0 {
+			if c.Net.Senders != c.Flows {
+				return fmt.Errorf("core: the dumbbell has %d senders but the row has %d flows (set Net.Senders to Flows, or leave it 0 for the default dumbbell)",
+					c.Net.Senders, c.Flows)
+			}
+			if err := c.Net.Validate(); err != nil {
+				return err
+			}
 		}
 	}
 	if c.ExternalBufferBytes > 0 && !shared {
@@ -299,7 +310,7 @@ func RunIncastSim(cfg SimConfig) *SimResult {
 	if cfg.EnableICTCP {
 		// One controller per receiving host, each budgeting its own NIC.
 		ctrls := map[*netsim.Host]*tcp.ICTCP{}
-		for _, r := range f.flows.Receivers() {
+		for _, r := range f.flows.Receivers {
 			ctrl := ctrls[r.Host()]
 			if ctrl == nil {
 				ctrl = tcp.NewICTCP(eng, tcp.DefaultICTCPConfig(hostLinkBps(&cfg), flowBaseRTT(&cfg)))
@@ -360,14 +371,12 @@ func RunIncastSim(cfg SimConfig) *SimResult {
 }
 
 // startAudit starts a checked-mode auditor over a whole topology, which
-// watch registers, and the given groups of senders.
-func startAudit(eng *sim.Engine, watch func(*audit.Auditor), senders ...[]*tcp.Sender) *audit.Auditor {
+// watch registers, and its senders.
+func startAudit(eng *sim.Engine, watch func(*audit.Auditor), senders []*tcp.Sender) *audit.Auditor {
 	a := audit.New(eng, audit.Config{RequireDrained: true})
 	watch(a)
-	for _, group := range senders {
-		for _, s := range group {
-			a.WatchSender(s)
-		}
+	for _, s := range senders {
+		a.WatchSender(s)
 	}
 	a.Start()
 	return a

@@ -63,6 +63,11 @@ func TestSimConfigValidate(t *testing.T) {
 		// run its own sender count at flow.
 		{"dumbbell of another degree", SimConfig{Flows: 100, Bursts: 3, Net: netsim.DefaultDumbbellConfig(50)},
 			"dumbbell has 50 senders but the row has 100 flows", "dumbbell has 50 senders but the row has 100 flows"},
+		// Only a Clos places workers or runs concurrent incasts; a dumbbell
+		// row would run one plain incast and ignore both fields.
+		{"dumbbell with aggregators", SimConfig{Flows: 20, Aggregators: 4}, "Aggregators (4)", "Aggregators (4)"},
+		{"dumbbell with a placement", SimConfig{Flows: 20, Placement: "same-rack"}, `Placement "same-rack"`, `Placement "same-rack"`},
+		{"dumbbell with one aggregator", SimConfig{Flows: 20, Aggregators: 1}, "", ""},
 		{"clos at capacity", SimConfig{Flows: 48, Clos: &clos}, "", ""},
 		{"cross-rack overflow", SimConfig{Flows: 49, Clos: &clos}, "cross-rack workers exceed", "cross-rack workers exceed"},
 		{"same-rack overflow", SimConfig{Flows: 16, Clos: &clos, Placement: "same-rack"},

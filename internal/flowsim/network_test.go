@@ -16,7 +16,7 @@ import (
 
 // closQuickConfig builds the quick workload and the path set of an n-flow
 // incast on the default two-spine fabric, cross-rack or same-rack: the
-// fluid mirror of workload.ClosIncast's placements.
+// fluid mirror of workload.ClosFlowEndpoints' placements.
 func closQuickConfig(t *testing.T, n int, placementCross bool) (Config, *netsim.FluidPaths) {
 	t.Helper()
 	cc := netsim.DefaultClosConfig(8, 501)

@@ -3,7 +3,7 @@
 // manageable number of flows are active at once. With fewer flows, each
 // would operate in a healthier CWND regime."
 //
-// Wave is a receiver-driven admitter for workload.Incast: each burst's
+// Wave is a receiver-driven admitter for a workload.Group: each burst's
 // flows are released in waves of at most W concurrent flows; when a flow
 // finishes its burst demand, the next queued flow is released. Wave
 // composes with any congestion-control algorithm — per the paper it is an

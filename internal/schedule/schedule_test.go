@@ -6,6 +6,7 @@ import (
 	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
+	"incastlab/internal/tcp"
 	"incastlab/internal/workload"
 )
 
@@ -97,17 +98,26 @@ func TestWaveValidation(t *testing.T) {
 func TestWaveEndToEnd(t *testing.T) {
 	run := func(adm workload.Admitter) (peak int, bct sim.Time) {
 		eng := sim.NewEngine()
-		cfg := workload.DefaultIncastConfig(120, sim.Millisecond)
-		cfg.Bursts = 3
-		cfg.Interval = 20 * sim.Millisecond
-		cfg.Admitter = adm
-		in := workload.NewIncast(eng, netsim.DefaultDumbbellConfig(120), cfg,
-			func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
+		const flows = 120
+		net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(flows))
+		senders, _ := workload.Connect(eng, flows,
+			func(f int) *netsim.Host { return net.Senders[f] },
+			func(int) *netsim.Host { return net.Receiver },
+			func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) },
+			tcp.DefaultSenderConfig(), tcp.DefaultReceiverConfig())
+		in := workload.NewGroup(eng, senders, workload.GroupConfig{
+			BytesPerFlow: workload.BytesPerFlowFor(net.Config.HostLinkBps, sim.Millisecond, flows),
+			Bursts:       3,
+			Interval:     20 * sim.Millisecond,
+			JitterMax:    100 * sim.Microsecond,
+			Seed:         1,
+			Admitter:     adm,
+		})
 		eng.RunUntil(5 * sim.Second)
 		if !in.Done() {
 			t.Fatal("incast did not complete")
 		}
-		return in.Network().BottleneckQueue().Stats().PeakPackets, in.Bursts()[2].BCT
+		return net.BottleneckQueue().Stats().PeakPackets, in.Bursts()[2].BCT
 	}
 
 	wavePeak, waveBCT := run(NewWave(20))

@@ -3,9 +3,7 @@ package workload
 import (
 	"fmt"
 
-	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
-	"incastlab/internal/sim"
 )
 
 // Worker placement policies for a Clos incast: where the workers sit
@@ -19,21 +17,6 @@ const (
 	// traffic never crosses a spine — the dumbbell-like control.
 	PlacementSameRack = "same-rack"
 )
-
-// ClosIncastConfig describes a repeated incast burst over a Clos fabric:
-// IncastConfig's bursts, with Flows workers per aggregator placed by
-// Placement.
-type ClosIncastConfig struct {
-	IncastConfig
-	// Placement is PlacementCrossRack (default when empty) or
-	// PlacementSameRack.
-	Placement string
-	// Aggregators is the number of concurrent incasts sharing the fabric
-	// (0 or 1 = the classic single aggregator at host 0). Aggregator k
-	// receives at rack k, slot 0, each fanning in its own Flows workers,
-	// so the spine layer carries A overlapping incasts.
-	Aggregators int
-}
 
 // CheckClosPlacement reports whether a Clos incast of `workers` flows per
 // aggregator fits the fabric under the placement, and returns its total
@@ -141,8 +124,8 @@ func CheckClosPlacement(cfg netsim.ClosConfig, workers, aggregators int, placeme
 // Clos incast workload, in global flow order (aggregator-major: flow
 // k*workers+i is worker i of aggregator k, carrying FlowID k*workers+i+1).
 // This is the single source of truth both backends place flows from: the
-// packet workload builds its senders from it and the fluid solver builds
-// its queue paths from the same placement (ClosPlacement.Fill), so ECMP
+// packet run connects its flows from it and the fluid solver builds its
+// queue paths from the same placement (ClosPlacement.Fill), so ECMP
 // hashes over identical (flow, src, dst) tuples. Placements that do not
 // fit fail with CheckClosPlacement's error.
 //
@@ -256,34 +239,3 @@ func (p ClosPlacement) nextSlots(next []int, k, i int) {
 	}
 	take(k, i)
 }
-
-// ClosIncast wires an incast workload over a Clos fabric: each aggregator
-// and its workers placed by policy, with endpoints and burst scheduling
-// built exactly as the dumbbell Incast builds them.
-type ClosIncast struct {
-	Flows
-	net *netsim.Clos
-}
-
-// NewClosIncastWithPool builds the fabric and endpoints on an injected
-// packet pool (nil for a fresh one), letting sweep runners reuse a warm
-// pool across runs. Flows are aggregator-major, as ClosFlowEndpoints
-// lists them.
-func NewClosIncastWithPool(eng *sim.Engine, netCfg netsim.ClosConfig, cfg ClosIncastConfig,
-	algFactory func(flow int) cc.Algorithm, pool *netsim.PacketPool) *ClosIncast {
-	srcs, dsts, err := ClosFlowEndpoints(netCfg, cfg.Flows, cfg.Aggregators, cfg.Placement)
-	if err != nil {
-		panic(err.Error())
-	}
-	net := netsim.NewClosWithPool(eng, netCfg, pool)
-	return &ClosIncast{
-		net: net,
-		Flows: newFlows(eng, cfg.IncastConfig, len(srcs),
-			func(f int) *netsim.Host { return net.Hosts[srcs[f]] },
-			func(f int) *netsim.Host { return net.Hosts[dsts[f]] },
-			algFactory),
-	}
-}
-
-// Network returns the underlying fabric.
-func (in *ClosIncast) Network() *netsim.Clos { return in.net }

@@ -8,9 +8,9 @@ import (
 )
 
 // GroupConfig drives repeated equal-demand bursts over an existing set of
-// senders — the topology-independent core of an incast workload. Incast
-// wraps it over a dumbbell; rack experiments run several Groups toward
-// different receivers of one shared-buffer ToR.
+// senders — the topology-independent core of an incast workload. An incast
+// run schedules one Group over the flows Connect builds; rack experiments
+// run several Groups toward different receivers of one shared-buffer ToR.
 type GroupConfig struct {
 	// BytesPerFlow is each sender's demand per burst.
 	BytesPerFlow int64

@@ -1,44 +1,16 @@
 // Package workload drives incast traffic patterns over the simulated
 // network: N senders with equal per-burst demand toward one receiver,
 // repeated bursts on persistent connections, and jittered flow starts —
-// the Section 4 experiment shape.
+// the Section 4 experiment shape. It builds flows and their burst
+// schedule on hosts it is given; netsim builds the topology.
 package workload
 
 import (
-	"fmt"
-
 	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
 	"incastlab/internal/tcp"
 )
-
-// IncastConfig describes a repeated incast burst experiment.
-type IncastConfig struct {
-	// Flows is the incast degree N.
-	Flows int
-	// BytesPerFlow is the per-flow demand added at each burst start. For a
-	// target burst duration D on a bottleneck of rate R, use R*D/8/N.
-	BytesPerFlow int64
-	// Bursts is how many bursts to run (the paper runs 11 and discards the
-	// first as a slow-start transient).
-	Bursts int
-	// Interval is the start-to-start spacing of bursts.
-	Interval sim.Time
-	// JitterMax jitters each flow's start within a burst uniformly in
-	// [0, JitterMax] to model variations in worker processing time
-	// (paper: 0-100 us).
-	JitterMax sim.Time
-	// Seed drives the jitter RNG.
-	Seed uint64
-	// SenderConfig and ReceiverConfig tune the transport endpoints.
-	SenderConfig   tcp.SenderConfig
-	ReceiverConfig tcp.ReceiverConfig
-	// Admitter optionally controls when each flow is released within a
-	// burst (Section 5.2 wave scheduling); nil admits everyone at
-	// start+jitter.
-	Admitter Admitter
-}
 
 // BytesPerFlowFor returns the per-flow demand that fills a bottleneck of
 // rate bps for the target duration across n flows, in whole MSS multiples
@@ -52,22 +24,6 @@ func BytesPerFlowFor(bps int64, duration sim.Time, n int) int64 {
 		segs = 1
 	}
 	return segs * netsim.MSS
-}
-
-// DefaultIncastConfig returns the paper's Section 4 setup for n flows and a
-// target burst duration: demand sized to the 10 Gbps bottleneck, 11 bursts,
-// inter-burst gap of 5 ms, 0-100 us jitter.
-func DefaultIncastConfig(n int, burstDuration sim.Time) IncastConfig {
-	return IncastConfig{
-		Flows:          n,
-		BytesPerFlow:   BytesPerFlowFor(10*netsim.Gbps, burstDuration, n),
-		Bursts:         11,
-		Interval:       burstDuration + 5*sim.Millisecond,
-		JitterMax:      100 * sim.Microsecond,
-		Seed:           1,
-		SenderConfig:   tcp.DefaultSenderConfig(),
-		ReceiverConfig: tcp.DefaultReceiverConfig(),
-	}
 }
 
 // AdmitContext is handed to an Admitter at each burst start.
@@ -105,105 +61,36 @@ type BurstRecord struct {
 	BCT sim.Time
 }
 
-// Incast wires an incast workload over a dumbbell topology: it builds the
-// endpoints and delegates burst scheduling to a Group. Construct with
-// NewIncast, optionally attach instrumentation, then run the engine.
-type Incast struct {
-	Flows
-	net *netsim.Dumbbell
-}
-
-// NewIncast builds the topology and endpoints. netCfg.Senders must equal
-// cfg.Flows. algFactory supplies a fresh congestion-control instance per
-// flow.
-func NewIncast(eng *sim.Engine, netCfg netsim.DumbbellConfig, cfg IncastConfig,
-	algFactory func(flow int) cc.Algorithm) *Incast {
-	return NewIncastWithPool(eng, netCfg, cfg, algFactory, nil)
-}
-
-// NewIncastWithPool is NewIncast with an injected packet pool (nil for a
-// fresh one), letting sweep runners reuse a warm pool across runs.
-func NewIncastWithPool(eng *sim.Engine, netCfg netsim.DumbbellConfig, cfg IncastConfig,
-	algFactory func(flow int) cc.Algorithm, pool *netsim.PacketPool) *Incast {
-	if cfg.Flows <= 0 {
-		panic("workload: incast needs at least one flow")
-	}
-	if netCfg.Senders != cfg.Flows {
-		panic(fmt.Sprintf("workload: topology has %d senders, config has %d flows",
-			netCfg.Senders, cfg.Flows))
-	}
-	net := netsim.NewDumbbellWithPool(eng, netCfg, pool)
-	return &Incast{
-		net: net,
-		Flows: newFlows(eng, cfg, cfg.Flows,
-			func(f int) *netsim.Host { return net.Senders[f] },
-			func(int) *netsim.Host { return net.Receiver },
-			algFactory),
-	}
-}
-
-// Network returns the underlying topology.
-func (in *Incast) Network() *netsim.Dumbbell { return in.net }
-
-// Flows is the endpoint-and-Group build both incast types share: one
-// sender and one receiver per flow, and the Group that schedules their
-// bursts.
-type Flows struct {
-	group     *Group
-	receivers []*tcp.Receiver
-}
-
-// newFlows builds n flows over cfg's bursts: flow f runs from host src(f)
-// to host dst(f) with FlowID f+1, every host behind one hub, the receiving
-// hubs built first in order of first use.
-func newFlows(eng *sim.Engine, cfg IncastConfig, n int, src, dst func(f int) *netsim.Host,
-	algFactory func(flow int) cc.Algorithm) Flows {
+// Connect builds n transport connections over given hosts and returns
+// their senders and receivers in flow order: flow f runs from src(f) to
+// dst(f) with FlowID f+1 and congestion control alg(f). Each host gets one
+// hub however many flows share it, since a second hub would replace the
+// first on the host.
+func Connect(eng *sim.Engine, n int, src, dst func(f int) *netsim.Host, alg func(f int) cc.Algorithm,
+	sender tcp.SenderConfig, receiver tcp.ReceiverConfig) ([]*tcp.Sender, []*tcp.Receiver) {
 	hubs := make(map[*netsim.Host]*tcp.Hub)
 	hub := func(h *netsim.Host) *tcp.Hub {
-		if hb, ok := hubs[h]; ok {
-			return hb
+		hb := hubs[h]
+		if hb == nil {
+			hb = tcp.NewHub(h)
+			hubs[h] = hb
 		}
-		hb := tcp.NewHub(h)
-		hubs[h] = hb
 		return hb
-	}
-	for f := 0; f < n; f++ {
-		hub(dst(f))
 	}
 	senders := make([]*tcp.Sender, n)
 	receivers := make([]*tcp.Receiver, n)
 	for f := range senders {
 		flow := netsim.FlowID(f + 1)
 		s, d := src(f), dst(f)
-		senders[f] = tcp.NewSender(eng, hub(s), flow, d.ID(), algFactory(f), cfg.SenderConfig)
-		receivers[f] = tcp.NewReceiver(eng, hubs[d], flow, s.ID(), cfg.ReceiverConfig)
+		senders[f] = tcp.NewSender(eng, hub(s), flow, d.ID(), alg(f), sender)
+		receivers[f] = tcp.NewReceiver(eng, hub(d), flow, s.ID(), receiver)
 	}
-	return Flows{
-		receivers: receivers,
-		group: NewGroup(eng, senders, GroupConfig{
-			BytesPerFlow: cfg.BytesPerFlow,
-			Bursts:       cfg.Bursts,
-			Interval:     cfg.Interval,
-			JitterMax:    cfg.JitterMax,
-			Seed:         cfg.Seed,
-			Admitter:     cfg.Admitter,
-		}),
-	}
+	return senders, receivers
 }
 
-// Senders returns the per-flow senders (for instrumentation).
-func (f *Flows) Senders() []*tcp.Sender { return f.group.Senders() }
-
-// Receivers returns the per-flow receivers, in flow order.
-func (f *Flows) Receivers() []*tcp.Receiver { return f.receivers }
-
-// Bursts returns per-burst records; valid after the run completes.
-func (f *Flows) Bursts() []BurstRecord { return f.group.Bursts() }
-
-// Done reports whether every burst completed.
-func (f *Flows) Done() bool { return f.group.Done() }
-
-// AggregateSenderStats sums transport counters across all flows.
-func (f *Flows) AggregateSenderStats() tcp.SenderStats {
-	return f.group.AggregateSenderStats()
+// Flows is an incast as its runner reads it: the Group that schedules and
+// tracks the bursts of its connections, and their receivers in flow order.
+type Flows struct {
+	*Group
+	Receivers []*tcp.Receiver
 }

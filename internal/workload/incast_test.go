@@ -27,30 +27,46 @@ func TestBytesPerFlowFor(t *testing.T) {
 	}
 }
 
-func runSmallIncast(t *testing.T, cfg IncastConfig) *Incast {
+// smallConfig is a burst schedule for n flows: 1 ms of bottleneck demand
+// every 3 ms, three bursts, 0-100 us jitter.
+func smallConfig(n int) GroupConfig {
+	return GroupConfig{
+		BytesPerFlow: BytesPerFlowFor(10*netsim.Gbps, sim.Millisecond, n),
+		Bursts:       3,
+		Interval:     3 * sim.Millisecond,
+		JitterMax:    100 * sim.Microsecond,
+		Seed:         1,
+	}
+}
+
+// dumbbellIncast connects n flows from the senders of an n-sender dumbbell
+// to its receiver and schedules cfg's bursts over them.
+func dumbbellIncast(eng *sim.Engine, n int, cfg GroupConfig) (*netsim.Dumbbell, *Flows) {
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(n))
+	senders, receivers := Connect(eng, n,
+		func(f int) *netsim.Host { return net.Senders[f] },
+		func(int) *netsim.Host { return net.Receiver },
+		dctcpFactory, tcp.DefaultSenderConfig(), tcp.DefaultReceiverConfig())
+	return net, &Flows{Group: NewGroup(eng, senders, cfg), Receivers: receivers}
+}
+
+func runSmallIncast(t *testing.T, n int, cfg GroupConfig) (*netsim.Dumbbell, *Flows) {
 	t.Helper()
 	eng := sim.NewEngine()
-	in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
+	net, in := dumbbellIncast(eng, n, cfg)
 	eng.Run()
 	if !in.Done() {
 		t.Fatal("incast did not complete")
 	}
-	return in
-}
-
-func smallConfig() IncastConfig {
-	cfg := DefaultIncastConfig(20, sim.Millisecond)
-	cfg.Bursts = 3
-	cfg.Interval = 3 * sim.Millisecond
-	return cfg
+	return net, in
 }
 
 func TestIncastCompletesAndConserves(t *testing.T) {
-	cfg := smallConfig()
-	in := runSmallIncast(t, cfg)
+	cfg := smallConfig(20)
+	_, in := runSmallIncast(t, 20, cfg)
 
 	// Conservation: every receiver got exactly bursts * perflow bytes.
-	for i, r := range in.Receivers() {
+	for i, r := range in.Receivers {
 		want := int64(cfg.Bursts) * cfg.BytesPerFlow
 		if r.RcvNxt() != want {
 			t.Fatalf("flow %d delivered %d bytes, want %d", i, r.RcvNxt(), want)
@@ -66,10 +82,41 @@ func TestIncastCompletesAndConserves(t *testing.T) {
 	}
 }
 
+// TestConnectSharesHostHubs: flows that share a host share its one hub, so
+// 2N flows from N sender hosts to two receivers all complete and every
+// receiver reaches its demand. A second hub on a host would replace the
+// first through Host.Attach and strand the first hub's flows.
+func TestConnectSharesHostHubs(t *testing.T) {
+	const n = 10
+	eng := sim.NewEngine()
+	net := netsim.NewDumbbellReceivers(eng, netsim.DefaultDumbbellConfig(n), 2, nil)
+	senders, receivers := Connect(eng, 2*n,
+		func(f int) *netsim.Host { return net.Senders[f%n] },
+		func(f int) *netsim.Host { return net.Receivers[f/n] },
+		dctcpFactory, tcp.DefaultSenderConfig(), tcp.DefaultReceiverConfig())
+	cfg := smallConfig(2 * n)
+	groups := []*Group{NewGroup(eng, senders[:n], cfg), NewGroup(eng, senders[n:], cfg)}
+	eng.RunUntil(sim.Second)
+	for g, grp := range groups {
+		if !grp.Done() {
+			t.Fatalf("group %d did not complete", g)
+		}
+	}
+	want := int64(cfg.Bursts) * cfg.BytesPerFlow
+	for f, r := range receivers {
+		if r.Host() != net.Receivers[f/n] {
+			t.Fatalf("flow %d received at %v, want receiver %d", f, r.Host().ID(), f/n)
+		}
+		if r.RcvNxt() != want {
+			t.Fatalf("flow %d delivered %d bytes, want %d", f, r.RcvNxt(), want)
+		}
+	}
+}
+
 func TestIncastBCTNearTarget(t *testing.T) {
 	// 20 flows, 1 ms of bottleneck demand: steady-state BCT should be near
 	// 1 ms and surely below the 3 ms interval (no burst overlap).
-	in := runSmallIncast(t, smallConfig())
+	_, in := runSmallIncast(t, 20, smallConfig(20))
 	for _, b := range in.Bursts()[1:] { // skip slow-start burst
 		if b.BCT < 800*sim.Microsecond || b.BCT > 3*sim.Millisecond {
 			t.Fatalf("burst %d BCT = %v, want ~1ms", b.Index, b.BCT)
@@ -80,8 +127,7 @@ func TestIncastBCTNearTarget(t *testing.T) {
 func TestIncastDeterministicUnderSeed(t *testing.T) {
 	run := func() []BurstRecord {
 		eng := sim.NewEngine()
-		cfg := smallConfig()
-		in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
+		_, in := dumbbellIncast(eng, 20, smallConfig(20))
 		eng.Run()
 		return in.Bursts()
 	}
@@ -96,9 +142,9 @@ func TestIncastDeterministicUnderSeed(t *testing.T) {
 func TestIncastSeedChangesJitter(t *testing.T) {
 	run := func(seed uint64) sim.Time {
 		eng := sim.NewEngine()
-		cfg := smallConfig()
+		cfg := smallConfig(20)
 		cfg.Seed = seed
-		in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
+		_, in := dumbbellIncast(eng, 20, cfg)
 		eng.Run()
 		return in.Bursts()[1].End
 	}
@@ -109,23 +155,20 @@ func TestIncastSeedChangesJitter(t *testing.T) {
 
 func TestIncastECNActivity(t *testing.T) {
 	// A 100-flow burst must push the queue past K and generate ECE echoes.
-	cfg := DefaultIncastConfig(100, sim.Millisecond)
+	cfg := smallConfig(100)
 	cfg.Bursts = 2
-	cfg.Interval = 3 * sim.Millisecond
-	in := runSmallIncast(t, cfg)
+	net, in := runSmallIncast(t, 100, cfg)
 	if in.AggregateSenderStats().ECEAcks == 0 {
 		t.Fatal("100-flow incast produced no ECE feedback")
 	}
-	if in.Network().BottleneckQueue().Stats().PeakPackets <= 65 {
-		t.Fatalf("peak queue %d did not exceed the ECN threshold",
-			in.Network().BottleneckQueue().Stats().PeakPackets)
+	if peak := net.BottleneckQueue().Stats().PeakPackets; peak <= 65 {
+		t.Fatalf("peak queue %d did not exceed the ECN threshold", peak)
 	}
 }
 
 func TestSampleInFlight(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := smallConfig()
-	in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
+	_, in := dumbbellIncast(eng, 20, smallConfig(20))
 	tr := SampleInFlight(eng, in.Senders(), 0, 100*sim.Microsecond, 90)
 	eng.Run()
 
@@ -148,40 +191,37 @@ func TestSampleInFlight(t *testing.T) {
 	}
 }
 
+// TestIncastConfigValidation: an incast without flows, demand, bursts or
+// a burst interval panics when its Group is built.
 func TestIncastConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	base := smallConfig()
-	cases := []func(*IncastConfig){
-		func(c *IncastConfig) { c.Flows = 0 },
-		func(c *IncastConfig) { c.BytesPerFlow = 0 },
-		func(c *IncastConfig) { c.Bursts = 0 },
-		func(c *IncastConfig) { c.Interval = 0 },
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(20))
+	cases := []struct {
+		name  string
+		flows int
+		mod   func(*GroupConfig)
+	}{
+		{"no flows", 0, func(*GroupConfig) {}},
+		{"no demand", 20, func(c *GroupConfig) { c.BytesPerFlow = 0 }},
+		{"no bursts", 20, func(c *GroupConfig) { c.Bursts = 0 }},
+		{"no interval", 20, func(c *GroupConfig) { c.Interval = 0 }},
 	}
-	for i, mod := range cases {
-		cfg := base
-		mod(&cfg)
+	for _, tc := range cases {
+		cfg := smallConfig(20)
+		tc.mod(&cfg)
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
+					t.Errorf("%s did not panic", tc.name)
 				}
 			}()
-			n := cfg.Flows
-			if n <= 0 {
-				n = 1
-			}
-			NewIncast(eng, netsim.DefaultDumbbellConfig(n), cfg, dctcpFactory)
+			senders, _ := Connect(eng, tc.flows,
+				func(f int) *netsim.Host { return net.Senders[f] },
+				func(int) *netsim.Host { return net.Receiver },
+				dctcpFactory, tcp.DefaultSenderConfig(), tcp.DefaultReceiverConfig())
+			NewGroup(eng, senders, cfg)
 		}()
 	}
-	// Mismatched topology/flow count.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sender-count mismatch did not panic")
-			}
-		}()
-		NewIncast(eng, netsim.DefaultDumbbellConfig(3), base, dctcpFactory)
-	}()
 }
 
 // countingAdmitter admits all flows immediately and records callbacks.
@@ -208,10 +248,11 @@ func (a *countingAdmitter) FlowDone(burst, flow int) {
 
 func TestAdmitterHooks(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := smallConfig()
+	const flows = 20
+	cfg := smallConfig(flows)
 	adm := &countingAdmitter{}
 	cfg.Admitter = adm
-	in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
+	_, in := dumbbellIncast(eng, flows, cfg)
 	eng.Run()
 	if !in.Done() {
 		t.Fatal("admitted incast did not complete")
@@ -219,11 +260,11 @@ func TestAdmitterHooks(t *testing.T) {
 	if adm.begun != cfg.Bursts {
 		t.Fatalf("BeginBurst calls = %d, want %d", adm.begun, cfg.Bursts)
 	}
-	if adm.done != cfg.Bursts*cfg.Flows {
-		t.Fatalf("FlowDone calls = %d, want %d", adm.done, cfg.Bursts*cfg.Flows)
+	if adm.done != cfg.Bursts*flows {
+		t.Fatalf("FlowDone calls = %d, want %d", adm.done, cfg.Bursts*flows)
 	}
 	for b := 0; b < cfg.Bursts; b++ {
-		if adm.perBurst[b] != cfg.Flows {
+		if adm.perBurst[b] != flows {
 			t.Fatalf("burst %d had %d completions", b, adm.perBurst[b])
 		}
 	}
@@ -233,37 +274,18 @@ func TestAdmitterHooks(t *testing.T) {
 // relative to that offset.
 func TestGroupStartOffset(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := smallConfig()
-	in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
-	_ = in
-	// Build a second group over a separate topology with offset start.
-	eng2 := sim.NewEngine()
-	in2 := NewIncast(eng2, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
-	_ = in2
-	// The offset behavior is covered directly via NewGroup below.
-	eng3 := sim.NewEngine()
-	net3 := netsim.DefaultDumbbellConfig(5)
-	d := netsim.NewDumbbell(eng3, net3)
-	rHub := tcp.NewHub(d.Receiver)
-	senders := make([]*tcp.Sender, 5)
-	for i := 0; i < 5; i++ {
-		hub := tcp.NewHub(d.Senders[i])
-		senders[i] = tcp.NewSender(eng3, hub, netsim.FlowID(i+1), d.Receiver.ID(),
-			dctcpFactory(i), tcp.DefaultSenderConfig())
-		tcp.NewReceiver(eng3, rHub, netsim.FlowID(i+1), d.Senders[i].ID(), tcp.DefaultReceiverConfig())
-	}
-	g := NewGroup(eng3, senders, GroupConfig{
+	_, in := dumbbellIncast(eng, 5, GroupConfig{
 		BytesPerFlow: 10 * netsim.MSS,
 		Bursts:       2,
 		Start:        5 * sim.Millisecond,
 		Interval:     10 * sim.Millisecond,
 		Seed:         1,
 	})
-	eng3.RunUntil(sim.Second)
-	if !g.Done() {
+	eng.RunUntil(sim.Second)
+	if !in.Done() {
 		t.Fatal("offset group did not complete")
 	}
-	b := g.Bursts()
+	b := in.Bursts()
 	if b[0].Start != 5*sim.Millisecond || b[1].Start != 15*sim.Millisecond {
 		t.Fatalf("burst starts = %v, %v", b[0].Start, b[1].Start)
 	}
@@ -276,9 +298,9 @@ func TestGroupStartOffset(t *testing.T) {
 // times are strictly increasing.
 func TestGroupBurstsCompleteInOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := smallConfig()
+	cfg := smallConfig(20)
 	cfg.Bursts = 4
-	in := NewIncast(eng, netsim.DefaultDumbbellConfig(cfg.Flows), cfg, dctcpFactory)
+	_, in := dumbbellIncast(eng, 20, cfg)
 	eng.Run()
 	prev := sim.Time(-1)
 	for _, b := range in.Bursts() {
