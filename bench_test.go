@@ -2,9 +2,10 @@ package incastlab_test
 
 // The benchmark harness regenerates every table and figure of the paper
 // (one benchmark per artifact) plus the DESIGN.md ablations. Each benchmark
-// iteration runs the complete experiment; the first iteration of each also
-// prints the experiment's summary — the same rows/series the paper reports
-// — so `go test -bench=. -benchmem` doubles as the reproduction log.
+// iteration runs the complete experiment; an untimed warm-up run before the
+// first iteration also prints the experiment's summary — the same
+// rows/series the paper reports — so `go test -bench=. -benchmem` doubles
+// as the reproduction log.
 //
 // By default the experiments run in Quick mode (reduced corpus sizes) so
 // the full suite finishes in minutes. Set INCASTLAB_FULL=1 to run the
@@ -28,15 +29,31 @@ func benchOptions() incastlab.Options {
 // printedSummaries dedups summary printing across -benchtime iterations.
 var printedSummaries sync.Map
 
+// warmUp runs one untimed iteration and then starts the measurement. A
+// run draws engines and packets from pools that a garbage collection
+// empties, so without it the first iteration's allocation count depends
+// on which benchmarks ran earlier in the process and when a collection
+// last happened.
+func warmUp(b *testing.B, run func()) {
+	b.Helper()
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+}
+
+// printSummary prints an experiment's summary once per process.
+func printSummary(name string, res incastlab.Result) {
+	if _, done := printedSummaries.LoadOrStore(name, true); !done {
+		fmt.Printf("\n%s\n", res.Summary())
+	}
+}
+
 func runExperiment(b *testing.B, name string, run func(incastlab.Options) incastlab.Result) {
 	b.Helper()
 	opt := benchOptions()
-	b.ReportAllocs()
+	warmUp(b, func() { printSummary(name, run(opt)) })
 	for i := 0; i < b.N; i++ {
-		res := run(opt)
-		if _, done := printedSummaries.LoadOrStore(name, true); !done {
-			fmt.Printf("\n%s\n", res.Summary())
-		}
+		run(opt)
 	}
 }
 
@@ -182,16 +199,16 @@ func BenchmarkExtModeBoundary(b *testing.B) {
 // ~3.4k delivered packets (data + ACKs), plus engine events dispatched per
 // wall-clock second.
 func BenchmarkSimulatorPacketRate(b *testing.B) {
-	b.ReportAllocs()
+	cfg := incastlab.SimConfig{
+		Flows:         100,
+		BurstDuration: incastlab.Millisecond,
+		Bursts:        2,
+		Interval:      5 * incastlab.Millisecond,
+	}
+	warmUp(b, func() { incastlab.RunIncastSim(cfg) })
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res := incastlab.RunIncastSim(incastlab.SimConfig{
-			Flows:         100,
-			BurstDuration: incastlab.Millisecond,
-			Bursts:        2,
-			Interval:      5 * incastlab.Millisecond,
-		})
-		events += res.Events
+		events += incastlab.RunIncastSim(cfg).Events
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
@@ -200,10 +217,13 @@ func BenchmarkSimulatorPacketRate(b *testing.B) {
 // and analyze one 2-second aggregator trace.
 func BenchmarkMillisamplerAnalyze(b *testing.B) {
 	p, _ := incastlab.ServiceByName("aggregator")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := p.Generate(incastlab.GenConfig{Seed: uint64(i + 1), DurationMS: 2000})
+	analyze := func(seed uint64) {
+		tr := p.Generate(incastlab.GenConfig{Seed: seed, DurationMS: 2000})
 		incastlab.AnalyzeTraces([]*incastlab.MeasurementTrace{tr})
+	}
+	warmUp(b, func() { analyze(1) })
+	for i := 0; i < b.N; i++ {
+		analyze(uint64(i + 1))
 	}
 }
 
@@ -211,7 +231,7 @@ func BenchmarkMillisamplerAnalyze(b *testing.B) {
 // path.
 func BenchmarkPredictorObserve(b *testing.B) {
 	pr := incastlab.NewPredictor(incastlab.DefaultPredictorConfig())
-	b.ReportAllocs()
+	warmUp(b, func() { pr.Observe(100) })
 	for i := 0; i < b.N; i++ {
 		pr.Observe(100 + i%50)
 	}
@@ -289,8 +309,7 @@ func BenchmarkFlowsimCohortFig5(b *testing.B) {
 // representations' agreement, so the pair is purely about wall clock.
 func benchFlowsimFig5Point(b *testing.B, aggregation string) {
 	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	run := func() {
 		res := incastlab.RunIncastSim(incastlab.SimConfig{
 			Flows:       1400,
 			Bursts:      4, // quick-mode burst count, like the sweep benchmarks
@@ -300,6 +319,10 @@ func benchFlowsimFig5Point(b *testing.B, aggregation string) {
 		if res.MeanBCT <= 0 {
 			b.Fatal("degenerate run: no burst completed")
 		}
+	}
+	warmUp(b, run)
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
@@ -326,14 +349,15 @@ func BenchmarkClosMillionFlowSingleRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt := benchOptions()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	run := func() {
 		res, err := incastlab.RunScenario(opt, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, done := printedSummaries.LoadOrStore("clos_million_flow_single", true); !done {
-			fmt.Printf("\n%s\n", res.Summary())
-		}
+		printSummary("clos_million_flow_single", res)
+	}
+	warmUp(b, run)
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

@@ -109,11 +109,11 @@
 #  10. bench gate        the substrate micro-benchmarks, the packet- and
 #                        flow-level Fig-5 sweeps, the ICTCP ablation, the
 #                        packet multi-aggregator Clos sweep, the million-flow
-#                        Clos run, and (in a second process) the
-#                        rack-contention, query-tail and cross-validation
-#                        experiments smoke-run at one iteration each: each
-#                        must execute and stay under its allocs/op
-#                        ceiling, and the packet Fig-5 sweep,
+#                        Clos run, and the rack-contention, query-tail and
+#                        cross-validation experiments smoke-run in one
+#                        process at one timed iteration each, after one
+#                        untimed warm-up: each must execute and stay under
+#                        its allocs/op ceiling, and the packet Fig-5 sweep,
 #                        the million-flow run and the last three also under
 #                        their B/op ceilings (allocation counts and bytes
 #                        repeat run to run, so they are gated); measured
@@ -379,21 +379,22 @@ if grep -q 'shard 0/2 failed' "$OBS_TMP/big_sharded.err"; then
 fi
 
 echo "==> bench gate: micro-benchmarks + Fig-5 sweeps smoke-run under allocation ceilings"
+# Each benchmark runs one untimed warm-up iteration before the timed one
+# (bench_test.go's warmUp), so the simulation resource pools the timed run
+# draws from are filled whatever ran before it in the process, and the
+# counts do not depend on the benchmark set or its order.
 go test -run '^$' \
-  -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkAblationReceiverWindow|BenchmarkClosMultiAggPacket|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun)$' \
+  -bench '^(BenchmarkFig5DCTCPModes|BenchmarkSimulatorPacketRate|BenchmarkAblationReceiverWindow|BenchmarkClosMultiAggPacket|BenchmarkMillisamplerAnalyze|BenchmarkPredictorObserve|BenchmarkFlowsimFig5|BenchmarkFlowsimCohortFig5|BenchmarkFlowsimPerFlowFig5Point|BenchmarkFlowsimCohortFig5Point|BenchmarkClosMillionFlowSingleRun|BenchmarkExtRackContention|BenchmarkExtQueryTail|BenchmarkCrossValidation)$' \
   -benchtime=1x -benchmem . >"$OBS_TMP/bench_smoke.txt"
-# The three experiments below build their own engines, so their counts
-# repeat. They run in a process of their own: in the one above, crossval
-# would run before the ICTCP ablation, and its garbage collections empty
-# the simulation resource pool the ablation otherwise finds warm (33,720
-# -> 56,630 allocs/op).
-go test -run '^$' -bench '^(BenchmarkExtRackContention|BenchmarkExtQueryTail|BenchmarkCrossValidation)$' \
-  -benchtime=1x -benchmem . >>"$OBS_TMP/bench_smoke.txt"
 # Each ceiling is the highest allocs/op (and, where a third column gives
-# one, B/op) of three runs when it was set, plus 10 %, rounded up. At one
-# iteration a benchmark that finds the simulation resource pool emptied by
-# a GC allocates more than one that finds it warm, so the ceilings come
-# from such cold runs.
+# one, B/op) of the runs made when it was set (at least three), plus 10 %,
+# rounded up, and never raised. The current ones come from eleven runs:
+# Fig-5 and the multi-aggregator Clos sweep run their rows in parallel,
+# and the pools keep one cache per processor, so their counts still move
+# with scheduling (Fig-5: 73,570-84,904 allocs/op). A garbage collection
+# between the warm-up and the timed iteration can also empty a pool, which
+# is why the million-flow run's B/op ceiling sits near 42 MB while it
+# usually allocates 2.4 MB.
 while read -r name ceiling bytes_ceiling; do
   read -r allocs bytes <<<"$(awk -v name="$name" '$1 ~ ("^" name "(-[0-9]+)?$") {
     for (i = 2; i <= NF; i++) { if ($i == "allocs/op") a = $(i - 1); if ($i == "B/op") b = $(i - 1) }
@@ -417,20 +418,20 @@ while read -r name ceiling bytes_ceiling; do
     fi
   fi
 done <<'CEILINGS'
-BenchmarkFig5DCTCPModes 111626 9878880
-BenchmarkSimulatorPacketRate 9866
-BenchmarkAblationReceiverWindow 41838
-BenchmarkClosMultiAggPacket 589753
-BenchmarkMillisamplerAnalyze 90
-BenchmarkPredictorObserve 2
-BenchmarkFlowsimFig5 3418
-BenchmarkFlowsimCohortFig5 3401
-BenchmarkFlowsimPerFlowFig5Point 41
-BenchmarkFlowsimCohortFig5Point 59
-BenchmarkClosMillionFlowSingleRun 930 46008900
+BenchmarkFig5DCTCPModes 93395 7864534
+BenchmarkSimulatorPacketRate 3446
+BenchmarkAblationReceiverWindow 37875
+BenchmarkClosMultiAggPacket 547355
+BenchmarkMillisamplerAnalyze 83
+BenchmarkPredictorObserve 0
+BenchmarkFlowsimFig5 3396
+BenchmarkFlowsimCohortFig5 3383
+BenchmarkFlowsimPerFlowFig5Point 31
+BenchmarkFlowsimCohortFig5Point 33
+BenchmarkClosMillionFlowSingleRun 300 45956117
 BenchmarkExtRackContention 60000 5873921
-BenchmarkExtQueryTail 37287 4781929
-BenchmarkCrossValidation 19805 1902552
+BenchmarkExtQueryTail 37287 4685015
+BenchmarkCrossValidation 19797 1901381
 CEILINGS
 
 echo "==> ci.sh: all checks passed"

@@ -26,12 +26,12 @@ func main() {
 		fmt.Printf("  below-K time %.0f%%  drops %d  timeouts %d\n",
 			100*res.FracBelowK, res.Drops, res.Timeouts)
 
-		switch {
-		case res.Timeouts > 0:
+		switch res.Mode() {
+		case "3 (timeouts)":
 			fmt.Println("  mode 3: overflow drops with 1-MSS windows mean no dup ACKs;")
 			fmt.Printf("          recovery waits for the %v min-RTO, so BCT ~ %v.\n",
 				200*incastlab.Millisecond, res.MeanBCT)
-		case res.FracBelowK < 0.10:
+		case "2 (degenerate)":
 			fmt.Printf("  mode 2: all flows pinned at 1 MSS; queue stands at N-BDP = %.0f pkts;\n",
 				float64(n-25))
 			fmt.Println("          ~every packet is CE-marked, yet nobody can back off further.")

@@ -17,8 +17,7 @@ func main() {
 	fmt.Printf("%8s %12s %12s %12s %10s\n", "workers", "QCT p50", "QCT p99", "QCT max", "timeouts")
 
 	for _, workers := range []int{20, 80, 400, 1600} {
-		res := incastlab.RunPartitionAggregate(incastlab.PartitionAggregateConfig{
-			Workers:          workers,
+		res := incastlab.RunPartitionAggregate(workers, incastlab.PartitionAggregateConfig{
 			ResponseBytes:    4_000_000 / int64(workers),
 			ProcessingJitter: 100 * incastlab.Microsecond,
 			Queries:          10,

@@ -30,10 +30,10 @@ func main() {
 	fmt.Printf("loss recovery: %d drops, %d fast retransmits, %d timeouts\n",
 		res.Drops, res.FastRetransmits, res.Timeouts)
 
-	switch {
-	case res.Timeouts > 0:
+	switch res.Mode() {
+	case "3 (timeouts)":
 		fmt.Println("\n=> Mode 3: windows are too small for dup-ACK recovery; RTOs dominate.")
-	case res.FracBelowK < 0.10:
+	case "2 (degenerate)":
 		fmt.Println("\n=> Mode 2: every flow is pinned at the 1-MSS degenerate point;")
 		fmt.Println("   the queue stands at N - BDP and everything is ECN-marked.")
 	default:

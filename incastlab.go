@@ -501,20 +501,20 @@ type QueryRecord = app.QueryRecord
 // Summary is a descriptive-statistics bundle (mean and percentiles).
 type Summary = stats.Summary
 
-// DefaultPartitionAggregateConfig returns a fan-out of n workers with
-// 20 KB responses and 1 ms think time.
-func DefaultPartitionAggregateConfig(n int) PartitionAggregateConfig {
-	return app.DefaultPartitionAggregateConfig(n)
+// DefaultPartitionAggregateConfig returns a fan-out with 20 KB responses
+// and 1 ms think time.
+func DefaultPartitionAggregateConfig() PartitionAggregateConfig {
+	return app.DefaultPartitionAggregateConfig()
 }
 
 // PartitionAggregateResult is the outcome of RunPartitionAggregate.
 type PartitionAggregateResult = core.PartitionAggregateResult
 
-// RunPartitionAggregate builds the paper's dumbbell for cfg.Workers,
-// runs the closed-loop application under DCTCP, and summarizes the query
-// completion times.
-func RunPartitionAggregate(cfg PartitionAggregateConfig) *PartitionAggregateResult {
-	return core.RunPartitionAggregate(sim.NewEngine(), cfg)
+// RunPartitionAggregate builds the paper's dumbbell for a fan-in of
+// workers, runs the closed-loop application under DCTCP, and summarizes
+// the query completion times.
+func RunPartitionAggregate(workers int, cfg PartitionAggregateConfig) *PartitionAggregateResult {
+	return core.RunPartitionAggregate(sim.NewEngine(), workers, cfg)
 }
 
 // QueryTailLatency sweeps partition/aggregate fan-in at constant query

@@ -113,8 +113,7 @@ func TestPublicExperimentRunners(t *testing.T) {
 }
 
 func TestPublicPartitionAggregate(t *testing.T) {
-	res := incastlab.RunPartitionAggregate(incastlab.PartitionAggregateConfig{
-		Workers:       10,
+	res := incastlab.RunPartitionAggregate(10, incastlab.PartitionAggregateConfig{
 		ResponseBytes: 20_000,
 		Queries:       3,
 		ThinkTime:     incastlab.Millisecond,

@@ -14,8 +14,6 @@
 package app
 
 import (
-	"fmt"
-
 	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
@@ -26,10 +24,9 @@ import (
 // requestFlowBase offsets request-flow IDs away from response flows.
 const requestFlowBase netsim.FlowID = 1 << 20
 
-// PartitionAggregateConfig describes a coordinator fan-out workload.
+// PartitionAggregateConfig describes a coordinator fan-out workload; the
+// fan-in degree is the number of worker hosts it runs on.
 type PartitionAggregateConfig struct {
-	// Workers is the fan-in degree.
-	Workers int
 	// ResponseBytes is each worker's reply size.
 	ResponseBytes int64
 	// ProcessingJitter delays each worker's reply uniformly in
@@ -48,12 +45,11 @@ type PartitionAggregateConfig struct {
 	Receiver tcp.ReceiverConfig
 }
 
-// DefaultPartitionAggregateConfig returns a fan-out of n workers with
-// 20 KB responses (a ~2 ms aggregate burst at 10 Gbps for 128 workers),
-// 0-100 us processing jitter, and 1 ms think time.
-func DefaultPartitionAggregateConfig(n int) PartitionAggregateConfig {
+// DefaultPartitionAggregateConfig returns a fan-out with 20 KB responses
+// (a ~2 ms aggregate burst at 10 Gbps for 128 workers), 0-100 us
+// processing jitter, and 1 ms think time.
+func DefaultPartitionAggregateConfig() PartitionAggregateConfig {
 	return PartitionAggregateConfig{
-		Workers:          n,
 		ResponseBytes:    20_000,
 		ProcessingJitter: 100 * sim.Microsecond,
 		Queries:          10,
@@ -101,16 +97,12 @@ type PartitionAggregate struct {
 }
 
 // NewPartitionAggregate builds the application over eng, with coordinator
-// fanning out to workers; len(workers) must equal cfg.Workers. algFactory
-// supplies congestion control per worker flow.
+// fanning out to workers. algFactory supplies congestion control per
+// worker flow.
 func NewPartitionAggregate(eng *sim.Engine, coordinator *netsim.Host, workers []*netsim.Host,
 	cfg PartitionAggregateConfig, algFactory func(worker int) cc.Algorithm) *PartitionAggregate {
-	if cfg.Workers <= 0 {
+	if len(workers) == 0 {
 		panic("app: need at least one worker")
-	}
-	if len(workers) != cfg.Workers {
-		panic(fmt.Sprintf("app: %d worker hosts given, config has %d workers",
-			len(workers), cfg.Workers))
 	}
 	if cfg.ResponseBytes <= 0 {
 		panic("app: response size must be positive")
@@ -125,12 +117,12 @@ func NewPartitionAggregate(eng *sim.Engine, coordinator *netsim.Host, workers []
 		coord:    coordinator,
 		workers:  workers,
 		rng:      sim.NewRand(cfg.Seed),
-		expected: make([]int64, cfg.Workers),
+		expected: make([]int64, len(workers)),
 	}
 
 	coordHub := tcp.NewHub(coordinator)
-	pa.senders = make([]*tcp.Sender, cfg.Workers)
-	pa.receivers = make([]*tcp.Receiver, cfg.Workers)
+	pa.senders = make([]*tcp.Sender, len(workers))
+	pa.receivers = make([]*tcp.Receiver, len(workers))
 	for w, worker := range workers {
 		respFlow := netsim.FlowID(w + 1)
 		workerHub := tcp.NewHub(worker)
@@ -161,13 +153,13 @@ func NewPartitionAggregate(eng *sim.Engine, coordinator *netsim.Host, workers []
 // dispatch issues the next query: one small request packet per worker.
 func (pa *PartitionAggregate) dispatch() {
 	pa.start = pa.eng.Now()
-	pa.pending = pa.cfg.Workers
-	for w := 0; w < pa.cfg.Workers; w++ {
+	pa.pending = len(pa.workers)
+	for w, worker := range pa.workers {
 		pa.expected[w] += pa.cfg.ResponseBytes
 		p := pa.coord.AllocPacket()
 		p.Flow = requestFlowBase + netsim.FlowID(w)
 		p.Src = pa.coord.ID()
-		p.Dst = pa.workers[w].ID()
+		p.Dst = worker.ID()
 		p.Len = 64 // small RPC request
 		p.SentAt = pa.eng.Now()
 		pa.coord.Send(p)

@@ -10,17 +10,17 @@ import (
 
 func dctcp(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) }
 
-// onDumbbell builds cfg's application over a dumbbell of cfg.Workers
-// senders: the coordinator at the receiver, a worker at each sender.
-func onDumbbell(eng *sim.Engine, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(cfg.Workers))
+// onDumbbell builds cfg's application over a dumbbell of workers senders:
+// the coordinator at the receiver, a worker at each sender.
+func onDumbbell(eng *sim.Engine, workers int, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(workers))
 	return net, NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg, dctcp)
 }
 
-func runPA(t *testing.T, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
+func runPA(t *testing.T, workers int, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net, pa := onDumbbell(eng, cfg)
+	net, pa := onDumbbell(eng, workers, cfg)
 	eng.RunUntil(30 * sim.Second)
 	if !pa.Done() {
 		t.Fatalf("only %d of %d queries completed", len(pa.Queries()), cfg.Queries)
@@ -29,9 +29,9 @@ func runPA(t *testing.T, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *Parti
 }
 
 func TestPartitionAggregateCompletes(t *testing.T) {
-	cfg := DefaultPartitionAggregateConfig(20)
+	cfg := DefaultPartitionAggregateConfig()
 	cfg.Queries = 5
-	_, pa := runPA(t, cfg)
+	_, pa := runPA(t, 20, cfg)
 	qs := pa.Queries()
 	if len(qs) != 5 {
 		t.Fatalf("queries = %d", len(qs))
@@ -53,9 +53,9 @@ func TestPartitionAggregateQCTNearOptimal(t *testing.T) {
 	// 20 workers x 20 KB = 400 KB over a 10 Gbps bottleneck ~ 320 us, plus
 	// request delivery, jitter, and queueing: QCT should land well under
 	// 2 ms per query in the healthy regime.
-	cfg := DefaultPartitionAggregateConfig(20)
+	cfg := DefaultPartitionAggregateConfig()
 	cfg.Queries = 5
-	_, pa := runPA(t, cfg)
+	_, pa := runPA(t, 20, cfg)
 	s := pa.QCTStats()
 	if s.P50 > 2 {
 		t.Fatalf("median QCT = %vms, want < 2ms", s.P50)
@@ -68,9 +68,9 @@ func TestPartitionAggregateQCTNearOptimal(t *testing.T) {
 func TestPartitionAggregateIncastCongestion(t *testing.T) {
 	// 150 workers responding together must push the coordinator's ToR
 	// queue past the marking threshold.
-	cfg := DefaultPartitionAggregateConfig(150)
+	cfg := DefaultPartitionAggregateConfig()
 	cfg.Queries = 3
-	net, _ := runPA(t, cfg)
+	net, _ := runPA(t, 150, cfg)
 	st := net.BottleneckQueue().Stats()
 	if st.PeakPackets <= 65 {
 		t.Fatalf("peak queue %d, want incast congestion above K", st.PeakPackets)
@@ -82,12 +82,12 @@ func TestPartitionAggregateIncastCongestion(t *testing.T) {
 
 func TestPartitionAggregateTailGrowsWithFanIn(t *testing.T) {
 	qct := func(workers int) (p50, max float64) {
-		cfg := DefaultPartitionAggregateConfig(workers)
+		cfg := DefaultPartitionAggregateConfig()
 		cfg.Queries = 5
 		// Keep the aggregate response volume constant so only the degree
 		// changes (the paper's fan-in framing).
 		cfg.ResponseBytes = 4_000_000 / int64(workers)
-		_, pa := runPA(t, cfg)
+		_, pa := runPA(t, workers, cfg)
 		s := pa.QCTStats()
 		return s.P50, s.Max
 	}
@@ -111,9 +111,9 @@ func TestPartitionAggregateTailGrowsWithFanIn(t *testing.T) {
 func TestPartitionAggregateDeterministic(t *testing.T) {
 	run := func() []QueryRecord {
 		eng := sim.NewEngine()
-		cfg := DefaultPartitionAggregateConfig(15)
+		cfg := DefaultPartitionAggregateConfig()
 		cfg.Queries = 3
-		_, pa := onDumbbell(eng, cfg)
+		_, pa := onDumbbell(eng, 15, cfg)
 		eng.RunUntil(5 * sim.Second)
 		return pa.Queries()
 	}
@@ -130,6 +130,7 @@ func TestPartitionAggregateDeterministic(t *testing.T) {
 
 func TestPartitionAggregateValidation(t *testing.T) {
 	eng := sim.NewEngine()
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(2))
 	mustPanic := func(name string, cfg PartitionAggregateConfig, workers int) {
 		t.Helper()
 		defer func() {
@@ -137,15 +138,14 @@ func TestPartitionAggregateValidation(t *testing.T) {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(workers))
-		NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg, dctcp)
+		NewPartitionAggregate(eng, net.Receiver, net.Senders[:workers], cfg, dctcp)
 	}
-	base := DefaultPartitionAggregateConfig(2)
+	base := DefaultPartitionAggregateConfig()
 	bad := base
 	bad.ResponseBytes = 0
 	mustPanic("zero response", bad, 2)
 	bad = base
 	bad.Queries = 0
 	mustPanic("zero queries", bad, 2)
-	mustPanic("mismatched worker hosts", base, 3)
+	mustPanic("no worker hosts", base, 0)
 }

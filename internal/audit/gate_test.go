@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"incastlab/internal/core"
-	"incastlab/internal/flowsim"
 	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/workload"
@@ -116,10 +115,6 @@ func gateRows() []gateRow {
 	}
 }
 
-// mode is core's classification rule: flowsim.Classify over timeouts and
-// the fraction of samples below the marking threshold.
-func mode(s *core.SimResult) string { return flowsim.Classify(s.Timeouts, s.FracBelowK) }
-
 // compare returns every way b breaches the row's contract against a. Each
 // message names the row and the statistic.
 func (row gateRow) compare(a, b *core.SimResult, records int) []string {
@@ -134,7 +129,7 @@ func (row gateRow) compare(a, b *core.SimResult, records int) []string {
 	if a.AlgName != b.AlgName || a.QueueCapacity != b.QueueCapacity {
 		breach("alg/queue capacity: %s %q/%d vs %s %q/%d", an, a.AlgName, a.QueueCapacity, bn, b.AlgName, b.QueueCapacity)
 	}
-	if ma, mb := mode(a), mode(b); ma != mb || ma != row.mode {
+	if ma, mb := a.Mode(), b.Mode(); ma != mb || ma != row.mode {
 		breach("mode: %s %q vs %s %q, want %q (timeouts %d/%d, fracBelowK %.3f/%.3f)",
 			an, ma, bn, mb, row.mode, a.Timeouts, b.Timeouts, a.FracBelowK, b.FracBelowK)
 	}
@@ -175,7 +170,7 @@ func runGate(t *testing.T, prefix string) {
 			a, _ := row.a.run(row.cfg)
 			b, records := row.b.run(row.cfg)
 			t.Logf("%s[%s meanBCT=%v maxBCT=%v peakQ=%.0f] %s[%s meanBCT=%v maxBCT=%v peakQ=%.0f] records=%d",
-				row.a.name, mode(a), a.MeanBCT, a.MaxBCT, a.MaxQueue, row.b.name, mode(b), b.MeanBCT, b.MaxBCT, b.MaxQueue, records)
+				row.a.name, a.Mode(), a.MeanBCT, a.MaxBCT, a.MaxQueue, row.b.name, b.Mode(), b.MeanBCT, b.MaxBCT, b.MaxQueue, records)
 			for _, msg := range row.compare(a, b, records) {
 				t.Error(msg)
 			}

@@ -48,11 +48,11 @@ func QueryTailLatency(opt Options) *QueryTailResult {
 		n := degrees[i]
 		wallStart := startWall(opt.Metrics)
 		eng := sim.NewEngine()
-		cfg := app.DefaultPartitionAggregateConfig(n)
+		cfg := app.DefaultPartitionAggregateConfig()
 		cfg.Queries = queries
 		cfg.Seed = opt.seed()
 		cfg.ResponseBytes = 4_000_000 / int64(n)
-		res := RunPartitionAggregate(eng, cfg)
+		res := RunPartitionAggregate(eng, n, cfg)
 		harvestEngineRun(opt.Metrics, "ext_query_tail", eng, wallStart,
 			"workers", fmt.Sprint(n))
 		return res
@@ -88,17 +88,17 @@ type PartitionAggregateResult struct {
 	Timeouts int64
 }
 
-// RunPartitionAggregate builds the paper's dumbbell for cfg.Workers on
+// RunPartitionAggregate builds the paper's dumbbell for workers senders on
 // eng, runs the closed-loop application over it under DCTCP with the
 // coordinator at the receiver and a worker at each sender, and summarizes
 // the query completion times.
-func RunPartitionAggregate(eng *sim.Engine, cfg app.PartitionAggregateConfig) *PartitionAggregateResult {
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(cfg.Workers))
+func RunPartitionAggregate(eng *sim.Engine, workers int, cfg app.PartitionAggregateConfig) *PartitionAggregateResult {
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(workers))
 	pa := app.NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg,
 		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
 	eng.RunUntil(60 * sim.Second)
 	if !pa.Done() {
-		panic(fmt.Sprintf("core: partition/aggregate with %d workers did not complete", cfg.Workers))
+		panic(fmt.Sprintf("core: partition/aggregate with %d workers did not complete", workers))
 	}
 	var timeouts int64
 	for _, s := range pa.Senders() {

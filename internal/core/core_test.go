@@ -139,8 +139,8 @@ func TestFig5ModesShape(t *testing.T) {
 	}
 
 	// Mode labels agree.
-	if mode(m1) != "1 (healthy)" || mode(m2) != "2 (degenerate)" || !strings.HasPrefix(mode(m3), "3") {
-		t.Fatalf("modes misclassified: %s / %s / %s", mode(m1), mode(m2), mode(m3))
+	if m1.Mode() != "1 (healthy)" || m2.Mode() != "2 (degenerate)" || !strings.HasPrefix(m3.Mode(), "3") {
+		t.Fatalf("modes misclassified: %s / %s / %s", m1.Mode(), m2.Mode(), m3.Mode())
 	}
 }
 

@@ -95,7 +95,7 @@ func DistributedDetect(opt Options) *TableResult {
 		if m.DetectorFirstFire > 0 {
 			latency = trace.Float(float64(m.DetectorFirstFire) / float64(sim.Microsecond))
 		}
-		t.AddRow(fmt.Sprint(r.flows), r.placement, mode(m),
+		t.AddRow(fmt.Sprint(r.flows), r.placement, m.Mode(),
 			trace.Float(m.MaxQueue), latency,
 			trace.Float(m.MeanBCT.Milliseconds()), trace.Float(m.MaxBCT.Milliseconds()),
 			fmt.Sprint(m.Timeouts), fmt.Sprint(m.Drops),

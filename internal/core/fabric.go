@@ -116,15 +116,13 @@ func (f *fabric) totals(eng *sim.Engine) runTotals {
 		executed:  eng.Executed(),
 		simNow:    eng.Now(),
 		tcp:       f.flows.AggregateSenderStats(),
+		bcts:      f.flows.BCTs(),
 	}
 	for _, p := range f.ports {
 		r.ports = append(r.ports, harvestPort{
 			label: p.label, queue: p.link.Queue().Stats(),
 			txPackets: p.link.TxPackets(), txBytes: p.link.TxBytes(), bps: p.link.BandwidthBps(),
 		})
-	}
-	for _, b := range f.flows.Bursts() {
-		r.bcts = append(r.bcts, b.BCT)
 	}
 	r.cc = func(cwnd, alpha *obs.Histogram) (updates int64) {
 		for _, s := range f.flows.Senders() {

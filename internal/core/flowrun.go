@@ -126,10 +126,14 @@ func (c SimConfig) FlowCompatible() error {
 // RTT for the configured placement on a Clos, the dumbbell's otherwise.
 func flowBaseRTT(cfg *SimConfig) sim.Time {
 	if cfg.Clos != nil {
-		return cfg.Clos.BaseRTT(cfg.Placement != workload.PlacementSameRack)
+		return cfg.Clos.BaseRTT(crossRack(cfg))
 	}
 	return cfg.Net.BaseRTT()
 }
+
+// crossRack reports whether a fabric row's workers sit in other racks than
+// their aggregator's.
+func crossRack(cfg *SimConfig) bool { return cfg.Placement != workload.PlacementSameRack }
 
 // hostLinkBps is the host NIC line rate of the configured topology, which
 // sizes per-flow demand on both backends.
@@ -206,25 +210,14 @@ func runFlowIncastSim(cfg SimConfig) *SimResult {
 		panic(fmt.Sprintf("core: flow-level simulation with %d flows: %v", cfg.Flows, err))
 	}
 	res := &SimResult{
-		Fidelity:          FidelityFlow,
-		Flows:             cfg.Flows,
-		AlgName:           fres.AlgName,
-		AvgQueue:          fres.AvgQueue,
-		MaxQueue:          fres.MaxQueue,
-		FracBelowK:        fres.FracBelowK,
-		SpikePackets:      fres.SpikePackets,
-		MeanBCT:           fres.MeanBCT,
-		MaxBCT:            fres.MaxBCT,
-		Timeouts:          fres.Timeouts,
-		FastRetransmits:   fres.FastRetransmits,
-		RetransmitPackets: fres.RetransmitPackets,
-		Drops:             fres.Drops,
-		Marks:             fres.Marks,
-		SentPackets:       fres.SentPackets,
-		Events:            fres.Steps,
-		SimNow:            fres.SimNow,
-		QueueCapacity:     fres.QueueCapacity,
-		ECNThreshold:      fres.ECNThreshold,
+		Fidelity:      FidelityFlow,
+		Flows:         cfg.Flows,
+		AlgName:       fres.AlgName,
+		Measured:      fres.Measured,
+		Events:        fres.Steps,
+		SimNow:        fres.SimNow,
+		QueueCapacity: fres.QueueCapacity,
+		ECNThreshold:  fres.ECNThreshold,
 	}
 	if cfg.Metrics != nil {
 		harvest(&cfg, wallStart, flowTotals(&cfg, fres))
@@ -266,7 +259,6 @@ func runFluid(cfg SimConfig) (*flowsim.Result, error) {
 		LineRateBps:     hostLinkBps(&cfg),
 		MinRTO:          cfg.Sender.MinRTO,
 		MaxRTO:          cfg.Sender.MaxRTO,
-		DupAckPackets:   float64(cfg.Sender.DupAckThreshold),
 		CC:              ccCfg,
 		SampleInterval:  cfg.SampleInterval,
 		SampleWindow:    cfg.SampleWindow,

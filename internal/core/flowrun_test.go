@@ -35,7 +35,7 @@ func TestFlowDispatchMatchesPacketModes(t *testing.T) {
 		if packet.Fidelity != FidelityPacket || flow.Fidelity != FidelityFlow {
 			t.Fatalf("n=%d: fidelity stamps %q / %q", n, packet.Fidelity, flow.Fidelity)
 		}
-		if pm, fm := mode(packet), mode(flow); pm != fm {
+		if pm, fm := packet.Mode(), flow.Mode(); pm != fm {
 			t.Errorf("n=%d: packet mode %q, flow mode %q", n, pm, fm)
 		}
 		if flow.AlgName != packet.AlgName {
@@ -45,6 +45,19 @@ func TestFlowDispatchMatchesPacketModes(t *testing.T) {
 		if rel := math.Abs(fBCT-pBCT) / pBCT; rel > 0.35 {
 			t.Errorf("n=%d: mean BCT diverges %.1f%%: packet %v, flow %v",
 				n, 100*rel, packet.MeanBCT, flow.MeanBCT)
+		}
+	}
+}
+
+// TestShortSampleWindowTakesOneSample: a sample window shorter than the
+// sample interval still takes one sample per measured burst, at both
+// fidelities, so AvgQueue (which fig5's queue plot indexes) is never empty.
+func TestShortSampleWindowTakesOneSample(t *testing.T) {
+	for _, fidelity := range []string{FidelityPacket, FidelityFlow} {
+		res := RunIncastSim(SimConfig{Flows: 20, Bursts: 2, Fidelity: fidelity,
+			SampleInterval: sim.Millisecond, SampleWindow: 500 * sim.Microsecond})
+		if n := len(res.AvgQueue.Values); n != 1 {
+			t.Errorf("%s: %d samples per burst, want 1", fidelity, n)
 		}
 	}
 }

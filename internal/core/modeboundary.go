@@ -53,7 +53,7 @@ func ModeBoundary(opt Options) *ModeBoundaryResult {
 	r := &ModeBoundaryResult{Runs: opt.runRows("mode_boundary", cfgs)}
 	prev := ""
 	for i, n := range flows {
-		label := mode(r.Runs[i])
+		label := r.Runs[i].Mode()
 		r.Flows = append(r.Flows, n)
 		r.Modes = append(r.Modes, label)
 		if prev != "" && label != prev {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"incastlab/internal/cc"
 	"incastlab/internal/sim"
 	"incastlab/internal/trace"
 )
@@ -46,12 +45,14 @@ func PulserModes(opt Options) *TableResult {
 	for _, n := range flows {
 		for _, scheme := range pulserSchemes {
 			for _, notify := range []bool{false, true} {
+				// Notification wraps the scheme inside the runner, so
+				// the factory is the bare baseline.
 				cfg := SimConfig{
 					Flows:         n,
 					BurstDuration: 15 * sim.Millisecond,
 					Bursts:        bursts,
-					Alg:           pulserSchemeAlg(opt, scheme, n),
 				}
+				cfg.Alg = ccByName(opt, scheme, nil, n, rowPath(&cfg, n, nil))
 				if notify {
 					cfg.Notification = &NotificationConfig{}
 				}
@@ -66,7 +67,7 @@ func PulserModes(opt Options) *TableResult {
 		"mean_bct_ms", "max_bct_ms", "timeouts", "drops", "detector_fired", "notifies")
 	for i, r := range rows {
 		m := results[i]
-		t.AddRow(fmt.Sprint(r.flows), r.scheme, onOff(r.notify), mode(m),
+		t.AddRow(fmt.Sprint(r.flows), r.scheme, onOff(r.notify), m.Mode(),
 			trace.Float(m.BusyAvgQueue()), trace.Float(m.MeanBCT.Milliseconds()),
 			trace.Float(m.MaxBCT.Milliseconds()), fmt.Sprint(m.Timeouts),
 			fmt.Sprint(m.Drops), fmt.Sprint(m.DetectorFirings), fmt.Sprint(m.IncastNotifies))
@@ -85,12 +86,12 @@ func PulserModes(opt Options) *TableResult {
 			}
 			if r.notify {
 				toOn += results[i].Timeouts
-				if strings.HasPrefix(mode(results[i]), "3") {
+				if strings.HasPrefix(results[i].Mode(), "3") {
 					m3on = append(m3on, r.flows)
 				}
 			} else {
 				toOff += results[i].Timeouts
-				if strings.HasPrefix(mode(results[i]), "3") {
+				if strings.HasPrefix(results[i].Mode(), "3") {
 					m3off = append(m3off, r.flows)
 				}
 			}
@@ -113,21 +114,6 @@ func PulserModes(opt Options) *TableResult {
 		Artifacts:   []Artifact{{File: "ext_pulser_modes.csv", Table: t}},
 		SummaryText: b.String(),
 	}
-}
-
-// pulserSchemeAlg maps a scheme name to its per-flow algorithm factory (nil
-// defers to the engine's DCTCP default). Notification wrapping happens
-// inside the runner, so these are the bare baselines.
-func pulserSchemeAlg(opt Options, scheme string, n int) func(int) cc.Algorithm {
-	switch scheme {
-	case "dctcp":
-		return nil
-	case "dctcp+guardrail":
-		return guardrailAlg(opt, n, nil)
-	case "swift":
-		return ccByName("swift", nil, n, nil)
-	}
-	panic(fmt.Sprintf("core: unknown pulser scheme %q", scheme))
 }
 
 func onOff(b bool) string {

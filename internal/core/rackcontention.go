@@ -6,6 +6,7 @@ import (
 
 	"incastlab/internal/audit"
 	"incastlab/internal/cc"
+	"incastlab/internal/flowsim"
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
 	"incastlab/internal/tcp"
@@ -36,11 +37,10 @@ type RackContentionResult struct {
 	Solo, Contended rackGroupStats
 }
 
+// rackGroupStats fills MeanBCT, MaxBCT, Timeouts and Drops of the shared
+// measured-window summary, and the queue's peak.
 type rackGroupStats struct {
-	MeanBCT  sim.Time
-	MaxBCT   sim.Time
-	Timeouts int64
-	Drops    int64
+	flowsim.Measured
 	PeakPkts int
 }
 
@@ -125,7 +125,7 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 	// discarded first burst.
 	var baseTimeouts, baseDrops int64
 	q := rack.BottleneckQueue()
-	eng.Schedule(interval, func() {
+	eng.Schedule(sim.Time(flowsim.FirstMeasured(bursts))*interval, func() {
 		baseTimeouts = victim.AggregateSenderStats().Timeouts
 		baseDrops = q.Stats().DroppedPackets
 		q.TakeWatermark()
@@ -140,15 +140,7 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 	}
 
 	var st rackGroupStats
-	n := 0
-	for _, b := range victim.Bursts()[1:] {
-		st.MeanBCT += b.BCT
-		if b.BCT > st.MaxBCT {
-			st.MaxBCT = b.BCT
-		}
-		n++
-	}
-	st.MeanBCT /= sim.Time(n)
+	st.SummarizeBCTs(victim.BCTs())
 	st.Timeouts = victim.AggregateSenderStats().Timeouts - baseTimeouts
 	st.Drops = q.Stats().DroppedPackets - baseDrops
 	st.PeakPkts = q.TakeWatermark()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -91,7 +93,10 @@ func TestRegistryDocsInSync(t *testing.T) {
 }
 
 // TestAllMatchesRegistry checks the one remaining aggregate entry point
-// against the registry it drives off.
+// against the registry it drives off, and its artifacts against the quick
+// goldens: the run writes exactly the CSVs under testdata/quick, each
+// byte-equal. The flow-fidelity goldens under testdata/quick_flow that
+// come from registered experiments are held to the same rule.
 func TestAllMatchesRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite")
@@ -107,6 +112,63 @@ func TestAllMatchesRegistry(t *testing.T) {
 		}
 		if r.Summary() == "" {
 			t.Errorf("%s: empty summary", names[i])
+		}
+	}
+	goldens, err := filepath.Glob("testdata/quick/*.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldens(t, results, goldens)
+
+	var flow []Result
+	for _, name := range []string{"fig5", "ext_clos_crossrack", "ext_clos_multiagg"} {
+		e, _ := LookupExperiment(name)
+		flow = append(flow, e.Run(Options{Seed: 1, Quick: true, Fidelity: FidelityFlow}))
+	}
+	var flowGoldens []string
+	for _, name := range []string{"fig5_modes", "fig5_queue_80flows", "fig5_queue_500flows", "fig5_queue_1400flows",
+		"ext_clos_crossrack", "ext_clos_multiagg"} {
+		flowGoldens = append(flowGoldens, filepath.Join("testdata/quick_flow", name+".csv"))
+	}
+	checkGoldens(t, flow, flowGoldens)
+}
+
+// checkGoldens writes results' artifacts into a fresh directory and
+// requires them to be exactly the golden files, each byte-equal.
+func checkGoldens(t *testing.T, results []Result, goldens []string) {
+	t.Helper()
+	dir := t.TempDir()
+	for _, r := range results {
+		if err := r.WriteFiles(dir); err != nil {
+			t.Fatalf("%s: %v", r.Name(), err)
+		}
+	}
+	written, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, g := range goldens {
+		want[filepath.Base(g)] = g
+	}
+	for _, f := range written {
+		if _, ok := want[f.Name()]; !ok {
+			t.Errorf("the run wrote %s, which has no golden in %s", f.Name(), filepath.Dir(goldens[0]))
+		}
+	}
+	for _, g := range goldens {
+		name := filepath.Base(g)
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Errorf("the run did not write %s", name)
+			continue
+		}
+		golden, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, golden) {
+			t.Errorf("%s differs from its golden %s", name, g)
 		}
 	}
 }

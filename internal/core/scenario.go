@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -132,13 +133,21 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 		}
 	}
 
-	cfg.Alg = scenarioAlg(spec.CC, n, spec.Topology)
+	// The congestion-control factory is named here and built after the
+	// clos block: Swift's target delay and the guardrail's cap size
+	// themselves from the row's base RTT, which the fabric and the
+	// placement axis decide. An empty name keeps the engine default.
+	var algName string
+	if spec.CC != nil {
+		algName = cmp.Or(spec.CC.Algorithm, "dctcp")
+	}
 
 	switch spec.Sweep.Axis {
 	case "flows", "shared_buffer":
 		// Fully handled above.
 	case "g":
 		g, _ := v.Number()
+		algName = ""
 		cfg.Alg = func(int) cc.Algorithm {
 			c := cc.DefaultDCTCPConfig()
 			c.G = g
@@ -174,13 +183,12 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 		on, _ := v.Bool()
 		cfg.EnableICTCP = on
 	case "cc":
-		name, _ := v.Str()
-		cfg.Alg = ccByName(name, spec.CC, n, spec.Topology)
+		algName, _ = v.Str()
 	case "scheme":
 		name, _ := v.Str()
 		switch {
 		case name == "dctcp+guardrail":
-			cfg.Alg = guardrailAlg(opt, n, spec.Topology)
+			algName = name
 		case scenario.WaveSize(name) > 0:
 			cfg.Admitter = schedule.NewWave(scenario.WaveSize(name))
 		}
@@ -212,7 +220,32 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 	if spec.Topology != nil && spec.Topology.Clos != nil {
 		scenarioClos(opt, spec, n, v, &cfg)
 	}
+	if algName != "" {
+		cfg.Alg = ccByName(opt, algName, spec.CC, n, rowPath(&cfg, n, spec.Topology))
+	}
 	return cfg
+}
+
+// pathParams is what a congestion-control factory sizes itself from: the
+// row's base RTT, the host link's bandwidth-delay product over it, and the
+// bottleneck's marking threshold in bytes.
+type pathParams struct {
+	rtt           sim.Time
+	bdp, ecnBytes int
+}
+
+// rowPath reads a compiled row's path parameters. A dumbbell row takes
+// them from the spec's dumbbell; a fabric row takes its placement's base
+// RTT (the one ICTCP and the fluid laws use, see flowBaseRTT) and the host
+// link's BDP over it.
+func rowPath(cfg *SimConfig, n int, topo *scenario.Topology) pathParams {
+	net, _ := scenarioNet(n, topo, true)
+	p := pathParams{rtt: net.BaseRTT(), bdp: net.BDPBytes(), ecnBytes: net.ECNThresholdPackets * netsim.MTU}
+	if c := cfg.Clos; c != nil {
+		x := crossRack(cfg)
+		p.rtt, p.bdp = c.BaseRTT(x), c.BDPBytes(x)
+	}
+	return p
 }
 
 // scenarioClos converts a row's compiled dumbbell parameters plus the
@@ -326,23 +359,11 @@ func scenarioNet(n int, topo *scenario.Topology, shared bool) (net netsim.Dumbbe
 	return net, overridden
 }
 
-// scenarioAlg builds the spec's base congestion-control factory; nil means
-// the engine default (DCTCP with the paper's parameters).
-func scenarioAlg(c *scenario.CC, n int, topo *scenario.Topology) func(int) cc.Algorithm {
-	if c == nil {
-		return nil
-	}
-	name := c.Algorithm
-	if name == "" {
-		name = "dctcp"
-	}
-	return ccByName(name, c, n, topo)
-}
-
-// ccByName maps a scenario CC name to an algorithm factory. nil (for plain
-// DCTCP with no overrides) defers to the engine default, matching a
-// hand-written SimConfig that leaves Alg unset.
-func ccByName(name string, c *scenario.CC, n int, topo *scenario.Topology) func(int) cc.Algorithm {
+// ccByName maps a congestion-control name (a scenario CC name or the
+// "dctcp+guardrail" scheme) to an algorithm factory for a row of n flows
+// over path. nil (for plain DCTCP with no overrides) defers to the engine
+// default, matching a hand-written SimConfig that leaves Alg unset.
+func ccByName(opt Options, name string, c *scenario.CC, n int, path pathParams) func(int) cc.Algorithm {
 	var g float64
 	var iw int
 	if c != nil {
@@ -374,9 +395,9 @@ func ccByName(name string, c *scenario.CC, n int, topo *scenario.Topology) func(
 			return cc.NewD2TCP(dcfg)
 		}
 	case "swift":
-		net, _ := scenarioNet(n, topo, true)
-		rtt := net.BaseRTT()
-		return func(int) cc.Algorithm { return cc.NewSwift(cc.DefaultSwiftConfig(rtt)) }
+		return func(int) cc.Algorithm { return cc.NewSwift(cc.DefaultSwiftConfig(path.rtt)) }
+	case "dctcp+guardrail":
+		return guardrailAlg(opt, n, path)
 	}
 	// Unreachable after Validate; fail loudly rather than silently fall
 	// back to the default algorithm.
@@ -389,10 +410,7 @@ func ccByName(name string, c *scenario.CC, n int, topo *scenario.Topology) func(
 // observes the true degree with sampling noise. The predictor's RNG draws
 // happen at compile time, before the fan-out, so the degree each row sees
 // does not depend on worker interleaving.
-func guardrailAlg(opt Options, n int, topo *scenario.Topology) func(int) cc.Algorithm {
-	net, _ := scenarioNet(n, topo, true)
-	bdp := net.BDPBytes()
-	kBytes := net.ECNThresholdPackets * netsim.MTU
+func guardrailAlg(opt Options, n int, path pathParams) func(int) cc.Algorithm {
 	pr := predict.New(predict.DefaultConfig())
 	rng := sim.NewRand(opt.seed())
 	for i := 0; i < 64; i++ {
@@ -400,7 +418,7 @@ func guardrailAlg(opt Options, n int, topo *scenario.Topology) func(int) cc.Algo
 	}
 	degree := pr.PredictedDegree()
 	return func(int) cc.Algorithm {
-		g := cc.NewGuardrail(cc.NewDCTCP(cc.DefaultDCTCPConfig()), bdp, kBytes)
+		g := cc.NewGuardrail(cc.NewDCTCP(cc.DefaultDCTCPConfig()), path.bdp, path.ecnBytes)
 		g.Predict(degree)
 		return g
 	}

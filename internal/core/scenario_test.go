@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"incastlab/internal/cc"
 	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/scenario"
@@ -214,6 +216,47 @@ func TestCompileTransportAxes(t *testing.T) {
 		}
 		if cfg.Flows != 1400 {
 			t.Errorf("row %d: Flows = %d, want 1400", i, cfg.Flows)
+		}
+	}
+}
+
+// TestCompileClosPathSizesSwiftAndGuardrail: on a fabric row, Swift's
+// base RTT and target delay and the guardrail's cap come from the row's
+// own path (the placement's base RTT and the host link's BDP over it), not
+// from the dumbbell the row would otherwise have run on.
+func TestCompileClosPathSizesSwiftAndGuardrail(t *testing.T) {
+	compile := func(placement, body string) []SimConfig {
+		t.Helper()
+		spec, err := scenario.Parse([]byte(fmt.Sprintf(`{"name": "clos_path",
+			"topology": {"clos": {"racks": 4, "hosts_per_rack": 100, "placement": %q}}, %s}`, placement, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, cfgs, err := CompileScenario(Options{Seed: 1}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfgs
+	}
+	ecnBytes := netsim.DefaultDumbbellConfig(80).ECNThresholdPackets * netsim.MTU
+	for _, tc := range []struct {
+		placement string
+		rtt       sim.Time
+		bdp       int
+	}{
+		{"cross-rack", 30122 * sim.Nanosecond, 37653},
+		{"same-rack", 20864 * sim.Nanosecond, 26080},
+	} {
+		swift := compile(tc.placement, `"cc": {"algorithm": "swift"}, "sweep": {"axis": "flows", "values": [80]}`)
+		sc := swift[0].Alg(0).(*cc.Swift).Config()
+		if sc.BaseRTT != tc.rtt || sc.TargetDelay != tc.rtt+tc.rtt/2 {
+			t.Errorf("%s: Swift base RTT %v, target %v; want %v, %v", tc.placement, sc.BaseRTT, sc.TargetDelay, tc.rtt, tc.rtt+tc.rtt/2)
+		}
+		guard := compile(tc.placement, `"workload": {"flows": 80}, "sweep": {"axis": "scheme", "values": ["dctcp+guardrail"]}`)
+		got := guard[0].Alg(0).(*cc.Guardrail).Cap()
+		want := guardrailAlg(Options{Seed: 1}, 80, pathParams{bdp: tc.bdp, ecnBytes: ecnBytes})(0).(*cc.Guardrail).Cap()
+		if got != want {
+			t.Errorf("%s: guardrail cap %d B, want %d B (from a %d B BDP)", tc.placement, got, want, tc.bdp)
 		}
 	}
 }

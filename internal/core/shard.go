@@ -14,7 +14,7 @@ import (
 // cached rows at once. Bump it whenever a change alters simulation
 // results (topology wiring, transport behavior, metric rendering) —
 // goldens changing is the usual tell.
-const SimCodeVersion = "incastlab-sim-v9"
+const SimCodeVersion = "incastlab-sim-v10"
 
 // Shard selects the subset of sweep rows a process owns: row i belongs to
 // shard Index of Count when i % Count == Index. The zero value (one shard

@@ -9,7 +9,6 @@ import (
 	"incastlab/internal/netsim"
 	"incastlab/internal/obs"
 	"incastlab/internal/sim"
-	"incastlab/internal/stats"
 	"incastlab/internal/tcp"
 	"incastlab/internal/workload"
 )
@@ -226,26 +225,9 @@ type SimResult struct {
 	// or FidelityFlow).
 	Fidelity string
 
-	// AvgQueue is the queue depth in packets, averaged element-wise across
-	// measured bursts; time is relative to burst start.
-	AvgQueue *stats.Series
-	// MaxQueue is the highest sampled depth across measured bursts.
-	MaxQueue float64
-	// FracBelowK is the fraction of busy (non-empty) queue samples, taken
-	// per burst before averaging, that sit below the ECN threshold — the
-	// Mode 1 signature ("the queue often falls below the ECN threshold,
-	// so DCTCP observes periods of no marking").
-	FracBelowK float64
-	// SpikePackets is the peak of AvgQueue within the first 2 ms of a
-	// burst: the Section 4.3 straggler spike.
-	SpikePackets float64
-
-	// MeanBCT and MaxBCT summarize measured burst completion times.
-	MeanBCT, MaxBCT sim.Time
-
-	// Counters over the measured window (burst 1 onward).
-	Timeouts, FastRetransmits, RetransmitPackets, Drops, Marks int64
-	SentPackets                                                int64
+	// Measured is the Section 4 summary over the measured bursts (burst
+	// 1 onward), filled the same way at either fidelity.
+	flowsim.Measured
 	// IncastNotifies counts explicit incast notifications delivered to
 	// senders and DetectorFirings counts switch-side detector (or, on a
 	// Clos with distributed detection, leaf coordinator) firings — both
@@ -268,23 +250,6 @@ type SimResult struct {
 
 	// QueueCapacity and ECNThreshold echo the topology, for rendering.
 	QueueCapacity, ECNThreshold int
-}
-
-// BusyAvgQueue averages AvgQueue over the samples where the queue is
-// non-empty (0 when it never is).
-func (s *SimResult) BusyAvgQueue() float64 {
-	var sum float64
-	n := 0
-	for _, v := range s.AvgQueue.Values {
-		if v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // RunIncastSim executes the simulation and gathers the per-burst-averaged
@@ -344,7 +309,7 @@ func RunIncastSim(cfg SimConfig) *SimResult {
 	if cfg.TrackInFlight {
 		// Figure 7 samples the last burst.
 		res.InFlight = workload.SampleInFlight(eng, f.flows.Senders(),
-			sim.Time(cfg.Bursts-1)*cfg.Interval, cfg.SampleInterval, probe.samplesPerBurst)
+			sim.Time(cfg.Bursts-1)*cfg.Interval, cfg.SampleInterval, probe.win.Samples())
 	}
 
 	// Run until everything completes: the nominal end plus generous

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"incastlab/internal/flowsim"
 	"incastlab/internal/sim"
 	"incastlab/internal/stats"
 	"incastlab/internal/trace"
@@ -74,21 +73,13 @@ func Fig5Modes(opt Options) *Fig5Result {
 	return r
 }
 
-// Mode classifies a run by the paper's taxonomy: timeouts mark Mode 3;
-// otherwise a queue that regularly dips below the marking threshold is
-// healthy (Mode 1), and one pinned above it is degenerate (Mode 2). The
-// rule lives in internal/flowsim so both fidelities share one taxonomy.
-func mode(s *SimResult) string {
-	return flowsim.Classify(s.Timeouts, s.FracBelowK)
-}
-
 // modesTable renders the per-mode summary rows shared by Summary and CSV.
 func (r *Fig5Result) modesTable() *trace.Table {
 	t := trace.NewTable("flows", "mode", "queue_busy_avg_pkts", "queue_max_pkts",
 		"spike_pkts", "mean_bct_ms", "max_bct_ms", "timeouts", "drops", "retx_pkts")
 	for _, m := range r.Modes {
 		t.AddRow(
-			fmt.Sprint(m.Flows), mode(m),
+			fmt.Sprint(m.Flows), m.Mode(),
 			trace.Float(m.BusyAvgQueue()), trace.Float(m.MaxQueue), trace.Float(m.SpikePackets),
 			trace.Float(m.MeanBCT.Milliseconds()), trace.Float(m.MaxBCT.Milliseconds()),
 			fmt.Sprint(m.Timeouts), fmt.Sprint(m.Drops), fmt.Sprint(m.RetransmitPackets),

@@ -22,20 +22,8 @@ func TestCalibrationDebug(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		var busySum float64
-		var busyN int
-		for _, v := range res.AvgQueue.Values {
-			if v >= 0.5 {
-				busySum += v
-				busyN++
-			}
-		}
-		busyAvg := 0.0
-		if busyN > 0 {
-			busyAvg = busySum / float64(busyN)
-		}
 		t.Logf("n=%4d segs=%3d mode=%-15q busyAvg=%7.1f max=%6.1f spike=%6.1f fracBelowK=%.3f meanBCT=%7.3fms maxBCT=%7.3fms to=%d fr=%d drops=%d marks=%d sent=%d steps=%d",
-			n, segs, Classify(res.Timeouts, res.FracBelowK), busyAvg, res.MaxQueue, res.SpikePackets,
+			n, segs, res.Mode(), res.BusyAvgQueue(), res.MaxQueue, res.SpikePackets,
 			res.FracBelowK, float64(res.MeanBCT)/1e6, float64(res.MaxBCT)/1e6,
 			res.Timeouts, res.FastRetransmits, res.Drops, res.Marks, res.SentPackets, res.Steps)
 	}

@@ -124,8 +124,8 @@ func cohortVsPerFlow(t *testing.T, cfg Config, net *netsim.FluidPaths) (*Result,
 func TestCohortMatchesPerFlowModes(t *testing.T) {
 	for _, n := range []int{80, 500, 1400} {
 		co, pf := cohortVsPerFlow(t, quickConfig(n, CCConfig{}), dumbbell(t, n))
-		coMode := Classify(co.Timeouts, co.FracBelowK)
-		pfMode := Classify(pf.Timeouts, pf.FracBelowK)
+		coMode := co.Mode()
+		pfMode := pf.Mode()
 		if coMode != pfMode {
 			t.Errorf("n=%d: cohort mode %s != perflow mode %s", n, coMode, pfMode)
 		}
@@ -201,8 +201,8 @@ func TestCohortNetworkMatchesPerFlow(t *testing.T) {
 	if pf.Cohorts != n || pf.PeakCohortWeight != 1 {
 		t.Errorf("perflow network run reported %d cohorts peak %v", pf.Cohorts, pf.PeakCohortWeight)
 	}
-	coMode := Classify(co.Timeouts, co.FracBelowK)
-	pfMode := Classify(pf.Timeouts, pf.FracBelowK)
+	coMode := co.Mode()
+	pfMode := pf.Mode()
 	if coMode != pfMode {
 		t.Errorf("cohort mode %s != perflow mode %s", coMode, pfMode)
 	}
@@ -285,7 +285,7 @@ func TestCohortMillionFlowSmoke(t *testing.T) {
 		t.Fatalf("million-flow run: flows %d cohorts %d", res.Flows, res.Cohorts)
 	}
 	t.Logf("1M flows: mode=%s cohorts=%d splits=%d peak=%v steps=%d meanBCT=%v",
-		Classify(res.Timeouts, res.FracBelowK), res.Cohorts, res.CohortSplits,
+		res.Mode(), res.Cohorts, res.CohortSplits,
 		res.PeakCohortWeight, res.Steps, res.MeanBCT)
 }
 

@@ -39,7 +39,6 @@ import (
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
-	"incastlab/internal/stats"
 )
 
 // Config describes one fluid incast run over a path set: the workload,
@@ -200,33 +199,16 @@ func CheckJitter(jitter, interval sim.Time) error {
 	return nil
 }
 
-// Result aggregates a fluid run over its measured bursts, mirroring the
-// packet simulator's core.SimResult fields so the core layer renders both
-// through one path.
+// Result aggregates a fluid run: the Section 4 summary of its measured
+// bursts, which the packet backend's result carries too, and the solver's
+// own totals.
 type Result struct {
 	Flows   int
 	AlgName string
 
-	// AvgQueue is the queue depth in packets averaged element-wise across
-	// measured bursts; time is relative to burst start.
-	AvgQueue *stats.Series
-	// MaxQueue is the highest sampled depth across measured bursts.
-	MaxQueue float64
-	// FracBelowK is the fraction of busy (non-empty) samples below the ECN
-	// threshold, per burst before averaging (the Mode-1 signature).
-	FracBelowK float64
-	// SpikePackets is the peak of AvgQueue within the first 2 ms.
-	SpikePackets float64
-
-	// MeanBCT and MaxBCT summarize measured burst completion times; BCTs
-	// carries every measured burst for quantile work (the measured tail
-	// of Lifetime.BCTs).
-	MeanBCT, MaxBCT sim.Time
-	BCTs            []sim.Time
-
-	// Counters over the measured window (after the discarded first burst).
-	Timeouts, FastRetransmits, RetransmitPackets, Drops, Marks int64
-	SentPackets                                                int64
+	// Measured is the Section 4 summary over the measured bursts, filled
+	// by the same Window and BCT summary as the packet backend's.
+	Measured
 	// DeliveredPackets is the measured-window goodput in packets.
 	DeliveredPackets int64
 

@@ -53,22 +53,14 @@ func TestModeClassification(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", tc.n, err)
 		}
-		if got := Classify(res.Timeouts, res.FracBelowK); got != tc.mode {
+		if got := res.Mode(); got != tc.mode {
 			t.Errorf("n=%d: mode %q, want %q (timeouts=%d fracBelowK=%.3f)",
 				tc.n, got, tc.mode, res.Timeouts, res.FracBelowK)
 		}
-		var busySum float64
-		var busyN int
-		for _, v := range res.AvgQueue.Values {
-			if v >= busyFloor {
-				busySum += v
-				busyN++
-			}
-		}
-		if busyN == 0 {
+		busyAvg := res.BusyAvgQueue()
+		if busyAvg == 0 {
 			t.Fatalf("n=%d: no busy samples", tc.n)
 		}
-		busyAvg := busySum / float64(busyN)
 		if rel := math.Abs(busyAvg-tc.busyAvg) / tc.busyAvg; rel > tc.busyTol {
 			t.Errorf("n=%d: busy-average queue %.1f vs golden %.1f (rel %.2f > %.2f)",
 				tc.n, busyAvg, tc.busyAvg, rel, tc.busyTol)
@@ -104,10 +96,10 @@ func TestInvariantsAcrossLaws(t *testing.T) {
 			if res.MaxQueue > float64(res.QueueCapacity)+1e-6 {
 				t.Errorf("%s n=%d: max queue %.1f beyond capacity %d", law.name, n, res.MaxQueue, res.QueueCapacity)
 			}
-			if len(res.BCTs) != 3 {
-				t.Errorf("%s n=%d: %d measured BCTs, want 3", law.name, n, len(res.BCTs))
+			if len(res.Lifetime.BCTs) != 4 {
+				t.Errorf("%s n=%d: %d BCTs, want 4", law.name, n, len(res.Lifetime.BCTs))
 			}
-			for _, b := range res.BCTs {
+			for _, b := range res.Lifetime.BCTs {
 				if b <= 0 {
 					t.Errorf("%s n=%d: non-positive BCT %v", law.name, n, b)
 				}

@@ -107,7 +107,7 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 	if res.Timeouts == 0 {
 		t.Fatal("12-packet bottleneck under a 4-flow incast produced no timeouts")
 	}
-	if got := Classify(res.Timeouts, res.FracBelowK); got != "3 (timeouts)" {
+	if got := res.Mode(); got != "3 (timeouts)" {
 		t.Errorf("mode = %q, want Mode 3 (timeouts %d, fracBelowK %.3f)",
 			got, res.Timeouts, res.FracBelowK)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
-	"incastlab/internal/stats"
 )
 
 // This file is the fluid solver. Every flow traverses an ordered list of
@@ -280,11 +279,7 @@ func newNetEngine(cfg Config, net *netsim.FluidPaths, plan cohortPlan) (*netEngi
 	}
 	e.buildVictimIndex()
 
-	first := 1
-	if cfg.Bursts == 1 {
-		first = 0
-	}
-	e.smp = newSampler(cfg, first, e.qs[e.bneck].kPkts)
+	e.smp = newSampler(cfg, net.Queues[e.bneck].ECNThresholdPackets)
 	return e, nil
 }
 
@@ -1261,32 +1256,9 @@ func (e *netEngine) finish() (*Result, error) {
 		SimNow:        e.now,
 	}
 
-	avg := stats.NewSeries(0, int64(cfg.SampleInterval), e.smp.perBurst)
-	copy(avg.Values, e.smp.avg)
-	avg.Scale(1 / float64(e.smp.measured))
-	r.AvgQueue = avg
-	r.MaxQueue = e.smp.maxQ
-	if e.smp.busy > 0 {
-		r.FracBelowK = float64(e.smp.belowK) / float64(e.smp.busy)
-	}
-	spikeSamples := int(2 * sim.Millisecond / cfg.SampleInterval)
-	for i := 0; i < spikeSamples && i < len(avg.Values); i++ {
-		if avg.Values[i] > r.SpikePackets {
-			r.SpikePackets = avg.Values[i]
-		}
-	}
-
-	var bctSum sim.Time
+	e.smp.win.Fold(&r.Measured)
 	r.Lifetime.BCTs = append([]sim.Time(nil), e.bcts...)
-	measured := r.Lifetime.BCTs[e.smp.first:]
-	r.BCTs = measured
-	for _, b := range measured {
-		bctSum += b
-		if b > r.MaxBCT {
-			r.MaxBCT = b
-		}
-	}
-	r.MeanBCT = bctSum / sim.Time(len(measured))
+	r.SummarizeBCTs(r.Lifetime.BCTs)
 
 	round := func(v float64) int64 { return int64(math.Round(v)) }
 	r.Timeouts = round(e.timeouts - e.baseTimeouts)

@@ -113,9 +113,9 @@ func (c ClosConfig) BaseRTT(crossRack bool) sim.Time {
 }
 
 // BDPBytes returns the bandwidth-delay product of a host downlink over the
-// cross-rack path, rounded to the nearest byte.
-func (c ClosConfig) BDPBytes() int {
-	return int((int64(c.BaseRTT(true))*c.HostLinkBps + 4_000_000_000) / 8_000_000_000)
+// cross-rack or the same-rack path, rounded to the nearest byte.
+func (c ClosConfig) BDPBytes(crossRack bool) int {
+	return int((int64(c.BaseRTT(crossRack))*c.HostLinkBps + 4_000_000_000) / 8_000_000_000)
 }
 
 // maxClosHosts bounds a fabric's host slots (Racks x HostsPerRack) at 16

@@ -30,7 +30,7 @@ func TestDumbbellDefaultsGolden(t *testing.T) {
 // TestClosDefaultsGolden pins the Clos fabric's derived constants: the
 // cross-rack base RTT lands at the paper's ~30 us (two fabric hops at half
 // the dumbbell's core propagation), the same-rack path is strictly
-// shorter, and the BDP matches the cross-rack RTT at the 10G host rate.
+// shorter, and each BDP matches its path's RTT at the 10G host rate.
 func TestClosDefaultsGolden(t *testing.T) {
 	cfg := DefaultClosConfig(8, 501)
 	if err := cfg.Validate(); err != nil {
@@ -42,8 +42,11 @@ func TestClosDefaultsGolden(t *testing.T) {
 	if got := cfg.BaseRTT(false); got != 20864*sim.Nanosecond {
 		t.Errorf("same-rack BaseRTT = %v, want 20864ns", got)
 	}
-	if got := cfg.BDPBytes(); got != 37653 {
-		t.Errorf("BDPBytes = %d, want 37653", got)
+	if got := cfg.BDPBytes(true); got != 37653 {
+		t.Errorf("cross-rack BDPBytes = %d, want 37653", got)
+	}
+	if got := cfg.BDPBytes(false); got != 26080 {
+		t.Errorf("same-rack BDPBytes = %d, want 26080", got)
 	}
 	if got := cfg.Oversubscription(); got != 25.05 {
 		t.Errorf("oversubscription = %v, want 25.05 (501x10G over 2x100G)", got)
@@ -51,7 +54,7 @@ func TestClosDefaultsGolden(t *testing.T) {
 	// Path constants are per-hop properties; fabric width must not move
 	// them.
 	small := DefaultClosConfig(2, 4)
-	if small.BaseRTT(true) != cfg.BaseRTT(true) || small.BDPBytes() != cfg.BDPBytes() {
+	if small.BaseRTT(true) != cfg.BaseRTT(true) || small.BDPBytes(true) != cfg.BDPBytes(true) {
 		t.Error("Clos RTT/BDP depend on fabric width")
 	}
 }

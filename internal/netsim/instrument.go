@@ -25,18 +25,6 @@ func SamplePeriodically(eng *sim.Engine, start, interval sim.Time, n int, fn fun
 	}
 }
 
-// QueueDepthSeries samples a queue's occupancy in packets every interval,
-// n times, starting at start. The returned series is filled in as the
-// simulation runs; read it only after the engine has passed the last sample
-// time.
-func QueueDepthSeries(eng *sim.Engine, q *Queue, start, interval sim.Time, n int) *stats.Series {
-	s := stats.NewSeries(int64(start), int64(interval), n)
-	SamplePeriodically(eng, start, interval, n, func(i int) {
-		s.Values[i] = float64(q.LenPackets())
-	})
-	return s
-}
-
 // QueueWatermarkSeries records the queue's high watermark (in packets) over
 // each interval, mimicking the per-minute watermark counters production ToRs
 // export. Each sample i covers (start+i*interval, start+(i+1)*interval].

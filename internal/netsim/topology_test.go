@@ -181,7 +181,8 @@ func TestSamplePeriodically(t *testing.T) {
 func TestQueueDepthAndWatermarkSeries(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewQueue(QueueConfig{})
-	depth := QueueDepthSeries(eng, q, 0, 100, 5)
+	depth := make([]int, 5)
+	SamplePeriodically(eng, 0, 100, 5, func(i int) { depth[i] = q.LenPackets() })
 	wm := QueueWatermarkSeries(eng, q, 0, 100, 5)
 
 	eng.At(10, func() {
@@ -196,11 +197,11 @@ func TestQueueDepthAndWatermarkSeries(t *testing.T) {
 	})
 	eng.Run()
 
-	if depth.Values[0] != 0 { // sampled at t=0, before enqueues
-		t.Fatalf("depth[0] = %v", depth.Values[0])
+	if depth[0] != 0 { // sampled at t=0, before enqueues
+		t.Fatalf("depth[0] = %v", depth[0])
 	}
-	if depth.Values[1] != 2 { // t=100: 7 in, 5 out
-		t.Fatalf("depth[1] = %v", depth.Values[1])
+	if depth[1] != 2 { // t=100: 7 in, 5 out
+		t.Fatalf("depth[1] = %v", depth[1])
 	}
 	if wm.Values[0] != 7 { // interval (0,100] saw the peak of 7
 		t.Fatalf("wm[0] = %v", wm.Values[0])

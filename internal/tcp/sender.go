@@ -6,18 +6,19 @@ import (
 	"incastlab/internal/sim"
 )
 
+// dupAckThreshold is the duplicate-ACK count that triggers fast
+// retransmit. Segments are netsim.MSS bytes, which the fluid backend
+// assumes too.
+const dupAckThreshold = 3
+
 // SenderConfig tunes a Sender.
 type SenderConfig struct {
-	// MSS is the maximum segment size in bytes (default netsim.MSS).
-	MSS int
 	// MinRTO is the lower bound on the retransmission timeout. The default
 	// 200 ms (the Linux default) is what makes the paper's Mode 3 burst
 	// completion time land near 200 ms.
 	MinRTO sim.Time
 	// MaxRTO caps exponential RTO backoff (default 2 s).
 	MaxRTO sim.Time
-	// DupAckThreshold triggers fast retransmit (default 3).
-	DupAckThreshold int
 	// RestartAfterIdle applies RFC 2861-style congestion window validation:
 	// when new demand arrives after the connection has been idle longer
 	// than the current RTO, the window restarts from the initial window
@@ -30,26 +31,18 @@ type SenderConfig struct {
 // DefaultSenderConfig returns the defaults described above.
 func DefaultSenderConfig() SenderConfig {
 	return SenderConfig{
-		MSS:             netsim.MSS,
-		MinRTO:          200 * sim.Millisecond,
-		MaxRTO:          2 * sim.Second,
-		DupAckThreshold: 3,
+		MinRTO: 200 * sim.Millisecond,
+		MaxRTO: 2 * sim.Second,
 	}
 }
 
 func (c *SenderConfig) fillDefaults() {
 	d := DefaultSenderConfig()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = d.MinRTO
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = d.MaxRTO
-	}
-	if c.DupAckThreshold <= 0 {
-		c.DupAckThreshold = d.DupAckThreshold
 	}
 }
 
@@ -197,13 +190,13 @@ func (s *Sender) effectiveWindow() int64 {
 	w := int64(s.alg.Window())
 	if s.dupAcks > 0 {
 		if s.inRecovery {
-			w += int64(s.dupAcks) * int64(s.cfg.MSS)
+			w += int64(s.dupAcks) * netsim.MSS
 		} else {
 			lt := s.dupAcks
 			if lt > 2 {
 				lt = 2
 			}
-			w += int64(lt) * int64(s.cfg.MSS)
+			w += int64(lt) * netsim.MSS
 		}
 	}
 	// Flow control: never exceed the peer's advertised window.
@@ -216,7 +209,7 @@ func (s *Sender) effectiveWindow() int64 {
 // trySend transmits as many segments as the window (and pacing) allow.
 func (s *Sender) trySend() {
 	for s.sndNxt < s.demand {
-		segLen := int64(s.cfg.MSS)
+		segLen := int64(netsim.MSS)
 		if rem := s.demand - s.sndNxt; rem < segLen {
 			segLen = rem
 		}
@@ -297,7 +290,7 @@ func (s *Sender) onRTO() {
 
 // retransmitHead resends the segment at snd.una.
 func (s *Sender) retransmitHead() {
-	segLen := int64(s.cfg.MSS)
+	segLen := int64(netsim.MSS)
 	if rem := s.demand - s.sndUna; rem < segLen {
 		segLen = rem
 	}
@@ -379,7 +372,7 @@ func (s *Sender) HandlePacket(p *netsim.Packet) {
 	case p.AckNo == s.sndUna && s.sndNxt > s.sndUna:
 		// Duplicate ACK.
 		s.dupAcks++
-		if s.dupAcks == s.cfg.DupAckThreshold && !s.inRecovery {
+		if s.dupAcks == dupAckThreshold && !s.inRecovery {
 			s.inRecovery = true
 			s.recover = s.sndNxt
 			s.stats.FastRetransmits++

@@ -14,10 +14,8 @@ import (
 type GroupConfig struct {
 	// BytesPerFlow is each sender's demand per burst.
 	BytesPerFlow int64
-	// Bursts is the number of bursts.
+	// Bursts is the number of bursts; burst 0 starts at time 0.
 	Bursts int
-	// Start is the nominal start of burst 0.
-	Start sim.Time
 	// Interval is the burst start-to-start spacing.
 	Interval sim.Time
 	// JitterMax jitters each flow's start within a burst.
@@ -57,9 +55,6 @@ func NewGroup(eng *sim.Engine, senders []*tcp.Sender, cfg GroupConfig) *Group {
 	if cfg.Interval <= 0 {
 		panic("workload: burst interval must be positive")
 	}
-	if cfg.Start < 0 {
-		panic("workload: start must be non-negative")
-	}
 
 	g := &Group{
 		cfg:             cfg,
@@ -72,7 +67,7 @@ func NewGroup(eng *sim.Engine, senders []*tcp.Sender, cfg GroupConfig) *Group {
 	}
 	for b := range g.pending {
 		g.pending[b] = len(senders)
-		g.bursts[b] = BurstRecord{Index: b, Start: cfg.Start + sim.Time(b)*cfg.Interval}
+		g.bursts[b] = BurstRecord{Index: b, Start: sim.Time(b) * cfg.Interval}
 	}
 	for i, s := range senders {
 		i := i
@@ -139,6 +134,16 @@ func (g *Group) onFlowDone(i int, now sim.Time) {
 
 // Bursts returns per-burst records; valid after the run completes.
 func (g *Group) Bursts() []BurstRecord { return g.bursts }
+
+// BCTs returns every burst's completion time, in burst order; valid after
+// the run completes.
+func (g *Group) BCTs() []sim.Time {
+	bcts := make([]sim.Time, len(g.bursts))
+	for i, b := range g.bursts {
+		bcts[i] = b.BCT
+	}
+	return bcts
+}
 
 // Done reports whether every burst completed.
 func (g *Group) Done() bool {
