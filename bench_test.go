@@ -21,9 +21,11 @@ import (
 	"incastlab"
 )
 
-// benchOptions picks quick or full experiment sizing.
+// benchOptions picks quick or full experiment sizing. The rows run
+// serially: fanned out over processors, they would draw on per-processor
+// pool caches, and their allocation counts would move with scheduling.
 func benchOptions() incastlab.Options {
-	return incastlab.Options{Seed: 1, Quick: os.Getenv("INCASTLAB_FULL") == ""}
+	return incastlab.Options{Seed: 1, Quick: os.Getenv("INCASTLAB_FULL") == "", Workers: 1}
 }
 
 // printedSummaries dedups summary printing across -benchtime iterations.

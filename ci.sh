@@ -388,13 +388,15 @@ go test -run '^$' \
   -benchtime=1x -benchmem . >"$OBS_TMP/bench_smoke.txt"
 # Each ceiling is the highest allocs/op (and, where a third column gives
 # one, B/op) of the runs made when it was set (at least three), plus 10 %,
-# rounded up, and never raised. The current ones come from eleven runs:
-# Fig-5 and the multi-aggregator Clos sweep run their rows in parallel,
-# and the pools keep one cache per processor, so their counts still move
-# with scheduling (Fig-5: 73,570-84,904 allocs/op). A garbage collection
-# between the warm-up and the timed iteration can also empty a pool, which
-# is why the million-flow run's B/op ceiling sits near 42 MB while it
-# usually allocates 2.4 MB.
+# rounded up, and never raised. The experiments run their rows serially
+# (bench_test.go's benchOptions): the pools keep one cache per processor,
+# so rows fanned out over processors would move the counts with
+# scheduling. Fig-5's ceilings come from six serial runs (72,987-72,994
+# allocs/op); the others from eleven runs made while Fig-5 and the
+# multi-aggregator Clos sweep still fanned their rows out (Fig-5 then read
+# 73,570-84,904). A garbage collection between the warm-up and the timed
+# iteration can also empty a pool, which is why the million-flow run's
+# B/op ceiling sits near 42 MB while it usually allocates 2.4 MB.
 while read -r name ceiling bytes_ceiling; do
   read -r allocs bytes <<<"$(awk -v name="$name" '$1 ~ ("^" name "(-[0-9]+)?$") {
     for (i = 2; i <= NF; i++) { if ($i == "allocs/op") a = $(i - 1); if ($i == "B/op") b = $(i - 1) }
@@ -418,7 +420,7 @@ while read -r name ceiling bytes_ceiling; do
     fi
   fi
 done <<'CEILINGS'
-BenchmarkFig5DCTCPModes 93395 7864534
+BenchmarkFig5DCTCPModes 80294 6313367
 BenchmarkSimulatorPacketRate 3446
 BenchmarkAblationReceiverWindow 37875
 BenchmarkClosMultiAggPacket 547355

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -72,6 +73,64 @@ func TestCLIFlowsMustBePositive(t *testing.T) {
 		if !strings.Contains(msg, "-flows") {
 			t.Errorf("-flows %s: diagnostic %q does not name the flag", flows, msg)
 		}
+	}
+}
+
+// TestCLIFlagRanges: each flag outside the range the scenario rulebook
+// gives its setting exits 1, before any run, with a one-line diagnostic
+// naming the flag: not a panic and its goroutine dump, and not a run with
+// the value silently replaced or ignored.
+func TestCLIFlagRanges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skips binary build")
+	}
+	for _, args := range [][]string{
+		{"-duration", "-5"},
+		{"-duration", "0"},
+		{"-interval", "-5"},
+		{"-bursts", "-1"},
+		{"-bursts", "0"},
+		{"-jitter", "-1"},
+		{"-jitter", "250"},
+		{"-queue", "-1"},
+		{"-ecn", "-1"},
+		{"-shared", "-1"},
+		{"-contend", "-1"},
+		{"-wave", "-3"},
+		{"-g", "0"},
+		{"-g", "5"},
+		{"-g", "NaN"},
+		{"-notify-backoff", "2"},
+		{"-notify-backoff", "-0.5"},
+	} {
+		out, err := runCLI(t, append([]string{"-flows", "10", "-bursts", "2", "-notify", "-plot=false"}, args...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %s: want exit status 1, got %v; output:\n%s", args[0], args[1], err, out)
+			continue
+		}
+		msg := strings.TrimSpace(out)
+		if strings.Contains(msg, "\n") || strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+			t.Errorf("%s %s: want a one-line diagnostic, got:\n%s", args[0], args[1], out)
+		}
+		if !strings.Contains(msg, args[0]+" ") {
+			t.Errorf("%s %s: diagnostic %q does not name the flag", args[0], args[1], msg)
+		}
+	}
+}
+
+// TestCLIUnboundedQueuePlot: -queue 0 is an unbounded queue to the packet
+// backend, so the run completes and its plot scales to the run's peak.
+func TestCLIUnboundedQueuePlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skips binary build")
+	}
+	out, err := runCLI(t, "-flows", "10", "-bursts", "2", "-queue", "0")
+	if err != nil {
+		t.Fatalf("-queue 0 failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "Queue depth over the averaged burst") || !strings.Contains(out, "|#") {
+		t.Errorf("-queue 0 printed no queue plot:\n%s", out)
 	}
 }
 

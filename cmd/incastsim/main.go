@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/exec"
 	"strconv"
@@ -86,10 +87,37 @@ func main() {
 		log.Fatal("-cache, -shard, and -shard-procs only apply to -scenario runs")
 	}
 
+	// Every flag is checked once, before any run, against the range the
+	// scenario rulebook gives the same setting: a bad value exits with one
+	// line naming the flag instead of panicking mid-run or being replaced
+	// by a default.
+	for _, f := range []struct {
+		name string
+		val  any
+		ok   bool
+		want string
+	}{
+		{"duration", *durationMS, *durationMS > 0 && !math.IsInf(*durationMS, 0), "a positive burst duration in ms"},
+		{"interval", *intervalMS, *intervalMS > 0 && !math.IsInf(*intervalMS, 0), "a positive burst interval in ms"},
+		{"bursts", *bursts, *bursts >= 1, "at least 1 burst"},
+		{"jitter", *jitterMS, *jitterMS >= 0 && *jitterMS < *intervalMS, "a non-negative jitter ceiling in ms below -interval"},
+		{"queue", *queuePkts, *queuePkts >= 0 && *queuePkts <= 1e9, "0 (unbounded) to 1e9 packets"},
+		{"ecn", *ecnK, *ecnK >= 0 && *ecnK <= 1e9, "0 (no marking) to 1e9 packets"},
+		{"shared", *shared, *shared >= 0, "a non-negative byte count (0 = dedicated queues)"},
+		{"contend", *contend, *contend >= 0, "a non-negative byte count"},
+		{"wave", *wave, *wave >= 0, "a non-negative concurrency (0 = off)"},
+		{"g", *g, *g > 0 && *g <= 1, "a DCTCP gain in (0, 1]"},
+		{"notify-backoff", *notifyBackoff, *notifyBackoff >= 0 && *notifyBackoff < 1, "a factor in (0, 1), or 0 for the default 0.5"},
+	} {
+		if !f.ok {
+			log.Fatalf("-%s %v: want %s", f.name, f.val, f.want)
+		}
+	}
+
 	metrics := common.Metrics()
 
 	buildCfg := func(flows int) incastlab.SimConfig {
-		net := incastlab.DefaultDumbbellConfig(flows)
+		net := incastlab.DefaultDumbbellConfig()
 		net.ECNThresholdPackets = *ecnK
 		net.QueueCapacityPackets = *queuePkts
 		net.QueueCapacityBytes = *queuePkts * 1500
@@ -381,11 +409,17 @@ func printQueue(res *incastlab.SimResult) error {
 	if step == 0 {
 		step = 1
 	}
+	// Bars scale to the queue's capacity, or to the run's peak when the
+	// queue is unbounded (capacity 0).
+	scale := float64(res.QueueCapacity)
+	if scale <= 0 {
+		scale = res.MaxQueue
+	}
 	for i := 0; i < len(res.AvgQueue.Values); i += step {
 		v := res.AvgQueue.Values[i]
-		bar := int(v / float64(res.QueueCapacity) * 60)
-		if bar > 60 {
-			bar = 60
+		bar := 0
+		if scale > 0 {
+			bar = min(int(v/scale*60), 60)
 		}
 		fmt.Printf("%7.2fms %6.0f |%s\n", float64(res.AvgQueue.TimeAt(i))/1e6, v, bars(bar))
 	}

@@ -58,7 +58,7 @@ func ExampleNewPredictor() {
 // The Section 5.1 guardrail sizes a per-flow window clamp from a predicted
 // incast degree: each flow gets its share of BDP plus marking headroom.
 func ExampleNewGuardrail() {
-	net := incastlab.DefaultDumbbellConfig(1)
+	net := incastlab.DefaultDumbbellConfig()
 	g := incastlab.NewGuardrail(
 		incastlab.NewDCTCP(incastlab.DefaultDCTCPConfig()),
 		net.BDPBytes(), net.ECNThresholdPackets*1500)

@@ -40,7 +40,7 @@ func main() {
 	// --- Step 2: size the guardrail from the prediction. -----------------
 	// We simulate an incast near the service's typical degree.
 	const flows = 150
-	net := incastlab.DefaultDumbbellConfig(flows)
+	net := incastlab.DefaultDumbbellConfig()
 	bdp := net.BDPBytes()
 	kBytes := net.ECNThresholdPackets * 1500
 

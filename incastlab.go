@@ -360,8 +360,9 @@ var RunDiff = audit.RunDiff
 // DumbbellConfig describes the simulated topology.
 type DumbbellConfig = netsim.DumbbellConfig
 
-// DefaultDumbbellConfig returns the paper's topology for n senders.
-func DefaultDumbbellConfig(n int) DumbbellConfig { return netsim.DefaultDumbbellConfig(n) }
+// DefaultDumbbellConfig returns the paper's topology; the run puts one
+// sender behind it per flow.
+func DefaultDumbbellConfig() DumbbellConfig { return netsim.DefaultDumbbellConfig() }
 
 // ClosConfig describes a multi-rack leaf/spine fabric with seeded ECMP;
 // set SimConfig.Clos to run the incast over it instead of the dumbbell.

@@ -28,7 +28,7 @@ func TestPublicSimulationAPI(t *testing.T) {
 }
 
 func TestPublicCustomCCA(t *testing.T) {
-	net := incastlab.DefaultDumbbellConfig(30)
+	net := incastlab.DefaultDumbbellConfig()
 	res := incastlab.RunIncastSim(incastlab.SimConfig{
 		Flows:         30,
 		BurstDuration: incastlab.Millisecond,
@@ -87,7 +87,7 @@ func TestPublicPredictorAndWave(t *testing.T) {
 }
 
 func TestPublicGuardrail(t *testing.T) {
-	net := incastlab.DefaultDumbbellConfig(1)
+	net := incastlab.DefaultDumbbellConfig()
 	g := incastlab.NewGuardrail(incastlab.NewDCTCP(incastlab.DefaultDCTCPConfig()),
 		net.BDPBytes(), net.ECNThresholdPackets*1500)
 	g.Predict(100)

@@ -13,7 +13,7 @@ func dctcp(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) }
 // onDumbbell builds cfg's application over a dumbbell of workers senders:
 // the coordinator at the receiver, a worker at each sender.
 func onDumbbell(eng *sim.Engine, workers int, cfg PartitionAggregateConfig) (*netsim.Dumbbell, *PartitionAggregate) {
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(workers))
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), workers, 1, nil)
 	return net, NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg, dctcp)
 }
 
@@ -130,7 +130,7 @@ func TestPartitionAggregateDeterministic(t *testing.T) {
 
 func TestPartitionAggregateValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(2))
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 2, 1, nil)
 	mustPanic := func(name string, cfg PartitionAggregateConfig, workers int) {
 		t.Helper()
 		defer func() {

@@ -14,7 +14,7 @@ import (
 // dumbbellIncast connects flows DCTCP flows from the senders of a fresh
 // dumbbell to its receiver and schedules cfg's bursts over them.
 func dumbbellIncast(eng *sim.Engine, flows int, cfg workload.GroupConfig) (*netsim.Dumbbell, *workload.Group) {
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(flows))
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), flows, 1, nil)
 	senders, _ := workload.Connect(eng, flows,
 		func(f int) *netsim.Host { return net.Senders[f] },
 		func(int) *netsim.Host { return net.Receiver },

@@ -91,8 +91,8 @@ func DefaultDiffConfig() DiffConfig {
 		},
 		Interval:             sim.Millisecond,
 		LineRateBps:          10 * netsim.Gbps,
-		QueueCapacityPackets: netsim.DefaultDumbbellConfig(1).QueueCapacityPackets,
-		ECNThresholdPackets:  netsim.DefaultDumbbellConfig(1).ECNThresholdPackets,
+		QueueCapacityPackets: netsim.DefaultPortConfig().QueueCapacityPackets,
+		ECNThresholdPackets:  netsim.DefaultPortConfig().ECNThresholdPackets,
 		Audit:                true,
 	}
 }
@@ -108,10 +108,10 @@ func (c *DiffConfig) fill() {
 		c.LineRateBps = 10 * netsim.Gbps
 	}
 	if c.QueueCapacityPackets <= 0 {
-		c.QueueCapacityPackets = netsim.DefaultDumbbellConfig(1).QueueCapacityPackets
+		c.QueueCapacityPackets = netsim.DefaultPortConfig().QueueCapacityPackets
 	}
 	if c.ECNThresholdPackets <= 0 {
-		c.ECNThresholdPackets = netsim.DefaultDumbbellConfig(1).ECNThresholdPackets
+		c.ECNThresholdPackets = netsim.DefaultPortConfig().ECNThresholdPackets
 	}
 	if c.DeliveredAggTol <= 0 {
 		c.DeliveredAggTol = 0.02

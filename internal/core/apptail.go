@@ -93,7 +93,7 @@ type PartitionAggregateResult struct {
 // coordinator at the receiver and a worker at each sender, and summarizes
 // the query completion times.
 func RunPartitionAggregate(eng *sim.Engine, workers int, cfg app.PartitionAggregateConfig) *PartitionAggregateResult {
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(workers))
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), workers, 1, nil)
 	pa := app.NewPartitionAggregate(eng, net.Receiver, net.Senders, cfg,
 		func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) })
 	eng.RunUntil(60 * sim.Second)

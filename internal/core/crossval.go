@@ -85,7 +85,7 @@ func CrossValidation(opt Options) *CrossValidationResult {
 		harvest(&cfg, wallStart, f.totals(eng))
 	}
 
-	tr, err := millisampler.FromIngressRecorder(rec, hostLinkBps(&cfg))
+	tr, err := millisampler.FromIngressRecorder(rec, cfg.ports().HostLinkBps)
 	if err != nil {
 		// The recorder above is constructed with sim.Millisecond, so this
 		// is unreachable short of a programming error.

@@ -52,7 +52,7 @@ func newFabric(eng *sim.Engine, cfg *SimConfig, pool *netsim.PacketPool) *fabric
 	n := cfg.Flows
 	var src, dst func(flow int) *netsim.Host
 	if cfg.Clos == nil {
-		net := netsim.NewDumbbellWithPool(eng, cfg.Net, pool)
+		net := netsim.NewDumbbell(eng, cfg.Net, n, 1, pool)
 		src = func(i int) *netsim.Host { return net.Senders[i] }
 		dst = func(int) *netsim.Host { return net.Receiver }
 		f = &fabric{
@@ -70,7 +70,7 @@ func newFabric(eng *sim.Engine, cfg *SimConfig, pool *netsim.PacketPool) *fabric
 		if err != nil {
 			panic(err.Error())
 		}
-		net := netsim.NewClosWithPool(eng, *cfg.Clos, pool)
+		net := netsim.NewClos(eng, *cfg.Clos, pool)
 		n = len(srcs)
 		src = func(i int) *netsim.Host { return net.Hosts[srcs[i]] }
 		dst = func(i int) *netsim.Host { return net.Hosts[dsts[i]] }
@@ -96,7 +96,7 @@ func newFabric(eng *sim.Engine, cfg *SimConfig, pool *netsim.PacketPool) *fabric
 	senders, receivers := workload.Connect(eng, n, src, dst, alg, cfg.Sender, cfg.Receiver)
 	f.flows = &workload.Flows{
 		Group: workload.NewGroup(eng, senders, workload.GroupConfig{
-			BytesPerFlow: workload.BytesPerFlowFor(hostLinkBps(cfg), cfg.BurstDuration, cfg.Flows),
+			BytesPerFlow: workload.BytesPerFlowFor(cfg.ports().HostLinkBps, cfg.BurstDuration, cfg.Flows),
 			Bursts:       cfg.Bursts,
 			Interval:     cfg.Interval,
 			JitterMax:    cfg.JitterMax,

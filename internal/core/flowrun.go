@@ -54,6 +54,7 @@ func (c SimConfig) FlowCompatible() error {
 	}
 	cfg := c
 	cfg.fill()
+	ports := cfg.ports()
 	var feature string
 	switch {
 	case cfg.Notification != nil:
@@ -69,15 +70,11 @@ func (c SimConfig) FlowCompatible() error {
 		feature = "external shared-buffer contention"
 	case cfg.TrackInFlight:
 		feature = "per-flow in-flight tracking"
-	case cfg.Clos != nil && cfg.Clos.SharedBufferBytes > 0:
+	case ports.SharedBufferBytes > 0:
 		feature = "shared switch buffering"
-	case cfg.Clos != nil && cfg.Clos.ECNAverageWeight > 0:
+	case ports.ECNAverageWeight > 0:
 		feature = "EWMA-averaged ECN marking"
-	case cfg.Clos == nil && cfg.Net.SharedBufferBytes > 0:
-		feature = "shared switch buffering"
-	case cfg.Clos == nil && cfg.Net.ECNAverageWeight > 0:
-		feature = "EWMA-averaged ECN marking"
-	case cfg.Clos == nil && cfg.Net.CoreLinkBps != netsim.DefaultDumbbellConfig(cfg.Flows).CoreLinkBps:
+	case cfg.Clos == nil && cfg.Net.CoreLinkBps != netsim.DefaultDumbbellConfig().CoreLinkBps:
 		// The fluid dumbbell is the bottleneck queue alone; a changed core
 		// rate would be silently ignored there.
 		feature = "a non-default dumbbell core link rate (Net.CoreLinkBps, scenario topology.core_link_gbps)"
@@ -95,7 +92,6 @@ func (c SimConfig) FlowCompatible() error {
 	}
 	// The topology is checked before flowBaseRTT reads its link rates.
 	flows := cfg.Flows
-	capPkts, ecnK := cfg.Net.QueueCapacityPackets, cfg.Net.ECNThresholdPackets
 	if cfg.Clos != nil {
 		// The placement check ClosFlowEndpoints runs, without the endpoints.
 		n, err := workload.CheckClosPlacement(*cfg.Clos, cfg.Flows, cfg.Aggregators, cfg.Placement)
@@ -103,17 +99,16 @@ func (c SimConfig) FlowCompatible() error {
 			return err
 		}
 		flows = n
-		capPkts, ecnK = cfg.Clos.QueueCapacityPackets, cfg.Clos.ECNThresholdPackets
 	} else if err := cfg.Net.Validate(); err != nil {
 		return err
 	}
 	switch {
-	case capPkts <= 0:
+	case ports.QueueCapacityPackets <= 0:
 		return fmt.Errorf("core: fidelity %q needs a positive port queue capacity (QueueCapacityPackets = %d, which the packet backend reads as unbounded); use fidelity %q",
-			FidelityFlow, capPkts, FidelityPacket)
-	case ecnK <= 0:
+			FidelityFlow, ports.QueueCapacityPackets, FidelityPacket)
+	case ports.ECNThresholdPackets <= 0:
 		return fmt.Errorf("core: fidelity %q needs a positive ECN threshold (ECNThresholdPackets = %d, which the packet backend reads as no marking); use fidelity %q",
-			FidelityFlow, ecnK, FidelityPacket)
+			FidelityFlow, ports.ECNThresholdPackets, FidelityPacket)
 	}
 	if _, err := flowCC(cfg.Alg(0), flowBaseRTT(&cfg)); err != nil {
 		return err
@@ -134,15 +129,6 @@ func flowBaseRTT(cfg *SimConfig) sim.Time {
 // crossRack reports whether a fabric row's workers sit in other racks than
 // their aggregator's.
 func crossRack(cfg *SimConfig) bool { return cfg.Placement != workload.PlacementSameRack }
-
-// hostLinkBps is the host NIC line rate of the configured topology, which
-// sizes per-flow demand on both backends.
-func hostLinkBps(cfg *SimConfig) int64 {
-	if cfg.Clos != nil {
-		return cfg.Clos.HostLinkBps
-	}
-	return cfg.Net.HostLinkBps
-}
 
 // flowCC lowers a packet-level congestion-control instance into flowsim's
 // reduced form, mirroring its parameters (windows converted from bytes to
@@ -245,20 +231,20 @@ func runFluid(cfg SimConfig) (*flowsim.Result, error) {
 		}
 		net, err = c.FluidPathsFrom(pl.Flows(), pl.Fill)
 	} else {
-		net, err = cfg.Net.FluidPaths()
+		net, err = cfg.Net.FluidPaths(cfg.Flows)
 	}
 	if err != nil {
 		return nil, err
 	}
+	lineRate := cfg.ports().HostLinkBps
 	return flowsim.Run(flowsim.Config{
-		SegmentsPerFlow: workload.BytesPerFlowFor(hostLinkBps(&cfg), cfg.BurstDuration, cfg.Flows) / netsim.MSS,
+		SegmentsPerFlow: workload.BytesPerFlowFor(lineRate, cfg.BurstDuration, cfg.Flows) / netsim.MSS,
 		Bursts:          cfg.Bursts,
 		Interval:        cfg.Interval,
 		JitterMax:       cfg.JitterMax,
 		Seed:            cfg.Seed,
-		LineRateBps:     hostLinkBps(&cfg),
+		LineRateBps:     lineRate,
 		MinRTO:          cfg.Sender.MinRTO,
-		MaxRTO:          cfg.Sender.MaxRTO,
 		CC:              ccCfg,
 		SampleInterval:  cfg.SampleInterval,
 		SampleWindow:    cfg.SampleWindow,

@@ -465,7 +465,7 @@ func TestOptionsFidelityBestEffort(t *testing.T) {
 	if ictcp.Fidelity != "" {
 		t.Errorf("ICTCP config lowered to %q; must keep the packet backend", ictcp.Fidelity)
 	}
-	unmarked := SimConfig{Flows: 10, Net: netsim.DefaultDumbbellConfig(10)}
+	unmarked := SimConfig{Flows: 10, Net: netsim.DefaultDumbbellConfig()}
 	unmarked.Net.ECNThresholdPackets = 0
 	o.stamp("t", &unmarked)
 	if unmarked.Fidelity != "" {

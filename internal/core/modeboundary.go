@@ -87,7 +87,7 @@ func (r *ModeBoundaryResult) renderSummary(t *trace.Table) string {
 	var b strings.Builder
 	b.WriteString(section("Extension: locating the operating-mode boundaries"))
 	b.WriteString(t.Text())
-	net := netsim.DefaultDumbbellConfig(1)
+	net := netsim.DefaultDumbbellConfig()
 	bdpPkts := net.BDPBytes() / netsim.MTU
 	fmt.Fprintf(&b, "\npredicted: healthy->degenerate at K+BDP = %d+%d = %d flows; measured at %d\n",
 		net.ECNThresholdPackets, bdpPkts, net.ECNThresholdPackets+bdpPkts, r.HealthyToDegenerate)

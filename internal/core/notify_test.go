@@ -25,7 +25,7 @@ func TestDumbbellDetectorFiresWithinOneRTT(t *testing.T) {
 		t.Fatalf("mechanism inert: firings=%d notifies=%d",
 			res.DetectorFirings, res.IncastNotifies)
 	}
-	bound := 100*sim.Microsecond + netsim.DefaultDumbbellConfig(80).BaseRTT()
+	bound := 100*sim.Microsecond + netsim.DefaultDumbbellConfig().BaseRTT()
 	if res.DetectorFirstFire == 0 || res.DetectorFirstFire > bound {
 		t.Fatalf("first firing at %v, want within jitter + one RTT (%v)",
 			res.DetectorFirstFire, bound)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"incastlab/internal/netsim"
 	"incastlab/internal/sim"
 	"incastlab/internal/trace"
 )
@@ -51,8 +52,9 @@ func PulserModes(opt Options) *TableResult {
 					Flows:         n,
 					BurstDuration: 15 * sim.Millisecond,
 					Bursts:        bursts,
+					Net:           netsim.DefaultDumbbellConfig(),
 				}
-				cfg.Alg = ccByName(opt, scheme, nil, n, rowPath(&cfg, n, nil))
+				cfg.Alg = ccByName(opt, scheme, nil, &cfg)
 				if notify {
 					cfg.Notification = &NotificationConfig{}
 				}

@@ -84,9 +84,9 @@ func runRackIncast(opt Options, flows, bursts int, contended bool) rackGroupStat
 	)
 	wallStart := startWall(opt.Metrics)
 	eng := sim.NewEngine()
-	cfg := netsim.DefaultDumbbellConfig(flows)
+	cfg := netsim.DefaultDumbbellConfig()
 	cfg.SharedBufferBytes, cfg.SharedBufferAlpha = 2*1000*1000, 1
-	rack := netsim.NewDumbbellReceivers(eng, cfg, 2, nil)
+	rack := netsim.NewDumbbell(eng, cfg, flows, 2, nil)
 
 	// Flow f runs from sender f mod flows to receiver f/flows: the victim's
 	// flows, then the neighbor's from the same sender hosts.

@@ -88,8 +88,9 @@ func axisLabel(sw scenario.Sweep, i int, v scenario.Value) string {
 }
 
 // compileRow builds the SimConfig for one sweep row: workload and
-// transport bases first, then the topology (gated for the shared-buffer
-// axis), then the swept value on top.
+// transport bases first, then the row's dumbbell (gated for the
+// shared-buffer axis), then the swept value on top, and last the fabric
+// that carries the dumbbell's ports when the spec has a clos block.
 func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimConfig {
 	cfg := SimConfig{
 		Flows:         n,
@@ -126,11 +127,9 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 	if spec.Sweep.Axis == "shared_buffer" {
 		shared, _ = v.Bool()
 	}
-	if net, overridden := scenarioNet(n, spec.Topology, shared); overridden {
-		cfg.Net = net
-		if shared && spec.Topology.ContendBytes > 0 {
-			cfg.ExternalBufferBytes = spec.Topology.ContendBytes
-		}
+	net := scenarioNet(spec.Topology, shared)
+	if shared && spec.Topology != nil && spec.Topology.ContendBytes > 0 {
+		cfg.ExternalBufferBytes = spec.Topology.ContendBytes
 	}
 
 	// The congestion-control factory is named here and built after the
@@ -155,17 +154,13 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 		}
 	case "ecn_threshold_pkts":
 		k, _ := v.Number()
-		net, _ := scenarioNet(n, spec.Topology, true)
 		net.ECNThresholdPackets = int(k)
-		cfg.Net = net
 	case "min_rto_ms":
 		ms, _ := v.Number()
 		cfg.Sender.MinRTO = msTime(ms, 0)
 	case "marking_ewma":
 		w, _ := v.Number()
-		net, _ := scenarioNet(n, spec.Topology, true)
 		net.ECNAverageWeight = w
-		cfg.Net = net
 	case "delayed_acks":
 		if on, _ := v.Bool(); on {
 			cfg.Receiver.DelayedAcks = true
@@ -214,65 +209,27 @@ func compileRow(opt Options, spec scenario.Spec, n int, v scenario.Value) SimCon
 		}
 	}
 
-	// A clos block lifts the row onto the fabric. This happens after the
-	// axis switch so per-row dumbbell mutations (ECN threshold, EWMA
-	// weight, shared-buffer toggles) carry over into the fabric's ports.
+	// A clos block lifts the row onto the fabric, which takes the
+	// dumbbell's ports after the axis switch, so per-row port settings (ECN
+	// threshold, EWMA weight, shared-buffer toggles) carry over.
 	if spec.Topology != nil && spec.Topology.Clos != nil {
-		scenarioClos(opt, spec, n, v, &cfg)
+		scenarioClos(opt, spec.Topology.Clos, net.PortConfig, &cfg)
+	} else {
+		cfg.Net = net
 	}
 	if algName != "" {
-		cfg.Alg = ccByName(opt, algName, spec.CC, n, rowPath(&cfg, n, spec.Topology))
+		cfg.Alg = ccByName(opt, algName, spec.CC, &cfg)
 	}
 	return cfg
 }
 
-// pathParams is what a congestion-control factory sizes itself from: the
-// row's base RTT, the host link's bandwidth-delay product over it, and the
-// bottleneck's marking threshold in bytes.
-type pathParams struct {
-	rtt           sim.Time
-	bdp, ecnBytes int
-}
-
-// rowPath reads a compiled row's path parameters. A dumbbell row takes
-// them from the spec's dumbbell; a fabric row takes its placement's base
-// RTT (the one ICTCP and the fluid laws use, see flowBaseRTT) and the host
-// link's BDP over it.
-func rowPath(cfg *SimConfig, n int, topo *scenario.Topology) pathParams {
-	net, _ := scenarioNet(n, topo, true)
-	p := pathParams{rtt: net.BaseRTT(), bdp: net.BDPBytes(), ecnBytes: net.ECNThresholdPackets * netsim.MTU}
-	if c := cfg.Clos; c != nil {
-		x := crossRack(cfg)
-		p.rtt, p.bdp = c.BaseRTT(x), c.BDPBytes(x)
-	}
-	return p
-}
-
-// scenarioClos converts a row's compiled dumbbell parameters plus the
-// spec's clos block into a fabric config on cfg. The dumbbell fields act
-// as the "per-port" source of truth — host rate, queue bounds, marking,
-// per-leaf shared buffer — and the clos block supplies the fabric shape.
-func scenarioClos(opt Options, spec scenario.Spec, n int, v scenario.Value, cfg *SimConfig) {
-	cb := spec.Topology.Clos
-	net := cfg.Net
-	if net.Senders == 0 {
-		// No axis or override touched the dumbbell; materialize the row's
-		// effective parameters (shared-buffer gating included).
-		shared := true
-		if spec.Sweep.Axis == "shared_buffer" {
-			shared, _ = v.Bool()
-		}
-		net, _ = scenarioNet(n, spec.Topology, shared)
-	}
-
+// scenarioClos lifts a row onto the fabric the spec's clos block
+// describes, with the ports of the row's compiled dumbbell: host rate,
+// queue bounds, marking and the per-leaf shared buffer. The clos block
+// supplies the fabric's shape.
+func scenarioClos(opt Options, cb *scenario.Clos, ports netsim.PortConfig, cfg *SimConfig) {
 	cc := netsim.DefaultClosConfig(cb.Racks, cb.HostsPerRack)
-	cc.HostLinkBps = net.HostLinkBps
-	cc.QueueCapacityPackets = net.QueueCapacityPackets
-	cc.QueueCapacityBytes = net.QueueCapacityBytes
-	cc.ECNThresholdPackets = net.ECNThresholdPackets
-	cc.ECNAverageWeight = net.ECNAverageWeight
-	cc.SharedBufferBytes = net.SharedBufferBytes
-	cc.SharedBufferAlpha = net.SharedBufferAlpha
+	cc.PortConfig = ports
 	if cb.Spines > 0 {
 		cc.Spines = cb.Spines
 	}
@@ -321,32 +278,26 @@ func usTime(us float64) sim.Time {
 	return sim.Time(us * float64(sim.Microsecond))
 }
 
-// scenarioNet builds a row's dumbbell: the paper defaults for n senders
-// with the spec's overrides applied. shared gates the pooled-buffer fields
-// so the "shared_buffer" axis can toggle them per row. overridden reports
-// whether any override landed — when false the caller leaves SimConfig.Net
-// as its zero value, exactly like a hand-written config with no topology.
-func scenarioNet(n int, topo *scenario.Topology, shared bool) (net netsim.DumbbellConfig, overridden bool) {
-	net = netsim.DefaultDumbbellConfig(n)
+// scenarioNet builds a row's dumbbell: the paper defaults with the spec's
+// overrides applied. shared gates the pooled-buffer fields so the
+// "shared_buffer" axis can toggle them per row.
+func scenarioNet(topo *scenario.Topology, shared bool) netsim.DumbbellConfig {
+	net := netsim.DefaultDumbbellConfig()
 	if topo == nil {
-		return net, false
+		return net
 	}
 	if topo.HostLinkGbps > 0 {
 		net.HostLinkBps = int64(topo.HostLinkGbps * float64(netsim.Gbps))
-		overridden = true
 	}
 	if topo.CoreLinkGbps > 0 {
 		net.CoreLinkBps = int64(topo.CoreLinkGbps * float64(netsim.Gbps))
-		overridden = true
 	}
 	if topo.QueuePackets > 0 {
 		net.QueueCapacityPackets = topo.QueuePackets
 		net.QueueCapacityBytes = topo.QueuePackets * netsim.MTU
-		overridden = true
 	}
 	if topo.ECNThresholdPackets > 0 {
 		net.ECNThresholdPackets = topo.ECNThresholdPackets
-		overridden = true
 	}
 	if shared && topo.SharedBufferBytes > 0 {
 		net.SharedBufferBytes = topo.SharedBufferBytes
@@ -354,16 +305,18 @@ func scenarioNet(n int, topo *scenario.Topology, shared bool) (net netsim.Dumbbe
 		if net.SharedBufferAlpha == 0 {
 			net.SharedBufferAlpha = 1
 		}
-		overridden = true
 	}
-	return net, overridden
+	return net
 }
 
 // ccByName maps a congestion-control name (a scenario CC name or the
-// "dctcp+guardrail" scheme) to an algorithm factory for a row of n flows
-// over path. nil (for plain DCTCP with no overrides) defers to the engine
-// default, matching a hand-written SimConfig that leaves Alg unset.
-func ccByName(opt Options, name string, c *scenario.CC, n int, path pathParams) func(int) cc.Algorithm {
+// "dctcp+guardrail" scheme) to an algorithm factory for a compiled row,
+// whose topology (Net, or Clos and Placement) is set: Swift's target delay
+// and the guardrail's cap size themselves from its base RTT (flowBaseRTT,
+// the one ICTCP and the fluid laws use) and its ports. nil (for plain
+// DCTCP with no overrides) defers to the engine default, matching a
+// hand-written SimConfig that leaves Alg unset.
+func ccByName(opt Options, name string, c *scenario.CC, row *SimConfig) func(int) cc.Algorithm {
 	var g float64
 	var iw int
 	if c != nil {
@@ -395,22 +348,26 @@ func ccByName(opt Options, name string, c *scenario.CC, n int, path pathParams) 
 			return cc.NewD2TCP(dcfg)
 		}
 	case "swift":
-		return func(int) cc.Algorithm { return cc.NewSwift(cc.DefaultSwiftConfig(path.rtt)) }
+		rtt := flowBaseRTT(row)
+		return func(int) cc.Algorithm { return cc.NewSwift(cc.DefaultSwiftConfig(rtt)) }
 	case "dctcp+guardrail":
-		return guardrailAlg(opt, n, path)
+		return guardrailAlg(opt, row)
 	}
 	// Unreachable after Validate; fail loudly rather than silently fall
 	// back to the default algorithm.
 	panic(fmt.Sprintf("core: unknown congestion-control name %q", name))
 }
 
-// guardrailAlg builds the Section 5.1 predicted-degree clamp for an incast
-// of n flows. The predictor learns the service's incast degree from
+// guardrailAlg builds the Section 5.1 predicted-degree clamp for a
+// compiled row's incast, capped at its host link's BDP and its ports'
+// marking threshold. The predictor learns the service's incast degree from
 // observed bursts (Section 3.3 stability makes this meaningful); here it
 // observes the true degree with sampling noise. The predictor's RNG draws
 // happen at compile time, before the fan-out, so the degree each row sees
 // does not depend on worker interleaving.
-func guardrailAlg(opt Options, n int, path pathParams) func(int) cc.Algorithm {
+func guardrailAlg(opt Options, row *SimConfig) func(int) cc.Algorithm {
+	n, ports := row.Flows, row.ports()
+	bdp, ecnBytes := ports.BDPBytes(flowBaseRTT(row)), ports.ECNThresholdPackets*netsim.MTU
 	pr := predict.New(predict.DefaultConfig())
 	rng := sim.NewRand(opt.seed())
 	for i := 0; i < 64; i++ {
@@ -418,7 +375,7 @@ func guardrailAlg(opt Options, n int, path pathParams) func(int) cc.Algorithm {
 	}
 	degree := pr.PredictedDegree()
 	return func(int) cc.Algorithm {
-		g := cc.NewGuardrail(cc.NewDCTCP(cc.DefaultDCTCPConfig()), path.bdp, path.ecnBytes)
+		g := cc.NewGuardrail(cc.NewDCTCP(cc.DefaultDCTCPConfig()), bdp, ecnBytes)
 		g.Predict(degree)
 		return g
 	}

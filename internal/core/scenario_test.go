@@ -87,7 +87,7 @@ func TestCompileAblationG(t *testing.T) {
 		if cfg.BurstDuration != 15*sim.Millisecond {
 			t.Errorf("row %d: BurstDuration = %v, want 15ms", i, cfg.BurstDuration)
 		}
-		if cfg.Net != (netsim.DumbbellConfig{}) {
+		if cfg.Net != netsim.DefaultDumbbellConfig() {
 			t.Errorf("row %d: Net overridden without a topology in the spec", i)
 		}
 		if cfg.Alg == nil {
@@ -108,9 +108,9 @@ func TestCompileAblationG(t *testing.T) {
 }
 
 // TestCompileSharedBufferAxis pins the one axis that gates the topology per
-// row: the dedicated row keeps the zero-value Net (engine defaults) and no
-// external contention; the shared row gets the pooled buffer plus the
-// spec's contention bytes.
+// row: the dedicated row runs the default dumbbell and no external
+// contention; the shared row gets the pooled buffer plus the spec's
+// contention bytes.
 func TestCompileSharedBufferAxis(t *testing.T) {
 	var spec scenario.Spec
 	for _, s := range AblationSpecs() {
@@ -131,7 +131,7 @@ func TestCompileSharedBufferAxis(t *testing.T) {
 	if labels[0][0] != "dedicated_2MB" || labels[1][0] != "shared_2MB_contended" {
 		t.Errorf("labels = %v", labels)
 	}
-	if cfgs[0].Net != (netsim.DumbbellConfig{}) || cfgs[0].ExternalBufferBytes != 0 {
+	if cfgs[0].Net != netsim.DefaultDumbbellConfig() || cfgs[0].ExternalBufferBytes != 0 {
 		t.Errorf("dedicated row: Net/contention leaked in: %+v", cfgs[0].Net)
 	}
 	if cfgs[1].Net.SharedBufferBytes != 2_000_000 || cfgs[1].Net.SharedBufferAlpha != 1 {
@@ -238,7 +238,7 @@ func TestCompileClosPathSizesSwiftAndGuardrail(t *testing.T) {
 		}
 		return cfgs
 	}
-	ecnBytes := netsim.DefaultDumbbellConfig(80).ECNThresholdPackets * netsim.MTU
+	ecnBytes := netsim.DefaultPortConfig().ECNThresholdPackets * netsim.MTU
 	for _, tc := range []struct {
 		placement string
 		rtt       sim.Time
@@ -253,10 +253,54 @@ func TestCompileClosPathSizesSwiftAndGuardrail(t *testing.T) {
 			t.Errorf("%s: Swift base RTT %v, target %v; want %v, %v", tc.placement, sc.BaseRTT, sc.TargetDelay, tc.rtt, tc.rtt+tc.rtt/2)
 		}
 		guard := compile(tc.placement, `"workload": {"flows": 80}, "sweep": {"axis": "scheme", "values": ["dctcp+guardrail"]}`)
-		got := guard[0].Alg(0).(*cc.Guardrail).Cap()
-		want := guardrailAlg(Options{Seed: 1}, 80, pathParams{bdp: tc.bdp, ecnBytes: ecnBytes})(0).(*cc.Guardrail).Cap()
-		if got != want {
-			t.Errorf("%s: guardrail cap %d B, want %d B (from a %d B BDP)", tc.placement, got, want, tc.bdp)
+		g := guard[0].Alg(0).(*cc.Guardrail)
+		if g.Cap() <= 0 {
+			t.Errorf("%s: guardrail compiled without a predicted degree", tc.placement)
+		}
+		// The cap for a known degree shows the BDP the clamp was sized from.
+		g.Predict(80)
+		if got, want := g.Cap(), cc.FairShareCap(tc.bdp, ecnBytes, 80); got != want {
+			t.Errorf("%s: guardrail cap %d B at 80 flows, want %d B (from a %d B BDP)", tc.placement, got, want, tc.bdp)
+		}
+	}
+}
+
+// TestCompileClosTakesTheDumbbellPorts: a clos block lifts each row onto
+// the fabric with exactly the ports the same spec compiles to without it,
+// the topology overrides and the row's port axis value included.
+func TestCompileClosTakesTheDumbbellPorts(t *testing.T) {
+	compile := func(clos, sweep string) []SimConfig {
+		t.Helper()
+		spec, err := scenario.Parse([]byte(fmt.Sprintf(`{"name": "ports", "workload": {"flows": 40},
+			"topology": {"host_link_gbps": 25, "queue_packets": 500, "ecn_threshold_pkts": 30,
+				"shared_buffer_bytes": 1000000, "shared_buffer_alpha": 0.5%s},
+			"sweep": %s}`, clos, sweep)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, cfgs, err := CompileScenario(Options{Seed: 1}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfgs
+	}
+	for _, sweep := range []string{
+		`{"axis": "ecn_threshold_pkts", "values": [20, 200]}`,
+		`{"axis": "marking_ewma", "values": [0, 0.25]}`,
+		`{"axis": "shared_buffer", "values": [false, true]}`,
+	} {
+		dumbbell := compile("", sweep)
+		fabric := compile(`, "clos": {"racks": 4, "hosts_per_rack": 50}`, sweep)
+		if dumbbell[0].Net.PortConfig == dumbbell[1].Net.PortConfig {
+			t.Errorf("%s: both rows compile to the same ports %+v", sweep, dumbbell[0].Net.PortConfig)
+		}
+		for i, row := range fabric {
+			if row.Clos == nil {
+				t.Fatalf("%s row %d: the clos block did not lift the row onto the fabric", sweep, i)
+			}
+			if row.Clos.PortConfig != dumbbell[i].Net.PortConfig {
+				t.Errorf("%s row %d: fabric ports %+v, want the dumbbell's %+v", sweep, i, row.Clos.PortConfig, dumbbell[i].Net.PortConfig)
+			}
 		}
 	}
 }

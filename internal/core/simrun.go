@@ -34,7 +34,9 @@ type SimConfig struct {
 	// retransmission timers together; widening the jitter is how a
 	// scenario desynchronizes them, on either backend.
 	JitterMax sim.Time
-	// Net is the topology; zero value means the paper defaults for Flows.
+	// Net is the dumbbell, with one sender per flow; the zero value means
+	// the paper defaults (netsim.DefaultDumbbellConfig). Set it whole, or
+	// start from the defaults: Validate refuses a partly set one.
 	Net netsim.DumbbellConfig
 	// Alg builds the congestion-control algorithm per flow; nil means
 	// DCTCP with the paper's parameters.
@@ -112,7 +114,7 @@ type SimConfig struct {
 // of rules every row meets before RunIncastSim takes it. The rules are a
 // positive degree, a known fidelity and aggregation (the aggregation only
 // at FidelityFlow), ExternalBufferBytes only with a shared buffer, a
-// dumbbell with one sender per flow and positive link rates (and neither
+// dumbbell that is unset or has positive link rates (and neither
 // Aggregators nor Placement, which only a Clos reads), and a Clos fabric
 // that builds and fits its placement. At FidelityFlow it also
 // applies FlowCompatible. A packet row is checked without filling the
@@ -124,9 +126,7 @@ func (c SimConfig) Validate() error {
 	if err := checkBackend(c.Fidelity, c.Aggregation); err != nil {
 		return err
 	}
-	shared := c.Net.Senders != 0 && c.Net.SharedBufferBytes > 0
 	if c.Clos != nil {
-		shared = c.Clos.SharedBufferBytes > 0
 		if _, err := workload.CheckClosPlacement(*c.Clos, c.Flows, c.Aggregators, c.Placement); err != nil {
 			return err
 		}
@@ -139,17 +139,13 @@ func (c SimConfig) Validate() error {
 			return fmt.Errorf("core: Placement %q needs a Clos fabric, but the row runs on the dumbbell (set Clos, or leave Placement empty)",
 				c.Placement)
 		}
-		if c.Net.Senders != 0 {
-			if c.Net.Senders != c.Flows {
-				return fmt.Errorf("core: the dumbbell has %d senders but the row has %d flows (set Net.Senders to Flows, or leave it 0 for the default dumbbell)",
-					c.Net.Senders, c.Flows)
-			}
+		if c.Net != (netsim.DumbbellConfig{}) {
 			if err := c.Net.Validate(); err != nil {
-				return err
+				return fmt.Errorf("%w; start Net from netsim.DefaultDumbbellConfig(), or leave it zero for the defaults", err)
 			}
 		}
 	}
-	if c.ExternalBufferBytes > 0 && !shared {
+	if c.ExternalBufferBytes > 0 && c.ports().SharedBufferBytes <= 0 {
 		return fmt.Errorf("core: ExternalBufferBytes (%d) models contention in a shared buffer, but the topology has none (set Net or Clos SharedBufferBytes)",
 			c.ExternalBufferBytes)
 	}
@@ -157,6 +153,15 @@ func (c SimConfig) Validate() error {
 		return c.FlowCompatible()
 	}
 	return nil
+}
+
+// ports returns the row's per-port settings: the fabric's on a Clos, the
+// dumbbell's otherwise.
+func (c *SimConfig) ports() netsim.PortConfig {
+	if c.Clos != nil {
+		return c.Clos.PortConfig
+	}
+	return c.Net.PortConfig
 }
 
 // errNoFlows is the error for a run without a positive incast degree.
@@ -199,8 +204,8 @@ func (c *SimConfig) fill() {
 	if c.JitterMax <= 0 {
 		c.JitterMax = 100 * sim.Microsecond
 	}
-	if c.Net.Senders == 0 {
-		c.Net = netsim.DefaultDumbbellConfig(c.Flows)
+	if c.Net == (netsim.DumbbellConfig{}) {
+		c.Net = netsim.DefaultDumbbellConfig()
 	}
 	if c.Alg == nil {
 		c.Alg = func(int) cc.Algorithm { return cc.NewDCTCP(cc.DefaultDCTCPConfig()) }
@@ -278,7 +283,7 @@ func RunIncastSim(cfg SimConfig) *SimResult {
 		for _, r := range f.flows.Receivers {
 			ctrl := ctrls[r.Host()]
 			if ctrl == nil {
-				ctrl = tcp.NewICTCP(eng, tcp.DefaultICTCPConfig(hostLinkBps(&cfg), flowBaseRTT(&cfg)))
+				ctrl = tcp.NewICTCP(eng, tcp.DefaultICTCPConfig(cfg.ports().HostLinkBps, flowBaseRTT(&cfg)))
 				ctrls[r.Host()] = ctrl
 			}
 			ctrl.Manage(r)

@@ -19,13 +19,13 @@ func TestSimConfigValidate(t *testing.T) {
 	sharedClos.SharedBufferBytes = 2_000_000
 	slowClos := clos
 	slowClos.SpineLinkBps = 0
-	shared := netsim.DefaultDumbbellConfig(50)
+	shared := netsim.DefaultDumbbellConfig()
 	shared.SharedBufferBytes = 2_000_000
-	slow := netsim.DefaultDumbbellConfig(50)
+	slow := netsim.DefaultDumbbellConfig()
 	slow.HostLinkBps = 0
-	unmarked := netsim.DefaultDumbbellConfig(50)
+	unmarked := netsim.DefaultDumbbellConfig()
 	unmarked.ECNThresholdPackets = 0
-	unbounded := netsim.DefaultDumbbellConfig(50)
+	unbounded := netsim.DefaultDumbbellConfig()
 	unbounded.QueueCapacityPackets = 0
 	unmarkedClos := clos
 	unmarkedClos.ECNThresholdPackets = 0
@@ -59,10 +59,10 @@ func TestSimConfigValidate(t *testing.T) {
 		{"dumbbell without a queue bound", SimConfig{Flows: 50, Net: unbounded}, "", "queue capacity (QueueCapacityPackets = 0"},
 		{"clos without marking", SimConfig{Flows: 8, Clos: &unmarkedClos}, "", "ECN threshold (ECNThresholdPackets = 0"},
 		{"clos without a queue bound", SimConfig{Flows: 8, Clos: &unboundedClos}, "", "queue capacity (QueueCapacityPackets = 0"},
-		// A dumbbell built for another degree would panic at packet and
-		// run its own sender count at flow.
-		{"dumbbell of another degree", SimConfig{Flows: 100, Bursts: 3, Net: netsim.DefaultDumbbellConfig(50)},
-			"dumbbell has 50 senders but the row has 100 flows", "dumbbell has 50 senders but the row has 100 flows"},
+		// A dumbbell set only in part has no link rates; it is refused,
+		// naming where to start, rather than swapped for the defaults.
+		{"partly set dumbbell", SimConfig{Flows: 50, Net: netsim.DumbbellConfig{PortConfig: netsim.PortConfig{ECNThresholdPackets: 20}}},
+			"start Net from netsim.DefaultDumbbellConfig()", "start Net from netsim.DefaultDumbbellConfig()"},
 		// Only a Clos places workers or runs concurrent incasts; a dumbbell
 		// row would run one plain incast and ignore both fields.
 		{"dumbbell with aggregators", SimConfig{Flows: 20, Aggregators: 4}, "Aggregators (4)", "Aggregators (4)"},

@@ -66,14 +66,10 @@ type Config struct {
 	// injection (default 10 Gbps); every queue's rate comes from the path
 	// set.
 	LineRateBps int64
-	// MinRTO and MaxRTO bound the stall length after a timeout-class loss;
-	// consecutive timeouts back off exponentially between them (defaults
-	// 200 ms and 2 s, the transport defaults).
-	MinRTO, MaxRTO sim.Time
-	// DupAckPackets is the in-flight volume below which a loss cannot
-	// gather enough duplicate ACKs for fast retransmit and becomes a
-	// stall instead (default 3, the dup-ACK threshold).
-	DupAckPackets float64
+	// MinRTO is the stall length after a timeout-class loss; consecutive
+	// timeouts back off exponentially from it up to 2 s (default 200 ms;
+	// both are the transport's).
+	MinRTO sim.Time
 
 	// CC parameterizes the per-flow reduced-form controller.
 	CC CCConfig
@@ -97,6 +93,12 @@ type Config struct {
 	// minStep and maxStep override the bounds of the adaptive fluid step
 	// (tests only; 0 means defaultMinStep and defaultMaxStep).
 	minStep, maxStep sim.Time
+	// maxRTO overrides the RTO backoff cap, and dupAckPackets the
+	// in-flight volume below which a loss cannot gather enough duplicate
+	// ACKs for fast retransmit and becomes a stall instead (tests only; 0
+	// means defaultMaxRTO and defaultDupAckPackets).
+	maxRTO        sim.Time
+	dupAckPackets float64
 
 	// Check enables per-step invariant checking (queue bounds, per-flow
 	// volume conservation); violations surface as errors. The closing
@@ -152,14 +154,14 @@ func (c *Config) fill(net *netsim.FluidPaths) error {
 	if c.MinRTO <= 0 {
 		c.MinRTO = 200 * sim.Millisecond
 	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 2 * sim.Second
+	if c.maxRTO <= 0 {
+		c.maxRTO = defaultMaxRTO
 	}
-	if c.MaxRTO < c.MinRTO {
-		c.MaxRTO = c.MinRTO
+	if c.maxRTO < c.MinRTO {
+		c.maxRTO = c.MinRTO
 	}
-	if c.DupAckPackets <= 0 {
-		c.DupAckPackets = 3
+	if c.dupAckPackets <= 0 {
+		c.dupAckPackets = defaultDupAckPackets
 	}
 	if err := CheckAggregation(c.Aggregation, c.flows); err != nil {
 		return err
@@ -349,7 +351,7 @@ type flowState struct {
 	// are the ones at the back of the queue when it overflows.
 	lastRelease sim.Time
 
-	// backoff doubles the RTO up to MaxRTO across consecutive stalls.
+	// backoff doubles the RTO up to the cap across consecutive stalls.
 	backoff int
 
 	// roundEnd ends a time-based (Swift) observation round one RTT after
@@ -393,6 +395,13 @@ const (
 const (
 	defaultMinStep = 2 * sim.Microsecond
 	defaultMaxStep = 2 * sim.Millisecond
+)
+
+// defaultMaxRTO caps the RTO backoff and defaultDupAckPackets is the
+// dup-ACK threshold, both the packet transport's.
+const (
+	defaultMaxRTO        = 2 * sim.Second
+	defaultDupAckPackets = 3
 )
 
 // horizon is the recovery headroom past the nominal end before a run is

@@ -24,7 +24,7 @@ func quickConfig(n int, cc CCConfig) Config {
 // dumbbell is the paper dumbbell's path set for n flows.
 func dumbbell(t testing.TB, n int) *netsim.FluidPaths {
 	t.Helper()
-	net, err := netsim.DefaultDumbbellConfig(n).FluidPaths()
+	net, err := netsim.DefaultDumbbellConfig().FluidPaths(n)
 	if err != nil {
 		t.Fatalf("dumbbell path set of %d flows: %v", n, err)
 	}

@@ -94,8 +94,8 @@ func TestNetworkRTOBackoffAtStepBoundary(t *testing.T) {
 		Bursts:          2,
 		Interval:        50 * sim.Millisecond,
 		MinRTO:          10 * step, // exactly 10 pinned steps
-		MaxRTO:          80 * step, // caps the doubling at 8 steps' worth x8
-		DupAckPackets:   1 << 20,   // every loss is timeout-class: pure Mode 3
+		maxRTO:          80 * step, // caps the doubling at 8 steps' worth x8
+		dupAckPackets:   1 << 20,   // every loss is timeout-class: pure Mode 3
 		minStep:         step,
 		maxStep:         step,
 		LineRateBps:     10 * netsim.Gbps,

@@ -881,12 +881,12 @@ func (e *netEngine) netDropHit(i, oh int32, h int, j int32, dPer float64, stepEn
 	}
 	f := &e.flows[i]
 	w := float64(e.mCnt[i])
-	if e.lossInflight(i, e.net.Stage[j]) < e.cfg.DupAckPackets {
+	if e.lossInflight(i, e.net.Stage[j]) < e.cfg.dupAckPackets {
 		// Not enough in flight to trigger fast retransmit: stall.
 		e.timeouts += w
 		f.ctrl.onTimeout(&e.law)
 		e.hot[i].win = f.ctrl.window(&e.law)
-		rto := e.cfg.MaxRTO
+		rto := e.cfg.maxRTO
 		if f.backoff < 16 {
 			if r := e.cfg.MinRTO << uint(f.backoff); r < rto {
 				rto = r

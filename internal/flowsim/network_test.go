@@ -678,9 +678,9 @@ func oracleEngine(t *testing.T, seed int64, everyVictimParks bool) *netEngine {
 	cfg.Aggregation = AggregationCohort
 	cfg.cohortBuckets = 1 + rng.Intn(6)
 	if everyVictimParks {
-		cfg.MinRTO, cfg.MaxRTO, cfg.DupAckPackets = 1, 1, 1e9
+		cfg.MinRTO, cfg.maxRTO, cfg.dupAckPackets = 1, 1, 1e9
 	} else {
-		cfg.MinRTO, cfg.MaxRTO = 30*sim.Microsecond, 500*sim.Microsecond
+		cfg.MinRTO, cfg.maxRTO = 30*sim.Microsecond, 500*sim.Microsecond
 	}
 	if err := cfg.fill(net); err != nil {
 		t.Fatalf("seed %d: fill: %v", seed, err)

@@ -15,6 +15,9 @@ import (
 // datacenter fabric — generalizing the single-bottleneck dumbbell of
 // Section 4.
 type ClosConfig struct {
+	// PortConfig is the host links and every switch port; the shared
+	// buffer, when configured, is per leaf and pools its downlink ports.
+	PortConfig
 	// Racks is the number of leaf (ToR) switches; at least 2.
 	Racks int
 	// HostsPerRack is the number of hosts under each leaf.
@@ -22,53 +25,30 @@ type ClosConfig struct {
 	// Spines is the number of spine switches every leaf uplinks to
 	// (default 2).
 	Spines int
-	// HostLinkBps is the host-leaf line rate (default 10 Gbps).
-	HostLinkBps int64
 	// SpineLinkBps is the per-uplink leaf-spine line rate (default
 	// 100 Gbps). Rack oversubscription is
 	// HostsPerRack*HostLinkBps / (Spines*SpineLinkBps).
 	SpineLinkBps int64
-	// HostPropDelay is the one-way host-leaf propagation delay;
-	// SpinePropDelay the one-way leaf-spine delay. The defaults keep the
-	// cross-rack base RTT at the paper's ~30 us.
-	HostPropDelay  sim.Time
+	// SpinePropDelay is the one-way leaf-spine propagation delay. The
+	// default keeps the cross-rack base RTT at the paper's ~30 us.
 	SpinePropDelay sim.Time
-	// QueueCapacityPackets and QueueCapacityBytes bound every switch port
-	// queue, as in DumbbellConfig.
-	QueueCapacityPackets int
-	QueueCapacityBytes   int
-	// ECNThresholdPackets is the marking threshold K.
-	ECNThresholdPackets int
-	// ECNAverageWeight, when positive, switches marking to a RED-style
-	// EWMA of occupancy.
-	ECNAverageWeight float64
-	// SharedBufferBytes, if positive, pools each leaf's downlink port
-	// queues into a per-ToR shared memory of this size with DT factor
-	// SharedBufferAlpha.
-	SharedBufferBytes int
-	SharedBufferAlpha float64
 	// ECMPSeed drives the flow-hash that places cross-rack flows on spine
 	// uplinks. Same seed, same paths; different seeds reshuffle placement.
 	ECMPSeed uint64
 }
 
-// DefaultClosConfig returns a fabric with the paper's per-port parameters:
-// 10 Gbps host links, two spines at 100 Gbps per uplink, 1333-packet
-// (2 MB) port queues, K=65, and a cross-rack base RTT of ~30 us (the
-// leaf-spine propagation is half the dumbbell's core so the two fabric
-// hops sum to the same path delay).
+// DefaultClosConfig returns a fabric with the paper's per-port parameters
+// (DefaultPortConfig), two spines at 100 Gbps per uplink, and a
+// cross-rack base RTT of ~30 us (the leaf-spine propagation is half the
+// dumbbell's core so the two fabric hops sum to the same path delay).
 func DefaultClosConfig(racks, hostsPerRack int) ClosConfig {
 	return ClosConfig{
-		Racks:                racks,
-		HostsPerRack:         hostsPerRack,
-		Spines:               2,
-		HostLinkBps:          10 * Gbps,
-		SpineLinkBps:         100 * Gbps,
-		HostPropDelay:        4570 * sim.Nanosecond,
-		SpinePropDelay:       2250 * sim.Nanosecond,
-		QueueCapacityPackets: 1333,
-		QueueCapacityBytes:   2 * 1000 * 1000,
-		ECNThresholdPackets:  65,
+		PortConfig:     DefaultPortConfig(),
+		Racks:          racks,
+		HostsPerRack:   hostsPerRack,
+		Spines:         2,
+		SpineLinkBps:   100 * Gbps,
+		SpinePropDelay: 2250 * sim.Nanosecond,
 	}
 }
 
@@ -114,9 +94,7 @@ func (c ClosConfig) BaseRTT(crossRack bool) sim.Time {
 
 // BDPBytes returns the bandwidth-delay product of a host downlink over the
 // cross-rack or the same-rack path, rounded to the nearest byte.
-func (c ClosConfig) BDPBytes(crossRack bool) int {
-	return int((int64(c.BaseRTT(crossRack))*c.HostLinkBps + 4_000_000_000) / 8_000_000_000)
-}
+func (c ClosConfig) BDPBytes(crossRack bool) int { return c.PortConfig.BDPBytes(c.BaseRTT(crossRack)) }
 
 // maxClosHosts bounds a fabric's host slots (Racks x HostsPerRack) at 16
 // times the million-flow example's and maxClosUplinks its leaf-spine
@@ -207,14 +185,9 @@ func (c *Clos) UplinkIndex(flow FlowID, src, dst NodeID) int {
 	return ECMPIndex(c.Config.ECMPSeed, flow, src, dst, c.Config.Spines)
 }
 
-// NewClos wires up the fabric on eng.
-func NewClos(eng *sim.Engine, cfg ClosConfig) *Clos {
-	return NewClosWithPool(eng, cfg, nil)
-}
-
-// NewClosWithPool is NewClos with an injected packet pool (nil for a fresh
-// one), letting sweep runners carry a warm free list across runs.
-func NewClosWithPool(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
+// NewClos wires up the fabric on eng. A nil pool gets a fresh one; an
+// injected pool lets sweep runners carry a warm free list across runs.
+func NewClos(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -240,18 +213,6 @@ func NewClosWithPool(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
 		c.links = append(c.links, l)
 		return l
 	}
-	portQueue := func(name string, shared *SharedBuffer) *Queue {
-		qc := QueueConfig{
-			Name:                name,
-			CapacityBytes:       cfg.QueueCapacityBytes,
-			CapacityPackets:     cfg.QueueCapacityPackets,
-			ECNThresholdPackets: cfg.ECNThresholdPackets,
-			ECNAverageWeight:    cfg.ECNAverageWeight,
-			Shared:              shared,
-		}
-		return NewQueue(qc)
-	}
-
 	for s := 0; s < cfg.Spines; s++ {
 		sw := NewSwitch(NodeID(n+cfg.Racks+s), fmt.Sprintf("spine-%d", s))
 		sw.SetPool(c.Pool)
@@ -262,13 +223,7 @@ func NewClosWithPool(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
 		leaf := NewSwitch(NodeID(n+r), fmt.Sprintf("leaf-%d", r))
 		leaf.SetPool(c.Pool)
 		c.Leaves[r] = leaf
-		if cfg.SharedBufferBytes > 0 {
-			alpha := cfg.SharedBufferAlpha
-			if alpha <= 0 {
-				alpha = 1
-			}
-			c.Shared[r] = NewSharedBuffer(cfg.SharedBufferBytes, alpha)
-		}
+		c.Shared[r] = cfg.sharedBuffer()
 
 		// Hosts under this leaf: NIC uplink (unbounded, as in the
 		// dumbbell: host-side drops would mask the ToR behavior under
@@ -289,7 +244,7 @@ func NewClosWithPool(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
 				Name:         fmt.Sprintf("leaf-%d->host-%d-%d", r, r, s),
 				BandwidthBps: cfg.HostLinkBps,
 				PropDelay:    cfg.HostPropDelay,
-				Queue:        portQueue(fmt.Sprintf("leaf-%d-port-%d", r, s), c.Shared[r]),
+				Queue:        cfg.queue(fmt.Sprintf("leaf-%d-port-%d", r, s), c.Shared[r]),
 				Dst:          h,
 			})
 			leaf.AddRoute(id, down)
@@ -305,7 +260,7 @@ func NewClosWithPool(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
 				Name:         fmt.Sprintf("leaf-%d->spine-%d", r, s),
 				BandwidthBps: cfg.SpineLinkBps,
 				PropDelay:    cfg.SpinePropDelay,
-				Queue:        portQueue(fmt.Sprintf("leaf-%d-uplink-%d", r, s), nil),
+				Queue:        cfg.queue(fmt.Sprintf("leaf-%d-uplink-%d", r, s), nil),
 				Dst:          c.Spines[s],
 			})
 			ups[s] = up
@@ -324,7 +279,7 @@ func NewClosWithPool(eng *sim.Engine, cfg ClosConfig, pool *PacketPool) *Clos {
 				Name:         fmt.Sprintf("spine-%d->leaf-%d", s, r),
 				BandwidthBps: cfg.SpineLinkBps,
 				PropDelay:    cfg.SpinePropDelay,
-				Queue:        portQueue(fmt.Sprintf("spine-%d-port-%d", s, r), nil),
+				Queue:        cfg.queue(fmt.Sprintf("spine-%d-port-%d", s, r), nil),
 				Dst:          c.Leaves[r],
 			})
 			for slot := 0; slot < cfg.HostsPerRack; slot++ {

@@ -14,16 +14,12 @@ import (
 // boundaries. If this test fails, the rounding changed — check the quick
 // CSV goldens before updating the numbers.
 func TestDumbbellDefaultsGolden(t *testing.T) {
-	cfg := DefaultDumbbellConfig(80)
+	cfg := DefaultDumbbellConfig()
 	if got := cfg.BaseRTT(); got != 29993*sim.Nanosecond {
 		t.Errorf("dumbbell BaseRTT = %v, want 29993ns", got)
 	}
 	if got := cfg.BDPBytes(); got != 37491 {
 		t.Errorf("dumbbell BDPBytes = %d, want 37491", got)
-	}
-	// The flow count must not leak into path constants.
-	if other := DefaultDumbbellConfig(500); other.BaseRTT() != cfg.BaseRTT() || other.BDPBytes() != cfg.BDPBytes() {
-		t.Error("dumbbell RTT/BDP depend on the flow count")
 	}
 }
 
@@ -119,7 +115,7 @@ func TestClosNodeIDs(t *testing.T) {
 func TestClosWiring(t *testing.T) {
 	cfg := DefaultClosConfig(3, 4)
 	cfg.SharedBufferBytes = 500_000
-	c := NewClos(sim.NewEngine(), cfg)
+	c := NewClos(sim.NewEngine(), cfg, nil)
 
 	if len(c.Hosts) != 12 || len(c.Leaves) != 3 || len(c.Spines) != 2 {
 		t.Fatalf("fabric has %d hosts, %d leaves, %d spines", len(c.Hosts), len(c.Leaves), len(c.Spines))
@@ -148,7 +144,7 @@ func TestClosWiring(t *testing.T) {
 		}
 	}
 	// Without SharedBufferBytes the pools must be absent.
-	plain := NewClos(sim.NewEngine(), DefaultClosConfig(2, 2))
+	plain := NewClos(sim.NewEngine(), DefaultClosConfig(2, 2), nil)
 	for r, sb := range plain.Shared {
 		if sb != nil {
 			t.Fatalf("rack %d grew a shared buffer without SharedBufferBytes", r)
@@ -163,7 +159,7 @@ func TestClosWiring(t *testing.T) {
 func TestClosCrossRackDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultClosConfig(2, 2)
-	c := NewClos(eng, cfg)
+	c := NewClos(eng, cfg, nil)
 
 	src := cfg.HostID(1, 0)
 	dst := cfg.HostID(0, 0)
@@ -221,9 +217,9 @@ func TestECMPSeedShiftsPlacement(t *testing.T) {
 	cfgA.ECMPSeed = 1
 	cfgB := cfgA
 	cfgB.ECMPSeed = 2
-	a := NewClos(sim.NewEngine(), cfgA)
-	b := NewClos(sim.NewEngine(), cfgB)
-	a2 := NewClos(sim.NewEngine(), cfgA)
+	a := NewClos(sim.NewEngine(), cfgA, nil)
+	b := NewClos(sim.NewEngine(), cfgB, nil)
+	a2 := NewClos(sim.NewEngine(), cfgA, nil)
 
 	moved := 0
 	for f := FlowID(1); f <= 64; f++ {

@@ -176,30 +176,25 @@ func (p *FluidPaths) Stages() int {
 	return max + 1
 }
 
-// FluidPaths builds the dumbbell's path set: its bottleneck, the
-// receiver-ToR downlink port, at HostLinkBps with the config's queue
-// capacity and ECN threshold, which each of the Senders flows crosses
+// FluidPaths builds the dumbbell's path set for senders flows: its
+// bottleneck, the receiver-ToR downlink port, at HostLinkBps with the
+// config's queue capacity and ECN threshold, which each flow crosses
 // alone at BaseRTT. That is one queue and one path class, so the build
 // costs the same few allocations at any incast degree. The host NIC
 // queues are omitted, as on a Clos (the fluid injection rate is capped at
 // the host line rate instead), and so is the core link.
-func (c DumbbellConfig) FluidPaths() (*FluidPaths, error) {
+func (c DumbbellConfig) FluidPaths(senders int) (*FluidPaths, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Senders <= 0 || c.Senders > math.MaxInt32 {
-		return nil, fmt.Errorf("netsim: fluid dumbbell needs 1 to %d senders (got %d)", math.MaxInt32, c.Senders)
+	if senders <= 0 || senders > math.MaxInt32 {
+		return nil, fmt.Errorf("netsim: fluid dumbbell needs 1 to %d senders (got %d)", math.MaxInt32, senders)
 	}
 	p := &FluidPaths{
-		Queues: []FluidQueue{{
-			Name:                "bottleneck",
-			RateBps:             c.HostLinkBps,
-			CapacityPackets:     c.QueueCapacityPackets,
-			ECNThresholdPackets: c.ECNThresholdPackets,
-		}},
+		Queues:  []FluidQueue{c.fluidQueue("bottleneck", c.HostLinkBps)},
 		Paths:   [][]int32{{0}},
 		BaseRTT: []sim.Time{c.BaseRTT()},
-		Counts:  []int32{int32(c.Senders)},
+		Counts:  []int32{int32(senders)},
 		Stage:   []int{0},
 	}
 	if err := p.Validate(); err != nil {
@@ -472,12 +467,7 @@ func (b *pathBuilder) newClass(d int32, slot, dstRack int) int32 {
 func (b *pathBuilder) addQueue(name string, rateBps int64, stage int) int32 {
 	p := b.p
 	j := int32(len(p.Queues))
-	p.Queues = append(p.Queues, FluidQueue{
-		Name:                name,
-		RateBps:             rateBps,
-		CapacityPackets:     b.c.QueueCapacityPackets,
-		ECNThresholdPackets: b.c.ECNThresholdPackets,
-	})
+	p.Queues = append(p.Queues, b.c.fluidQueue(name, rateBps))
 	p.Stage = append(p.Stage, stage)
 	return j
 }

@@ -220,13 +220,13 @@ func TestFluidPathsMillionFlowClasses(t *testing.T) {
 
 // TestDumbbellFluidPaths pins the dumbbell's path set: one queue, its
 // bottleneck, at the host line rate with the config's capacity and ECN
-// threshold, crossed by one class of Senders flows at the dumbbell's base
+// threshold, crossed by one class of all the flows at the dumbbell's base
 // RTT. Every flow shares the one class, so the build costs the same small
 // number of allocations at any incast degree.
 func TestDumbbellFluidPaths(t *testing.T) {
-	c := netsim.DefaultDumbbellConfig(80)
+	c := netsim.DefaultDumbbellConfig()
 	c.QueueCapacityPackets, c.ECNThresholdPackets = 400, 20
-	p, err := c.FluidPaths()
+	p, err := c.FluidPaths(80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +242,8 @@ func TestDumbbellFluidPaths(t *testing.T) {
 		t.Errorf("Validate: %v", err)
 	}
 	allocs := func(n int) float64 {
-		c := netsim.DefaultDumbbellConfig(n)
 		return testing.AllocsPerRun(10, func() {
-			if _, err := c.FluidPaths(); err != nil {
+			if _, err := c.FluidPaths(n); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -253,7 +252,7 @@ func TestDumbbellFluidPaths(t *testing.T) {
 		t.Errorf("path set allocates %.0f objects at 80 senders and %.0f at 1,400; want the same small constant (<= 8)", small, big)
 	}
 	for _, bad := range []int{0, -1} {
-		if _, err := netsim.DefaultDumbbellConfig(bad).FluidPaths(); err == nil {
+		if _, err := c.FluidPaths(bad); err == nil {
 			t.Errorf("%d senders accepted", bad)
 		}
 	}

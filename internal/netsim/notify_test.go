@@ -16,7 +16,7 @@ func TestIncastDetectorSlopeTripsWithinRTT(t *testing.T) {
 	q := NewQueue(QueueConfig{Name: "bottleneck"})
 	d := NewIncastDetector(q, IncastDetectorConfig{}, nil)
 
-	rtt := DefaultDumbbellConfig(100).BaseRTT()
+	rtt := DefaultDumbbellConfig().BaseRTT()
 	const (
 		arrivalGap = 121 * sim.Nanosecond  // 10 hosts x 10G: one MTU every ~121ns
 		drainGap   = 1211 * sim.Nanosecond // one 10G port: one MTU every ~1.2us
@@ -108,7 +108,7 @@ func TestIncastDetectorDropTrips(t *testing.T) {
 // notifications.
 func TestIncastNotifierQueuedFlows(t *testing.T) {
 	eng := sim.NewEngine()
-	net := NewDumbbell(eng, DefaultDumbbellConfig(4))
+	net := NewDumbbell(eng, DefaultDumbbellConfig(), 4, 1, nil)
 	q := net.BottleneckQueue()
 
 	q.Enqueue(0, &Packet{Flow: 1, Src: 1, Dst: 0, Len: 100, ECT: true})
@@ -129,7 +129,7 @@ func TestIncastNotifierQueuedFlows(t *testing.T) {
 // than the horizon.
 func TestIncastNotifierFlowHorizon(t *testing.T) {
 	eng := sim.NewEngine()
-	net := NewDumbbell(eng, DefaultDumbbellConfig(4))
+	net := NewDumbbell(eng, DefaultDumbbellConfig(), 4, 1, nil)
 	q := net.BottleneckQueue()
 	n := NewIncastNotifier(net.ReceiverToR, net.Pool, 100*sim.Microsecond, q)
 
@@ -158,7 +158,7 @@ func TestIncastNotifierFlowHorizon(t *testing.T) {
 // flows its recent-flow table holds.
 func TestClosLeafCoordination(t *testing.T) {
 	eng := sim.NewEngine()
-	net := NewClos(eng, DefaultClosConfig(2, 4))
+	net := NewClos(eng, DefaultClosConfig(2, 4), nil)
 	coords := AttachClosIncastDetection(net, ClosDetectorConfig{MinPorts: 2})
 	if len(coords) != 2 {
 		t.Fatalf("got %d coordinators, want one per rack", len(coords))

@@ -6,51 +6,32 @@ import (
 	"incastlab/internal/sim"
 )
 
-// DumbbellConfig describes the paper's Section 4 topology: N senders, each
+// DumbbellConfig describes the paper's Section 4 topology: senders, each
 // on a 10 Gbps link to a sender-side ToR, a 100 Gbps inter-ToR link, and a
 // 10 Gbps downlink from the receiver-side ToR to the receiver (to each
-// receiver, when NewDumbbellReceivers puts several behind that ToR). The
-// 10:1 oversubscription between downlink and inter-ToR link is what makes
-// the incast potent.
+// receiver, when NewDumbbell puts several behind that ToR). The 10:1
+// oversubscription between downlink and inter-ToR link is what makes the
+// incast potent. The sender and receiver counts are arguments of
+// NewDumbbell, not settings.
 type DumbbellConfig struct {
-	// Senders is the number of sending hosts (the incast degree N).
-	Senders int
-	// HostLinkBps is the host-ToR line rate (default 10 Gbps).
-	HostLinkBps int64
+	// PortConfig is the host links and every switch port; the shared
+	// buffer, when configured, pools the receiver-ToR port queues.
+	PortConfig
 	// CoreLinkBps is the ToR-ToR line rate (default 100 Gbps).
 	CoreLinkBps int64
-	// HostPropDelay and CorePropDelay are one-way propagation delays,
-	// chosen so the default base RTT is ~30 us.
-	HostPropDelay sim.Time
+	// CorePropDelay is the one-way ToR-ToR propagation delay, chosen with
+	// HostPropDelay so the default base RTT is ~30 us.
 	CorePropDelay sim.Time
-	// QueueCapacityPackets and QueueCapacityBytes bound every switch port
-	// queue (defaults: 1333 packets / 2 MB, the paper's deep queue).
-	QueueCapacityPackets int
-	QueueCapacityBytes   int
-	// ECNThresholdPackets is the switch marking threshold K (default 65).
-	ECNThresholdPackets int
-	// ECNAverageWeight, when positive, switches marking to a RED-style
-	// EWMA of occupancy (ablation only; the paper marks instantaneously).
-	ECNAverageWeight float64
-	// SharedBufferBytes, if positive, pools the receiver-ToR port queues
-	// into a shared memory of this size with DT factor SharedBufferAlpha.
-	SharedBufferBytes int
-	SharedBufferAlpha float64
 }
 
-// DefaultDumbbellConfig returns the paper's simulation parameters for n
-// senders: 10/100 Gbps links, ~30 us RTT, 2 MB (1333-packet) queues, ECN
-// threshold 65 packets, no shared-buffer contention.
-func DefaultDumbbellConfig(n int) DumbbellConfig {
+// DefaultDumbbellConfig returns the paper's simulation parameters:
+// 10/100 Gbps links, ~30 us RTT, 2 MB (1333-packet) queues, ECN threshold
+// 65 packets, no shared-buffer contention.
+func DefaultDumbbellConfig() DumbbellConfig {
 	return DumbbellConfig{
-		Senders:              n,
-		HostLinkBps:          10 * Gbps,
-		CoreLinkBps:          100 * Gbps,
-		HostPropDelay:        4570 * sim.Nanosecond,
-		CorePropDelay:        4500 * sim.Nanosecond,
-		QueueCapacityPackets: 1333,
-		QueueCapacityBytes:   2 * 1000 * 1000,
-		ECNThresholdPackets:  65,
+		PortConfig:    DefaultPortConfig(),
+		CoreLinkBps:   100 * Gbps,
+		CorePropDelay: 4500 * sim.Nanosecond,
 	}
 }
 
@@ -78,9 +59,7 @@ func (c DumbbellConfig) BaseRTT() sim.Time {
 
 // BDPBytes returns the bandwidth-delay product of the bottleneck downlink,
 // rounded to the nearest byte.
-func (c DumbbellConfig) BDPBytes() int {
-	return int((int64(c.BaseRTT())*c.HostLinkBps + 4_000_000_000) / 8_000_000_000)
-}
+func (c DumbbellConfig) BDPBytes() int { return c.PortConfig.BDPBytes(c.BaseRTT()) }
 
 // Validate rejects link rates the RTT, BDP and link timing would panic
 // on, with an actionable error for the scenario layer.
@@ -126,42 +105,30 @@ func (d *Dumbbell) BottleneckQueue() *Queue { return d.Bottleneck.Queue() }
 // AllLinks returns every link in the topology.
 func (d *Dumbbell) AllLinks() []*Link { return d.links }
 
-// NewDumbbell wires up the topology on eng.
+// NewDumbbell wires up the topology on eng with senders hosts behind the
+// sender ToR and receivers hosts behind the receiver ToR, each receiver
+// on its own downlink port. Several receivers make the rack of the
+// paper's Section 3.4, where "simultaneous burst events to other hosts on
+// the same rack ... can consume shared switch memory": with a shared
+// buffer configured, every downlink draws on it. A nil pool gets a fresh
+// one; an injected pool lets sweep runners carry a warm free list across
+// consecutive runs, and must belong to the same goroutine as eng (pools,
+// like engines, are single-goroutine by design).
 //
-// Node IDs: receiver = 0, senders = 1..N, sender ToR = N+1,
-// receiver ToR = N+2.
-func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	return NewDumbbellWithPool(eng, cfg, nil)
-}
-
-// NewDumbbellWithPool is NewDumbbell with an injected packet pool, so
-// sweep runners can carry a warm free list across consecutive runs. A nil
-// pool gets a fresh one. The pool must belong to the same goroutine as eng
-// (pools, like engines, are single-goroutine by design).
-func NewDumbbellWithPool(eng *sim.Engine, cfg DumbbellConfig, pool *PacketPool) *Dumbbell {
-	return NewDumbbellReceivers(eng, cfg, 1, pool)
-}
-
-// NewDumbbellReceivers is NewDumbbellWithPool with r receivers behind the
-// receiver ToR, each on its own downlink port: the rack of the paper's
-// Section 3.4, where "simultaneous burst events to other hosts on the
-// same rack ... can consume shared switch memory". With a shared buffer
-// configured, every downlink draws on it.
-//
-// Node IDs: receivers = 0..r-1, senders = r..r+N-1, sender ToR = r+N,
-// receiver ToR = r+N+1; for r = 1, NewDumbbell's numbering.
-func NewDumbbellReceivers(eng *sim.Engine, cfg DumbbellConfig, r int, pool *PacketPool) *Dumbbell {
-	if cfg.Senders <= 0 || r <= 0 {
-		panic(fmt.Sprintf("netsim: dumbbell needs at least one sender and one receiver (got %d and %d)", cfg.Senders, r))
+// Node IDs: receivers = 0..R-1, senders = R..R+N-1, sender ToR = R+N,
+// receiver ToR = R+N+1, for R receivers and N senders.
+func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig, senders, receivers int, pool *PacketPool) *Dumbbell {
+	if senders <= 0 || receivers <= 0 {
+		panic(fmt.Sprintf("netsim: dumbbell needs at least one sender and one receiver (got %d and %d)", senders, receivers))
 	}
 	if pool == nil {
 		pool = NewPacketPool()
 	}
-	d := &Dumbbell{Config: cfg, Eng: eng, Pool: pool}
+	d := &Dumbbell{Config: cfg, Eng: eng, Pool: pool, Shared: cfg.sharedBuffer()}
 
-	d.SenderToR = NewSwitch(NodeID(r+cfg.Senders), "tor-senders")
+	d.SenderToR = NewSwitch(NodeID(receivers+senders), "tor-senders")
 	d.SenderToR.SetPool(d.Pool)
-	d.ReceiverToR = NewSwitch(NodeID(r+cfg.Senders+1), "tor-receiver")
+	d.ReceiverToR = NewSwitch(NodeID(receivers+senders+1), "tor-receiver")
 	d.ReceiverToR.SetPool(d.Pool)
 
 	// Every link shares the topology pool (so drops recycle) and is
@@ -173,49 +140,27 @@ func NewDumbbellReceivers(eng *sim.Engine, cfg DumbbellConfig, r int, pool *Pack
 		return l
 	}
 
-	if cfg.SharedBufferBytes > 0 {
-		alpha := cfg.SharedBufferAlpha
-		if alpha <= 0 {
-			alpha = 1
-		}
-		d.Shared = NewSharedBuffer(cfg.SharedBufferBytes, alpha)
-	}
-
-	portQueue := func(name string, shared bool) *Queue {
-		qc := QueueConfig{
-			Name:                name,
-			CapacityBytes:       cfg.QueueCapacityBytes,
-			CapacityPackets:     cfg.QueueCapacityPackets,
-			ECNThresholdPackets: cfg.ECNThresholdPackets,
-			ECNAverageWeight:    cfg.ECNAverageWeight,
-		}
-		if shared && d.Shared != nil {
-			qc.Shared = d.Shared
-		}
-		return NewQueue(qc)
-	}
-
 	// Inter-ToR links, both directions.
 	d.Uplink = newLink(LinkConfig{
 		Name:         "tor-senders->tor-receiver",
 		BandwidthBps: cfg.CoreLinkBps,
 		PropDelay:    cfg.CorePropDelay,
-		Queue:        portQueue("uplink", false),
+		Queue:        cfg.queue("uplink", nil),
 		Dst:          d.ReceiverToR,
 	})
 	reverseCore := newLink(LinkConfig{
 		Name:         "tor-receiver->tor-senders",
 		BandwidthBps: cfg.CoreLinkBps,
 		PropDelay:    cfg.CorePropDelay,
-		Queue:        portQueue("core-reverse", true),
+		Queue:        cfg.queue("core-reverse", d.Shared),
 		Dst:          d.SenderToR,
 	})
 
 	// Receivers, each behind a receiver-ToR downlink at host line rate
 	// that participates in the shared buffer. Receiver 0's is the
 	// bottleneck all figures study.
-	d.Receivers = make([]*Host, r)
-	d.Downlinks = make([]*Link, r)
+	d.Receivers = make([]*Host, receivers)
+	d.Downlinks = make([]*Link, receivers)
 	for i := range d.Receivers {
 		id := NodeID(i)
 		name, port := "receiver", "bottleneck"
@@ -228,7 +173,7 @@ func NewDumbbellReceivers(eng *sim.Engine, cfg DumbbellConfig, r int, pool *Pack
 			Name:         "tor-receiver->" + name,
 			BandwidthBps: cfg.HostLinkBps,
 			PropDelay:    cfg.HostPropDelay,
-			Queue:        portQueue(port, true),
+			Queue:        cfg.queue(port, d.Shared),
 			Dst:          h,
 		})
 		d.ReceiverToR.AddRoute(id, d.Downlinks[i])
@@ -247,9 +192,9 @@ func NewDumbbellReceivers(eng *sim.Engine, cfg DumbbellConfig, r int, pool *Pack
 	}
 	d.Receiver, d.Bottleneck = d.Receivers[0], d.Downlinks[0]
 
-	d.Senders = make([]*Host, cfg.Senders)
+	d.Senders = make([]*Host, senders)
 	for i := range d.Senders {
-		id := NodeID(r + i)
+		id := NodeID(receivers + i)
 		h := NewHost(eng, id, fmt.Sprintf("sender-%d", i))
 		h.SetPool(d.Pool)
 		h.SetUplink(newLink(LinkConfig{
@@ -264,7 +209,7 @@ func NewDumbbellReceivers(eng *sim.Engine, cfg DumbbellConfig, r int, pool *Pack
 			Name:         fmt.Sprintf("tor-senders->sender-%d", i),
 			BandwidthBps: cfg.HostLinkBps,
 			PropDelay:    cfg.HostPropDelay,
-			Queue:        portQueue(fmt.Sprintf("tor-senders-port-%d", i), false),
+			Queue:        cfg.queue(fmt.Sprintf("tor-senders-port-%d", i), nil),
 			Dst:          h,
 		})
 		d.SenderToR.AddRoute(id, down)

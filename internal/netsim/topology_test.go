@@ -22,7 +22,7 @@ func TestPacketSizes(t *testing.T) {
 }
 
 func TestDefaultDumbbellRTTAndBDP(t *testing.T) {
-	cfg := DefaultDumbbellConfig(10)
+	cfg := DefaultDumbbellConfig()
 	rtt := cfg.BaseRTT()
 	// The paper's target RTT is 30 us; the builder should land within 5%.
 	if rtt < 28500*sim.Nanosecond || rtt > 31500*sim.Nanosecond {
@@ -38,14 +38,14 @@ func TestDefaultDumbbellRTTAndBDP(t *testing.T) {
 // TestDumbbellConfigValidate: the default dumbbell builds, and a link
 // rate of 0 bps (or less) is an error before BaseRTT would panic on it.
 func TestDumbbellConfigValidate(t *testing.T) {
-	if err := DefaultDumbbellConfig(10).Validate(); err != nil {
+	if err := DefaultDumbbellConfig().Validate(); err != nil {
 		t.Fatalf("default dumbbell: %v", err)
 	}
 	for _, mutate := range []func(*DumbbellConfig){
 		func(c *DumbbellConfig) { c.HostLinkBps = 0 },
 		func(c *DumbbellConfig) { c.CoreLinkBps = -1 },
 	} {
-		cfg := DefaultDumbbellConfig(10)
+		cfg := DefaultDumbbellConfig()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "dumbbell link rates must be positive") {
 			t.Errorf("host %d bps, core %d bps: Validate = %v", cfg.HostLinkBps, cfg.CoreLinkBps, err)
@@ -55,7 +55,7 @@ func TestDumbbellConfigValidate(t *testing.T) {
 
 func TestDumbbellEndToEndDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDumbbell(eng, DefaultDumbbellConfig(3))
+	d := NewDumbbell(eng, DefaultDumbbellConfig(), 3, 1, nil)
 
 	var got []*Packet
 	d.Receiver.Attach(PacketHandlerFunc(func(p *Packet) { got = append(got, p) }))
@@ -75,7 +75,7 @@ func TestDumbbellEndToEndDelivery(t *testing.T) {
 
 func TestDumbbellReversePathDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDumbbell(eng, DefaultDumbbellConfig(2))
+	d := NewDumbbell(eng, DefaultDumbbellConfig(), 2, 1, nil)
 
 	var got []*Packet
 	d.Senders[1].Attach(PacketHandlerFunc(func(p *Packet) { got = append(got, p) }))
@@ -90,8 +90,8 @@ func TestDumbbellReversePathDelivery(t *testing.T) {
 
 func TestDumbbellOneWayLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDumbbellConfig(1)
-	d := NewDumbbell(eng, cfg)
+	cfg := DefaultDumbbellConfig()
+	d := NewDumbbell(eng, cfg, 1, 1, nil)
 
 	var at sim.Time
 	d.Receiver.Attach(PacketHandlerFunc(func(p *Packet) { at = eng.Now() }))
@@ -109,8 +109,8 @@ func TestDumbbellOneWayLatency(t *testing.T) {
 
 func TestDumbbellBottleneckCongestion(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDumbbellConfig(20)
-	d := NewDumbbell(eng, cfg)
+	cfg := DefaultDumbbellConfig()
+	d := NewDumbbell(eng, cfg, 20, 1, nil)
 	d.Receiver.Attach(PacketHandlerFunc(func(p *Packet) {}))
 
 	// Every sender blasts 10 full packets simultaneously: 200 packets
@@ -136,10 +136,10 @@ func TestDumbbellBottleneckCongestion(t *testing.T) {
 
 func TestDumbbellSharedBufferCausesEarlierLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultDumbbellConfig(20)
+	cfg := DefaultDumbbellConfig()
 	cfg.SharedBufferBytes = 150 * 1500 // much smaller than the 1333-pkt limit
 	cfg.SharedBufferAlpha = 1
-	d := NewDumbbell(eng, cfg)
+	d := NewDumbbell(eng, cfg, 20, 1, nil)
 	d.Receiver.Attach(PacketHandlerFunc(func(p *Packet) {}))
 	d.Shared.SetExternalBytes(100 * 1500) // rack-level contention
 
@@ -246,8 +246,8 @@ func TestHostIngressRecorder(t *testing.T) {
 
 // rackConfig is the dumbbell with the 2 MB, alpha-1 shared buffer
 // ext_rack_contention runs on.
-func rackConfig(senders int) DumbbellConfig {
-	cfg := DefaultDumbbellConfig(senders)
+func rackConfig() DumbbellConfig {
+	cfg := DefaultDumbbellConfig()
 	cfg.SharedBufferBytes, cfg.SharedBufferAlpha = 2*1000*1000, 1
 	return cfg
 }
@@ -257,7 +257,7 @@ func rackConfig(senders int) DumbbellConfig {
 // reaches each receiver on its own downlink.
 func TestRackDeliveryToBothReceivers(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDumbbellReceivers(eng, rackConfig(4), 2, nil)
+	d := NewDumbbell(eng, rackConfig(), 4, 2, nil)
 	if d.Receiver != d.Receivers[0] || d.Bottleneck != d.Downlinks[0] {
 		t.Fatal("Receiver and Bottleneck are not receiver 0's host and downlink")
 	}
@@ -291,7 +291,7 @@ func TestRackDeliveryToBothReceivers(t *testing.T) {
 // TestRackReversePath: an ACK from the second receiver reaches a sender.
 func TestRackReversePath(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewDumbbellReceivers(eng, rackConfig(3), 2, nil)
+	d := NewDumbbell(eng, rackConfig(), 3, 2, nil)
 	got := 0
 	d.Senders[2].Attach(PacketHandlerFunc(func(p *Packet) { got++ }))
 	d.Receivers[1].Send(&Packet{Flow: 9, Src: d.Receivers[1].ID(),
@@ -307,9 +307,9 @@ func TestRackReversePath(t *testing.T) {
 func TestRackSharedBufferContention(t *testing.T) {
 	burstTo := func(twoGroups bool) (drops int64) {
 		eng := sim.NewEngine()
-		cfg := rackConfig(40)
+		cfg := rackConfig()
 		cfg.SharedBufferBytes = 100 * 1500 // tight pool: 100 packets
-		d := NewDumbbellReceivers(eng, cfg, 2, nil)
+		d := NewDumbbell(eng, cfg, 40, 2, nil)
 		for i, l := range d.Downlinks {
 			if l.Queue().SharedBuffer() != d.Shared {
 				t.Fatalf("downlink %d does not draw on the shared buffer", i)
@@ -357,7 +357,7 @@ func TestRackValidation(t *testing.T) {
 					t.Errorf("%s did not panic", tc.name)
 				}
 			}()
-			NewDumbbellReceivers(sim.NewEngine(), rackConfig(tc.senders), tc.receivers, nil)
+			NewDumbbell(sim.NewEngine(), rackConfig(), tc.senders, tc.receivers, nil)
 		}()
 	}
 }

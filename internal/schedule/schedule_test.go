@@ -99,7 +99,7 @@ func TestWaveEndToEnd(t *testing.T) {
 	run := func(adm workload.Admitter) (peak int, bct sim.Time) {
 		eng := sim.NewEngine()
 		const flows = 120
-		net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(flows))
+		net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), flows, 1, nil)
 		senders, _ := workload.Connect(eng, flows,
 			func(f int) *netsim.Host { return net.Senders[f] },
 			func(int) *netsim.Host { return net.Receiver },

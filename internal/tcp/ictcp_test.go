@@ -69,8 +69,8 @@ func TestICTCPConfigValidation(t *testing.T) {
 func ictcpLoop(t *testing.T, n int, perFlow int64, useICTCP bool) (*netsim.Dumbbell, []*Sender) {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := netsim.DefaultDumbbellConfig(n)
-	d := netsim.NewDumbbell(eng, net)
+	net := netsim.DefaultDumbbellConfig()
+	d := netsim.NewDumbbell(eng, net, n, 1, nil)
 	rHub := NewHub(d.Receiver)
 	var ctrl *ICTCP
 	if useICTCP {
@@ -135,8 +135,8 @@ func TestICTCPWindowsRespondToDemand(t *testing.T) {
 	// A single managed bulk flow should be granted window increases well
 	// beyond the 2-MSS initial value.
 	eng := sim.NewEngine()
-	net := netsim.DefaultDumbbellConfig(1)
-	d := netsim.NewDumbbell(eng, net)
+	net := netsim.DefaultDumbbellConfig()
+	d := netsim.NewDumbbell(eng, net, 1, 1, nil)
 	rHub := NewHub(d.Receiver)
 	ctrl := NewICTCP(eng, DefaultICTCPConfig(net.HostLinkBps, net.BaseRTT()))
 	sHub := NewHub(d.Senders[0])

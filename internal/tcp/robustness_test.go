@@ -88,7 +88,7 @@ func TestReorderingDoesNotCorruptStream(t *testing.T) {
 
 func TestIdleRestartClampsWindow(t *testing.T) {
 	eng := sim.NewEngine()
-	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(1))
+	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 1, 1, nil)
 	sHub := NewHub(d.Senders[0])
 	rHub := NewHub(d.Receiver)
 	scfg := DefaultSenderConfig()
@@ -117,7 +117,7 @@ func TestIdleRestartClampsWindow(t *testing.T) {
 func TestNoIdleRestartByDefault(t *testing.T) {
 	// The paper's configuration: windows persist across idle gaps.
 	eng := sim.NewEngine()
-	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(1))
+	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 1, 1, nil)
 	sHub := NewHub(d.Senders[0])
 	rHub := NewHub(d.Receiver)
 	alg := cc.NewDCTCP(cc.DefaultDCTCPConfig())

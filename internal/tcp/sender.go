@@ -11,14 +11,16 @@ import (
 // assumes too.
 const dupAckThreshold = 3
 
+// maxRTO caps exponential RTO backoff; the fluid backend backs off to the
+// same 2 s.
+const maxRTO = 2 * sim.Second
+
 // SenderConfig tunes a Sender.
 type SenderConfig struct {
 	// MinRTO is the lower bound on the retransmission timeout. The default
 	// 200 ms (the Linux default) is what makes the paper's Mode 3 burst
 	// completion time land near 200 ms.
 	MinRTO sim.Time
-	// MaxRTO caps exponential RTO backoff (default 2 s).
-	MaxRTO sim.Time
 	// RestartAfterIdle applies RFC 2861-style congestion window validation:
 	// when new demand arrives after the connection has been idle longer
 	// than the current RTO, the window restarts from the initial window
@@ -32,7 +34,6 @@ type SenderConfig struct {
 func DefaultSenderConfig() SenderConfig {
 	return SenderConfig{
 		MinRTO: 200 * sim.Millisecond,
-		MaxRTO: 2 * sim.Second,
 	}
 }
 
@@ -40,9 +41,6 @@ func (c *SenderConfig) fillDefaults() {
 	d := DefaultSenderConfig()
 	if c.MinRTO <= 0 {
 		c.MinRTO = d.MinRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = d.MaxRTO
 	}
 }
 
@@ -282,8 +280,8 @@ func (s *Sender) onRTO() {
 	s.dupAcks = 0
 	s.sndNxt = s.sndUna
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	s.trySend()
 }
@@ -340,7 +338,7 @@ func (s *Sender) HandlePacket(p *netsim.Packet) {
 		if p.EchoSentAt >= 0 {
 			rtt = now - p.EchoSentAt
 			s.est.sample(rtt)
-			s.rto = s.est.rto(s.cfg.MinRTO, s.cfg.MaxRTO)
+			s.rto = s.est.rto(s.cfg.MinRTO, maxRTO)
 		}
 
 		if s.inRecovery {

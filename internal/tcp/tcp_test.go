@@ -59,7 +59,7 @@ func buildLoop(t *testing.T, alg cc.Algorithm, scfg SenderConfig, rcfg ReceiverC
 	*sim.Engine, *netsim.Dumbbell, *Sender, *Receiver) {
 	t.Helper()
 	eng := sim.NewEngine()
-	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(1))
+	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 1, 1, nil)
 	sHub := NewHub(d.Senders[0])
 	rHub := NewHub(d.Receiver)
 	snd := NewSender(eng, sHub, 1, d.Receiver.ID(), alg, scfg)
@@ -304,11 +304,11 @@ func (r *timerRecorder) OnTimeout(now sim.Time) {
 func (r *timerRecorder) OnAck(a cc.Ack) {
 	r.Algorithm.OnAck(a)
 	cfg := r.snd.cfg
-	r.acks = append(r.acks, ackTimer{a.RTT > 0, r.snd.rto, r.snd.est.rto(cfg.MinRTO, cfg.MaxRTO)})
+	r.acks = append(r.acks, ackTimer{a.RTT > 0, r.snd.rto, r.snd.est.rto(cfg.MinRTO, maxRTO)})
 }
 
 // TestRTOBackoffDoublesToCapAndResets pins the sender's timer backoff:
-// consecutive RTOs double the timer from MinRTO to MaxRTO and hold it
+// consecutive RTOs double the timer from MinRTO to maxRTO and hold it
 // there, and the first timed ACK afterwards resets it to the estimator's
 // value. ACKs of retransmitted segments carry no RTT sample (Karn), so
 // they must leave the backed-off timer alone.
@@ -359,8 +359,8 @@ func TestRTOBackoffDoublesToCapAndResets(t *testing.T) {
 			first = i
 			break
 		}
-		if ack.rto != cfg.MaxRTO {
-			t.Errorf("untimed ACK %d moved the backed-off timer to %v, want %v", i, ack.rto, cfg.MaxRTO)
+		if ack.rto != maxRTO {
+			t.Errorf("untimed ACK %d moved the backed-off timer to %v, want %v", i, ack.rto, maxRTO)
 		}
 	}
 	if first <= 0 {
@@ -376,7 +376,7 @@ func TestECEFeedbackReachesCCA(t *testing.T) {
 	// 30 flows with IW 10 into the 1333-packet bottleneck: queue exceeds
 	// K=65, so some ACKs must carry ECE and DCTCP windows must shrink.
 	eng := sim.NewEngine()
-	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(30))
+	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 30, 1, nil)
 	rHub := NewHub(d.Receiver)
 	var senders []*Sender
 	for i, h := range d.Senders {
@@ -581,7 +581,7 @@ func TestHubIgnoresUnknownFlow(t *testing.T) {
 // re-armable-timer hot path.
 func BenchmarkSenderBurst(b *testing.B) {
 	eng := sim.NewEngine()
-	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(1))
+	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 1, 1, nil)
 	sHub := NewHub(d.Senders[0])
 	rHub := NewHub(d.Receiver)
 	snd := NewSender(eng, sHub, 1, d.Receiver.ID(),

@@ -42,7 +42,7 @@ func smallConfig(n int) GroupConfig {
 // dumbbellIncast connects n flows from the senders of an n-sender dumbbell
 // to its receiver and schedules cfg's bursts over them.
 func dumbbellIncast(eng *sim.Engine, n int, cfg GroupConfig) (*netsim.Dumbbell, *Flows) {
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(n))
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), n, 1, nil)
 	senders, receivers := Connect(eng, n,
 		func(f int) *netsim.Host { return net.Senders[f] },
 		func(int) *netsim.Host { return net.Receiver },
@@ -98,7 +98,7 @@ func TestIncastCompletesAndConserves(t *testing.T) {
 func TestConnectSharesHostHubs(t *testing.T) {
 	const n = 10
 	eng := sim.NewEngine()
-	net := netsim.NewDumbbellReceivers(eng, netsim.DefaultDumbbellConfig(n), 2, nil)
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), n, 2, nil)
 	senders, receivers := Connect(eng, 2*n,
 		func(f int) *netsim.Host { return net.Senders[f%n] },
 		func(f int) *netsim.Host { return net.Receivers[f/n] },
@@ -204,7 +204,7 @@ func TestSampleInFlight(t *testing.T) {
 // a burst interval panics when its Group is built.
 func TestIncastConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(20))
+	net := netsim.NewDumbbell(eng, netsim.DefaultDumbbellConfig(), 20, 1, nil)
 	cases := []struct {
 		name  string
 		flows int
